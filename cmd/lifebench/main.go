@@ -23,8 +23,8 @@
 //
 // -json replaces the human-readable tables with a JSON array of
 // result records (experiment name, params, metrics, wall-clock
-// duration and cell count), the stable interface for tracking bench
-// trajectories across commits.
+// duration and cell count), the stable interface for comparing results
+// across commits.
 package main
 
 import (
@@ -71,9 +71,6 @@ func run(args []string, stdout io.Writer) error {
 		quiet    = fs.Bool("quiet", false, "suppress progress output")
 		timings  = fs.Bool("timings", true, "print wall-clock timings per experiment")
 		jsonOut  = fs.Bool("json", false, "emit machine-readable JSON records instead of tables")
-
-		benchOut  = fs.String("bench-out", "", "append a bench-trajectory entry (per-scenario wall times and cell counts) to this JSON file")
-		benchNote = fs.String("bench-note", "", "free-form note recorded in the -bench-out entry (a commit id, a change description)")
 
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the scenario runs to this file (inspect with go tool pprof)")
 		memProfile = fs.String("memprofile", "", "write a post-run heap profile to this file (inspect with go tool pprof)")
@@ -199,7 +196,6 @@ func run(args []string, stdout io.Writer) error {
 		defer pprof.StopCPUProfile()
 	}
 
-	start := time.Now()
 	results, err := experiment.RunScenarios(names, experiment.RunOptions{
 		Scale:             sc,
 		Seed:              *seed,
@@ -215,7 +211,6 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	totalWall := time.Since(start).Seconds()
 
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
@@ -243,12 +238,6 @@ func run(args []string, stdout io.Writer) error {
 				}
 				fmt.Fprintf(stdout, "== %s ==\n%s\n", section.Title, section.Body)
 			}
-		}
-	}
-
-	if *benchOut != "" {
-		if err := appendBenchEntry(*benchOut, newBenchEntry(*benchNote, *scale, *seed, *parallel, totalWall, results)); err != nil {
-			return fmt.Errorf("bench-out: %w", err)
 		}
 	}
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"os"
 	"strings"
 	"testing"
 
@@ -214,56 +213,5 @@ func TestRunJSONTableSmoke(t *testing.T) {
 		if _, ok := rec.Metrics["first_detect_median_s"]; !ok {
 			t.Errorf("missing latency metric in %v", rec.Metrics)
 		}
-	}
-}
-
-// TestRunBenchOutAppends checks -bench-out creates a JSON-array
-// trajectory file and appends to it on the next invocation, with one
-// per-scenario cost block per entry.
-func TestRunBenchOutAppends(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scenario runs")
-	}
-	path := t.TempDir() + "/bench.json"
-	args := []string{"-exp", "partition,rolling-restart", "-scale", "smoke", "-quiet", "-timings=false", "-bench-out", path}
-	if err := run(append(args, "-bench-note", "first"), io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(args, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var entries []benchEntry
-	if err := json.Unmarshal(data, &entries); err != nil {
-		t.Fatalf("bench file is not a valid entry array: %v", err)
-	}
-	if len(entries) != 2 {
-		t.Fatalf("got %d entries, want 2", len(entries))
-	}
-	if entries[0].Note != "first" || entries[1].Note != "" {
-		t.Errorf("notes = %q, %q", entries[0].Note, entries[1].Note)
-	}
-	for i, e := range entries {
-		if e.Scale != "smoke" || e.Parallel != 1 || e.TotalWall <= 0 || e.When == "" {
-			t.Errorf("entry %d stamp: %+v", i, e)
-		}
-		if len(e.Scenarios) != 2 {
-			t.Fatalf("entry %d has %d scenarios, want 2", i, len(e.Scenarios))
-		}
-		for name, s := range e.Scenarios {
-			if s.Cells <= 0 {
-				t.Errorf("entry %d scenario %s: cells = %d", i, name, s.Cells)
-			}
-		}
-	}
-	// A corrupt target must error out rather than be clobbered.
-	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(args, io.Discard); err == nil {
-		t.Error("corrupt bench file accepted")
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"syscall"
 	"time"
 
 	"lifeguard/internal/bufpool"
@@ -60,31 +61,43 @@ type Transport struct {
 	wg sync.WaitGroup
 }
 
-// New binds a UDP socket and a TCP listener on bindAddr ("host:port";
-// port 0 picks the same free port for both when possible).
+// bindAttempts bounds how many UDP/TCP port pairs New tries when the
+// caller asked for port 0.
+const bindAttempts = 32
+
+// New binds a UDP socket and a TCP listener on bindAddr ("host:port")
+// and advertises the one port both hold. With port 0 the kernel chooses
+// the UDP port without regard to TCP, so something else — typically an
+// outbound connection's ephemeral source port — may already hold it on
+// the TCP side; any pair will do, so New then retries with a fresh one.
+// An explicit port fails on the first error.
 func New(bindAddr string) (*Transport, error) {
 	udpAddr, err := net.ResolveUDPAddr("udp", bindAddr)
 	if err != nil {
 		return nil, fmt.Errorf("nettrans: resolve %q: %w", bindAddr, err)
 	}
-	udp, err := net.ListenUDP("udp", udpAddr)
-	if err != nil {
-		return nil, fmt.Errorf("nettrans: listen udp %q: %w", bindAddr, err)
-	}
-	// Bind TCP on the port UDP actually got, so one advertised address
-	// serves both channels.
-	actual := udp.LocalAddr().(*net.UDPAddr)
-	tcpAddr := &net.TCPAddr{IP: actual.IP, Port: actual.Port}
-	tcp, err := net.ListenTCP("tcp", tcpAddr)
-	if err != nil {
+	for attempt := 1; ; attempt++ {
+		udp, err := net.ListenUDP("udp", udpAddr)
+		if err != nil {
+			return nil, fmt.Errorf("nettrans: listen udp %q: %w", bindAddr, err)
+		}
+		// Bind TCP on the port UDP actually got, so one advertised
+		// address serves both channels.
+		actual := udp.LocalAddr().(*net.UDPAddr)
+		tcpAddr := &net.TCPAddr{IP: actual.IP, Port: actual.Port}
+		tcp, err := net.ListenTCP("tcp", tcpAddr)
+		if err == nil {
+			return &Transport{
+				udp:       udp,
+				tcp:       tcp,
+				advertise: actual.String(),
+			}, nil
+		}
 		udp.Close()
-		return nil, fmt.Errorf("nettrans: listen tcp %v: %w", tcpAddr, err)
+		if udpAddr.Port != 0 || attempt == bindAttempts || !errors.Is(err, syscall.EADDRINUSE) {
+			return nil, fmt.Errorf("nettrans: listen tcp %v: %w", tcpAddr, err)
+		}
 	}
-	return &Transport{
-		udp:       udp,
-		tcp:       tcp,
-		advertise: actual.String(),
-	}, nil
 }
 
 // LocalAddr returns the transport's advertised address.

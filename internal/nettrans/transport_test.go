@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	"runtime"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -297,4 +299,74 @@ func TestAdvertisedAddressUsable(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.wait(t, 1, 2*time.Second)
+}
+
+// squatTCP holds n TCP-only listeners on kernel-chosen loopback ports
+// for the rest of the test, the way other processes' listeners and
+// outbound connections do on a busy host: each holds a TCP port whose
+// UDP twin is free, so the kernel may hand that port to a UDP bind and
+// the TCP listen on it then fails with EADDRINUSE.
+func squatTCP(t *testing.T, n int) []*net.TCPAddr {
+	t.Helper()
+	addrs := make([]*net.TCPAddr, n)
+	for i := range addrs {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		addrs[i] = l.Addr().(*net.TCPAddr)
+	}
+	return addrs
+}
+
+// TestPortZeroBindsConcurrently binds a few hundred port-0 transports at
+// once on a loopback whose ephemeral TCP range is partly taken (about
+// 3 % per bind hits a held TCP port, so without the fresh-pair retry
+// some bind here fails with "address already in use" nearly every run)
+// and checks every transport advertises a port both its sockets hold.
+func TestPortZeroBindsConcurrently(t *testing.T) {
+	squatTCP(t, 800)
+	const binds = 256
+	trs := make([]*Transport, binds)
+	errs := make([]error, binds)
+	var wg sync.WaitGroup
+	for i := range trs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			trs[i], errs[i] = New("127.0.0.1:0")
+		}(i)
+	}
+	wg.Wait()
+	seen := make(map[string]bool, binds)
+	for i, tr := range trs {
+		if errs[i] != nil {
+			t.Errorf("bind %d: %v", i, errs[i])
+			continue
+		}
+		defer tr.Close()
+		udp, tcp := tr.udp.LocalAddr().String(), tr.tcp.Addr().String()
+		if adv := tr.LocalAddr(); adv != udp || adv != tcp {
+			t.Errorf("bind %d advertises %s but holds udp %s, tcp %s", i, adv, udp, tcp)
+		}
+		if seen[tr.LocalAddr()] {
+			t.Errorf("bind %d: address %s handed out twice", i, tr.LocalAddr())
+		}
+		seen[tr.LocalAddr()] = true
+	}
+}
+
+// TestExplicitPortInUseFails pins the other half of the contract: a
+// caller who names a port gets that port or an error, never another.
+func TestExplicitPortInUseFails(t *testing.T) {
+	held := squatTCP(t, 1)[0]
+	tr, err := New(held.String())
+	if err == nil {
+		tr.Close()
+		t.Fatalf("bound %s although its TCP port is held", tr.LocalAddr())
+	}
+	if !errors.Is(err, syscall.EADDRINUSE) {
+		t.Fatalf("error %v, want EADDRINUSE", err)
+	}
 }

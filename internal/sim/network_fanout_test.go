@@ -179,10 +179,9 @@ func BenchmarkNetworkDeliverFanout(b *testing.B) {
 	}
 	payload := make([]byte, 64)
 	// Warm the pools (delivery structs, scheduler events, inboxes) so
-	// the measured loop is steady state. Each iteration drains fully:
-	// that caps pending events at one round's worth, keeping the
-	// calendar wheel inside its minimum size so adaptive grow/shrink
-	// resizes never fire mid-measurement.
+	// the measured loop is steady state. Each iteration drains fully,
+	// so pending events never exceed one round's worth and neither the
+	// pools nor the scheduler's heap grow mid-measurement.
 	for i := 0; i < 64; i++ {
 		if err := src.SendPacketFanout(addrs, payload, false); err != nil {
 			b.Fatal(err)

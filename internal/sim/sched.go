@@ -11,73 +11,57 @@ import (
 	"time"
 )
 
-// Event is a scheduled callback. It can be cancelled before it runs.
+// Event is a scheduled callback. It can be stopped before it runs.
 type Event struct {
-	// at is the event's virtual time in nanoseconds since the
-	// scheduler's epoch; seq is its schedule order, the same-instant
-	// tie-break. Together they are the total execution order, identical
-	// under every queue backend.
-	at  int64
-	seq uint64
-
-	// fn is the callback. Pooled events use the closure-free fnArg/arg
-	// pair instead, so the hot packet path allocates nothing per event.
+	// fn is the callback. Pooled events (scheduleArg) leave it nil and
+	// use the closure-free fnArg/arg pair instead, so the hot packet path
+	// allocates nothing per event.
 	fn    func()
 	fnArg func(any)
 	arg   any
 
-	cancelled bool
-	done      bool // ran, or discarded after cancellation
+	// sched is the scheduler the event is pending on; nil once it has
+	// run or been stopped, and always nil for pooled events, which are
+	// never handed out and so can never be stopped.
+	sched *Scheduler
 
-	// pooled marks events owned by the scheduler's free list: scheduled
-	// through scheduleArg, never handed out, recycled after they run.
-	pooled bool
-
-	// index is the event's heap position, used only by the heap backend.
+	// index is the event's position in sched.heap while it is pending.
 	index int
 }
 
-// Stop cancels the event. It reports whether the event was still pending.
+// Stop removes the event from its scheduler at once, in O(log n). It
+// reports whether the event was still pending: false after it has run
+// (including from inside its own callback) or after an earlier Stop.
 func (e *Event) Stop() bool {
-	if e == nil || e.cancelled || e.done {
+	if e == nil || e.sched == nil {
 		return false
 	}
-	e.cancelled = true
+	e.sched.removeAt(e.index)
 	return true
 }
 
-// eventLess is the scheduler's total order: time, then schedule order.
-func eventLess(a, b *Event) bool {
+// entry is one heap slot. The ordering key lives in the slot, by value,
+// so sifting compares without touching the events themselves.
+type entry struct {
+	// at is the event's virtual time in nanoseconds since the
+	// scheduler's epoch; seq is its schedule order, the same-instant
+	// tie-break. Together they are the total execution order.
+	at  int64
+	seq uint64
+	ev  *Event
+}
+
+func (a entry) less(b entry) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-// eventQueue is the pending-event set behind a Scheduler. push accepts
-// any event with at not before the last popped time; pop removes and
-// returns the earliest live event by (at, seq), discarding cancelled
-// events as it finds them, and returns nil when nothing is pending.
-// len includes cancelled events not yet discarded.
-type eventQueue interface {
-	push(e *Event)
-	pop() *Event
-	len() int
-}
-
-// Backend selects a Scheduler's pending-event queue implementation.
-type Backend int
-
-const (
-	// BackendCalendar is the default: a bucketed calendar queue (a
-	// timing wheel with a year check and automatic resizing), O(1)
-	// amortized insert and pop at simulator event densities.
-	BackendCalendar Backend = iota
-
-	// BackendHeap is the seed container/heap implementation, kept as
-	// the reference for differential tests and as a fallback.
-	BackendHeap
-)
+// heapArity is the heap's branching factor. Four children per node
+// halve the depth of a binary heap, and a node's children sit in
+// adjacent slots, so a sift-down costs fewer cache lines per level.
+const heapArity = 4
 
 // Scheduler is a single-threaded discrete-event loop. All protocol logic
 // in a simulation runs inside its callbacks; nothing in this package is
@@ -85,8 +69,12 @@ const (
 type Scheduler struct {
 	epoch time.Time
 	now   int64 // ns since epoch
-	q     eventQueue
 	seq   uint64
+
+	// heap is the pending-event set: an array-backed 4-ary min-heap
+	// ordered by (at, seq). Every entry is live — Stop removes its event
+	// immediately — so the root is always the next event to run.
+	heap []entry
 
 	// executed counts events run, for diagnostics and runaway guards.
 	executed uint64
@@ -95,33 +83,17 @@ type Scheduler struct {
 	free []*Event
 }
 
-// NewScheduler returns a scheduler whose virtual clock starts at start,
-// using the default calendar-queue backend.
+// NewScheduler returns a scheduler whose virtual clock starts at start.
 func NewScheduler(start time.Time) *Scheduler {
-	return NewSchedulerBackend(start, BackendCalendar)
-}
-
-// NewSchedulerBackend returns a scheduler on an explicit queue backend.
-// Every backend produces the identical execution order — (time, then
-// schedule order) — so simulations are byte-identical across backends;
-// the choice only affects wall-clock speed.
-func NewSchedulerBackend(start time.Time, b Backend) *Scheduler {
-	s := &Scheduler{epoch: start}
-	switch b {
-	case BackendHeap:
-		s.q = &heapQueue{}
-	default:
-		s.q = newCalendarQueue()
-	}
-	return s
+	return &Scheduler{epoch: start}
 }
 
 // Now returns the current virtual time.
 func (s *Scheduler) Now() time.Time { return s.epoch.Add(time.Duration(s.now)) }
 
-// Len returns the number of pending events (including cancelled ones not
-// yet drained).
-func (s *Scheduler) Len() int { return s.q.len() }
+// Len returns the number of pending events. Stopped events leave the
+// queue at once, so every one counted will run.
+func (s *Scheduler) Len() int { return len(s.heap) }
 
 // Executed returns the number of events run so far.
 func (s *Scheduler) Executed() uint64 { return s.executed }
@@ -130,78 +102,134 @@ func (s *Scheduler) Executed() uint64 { return s.executed }
 // runs on the next step, after already-scheduled events for this
 // instant).
 func (s *Scheduler) Schedule(d time.Duration, fn func()) *Event {
-	if d < 0 {
-		d = 0
-	}
-	s.seq++
-	e := &Event{at: s.now + int64(d), seq: s.seq, fn: fn}
-	s.q.push(e)
+	e := &Event{fn: fn, sched: s}
+	s.push(s.now+int64(max(d, 0)), e)
 	return e
 }
 
 // ScheduleAt runs fn at the given virtual time, which must not be before
 // Now (it is clamped if it is).
 func (s *Scheduler) ScheduleAt(at time.Time, fn func()) *Event {
-	rel := int64(at.Sub(s.epoch))
-	if rel < s.now {
-		rel = s.now
-	}
-	s.seq++
-	e := &Event{at: rel, seq: s.seq, fn: fn}
-	s.q.push(e)
+	e := &Event{fn: fn, sched: s}
+	s.push(max(int64(at.Sub(s.epoch)), s.now), e)
 	return e
 }
 
 // scheduleArg runs fn(arg) d from now on a pooled event: no Event and no
 // closure are allocated in steady state. Pooled events cannot be
-// cancelled — no handle is returned — which is exactly what the network's
+// stopped — no handle is returned — which is exactly what the network's
 // per-packet delivery and service events need.
 func (s *Scheduler) scheduleArg(d time.Duration, fn func(any), arg any) {
-	if d < 0 {
-		d = 0
-	}
 	var e *Event
 	if n := len(s.free); n > 0 {
 		e = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
 	} else {
-		e = &Event{pooled: true}
+		e = &Event{}
 	}
-	s.seq++
-	e.at, e.seq, e.fnArg, e.arg = s.now+int64(d), s.seq, fn, arg
-	s.q.push(e)
+	e.fnArg, e.arg = fn, arg
+	s.push(s.now+int64(max(d, 0)), e)
 }
 
-// runEvent executes a popped live event. Pooled events are recycled
-// before the callback runs, so a callback that schedules new work can
-// reuse the event it came from.
-func (s *Scheduler) runEvent(e *Event) {
-	e.done = true
-	if e.pooled {
-		fn, arg := e.fnArg, e.arg
-		e.fnArg, e.arg, e.done, e.cancelled = nil, nil, false, false
-		s.free = append(s.free, e)
-		fn(arg)
+// push adds e to the heap at virtual time at, behind everything already
+// scheduled for that instant.
+func (s *Scheduler) push(at int64, e *Event) {
+	s.seq++
+	s.heap = append(s.heap, entry{})
+	s.siftUp(len(s.heap)-1, entry{at: at, seq: s.seq, ev: e})
+}
+
+// siftUp fills the hole at slot i with x, first moving the hole towards
+// the root past every ancestor that orders after x.
+func (s *Scheduler) siftUp(i int, x entry) {
+	h := s.heap
+	for i > 0 {
+		p := (i - 1) / heapArity
+		if !x.less(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].ev.index = i
+		i = p
+	}
+	h[i] = x
+	x.ev.index = i
+}
+
+// siftDown fills the hole at slot i with x, first moving the hole
+// towards the leaves past every smallest child that orders before x.
+func (s *Scheduler) siftDown(i int, x entry) {
+	h := s.heap
+	for {
+		first := heapArity*i + 1
+		if first >= len(h) {
+			break
+		}
+		c, end := first, min(first+heapArity, len(h))
+		for j := first + 1; j < end; j++ {
+			if h[j].less(h[c]) {
+				c = j
+			}
+		}
+		if !h[c].less(x) {
+			break
+		}
+		h[i] = h[c]
+		h[i].ev.index = i
+		i = c
+	}
+	h[i] = x
+	x.ev.index = i
+}
+
+// removeAt takes the entry at slot i out of the heap, marks its event as
+// no longer pending, and re-seats the entry from the last slot in the
+// hole, which may belong either above or below it.
+func (s *Scheduler) removeAt(i int) {
+	h := s.heap
+	h[i].ev.sched = nil
+	last := len(h) - 1
+	x := h[last]
+	h[last] = entry{}
+	s.heap = h[:last]
+	if i == last {
 		return
 	}
-	if e.fnArg != nil {
-		e.fnArg(e.arg)
+	if i > 0 && x.less(h[(i-1)/heapArity]) {
+		s.siftUp(i, x)
+	} else {
+		s.siftDown(i, x)
+	}
+}
+
+// runNext pops the root and executes it, advancing virtual time to it.
+// The heap must not be empty.
+func (s *Scheduler) runNext() {
+	top := s.heap[0]
+	s.removeAt(0)
+	s.now = top.at
+	s.executed++
+	e := top.ev
+	if e.fn != nil {
+		e.fn()
 		return
 	}
-	e.fn()
+	// A pooled event is recycled before its callback runs, so a callback
+	// that schedules new work can reuse the event it came from.
+	fn, arg := e.fnArg, e.arg
+	e.fnArg, e.arg = nil, nil
+	s.free = append(s.free, e)
+	fn(arg)
 }
 
 // Step runs the next pending event, advancing virtual time to it. It
 // reports whether an event was run (false when the queue is empty).
 func (s *Scheduler) Step() bool {
-	e := s.q.pop()
-	if e == nil {
+	if len(s.heap) == 0 {
 		return false
 	}
-	s.now = e.at
-	s.executed++
-	s.runEvent(e)
+	s.runNext()
 	return true
 }
 
@@ -209,20 +237,8 @@ func (s *Scheduler) Step() bool {
 // virtual clock to t.
 func (s *Scheduler) RunUntil(t time.Time) {
 	rel := int64(t.Sub(s.epoch))
-	for {
-		e := s.q.pop()
-		if e == nil {
-			break
-		}
-		if e.at > rel {
-			// Past the horizon: put it back. (at, seq) are unchanged, so
-			// the queue order is exactly as if it had never been popped.
-			s.q.push(e)
-			break
-		}
-		s.now = e.at
-		s.executed++
-		s.runEvent(e)
+	for len(s.heap) > 0 && s.heap[0].at <= rel {
+		s.runNext()
 	}
 	if s.now < rel {
 		s.now = rel

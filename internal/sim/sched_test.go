@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -62,6 +65,206 @@ func TestSchedulerStopCancels(t *testing.T) {
 	s.RunFor(5 * time.Second)
 	if ran {
 		t.Error("cancelled event ran")
+	}
+}
+
+// checkHeap asserts the queue's structural invariants: every parent
+// orders before its children, and every pending event points back at its
+// own slot and at the scheduler.
+func checkHeap(t *testing.T, s *Scheduler) {
+	t.Helper()
+	for i, x := range s.heap {
+		if i > 0 && x.less(s.heap[(i-1)/heapArity]) {
+			t.Fatalf("heap order broken: slot %d orders before its parent", i)
+		}
+		if x.ev.index != i {
+			t.Fatalf("slot %d holds an event with index %d", i, x.ev.index)
+		}
+		if x.ev.fn != nil && x.ev.sched != s {
+			t.Fatalf("slot %d holds a cancellable event not marked pending", i)
+		}
+	}
+}
+
+// TestSchedulerStopRemovesImmediately stops every pending event and
+// checks each Stop takes its event out of the queue then and there: Len
+// counts live events only, nothing stopped runs, and a drained-by-Stop
+// queue reports no work.
+func TestSchedulerStopRemovesImmediately(t *testing.T) {
+	s := NewScheduler(time.Unix(0, 0))
+	ran := 0
+	var evs []*Event
+	for i := 0; i < 100; i++ {
+		evs = append(evs, s.Schedule(time.Duration(i)*time.Millisecond, func() { ran++ }))
+	}
+	for i, e := range evs {
+		if !e.Stop() {
+			t.Fatal("Stop on a pending event reported false")
+		}
+		if want := len(evs) - i - 1; s.Len() != want {
+			t.Fatalf("Len=%d after %d stops, want %d", s.Len(), i+1, want)
+		}
+		checkHeap(t, s)
+	}
+	for _, e := range evs {
+		if e.Stop() {
+			t.Fatal("second Stop reported true")
+		}
+	}
+	if s.Step() {
+		t.Fatal("Step on a queue emptied by Stop reported work")
+	}
+	s.RunFor(time.Second)
+	if ran != 0 {
+		t.Fatalf("%d stopped events ran", ran)
+	}
+}
+
+// TestSchedulerStopBySlot stops the event sitting in a chosen heap slot
+// — the root, the last slot, a middle slot — and checks the rest still
+// run in (at, seq) order.
+func TestSchedulerStopBySlot(t *testing.T) {
+	const n = 64
+	slots := map[string]int{"root": 0, "last": n - 1, "middle": n / 2}
+	for name, slot := range slots {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(slot)))
+			s := NewScheduler(time.Unix(0, 0))
+			var ran []int
+			delays := make([]time.Duration, n)
+			byEvent := make(map[*Event]int, n)
+			for i := range delays {
+				i := i
+				delays[i] = time.Duration(rng.Int63n(int64(time.Second)))
+				byEvent[s.Schedule(delays[i], func() { ran = append(ran, i) })] = i
+			}
+			victim := s.heap[slot].ev
+			if !victim.Stop() {
+				t.Fatal("Stop on a pending event reported false")
+			}
+			if s.Len() != n-1 {
+				t.Fatalf("Len=%d after one Stop, want %d", s.Len(), n-1)
+			}
+			checkHeap(t, s)
+			s.Drain(n)
+
+			var want []int
+			for i := range delays {
+				if i != byEvent[victim] {
+					want = append(want, i)
+				}
+			}
+			sort.SliceStable(want, func(a, b int) bool { return delays[want[a]] < delays[want[b]] })
+			if fmt.Sprint(ran) != fmt.Sprint(want) {
+				t.Fatalf("run order after stopping slot %d:\n got %v\nwant %v", slot, ran, want)
+			}
+		})
+	}
+}
+
+// TestSchedulerStopFromCallback stops, from inside a running callback,
+// an event due at the same instant (it must not run, and Len drops at
+// once) and the running event itself (already off the queue: false).
+func TestSchedulerStopFromCallback(t *testing.T) {
+	s := NewScheduler(time.Unix(0, 0))
+	var order []string
+	var self, sibling *Event
+	self = s.Schedule(time.Second, func() {
+		order = append(order, "first")
+		if self.Stop() {
+			t.Error("Stop from inside the event's own callback reported true")
+		}
+		before := s.Len()
+		if !sibling.Stop() {
+			t.Error("Stop on a same-instant pending event reported false")
+		}
+		if s.Len() != before-1 {
+			t.Errorf("Len %d -> %d across Stop, want a drop of one", before, s.Len())
+		}
+	})
+	sibling = s.Schedule(time.Second, func() { order = append(order, "sibling") })
+	s.Schedule(time.Second, func() { order = append(order, "last") })
+	s.RunFor(2 * time.Second)
+	if fmt.Sprint(order) != "[first last]" {
+		t.Fatalf("ran %v, want [first last]", order)
+	}
+}
+
+// TestSchedulerPooledEventsRecycled drives pooled events that schedule
+// further pooled events from their callbacks and checks, once drained,
+// that the free list holds every pooled event ever created — here the
+// initial burst, since each callback reuses the event it ran on.
+func TestSchedulerPooledEventsRecycled(t *testing.T) {
+	s := NewScheduler(time.Unix(0, 0))
+	const burst, hops = 32, 10
+	ran := 0
+	var hop func(any)
+	hop = func(a any) {
+		ran++
+		if left := a.(int); left > 0 {
+			s.scheduleArg(time.Millisecond, hop, left-1)
+		}
+	}
+	for i := 0; i < burst; i++ {
+		s.scheduleArg(time.Duration(i)*time.Microsecond, hop, hops)
+	}
+	s.Drain(1 << 20)
+	if want := burst * (hops + 1); ran != want {
+		t.Fatalf("ran %d pooled callbacks, want %d", ran, want)
+	}
+	if s.Len() != 0 || len(s.free) != burst {
+		t.Fatalf("after drain: Len=%d, %d events on the free list; want 0 and %d", s.Len(), len(s.free), burst)
+	}
+	for _, e := range s.free {
+		if e.fnArg != nil || e.arg != nil {
+			t.Fatal("recycled event still references its callback or argument")
+		}
+	}
+}
+
+// TestSchedulerZeroDelayBurst piles many same-instant events into the
+// queue and checks strict FIFO order.
+func TestSchedulerZeroDelayBurst(t *testing.T) {
+	s := NewScheduler(time.Unix(0, 0))
+	var got []int
+	for i := 0; i < 500; i++ {
+		i := i
+		s.Schedule(0, func() { got = append(got, i) })
+	}
+	s.RunFor(time.Nanosecond)
+	if len(got) != 500 {
+		t.Fatalf("ran %d of 500 zero-delay events", len(got))
+	}
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("zero-delay order broken at %d: got %d", i, v)
+		}
+	}
+}
+
+// TestSchedulerFarFutureEvent schedules an event months ahead of a dense
+// near-term workload: it must stay pending behind all of it, and run —
+// with the clock jumping straight to it — once the horizon reaches it.
+func TestSchedulerFarFutureEvent(t *testing.T) {
+	s := NewScheduler(time.Unix(0, 0))
+	var order []string
+	s.Schedule(1000*time.Hour, func() { order = append(order, "far") })
+	for i := 0; i < 200; i++ {
+		s.Schedule(time.Duration(i)*time.Millisecond, func() { order = append(order, "near") })
+	}
+	s.RunFor(time.Second)
+	if len(order) != 200 || order[0] != "near" {
+		t.Fatalf("near-term events did not all run first: %d ran", len(order))
+	}
+	if s.Len() != 1 {
+		t.Fatalf("far-future event missing from queue: Len=%d", s.Len())
+	}
+	s.RunFor(2000 * time.Hour)
+	if len(order) != 201 || order[200] != "far" {
+		t.Fatalf("far-future event did not run once the horizon reached it")
+	}
+	if got := s.Now().Sub(time.Unix(0, 0)); got < 1000*time.Hour {
+		t.Fatalf("clock did not advance past the far event: %v", got)
 	}
 }
 
@@ -209,4 +412,82 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 		}
 	}
 	s.Drain(1 << 30)
+}
+
+// benchPending are the standing backlogs the queue benchmarks run
+// against: the pending-event range the benchmark workloads reach
+// (sim.sched.pending_max of roughly 1k to 10k) plus 100k, the size of
+// the benchmark's sim.sched.insert_pop_ns kernel.
+var benchPending = []int{1_000, 10_000, 100_000}
+
+// BenchmarkSchedulerInsertPop measures one schedule+pop cycle against a
+// standing backlog of pending events.
+func BenchmarkSchedulerInsertPop(b *testing.B) {
+	for _, pending := range benchPending {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			s := NewScheduler(time.Unix(0, 0))
+			fn := func(any) {}
+			for i := 0; i < pending; i++ {
+				s.scheduleArg(time.Duration(rng.Int63n(int64(time.Second))), fn, nil)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.scheduleArg(time.Duration(rng.Int63n(int64(time.Second))), fn, nil)
+				s.Step()
+			}
+		})
+	}
+}
+
+// BenchmarkNetworkDeliver measures the full per-packet path — transmit,
+// delay draw, delivery event, service event, handler — across a mesh of
+// members, with a standing backlog of far-off timers behind the packet
+// events the way protocol timers sit behind them in a cluster run.
+func BenchmarkNetworkDeliver(b *testing.B) {
+	for _, pending := range benchPending {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			sched := NewScheduler(time.Unix(0, 0))
+			net := NewNetwork(sched, Options{
+				Seed:        1,
+				Latency:     UniformLatency(200*time.Microsecond, 2*time.Millisecond),
+				ServiceTime: 50 * time.Microsecond,
+			})
+			const members = 16
+			ports := make([]*Port, members)
+			received := 0
+			for i := 0; i < members; i++ {
+				name := fmt.Sprintf("m%d", i)
+				p, err := net.Attach(name, func(string, []byte) { received++ })
+				if err != nil {
+					b.Fatal(err)
+				}
+				ports[i] = p
+			}
+			// The backlog sits beyond any horizon the loop below reaches,
+			// so it stays pending for the whole measurement.
+			rng := rand.New(rand.NewSource(1))
+			for i := 0; i < pending; i++ {
+				sched.Schedule(1000*time.Hour+time.Duration(rng.Int63n(int64(time.Minute))), func() {})
+			}
+			payload := make([]byte, 64)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				src := ports[i%members]
+				dst := fmt.Sprintf("m%d", (i+1+i/members)%members)
+				if err := src.SendPacket(dst, payload, false); err != nil {
+					b.Fatal(err)
+				}
+				if i%64 == 63 {
+					sched.RunFor(5 * time.Millisecond)
+				}
+			}
+			sched.RunFor(time.Second)
+			if received == 0 {
+				b.Fatal("no packets delivered")
+			}
+		})
+	}
 }
