@@ -195,7 +195,7 @@ func run(args []string) error {
 	var ops *opsServer
 	if o.httpAddr != "" {
 		started := time.Now()
-		ops, err = startOps(o.httpAddr, node, rec, sink, started)
+		ops, err = startOps(o.httpAddr, node, tr, rec, sink, started)
 		if err != nil {
 			return err
 		}

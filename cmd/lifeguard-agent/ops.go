@@ -26,12 +26,12 @@ type opsServer struct {
 
 // startOps binds addr and serves the ops endpoints in a background
 // goroutine until close is called.
-func startOps(addr string, node *lifeguard.Node, rec *telemetry.NodeRecorder, sink *metrics.MemSink, started time.Time) (*opsServer, error) {
+func startOps(addr string, node *lifeguard.Node, tr *lifeguard.UDPTransport, rec *telemetry.NodeRecorder, sink *metrics.MemSink, started time.Time) (*opsServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: newOpsMux(node, rec, sink, started)}
+	srv := &http.Server{Handler: newOpsMux(node, tr, rec, sink, started)}
 	go srv.Serve(ln)
 	return &opsServer{srv: srv, ln: ln}, nil
 }
@@ -112,7 +112,7 @@ func countOpenFDs() int {
 
 // newOpsMux builds the ops endpoint routing; split from startOps so
 // httptest can exercise the handlers without a real listener.
-func newOpsMux(node *lifeguard.Node, rec *telemetry.NodeRecorder, sink *metrics.MemSink, started time.Time) *http.ServeMux {
+func newOpsMux(node *lifeguard.Node, tr *lifeguard.UDPTransport, rec *telemetry.NodeRecorder, sink *metrics.MemSink, started time.Time) *http.ServeMux {
 	writeJSON := func(w http.ResponseWriter, v any) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
@@ -192,6 +192,21 @@ func newOpsMux(node *lifeguard.Node, rec *telemetry.NodeRecorder, sink *metrics.
 		if fds := countOpenFDs(); fds >= 0 {
 			telemetry.WriteGauge(w, "lifeguard_open_fds", float64(fds))
 		}
+		// Transport counters: stream_reuses / (stream_dials +
+		// stream_reuses) is the share of reliable sends that found their
+		// connection already open.
+		ts := tr.Stats()
+		telemetry.WriteCounters(w, "lifeguard_transport_", map[string]int64{
+			"datagrams_sent":       int64(ts.DatagramsSent),
+			"datagrams_received":   int64(ts.DatagramsReceived),
+			"stream_dials":         int64(ts.StreamDials),
+			"stream_dial_errors":   int64(ts.StreamDialErrors),
+			"stream_reuses":        int64(ts.StreamReuses),
+			"stream_stale_redials": int64(ts.StreamStaleRedials),
+			"stream_drops":         int64(ts.StreamDrops),
+			"oversize_rejects":     int64(ts.OversizeRejects),
+		})
+		telemetry.WriteGauge(w, "lifeguard_transport_open_streams", float64(ts.OpenStreams))
 		if rec != nil {
 			snap := rec.Snapshot()
 			telemetry.WriteGauge(w, "lifeguard_telemetry_samples", float64(snap.Samples))

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -48,7 +49,7 @@ func newTestAgent(t *testing.T) (*httptest.Server, *telemetry.NodeRecorder, *met
 	}
 	t.Cleanup(node.Shutdown)
 
-	srv := httptest.NewServer(newOpsMux(node, rec, sink, time.Now()))
+	srv := httptest.NewServer(newOpsMux(node, tr, rec, sink, time.Now()))
 	t.Cleanup(srv.Close)
 	return srv, rec, sink
 }
@@ -171,19 +172,7 @@ func TestOpsMetricsExposition(t *testing.T) {
 	rec.RecordRTT("peer-1", 12*time.Millisecond)
 	rec.RecordSuspicion("peer-1", time.Second, true)
 
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Fatalf("content type %q", ct)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(body)
+	text := getMetricsText(t, srv)
 	for _, want := range []string{
 		"# TYPE lifeguard_msgs_sent counter\nlifeguard_msgs_sent 3\n",
 		"# TYPE lifeguard_members gauge",
@@ -198,11 +187,61 @@ func TestOpsMetricsExposition(t *testing.T) {
 		"# TYPE lifeguard_suspicion_seconds histogram",
 		"lifeguard_suspicion_seconds_count 1",
 		"# TYPE lifeguard_telemetry_evictions counter",
+		"# TYPE lifeguard_transport_datagrams_sent counter",
+		"# TYPE lifeguard_transport_datagrams_received counter",
+		"# TYPE lifeguard_transport_stream_dials counter\nlifeguard_transport_stream_dials 0\n",
+		"# TYPE lifeguard_transport_stream_dial_errors counter",
+		"# TYPE lifeguard_transport_stream_reuses counter",
+		"# TYPE lifeguard_transport_stream_stale_redials counter",
+		"# TYPE lifeguard_transport_stream_drops counter",
+		"# TYPE lifeguard_transport_oversize_rejects counter",
+		"# TYPE lifeguard_transport_open_streams gauge\nlifeguard_transport_open_streams 0\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
+}
+
+// TestOpsMetricsTransportCounters checks the transport series are the
+// live counters, not constants: one datagram to a lone agent shows up
+// as exactly one received.
+func TestOpsMetricsTransportCounters(t *testing.T) {
+	srv, _, _ := newTestAgent(t)
+	conn, err := net.Dial("udp", getJSON(t, srv, "/healthz")["addr"].(string))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte{0}); err != nil { // undecodable: counted by the transport, dropped by the node
+		t.Fatal(err)
+	}
+	const want = "lifeguard_transport_datagrams_received 1\n"
+	deadline := time.Now().Add(5 * time.Second)
+	for !strings.Contains(getMetricsText(t, srv), want) {
+		if time.Now().After(deadline) {
+			t.Fatalf("exposition never showed %q", want)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// getMetricsText scrapes /metrics, failing on a wrong content type.
+func getMetricsText(t *testing.T, srv *httptest.Server) string {
+	t.Helper()
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+		t.Fatalf("content type %q", ct)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
 }
 
 // TestOpsTelemetryDisabled pins the 404 on /telemetry when the agent
@@ -227,7 +266,7 @@ func TestOpsTelemetryDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(node.Shutdown)
-	srv := httptest.NewServer(newOpsMux(node, nil, sink, time.Now()))
+	srv := httptest.NewServer(newOpsMux(node, tr, nil, sink, time.Now()))
 	t.Cleanup(srv.Close)
 
 	resp, err := http.Get(srv.URL + "/telemetry")

@@ -2,7 +2,8 @@
 // UDP datagrams for failure-detector and gossip traffic, with a TCP side
 // channel for reliable messages (push-pull anti-entropy and the fallback
 // direct probe), mirroring memberlist's transport split (§III-B of the
-// paper).
+// paper). Reliable messages to one destination share one outbound
+// connection, opened on demand and closed when idle (stream.go).
 package nettrans
 
 import (
@@ -11,11 +12,11 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/netip"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
-
-	"lifeguard/internal/bufpool"
 )
 
 const (
@@ -31,12 +32,17 @@ const (
 
 	// ioTimeout bounds individual stream reads/writes.
 	ioTimeout = 10 * time.Second
+
+	// maxFromCache bounds the UDP read loop's source-address strings.
+	maxFromCache = 1024
 )
 
 // ErrPayloadTooLarge is returned by SendPacket for payloads that exceed
 // maxStreamMsg: a receiver would drop the connection unread, so the
 // send is rejected up front instead of silently black-holing bytes.
 var ErrPayloadTooLarge = errors.New("nettrans: payload exceeds max stream message size")
+
+var errClosed = errors.New("nettrans: transport closed")
 
 // PacketHandler consumes one inbound packet. The payload is only valid
 // for the duration of the call: the delivery loops reuse their read
@@ -54,11 +60,64 @@ type Transport struct {
 
 	advertise string
 
-	mu      sync.Mutex
-	handler PacketHandler
-	closed  bool
+	handler atomic.Pointer[PacketHandler]
+	closed  atomic.Bool
+	stats   counters
+
+	// connMu guards every TCP connection the transport holds: the
+	// per-destination streams with their queues, and the accepted
+	// inbound connections. It is never held across a dial, read or write.
+	connMu  sync.Mutex
+	streams map[string]*stream
+	inbound map[net.Conn]struct{}
+	useTick uint64 // stamps stream.used, for least-recently-used eviction
 
 	wg sync.WaitGroup
+}
+
+// counters are the transport's running totals; Stats snapshots them.
+type counters struct {
+	datagramsSent, datagramsReceived atomic.Uint64
+
+	streamDials, streamDialErrors    atomic.Uint64
+	streamReuses, streamStaleRedials atomic.Uint64
+	streamDrops, oversizeRejects     atomic.Uint64
+	openStreams                      atomic.Int64
+}
+
+// Stats is a snapshot of a Transport's counters since New, plus the
+// number of outbound connections open now. StreamReuses /
+// (StreamDials + StreamReuses) is the share of reliable sends that
+// found their connection already open.
+type Stats struct {
+	DatagramsSent     uint64 // UDP datagrams written
+	DatagramsReceived uint64 // UDP datagrams delivered to the handler
+
+	StreamDials        uint64 // outbound TCP connections opened
+	StreamDialErrors   uint64 // dials that failed (the frame is also a drop)
+	StreamReuses       uint64 // frames written to an already open connection
+	StreamStaleRedials uint64 // open connections found dead on write and redialled
+	StreamDrops        uint64 // reliable sends lost: backlog full, dial or write failed
+	OversizeRejects    uint64 // sends refused and inbound frames over maxStreamMsg
+
+	OpenStreams int // outbound connections open now
+}
+
+// Stats returns the transport's counters. It is safe to call at any
+// time, including after Close.
+func (t *Transport) Stats() Stats {
+	c := &t.stats
+	return Stats{
+		DatagramsSent:      c.datagramsSent.Load(),
+		DatagramsReceived:  c.datagramsReceived.Load(),
+		StreamDials:        c.streamDials.Load(),
+		StreamDialErrors:   c.streamDialErrors.Load(),
+		StreamReuses:       c.streamReuses.Load(),
+		StreamStaleRedials: c.streamStaleRedials.Load(),
+		StreamDrops:        c.streamDrops.Load(),
+		OversizeRejects:    c.oversizeRejects.Load(),
+		OpenStreams:        int(c.openStreams.Load()),
+	}
 }
 
 // bindAttempts bounds how many UDP/TCP port pairs New tries when the
@@ -91,6 +150,8 @@ func New(bindAddr string) (*Transport, error) {
 				udp:       udp,
 				tcp:       tcp,
 				advertise: actual.String(),
+				streams:   make(map[string]*stream),
+				inbound:   make(map[net.Conn]struct{}),
 			}, nil
 		}
 		udp.Close()
@@ -106,24 +167,34 @@ func (t *Transport) LocalAddr() string { return t.advertise }
 // Run starts the delivery loops, invoking handler for each inbound
 // packet (possibly concurrently). It returns immediately.
 func (t *Transport) Run(handler PacketHandler) {
-	t.mu.Lock()
-	t.handler = handler
-	t.mu.Unlock()
+	t.handler.Store(&handler)
 
 	t.wg.Add(2)
 	go t.udpLoop()
 	go t.acceptLoop()
 }
 
-// Close shuts the sockets down and waits for delivery loops to exit.
+// Close shuts the sockets down, closes every TCP connection in either
+// direction, and waits for the delivery loops and in-flight sends to
+// exit. An idle connection left open would hold its reader — the
+// peer's serveStream or ours — until ioTimeout.
 func (t *Transport) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	if !t.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	t.closed = true
-	t.mu.Unlock()
+	// Everything that registers a connection checks closed under connMu,
+	// so nothing can be added behind this sweep. The goroutines reading
+	// the connections do the bookkeeping when their reads fail.
+	t.connMu.Lock()
+	for _, s := range t.streams {
+		if s.conn != nil {
+			s.conn.Close()
+		}
+	}
+	for conn := range t.inbound {
+		conn.Close()
+	}
+	t.connMu.Unlock()
 
 	udpErr := t.udp.Close()
 	tcpErr := t.tcp.Close()
@@ -131,101 +202,91 @@ func (t *Transport) Close() error {
 	return errors.Join(udpErr, tcpErr)
 }
 
-func (t *Transport) isClosed() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.closed
-}
-
 func (t *Transport) deliver(from string, payload []byte) {
-	t.mu.Lock()
-	h := t.handler
-	t.mu.Unlock()
-	if h != nil {
-		h(from, payload)
+	if h := t.handler.Load(); h != nil {
+		(*h)(from, payload)
 	}
 }
 
 // SendPacket sends payload to addr. Unreliable sends go as a single UDP
-// datagram; reliable sends open a short-lived TCP connection with
-// length-prefixed framing. Reliable sends run asynchronously so the
-// protocol core never blocks on a dial.
+// datagram. Reliable sends (and payloads too large for a datagram) go
+// as one length-prefixed frame on the TCP connection to addr; they are
+// queued and written asynchronously, so the protocol core never blocks
+// on a dial or a slow peer, and frames to one addr are written in the
+// order they were sent. A reliable send that cannot be delivered is
+// counted in Stats and otherwise looks like a lost datagram: the
+// failure detector is the loss handler.
 func (t *Transport) SendPacket(addr string, payload []byte, reliable bool) error {
-	if t.isClosed() {
-		return errors.New("nettrans: transport closed")
+	if t.closed.Load() {
+		return errClosed
 	}
 	if len(payload) > maxStreamMsg {
+		t.stats.oversizeRejects.Add(1)
 		return fmt.Errorf("%w (%d > %d bytes)", ErrPayloadTooLarge, len(payload), maxStreamMsg)
 	}
-	if !reliable && len(payload) <= maxPacket {
-		udpAddr, err := net.ResolveUDPAddr("udp", addr)
-		if err != nil {
-			return fmt.Errorf("nettrans: resolve %q: %w", addr, err)
-		}
-		if _, err := t.udp.WriteToUDP(payload, udpAddr); err != nil {
-			return fmt.Errorf("nettrans: udp send to %q: %w", addr, err)
-		}
-		return nil
+	if reliable || len(payload) > maxPacket {
+		return t.queueFrame(addr, payload)
 	}
 
-	// Reliable (or oversized) path: fire-and-forget stream send. The
-	// payload must be copied before the goroutine detaches — the caller
-	// only guarantees it for the duration of this call. The failure
-	// detector is the loss handler, exactly as for UDP.
-	buf := bufpool.Copy(payload)
-	t.wg.Add(1)
-	go func() {
-		defer t.wg.Done()
-		defer buf.Release()
-		if err := t.sendStream(addr, buf.B); err != nil && !t.isClosed() {
-			// Nothing to do: a lost reliable packet looks like a lost
-			// UDP packet to the protocol.
-			_ = err
+	var err error
+	if ap, perr := netip.ParseAddrPort(addr); perr == nil {
+		_, err = t.udp.WriteToUDPAddrPort(payload, unmap(ap))
+	} else {
+		// Not a literal ip:port (a hostname given to -join): resolved on
+		// every send, so a DNS answer is never cached.
+		var udpAddr *net.UDPAddr
+		if udpAddr, err = net.ResolveUDPAddr("udp", addr); err != nil {
+			return fmt.Errorf("nettrans: resolve %q: %w", addr, err)
 		}
-	}()
+		_, err = t.udp.WriteToUDP(payload, udpAddr)
+	}
+	if err != nil {
+		return fmt.Errorf("nettrans: udp send to %q: %w", addr, err)
+	}
+	t.stats.datagramsSent.Add(1)
 	return nil
 }
 
-func (t *Transport) sendStream(addr string, payload []byte) error {
-	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
-	if err != nil {
-		return fmt.Errorf("nettrans: dial %q: %w", addr, err)
-	}
-	defer conn.Close()
-	if err := conn.SetWriteDeadline(time.Now().Add(ioTimeout)); err != nil {
-		return err
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := conn.Write(hdr[:]); err != nil {
-		return fmt.Errorf("nettrans: stream header to %q: %w", addr, err)
-	}
-	if _, err := conn.Write(payload); err != nil {
-		return fmt.Errorf("nettrans: stream body to %q: %w", addr, err)
-	}
-	return nil
+// unmap turns an IPv4-mapped IPv6 address (::ffff:a.b.c.d) into plain
+// IPv4. A dual-stack socket reports IPv4 peers in the mapped form, while
+// members advertise, and an IPv4 socket only accepts, the plain one.
+func unmap(ap netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 }
 
 func (t *Transport) udpLoop() {
 	defer t.wg.Done()
 	buf := make([]byte, maxPacket)
+	// The from string of each source seen, so a datagram from a known
+	// peer allocates nothing. Cleared when full: a flood of distinct
+	// sources then costs one string per datagram, not unbounded memory.
+	froms := make(map[netip.AddrPort]string)
 	for {
-		n, from, err := t.udp.ReadFromUDP(buf)
+		n, src, err := t.udp.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			// A closed socket is terminal even when the transport as a
 			// whole hasn't shut down (the e2e harness kills sockets out
 			// from under live transports); any other persistent error
 			// must not hot-spin the loop.
-			if t.isClosed() || errors.Is(err, net.ErrClosed) {
+			if t.closed.Load() || errors.Is(err, net.ErrClosed) {
 				return
 			}
 			time.Sleep(time.Millisecond)
 			continue
 		}
+		from, ok := froms[src]
+		if !ok {
+			if len(froms) >= maxFromCache {
+				clear(froms)
+			}
+			from = unmap(src).String()
+			froms[src] = from
+		}
+		t.stats.datagramsReceived.Add(1)
 		// Delivery is synchronous and the handler does not retain the
 		// payload (PacketHandler contract), so the read buffer is handed
 		// over directly and reused for the next datagram.
-		t.deliver(from.String(), buf[:n])
+		t.deliver(from, buf[:n])
 	}
 }
 
@@ -234,23 +295,37 @@ func (t *Transport) acceptLoop() {
 	for {
 		conn, err := t.tcp.Accept()
 		if err != nil {
-			if t.isClosed() || errors.Is(err, net.ErrClosed) {
+			if t.closed.Load() || errors.Is(err, net.ErrClosed) {
 				return
 			}
 			time.Sleep(time.Millisecond)
 			continue
 		}
+		t.connMu.Lock()
+		if t.closed.Load() {
+			t.connMu.Unlock()
+			conn.Close()
+			continue
+		}
+		t.inbound[conn] = struct{}{}
+		t.connMu.Unlock()
+
 		t.wg.Add(1)
 		go func() {
 			defer t.wg.Done()
-			defer conn.Close()
 			t.serveStream(conn)
+			conn.Close()
+			t.connMu.Lock()
+			delete(t.inbound, conn)
+			t.connMu.Unlock()
 		}()
 	}
 }
 
 // serveStream reads length-prefixed messages until EOF or error, reusing
 // one read buffer across messages (the handler does not retain payloads).
+// The sender closes a connection it has not used for streamIdle; the
+// read deadline is the backstop for one that never does.
 func (t *Transport) serveStream(conn net.Conn) {
 	from := conn.RemoteAddr().String()
 	var payload []byte
@@ -264,6 +339,7 @@ func (t *Transport) serveStream(conn net.Conn) {
 		}
 		size := binary.BigEndian.Uint32(hdr[:])
 		if size > maxStreamMsg {
+			t.stats.oversizeRejects.Add(1)
 			return
 		}
 		if uint32(cap(payload)) < size {
@@ -274,5 +350,10 @@ func (t *Transport) serveStream(conn net.Conn) {
 			return
 		}
 		t.deliver(from, payload)
+		if cap(payload) > maxPacket {
+			// One large table must not stay pinned for as long as the
+			// sender keeps the connection open.
+			payload = nil
+		}
 	}
 }
