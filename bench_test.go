@@ -12,7 +12,9 @@ package lifeguard_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -62,55 +64,74 @@ var tuningScale = experiment.Scale{
 
 const benchSeed = 1
 
-// intervalSweepCache memoizes the shared interval grid: Table IV,
-// Table VI and Figures 2/3 all render views of the same deterministic
-// sweep (fixed seeds), so re-running it per benchmark would only burn
-// time.
-var intervalSweepCache = map[string][]experiment.IntervalSweepResult{}
-
-// runIntervalSweeps runs (or reuses) the interval grid for all five
-// configurations.
-func runIntervalSweeps(b *testing.B, sc experiment.Scale) []experiment.IntervalSweepResult {
+// runScenario runs one registered scenario through the harness's
+// shared worker pool — the same door cmd/lifebench uses.
+func runScenario(b *testing.B, name string, sc experiment.Scale) experiment.ScenarioResult {
 	b.Helper()
-	if cached, ok := intervalSweepCache[sc.Name]; ok {
-		return cached
+	res, err := experiment.RunScenario(name, experiment.RunOptions{
+		Scale: sc, Seed: benchSeed, Parallel: runtime.GOMAXPROCS(0),
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
-	var results []experiment.IntervalSweepResult
-	for _, proto := range experiment.Configurations {
-		r, err := experiment.RunIntervalSweep(proto, sc, benchSeed, nil)
-		if err != nil {
-			b.Fatal(err)
+	return res
+}
+
+// intervalCache memoizes the interval scenario: Table IV, Table VI and
+// Figures 2/3 all render views of the same deterministic sweep (fixed
+// seeds), so re-running it per benchmark would only burn time.
+var intervalCache *experiment.ScenarioResult
+
+func intervalScenario(b *testing.B) experiment.ScenarioResult {
+	b.Helper()
+	if intervalCache == nil {
+		res := runScenario(b, "interval", benchScale)
+		intervalCache = &res
+	}
+	return *intervalCache
+}
+
+// printSection prints the report section a benchmark regenerates.
+func printSection(b *testing.B, res experiment.ScenarioResult, key string, sc experiment.Scale) {
+	b.Helper()
+	for _, sec := range res.Sections {
+		if sec.Key == key {
+			fmt.Printf("\n== %s (scale %s) ==\n%s\n", sec.Title, sc.Name, sec.Body)
+			return
 		}
-		results = append(results, r)
 	}
-	intervalSweepCache[sc.Name] = results
-	return results
+	b.Fatalf("no %q section in the scenario result", key)
+}
+
+// reportPinned reports a headline metric and fails the benchmark if it
+// no longer reads as want in `go test`'s output (whole numbers from
+// 1000 up, four significant digits below). The sweeps are
+// seed-determined, so a moved value is a behaviour change, not noise.
+func reportPinned(b *testing.B, got, want float64, unit string) {
+	b.Helper()
+	b.ReportMetric(got, unit)
+	tol := 0.0
+	if a := math.Abs(want); a > 0 && a < 999.95 {
+		tol = 0.5 * math.Pow(10, math.Floor(math.Log10(a))-3)
+	}
+	if math.Abs(got-want) > tol {
+		b.Errorf("%s = %v, pinned at %v (seed %d)", unit, got, want, benchSeed)
+	}
 }
 
 // BenchmarkFigure1CPUExhaustion regenerates Figure 1: false positives
 // versus number of CPU-exhausted members, SWIM against full Lifeguard.
 func BenchmarkFigure1CPUExhaustion(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		var results []experiment.StressSweepResult
-		for _, proto := range []experiment.ProtocolConfig{experiment.ConfigSWIM, experiment.ConfigLifeguard} {
-			r, err := experiment.RunStressSweep(proto, benchScale, benchSeed, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			results = append(results, r)
+		res := runScenario(b, "stress", benchScale)
+		fp := map[string]float64{}
+		for _, rec := range res.Records {
+			fp[rec.Config] += rec.Metrics["fp"]
 		}
-		swim, lg := 0, 0
-		for _, res := range results[0].ByCount {
-			swim += res.FP
-		}
-		for _, res := range results[1].ByCount {
-			lg += res.FP
-		}
-		b.ReportMetric(float64(swim), "swim-fp")
-		b.ReportMetric(float64(lg), "lifeguard-fp")
+		reportPinned(b, fp["SWIM"], 4286, "swim-fp")
+		reportPinned(b, fp["Lifeguard"], 2, "lifeguard-fp")
 		if i == 0 {
-			fmt.Printf("\n== Figure 1 (scale %s) ==\n%s\n", benchScale.Name,
-				experiment.FormatFigure1(results))
+			printSection(b, res, "fig1", benchScale)
 		}
 	}
 }
@@ -119,16 +140,13 @@ func BenchmarkFigure1CPUExhaustion(b *testing.B) {
 // positives per configuration, and Figures 2/3 from the same sweep.
 func BenchmarkTable4FalsePositives(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results := runIntervalSweeps(b, benchScale)
-		swim, lg := results[0], results[len(results)-1]
-		b.ReportMetric(float64(swim.FP), "swim-fp")
-		b.ReportMetric(float64(lg.FP), "lifeguard-fp")
-		if swim.FP > 0 {
-			b.ReportMetric(float64(lg.FP)/float64(swim.FP)*100, "fp-pct-of-swim")
-		}
+		res := intervalScenario(b)
+		swim, lg := res.Records[0].Metrics, res.Records[len(res.Records)-1].Metrics
+		reportPinned(b, swim["fp"], 10869, "swim-fp")
+		reportPinned(b, lg["fp"], 918, "lifeguard-fp")
+		reportPinned(b, lg["fp"]/swim["fp"]*100, 8.446, "fp-pct-of-swim")
 		if i == 0 {
-			fmt.Printf("\n== Table IV (scale %s) ==\n%s\n", benchScale.Name,
-				experiment.FormatTable4(results))
+			printSection(b, res, "table4", benchScale)
 		}
 	}
 }
@@ -137,10 +155,9 @@ func BenchmarkTable4FalsePositives(b *testing.B) {
 // positives versus concurrent anomalies for each configuration.
 func BenchmarkFigure2FPByConcurrency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results := runIntervalSweeps(b, benchScale)
+		res := intervalScenario(b)
 		if i == 0 {
-			fmt.Printf("\n== Figure 2 (scale %s) ==\n%s\n", benchScale.Name,
-				experiment.FormatFigure2(results, false))
+			printSection(b, res, "fig2", benchScale)
 		}
 	}
 }
@@ -149,10 +166,9 @@ func BenchmarkFigure2FPByConcurrency(b *testing.B) {
 // positives at healthy members versus concurrent anomalies.
 func BenchmarkFigure3FPHealthyByConcurrency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results := runIntervalSweeps(b, benchScale)
+		res := intervalScenario(b)
 		if i == 0 {
-			fmt.Printf("\n== Figure 3 (scale %s) ==\n%s\n", benchScale.Name,
-				experiment.FormatFigure2(results, true))
+			printSection(b, res, "fig3", benchScale)
 		}
 	}
 }
@@ -161,19 +177,12 @@ func BenchmarkFigure3FPHealthyByConcurrency(b *testing.B) {
 // and full-dissemination latency percentiles per configuration.
 func BenchmarkTable5DetectionLatency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		var results []experiment.ThresholdSweepResult
-		for _, proto := range experiment.Configurations {
-			r, err := experiment.RunThresholdSweep(proto, benchScale, benchSeed, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			results = append(results, r)
-		}
-		b.ReportMetric(results[0].FirstDetect.Median, "swim-med-detect-s")
-		b.ReportMetric(results[len(results)-1].FirstDetect.Median, "lifeguard-med-detect-s")
+		res := runScenario(b, "threshold", benchScale)
+		swim, lg := res.Records[0].Metrics, res.Records[len(res.Records)-1].Metrics
+		reportPinned(b, swim["first_detect_median_s"], 11.03, "swim-med-detect-s")
+		reportPinned(b, lg["first_detect_median_s"], 11.03, "lifeguard-med-detect-s")
 		if i == 0 {
-			fmt.Printf("\n== Table V (scale %s) ==\n%s\n", benchScale.Name,
-				experiment.FormatTable5(results))
+			printSection(b, res, "table5", benchScale)
 		}
 	}
 }
@@ -182,37 +191,27 @@ func BenchmarkTable5DetectionLatency(b *testing.B) {
 // sent per configuration.
 func BenchmarkTable6MessageLoad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results := runIntervalSweeps(b, benchScale)
-		swim, lg := results[0], results[len(results)-1]
-		if swim.MsgsSent > 0 {
-			b.ReportMetric(float64(lg.MsgsSent)/float64(swim.MsgsSent)*100, "msgs-pct-of-swim")
-			b.ReportMetric(float64(lg.BytesSent)/float64(swim.BytesSent)*100, "bytes-pct-of-swim")
-		}
+		res := intervalScenario(b)
+		swim, lg := res.Records[0].Metrics, res.Records[len(res.Records)-1].Metrics
+		reportPinned(b, lg["msgs_sent"]/swim["msgs_sent"]*100, 94.88, "msgs-pct-of-swim")
+		reportPinned(b, lg["bytes_sent"]/swim["bytes_sent"]*100, 66.39, "bytes-pct-of-swim")
 		if i == 0 {
-			fmt.Printf("\n== Table VI (scale %s) ==\n%s\n", benchScale.Name,
-				experiment.FormatTable6(results))
+			printSection(b, res, "table6", benchScale)
 		}
 	}
 }
 
 // BenchmarkTable7SuspicionTuning regenerates Table VII: Lifeguard's
 // latency and false-positive metrics as a percentage of SWIM across the
-// α/β tuning grid.
+// α/β tuning grid (the paper's, as tuningScale restricts neither axis).
 func BenchmarkTable7SuspicionTuning(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunTuningSweep(
-			experiment.PaperAlphas, experiment.PaperBetas, tuningScale, benchSeed, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if n := len(res.Cells); n > 0 {
-			first, last := res.Cells[0], res.Cells[n-1]
-			b.ReportMetric(first.MedFirst, "a2b2-med-detect-pct")
-			b.ReportMetric(last.FP, "a5b6-fp-pct")
-		}
+		res := runScenario(b, "tuning", tuningScale)
+		first, last := res.Records[0].Metrics, res.Records[len(res.Records)-1].Metrics
+		reportPinned(b, first["med_first_pct_swim"], 63.99, "a2b2-med-detect-pct")
+		reportPinned(b, last["fp_pct_swim"], 8.278, "a5b6-fp-pct")
 		if i == 0 {
-			fmt.Printf("\n== Table VII (scale %s) ==\n%s\n", tuningScale.Name,
-				experiment.FormatTable7(res))
+			printSection(b, res, "table7", tuningScale)
 		}
 	}
 }
@@ -478,7 +477,7 @@ func BenchmarkEncodeAllocs(b *testing.B) {
 // TestPiggybackSendAllocs pins the transmit hot path's allocation
 // budget: one alive update plus one ping-with-piggybacked-ack performs
 // no steady-state allocations (seed: 80 allocs/op; round one: 19). A
-// regression means a pooled buffer, the interned member lookups, the
+// regression means a pooled buffer, the decoder's string interning, the
 // static-dispatch encoder or the direct queue-to-packet copy stopped
 // working.
 func TestPiggybackSendAllocs(t *testing.T) {
@@ -508,7 +507,7 @@ func TestPiggybackSendAllocs(t *testing.T) {
 		node.HandlePacket(from, aliveBuf)
 		node.HandlePacket(from, ping)
 	}
-	warm() // fill the pools and intern tables once
+	warm() // fill the pools and the decoder's string table once
 	allocs := testing.AllocsPerRun(500, warm)
 	if allocs > 0 {
 		t.Errorf("piggybacked send path allocates %.1f allocs/op, want 0 (seed was 80, round one 19)", allocs)

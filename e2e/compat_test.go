@@ -75,7 +75,8 @@ func TestE2ECompatMatrix(t *testing.T) {
 			// The two coord-enabled agents exchange coordinates on their
 			// Ping/Ack traffic even though half the mesh speaks the old
 			// wire format; each must converge to an RTT estimate of the
-			// other (Vivaldi needs CoordMinSamples direct acks to warm).
+			// other (Vivaldi needs core's coordMinSamples, 8, direct acks
+			// to warm).
 			waitUntil(t, convergeBudget, "coord-enabled pair RTT estimates", func() error {
 				for i, a := range coordEnabled {
 					other := coordEnabled[1-i]

@@ -28,7 +28,7 @@ type Buf struct {
 	// pool when it hits zero. A released buffer's count stays at zero
 	// until the pool recycles it through Copy, so Acquire and Release
 	// on a stale reference are detected instead of aliasing the next
-	// packet's payload (mirroring the intern table's poisoned handles).
+	// packet's payload.
 	refs atomic.Int32
 }
 

@@ -7,11 +7,14 @@ import (
 	"lifeguard/internal/wire"
 )
 
-// warmPeer answers `rounds` probe pings to peer with acks carrying a
-// valid peer coordinate after rtt of virtual time, feeding the node's
-// Vivaldi engine one RTT observation per round. autoAck must be off.
-func warmPeer(h *harness, peer string, rounds int, rtt time.Duration) {
+// warmPeer answers coordMinSamples probe pings to peer with acks
+// carrying a valid peer coordinate after rtt of virtual time: one RTT
+// observation per round, exactly what takes the node's Vivaldi engine
+// past its cold-start gate. autoAck must be off, and peer should be the
+// only member (an unanswered probe of another would stretch the rounds).
+func warmPeer(h *harness, peer string, rtt time.Duration) {
 	h.t.Helper()
+	const rounds = coordMinSamples
 	peerCoord := h.node.Coordinate()
 	if peerCoord == nil {
 		h.t.Fatal("coordinates unexpectedly disabled")
@@ -37,6 +40,12 @@ func warmPeer(h *harness, peer string, rounds int, rtt time.Duration) {
 		h.clearSent()
 	}
 	h.run(2 * rtt) // let the last ack land
+	h.node.mu.Lock()
+	warm := h.node.coordWarmLocked()
+	h.node.mu.Unlock()
+	if !warm {
+		h.t.Fatalf("engine still cold after %d answered rounds", rounds)
+	}
 }
 
 // TestAdaptiveTimeoutColdFallsBack: with AdaptiveProbeTimeout enabled
@@ -59,22 +68,19 @@ func TestAdaptiveTimeoutColdFallsBack(t *testing.T) {
 }
 
 // TestAdaptiveTimeoutWarmClampsToFloor: a near-zero RTT estimate clamps
-// the adaptive timeout at AdaptiveTimeoutFloor rather than producing a
+// the adaptive timeout at adaptiveTimeoutFloor rather than producing a
 // degenerate deadline.
 func TestAdaptiveTimeoutWarmClampsToFloor(t *testing.T) {
-	h := newHarness(t, func(cfg *Config) {
-		cfg.AdaptiveProbeTimeout = true
-		cfg.CoordMinSamples = 1
-	})
+	h := newHarness(t, func(cfg *Config) { cfg.AdaptiveProbeTimeout = true })
 	h.addMember("peer-1", 1)
 	h.autoAck = false
-	warmPeer(h, "peer-1", 3, time.Millisecond)
+	warmPeer(h, "peer-1", time.Millisecond)
 
 	got := h.node.EffectiveProbeTimeout("peer-1")
 	cfg := h.node.Config()
-	if got != cfg.AdaptiveTimeoutFloor {
+	if got != adaptiveTimeoutFloor {
 		est, ok := h.node.EstimateRTT("peer-1")
-		t.Fatalf("effective timeout = %v (estimate %v ok=%v), want floor %v", got, est, ok, cfg.AdaptiveTimeoutFloor)
+		t.Fatalf("effective timeout = %v (estimate %v ok=%v), want floor %v", got, est, ok, adaptiveTimeoutFloor)
 	}
 	h.run(cfg.ProbeInterval) // one more round, now adaptive
 	if h.sink.Get("adaptive_timeouts") == 0 {
@@ -86,14 +92,11 @@ func TestAdaptiveTimeoutWarmClampsToFloor(t *testing.T) {
 // timeout clamps at ProbeTimeout — adaptive rounds never wait longer
 // than the configured worst case.
 func TestAdaptiveTimeoutClampsToCeiling(t *testing.T) {
-	h := newHarness(t, func(cfg *Config) {
-		cfg.AdaptiveProbeTimeout = true
-		cfg.CoordMinSamples = 1
-	})
+	h := newHarness(t, func(cfg *Config) { cfg.AdaptiveProbeTimeout = true })
 	h.addMember("peer-1", 1)
-	h.addMember("far", 1)
 	h.autoAck = false
-	warmPeer(h, "peer-1", 1, time.Millisecond) // warm the engine
+	warmPeer(h, "peer-1", time.Millisecond)
+	h.addMember("far", 1)
 
 	// Cache a coordinate a full second away for "far": 3·1s + slack
 	// would exceed the 500 ms static timeout by far.
@@ -114,16 +117,13 @@ func TestAdaptiveTimeoutClampsToCeiling(t *testing.T) {
 // the adaptive timeout exactly as it scales the static one (§IV-A on
 // top of the RTT-derived value).
 func TestAdaptiveTimeoutComposesWithAwareness(t *testing.T) {
-	h := newHarness(t, func(cfg *Config) {
-		cfg.AdaptiveProbeTimeout = true
-		cfg.CoordMinSamples = 1
-	})
+	h := newHarness(t, func(cfg *Config) { cfg.AdaptiveProbeTimeout = true })
 	h.addMember("peer-1", 1)
 	h.autoAck = false
-	warmPeer(h, "peer-1", 3, time.Millisecond)
+	warmPeer(h, "peer-1", time.Millisecond)
 
 	base := h.node.EffectiveProbeTimeout("peer-1")
-	if base != h.node.Config().AdaptiveTimeoutFloor {
+	if base != adaptiveTimeoutFloor {
 		t.Fatalf("unexpected base timeout %v", base)
 	}
 
@@ -144,13 +144,10 @@ func TestAdaptiveTimeoutComposesWithAwareness(t *testing.T) {
 // coordinate, so probes against a returned member fall back to the
 // static timeout instead of trusting a stale estimate.
 func TestAdaptiveTimeoutStaleAfterDeath(t *testing.T) {
-	h := newHarness(t, func(cfg *Config) {
-		cfg.AdaptiveProbeTimeout = true
-		cfg.CoordMinSamples = 1
-	})
+	h := newHarness(t, func(cfg *Config) { cfg.AdaptiveProbeTimeout = true })
 	h.addMember("peer-1", 1)
 	h.autoAck = false
-	warmPeer(h, "peer-1", 3, time.Millisecond)
+	warmPeer(h, "peer-1", time.Millisecond)
 	if h.node.EffectiveProbeTimeout("peer-1") == h.node.Config().ProbeTimeout {
 		t.Fatal("expected an adaptive timeout before the death")
 	}
@@ -166,17 +163,16 @@ func TestAdaptiveTimeoutStaleAfterDeath(t *testing.T) {
 }
 
 // TestAdaptiveRoundClosesEarly: with a warm estimate, an unanswered
-// probe round's suspicion decision lands at AdaptiveRoundMult × the
+// probe round's suspicion decision lands at adaptiveRoundMult × the
 // adaptive timeout instead of waiting the full protocol period.
 func TestAdaptiveRoundClosesEarly(t *testing.T) {
 	for _, adaptive := range []bool{true, false} {
 		h := newHarness(t, func(cfg *Config) {
 			cfg.AdaptiveProbeTimeout = adaptive
-			cfg.CoordMinSamples = 1
 		})
 		h.addMember("peer-1", 1)
 		h.autoAck = false
-		warmPeer(h, "peer-1", 3, time.Millisecond)
+		warmPeer(h, "peer-1", time.Millisecond)
 
 		// Catch the next probe round and stop answering.
 		var started bool
@@ -218,7 +214,6 @@ func TestAdaptiveRoundClosesEarly(t *testing.T) {
 func TestLateDirectAckStillFeedsCoordinates(t *testing.T) {
 	h := newHarness(t, func(cfg *Config) {
 		cfg.AdaptiveProbeTimeout = true
-		cfg.CoordMinSamples = 1
 		cfg.TCPFallback = false
 		if cfg.RandomProbeSelection {
 			t.Fatal("default config unexpectedly uses random probe selection")
@@ -226,13 +221,13 @@ func TestLateDirectAckStillFeedsCoordinates(t *testing.T) {
 	})
 	h.addMember("peer-1", 1) // the only peer: no relay candidates
 	h.autoAck = false
-	warmPeer(h, "peer-1", 3, time.Millisecond)
+	warmPeer(h, "peer-1", time.Millisecond)
 	updatesBefore := h.sink.Get("coord_updates")
 	if updatesBefore == 0 {
 		t.Fatal("warm-up fed no observations")
 	}
 	// Adaptive timeout is now the 20 ms floor, the round deadline 60 ms.
-	if got := h.node.EffectiveProbeTimeout("peer-1"); got != h.node.Config().AdaptiveTimeoutFloor {
+	if got := h.node.EffectiveProbeTimeout("peer-1"); got != adaptiveTimeoutFloor {
 		t.Fatalf("effective timeout = %v, want floor", got)
 	}
 

@@ -160,22 +160,3 @@ func BenchmarkPushPullSnapshot(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkProbeRoundLookup measures the interned hot-path member
-// lookup a probe round performs when an ack arrives: handle → record
-// via the dense byHandle table, replacing the per-packet name-map
-// lookups.
-func BenchmarkProbeRoundLookup(b *testing.B) {
-	n := newBenchNode(b, 1000, nil)
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink *memberState
-	for i := 0; i < b.N; i++ {
-		sink = n.byHandle[1+i%1000]
-	}
-	if sink == nil {
-		b.Fatal("nil record")
-	}
-}

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"time"
 
-	"lifeguard/internal/coords"
 	"lifeguard/internal/metrics"
 	"lifeguard/internal/telemetry"
 	"lifeguard/internal/timeutil"
@@ -144,79 +143,32 @@ type Config struct {
 	// trailing block old decoders skip).
 	DisableCoordinates bool
 
-	// Coords tunes the Vivaldi engine. Nil takes coords.DefaultConfig,
-	// with the engine's randomness driven by RNG so simulations stay
-	// deterministic.
-	Coords *coords.Config
-
 	// AdaptiveProbeTimeout derives each direct probe's ack timeout from
-	// the Vivaldi RTT estimate to the target —
-	// clamp(AdaptiveTimeoutMult·estRTT + AdaptiveTimeoutSlack,
-	// AdaptiveTimeoutFloor, ProbeTimeout) — instead of the one static
-	// ProbeTimeout, and closes the probe round's suspicion decision
-	// early (AdaptiveRoundMult × the derived timeout, capped by the
-	// protocol period) once the RTT-scaled budget has conclusively
-	// passed. While coordinates are cold (fewer than CoordMinSamples
-	// observations applied, or no estimate for the target) the round
-	// falls back to the static timeout and full-period close. The
-	// LHA-Probe awareness multiplier composes on top in both cases.
-	// Requires coordinates; off by default.
+	// the Vivaldi RTT estimate to the target — clamp(3·estRTT + 10 ms,
+	// 20 ms, ProbeTimeout) — instead of the one static ProbeTimeout,
+	// and closes the probe round's suspicion decision early (3 × the
+	// derived timeout, capped by the protocol period) once the
+	// RTT-scaled budget has conclusively passed. While coordinates are
+	// cold (fewer than 8 observations applied, or no estimate for the
+	// target) the round falls back to the static timeout and
+	// full-period close. The LHA-Probe awareness multiplier composes on
+	// top in both cases. Requires coordinates; off by default.
 	AdaptiveProbeTimeout bool
-
-	// AdaptiveTimeoutMult is α, the multiple of the estimated RTT
-	// granted to a direct probe before escalation. Zero takes the
-	// default (3).
-	AdaptiveTimeoutMult float64
-
-	// AdaptiveTimeoutSlack is β, the additive slack on top of the
-	// RTT-derived timeout, absorbing scheduling and processing delay
-	// the coordinate cannot model. Zero takes the default (10 ms).
-	AdaptiveTimeoutSlack time.Duration
-
-	// AdaptiveTimeoutFloor is the lower clamp of the adaptive timeout,
-	// so a near-zero estimate (coincident coordinates) cannot produce a
-	// degenerate deadline. Zero takes the default (20 ms).
-	AdaptiveTimeoutFloor time.Duration
-
-	// AdaptiveRoundMult is the early-close multiplier: an adaptive
-	// round's suspicion decision lands at AdaptiveRoundMult × the
-	// derived direct timeout (still capped by the scaled protocol
-	// period), budgeting for the indirect-probe detour instead of
-	// always waiting the full period. Zero takes the default (3).
-	AdaptiveRoundMult float64
-
-	// CoordMinSamples is how many RTT observations the local Vivaldi
-	// engine must have applied before its estimates steer protocol
-	// decisions (adaptive timeouts, latency-biased gossip). Applies
-	// only when those features are enabled; the default is 8.
-	CoordMinSamples int
 
 	// CoordinateRelaySelection biases indirect-probe relay selection
 	// toward members whose estimated RTT to the probe target is lowest
 	// (per the cached peer coordinates), after a guaranteed
-	// random-diversity slice of RelayDiversity·IndirectChecks uniform
-	// picks so selection never collapses onto one zone. Off by default.
+	// random-diversity slice of a third of IndirectChecks (at least one
+	// slot) uniform picks so selection never collapses onto one zone.
+	// Off by default.
 	CoordinateRelaySelection bool
-
-	// RelayDiversity is the fraction of IndirectChecks relay slots that
-	// stay uniformly random under CoordinateRelaySelection, in [0, 1];
-	// at least one slot stays random whenever the fraction is positive.
-	// Zero takes the default (1/3).
-	RelayDiversity float64
 
 	// LatencyAwareGossip biases the dedicated gossip tick's peer
 	// sampling toward members with a low estimated RTT from the local
-	// coordinate, reserving a GossipEscapeFraction slice of the fanout
-	// for uniform picks so updates still escape across zones. Waits for
-	// CoordMinSamples observations; off by default.
+	// coordinate, reserving half of the fanout (at least one slot) for
+	// uniform picks so updates still escape across zones. Waits for the
+	// same 8 observations as AdaptiveProbeTimeout; off by default.
 	LatencyAwareGossip bool
-
-	// GossipEscapeFraction is the fraction of the gossip fanout chosen
-	// uniformly at random under LatencyAwareGossip, in (0, 1] — the
-	// cross-cluster escape hatch that keeps dissemination latency
-	// bounded when most traffic stays near. The fraction rounds to the
-	// nearest whole slot of the fanout. Zero takes the default (0.5).
-	GossipEscapeFraction float64
 
 	// MTU is the maximum packet size for piggyback packing.
 	MTU int
@@ -229,38 +181,55 @@ type Config struct {
 	Blocked func() bool
 }
 
+// Tuning of the coordinate-driven extensions. Nothing sets a second
+// value for any of them, so they are constants rather than Config
+// fields (docs/ARCHITECTURE.md, Contracts).
+const (
+	// Multiple of the estimated RTT granted to a direct probe.
+	adaptiveTimeoutMult = 3
+	// Added on top: scheduling and processing delay no coordinate models.
+	adaptiveTimeoutSlack = 10 * time.Millisecond
+	// Lower clamp, so coincident coordinates cannot give a zero deadline.
+	adaptiveTimeoutFloor = 20 * time.Millisecond
+	// An adaptive round decides at this multiple of its direct timeout:
+	// room for the indirect detour without waiting the full period.
+	adaptiveRoundMult = 3
+	// RTT observations the Vivaldi engine must have applied before its
+	// estimates steer adaptive timeouts and latency-biased gossip.
+	coordMinSamples = 8
+	// Share of relay slots kept uniformly random (never fewer than
+	// one), so coordinate-aware selection cannot collapse onto one zone.
+	relayDiversity = 1.0 / 3
+	// Share of the gossip fanout kept uniformly random (never fewer
+	// than one slot), so updates still cross zones.
+	gossipEscapeFraction = 0.5
+)
+
 // DefaultConfig returns the paper's configuration with all Lifeguard
 // components enabled (Table I, row "Lifeguard"): α = 5, β = 6, K = 3,
 // S = 8.
 func DefaultConfig(name string) *Config {
 	return &Config{
-		Name:                 name,
-		ProbeInterval:        time.Second,
-		ProbeTimeout:         500 * time.Millisecond,
-		IndirectChecks:       3,
-		TCPFallback:          true,
-		RetransmitMult:       4,
-		GossipInterval:       200 * time.Millisecond,
-		GossipNodes:          3,
-		GossipToTheDead:      30 * time.Second,
-		PushPullInterval:     30 * time.Second,
-		ReconnectInterval:    30 * time.Second,
-		SuspicionAlpha:       5,
-		SuspicionBeta:        6,
-		SuspicionK:           3,
-		MaxLHM:               8,
-		NackTimeoutFraction:  0.8,
-		LHAProbe:             true,
-		LHASuspicion:         true,
-		BuddySystem:          true,
-		AdaptiveTimeoutMult:  3,
-		AdaptiveTimeoutSlack: 10 * time.Millisecond,
-		AdaptiveTimeoutFloor: 20 * time.Millisecond,
-		AdaptiveRoundMult:    3,
-		CoordMinSamples:      8,
-		RelayDiversity:       1.0 / 3,
-		GossipEscapeFraction: 0.5,
-		MTU:                  1400,
+		Name:                name,
+		ProbeInterval:       time.Second,
+		ProbeTimeout:        500 * time.Millisecond,
+		IndirectChecks:      3,
+		TCPFallback:         true,
+		RetransmitMult:      4,
+		GossipInterval:      200 * time.Millisecond,
+		GossipNodes:         3,
+		GossipToTheDead:     30 * time.Second,
+		PushPullInterval:    30 * time.Second,
+		ReconnectInterval:   30 * time.Second,
+		SuspicionAlpha:      5,
+		SuspicionBeta:       6,
+		SuspicionK:          3,
+		MaxLHM:              8,
+		NackTimeoutFraction: 0.8,
+		LHAProbe:            true,
+		LHASuspicion:        true,
+		BuddySystem:         true,
+		MTU:                 1400,
 	}
 }
 
@@ -325,51 +294,6 @@ func (c *Config) validate() error {
 	}
 	if c.NackTimeoutFraction <= 0 || c.NackTimeoutFraction >= 1 {
 		return errors.New("core: NackTimeoutFraction must be in (0, 1)")
-	}
-	if c.AdaptiveTimeoutMult == 0 {
-		c.AdaptiveTimeoutMult = 3
-	}
-	if c.AdaptiveTimeoutSlack == 0 {
-		c.AdaptiveTimeoutSlack = 10 * time.Millisecond
-	}
-	if c.AdaptiveTimeoutFloor == 0 {
-		c.AdaptiveTimeoutFloor = 20 * time.Millisecond
-	}
-	if c.AdaptiveRoundMult == 0 {
-		c.AdaptiveRoundMult = 3
-	}
-	if c.CoordMinSamples == 0 {
-		c.CoordMinSamples = 8
-	}
-	if c.RelayDiversity == 0 {
-		c.RelayDiversity = 1.0 / 3
-	}
-	if c.GossipEscapeFraction == 0 {
-		c.GossipEscapeFraction = 0.5
-	}
-	if c.AdaptiveTimeoutMult < 1 {
-		return errors.New("core: AdaptiveTimeoutMult must be at least 1")
-	}
-	if c.AdaptiveTimeoutSlack < 0 || c.AdaptiveTimeoutFloor < 0 {
-		return errors.New("core: adaptive timeout slack and floor must be non-negative")
-	}
-	if c.AdaptiveTimeoutFloor > c.ProbeTimeout {
-		// A floor above the ceiling just means "always the static
-		// timeout"; aggressive low-latency configs shrink it rather
-		// than reject.
-		c.AdaptiveTimeoutFloor = c.ProbeTimeout
-	}
-	if c.AdaptiveRoundMult < 1 {
-		return errors.New("core: AdaptiveRoundMult must be at least 1")
-	}
-	if c.CoordMinSamples < 0 {
-		return errors.New("core: CoordMinSamples must be non-negative")
-	}
-	if c.RelayDiversity < 0 || c.RelayDiversity > 1 {
-		return errors.New("core: RelayDiversity must be in [0, 1]")
-	}
-	if c.GossipEscapeFraction < 0 || c.GossipEscapeFraction > 1 {
-		return errors.New("core: GossipEscapeFraction must be in [0, 1]")
 	}
 	if c.AdaptiveProbeTimeout && c.DisableCoordinates {
 		return errors.New("core: AdaptiveProbeTimeout requires coordinates")

@@ -3,6 +3,8 @@ package core
 import (
 	"lifeguard/internal/wire"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -68,6 +70,28 @@ func TestConfigValidationTable(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, c.wantErr)
 			}
 		})
+	}
+}
+
+// TestConfigSurface pins Config's field set: every field is an option
+// tests and benchmarks must cover, so one is added only with a caller.
+func TestConfigSurface(t *testing.T) {
+	want := []string{
+		"Name", "Addr", "Meta", "Transport", "Clock", "RNG", "Events", "Metrics", "Telemetry",
+		"ProbeInterval", "ProbeTimeout", "IndirectChecks", "TCPFallback", "RetransmitMult",
+		"GossipInterval", "GossipNodes", "GossipToTheDead", "PushPullInterval", "ReconnectInterval",
+		"SuspicionAlpha", "SuspicionBeta", "SuspicionK", "MaxLHM", "NackTimeoutFraction",
+		"LHAProbe", "LHASuspicion", "BuddySystem", "RandomProbeSelection", "DisableCoordinates",
+		"AdaptiveProbeTimeout", "CoordinateRelaySelection", "LatencyAwareGossip", "MTU", "Blocked",
+	}
+	typ := reflect.TypeOf(Config{})
+	got := make([]string, typ.NumField())
+	for i := range got {
+		got[i] = typ.Field(i).Name
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("a new Config field needs a non-test caller that sets it (docs/ARCHITECTURE.md, Contracts)\n got %d: %v\nwant %d: %v",
+			len(got), got, len(want), want)
 	}
 }
 

@@ -71,7 +71,7 @@ func (n *Node) sendWithPiggybackLocked(addr string, primary wire.Message, buddy 
 // coordinates warm, the fanout splits into a near slice — the lowest
 // estimated RTT from the local coordinate, ranked within a uniformly
 // drawn candidate pool a few times the fanout, so no per-tick O(n)
-// scan — and a uniformly random escape slice (GossipEscapeFraction)
+// scan — and a uniformly random escape slice (gossipEscapeFraction)
 // that keeps updates crossing zones. Members without cached
 // coordinates can only enter through the escape slice.
 func (n *Node) gossipTargetsLocked() []*memberState {
@@ -102,15 +102,12 @@ func (n *Node) gossipTargetsLocked() []*memberState {
 	if len(pool) <= k {
 		return pool
 	}
-	escape := int(math.Round(float64(k) * n.cfg.GossipEscapeFraction))
+	escape := int(math.Round(float64(k) * gossipEscapeFraction))
 	if escape < 1 {
-		// The escape hatch must never round away entirely (mirroring
-		// RelayDiversity's minimum-one guarantee): a positive fraction
-		// always keeps at least one uniform slot crossing zones.
+		// The escape hatch must never round away entirely (like relay
+		// diversity's minimum of one): at least one uniform slot always
+		// crosses zones.
 		escape = 1
-	}
-	if escape > k {
-		escape = k
 	}
 
 	// Rank the pool by index: no per-tick name slice, membership map or

@@ -145,15 +145,12 @@ func TestMsgsSentCounterCountsCompoundOnce(t *testing.T) {
 // TestLatencyAwareGossipSplitsNearAndEscape: with the engine warm, the
 // gossip fanout splits into a near slice (lowest estimated RTT from the
 // local coordinate) and a uniformly random escape slice, per
-// GossipEscapeFraction.
+// gossipEscapeFraction.
 func TestLatencyAwareGossipSplitsNearAndEscape(t *testing.T) {
-	h := newHarness(t, func(cfg *Config) {
-		cfg.LatencyAwareGossip = true
-		cfg.CoordMinSamples = 1
-	})
+	h := newHarness(t, func(cfg *Config) { cfg.LatencyAwareGossip = true })
 	h.addMember("peer-1", 1)
 	h.autoAck = false
-	warmPeer(h, "peer-1", 1, time.Millisecond) // one applied update warms the engine
+	warmPeer(h, "peer-1", time.Millisecond)
 	for _, name := range []string{"m1", "m2", "m3", "m4", "m5", "m6", "m7", "m8"} {
 		h.addMember(name, 1)
 	}
@@ -195,7 +192,7 @@ func TestLatencyAwareGossipSplitsNearAndEscape(t *testing.T) {
 	}
 }
 
-// TestLatencyAwareGossipColdStaysUniform: before CoordMinSamples
+// TestLatencyAwareGossipColdStaysUniform: before coordMinSamples
 // observations the latency bias stays off and selection is uniform.
 func TestLatencyAwareGossipColdStaysUniform(t *testing.T) {
 	h := newHarness(t, func(cfg *Config) { cfg.LatencyAwareGossip = true })

@@ -68,13 +68,6 @@ type Member struct {
 type memberState struct {
 	Member
 
-	// handle is the member's dense index in Node.byHandle — the intern
-	// table that lets hot-path bookkeeping (in-flight probe rounds,
-	// relays, the probe schedule) reference members by integer instead
-	// of hashing their name on every packet. Assigned by
-	// internMemberLocked; see internal/core/intern.go for the lifecycle.
-	handle int
-
 	// probeSlot is the member's current slot in Node.probeList, or -1
 	// when it is not scheduled (self, dead, left). It replaces the old
 	// name-keyed position map for the probe schedule's O(1) swap

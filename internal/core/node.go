@@ -40,18 +40,14 @@ type Node struct {
 	// members indexes every known member (including self and the
 	// retained dead) by name. It is the wire-boundary translation only:
 	// inbound messages carry names, so packet handling resolves name →
-	// record here once, and all downstream bookkeeping is index-based
-	// through the intern table below.
+	// record here once, and everything downstream (probe rounds,
+	// relays, suspicion timers, the schedules below) holds the record
+	// pointer. Records are never freed.
 	members map[string]*memberState
 
-	// byHandle is the member intern table: a dense handle → record
-	// mapping assigned on first sight, with freed indexes recycled
-	// through freeHandles (see intern.go for the lifecycle). self is
-	// the local member's own record, resolved once at Start so the
-	// self-referential paths never hash the local name.
-	byHandle    []*memberState
-	freeHandles []int
-	self        *memberState
+	// self is the local member's own record, resolved once at Start so
+	// the self-referential paths never hash the local name.
+	self *memberState
 
 	// probeList is the round-robin probe schedule: a locally shuffled
 	// list of probeable member records (non-self, not dead or left),
@@ -70,10 +66,9 @@ type Node struct {
 	roster []*memberState
 
 	// sortedMembers mirrors the membership table in ascending name
-	// order, maintained incrementally by the intern machinery (binary-
-	// search insert on intern, removal on release), so a push-pull
-	// snapshot walks it in place instead of allocating and sorting the
-	// full roster per exchange.
+	// order, maintained by a binary-search insert when a record is
+	// created, so a push-pull snapshot walks it in place instead of
+	// allocating and sorting the full roster per exchange.
 	sortedMembers []*memberState
 
 	// aliveCount tracks members in the alive or suspect states
@@ -165,15 +160,9 @@ func New(cfg *Config) (*Node, error) {
 	n.fanout, _ = c.Transport.(FanoutTransport)
 	if !c.DisableCoordinates {
 		ccfg := coords.DefaultConfig()
-		if c.Coords != nil {
-			cc := *c.Coords // copy so shared configs are not mutated
-			ccfg = &cc
-		}
-		if ccfg.Rand == nil {
-			// Drive the engine's tie-breaking randomness from the
-			// node's RNG so same-seed simulations stay deterministic.
-			ccfg.Rand = c.RNG.Float64
-		}
+		// Drive the engine's tie-breaking randomness from the node's
+		// RNG so same-seed simulations stay deterministic.
+		ccfg.Rand = c.RNG.Float64
 		client, err := coords.NewClient(ccfg)
 		if err != nil {
 			return nil, fmt.Errorf("core: coordinates: %w", err)
@@ -282,7 +271,7 @@ func (n *Node) coordPayloadLocked() *coords.Coordinate {
 }
 
 // coordWarmLocked reports whether the local Vivaldi engine has applied
-// enough RTT observations (CoordMinSamples) for its estimates to steer
+// enough RTT observations (coordMinSamples) for its estimates to steer
 // protocol decisions — the shared cold-start gate for adaptive probe
 // timeouts and latency-biased gossip.
 func (n *Node) coordWarmLocked() bool {
@@ -290,7 +279,7 @@ func (n *Node) coordWarmLocked() bool {
 		return false
 	}
 	updates, _ := n.coordClient.Stats()
-	return updates >= uint64(n.cfg.CoordMinSamples)
+	return updates >= coordMinSamples
 }
 
 // EffectiveProbeTimeout returns the direct-probe ack timeout a probe
@@ -354,7 +343,7 @@ func (n *Node) Start() error {
 		StateChange: n.cfg.Clock.Now(),
 	}}
 	n.members[n.cfg.Name] = self
-	n.internMemberLocked(self)
+	n.sortedInsertLocked(self)
 	n.self = self
 	n.roster = append(n.roster, self)
 	n.setAliveCountLocked(1)

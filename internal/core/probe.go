@@ -14,11 +14,9 @@ import (
 type ackHandler struct {
 	seq uint32
 
-	// target is the probed member's intern-table handle: every timer
-	// and ack in the round resolves it through Node.byHandle instead of
-	// hashing the member name per packet. The handle cannot go stale
-	// within the round — member records are retained even after death.
-	target int
+	// target is the probed member's record. Records are never freed
+	// (the dead are retained), so the pointer outlives the round.
+	target *memberState
 
 	// acked is set by the first matching ack (direct, relayed, or
 	// nack-then-ack, which the paper counts as success).
@@ -63,19 +61,19 @@ type ackHandler struct {
 type relayHandler struct {
 	// origin is the member that asked for the indirect probe, by name —
 	// the originator is not necessarily in our membership table, so the
-	// name is authoritative. originH is its intern-table handle when it
-	// was known at relay start, or -1; answers fall back to a name
-	// lookup then, in case the originator has since been learned.
+	// name is authoritative. originM is its record when it was known at
+	// relay start, or nil; answers fall back to a name lookup then, in
+	// case the originator has since been learned.
 	origin  string
-	originH int
+	originM *memberState
 
 	// origSeq is the originator's sequence number, echoed in the
 	// forwarded ack and in the nack.
 	origSeq uint32
 
-	// target is the intern-table handle of the member being probed on
-	// the originator's behalf.
-	target int
+	// target is the record of the member being probed on the
+	// originator's behalf.
+	target *memberState
 
 	// acked is set once the target's ack has been forwarded.
 	acked bool
@@ -111,10 +109,11 @@ func (n *Node) scaledProbeTimeout() time.Duration {
 
 // adaptiveProbeTimeoutLocked returns the RTT-derived direct-probe
 // timeout for the target, before awareness scaling:
-// clamp(mult·estRTT + slack, floor, ProbeTimeout). ok is false while
-// coordinates are cold — the feature is off, the engine has applied
-// fewer than CoordMinSamples observations, or no coordinate is cached
-// for the target (never probed, or dropped when it died).
+// clamp(adaptiveTimeoutMult·estRTT + adaptiveTimeoutSlack,
+// adaptiveTimeoutFloor, ProbeTimeout). ok is false while coordinates
+// are cold — the feature is off, the engine has applied fewer than
+// coordMinSamples observations, or no coordinate is cached for the
+// target (never probed, or dropped when it died).
 func (n *Node) adaptiveProbeTimeoutLocked(target string) (time.Duration, bool) {
 	if !n.cfg.AdaptiveProbeTimeout || !n.coordWarmLocked() {
 		return 0, false
@@ -123,9 +122,9 @@ func (n *Node) adaptiveProbeTimeoutLocked(target string) (time.Duration, bool) {
 	if !ok || est <= 0 {
 		return 0, false
 	}
-	t := time.Duration(n.cfg.AdaptiveTimeoutMult*float64(est)) + n.cfg.AdaptiveTimeoutSlack
-	if t < n.cfg.AdaptiveTimeoutFloor {
-		t = n.cfg.AdaptiveTimeoutFloor
+	t := time.Duration(adaptiveTimeoutMult*float64(est)) + adaptiveTimeoutSlack
+	if t < adaptiveTimeoutFloor {
+		t = adaptiveTimeoutFloor
 	}
 	if t > n.cfg.ProbeTimeout {
 		t = n.cfg.ProbeTimeout
@@ -136,7 +135,7 @@ func (n *Node) adaptiveProbeTimeoutLocked(target string) (time.Duration, bool) {
 // probeTimeoutsLocked computes a probe round's direct-ack timeout and
 // its suspicion-decision deadline for the given target. Adaptive rounds
 // get the RTT-derived timeout and an early decision deadline
-// (AdaptiveRoundMult × timeout, capped by the scaled period); cold or
+// (adaptiveRoundMult × timeout, capped by the scaled period); cold or
 // non-adaptive rounds get the static timeout and the full period. The
 // awareness multiplier applies on top of the adaptive value too, so a
 // locally-slow member still grants its targets extra time (§IV-A).
@@ -146,7 +145,7 @@ func (n *Node) probeTimeoutsLocked(target string) (timeout, deadline time.Durati
 		if n.cfg.LHAProbe {
 			at = n.aware.ScaleTimeout(at)
 		}
-		deadline := time.Duration(n.cfg.AdaptiveRoundMult * float64(at))
+		deadline := time.Duration(adaptiveRoundMult * float64(at))
 		if deadline > interval {
 			deadline = interval
 		}
@@ -350,7 +349,7 @@ func (n *Node) startProbeRoundLocked(m *memberState) *wire.Ping {
 
 	h := &ackHandler{
 		seq:      seq,
-		target:   m.handle,
+		target:   m,
 		interval: interval,
 		adaptive: adaptive,
 		sentAt:   n.cfg.Clock.Now(),
@@ -384,8 +383,8 @@ func (n *Node) probeTimeoutExpired(seq uint32) {
 		n.mu.Unlock()
 		return
 	}
-	target := n.byHandle[h.target]
-	if target == nil || target.State == StateDead || target.State == StateLeft {
+	target := h.target
+	if target.State == StateDead || target.State == StateLeft {
 		n.mu.Unlock()
 		return
 	}
@@ -451,7 +450,7 @@ func (n *Node) probePeriodExpired(seq uint32) {
 	delete(n.acks, seq)
 	stopTimer(h.timeoutTimer)
 
-	target := n.byHandle[h.target]
+	target := h.target
 	n.cfg.Metrics.IncrCounter(metrics.CounterProbeFailures, 1)
 	if n.cfg.Telemetry != nil {
 		n.cfg.Telemetry.RecordProbe(target.Name, telemetry.OutcomeTimeout)
@@ -473,7 +472,7 @@ func (n *Node) probePeriodExpired(seq uint32) {
 		}
 	}
 
-	if target == nil || target.State == StateDead || target.State == StateLeft {
+	if target.State == StateDead || target.State == StateLeft {
 		n.mu.Unlock()
 		return
 	}
@@ -536,18 +535,14 @@ func (n *Node) handleIndirectPingLocked(from string, ind *wire.IndirectPing) {
 	if !ok {
 		return
 	}
-	originH := -1
-	if om, ok := n.members[origin]; ok {
-		originH = om.handle
-	}
 
 	n.seqNo++
 	seq := n.seqNo
 	r := &relayHandler{
 		origin:   origin,
-		originH:  originH,
+		originM:  n.members[origin],
 		origSeq:  ind.SeqNo,
-		target:   target.handle,
+		target:   target,
 		wantNack: ind.WantNack,
 		sentAt:   n.cfg.Clock.Now(),
 	}
@@ -572,15 +567,14 @@ func (n *Node) handleIndirectPingLocked(from string, ind *wire.IndirectPing) {
 }
 
 // relayOriginAddrLocked resolves the address to answer a relayed probe
-// on: the originator's record when known (by handle when it was known
-// at relay start, by one name lookup otherwise — it may have joined our
-// view since), falling back to its self-reported name.
+// on: the originator's record when known (held since relay start, or
+// by one name lookup otherwise — it may have joined our view since),
+// falling back to its self-reported name.
 func (n *Node) relayOriginAddrLocked(r *relayHandler) string {
-	if r.originH >= 0 {
-		if m := n.byHandle[r.originH]; m != nil {
-			return m.Addr
-		}
-	} else if m, ok := n.members[r.origin]; ok {
+	if r.originM != nil {
+		return r.originM.Addr
+	}
+	if m, ok := n.members[r.origin]; ok {
 		return m.Addr
 	}
 	return r.origin
@@ -615,7 +609,7 @@ func (n *Node) handleAckLocked(_ string, a *wire.Ack) {
 		}
 		h.acked = true
 		stopTimer(h.timeoutTimer)
-		tm := n.byHandle[h.target]
+		tm := h.target
 		if n.cfg.LHAProbe {
 			score := n.aware.ApplyDelta(awareness.DeltaProbeSuccess)
 			if n.cfg.Telemetry != nil {
@@ -655,7 +649,7 @@ func (n *Node) handleAckLocked(_ string, a *wire.Ack) {
 	if r, ok := n.relays[a.SeqNo]; ok && !r.acked {
 		r.acked = true
 		stopTimer(r.nackTimer)
-		tm := n.byHandle[r.target]
+		tm := r.target
 		if n.cfg.Telemetry != nil && a.Source == tm.Name {
 			// The relay's own ping/ack exchange with the target is a
 			// direct-path measurement for the relay too.
@@ -712,12 +706,9 @@ func (n *Node) selectRelaysLocked(target *memberState) []*memberState {
 		return n.selectRandomLocked(k, match)
 	}
 
-	diverse := int(float64(k) * n.cfg.RelayDiversity)
-	if diverse < 1 && n.cfg.RelayDiversity > 0 {
+	diverse := int(float64(k) * relayDiversity)
+	if diverse < 1 {
 		diverse = 1
-	}
-	if diverse > k {
-		diverse = k
 	}
 	picked := n.selectRandomLocked(diverse, match)
 	n.cfg.Metrics.IncrCounter(metrics.CounterRelayRandomPicks, int64(len(picked)))

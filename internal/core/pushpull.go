@@ -1,17 +1,29 @@
 package core
 
 import (
+	"slices"
+	"strings"
 	"time"
 
 	"lifeguard/internal/wire"
 )
 
+// sortedInsertLocked files a newly created record into sortedMembers at
+// its name's position: O(log n) search plus an O(n) move, paid once per
+// member arrival instead of an allocate-and-sort of the whole table on
+// every push-pull exchange. Names are unique (the caller has just
+// missed in n.members) and records are never removed.
+func (n *Node) sortedInsertLocked(m *memberState) {
+	i, _ := slices.BinarySearchFunc(n.sortedMembers, m.Name,
+		func(s *memberState, name string) int { return strings.Compare(s.Name, name) })
+	n.sortedMembers = slices.Insert(n.sortedMembers, i, m)
+}
+
 // localStatesLocked snapshots the full membership table, including self
 // and the retained dead, for a push-pull exchange. The table is in
 // ascending name order so the wire encoding — and therefore the
 // receiver's merge order — is deterministic; the order comes for free
-// from the incrementally maintained sorted roster (see intern.go), so
-// the per-exchange allocate-and-sort of the whole table is gone.
+// from the incrementally maintained sorted roster (sortedInsertLocked).
 //
 // The returned slice is the node's reusable snapshot scratch: it is
 // valid only until the next localStatesLocked call. Every caller
@@ -174,7 +186,7 @@ func (n *Node) reconnectTick() {
 // using incarnation precedence, by replaying each entry through the
 // regular message handlers. A remote dead is merged as a suspicion
 // (memberlist's choice): if the member is actually alive, refutation can
-// still win; left is terminal and merged as-is.
+// still win; left is terminal and merged as-is, over a held dead too.
 func (n *Node) mergeRemoteStateLocked(source string, states []wire.PushPullState) {
 	for i := range states {
 		s := &states[i]

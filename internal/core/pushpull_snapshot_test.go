@@ -41,9 +41,8 @@ func snapshotMatchesTable(t *testing.T, n *Node) {
 }
 
 // TestPushPullSnapshotTracksMembership drives the node through join,
-// death, refutation and an embedder-style prune, checking after each
-// step that the incrementally sorted snapshot still equals the sorted
-// members table.
+// death and refutation, checking after each step that the incrementally
+// sorted snapshot still equals the sorted members table.
 func TestPushPullSnapshotTracksMembership(t *testing.T) {
 	h := newHarness(t, nil)
 	snapshotMatchesTable(t, h.node)
@@ -62,20 +61,6 @@ func TestPushPullSnapshotTracksMembership(t *testing.T) {
 		t.Fatal("mike not marked dead")
 	}
 	h.inject("mike", &wire.Alive{Incarnation: 2, Node: "mike", Addr: "mike"})
-	snapshotMatchesTable(t, h.node)
-
-	// An embedder pruning a record releases its handle; the snapshot
-	// must drop it with the table entry.
-	n := h.node
-	n.mu.Lock()
-	m := n.members["delta"]
-	n.releaseMemberLocked(m)
-	delete(n.members, "delta")
-	n.mu.Unlock()
-	snapshotMatchesTable(t, h.node)
-
-	// Rediscovery after a prune re-interns under the same name.
-	h.addMember("delta", 3)
 	snapshotMatchesTable(t, h.node)
 }
 

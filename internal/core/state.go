@@ -2,8 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
-	"os"
 	"time"
 
 	"lifeguard/internal/awareness"
@@ -11,11 +9,6 @@ import (
 	"lifeguard/internal/suspicion"
 	"lifeguard/internal/wire"
 )
-
-// debugTrace enables a development trace of suspicion/death decisions.
-var debugTrace = os.Getenv("LIFEGUARD_DEBUG") != ""
-
-var traceEpoch = time.Unix(0, 0)
 
 // handleSuspectLocked processes a suspect message: refute it if it is
 // about us, confirm an existing suspicion, or open a new one.
@@ -73,14 +66,9 @@ func (n *Node) suspectNodeLocked(m *memberState, s *wire.Suspect) {
 		max = time.Duration(n.cfg.SuspicionBeta * float64(min))
 	}
 	accusedInc := s.Incarnation
-	handle := m.handle
 	m.susp = suspicion.New(n.cfg.Clock, s.From, k, min, max, func(int) {
-		n.suspicionExpired(handle, accusedInc)
+		n.suspicionExpired(m, accusedInc)
 	})
-	if debugTrace {
-		fmt.Printf("TRACE %v %s: suspect %s inc=%d from=%s min=%v max=%v k=%d\n",
-			n.cfg.Clock.Now().Sub(traceEpoch), n.cfg.Name, m.Name, accusedInc, s.From, min, max, k)
-	}
 
 	n.broadcastLocked(m.Name, s)
 	n.eventSuspectLocked(m)
@@ -113,9 +101,8 @@ func (n *Node) applyMergedSuspicionLocked(name string, inc uint64) {
 	if n.cfg.LHASuspicion {
 		max = time.Duration(n.cfg.SuspicionBeta * float64(min))
 	}
-	handle, accusedInc := m.handle, inc
 	m.susp = suspicion.New(n.cfg.Clock, n.cfg.Name, k, min, max, func(int) {
-		n.suspicionExpired(handle, accusedInc)
+		n.suspicionExpired(m, inc)
 	})
 	n.eventSuspectLocked(m)
 }
@@ -125,16 +112,15 @@ func (n *Node) applyMergedSuspicionLocked(name string, inc uint64) {
 // anomaly — in memberlist this is a time.AfterFunc that only mutates
 // local state and enqueues a broadcast, so a stalled process still
 // executes it. This is the mechanism behind false positives at slow
-// members (DESIGN.md §2.1). The member is identified by its intern
-// handle, captured when the suspicion was opened.
-func (n *Node) suspicionExpired(handle int, inc uint64) {
+// members (DESIGN.md §2.1). m is the record the suspicion was opened
+// on.
+func (n *Node) suspicionExpired(m *memberState, inc uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.shutdown {
 		return
 	}
-	m := n.byHandle[handle]
-	if m == nil || m.State != StateSuspect {
+	if m.State != StateSuspect {
 		return
 	}
 	if m.Incarnation > inc {
@@ -168,14 +154,23 @@ func (n *Node) deadNodeLocked(m *memberState, d *wire.Dead) {
 	if d.Incarnation < m.Incarnation {
 		return // stale declaration, already refuted
 	}
-	if m.State == StateDead || m.State == StateLeft {
+	switch m.State {
+	case StateLeft:
+		return // terminal, never downgraded
+	case StateDead:
+		// The member's own leave replaces a death this view already
+		// holds, so dead and left holders converge on left. The record
+		// is out of the alive count and the probe schedule and its
+		// NotifyDead was delivered; only the label changes.
+		if d.From == m.Name {
+			m.Incarnation = d.Incarnation
+			m.State = StateLeft
+			m.StateChange = n.cfg.Clock.Now()
+			n.broadcastLocked(m.Name, d)
+		}
 		return
 	}
 
-	if debugTrace {
-		fmt.Printf("TRACE %v %s: dead %s inc=%d from=%s prevState=%v\n",
-			n.cfg.Clock.Now().Sub(traceEpoch), n.cfg.Name, m.Name, d.Incarnation, d.From, m.State)
-	}
 	if n.cfg.Telemetry != nil && m.State == StateSuspect {
 		// A suspicion lifecycle resolving in death: how long the member
 		// stayed suspected in this view before being declared dead.
@@ -231,7 +226,7 @@ func (n *Node) handleAliveLocked(a *wire.Alive) {
 			StateChange: n.cfg.Clock.Now(),
 		}}
 		n.members[a.Node] = m
-		n.internMemberLocked(m)
+		n.sortedInsertLocked(m)
 		n.roster = append(n.roster, m)
 		n.addAliveCountLocked(1)
 		n.insertProbeTargetLocked(m)
@@ -287,10 +282,6 @@ func (n *Node) handleAliveLocked(a *wire.Alive) {
 // past the claimed incarnation and gossiping a fresh alive. Having to
 // refute is evidence of local slowness, so the LHM is charged (§IV-A).
 func (n *Node) refuteLocked(claimedInc uint64) {
-	if debugTrace {
-		fmt.Printf("TRACE %v %s: refute claimed=%d current=%d\n",
-			n.cfg.Clock.Now().Sub(traceEpoch), n.cfg.Name, claimedInc, n.incarnation)
-	}
 	if claimedInc < n.incarnation {
 		// The accusation is older than our current announcement; the
 		// existing alive broadcast already refutes it.

@@ -347,6 +347,63 @@ func TestSelfLeftStateIsLeft(t *testing.T) {
 	}
 }
 
+// TestLeaveReplacesHeldDead: a view that declared a member dead and
+// later hears the member's own leave (by gossip or in a push-pull table)
+// at the same or a newer incarnation converges on left, once, without a
+// second dead event; a stale leave and a third-party dead over left
+// change nothing.
+func TestLeaveReplacesHeldDead(t *testing.T) {
+	leaves := map[string]func(h *harness, inc uint64){
+		"gossip": func(h *harness, inc uint64) {
+			h.inject("m1", &wire.Dead{Incarnation: inc, Node: "m1", From: "m1"})
+		},
+		"push-pull": func(h *harness, inc uint64) {
+			h.inject("peer", &wire.PushPullResp{Source: "peer", States: []wire.PushPullState{
+				{Name: "m1", Addr: "m1", Incarnation: inc, State: uint8(StateLeft)},
+			}})
+		},
+	}
+	for name, leave := range leaves {
+		t.Run(name, func(t *testing.T) {
+			h := newHarness(t, nil)
+			h.addMember("m1", 2)
+			h.addMember("x", 1)
+			h.inject("x", &wire.Dead{Incarnation: 2, Node: "m1", From: "x"})
+			alive, events := h.node.NumAlive(), len(h.events)
+
+			leave(h, 1) // older than the held death
+			if got := h.state("m1"); got.State != StateDead || got.Incarnation != 2 {
+				t.Fatalf("stale leave applied: %v@%d", got.State, got.Incarnation)
+			}
+
+			h.clearSent()
+			leave(h, 2) // the same incarnation is enough
+			if got := h.state("m1"); got.State != StateLeft || got.Incarnation != 2 {
+				t.Fatalf("after leave: %v@%d, want left@2", got.State, got.Incarnation)
+			}
+			if h.node.NumAlive() != alive || len(h.events) != events {
+				t.Errorf("dead → left moved the alive count (%d → %d) or fired events %v",
+					alive, h.node.NumAlive(), h.events[events:])
+			}
+			h.run(time.Second)
+			regossiped := false
+			for _, s := range h.sentOfType(wire.TypeDead) {
+				if d := s.msg.(*wire.Dead); d.Node == "m1" && d.From == "m1" && d.Incarnation == 2 {
+					regossiped = true
+				}
+			}
+			if !regossiped {
+				t.Error("the leave that replaced a held dead was not re-gossiped")
+			}
+
+			h.inject("x", &wire.Dead{Incarnation: 3, Node: "m1", From: "x"})
+			if got := h.state("m1"); got.State != StateLeft || got.Incarnation != 2 {
+				t.Fatalf("left downgraded by a third-party dead: %v@%d", got.State, got.Incarnation)
+			}
+		})
+	}
+}
+
 func TestEventSequenceOnFalseDeathAndRecovery(t *testing.T) {
 	h := newHarness(t, nil)
 	h.addMember("m1", 1)

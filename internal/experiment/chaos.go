@@ -419,31 +419,49 @@ func RunChaosCell(cc ClusterConfig, scenario string, p ChaosParams) (ChaosCellRe
 	return res, events, nil
 }
 
-// RunChaos executes the full scenario × configuration matrix with one
-// shared seed. cc.Protocol is overridden per cell; cc.N must be left
-// zero (the params size the cluster).
-func RunChaos(cc ClusterConfig, p ChaosParams) (ChaosResult, error) {
-	// Cells receive the raw params: withDefaults is not idempotent (an
-	// explicit-none sentinel resolves to 0, which a second pass would
-	// re-default), so it must run exactly once per cell.
+// chaosCells enumerates the scenario × configuration matrix, scenario-
+// major, every cell at cc's seed with cc.Protocol overridden. Cells
+// receive the raw params: withDefaults is not idempotent (an
+// explicit-none sentinel resolves to 0, which a second pass would
+// re-default), so it must run exactly once per cell.
+func chaosCells(cc ClusterConfig, p ChaosParams) []Cell {
 	resolved := p.withDefaults()
 	scenarios := resolved.Scenarios
 	if len(scenarios) == 0 {
 		scenarios = ChaosScenarioNames()
 	}
-	res := ChaosResult{Params: resolved}
+	cells := make([]Cell, 0, len(scenarios)*len(resolved.Configs))
 	for _, name := range scenarios {
 		for _, proto := range resolved.Configs {
-			cellCC := cc
+			name, cellCC := name, cc
 			cellCC.Protocol = proto
-			cell, _, err := RunChaosCell(cellCC, name, p)
-			if err != nil {
-				return res, err
-			}
-			res.Cells = append(res.Cells, cell)
+			cells = append(cells, Cell{
+				Label: fmt.Sprintf("chaos %s/%s", name, proto.Name),
+				Run: func() (any, error) {
+					cell, _, err := RunChaosCell(cellCC, name, p)
+					return cell, err
+				},
+			})
 		}
 	}
-	return res, nil
+	return cells
+}
+
+// chaosResult assembles a matrix run from chaosCells' outputs.
+func chaosResult(p ChaosParams, outs []any) (ChaosResult, error) {
+	cells, err := outsAs[ChaosCellResult](outs)
+	return ChaosResult{Params: p.withDefaults(), Cells: cells}, err
+}
+
+// RunChaos executes the full scenario × configuration matrix with one
+// shared seed. cc.Protocol is overridden per cell; cc.N must be left
+// zero (the params size the cluster).
+func RunChaos(cc ClusterConfig, p ChaosParams) (ChaosResult, error) {
+	outs, err := runCells(chaosCells(cc, p), 1, nil)
+	if err != nil {
+		return ChaosResult{}, err
+	}
+	return chaosResult(p, outs)
 }
 
 // refutationLatencies pairs suspect events with the alive events that

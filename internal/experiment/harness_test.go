@@ -212,40 +212,6 @@ func TestRestartParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSerialSweepMatchesScenario pins that the library's serial sweep
-// API and the registry scenario produce identical aggregates — the
-// refactor must not have forked the implementations.
-func TestSerialSweepMatchesScenario(t *testing.T) {
-	if testing.Short() {
-		t.Skip("interval sweep run")
-	}
-	sc := Scale{
-		Name: "tiny", N: 24,
-		Cs:   []int{2},
-		Ds:   []time.Duration{512 * time.Millisecond},
-		Is:   []time.Duration{64 * time.Millisecond},
-		Runs: 1,
-	}
-	direct, err := RunIntervalSweep(ConfigSWIM, sc, 5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunScenario("interval", RunOptions{Scale: sc, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := res.Records[0] // Configurations[0] is SWIM
-	if rec.Config != "SWIM" {
-		t.Fatalf("first interval record is %q, want SWIM", rec.Config)
-	}
-	if got, want := rec.Metrics["fp"], float64(direct.FP); got != want {
-		t.Errorf("scenario fp %g != direct sweep fp %g", got, want)
-	}
-	if got, want := rec.Metrics["msgs_sent"], float64(direct.MsgsSent); got != want {
-		t.Errorf("scenario msgs_sent %g != direct sweep %g", got, want)
-	}
-}
-
 // TestRunCellsProgressMonotone hammers the parallel executor with
 // fast-finishing cells and checks the progress callback sees a strictly
 // increasing done sequence ending at the total — the racing-workers

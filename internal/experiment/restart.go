@@ -336,23 +336,37 @@ func RunRestartCell(cc ClusterConfig, p RestartParams) (RestartCellResult, error
 	return res, nil
 }
 
-// RunRestart executes the rolling-restart scenario across the
-// configuration axis with one shared seed, so columns are directly
-// comparable. cc.Protocol is overridden per cell; cc.N must be left
-// zero (the params size the cluster).
-func RunRestart(cc ClusterConfig, p RestartParams) (RestartResult, error) {
-	resolved := p.withDefaults()
-	res := RestartResult{Params: resolved}
-	for _, proto := range resolved.Configs {
+// restartCells enumerates the configuration axis, every cell at cc's
+// seed with cc.Protocol overridden, so columns are directly comparable.
+func restartCells(cc ClusterConfig, p RestartParams) []Cell {
+	p = p.withDefaults()
+	cells := make([]Cell, 0, len(p.Configs))
+	for _, proto := range p.Configs {
 		cellCC := cc
 		cellCC.Protocol = proto
-		cell, err := RunRestartCell(cellCC, resolved)
-		if err != nil {
-			return res, err
-		}
-		res.Cells = append(res.Cells, cell)
+		cells = append(cells, Cell{
+			Label: fmt.Sprintf("rolling-restart %s", proto.Name),
+			Run:   func() (any, error) { return RunRestartCell(cellCC, p) },
+		})
 	}
-	return res, nil
+	return cells
+}
+
+// restartResult assembles a run from restartCells' outputs.
+func restartResult(p RestartParams, outs []any) (RestartResult, error) {
+	cells, err := outsAs[RestartCellResult](outs)
+	return RestartResult{Params: p.withDefaults(), Cells: cells}, err
+}
+
+// RunRestart executes the rolling-restart scenario across the
+// configuration axis with one shared seed. cc.Protocol is overridden
+// per cell; cc.N must be left zero (the params size the cluster).
+func RunRestart(cc ClusterConfig, p RestartParams) (RestartResult, error) {
+	outs, err := runCells(restartCells(cc, p), 1, nil)
+	if err != nil {
+		return RestartResult{}, err
+	}
+	return restartResult(p, outs)
 }
 
 // FormatRestart renders a rolling-restart run as the per-configuration

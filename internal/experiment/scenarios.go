@@ -82,21 +82,29 @@ func outsAs[T any](outs []any) ([]T, error) {
 
 // --- interval -------------------------------------------------------
 
-func planInterval(opt RunOptions) ([]Cell, error) {
+// intervalCells enumerates one configuration's Interval grid in
+// canonical order: the only place the grid becomes cells, shared by the
+// interval and tuning scenarios.
+func intervalCells(opt RunOptions, proto ProtocolConfig) []Cell {
 	points := intervalPoints(opt.Scale)
-	cells := make([]Cell, 0, len(Configurations)*len(points))
+	cells := make([]Cell, 0, len(points))
+	for idx, p := range points {
+		seed := intervalSeed(opt.Seed, idx)
+		p := p
+		cells = append(cells, Cell{
+			Label: fmt.Sprintf("interval %s α=%g β=%g %d/%d", proto.Name, proto.Alpha, proto.Beta, idx+1, len(points)),
+			Run: func() (any, error) {
+				return RunInterval(ClusterConfig{N: opt.Scale.N, Seed: seed, Protocol: proto}, p)
+			},
+		})
+	}
+	return cells
+}
+
+func planInterval(opt RunOptions) ([]Cell, error) {
+	var cells []Cell
 	for _, proto := range Configurations {
-		proto := proto
-		for idx, p := range points {
-			seed := intervalSeed(opt.Seed, idx)
-			p := p
-			cells = append(cells, Cell{
-				Label: fmt.Sprintf("interval %s %d/%d", proto.Name, idx+1, len(points)),
-				Run: func() (any, error) {
-					return RunInterval(ClusterConfig{N: opt.Scale.N, Seed: seed, Protocol: proto}, p)
-				},
-			})
-		}
+		cells = append(cells, intervalCells(opt, proto)...)
 	}
 	return cells, nil
 }
@@ -124,21 +132,28 @@ func reportInterval(opt RunOptions, outs []any) (ScenarioResult, error) {
 
 // --- threshold ------------------------------------------------------
 
-func planThreshold(opt RunOptions) ([]Cell, error) {
+// thresholdCells enumerates one configuration's Threshold grid in
+// canonical order, shared by the threshold and tuning scenarios.
+func thresholdCells(opt RunOptions, proto ProtocolConfig) []Cell {
 	points := thresholdPoints(opt.Scale)
-	cells := make([]Cell, 0, len(Configurations)*len(points))
+	cells := make([]Cell, 0, len(points))
+	for idx, p := range points {
+		seed := thresholdSeed(opt.Seed, idx)
+		p := p
+		cells = append(cells, Cell{
+			Label: fmt.Sprintf("threshold %s α=%g β=%g %d/%d", proto.Name, proto.Alpha, proto.Beta, idx+1, len(points)),
+			Run: func() (any, error) {
+				return RunThreshold(ClusterConfig{N: opt.Scale.N, Seed: seed, Protocol: proto}, p)
+			},
+		})
+	}
+	return cells
+}
+
+func planThreshold(opt RunOptions) ([]Cell, error) {
+	var cells []Cell
 	for _, proto := range Configurations {
-		proto := proto
-		for idx, p := range points {
-			seed := thresholdSeed(opt.Seed, idx)
-			p := p
-			cells = append(cells, Cell{
-				Label: fmt.Sprintf("threshold %s %d/%d", proto.Name, idx+1, len(points)),
-				Run: func() (any, error) {
-					return RunThreshold(ClusterConfig{N: opt.Scale.N, Seed: seed, Protocol: proto}, p)
-				},
-			})
-		}
+		cells = append(cells, thresholdCells(opt, proto)...)
 	}
 	return cells, nil
 }
@@ -178,39 +193,16 @@ func tuningProtos(alphas, betas []float64) []ProtocolConfig {
 }
 
 func planTuning(opt RunOptions) ([]Cell, error) {
-	alphas, betas := opt.Scale.TuningGrid()
-	tPoints := thresholdPoints(opt.Scale)
-	iPoints := intervalPoints(opt.Scale)
 	var cells []Cell
-	for _, proto := range tuningProtos(alphas, betas) {
-		proto := proto
-		for idx, p := range tPoints {
-			seed := thresholdSeed(opt.Seed, idx)
-			p := p
-			cells = append(cells, Cell{
-				Label: fmt.Sprintf("tuning %s threshold %d/%d", proto.Name, idx+1, len(tPoints)),
-				Run: func() (any, error) {
-					return RunThreshold(ClusterConfig{N: opt.Scale.N, Seed: seed, Protocol: proto}, p)
-				},
-			})
-		}
-		for idx, p := range iPoints {
-			seed := intervalSeed(opt.Seed, idx)
-			p := p
-			cells = append(cells, Cell{
-				Label: fmt.Sprintf("tuning %s interval %d/%d", proto.Name, idx+1, len(iPoints)),
-				Run: func() (any, error) {
-					return RunInterval(ClusterConfig{N: opt.Scale.N, Seed: seed, Protocol: proto}, p)
-				},
-			})
-		}
+	for _, proto := range tuningProtos(opt.Scale.TuningGrid()) {
+		cells = append(cells, thresholdCells(opt, proto)...)
+		cells = append(cells, intervalCells(opt, proto)...)
 	}
 	return cells, nil
 }
 
 func reportTuning(opt RunOptions, outs []any) (ScenarioResult, error) {
-	alphas, betas := opt.Scale.TuningGrid()
-	protos := tuningProtos(alphas, betas)
+	protos := tuningProtos(opt.Scale.TuningGrid())
 	tPoints := thresholdPoints(opt.Scale)
 	iPoints := intervalPoints(opt.Scale)
 	per := len(tPoints) + len(iPoints)
@@ -322,29 +314,15 @@ func wanParams(opt RunOptions) WANParams {
 }
 
 func planWAN(opt RunOptions) ([]Cell, error) {
-	p := wanParams(opt)
-	run := func(adaptive bool) func() (any, error) {
-		return func() (any, error) {
-			return RunWAN(ClusterConfig{
-				Seed:          opt.Seed,
-				Protocol:      ConfigLifeguard,
-				TopologyAware: adaptive,
-				Telemetry:     true,
-			}, p)
-		}
-	}
-	return []Cell{
-		{Label: "wan static", Run: run(false)},
-		{Label: "wan adaptive", Run: run(true)},
-	}, nil
+	cc := ClusterConfig{Seed: opt.Seed, Protocol: ConfigLifeguard, Telemetry: true}
+	return wanCells(cc, wanParams(opt)), nil
 }
 
 func reportWAN(opt RunOptions, outs []any) (ScenarioResult, error) {
-	runs, err := outsAs[WANResult](outs)
+	cmp, err := wanComparison(outs)
 	if err != nil {
 		return ScenarioResult{}, err
 	}
-	cmp := WANComparison{Static: runs[0], Adaptive: runs[1]}
 	return ScenarioResult{
 		Records: []Record{wanRecord(cmp.Static, false), wanRecord(cmp.Adaptive, true)},
 		Sections: []Section{
@@ -355,9 +333,8 @@ func reportWAN(opt RunOptions, outs []any) (ScenarioResult, error) {
 
 // --- chaos ----------------------------------------------------------
 
-// chaosParams resolves the chaos scenario's raw parameters from the
-// options. The result is passed unresolved to each cell (withDefaults
-// is not idempotent and must run exactly once per cell).
+// chaosParams maps the options onto the chaos scenario's raw
+// parameters; chaosCells and chaosResult apply the defaults.
 func chaosParams(opt RunOptions) ChaosParams {
 	n := opt.Scale.ChaosN
 	if opt.ChaosN > 0 {
@@ -373,31 +350,14 @@ func chaosParams(opt RunOptions) ChaosParams {
 }
 
 func planChaos(opt RunOptions) ([]Cell, error) {
-	p := chaosParams(opt)
-	resolved := p.withDefaults()
-	var cells []Cell
-	for _, name := range ChaosScenarioNames() {
-		name := name
-		for _, proto := range resolved.Configs {
-			proto := proto
-			cells = append(cells, Cell{
-				Label: fmt.Sprintf("chaos %s/%s", name, proto.Name),
-				Run: func() (any, error) {
-					cell, _, err := RunChaosCell(ClusterConfig{Seed: opt.Seed, Protocol: proto}, name, p)
-					return cell, err
-				},
-			})
-		}
-	}
-	return cells, nil
+	return chaosCells(ClusterConfig{Seed: opt.Seed}, chaosParams(opt)), nil
 }
 
 func reportChaos(opt RunOptions, outs []any) (ScenarioResult, error) {
-	cells, err := outsAs[ChaosCellResult](outs)
+	res, err := chaosResult(chaosParams(opt), outs)
 	if err != nil {
 		return ScenarioResult{}, err
 	}
-	res := ChaosResult{Params: chaosParams(opt).withDefaults(), Cells: cells}
 	return ScenarioResult{
 		Records: chaosRecords(res),
 		Sections: []Section{
@@ -462,37 +422,25 @@ func reportPartition(opt RunOptions, outs []any) (ScenarioResult, error) {
 
 // --- rolling-restart ------------------------------------------------
 
-// restartParams resolves the rolling-restart scenario's parameters
-// from the options.
+// restartParams maps the options onto the rolling-restart scenario's
+// raw parameters; restartCells and restartResult apply the defaults.
 func restartParams(opt RunOptions) RestartParams {
 	n := opt.Scale.RestartN
 	if opt.RestartN > 0 {
 		n = opt.RestartN
 	}
-	return RestartParams{N: n, Waves: opt.Scale.RestartWaves}.withDefaults()
+	return RestartParams{N: n, Waves: opt.Scale.RestartWaves}
 }
 
 func planRestart(opt RunOptions) ([]Cell, error) {
-	p := restartParams(opt)
-	cells := make([]Cell, 0, len(p.Configs))
-	for _, proto := range p.Configs {
-		proto := proto
-		cells = append(cells, Cell{
-			Label: fmt.Sprintf("rolling-restart %s", proto.Name),
-			Run: func() (any, error) {
-				return RunRestartCell(ClusterConfig{Seed: opt.Seed, Protocol: proto}, p)
-			},
-		})
-	}
-	return cells, nil
+	return restartCells(ClusterConfig{Seed: opt.Seed}, restartParams(opt)), nil
 }
 
 func reportRestart(opt RunOptions, outs []any) (ScenarioResult, error) {
-	cells, err := outsAs[RestartCellResult](outs)
+	res, err := restartResult(restartParams(opt), outs)
 	if err != nil {
 		return ScenarioResult{}, err
 	}
-	res := RestartResult{Params: restartParams(opt), Cells: cells}
 	return ScenarioResult{
 		Records: restartRecords(res),
 		Sections: []Section{

@@ -256,24 +256,6 @@ func aggregateInterval(proto ProtocolConfig, points []IntervalParams, results []
 	return res
 }
 
-// RunIntervalSweep runs the Interval grid for one configuration.
-func RunIntervalSweep(proto ProtocolConfig, sc Scale, baseSeed int64, progress Progress) (IntervalSweepResult, error) {
-	points := intervalPoints(sc)
-	results := make([]IntervalResult, len(points))
-	for idx, p := range points {
-		r, err := RunInterval(
-			ClusterConfig{N: sc.N, Seed: intervalSeed(baseSeed, idx), Protocol: proto}, p)
-		if err != nil {
-			return IntervalSweepResult{Config: proto}, err
-		}
-		results[idx] = r
-		if progress != nil {
-			progress(idx+1, len(points))
-		}
-	}
-	return aggregateInterval(proto, points, results), nil
-}
-
 // ThresholdSweepResult aggregates Threshold runs for one configuration:
 // the material for Table V.
 type ThresholdSweepResult struct {
@@ -326,24 +308,6 @@ func aggregateThreshold(proto ProtocolConfig, results []ThresholdResult) Thresho
 	return res
 }
 
-// RunThresholdSweep runs the Threshold grid for one configuration.
-func RunThresholdSweep(proto ProtocolConfig, sc Scale, baseSeed int64, progress Progress) (ThresholdSweepResult, error) {
-	points := thresholdPoints(sc)
-	results := make([]ThresholdResult, len(points))
-	for idx, p := range points {
-		r, err := RunThreshold(
-			ClusterConfig{N: sc.N, Seed: thresholdSeed(baseSeed, idx), Protocol: proto}, p)
-		if err != nil {
-			return ThresholdSweepResult{Config: proto}, err
-		}
-		results[idx] = r
-		if progress != nil {
-			progress(idx+1, len(points))
-		}
-	}
-	return aggregateThreshold(proto, results), nil
-}
-
 // StressSweepResult aggregates the Figure-1 scenario for one
 // configuration: FP and FP⁻ per stressed-member count.
 type StressSweepResult struct {
@@ -364,27 +328,6 @@ func stressCounts(sc Scale) []int {
 
 // stressSeed derives the cell seed for the i-th stressed-member count.
 func stressSeed(base int64, i int) int64 { return base + int64(i)*104729 }
-
-// RunStressSweep runs the Figure-1 scenario across stressed-member
-// counts for one configuration.
-func RunStressSweep(proto ProtocolConfig, sc Scale, baseSeed int64, progress Progress) (StressSweepResult, error) {
-	res := StressSweepResult{Config: proto, ByCount: make(map[int]StressResult)}
-	counts := stressCounts(sc)
-	for i, count := range counts {
-		r, err := RunStress(
-			ClusterConfig{N: StressN, Seed: stressSeed(baseSeed, i), Protocol: proto},
-			StressParams{Stressed: count, Duration: sc.StressDuration},
-		)
-		if err != nil {
-			return res, err
-		}
-		res.ByCount[count] = r
-		if progress != nil {
-			progress(i+1, len(counts))
-		}
-	}
-	return res, nil
-}
 
 // TuningCell is one (α, β) cell of Table VII: Lifeguard's metrics as a
 // percentage of the SWIM baseline from the same sweep grids.
@@ -407,45 +350,6 @@ type TuningSweepResult struct {
 
 	// Cells holds one entry per (α, β), in sweep order.
 	Cells []TuningCell
-}
-
-// RunTuningSweep reproduces Table VII: Lifeguard at each (α, β) against
-// a SWIM baseline over the same grids.
-func RunTuningSweep(alphas, betas []float64, sc Scale, baseSeed int64, progress Progress) (TuningSweepResult, error) {
-	var res TuningSweepResult
-	baseT, err := RunThresholdSweep(ConfigSWIM, sc, baseSeed, nil)
-	if err != nil {
-		return res, err
-	}
-	baseI, err := RunIntervalSweep(ConfigSWIM, sc, baseSeed, nil)
-	if err != nil {
-		return res, err
-	}
-	res.BaselineThreshold = baseT
-	res.BaselineInterval = baseI
-
-	total := len(alphas) * len(betas)
-	done := 0
-	for _, alpha := range alphas {
-		for _, beta := range betas {
-			proto := ConfigLifeguard
-			proto.Alpha, proto.Beta = alpha, beta
-			t, err := RunThresholdSweep(proto, sc, baseSeed, nil)
-			if err != nil {
-				return res, err
-			}
-			iv, err := RunIntervalSweep(proto, sc, baseSeed, nil)
-			if err != nil {
-				return res, err
-			}
-			res.Cells = append(res.Cells, tuningCell(alpha, beta, t, baseT, iv, baseI))
-			done++
-			if progress != nil {
-				progress(done, total)
-			}
-		}
-	}
-	return res, nil
 }
 
 // tuningCell scores one (α, β) pair's sweeps against the SWIM baseline

@@ -359,21 +359,35 @@ type WANComparison struct {
 	Adaptive WANResult
 }
 
+// wanCells enumerates the comparison's two runs, static then adaptive:
+// cc and p shared, only TopologyAware differing.
+func wanCells(cc ClusterConfig, p WANParams) []Cell {
+	cell := func(label string, adaptive bool) Cell {
+		cc := cc
+		cc.TopologyAware = adaptive
+		return Cell{Label: label, Run: func() (any, error) { return RunWAN(cc, p) }}
+	}
+	return []Cell{cell("wan static", false), cell("wan adaptive", true)}
+}
+
+// wanComparison pairs wanCells' outputs.
+func wanComparison(outs []any) (WANComparison, error) {
+	runs, err := outsAs[WANResult](outs)
+	if err != nil {
+		return WANComparison{}, err
+	}
+	return WANComparison{Static: runs[0], Adaptive: runs[1]}, nil
+}
+
 // RunWANComparison executes the WAN experiment twice with the same seed
 // and parameters — once static, once topology-aware — so detection
 // latency, false positives and bandwidth can be compared directly.
 func RunWANComparison(cc ClusterConfig, p WANParams) (WANComparison, error) {
-	cc.TopologyAware = false
-	static, err := RunWAN(cc, p)
+	outs, err := runCells(wanCells(cc, p), 1, nil)
 	if err != nil {
 		return WANComparison{}, err
 	}
-	cc.TopologyAware = true
-	adaptive, err := RunWAN(cc, p)
-	if err != nil {
-		return WANComparison{}, err
-	}
-	return WANComparison{Static: static, Adaptive: adaptive}, nil
+	return wanComparison(outs)
 }
 
 // scoreObservedRTT groups the cluster telemetry recorder's RTT samples

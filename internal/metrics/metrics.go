@@ -190,10 +190,8 @@ type Event struct {
 //
 // EventLog is safe for concurrent use.
 type EventLog struct {
-	mu      sync.Mutex
-	events  []Event
-	max     int
-	dropped uint64
+	mu     sync.Mutex
+	events []Event
 }
 
 // NewEventLog returns an empty, unbounded event log.
@@ -201,26 +199,10 @@ func NewEventLog() *EventLog {
 	return &EventLog{}
 }
 
-// NewBoundedEventLog returns an empty event log that holds at most max
-// events: once full, further appends are counted in Dropped and
-// discarded, so long soak runs cannot grow the log without limit. A
-// max below 1 means unbounded.
-func NewBoundedEventLog(max int) *EventLog {
-	if max < 1 {
-		max = 0
-	}
-	return &EventLog{max: max}
-}
-
-// Append records an event. On a bounded log at capacity the event is
-// dropped and counted instead.
+// Append records an event.
 func (l *EventLog) Append(ev Event) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.max > 0 && len(l.events) >= l.max {
-		l.dropped++
-		return
-	}
 	if len(l.events) == cap(l.events) {
 		// Grow by explicit doubling: append's growth factor tapers off
 		// for large slices, and a busy simulation appends millions of
@@ -231,22 +213,11 @@ func (l *EventLog) Append(ev Event) {
 		if newCap < 256 {
 			newCap = 256
 		}
-		if l.max > 0 && newCap > l.max {
-			newCap = l.max
-		}
 		grown := make([]Event, len(l.events), newCap)
 		copy(grown, l.events)
 		l.events = grown
 	}
 	l.events = append(l.events, ev)
-}
-
-// Dropped returns how many events a bounded log has discarded at
-// capacity.
-func (l *EventLog) Dropped() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
 }
 
 // Len returns the number of recorded events.
@@ -266,11 +237,9 @@ func (l *EventLog) Events() []Event {
 	return out
 }
 
-// Reset clears the log, including the dropped-event count; the bound
-// itself is kept.
+// Reset clears the log.
 func (l *EventLog) Reset() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.events = nil
-	l.dropped = 0
 }

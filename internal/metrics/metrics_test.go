@@ -107,44 +107,6 @@ func TestEventLogConcurrentAppend(t *testing.T) {
 	}
 }
 
-func TestBoundedEventLog(t *testing.T) {
-	l := NewBoundedEventLog(3)
-	for i := 0; i < 5; i++ {
-		l.Append(Event{Observer: "o", Type: EventJoin, Incarnation: uint64(i)})
-	}
-	if got := l.Len(); got != 3 {
-		t.Errorf("len = %d, want 3", got)
-	}
-	if got := l.Dropped(); got != 2 {
-		t.Errorf("dropped = %d, want 2", got)
-	}
-	// The kept events are the first three.
-	evs := l.Events()
-	if evs[2].Incarnation != 2 {
-		t.Errorf("last kept incarnation = %d, want 2", evs[2].Incarnation)
-	}
-	// Reset clears both the events and the drop count, keeping the bound.
-	l.Reset()
-	if l.Len() != 0 || l.Dropped() != 0 {
-		t.Errorf("after reset: len=%d dropped=%d", l.Len(), l.Dropped())
-	}
-	for i := 0; i < 4; i++ {
-		l.Append(Event{Observer: "o"})
-	}
-	if l.Len() != 3 || l.Dropped() != 1 {
-		t.Errorf("bound not kept after reset: len=%d dropped=%d", l.Len(), l.Dropped())
-	}
-
-	// A bound below 1 means unbounded.
-	u := NewBoundedEventLog(0)
-	for i := 0; i < 10; i++ {
-		u.Append(Event{Observer: "o"})
-	}
-	if u.Len() != 10 || u.Dropped() != 0 {
-		t.Errorf("unbounded log: len=%d dropped=%d", u.Len(), u.Dropped())
-	}
-}
-
 func TestEventTypeString(t *testing.T) {
 	cases := map[EventType]string{
 		EventJoin:     "join",

@@ -495,20 +495,12 @@ func unmarshalWith(u *Unpacker, b []byte) (Message, error) {
 	return m, nil
 }
 
-// Size returns the encoded length of m, including the type tag.
-func Size(m Message) int {
-	// Messages are small; encoding into a scratch buffer is simpler and
-	// safer than maintaining a parallel size computation, and this path
-	// is not hot (packers reuse AppendMarshal output directly).
-	return len(Marshal(m))
-}
-
 // EncodePacket packs one or more messages into a single packet. A single
 // message is encoded bare; multiple messages are wrapped in a compound
 // message: tag, count (uvarint), then length-prefixed encodings.
 //
-// The caller is responsible for keeping the total under MTU; PackPiggyback
-// in this package does that for the gossip path.
+// The caller is responsible for keeping the total under MTU. This is the
+// unpooled reference encoder; the send paths use Packer.
 func EncodePacket(msgs []Message) []byte {
 	switch len(msgs) {
 	case 0:
@@ -591,29 +583,3 @@ func decodePacketWith(u *Unpacker, msgs []Message, b []byte) ([]Message, error) 
 // packed into a compound packet (the uvarint length prefix; 2 bytes covers
 // every message under MTU plus slack for the count).
 const CompoundOverhead = 2
-
-// PacketLen returns the encoded size of a packet holding the given
-// message sizes: used by piggyback packing to stay under MTU without
-// encoding twice.
-func PacketLen(sizes []int) int {
-	if len(sizes) == 0 {
-		return 0
-	}
-	if len(sizes) == 1 {
-		return sizes[0]
-	}
-	total := 1 + uvarintLen(uint64(len(sizes)))
-	for _, s := range sizes {
-		total += uvarintLen(uint64(s)) + s
-	}
-	return total
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}

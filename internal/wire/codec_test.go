@@ -209,32 +209,6 @@ func TestDecodePacketTruncatedCompound(t *testing.T) {
 	}
 }
 
-func TestPacketLenMatchesEncodePacket(t *testing.T) {
-	cases := [][]Message{
-		{&Ping{SeqNo: 1, Target: "tgt", Source: "src"}},
-		{&Ping{SeqNo: 1}, &Ack{SeqNo: 1}},
-		sampleMessages(),
-	}
-	for _, msgs := range cases {
-		sizes := make([]int, len(msgs))
-		for i, m := range msgs {
-			sizes[i] = Size(m)
-		}
-		want := len(EncodePacket(msgs))
-		if got := PacketLen(sizes); got != want {
-			t.Errorf("PacketLen(%v) = %d, want %d", sizes, got, want)
-		}
-	}
-}
-
-func TestSizeMatchesMarshal(t *testing.T) {
-	for _, msg := range sampleMessages() {
-		if Size(msg) != len(Marshal(msg)) {
-			t.Errorf("%s: Size %d != len(Marshal) %d", msg.Type(), Size(msg), len(Marshal(msg)))
-		}
-	}
-}
-
 func TestAppendMarshalAppends(t *testing.T) {
 	prefix := []byte{1, 2, 3}
 	msg := &Ack{SeqNo: 9, Source: "x"}
@@ -370,16 +344,6 @@ func TestQuickDecodeRandomBytesNeverPanics(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestUvarintLen(t *testing.T) {
-	for _, v := range []uint64{0, 1, 127, 128, 16383, 16384, 1 << 32, 1<<64 - 1} {
-		e := encoder{}
-		e.uvarint(v)
-		if got := uvarintLen(v); got != len(e.buf) {
-			t.Errorf("uvarintLen(%d) = %d, want %d", v, got, len(e.buf))
-		}
 	}
 }
 

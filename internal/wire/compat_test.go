@@ -173,8 +173,8 @@ func TestOversizeCoordDimensionRejected(t *testing.T) {
 // 100 bytes on a ping or ack.
 func TestCoordinateSizeBudget(t *testing.T) {
 	c := coords.NewCoordinate(coords.DefaultConfig())
-	bare := Size(&Ping{SeqNo: 1, Target: "node-000", Source: "node-001"})
-	withCoord := Size(&Ping{SeqNo: 1, Target: "node-000", Source: "node-001", Coord: c})
+	bare := len(Marshal(&Ping{SeqNo: 1, Target: "node-000", Source: "node-001"}))
+	withCoord := len(Marshal(&Ping{SeqNo: 1, Target: "node-000", Source: "node-001", Coord: c}))
 	if cost := withCoord - bare; cost > 100 {
 		t.Errorf("coordinate block costs %d bytes on the wire, budget is 100", cost)
 	}

@@ -71,10 +71,10 @@ func TestPackerMatchesEncodePacket(t *testing.T) {
 		if p.Count() != len(msgs) {
 			t.Fatalf("trial %d: Count = %d, want %d", trial, p.Count(), len(msgs))
 		}
-		// Add must report the same per-message sizes Size does.
+		// Add must report each message's encoded size.
 		wantSizes := 0
 		for _, m := range msgs {
-			wantSizes += Size(m)
+			wantSizes += len(Marshal(m))
 		}
 		if sizes != wantSizes {
 			t.Fatalf("trial %d: Add sizes total %d, want %d", trial, sizes, wantSizes)

@@ -94,16 +94,6 @@ type Transport = core.Transport
 // on them.
 type Coordinate = coords.Coordinate
 
-// CoordConfig tunes the Vivaldi coordinate engine (dimensionality,
-// adjustment window, latency filter, gravity). The zero value is not
-// usable; see DefaultCoordConfig.
-type CoordConfig = coords.Config
-
-// DefaultCoordConfig returns the Vivaldi tuning used by default:
-// 8 dimensions plus a height vector, a 20-sample adjustment window,
-// a 3-sample median latency filter, and gravity toward the origin.
-func DefaultCoordConfig() *CoordConfig { return coords.DefaultConfig() }
-
 // UDPTransport is the production transport: UDP datagrams with a TCP
 // side channel for reliable traffic (push-pull anti-entropy and fallback
 // probes).
