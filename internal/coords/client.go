@@ -213,21 +213,20 @@ func (c *Client) storePeer(peer string, coord *Coordinate) {
 	c.peers[peer] = coord.Clone()
 }
 
-// Update incorporates one probe observation: the peer's coordinate and
-// the measured round-trip time. It returns the node's updated
-// coordinate. Invalid inputs (malformed coordinate, non-positive or
-// absurd RTT) are rejected without mutating state.
-func (c *Client) Update(peer string, other *Coordinate, rtt time.Duration) (*Coordinate, error) {
+// Observe incorporates one probe observation: the peer's coordinate and
+// the measured round-trip time. Invalid inputs (malformed coordinate,
+// non-positive or absurd RTT) are rejected without mutating state.
+func (c *Client) Observe(peer string, other *Coordinate, rtt time.Duration) error {
 	if other == nil {
-		return nil, fmt.Errorf("coords: nil peer coordinate")
+		return fmt.Errorf("coords: nil peer coordinate")
 	}
 	if err := c.checkCoordinate(other); err != nil {
 		c.rejected++
-		return nil, err
+		return err
 	}
 	if rtt <= 0 || (c.cfg.MaxRTT > 0 && rtt > c.cfg.MaxRTT) {
 		c.rejected++
-		return nil, fmt.Errorf("coords: RTT %v outside acceptable range (0, %v]", rtt, c.cfg.MaxRTT)
+		return fmt.Errorf("coords: RTT %v outside acceptable range (0, %v]", rtt, c.cfg.MaxRTT)
 	}
 
 	rttSeconds := c.latencyFilter(peer, rtt.Seconds())
@@ -236,6 +235,16 @@ func (c *Client) Update(peer string, other *Coordinate, rtt time.Duration) (*Coo
 	c.updateGravity()
 	c.storePeer(peer, other)
 	c.updates++
+	return nil
+}
+
+// Update is Observe returning a copy of the node's updated coordinate,
+// for callers that want the result in hand; the protocol core, which
+// reads the live coordinate under its own lock, calls Observe.
+func (c *Client) Update(peer string, other *Coordinate, rtt time.Duration) (*Coordinate, error) {
+	if err := c.Observe(peer, other, rtt); err != nil {
+		return nil, err
+	}
 	return c.coord.Clone(), nil
 }
 

@@ -154,7 +154,11 @@ func (n *Node) scheduleGossipLocked() {
 	if n.shutdown || n.cfg.GossipInterval <= 0 {
 		return
 	}
-	n.gossipTimer = n.cfg.Clock.AfterFunc(n.cfg.GossipInterval, n.gossipTick)
+	if n.gossipTimer == nil { // at the call site: see scheduleProbeLocked
+		n.gossipTimer = n.cfg.Clock.AfterFunc(n.cfg.GossipInterval, n.gossipTick)
+	} else {
+		n.gossipTimer.Reset(n.cfg.GossipInterval)
+	}
 }
 
 // gossipTick pushes queued updates to a few random members. Blocked

@@ -85,6 +85,11 @@ type Node struct {
 	// acks tracks in-flight probes originated here.
 	acks map[uint32]*ackHandler
 
+	// freeAcks holds finished probe-round records for reuse, each with
+	// its two timers still bound to it (see releaseAckLocked for which
+	// records qualify).
+	freeAcks []*ackHandler
+
 	// relays tracks indirect probes this member is relaying for others.
 	relays map[uint32]*relayHandler
 
@@ -100,7 +105,8 @@ type Node struct {
 	// Guarded by mu, like the rest of the protocol state.
 	coordClient *coords.Client
 
-	// Tick timers, stopped on shutdown.
+	// Tick timers: each is created by its loop's first arm and re-armed
+	// in place (Reset) by every later one; stopped on shutdown.
 	probeTimer     timeutil.Timer
 	gossipTimer    timeutil.Timer
 	pushPullTimer  timeutil.Timer
@@ -124,7 +130,9 @@ type Node struct {
 	// are safe to reuse because every send path encodes its message
 	// into the packer's buffer before returning.
 	bcastBuf       []byte // broadcastLocked's marshal buffer
+	scratchPing    wire.Ping
 	scratchAck     wire.Ack
+	scratchAlive   wire.Alive // mergeRemoteStateLocked's replayed entry
 	scratchSuspect wire.Suspect
 	scratchNack    wire.Nack
 	nearNames      []string // candidate names for coordinate ranking
@@ -302,7 +310,7 @@ func (n *Node) observeRTTLocked(peer string, coord *coords.Coordinate, rtt time.
 	if n.coordClient == nil || coord == nil {
 		return
 	}
-	if _, err := n.coordClient.Update(peer, coord, rtt); err == nil {
+	if err := n.coordClient.Observe(peer, coord, rtt); err == nil {
 		n.cfg.Metrics.IncrCounter(metrics.CounterCoordUpdates, 1)
 	} else {
 		n.cfg.Metrics.IncrCounter(metrics.CounterCoordRejected, 1)
@@ -578,17 +586,18 @@ func (n *Node) HandlePacket(from string, payload []byte) {
 		n.cfg.Metrics.IncrCounter("decode_errors", 1)
 		return
 	}
+	// One lock round trip per packet, not one per piggybacked message.
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	for _, msg := range msgs {
-		n.handleMessage(from, msg)
+		if n.shutdown {
+			return
+		}
+		n.handleMessageLocked(from, msg)
 	}
 }
 
-func (n *Node) handleMessage(from string, msg wire.Message) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.shutdown {
-		return
-	}
+func (n *Node) handleMessageLocked(from string, msg wire.Message) {
 	switch m := msg.(type) {
 	case *wire.Ping:
 		n.handlePingLocked(from, m)

@@ -10,8 +10,14 @@ import (
 	"lifeguard/internal/wire"
 )
 
-// ackHandler tracks one probe round originated by this member.
+// ackHandler tracks one probe round originated by this member. A record
+// outlives its round: it is created with its two timers, whose callbacks
+// are bound to the record (not to a sequence number) for life, and a
+// finished round hands it to Node.freeAcks so the next round re-arms the
+// same timers instead of allocating new ones.
 type ackHandler struct {
+	// seq is the round the record currently serves. The timer callbacks
+	// read it under the node lock.
 	seq uint32
 
 	// target is the probed member's record. Records are never freed
@@ -55,6 +61,19 @@ type ackHandler struct {
 
 	timeoutTimer timeutil.Timer
 	periodTimer  timeutil.Timer
+
+	// timeoutQuiet records that timeoutTimer's current arm can deliver
+	// no further callback: its Stop returned true, or its callback has
+	// entered under the node lock. See releaseAckLocked.
+	timeoutQuiet bool
+}
+
+// stopTimeout cancels the round's timeout timer, noting whether that
+// leaves it quiet.
+func (h *ackHandler) stopTimeout() {
+	if h.timeoutTimer.Stop() {
+		h.timeoutQuiet = true
+	}
 }
 
 // relayHandler tracks one indirect probe this member relays for another.
@@ -159,7 +178,14 @@ func (n *Node) scheduleProbeLocked() {
 	if n.shutdown {
 		return
 	}
-	n.probeTimer = n.cfg.Clock.AfterFunc(n.scaledProbeInterval(), n.probeTick)
+	// The nil check sits here, not in a helper taking the callback:
+	// evaluating n.probeTick allocates a bound-method value, which a
+	// helper's argument list would do on every arm.
+	if d := n.scaledProbeInterval(); n.probeTimer == nil {
+		n.probeTimer = n.cfg.Clock.AfterFunc(d, n.probeTick)
+	} else {
+		n.probeTimer.Reset(d)
+	}
 }
 
 // probeTick runs one protocol period.
@@ -185,7 +211,9 @@ func (n *Node) probeTick() {
 			if target != nil {
 				n.probeDeferred = true
 				addr := target.Addr
-				ping := n.startProbeRoundLocked(target)
+				// A copy: the scratch ping is the next round's by the
+				// time the wake closure runs.
+				ping := *n.startProbeRoundLocked(target)
 				n.deferToWakeLocked(func() {
 					n.mu.Lock()
 					n.probeDeferred = false
@@ -196,7 +224,7 @@ func (n *Node) probeTick() {
 						if h, ok := n.acks[ping.SeqNo]; ok {
 							h.sentAt = n.cfg.Clock.Now()
 						}
-						n.sendWithPiggybackLocked(addr, ping, target, false)
+						n.sendWithPiggybackLocked(addr, &ping, target, false)
 					}
 					n.mu.Unlock()
 				})
@@ -335,7 +363,9 @@ func (n *Node) probeNodeLocked(m *memberState) {
 // startProbeRoundLocked registers the ack handler and arms the round's
 // timers, returning the ping to send. Separated from the send so a
 // blocked member's round can start at the tick while its ping waits for
-// wake.
+// wake. The ping is the node's scratch, valid until the next round
+// starts; the timers are armed timeout first, period second, on a
+// recycled record exactly as on a new one.
 func (n *Node) startProbeRoundLocked(m *memberState) *wire.Ping {
 	n.cfg.Metrics.IncrCounter(metrics.CounterProbes, 1)
 	n.seqNo++
@@ -347,45 +377,93 @@ func (n *Node) startProbeRoundLocked(m *memberState) *wire.Ping {
 		n.cfg.Metrics.IncrCounter(metrics.CounterAdaptiveFallbacks, 1)
 	}
 
-	h := &ackHandler{
-		seq:      seq,
-		target:   m,
-		interval: interval,
-		adaptive: adaptive,
-		sentAt:   n.cfg.Clock.Now(),
+	h := n.takeAckLocked()
+	*h = ackHandler{
+		seq:          seq,
+		target:       m,
+		nackFrom:     h.nackFrom[:0],
+		interval:     interval,
+		adaptive:     adaptive,
+		sentAt:       n.cfg.Clock.Now(),
+		timeoutTimer: h.timeoutTimer,
+		periodTimer:  h.periodTimer,
 	}
 	n.acks[seq] = h
-	h.timeoutTimer = n.cfg.Clock.AfterFunc(timeout, func() { n.probeTimeoutExpired(seq) })
-	h.periodTimer = n.cfg.Clock.AfterFunc(interval, func() { n.probePeriodExpired(seq) })
+	if h.timeoutTimer == nil {
+		h.timeoutTimer = n.cfg.Clock.AfterFunc(timeout, func() { n.probeTimeoutExpired(h) })
+		h.periodTimer = n.cfg.Clock.AfterFunc(interval, func() { n.probePeriodExpired(h) })
+	} else {
+		h.timeoutTimer.Reset(timeout)
+		h.periodTimer.Reset(interval)
+	}
 
-	return &wire.Ping{SeqNo: seq, Target: m.Name, Source: n.cfg.Name, Coord: n.coordPayloadLocked()}
+	n.scratchPing = wire.Ping{SeqNo: seq, Target: m.Name, Source: n.cfg.Name, Coord: n.coordPayloadLocked()}
+	return &n.scratchPing
 }
 
-// probeTimeoutExpired fires when the direct probe's ack deadline passes:
-// launch indirect probes through k members, plus the reliable-channel
-// fallback. While blocked, the continuation is deferred to wake — the
-// probe goroutine is stuck before its sends — after which the (long
-// past) deadline makes the round fail immediately, exactly the resumed
-// stale probe the paper describes.
-func (n *Node) probeTimeoutExpired(seq uint32) {
+// takeAckLocked returns the record for a new round: a recycled one with
+// both timers spent, or a new one that has none yet.
+func (n *Node) takeAckLocked() *ackHandler {
+	k := len(n.freeAcks)
+	if k == 0 {
+		return &ackHandler{}
+	}
+	h := n.freeAcks[k-1]
+	n.freeAcks[k-1] = nil
+	n.freeAcks = n.freeAcks[:k-1]
+	return h
+}
+
+// releaseAckLocked retires the record of a round that has just left
+// n.acks. Only the period timer's callback (or its deferred-to-wake
+// continuation) closes a round, so that timer's arm is spent; the record
+// is reusable if the timeout timer's is too (timeoutQuiet). Otherwise it
+// is left to the garbage collector: on the real clock a Stop that
+// returns false can mean the timeout callback's goroutine is already
+// waiting for the node lock, and that callback must find the record as
+// this round left it — a sequence number no longer in n.acks — never
+// re-armed under the next round's, whose healthy probe it would then
+// time out early (the paper's own false positive). On the simulated
+// clocks every record qualifies.
+func (n *Node) releaseAckLocked(h *ackHandler) {
+	if h.timeoutQuiet {
+		n.freeAcks = append(n.freeAcks, h)
+	}
+}
+
+// probeTimeoutExpired is the timeout timer's callback on the round h
+// currently serves.
+func (n *Node) probeTimeoutExpired(h *ackHandler) {
 	n.mu.Lock()
+	h.timeoutQuiet = true
+	n.probeTimeoutExpiredLocked(h.seq)
+	n.mu.Unlock()
+}
+
+// probeTimeoutExpiredLocked runs when the direct probe's ack deadline
+// passes: launch indirect probes through k members, plus the
+// reliable-channel fallback. While blocked, the continuation is deferred
+// to wake — the probe goroutine is stuck before its sends — after which
+// the (long past) deadline makes the round fail immediately, exactly the
+// resumed stale probe the paper describes.
+func (n *Node) probeTimeoutExpiredLocked(seq uint32) {
 	if n.shutdown {
-		n.mu.Unlock()
 		return
 	}
 	h, ok := n.acks[seq]
 	if !ok || h.acked {
-		n.mu.Unlock()
 		return
 	}
 	if n.blockedLocked() {
-		n.deferToWakeLocked(func() { n.probeTimeoutExpired(seq) })
-		n.mu.Unlock()
+		n.deferToWakeLocked(func() {
+			n.mu.Lock()
+			n.probeTimeoutExpiredLocked(seq)
+			n.mu.Unlock()
+		})
 		return
 	}
 	target := h.target
 	if target.State == StateDead || target.State == StateLeft {
-		n.mu.Unlock()
 		return
 	}
 	// Indirect probes through k members (uniform random, or
@@ -417,40 +495,48 @@ func (n *Node) probeTimeoutExpired(seq uint32) {
 	// the fallback may be the only path our coordinate reaches the
 	// target on.
 	if n.cfg.TCPFallback {
-		ping := &wire.Ping{SeqNo: seq, Target: target.Name, Source: n.cfg.Name, Coord: n.coordPayloadLocked()}
-		n.sendWithPiggybackLocked(target.Addr, ping, target, true)
+		n.scratchPing = wire.Ping{SeqNo: seq, Target: target.Name, Source: n.cfg.Name, Coord: n.coordPayloadLocked()}
+		n.sendWithPiggybackLocked(target.Addr, &n.scratchPing, target, true)
 	}
+}
+
+// probePeriodExpired is the period timer's callback on the round h
+// currently serves.
+func (n *Node) probePeriodExpired(h *ackHandler) {
+	n.mu.Lock()
+	n.probePeriodExpiredLocked(h.seq)
 	n.mu.Unlock()
 }
 
-// probePeriodExpired closes the probe round at the end of the protocol
-// period: account local health, and suspect the target if no ack
-// arrived.
-func (n *Node) probePeriodExpired(seq uint32) {
-	n.mu.Lock()
+// probePeriodExpiredLocked closes the probe round at the end of the
+// protocol period: account local health, and suspect the target if no
+// ack arrived.
+func (n *Node) probePeriodExpiredLocked(seq uint32) {
 	if n.shutdown {
-		n.mu.Unlock()
 		return
 	}
 	h, ok := n.acks[seq]
 	if !ok {
-		n.mu.Unlock()
 		return
 	}
 	if h.acked {
 		delete(n.acks, seq)
-		n.mu.Unlock()
+		n.releaseAckLocked(h)
 		return
 	}
 	if n.blockedLocked() {
-		n.deferToWakeLocked(func() { n.probePeriodExpired(seq) })
-		n.mu.Unlock()
+		n.deferToWakeLocked(func() {
+			n.mu.Lock()
+			n.probePeriodExpiredLocked(seq)
+			n.mu.Unlock()
+		})
 		return
 	}
 	delete(n.acks, seq)
-	stopTimer(h.timeoutTimer)
+	h.stopTimeout()
+	target, adaptive, missed := h.target, h.adaptive, h.nacksExpected-len(h.nackFrom)
+	n.releaseAckLocked(h)
 
-	target := h.target
 	n.cfg.Metrics.IncrCounter(metrics.CounterProbeFailures, 1)
 	if n.cfg.Telemetry != nil {
 		n.cfg.Telemetry.RecordProbe(target.Name, telemetry.OutcomeTimeout)
@@ -460,11 +546,8 @@ func (n *Node) probePeriodExpired(seq uint32) {
 		// Adaptive rounds close before the relays' static nack schedule
 		// can possibly answer, so the missed-nack surcharge (§IV-A)
 		// only applies to rounds that ran the full period.
-		if !h.adaptive {
-			missed := h.nacksExpected - len(h.nackFrom)
-			if missed > 0 {
-				delta += missed * awareness.DeltaMissedNack
-			}
+		if !adaptive && missed > 0 {
+			delta += missed * awareness.DeltaMissedNack
 		}
 		score := n.aware.ApplyDelta(delta)
 		if n.cfg.Telemetry != nil {
@@ -473,7 +556,6 @@ func (n *Node) probePeriodExpired(seq uint32) {
 	}
 
 	if target.State == StateDead || target.State == StateLeft {
-		n.mu.Unlock()
 		return
 	}
 	// An already-suspected target still gets our accusation:
@@ -483,7 +565,6 @@ func (n *Node) probePeriodExpired(seq uint32) {
 	// distinct accuser.
 	s := &wire.Suspect{Incarnation: target.Incarnation, Node: target.Name, From: n.cfg.Name}
 	n.suspectNodeLocked(target, s)
-	n.mu.Unlock()
 }
 
 // handlePingLocked answers a direct probe. The ack carries piggybacked
@@ -562,8 +643,8 @@ func (n *Node) handleIndirectPingLocked(from string, ind *wire.IndirectPing) {
 		n.mu.Unlock()
 	})
 
-	ping := &wire.Ping{SeqNo: seq, Target: target.Name, Source: n.cfg.Name, Coord: n.coordPayloadLocked()}
-	n.sendWithPiggybackLocked(target.Addr, ping, target, false)
+	n.scratchPing = wire.Ping{SeqNo: seq, Target: target.Name, Source: n.cfg.Name, Coord: n.coordPayloadLocked()}
+	n.sendWithPiggybackLocked(target.Addr, &n.scratchPing, target, false)
 }
 
 // relayOriginAddrLocked resolves the address to answer a relayed probe
@@ -608,7 +689,7 @@ func (n *Node) handleAckLocked(_ string, a *wire.Ack) {
 			return
 		}
 		h.acked = true
-		stopTimer(h.timeoutTimer)
+		h.stopTimeout()
 		tm := h.target
 		if n.cfg.LHAProbe {
 			score := n.aware.ApplyDelta(awareness.DeltaProbeSuccess)

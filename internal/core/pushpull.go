@@ -56,7 +56,11 @@ func (n *Node) schedulePushPullLocked() {
 	if jitter > 0 {
 		d = d - jitter + time.Duration(n.cfg.RNG.Int63n(int64(2*jitter)))
 	}
-	n.pushPullTimer = n.cfg.Clock.AfterFunc(d, n.pushPullTick)
+	if n.pushPullTimer == nil { // at the call site: see scheduleProbeLocked
+		n.pushPullTimer = n.cfg.Clock.AfterFunc(d, n.pushPullTick)
+	} else {
+		n.pushPullTimer.Reset(d)
+	}
 }
 
 // pushPullTick starts one full state sync with a random live member.
@@ -151,7 +155,11 @@ func (n *Node) scheduleReconnectLocked() {
 	if jitter > 0 {
 		d = d - jitter + time.Duration(n.cfg.RNG.Int63n(int64(2*jitter)))
 	}
-	n.reconnectTimer = n.cfg.Clock.AfterFunc(d, n.reconnectTick)
+	if n.reconnectTimer == nil { // at the call site: see scheduleProbeLocked
+		n.reconnectTimer = n.cfg.Clock.AfterFunc(d, n.reconnectTick)
+	} else {
+		n.reconnectTimer.Reset(d)
+	}
 }
 
 // reconnectTick attempts a push-pull with one random dead member. If the
@@ -192,12 +200,7 @@ func (n *Node) mergeRemoteStateLocked(source string, states []wire.PushPullState
 		s := &states[i]
 		switch State(s.State) {
 		case StateAlive:
-			n.handleAliveLocked(&wire.Alive{
-				Incarnation: s.Incarnation,
-				Node:        s.Name,
-				Addr:        s.Addr,
-				Meta:        s.Meta,
-			})
+			n.replayAliveLocked(s, s.Meta)
 		case StateSuspect, StateDead:
 			// Learn of the member first if it is new, then apply the
 			// suspicion at the remote incarnation. Anti-entropy state is
@@ -208,20 +211,12 @@ func (n *Node) mergeRemoteStateLocked(source string, states []wire.PushPullState
 			// independent suspicions on every push-pull and collapses
 			// LHA-Suspicion's timeout cluster-wide.
 			if _, known := n.members[s.Name]; !known {
-				n.handleAliveLocked(&wire.Alive{
-					Incarnation: s.Incarnation,
-					Node:        s.Name,
-					Addr:        s.Addr,
-				})
+				n.replayAliveLocked(s, nil)
 			}
 			n.applyMergedSuspicionLocked(s.Name, s.Incarnation)
 		case StateLeft:
 			if _, known := n.members[s.Name]; !known {
-				n.handleAliveLocked(&wire.Alive{
-					Incarnation: s.Incarnation,
-					Node:        s.Name,
-					Addr:        s.Addr,
-				})
+				n.replayAliveLocked(s, nil)
 			}
 			n.handleDeadLocked(&wire.Dead{
 				Incarnation: s.Incarnation,
@@ -230,4 +225,13 @@ func (n *Node) mergeRemoteStateLocked(source string, states []wire.PushPullState
 			})
 		}
 	}
+}
+
+// replayAliveLocked replays one push-pull entry as an alive message,
+// through the node's scratch: handleAliveLocked copies out the fields it
+// keeps and marshals its broadcast before returning, so a table with no
+// news allocates nothing.
+func (n *Node) replayAliveLocked(s *wire.PushPullState, meta []byte) {
+	n.scratchAlive = wire.Alive{Incarnation: s.Incarnation, Node: s.Name, Addr: s.Addr, Meta: meta}
+	n.handleAliveLocked(&n.scratchAlive)
 }

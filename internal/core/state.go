@@ -38,9 +38,6 @@ func (n *Node) suspectNodeLocked(m *memberState, s *wire.Suspect) {
 		if m.susp == nil {
 			return
 		}
-		if m.susp.Accused(s.From) {
-			return
-		}
 		confirmed := m.susp.Confirm(s.From)
 		// LHA-Suspicion re-gossips the first K independent suspicions to
 		// make confirmations prevalent cluster-wide (§IV-B). Baseline

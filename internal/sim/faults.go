@@ -178,6 +178,11 @@ func (n *Network) ClearLinkFault(from, to string) {
 type NodeClock struct {
 	net  *Network
 	name string
+
+	// port caches the member's attachment, so a timer firing reads the
+	// degradation off the Port it holds instead of hashing the name. See
+	// attached.
+	port *Port
 }
 
 var _ timeutil.Clock = (*NodeClock)(nil)
@@ -192,28 +197,66 @@ func (n *Network) NodeClock(name string) *NodeClock {
 // Now implements timeutil.Clock.
 func (c *NodeClock) Now() time.Time { return c.net.clock.Now() }
 
+// attached returns the Port currently attached under the clock's name,
+// or nil when there is none. The held Port answers until it is
+// detached; only then (or before the first Attach — a clock may be made
+// first) is the name resolved again, so a clock that outlives a Detach
+// and re-Attach of its name follows the replacement, as a lookup per
+// firing would.
+func (c *NodeClock) attached() *Port {
+	if c.port == nil || c.port.detached {
+		c.port = c.net.nodes[c.name]
+	}
+	return c.port
+}
+
 // AfterFunc implements timeutil.Clock. When the timer fires while the
 // member is degraded, f is deferred by one draw from the degradation
-// distribution; Stop cancels the deferred stage too.
+// distribution; Stop and Reset cancel the deferred stage too.
 func (c *NodeClock) AfterFunc(d time.Duration, f func()) timeutil.Timer {
-	t := &nodeTimer{}
-	t.ev = c.net.sched.Schedule(d, func() {
-		p, ok := c.net.nodes[c.name]
-		if !ok || p.degrade.IsZero() {
-			f()
-			return
-		}
-		t.ev = c.net.sched.Schedule(p.degrade.sample(c.net.faultRNG), f)
-	})
+	t := &nodeTimer{clock: c, f: f}
+	t.ev.fn, t.ev.home = t.fire, c.net.sched
+	c.net.sched.arm(d, &t.ev)
 	return t
 }
 
-// nodeTimer tracks the pending stage of a NodeClock timer: the original
-// event, or the degradation-deferred one once the original has fired.
-type nodeTimer struct{ ev *Event }
+// nodeTimer is a NodeClock timer. It owns its scheduler event and the
+// one callback bound to it for life, so re-arming allocates nothing.
+type nodeTimer struct {
+	clock *NodeClock
+	f     func()
+	ev    Event
+
+	// deferred marks the pending stage as the degradation-deferred one:
+	// the timer proper has fired, and ev now counts down the member's
+	// extra processing delay. Meaningful only while ev is pending; every
+	// arm starts by clearing it.
+	deferred bool
+}
+
+// fire is the event callback for both stages: the timer proper defers
+// itself if the member is degraded just then, and otherwise, like the
+// deferred stage, runs f.
+func (t *nodeTimer) fire() {
+	if !t.deferred {
+		if p := t.clock.attached(); p != nil && !p.degrade.IsZero() {
+			t.deferred = true
+			t.ev.Reset(p.degrade.sample(t.clock.net.faultRNG))
+			return
+		}
+	}
+	t.deferred = false
+	t.f()
+}
 
 // Stop implements timeutil.Timer.
 func (t *nodeTimer) Stop() bool { return t.ev.Stop() }
+
+// Reset implements timeutil.Timer.
+func (t *nodeTimer) Reset(d time.Duration) bool {
+	t.deferred = false
+	return t.ev.Reset(d)
+}
 
 // FaultSchedule is a deterministic script of fault transitions, each at
 // an offset from the moment the schedule is installed. Building a

@@ -360,6 +360,90 @@ func TestNodeClockDegradedTimer(t *testing.T) {
 // future) to a distinct value via reflection and checks Merge sums each
 // one — so a new counter cannot be forgotten in Merge without failing
 // here.
+// TestNodeTimerResetDuringDeferral covers a degraded member's timer
+// between its two stages: once the timer proper has fired and the
+// deferred stage is counting down, Reset and Stop both cancel that
+// stage (and say so), and the re-armed timer is deferred afresh.
+func TestNodeTimerResetDuringDeferral(t *testing.T) {
+	degrade := DelayDist{Base: 20 * time.Millisecond}
+	r := newRig(t, Options{Seed: 13})
+	r.attach(t, "a")
+	r.net.SetDegraded("a", degrade)
+	clock := r.net.NodeClock("a")
+
+	var fires []time.Duration
+	timer := clock.AfterFunc(10*time.Millisecond, func() { fires = append(fires, r.sched.Now().Sub(time.Unix(0, 0))) })
+	r.sched.RunFor(15 * time.Millisecond) // timer proper fired, deferral pending until 30ms
+	if !timer.Reset(50 * time.Millisecond) {
+		t.Fatal("Reset reported nothing pending during deferral")
+	}
+	if r.sched.Len() != 1 {
+		t.Fatalf("%d events pending after Reset, want the new arm only", r.sched.Len())
+	}
+	r.sched.RunFor(time.Second)
+	// Re-armed at 15ms for 50ms, then deferred by the 20ms degradation.
+	if len(fires) != 1 || fires[0] != 85*time.Millisecond {
+		t.Fatalf("callback ran at %v, want once at 85ms", fires)
+	}
+
+	// The same with Stop: a stopped deferral must not leak into the next
+	// arm as "already deferred" (which would skip the degradation).
+	fires = nil
+	base := r.sched.Now().Sub(time.Unix(0, 0))
+	timer.Reset(10 * time.Millisecond)
+	r.sched.RunFor(15 * time.Millisecond)
+	if !timer.Stop() {
+		t.Fatal("Stop reported nothing pending during deferral")
+	}
+	if timer.Stop() || r.sched.Len() != 0 {
+		t.Fatalf("second Stop true or %d events left pending", r.sched.Len())
+	}
+	if timer.Reset(10 * time.Millisecond) {
+		t.Fatal("Reset of a stopped timer reported a pending arm")
+	}
+	r.sched.RunFor(time.Second)
+	if len(fires) != 1 || fires[0]-base != 45*time.Millisecond {
+		t.Fatalf("callback ran at %v after %v, want once, 45ms later (15 + 10 + 20 deferred)", fires, base)
+	}
+}
+
+// TestNodeTimerAfterReattach pins that a clock follows its name, not the
+// Port it first saw: after Detach and re-Attach, degradation installed
+// on the replacement Port defers the old clock's timers, and while the
+// name is unattached they fire on time.
+func TestNodeTimerAfterReattach(t *testing.T) {
+	degrade := DelayDist{Base: 20 * time.Millisecond}
+	r := newRig(t, Options{Seed: 13})
+	clock := r.net.NodeClock("a") // made before the first Attach, as the harness does
+	r.attach(t, "a")
+
+	var firedAt time.Duration
+	start := r.sched.Now()
+	timer := clock.AfterFunc(10*time.Millisecond, func() { firedAt = r.sched.Now().Sub(start) })
+	rearm := func(want time.Duration, when string) {
+		t.Helper()
+		start = r.sched.Now()
+		timer.Reset(10 * time.Millisecond)
+		r.sched.RunFor(time.Second)
+		if firedAt != want {
+			t.Fatalf("%s: fired after %v, want %v", when, firedAt, want)
+		}
+	}
+	r.sched.RunFor(time.Second)
+	if firedAt != 10*time.Millisecond {
+		t.Fatalf("healthy: fired after %v, want 10ms", firedAt)
+	}
+
+	r.net.SetDegraded("a", degrade)
+	rearm(30*time.Millisecond, "degraded first port")
+	r.net.Detach("a")
+	rearm(10*time.Millisecond, "detached")
+	r.attach(t, "a")
+	rearm(10*time.Millisecond, "healthy replacement port")
+	r.net.SetDegraded("a", degrade)
+	rearm(30*time.Millisecond, "degraded replacement port")
+}
+
 func TestStatsMergeCoversAllFields(t *testing.T) {
 	var a, b Stats
 	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()

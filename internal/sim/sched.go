@@ -11,7 +11,8 @@ import (
 	"time"
 )
 
-// Event is a scheduled callback. It can be stopped before it runs.
+// Event is a scheduled callback. It can be stopped before it runs, and
+// re-armed with Reset at any time.
 type Event struct {
 	// fn is the callback. Pooled events (scheduleArg) leave it nil and
 	// use the closure-free fnArg/arg pair instead, so the hot packet path
@@ -24,6 +25,11 @@ type Event struct {
 	// run or been stopped, and always nil for pooled events, which are
 	// never handed out and so can never be stopped.
 	sched *Scheduler
+
+	// home is the scheduler a handed-out event came from, kept past Stop
+	// and execution (sched cannot be: it doubles as the pending flag) so
+	// that Reset can push the event again. Nil for pooled events.
+	home *Scheduler
 
 	// index is the event's position in sched.heap while it is pending.
 	index int
@@ -38,6 +44,17 @@ func (e *Event) Stop() bool {
 	}
 	e.sched.removeAt(e.index)
 	return true
+}
+
+// Reset re-arms the event to run d from now (negative d is treated as
+// zero), in place: no new Event is allocated. It is Stop followed by one
+// push, so it consumes exactly one schedule-order number, like the
+// Schedule call it stands in for, and reports what that Stop would have.
+// It may be called from inside the event's own callback.
+func (e *Event) Reset(d time.Duration) bool {
+	pending := e.Stop()
+	e.home.arm(d, e)
+	return pending
 }
 
 // entry is one heap slot. The ordering key lives in the slot, by value,
@@ -102,15 +119,21 @@ func (s *Scheduler) Executed() uint64 { return s.executed }
 // runs on the next step, after already-scheduled events for this
 // instant).
 func (s *Scheduler) Schedule(d time.Duration, fn func()) *Event {
-	e := &Event{fn: fn, sched: s}
-	s.push(s.now+int64(max(d, 0)), e)
+	e := &Event{fn: fn, home: s}
+	s.arm(d, e)
 	return e
+}
+
+// arm makes the handed-out event e pending, d from now.
+func (s *Scheduler) arm(d time.Duration, e *Event) {
+	e.sched = s
+	s.push(s.now+int64(max(d, 0)), e)
 }
 
 // ScheduleAt runs fn at the given virtual time, which must not be before
 // Now (it is clamped if it is).
 func (s *Scheduler) ScheduleAt(at time.Time, fn func()) *Event {
-	e := &Event{fn: fn, sched: s}
+	e := &Event{fn: fn, sched: s, home: s}
 	s.push(max(int64(at.Sub(s.epoch)), s.now), e)
 	return e
 }

@@ -6,14 +6,19 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"lifeguard/internal/timeutil"
 )
 
 // The scheduler must be observationally identical to the seed
 // implementation: same callback order, same virtual timestamps, same
-// Stop results, same live-event counts, under randomized workloads that
-// mix schedules, stops (between runs and from inside callbacks),
-// re-entrant scheduling and horizon-bounded runs. This is the
-// differential-test pattern from the broadcast queue's
+// Stop and Reset results, same live-event counts, under randomized
+// workloads that mix schedules, stops and resets (between runs and from
+// inside callbacks, an event's own included), re-entrant scheduling and
+// horizon-bounded runs. The oracle has no Reset of its own: its side of
+// a reset is Stop plus a fresh schedule of the same callback, which is
+// the equivalence Reset promises (one schedule-order number per arm).
+// This is the differential-test pattern from the broadcast queue's
 // TestQueueMatchesSeedImplementation: the seed implementation is the
 // oracle, and it lives only here.
 
@@ -28,17 +33,16 @@ type tracedScheduler interface {
 	RunUntil(t time.Time)
 	Drain(limit int) int
 
-	after(d time.Duration, fn func()) (stop func() bool)
-	at(t time.Time, fn func()) (stop func() bool)
+	after(d time.Duration, fn func()) timeutil.Timer
+	at(t time.Time, fn func()) timeutil.Timer
 	afterArg(d time.Duration, fn func(any), arg any)
 }
 
-// liveScheduler adapts the real Scheduler's handle-returning methods to
-// tracedScheduler's stop functions.
+// liveScheduler adapts the real Scheduler's methods to tracedScheduler.
 type liveScheduler struct{ *Scheduler }
 
-func (s liveScheduler) after(d time.Duration, fn func()) func() bool { return s.Schedule(d, fn).Stop }
-func (s liveScheduler) at(t time.Time, fn func()) func() bool        { return s.ScheduleAt(t, fn).Stop }
+func (s liveScheduler) after(d time.Duration, fn func()) timeutil.Timer { return s.Schedule(d, fn) }
+func (s liveScheduler) at(t time.Time, fn func()) timeutil.Timer        { return s.ScheduleAt(t, fn) }
 func (s liveScheduler) afterArg(d time.Duration, fn func(any), arg any) {
 	s.scheduleArg(d, fn, arg)
 }
@@ -75,6 +79,18 @@ func (e *oracleEvent) stop() bool {
 	return true
 }
 
+// oracleTimer is the oracle's handle: the event of its latest arm.
+type oracleTimer struct{ ev *oracleEvent }
+
+func (t *oracleTimer) Stop() bool { return t.ev.stop() }
+
+func (t *oracleTimer) Reset(d time.Duration) bool {
+	pending := t.ev.stop()
+	s := t.ev.owner
+	t.ev = s.push(s.now+int64(max(d, 0)), t.ev.fn)
+	return pending
+}
+
 type oracleHeap []*oracleEvent
 
 func (h oracleHeap) Len() int { return len(h) }
@@ -107,19 +123,19 @@ func (s *oracleScheduler) push(at int64, fn func()) *oracleEvent {
 	return e
 }
 
-func (s *oracleScheduler) after(d time.Duration, fn func()) func() bool {
+func (s *oracleScheduler) after(d time.Duration, fn func()) timeutil.Timer {
 	if d < 0 {
 		d = 0
 	}
-	return s.push(s.now+int64(d), fn).stop
+	return &oracleTimer{s.push(s.now+int64(d), fn)}
 }
 
-func (s *oracleScheduler) at(t time.Time, fn func()) func() bool {
+func (s *oracleScheduler) at(t time.Time, fn func()) timeutil.Timer {
 	rel := int64(t.Sub(s.epoch))
 	if rel < s.now {
 		rel = s.now
 	}
-	return s.push(rel, fn).stop
+	return &oracleTimer{s.push(rel, fn)}
 }
 
 func (s *oracleScheduler) afterArg(d time.Duration, fn func(any), arg any) {
@@ -186,25 +202,26 @@ func (s *oracleScheduler) Drain(limit int) int {
 
 // schedTrace drives one scheduler through a deterministic randomized
 // workload and records every observable: callback identity, the virtual
-// time it ran at, every Stop result, and Len/Now/Executed snapshots. It
-// also returns the peak number of pooled (afterArg) events pending at
-// once, which is how many pooled events the scheduler had to create.
+// time it ran at, every Stop and Reset result, and Len/Now/Executed
+// snapshots. It also returns the peak number of pooled (afterArg) events
+// pending at once, which is how many pooled events the scheduler had to
+// create.
 func schedTrace(s tracedScheduler, seed int64) (trace []string, peakPooled int) {
 	rng := rand.New(rand.NewSource(seed))
 	record := func(id int) {
 		trace = append(trace, fmt.Sprintf("%d@%d", id, s.Now().UnixNano()))
 	}
 
-	// stops holds a stop function for every handle ever returned,
-	// including events that have since run or been stopped, so a random
-	// pick exercises Stop on pending, finished and already-stopped events.
-	var stops []func() bool
+	// timers holds every handle ever returned, including those of events
+	// that have since run or been stopped, so a random pick exercises
+	// Stop and Reset on pending, finished and already-stopped events.
+	var timers []timeutil.Timer
 	stopRandom := func(why string) {
-		if len(stops) == 0 {
+		if len(timers) == 0 {
 			return
 		}
-		j := rng.Intn(len(stops))
-		trace = append(trace, fmt.Sprintf("%s stop %d=%v len=%d", why, j, stops[j](), s.Len()))
+		j := rng.Intn(len(timers))
+		trace = append(trace, fmt.Sprintf("%s stop %d=%v len=%d", why, j, timers[j].Stop(), s.Len()))
 	}
 
 	// Delays spanning six orders of magnitude: same-instant bursts (d=0),
@@ -222,37 +239,61 @@ func schedTrace(s tracedScheduler, seed int64) (trace []string, peakPooled int) 
 		}
 	}
 
+	// resetRandom re-arms a random handle: its callback will run (again).
+	resetRandom := func(why string) {
+		if len(timers) == 0 {
+			return
+		}
+		j, d := rng.Intn(len(timers)), randDelay()
+		trace = append(trace, fmt.Sprintf("%s reset %d=%v len=%d", why, j, timers[j].Reset(d), s.Len()))
+	}
+
 	// Every callback records itself; one in eight then stops a random
-	// handle (possibly its own) and one in eight schedules a follow-up,
-	// both from inside the run.
+	// handle (possibly its own), one in eight schedules a follow-up, one
+	// in eight resets a random handle and one in eight re-arms itself,
+	// once, all from inside the run.
 	const (
 		actStop = iota
 		actSchedule
+		actReset
+		actResetSelf
 		actKinds = 8
 	)
 	pooled := 0
 	var actions []int // by event id
+	var own []int     // by event id: index into timers, -1 for pooled events
+	var runs []int    // by event id: times the callback has run
 	var schedule func(d time.Duration)
 	run := func(eid int) {
 		record(eid)
+		runs[eid]++
 		switch actions[eid] {
 		case actStop:
 			stopRandom("cb")
 		case actSchedule:
 			schedule(randDelay())
+		case actReset:
+			resetRandom("cb")
+		case actResetSelf:
+			if own[eid] >= 0 && runs[eid] == 1 {
+				trace = append(trace, fmt.Sprintf("self reset %d=%v len=%d", eid, timers[own[eid]].Reset(randDelay()), s.Len()))
+			}
 		}
 	}
 	schedule = func(d time.Duration) {
 		eid := len(actions)
 		actions = append(actions, rng.Intn(actKinds))
+		own = append(own, len(timers))
+		runs = append(runs, 0)
 		// Mix the three scheduling surfaces: Schedule, ScheduleAt and the
 		// pooled no-handle scheduleArg.
 		switch rng.Intn(3) {
 		case 0:
-			stops = append(stops, s.after(d, func() { run(eid) }))
+			timers = append(timers, s.after(d, func() { run(eid) }))
 		case 1:
-			stops = append(stops, s.at(s.Now().Add(d), func() { run(eid) }))
+			timers = append(timers, s.at(s.Now().Add(d), func() { run(eid) }))
 		default:
+			own[eid] = -1
 			pooled++
 			peakPooled = max(peakPooled, pooled)
 			s.afterArg(d, func(a any) { pooled--; run(a.(int)) }, eid)
@@ -262,8 +303,11 @@ func schedTrace(s tracedScheduler, seed int64) (trace []string, peakPooled int) 
 	for round := 0; round < 200; round++ {
 		for i, n := 0, rng.Intn(20); i < n; i++ {
 			schedule(randDelay())
-			if rng.Intn(10) == 0 {
+			switch rng.Intn(20) {
+			case 0, 1:
 				stopRandom("mid")
+			case 2:
+				resetRandom("mid")
 			}
 		}
 		for i, n := 0, rng.Intn(4); i < n; i++ {

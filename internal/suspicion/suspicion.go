@@ -42,11 +42,11 @@ type Suspicion struct {
 	// start is when the suspicion was raised.
 	start time.Time
 
-	// confirmations records the distinct accusers seen, including the
-	// original one. A small slice with linear-scan dedup: accuser sets
-	// are bounded by k plus a handful of dedup-only entries, and a
-	// suspicion is born on the protocol hot path, where the map this
-	// used to be cost two allocations per suspicion.
+	// confirmations records the distinct accusers counted, the original
+	// one first: at most k+1 names (see Confirm). A small slice with
+	// linear-scan dedup, because a suspicion is born on the protocol hot
+	// path, where the map this used to be cost two allocations per
+	// suspicion.
 	confirmations []string
 
 	// timer is the pending expiry callback.
@@ -123,43 +123,34 @@ func (s *Suspicion) expire() {
 }
 
 // Confirm processes a suspect message about the same member from the
-// given accuser. It reports whether the accuser was new (an independent
-// confirmation). New confirmations shrink the timeout; if the new
-// deadline has already passed the timeout fires immediately.
+// given accuser. It reports whether the accuser was new and counted (an
+// independent confirmation). New confirmations shrink the timeout; if
+// the new deadline has already passed the timeout fires immediately.
 //
-// Confirmations beyond k are remembered (for dedup) but no longer count
-// toward the decay, matching the paper's "first K independent suspicions".
+// Once k confirmations have been counted the timeout sits at min and
+// further accusers change nothing, so they are not recorded either:
+// the accuser list holds at most k+1 names however many distinct
+// accusers a peer cares to send.
 func (s *Suspicion) Confirm(from string) bool {
 	s.mu.Lock()
-	if s.fired || s.stopped {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if s.fired || s.stopped || len(s.confirmations)-1 >= s.k {
 		return false
 	}
-	if s.accusedLocked(from) {
-		s.mu.Unlock()
-		return false
-	}
-	if len(s.confirmations)-1 >= s.k {
-		// Already at the floor; remember for dedup only.
-		s.confirmations = append(s.confirmations, from)
-		s.mu.Unlock()
-		return false
+	for _, name := range s.confirmations {
+		if name == from {
+			return false
+		}
 	}
 	s.confirmations = append(s.confirmations, from)
 
 	// Re-arm for the remaining time under the reduced timeout. A
 	// deadline already in the past fires via a zero-delay timer rather
 	// than inline: callers (the protocol core) invoke Confirm with
-	// their own lock held, and the expiry callback re-enters them.
-	if s.timer != nil {
-		s.timer.Stop()
-	}
-	remaining := s.remainingLocked()
-	if remaining < 0 {
-		remaining = 0
-	}
-	s.timer = s.clock.AfterFunc(remaining, s.expire)
-	s.mu.Unlock()
+	// their own lock held, and the expiry callback re-enters them. On
+	// the real clock the previous arm's callback may already be on its
+	// way; the fired flag makes whichever call comes second a no-op.
+	s.timer.Reset(max(s.remainingLocked(), 0))
 	return true
 }
 
@@ -173,23 +164,6 @@ func (s *Suspicion) Confirmations() int {
 		c = s.k
 	}
 	return c
-}
-
-// Accused reports whether the given member has already contributed a
-// suspicion (original or confirmation).
-func (s *Suspicion) Accused(from string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.accusedLocked(from)
-}
-
-func (s *Suspicion) accusedLocked(from string) bool {
-	for _, name := range s.confirmations {
-		if name == from {
-			return true
-		}
-	}
-	return false
 }
 
 // Stop cancels the suspicion (the member was refuted or declared dead by

@@ -110,27 +110,32 @@ func TestConfirmDedupByAccuser(t *testing.T) {
 	if got := s.Confirmations(); got != 1 {
 		t.Errorf("confirmations = %d, want 1", got)
 	}
-	if !s.Accused("a") || !s.Accused("b") || s.Accused("z") {
-		t.Error("Accused bookkeeping wrong")
-	}
 }
 
-func TestConfirmBeyondKRemembersButDoesNotCount(t *testing.T) {
+// TestConfirmBeyondKIsBounded pins the accuser list at K+1 names: past
+// K a distinct accuser changes nothing (the timeout is already at min),
+// so it must not be recorded either — a peer that keeps inventing
+// accusers would otherwise grow one suspicion without limit, and every
+// later suspect message would scan the growth under the node lock.
+func TestConfirmBeyondKIsBounded(t *testing.T) {
+	const k = 2
 	sched, clock := newSim()
-	s := New(clock, "a", 2, 10*time.Second, 60*time.Second, func(int) {})
+	s := New(clock, "a", k, 10*time.Second, 60*time.Second, func(int) {})
 	defer s.Stop()
 	sched.RunFor(time.Second)
 
 	s.Confirm("b")
 	s.Confirm("c")
-	if s.Confirm("d") {
-		t.Error("confirmation beyond K reported as counted")
+	for i := 0; i < 1000; i++ {
+		if s.Confirm(fmt.Sprintf("accuser-%d", i)) {
+			t.Fatalf("confirmation %d beyond K reported as counted", i)
+		}
 	}
-	if !s.Accused("d") {
-		t.Error("beyond-K accuser not remembered for dedup")
+	if got := s.Confirmations(); got != k {
+		t.Errorf("confirmations = %d, want K = %d", got, k)
 	}
-	if got := s.Confirmations(); got != 2 {
-		t.Errorf("confirmations = %d, want K = 2", got)
+	if got := len(s.confirmations); got > k+1 {
+		t.Errorf("accuser list holds %d names, want at most K+1 = %d", got, k+1)
 	}
 }
 

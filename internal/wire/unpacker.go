@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"sync"
 
 	"lifeguard/internal/coords"
@@ -50,18 +51,40 @@ type Unpacker struct {
 
 	// names interns decoded member names and addresses: a stable cluster
 	// has a fixed vocabulary of strings, so after warm-up no string is
-	// allocated per packet. Bounded so a hostile sender cannot grow it
-	// without limit; overflow falls back to plain allocation.
-	names map[string]string
+	// allocated per packet. It is a direct-mapped table — one candidate
+	// slot per name, found by nameSlot with no probing — so it is bounded
+	// by construction: a name that misses overwrites its slot, and two
+	// live names that share a slot (or a hostile sender's inventions)
+	// cost one allocation per decode, never a wrong string, because a
+	// hit compares every byte.
+	names [1 << nameTableBits]string
 }
 
-// Intern-table bounds: entries above either limit are allocated fresh
-// instead of cached. 8k names covers the 10k-member tier's working set
-// per transport goroutine without pinning unbounded hostile input.
-const (
-	maxInternedNames   = 8192
-	maxInternedNameLen = 128
-)
+// nameTableBits sizes the intern table: 2048 slots, 32 KB per unpacker,
+// a few times the member count of the largest simulated cluster that
+// is measured.
+const nameTableBits = 11
+
+// maxInternedNameLen bounds the strings the table keeps alive; longer
+// ones are allocated fresh.
+const maxInternedNameLen = 128
+
+// nameSlot maps a name to its slot: a multiplicative hash of its last
+// eight bytes (numbered names, "node-017", differ at the tail) and its
+// length. The load order and multiplier were picked by counting shared
+// slots over numbered-name families ("node-%03d", "member-%d",
+// "127.0.0.1:%d"); TestNameSlotsOfNumberedNames pins the first.
+func nameSlot(b []byte) uint64 {
+	var tail uint64
+	if len(b) >= 8 {
+		tail = binary.BigEndian.Uint64(b[len(b)-8:])
+	} else {
+		for _, c := range b {
+			tail = tail<<8 | uint64(c)
+		}
+	}
+	return ((tail ^ uint64(len(b))<<56) * 0xff51afd7ed558ccd) >> (64 - nameTableBits)
+}
 
 // msgScratch is a pointer-stable freelist of decoded message structs of
 // one type: take returns a zeroed struct, reusing storage across resets.
@@ -181,7 +204,7 @@ func (u *Unpacker) takeStatesSlot() (int, []PushPullState) {
 }
 
 // intern returns the string value of b, reusing a previously decoded
-// instance when possible.
+// instance when its slot still holds it.
 func (u *Unpacker) intern(b []byte) string {
 	if len(b) == 0 {
 		return ""
@@ -189,15 +212,9 @@ func (u *Unpacker) intern(b []byte) string {
 	if len(b) > maxInternedNameLen {
 		return string(b)
 	}
-	if s, ok := u.names[string(b)]; ok { // no-alloc lookup
-		return s
+	slot := &u.names[nameSlot(b)]
+	if *slot != string(b) { // the comparison does not allocate
+		*slot = string(b)
 	}
-	if u.names == nil {
-		u.names = make(map[string]string, 64)
-	} else if len(u.names) >= maxInternedNames {
-		return string(b)
-	}
-	s := string(b)
-	u.names[s] = s
-	return s
+	return *slot
 }

@@ -82,8 +82,9 @@ func TestUnpackerMetaIsFreshPerDecode(t *testing.T) {
 	}
 }
 
-// TestUnpackerInternOverflowStillDecodes checks the intern-table bounds
-// degrade to plain allocation, not to wrong strings.
+// TestUnpackerInternOverflowStillDecodes checks that names beyond the
+// intern table's bounds — too long, or four times more of them than it
+// has slots — degrade to plain allocation, not to wrong strings.
 func TestUnpackerInternOverflowStillDecodes(t *testing.T) {
 	u := AcquireUnpacker()
 	defer u.Release()
@@ -97,7 +98,7 @@ func TestUnpackerInternOverflowStillDecodes(t *testing.T) {
 		t.Fatal("over-length string decoded incorrectly")
 	}
 
-	for i := 0; i < maxInternedNames+100; i++ {
+	for i := 0; i < 4*len(u.names)+100; i++ {
 		name := fmt.Sprintf("member-%d", i)
 		got, err := u.Decode(Marshal(&Nack{SeqNo: 1, Source: name}))
 		if err != nil {
@@ -107,8 +108,45 @@ func TestUnpackerInternOverflowStillDecodes(t *testing.T) {
 			t.Fatalf("entry %d decoded as %q", i, got[0].(*Nack).Source)
 		}
 	}
-	if len(u.names) > maxInternedNames {
-		t.Fatalf("intern table grew to %d entries, cap is %d", len(u.names), maxInternedNames)
+}
+
+// TestUnpackerCollidingNames decodes two names that share a slot (same
+// length, same last eight bytes) alternately: each evicts the other, and
+// both must come out right every time.
+func TestUnpackerCollidingNames(t *testing.T) {
+	a, b := "rack-a/node-0042", "rack-b/node-0042"
+	if nameSlot([]byte(a)) != nameSlot([]byte(b)) {
+		t.Fatalf("%q and %q were meant to share a slot", a, b)
+	}
+	u := new(Unpacker)
+	for i := 0; i < 8; i++ {
+		got, err := u.Decode(EncodePacket([]Message{
+			&Suspect{Incarnation: 1, Node: a, From: b},
+			&Suspect{Incarnation: 1, Node: b, From: a},
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s0, s1 := got[0].(*Suspect), got[1].(*Suspect)
+		if s0.Node != a || s0.From != b || s1.Node != b || s1.From != a {
+			t.Fatalf("round %d: decoded %q/%q and %q/%q", i, s0.Node, s0.From, s1.Node, s1.From)
+		}
+	}
+}
+
+// TestNameSlotsOfNumberedNames pins what the slot hash was chosen for:
+// the harness's canonical member names, at the largest measured cluster
+// size, occupy distinct slots, so a simulated cluster's decode path
+// reaches its zero-allocation steady state.
+func TestNameSlotsOfNumberedNames(t *testing.T) {
+	seen := make(map[uint64]string)
+	for i := 0; i < 384; i++ {
+		name := fmt.Sprintf("node-%03d", i)
+		slot := nameSlot([]byte(name))
+		if prev, dup := seen[slot]; dup {
+			t.Errorf("%s and %s share slot %d", prev, name, slot)
+		}
+		seen[slot] = name
 	}
 }
 
@@ -129,9 +167,8 @@ func decodeAllocPacket() []byte {
 // (Meta-carrying alives allocate their Meta copy by design; the
 // steady-state failure-detector traffic here carries none.)
 func TestDecodeAllocs(t *testing.T) {
-	// A fresh unpacker, not a pooled one: another test may have released
-	// one with a saturated intern table, which legitimately falls back
-	// to allocating and would make this gate order-dependent.
+	// A fresh unpacker, so the gate does not depend on what other tests
+	// left in a pooled one.
 	u := new(Unpacker)
 	pkt := decodeAllocPacket()
 	if _, err := u.Decode(pkt); err != nil { // warm pools and intern table
