@@ -14,7 +14,8 @@
 // table/figure aliases fig1, fig2, fig3, table4, table5, table6,
 // table7, and "all". Scales trade fidelity for time: smoke (seconds),
 // bench (minutes, default), paper (the full grids of Tables II/III
-// with 10 repetitions — hours).
+// with 10 repetitions — hours). -scale is the one place a scenario is
+// sized; for other sizes call simulation.RunWAN, RunChaos or RunRestart.
 //
 // -parallel N runs up to N independent scenario cells concurrently.
 // Every cell derives its seed from its canonical matrix position, so
@@ -74,15 +75,6 @@ func run(args []string, stdout io.Writer) error {
 
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the scenario runs to this file (inspect with go tool pprof)")
 		memProfile = fs.String("memprofile", "", "write a post-run heap profile to this file (inspect with go tool pprof)")
-
-		wanMembers = fs.Int("wan-members", 0, "WAN experiment: members per zone (0 takes the scale default)")
-		wanFail    = fs.Int("wan-fail", 3, "WAN experiment: members crashed per zone in the detection phase")
-
-		chaosMembers = fs.Int("chaos-members", 0, "chaos experiment: cluster size (0 takes the scale default)")
-		chaosVictims = fs.Int("chaos-victims", 6, "chaos experiment: members afflicted by each scenario's non-fatal fault (0 for none)")
-		chaosCrashes = fs.Int("chaos-crashes", 3, "chaos experiment: members hard-crashed during the fault window (0 for none)")
-
-		restartMembers = fs.Int("restart-members", 0, "rolling-restart experiment: cluster size (0 takes the scale default)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -143,24 +135,9 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	// On the CLI, an explicit 0 means "none"; the library's zero value
-	// means "default", so map 0 to the negative sentinel.
-	victims, crashes := *chaosVictims, *chaosCrashes
-	if victims == 0 {
-		victims = -1
-	}
-	if crashes == 0 {
-		crashes = -1
-	}
-	wanFailPerZone := *wanFail
-	if wanFailPerZone == 0 {
-		wanFailPerZone = -1
-	}
-
-	// Collect the selected scenarios in registration order — the
-	// canonical run order — and execute them through one shared worker
-	// pool, so a short scenario's tail never idles workers while a long
-	// one runs.
+	// Collect the selected scenarios in the canonical run order and
+	// execute them through one shared worker pool, so a short
+	// scenario's tail never idles workers while a long one runs.
 	var names []string
 	for _, s := range experiment.Scenarios() {
 		if pick := selected[s.Name()]; pick != nil && pick.run {
@@ -197,16 +174,10 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	results, err := experiment.RunScenarios(names, experiment.RunOptions{
-		Scale:             sc,
-		Seed:              *seed,
-		Parallel:          *parallel,
-		Progress:          progress,
-		WANMembersPerZone: *wanMembers,
-		WANFailPerZone:    wanFailPerZone,
-		ChaosN:            *chaosMembers,
-		ChaosVictims:      victims,
-		ChaosCrashes:      crashes,
-		RestartN:          *restartMembers,
+		Scale:    sc,
+		Seed:     *seed,
+		Parallel: *parallel,
+		Progress: progress,
 	})
 	if err != nil {
 		return err

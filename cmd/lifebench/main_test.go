@@ -10,6 +10,27 @@ import (
 	"lifeguard/internal/experiment"
 )
 
+// listGolden is lifebench -list, byte for byte.
+const listGolden = `Registered scenarios (run order of -exp all):
+  interval         Interval sweeps over Table I: false positives and message load (Tables IV/VI, Figures 2/3)
+  threshold        Threshold sweeps over Table I: detection and dissemination latency (Table V)
+  tuning           Suspicion α/β grid against a SWIM baseline (Table VII)
+  stress           CPU-exhaustion duty cycle, SWIM vs Lifeguard (Figure 1)
+  wan              Multi-zone WAN: coordinate accuracy and cross-zone detection, static vs adaptive
+  chaos            Fault-scenario matrix (degraded, flapping, partitioned, lossy, combined) × Table I
+  churn            Large cluster under continuous fail/join/leave membership change
+  partition        Full split and heal: independent operation and automatic re-merge (§II)
+  rolling-restart  Members leave and rejoin in staggered waves, scored per Table I configuration
+Aliases:
+  fig1             fig1 section of the stress scenario
+  fig2             fig2 section of the interval scenario
+  fig3             fig3 section of the interval scenario
+  table4           table4 section of the interval scenario
+  table5           table5 section of the threshold scenario
+  table6           table6 section of the interval scenario
+  table7           table7 section of the tuning scenario
+`
+
 func TestScaleByName(t *testing.T) {
 	cases := map[string]experiment.Scale{
 		"smoke": experiment.ScaleSmoke,
@@ -44,29 +65,41 @@ func TestRunRejectsUnknownScale(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadFlags includes the per-scenario size overrides the
+// CLI once had (-<scenario>-<knob>): -scale is the one place a scenario
+// is sized, so flag parsing must reject each of them, before anything
+// runs.
 func TestRunRejectsBadFlags(t *testing.T) {
-	if err := run([]string{"-definitely-not-a-flag"}, io.Discard); err == nil {
-		t.Error("bad flag accepted")
+	names := []string{"definitely-not-a-flag"}
+	for _, removed := range []struct {
+		scenario string
+		knobs    []string
+	}{
+		{"wan", []string{"members", "fail"}},
+		{"chaos", []string{"members", "victims", "crashes"}},
+		{"restart", []string{"members"}},
+	} {
+		for _, knob := range removed.knobs {
+			names = append(names, removed.scenario+"-"+knob)
+		}
+	}
+	for _, name := range names {
+		err := run([]string{"-" + name + "=1", "-list"}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -"+name) {
+			t.Errorf("-%s: err = %v, want flag parsing to reject it", name, err)
+		}
 	}
 }
 
-// TestRunList checks -list prints every registered scenario and the
-// table/figure aliases without running anything.
+// TestRunList pins -list: every registered scenario in run order, then
+// the table/figure aliases, without running anything.
 func TestRunList(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-list"}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, name := range experiment.ScenarioNames() {
-		if !strings.Contains(out, name) {
-			t.Errorf("-list output missing scenario %q:\n%s", name, out)
-		}
-	}
-	for alias := range aliases {
-		if !strings.Contains(out, alias) {
-			t.Errorf("-list output missing alias %q:\n%s", alias, out)
-		}
+	if out := buf.String(); out != listGolden {
+		t.Errorf("-list output changed:\n%s\nwant:\n%s", out, listGolden)
 	}
 }
 

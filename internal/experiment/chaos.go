@@ -399,7 +399,7 @@ func RunChaosCell(cc ClusterConfig, scenario string, p ChaosParams) (ChaosCellRe
 			res.VictimDeaths++
 		}
 	}
-	firstBy := firstDetectionByName(events, crashed, crashStart)
+	firstBy := firstDetectionByName(events, crashed, crashStart, nil)
 	res.CrashesDetected = len(firstBy)
 	var detect []float64
 	for _, d := range firstBy {

@@ -3,6 +3,8 @@ package experiment
 import (
 	"testing"
 	"time"
+
+	"lifeguard/internal/core"
 )
 
 // TestChurnSmall smoke-tests the churn machinery at a size every test
@@ -46,16 +48,18 @@ func TestChurnPoolExhaustion(t *testing.T) {
 	}
 }
 
-// TestChurnLargeCluster runs the paper-scale scenario: a ≥2k-member
-// cluster under continuous join/leave/fail churn. The assertions pin the
-// protocol behaviors the paper's evaluation establishes and that must
-// survive at scale:
+// TestChurnLargeCluster runs the churn scenario at the bench scale's
+// 512 members (the 2048-member paper-scale run is CI's nightly
+// `lifebench -exp churn -scale paper`, held to the same four
+// conditions): a large cluster under continuous join/leave/fail churn.
+// The assertions pin the protocol behaviors the paper's evaluation
+// establishes and that must survive at scale:
 //
 //   - every crashed member is detected (SWIM completeness, §III-A);
 //   - median first-detection latency sits between one probe interval and
-//     the suspicion timeout — at n≈2k the timeout floor is
-//     α·log10(n)·ProbeInterval ≈ 16.5 s (§V-C), so detections past ~2×
-//     that indicate the probe schedule broke down;
+//     the suspicion timeout — the timeout floor is
+//     α·log10(n)·ProbeInterval (§V-C; ≈ 13.5 s at n = 512), so
+//     detections past 2× that indicate the probe schedule broke down;
 //   - false positives at members that neither crashed nor left stay
 //     rare relative to the number of true failures (the paper's FP
 //     metric, §V-F1) — churn itself must not destabilize the detector;
@@ -65,7 +69,7 @@ func TestChurnLargeCluster(t *testing.T) {
 		t.Skip("large-cluster churn run")
 	}
 	res, err := RunChurn(
-		ClusterConfig{N: DefaultChurnN, Seed: 1, Protocol: ConfigLifeguard},
+		ClusterConfig{N: ScaleBench.ChurnN, Seed: 1, Protocol: ConfigLifeguard},
 		ChurnParams{},
 	)
 	if err != nil {
@@ -75,15 +79,15 @@ func TestChurnLargeCluster(t *testing.T) {
 		res.N, res.Fails, res.Leaves, res.Joins, res.DetectedFails, res.FP,
 		res.JoinsSeen, res.JoinsSampled, res.FirstDetect.Median, res.FirstDetect.P99)
 
-	if res.N < 2000 {
-		t.Fatalf("cluster size %d, want ≥ 2000", res.N)
+	if res.N < 500 {
+		t.Fatalf("cluster size %d, want ≥ 500", res.N)
 	}
 	if res.DetectedFails != res.Fails {
 		t.Errorf("detected %d of %d crashed members (completeness violated)", res.DetectedFails, res.Fails)
 	}
-	suspMin := 5 * 3.31 // α·log10(2048) in seconds, the §V-C timeout floor
+	suspMin := core.SuspicionMin(ConfigLifeguard.Alpha, res.N, time.Second).Seconds() // the §V-C timeout floor
 	if res.FirstDetect.Median <= 1 || res.FirstDetect.Median > 2*suspMin {
-		t.Errorf("median first-detection %.2fs outside (1s, %.0fs]", res.FirstDetect.Median, 2*suspMin)
+		t.Errorf("median first-detection %.2fs outside (1s, %.1fs]", res.FirstDetect.Median, 2*suspMin)
 	}
 	if res.FP > res.Fails/2 {
 		t.Errorf("false positives %d vs %d true failures; churn destabilized the detector", res.FP, res.Fails)

@@ -6,7 +6,6 @@ package experiment
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -109,7 +108,7 @@ type ClusterConfig struct {
 	// WAN comparison experiment flips this between its two runs.
 	TopologyAware bool
 
-	// Telemetry attaches a shared telemetry recorder to every member:
+	// Telemetry attaches a telemetry recorder to every member:
 	// origin-attributed direct-ack RTT samples flow into Cluster.Telem,
 	// which the WAN scenario scores against the simulator's ground-truth
 	// RTTs. Recording never draws from a node's RNG or schedules clock
@@ -133,10 +132,10 @@ type Cluster struct {
 	// coordinate updates, …), cluster-wide.
 	Sink *metrics.MemSink
 
-	// Telem is the shared telemetry recorder every member reports
-	// origin-attributed RTT samples into; nil unless
+	// Telem holds every member's direct-path RTT samples, one ring of
+	// the latest 64 per (origin, peer); nil unless
 	// ClusterConfig.Telemetry was set.
-	Telem *telemetry.ClusterRecorder
+	Telem *telemetry.Buffer[RTTPair, time.Duration]
 
 	cc      ClusterConfig
 	names   map[string]*core.Node
@@ -172,6 +171,28 @@ func (r eventRecorder) NotifyAlive(m core.Member)   { r.record(metrics.EventAliv
 func (r eventRecorder) NotifyDead(m core.Member)    { r.record(metrics.EventDead, m) }
 func (r eventRecorder) NotifyUpdate(m core.Member)  {}
 
+// RTTPair keys one RTT sample stream in Cluster.Telem: Origin measured
+// the round-trip to Peer.
+type RTTPair struct {
+	Origin, Peer string
+}
+
+// rttRecorder is one member's telemetry.Recorder: RTT samples go into
+// the cluster's buffer under the member's name; the other hooks are
+// accepted and discarded (experiments score those through Events and
+// Sink).
+type rttRecorder struct {
+	buf    *telemetry.Buffer[RTTPair, time.Duration]
+	origin string
+}
+
+func (r rttRecorder) RecordRTT(peer string, rtt time.Duration) {
+	r.buf.Add(RTTPair{Origin: r.origin, Peer: peer}, rtt)
+}
+func (rttRecorder) RecordProbe(string, telemetry.ProbeOutcome)  {}
+func (rttRecorder) RecordLHM(int)                               {}
+func (rttRecorder) RecordSuspicion(string, time.Duration, bool) {}
+
 // NodeName returns the canonical member name for index i.
 func NodeName(i int) string { return fmt.Sprintf("node-%03d", i) }
 
@@ -194,21 +215,18 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 		names:  make(map[string]*core.Node, cc.N),
 	}
 	if cc.Telemetry {
-		// Scored runs must retain a same-seed byte-identical sample set:
-		// partition eviction picks a victim inside one lock stripe, and
-		// stripe assignment hashes with a process-local seed, so any
-		// eviction makes which samples survive process-dependent. Size
-		// the recorder so eviction provably cannot occur — one stripe
-		// (the simulation writes single-threaded, so striping buys
-		// nothing) makes the partition bound exact, and one run-spanning
-		// epoch caps the distinct (origin, peer, epoch) keys at
-		// N·(N−1) < N². scoreObservedRTT fails the run if an eviction
-		// ever fires anyway.
-		telem, err := telemetry.NewClusterRecorder(telemetry.ClusterConfig{
-			Now:           network.Clock().Now,
-			EpochInterval: math.MaxInt64,
-			MaxPartitions: cc.N * cc.N,
-			Stripes:       1,
+		// N² partitions hold every (origin, peer) there can be, so a
+		// run whose members keep their names never evicts;
+		// scoreObservedRTT fails one that did.
+		telem, err := telemetry.NewBuffer[RTTPair, time.Duration](telemetry.BufferConfig[RTTPair]{
+			MaxSamplesPerPartition: 64,
+			MaxPartitions:          cc.N * cc.N,
+			Less: func(a, b RTTPair) bool {
+				if a.Origin != b.Origin {
+					return a.Origin < b.Origin
+				}
+				return a.Peer < b.Peer
+			},
 		})
 		if err != nil {
 			return nil, fmt.Errorf("experiment: telemetry: %w", err)
@@ -252,7 +270,7 @@ func (c *Cluster) addNode(name string) (*core.Node, error) {
 	cfg.Events = eventRecorder{log: c.Events, clock: c.Net.Clock(), observer: name}
 	cfg.Metrics = c.Sink
 	if c.Telem != nil {
-		cfg.Telemetry = c.Telem.For(name)
+		cfg.Telemetry = rttRecorder{buf: c.Telem, origin: name}
 	}
 
 	var node *core.Node

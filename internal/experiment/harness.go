@@ -6,18 +6,18 @@ import (
 	"time"
 )
 
-// This file is the scenario harness: a registry of named experiment
-// scenarios, a shared plan/execute/report lifecycle, and a
-// deterministic parallel executor. Every experiment driver in this
-// package — the paper's sweeps as well as the churn, partition, WAN,
-// chaos and rolling-restart scenarios — registers itself here, so
-// cmd/lifebench and library users run them all through one door.
+// This file is the scenario harness: a shared plan/execute/report
+// lifecycle and a deterministic parallel executor for the named
+// experiment scenarios listed in scenarios.go — the paper's sweeps as
+// well as the churn, partition, WAN, chaos and rolling-restart
+// scenarios — so cmd/lifebench and library users run them all through
+// one door.
 //
-// Determinism contract: a scenario's Plan must enumerate independent
+// Determinism contract: a scenario's plan must enumerate independent
 // cells whose seeds derive from the base seed and the cell's canonical
 // index, never from execution order or shared mutable state. The
-// executor may run cells concurrently in any order, but it hands Report
-// the outputs in canonical (Plan) order, so the records produced at
+// executor may run cells concurrently in any order, but it hands report
+// the outputs in canonical (plan) order, so the records produced at
 // -parallel N are byte-identical to a serial run. The only
 // post-hoc fields are the wall-clock duration and cell count stamped by
 // RunScenario, which measure the harness, not the simulation.
@@ -98,15 +98,18 @@ type Cell struct {
 
 // RunOptions parameterizes one scenario run.
 type RunOptions struct {
-	// Scale selects the sweep scale (grids, cluster sizes, durations).
+	// Scale selects the sweep scale (grids, cluster sizes, durations):
+	// the one place a registered scenario is sized. For another size,
+	// pass a custom Scale or call RunWAN, RunChaos or RunRestart with
+	// their own parameters.
 	Scale Scale
 
 	// Seed is the base RNG seed; every cell derives its own seed from
 	// it and the cell's canonical index.
 	Seed int64
 
-	// Parallel is the maximum number of cells executed concurrently.
-	// Values below 2 run serially. Output is identical at any value.
+	// Parallel is the maximum number of cells executed concurrently;
+	// values below 1 mean 1. Output is identical at any value.
 	Parallel int
 
 	// Progress receives completion callbacks (cells done, cells total).
@@ -115,117 +118,52 @@ type RunOptions struct {
 	// values even under parallel execution (intermediate values may be
 	// skipped; the final count is always delivered).
 	Progress Progress
-
-	// WANMembersPerZone overrides the scale's WAN zone size (0 keeps
-	// the scale default).
-	WANMembersPerZone int
-
-	// WANFailPerZone is the number of members crashed per zone in the
-	// WAN detection phase. Zero means the default (3); negative means
-	// none.
-	WANFailPerZone int
-
-	// ChaosN overrides the scale's chaos cluster size (0 keeps the
-	// scale default).
-	ChaosN int
-
-	// ChaosVictims and ChaosCrashes size the chaos fault sets following
-	// the ChaosParams convention: zero means the documented defaults,
-	// negative means none.
-	ChaosVictims, ChaosCrashes int
-
-	// RestartN overrides the scale's rolling-restart cluster size (0
-	// keeps the scale default).
-	RestartN int
 }
 
 // Scenario is one registered experiment: it plans a set of independent
 // seeded cells and merges their outputs into records and report
-// sections. Implementations must keep Plan and Report pure with
-// respect to execution order — see the determinism contract above.
-type Scenario interface {
-	// Name is the registry key ("chaos", "rolling-restart", …).
-	Name() string
-
-	// Description is a one-line summary for listings.
-	Description() string
-
-	// Plan enumerates the run's independent cells in canonical order.
-	Plan(opt RunOptions) ([]Cell, error)
-
-	// Report merges the cell outputs — provided in canonical order —
-	// into the final records and sections.
-	Report(opt RunOptions, outs []any) (ScenarioResult, error)
-}
-
-// scenario is the registry's concrete Scenario: a named plan/report
-// function pair.
-type scenario struct {
+// sections. plan and report must be pure with respect to execution
+// order — see the determinism contract above.
+type Scenario struct {
 	name, desc string
-	plan       func(opt RunOptions) ([]Cell, error)
-	report     func(opt RunOptions, outs []any) (ScenarioResult, error)
+
+	// plan enumerates the run's independent cells in canonical order.
+	plan func(opt RunOptions) ([]Cell, error)
+
+	// report merges the cell outputs — provided in canonical order —
+	// into the final records and sections.
+	report func(opt RunOptions, outs []any) (ScenarioResult, error)
 }
 
-func (s *scenario) Name() string        { return s.name }
-func (s *scenario) Description() string { return s.desc }
+// Name is the registry key ("chaos", "rolling-restart", …).
+func (s Scenario) Name() string { return s.name }
 
-func (s *scenario) Plan(opt RunOptions) ([]Cell, error) { return s.plan(opt) }
+// Description is a one-line summary for listings.
+func (s Scenario) Description() string { return s.desc }
 
-func (s *scenario) Report(opt RunOptions, outs []any) (ScenarioResult, error) {
-	return s.report(opt, outs)
-}
-
-// The scenario registry. Registration order is run order for "all".
-var (
-	registryMu sync.RWMutex
-	registry   []Scenario
-	byName     = make(map[string]Scenario)
-)
-
-// Register adds a scenario to the registry. It panics on a duplicate
-// name — registration happens at init time, where a duplicate is a
-// programming error.
-func Register(s Scenario) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := byName[s.Name()]; dup {
-		panic(fmt.Sprintf("experiment: duplicate scenario %q", s.Name()))
-	}
-	registry = append(registry, s)
-	byName[s.Name()] = s
-}
-
-// Scenarios returns the registered scenarios in registration order —
-// the canonical run order of "all".
+// Scenarios returns the registered scenarios in the canonical run
+// order of "all".
 func Scenarios() []Scenario {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]Scenario, len(registry))
-	copy(out, registry)
-	return out
+	return append([]Scenario(nil), registry...)
 }
 
-// ScenarioNames returns the registered scenario names in registration
-// order.
+// ScenarioNames returns the registered scenario names in run order.
 func ScenarioNames() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
 	names := make([]string, len(registry))
 	for i, s := range registry {
-		names[i] = s.Name()
+		names[i] = s.name
 	}
 	return names
 }
 
 // LookupScenario resolves a registered scenario by name.
 func LookupScenario(name string) (Scenario, error) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	s, ok := byName[name]
-	if !ok {
-		return nil, fmt.Errorf("experiment: unknown scenario %q", name)
+	for _, s := range registry {
+		if s.name == name {
+			return s, nil
+		}
 	}
-	return s, nil
+	return Scenario{}, fmt.Errorf("experiment: unknown scenario %q", name)
 }
 
 // RunScenario plans, executes and reports one registered scenario. Up
@@ -257,7 +195,7 @@ type NamedResult struct {
 // single worker pool of up to opt.Parallel workers. A short scenario's
 // tail no longer idles workers while a long one runs — the pool drains
 // cells across scenario boundaries. Each cell keeps its canonical index
-// within its scenario, and each scenario's Report receives its outputs
+// within its scenario, and each scenario's report receives its outputs
 // in canonical order, so the records are byte-identical to running the
 // scenarios one at a time, at any parallelism (wall_s aside).
 func RunScenarios(names []string, opt RunOptions) ([]NamedResult, error) {
@@ -273,7 +211,7 @@ func RunScenarios(names []string, opt RunOptions) ([]NamedResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		cells, err := s.Plan(opt)
+		cells, err := s.plan(opt)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: plan %s: %w", name, err)
 		}
@@ -317,7 +255,7 @@ func RunScenarios(names []string, opt RunOptions) ([]NamedResult, error) {
 
 	results := make([]NamedResult, len(names))
 	for i, p := range plans {
-		res, err := p.s.Report(opt, outs[p.first:p.first+len(p.cells)])
+		res, err := p.s.report(opt, outs[p.first:p.first+len(p.cells)])
 		if err != nil {
 			return nil, fmt.Errorf("experiment: report %s: %w", names[i], err)
 		}
@@ -337,26 +275,17 @@ func RunScenarios(names []string, opt RunOptions) ([]NamedResult, error) {
 	return results, nil
 }
 
-// runCells executes cells with up to parallel workers and returns their
-// outputs in canonical (input) order regardless of completion order.
-// The first cell error cancels the remaining unstarted cells.
+// runCells executes cells with up to parallel workers (one worker is
+// the serial run) and returns their outputs in canonical (input) order
+// regardless of completion order. The first cell error cancels the
+// remaining unstarted cells.
 func runCells(cells []Cell, parallel int, progress Progress) ([]any, error) {
 	outs := make([]any, len(cells))
 	if parallel > len(cells) {
 		parallel = len(cells)
 	}
-	if parallel < 2 {
-		for i, cell := range cells {
-			out, err := cell.Run()
-			if err != nil {
-				return nil, fmt.Errorf("cell %s: %w", cell.Label, err)
-			}
-			outs[i] = out
-			if progress != nil {
-				progress(i+1, len(cells))
-			}
-		}
-		return outs, nil
+	if parallel < 1 {
+		parallel = 1
 	}
 
 	var (

@@ -5,65 +5,65 @@ import (
 	"sort"
 )
 
-// This file registers every experiment driver with the scenario
-// harness and builds their machine-readable records. Registration
-// order is the canonical "all" run order.
+// This file lists every experiment driver for the scenario harness and
+// builds their machine-readable records.
 
-func init() {
-	Register(&scenario{
+// registry holds the scenarios in the canonical "all" run order.
+var registry = []Scenario{
+	{
 		name:   "interval",
 		desc:   "Interval sweeps over Table I: false positives and message load (Tables IV/VI, Figures 2/3)",
 		plan:   planInterval,
 		report: reportInterval,
-	})
-	Register(&scenario{
+	},
+	{
 		name:   "threshold",
 		desc:   "Threshold sweeps over Table I: detection and dissemination latency (Table V)",
 		plan:   planThreshold,
 		report: reportThreshold,
-	})
-	Register(&scenario{
+	},
+	{
 		name:   "tuning",
 		desc:   "Suspicion α/β grid against a SWIM baseline (Table VII)",
 		plan:   planTuning,
 		report: reportTuning,
-	})
-	Register(&scenario{
+	},
+	{
 		name:   "stress",
 		desc:   "CPU-exhaustion duty cycle, SWIM vs Lifeguard (Figure 1)",
 		plan:   planStress,
 		report: reportStress,
-	})
-	Register(&scenario{
+	},
+	{
 		name:   "wan",
 		desc:   "Multi-zone WAN: coordinate accuracy and cross-zone detection, static vs adaptive",
 		plan:   planWAN,
 		report: reportWAN,
-	})
-	Register(&scenario{
+	},
+	{
 		name:   "chaos",
 		desc:   "Fault-scenario matrix (degraded, flapping, partitioned, lossy, combined) × Table I",
 		plan:   planChaos,
 		report: reportChaos,
-	})
-	Register(&scenario{
+	},
+	{
 		name:   "churn",
 		desc:   "Large cluster under continuous fail/join/leave membership change",
 		plan:   planChurn,
 		report: reportChurn,
-	})
-	Register(&scenario{
+	},
+	{
 		name:   "partition",
 		desc:   "Full split and heal: independent operation and automatic re-merge (§II)",
 		plan:   planPartition,
 		report: reportPartition,
-	})
-	Register(&scenario{
+	},
+	{
 		name:   "rolling-restart",
 		desc:   "Members leave and rejoin in staggered waves, scored per Table I configuration",
 		plan:   planRestart,
 		report: reportRestart,
-	})
+	},
 }
 
 // outsAs converts the executor's ordered outputs to a scenario's cell
@@ -291,25 +291,15 @@ func reportStress(opt RunOptions, outs []any) (ScenarioResult, error) {
 
 // --- wan ------------------------------------------------------------
 
-// wanParams resolves the WAN scenario's parameters from the options.
+// wanParams sizes the WAN scenario from the scale: the canonical four
+// zones, three members crashed in each.
 func wanParams(opt RunOptions) WANParams {
-	perZone := opt.Scale.WANMembersPerZone
-	if opt.WANMembersPerZone > 0 {
-		perZone = opt.WANMembersPerZone
-	}
-	fail := opt.WANFailPerZone
-	switch {
-	case fail == 0:
-		fail = 3
-	case fail < 0:
-		fail = 0
-	}
-	zones, pairs := DefaultWANZones(perZone)
+	zones, pairs := DefaultWANZones(opt.Scale.WANMembersPerZone)
 	return WANParams{
 		Zones:       zones,
 		Pairs:       pairs,
 		Converge:    opt.Scale.WANConverge,
-		FailPerZone: fail,
+		FailPerZone: 3,
 	}
 }
 
@@ -333,17 +323,11 @@ func reportWAN(opt RunOptions, outs []any) (ScenarioResult, error) {
 
 // --- chaos ----------------------------------------------------------
 
-// chaosParams maps the options onto the chaos scenario's raw
-// parameters; chaosCells and chaosResult apply the defaults.
+// chaosParams sizes the chaos scenario from the scale; chaosCells and
+// chaosResult apply the defaults for the rest.
 func chaosParams(opt RunOptions) ChaosParams {
-	n := opt.Scale.ChaosN
-	if opt.ChaosN > 0 {
-		n = opt.ChaosN
-	}
 	return ChaosParams{
-		N:        n,
-		Victims:  opt.ChaosVictims,
-		Crashes:  opt.ChaosCrashes,
+		N:        opt.Scale.ChaosN,
 		FaultFor: opt.Scale.ChaosFaultFor,
 		Settle:   opt.Scale.ChaosSettle,
 	}
@@ -422,14 +406,10 @@ func reportPartition(opt RunOptions, outs []any) (ScenarioResult, error) {
 
 // --- rolling-restart ------------------------------------------------
 
-// restartParams maps the options onto the rolling-restart scenario's
-// raw parameters; restartCells and restartResult apply the defaults.
+// restartParams sizes the rolling-restart scenario from the scale;
+// restartCells and restartResult apply the defaults for the rest.
 func restartParams(opt RunOptions) RestartParams {
-	n := opt.Scale.RestartN
-	if opt.RestartN > 0 {
-		n = opt.RestartN
-	}
-	return RestartParams{N: n, Waves: opt.Scale.RestartWaves}
+	return RestartParams{N: opt.Scale.RestartN, Waves: opt.Scale.RestartWaves}
 }
 
 func planRestart(opt RunOptions) ([]Cell, error) {

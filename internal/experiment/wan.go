@@ -11,7 +11,6 @@ import (
 	"lifeguard/internal/metrics"
 	"lifeguard/internal/sim"
 	"lifeguard/internal/stats"
-	"lifeguard/internal/telemetry"
 )
 
 // WANZone sizes one zone of a WAN experiment.
@@ -302,8 +301,12 @@ func RunWAN(cc ClusterConfig, p WANParams) (WANResult, error) {
 	// Per-zone breakdown: first-detection per failed member (anywhere,
 	// and at an observer in a different zone), FPs by the subject's
 	// zone.
-	firstByName := firstDetectionByName(events, failed, failStart)
-	crossByName := firstCrossZoneDetectionByName(events, failed, failStart, zoneOf)
+	firstByName := firstDetectionByName(events, failed, failStart, nil)
+	// Cross-zone: the moment the failure became visible to the rest of
+	// the WAN.
+	crossByName := firstDetectionByName(events, failed, failStart, func(observer, subject string) bool {
+		return zoneOf(observer) != zoneOf(subject)
+	})
 	fpByZone := make(map[string]int)
 	failedSet := toSet(failed)
 	for _, ev := range events {
@@ -390,31 +393,30 @@ func RunWANComparison(cc ClusterConfig, p WANParams) (WANComparison, error) {
 	return wanComparison(outs)
 }
 
-// scoreObservedRTT groups the cluster telemetry recorder's RTT samples
-// by zone pair and scores the observed p50/p90 against the topology's
+// scoreObservedRTT groups the cluster's telemetry RTT samples by zone
+// pair and scores the observed p50/p90 against the topology's
 // ground-truth RTT — the first telemetry-derived record metric. Returns
-// nil with no recorder installed, and an error if the recorder evicted
-// partitions (the surviving sample set would then be process-dependent,
-// breaking the same-seed byte-identity contract on the records).
+// nil with telemetry off, and an error if the buffer evicted partitions
+// (whole (origin, peer) streams would be missing from the score).
 func scoreObservedRTT(c *Cluster, topo *sim.Topology) ([]WANPairRTTErr, int, error) {
 	if c.Telem == nil {
 		return nil, 0, nil
 	}
-	if ev := c.Telem.Buffer().Evictions(); ev > 0 {
-		return nil, 0, fmt.Errorf("experiment: telemetry evicted %d partitions during a scored run; observed-RTT metrics would be nondeterministic (the harness sizes MaxPartitions so this cannot happen — raise it for custom recorders)", ev)
+	if ev := c.Telem.Evictions(); ev > 0 {
+		return nil, 0, fmt.Errorf("experiment: telemetry evicted %d partitions during a scored run; observed-RTT metrics would score a partial sample set", ev)
 	}
-	// ForEachPair visits partitions in unspecified (map) order and float
+	// ForEach visits partitions in unspecified (map) order and float
 	// addition is not associative, so collect per-partition contributions
 	// first and fix the accumulation order by sorting on the key: the CI
 	// determinism guard byte-diffs same-seed records across processes.
 	type contrib struct {
-		key   telemetry.PairKey
+		key   RTTPair
 		rtts  []float64
 		truth float64 // ground-truth RTT for the member pair, seconds
 	}
 	byPair := make(map[[2]string][]contrib)
 	total := 0
-	c.Telem.ForEachPair(func(k telemetry.PairKey, ss []telemetry.RTTSample) {
+	c.Telem.ForEach(func(k RTTPair, ss []time.Duration) {
 		if len(ss) == 0 {
 			return
 		}
@@ -424,7 +426,7 @@ func scoreObservedRTT(c *Cluster, topo *sim.Topology) ([]WANPairRTTErr, int, err
 		}
 		rtts := make([]float64, len(ss))
 		for i, s := range ss {
-			rtts[i] = s.RTT.Seconds()
+			rtts[i] = s.Seconds()
 		}
 		pk := [2]string{za, zb}
 		byPair[pk] = append(byPair[pk], contrib{
@@ -454,10 +456,7 @@ func scoreObservedRTT(c *Cluster, topo *sim.Topology) ([]WANPairRTTErr, int, err
 			if a.Origin != b.Origin {
 				return a.Origin < b.Origin
 			}
-			if a.Peer != b.Peer {
-				return a.Peer < b.Peer
-			}
-			return a.Epoch < b.Epoch
+			return a.Peer < b.Peer
 		})
 		var rtts []float64
 		truthSum := 0.0
@@ -532,8 +531,10 @@ func scoreCoordinates(c *Cluster, topo *sim.Topology, seed int64, samplePairs in
 }
 
 // firstDetectionByName maps each crashed member to the delay until the
-// first dead event about it at any other member.
-func firstDetectionByName(events []metrics.Event, failed []string, start time.Time) map[string]time.Duration {
+// first dead event about it at another member — any other member, or,
+// with observes set, the first one it accepts (given the event's
+// observer and subject).
+func firstDetectionByName(events []metrics.Event, failed []string, start time.Time, observes func(observer, subject string) bool) map[string]time.Duration {
 	out := make(map[string]time.Duration, len(failed))
 	failedSet := toSet(failed)
 	for _, ev := range events {
@@ -543,27 +544,7 @@ func firstDetectionByName(events []metrics.Event, failed []string, start time.Ti
 		if _, bad := failedSet[ev.Subject]; !bad {
 			continue
 		}
-		if _, seen := out[ev.Subject]; !seen {
-			out[ev.Subject] = ev.Time.Sub(start)
-		}
-	}
-	return out
-}
-
-// firstCrossZoneDetectionByName maps each crashed member to the delay
-// until the first dead event about it at an observer in a different
-// zone — the moment the failure became visible to the rest of the WAN.
-func firstCrossZoneDetectionByName(events []metrics.Event, failed []string, start time.Time, zoneOf func(string) string) map[string]time.Duration {
-	out := make(map[string]time.Duration, len(failed))
-	failedSet := toSet(failed)
-	for _, ev := range events {
-		if ev.Type != metrics.EventDead || ev.Time.Before(start) || ev.Observer == ev.Subject {
-			continue
-		}
-		if _, bad := failedSet[ev.Subject]; !bad {
-			continue
-		}
-		if zoneOf(ev.Observer) == zoneOf(ev.Subject) {
+		if observes != nil && !observes(ev.Observer, ev.Subject) {
 			continue
 		}
 		if _, seen := out[ev.Subject]; !seen {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"lifeguard/internal/sim"
+	"lifeguard/internal/telemetry"
 )
 
 // smallWANParams is a 3-zone, 48-member configuration for quick tests.
@@ -103,8 +104,54 @@ func TestWANDeterminism(t *testing.T) {
 	}
 }
 
+// TestClusterTelemetryPairs pins what a telemetry-enabled cluster
+// keeps: RTT samples attributed to (origin, peer), the latest 64 per
+// pair, room for every pair of members, and nothing from the hooks the
+// experiments score through other sinks.
+func TestClusterTelemetryPairs(t *testing.T) {
+	c, err := NewCluster(ClusterConfig{N: 3, Seed: 1, Protocol: ConfigLifeguard, Telemetry: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	if got := c.Telem.MaxSamples(); got != 3*3*64 {
+		t.Errorf("MaxSamples = %d, want N² pairs of 64", got)
+	}
+	va := rttRecorder{buf: c.Telem, origin: "a"}
+	vb := rttRecorder{buf: c.Telem, origin: "b"}
+	va.RecordRTT("b", 10*time.Millisecond)
+	va.RecordRTT("b", 12*time.Millisecond)
+	vb.RecordRTT("a", 11*time.Millisecond)
+	for i := 1; i <= 70; i++ {
+		vb.RecordRTT("c", time.Duration(i)*time.Millisecond)
+	}
+
+	// The discarded hooks must not contribute samples.
+	va.RecordProbe("b", telemetry.OutcomeTimeout)
+	va.RecordLHM(3)
+	va.RecordSuspicion("b", time.Second, false)
+
+	got := map[RTTPair][]time.Duration{}
+	c.Telem.ForEach(func(k RTTPair, ss []time.Duration) { got[k] = ss })
+	if len(got) != 3 {
+		t.Fatalf("partitions = %v, want a→b, b→a, b→c", got)
+	}
+	if ss := got[RTTPair{Origin: "a", Peer: "b"}]; len(ss) != 2 || ss[0] != 10*time.Millisecond || ss[1] != 12*time.Millisecond {
+		t.Errorf("a→b samples = %v", ss)
+	}
+	if ss := got[RTTPair{Origin: "b", Peer: "a"}]; len(ss) != 1 || ss[0] != 11*time.Millisecond {
+		t.Errorf("b→a samples = %v", ss)
+	}
+	if ss := got[RTTPair{Origin: "b", Peer: "c"}]; len(ss) != 64 || ss[0] != 7*time.Millisecond || ss[63] != 70*time.Millisecond {
+		t.Errorf("b→c kept %d samples, want the latest 64 (7ms..70ms)", len(ss))
+	}
+	if c.Telem.Evictions() != 0 {
+		t.Errorf("evictions = %d", c.Telem.Evictions())
+	}
+}
+
 // TestWANTelemetryDoesNotPerturb pins the telemetry determinism
-// contract: enabling the cluster recorder must not change a single
+// contract: enabling cluster telemetry must not change a single
 // protocol-level metric — recording is write-only bookkeeping, never
 // an RNG draw or a scheduled event — while the telemetry-only
 // observed-RTT metrics appear.

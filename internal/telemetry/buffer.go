@@ -1,6 +1,6 @@
 // Package telemetry is the live observability subsystem: a generic,
 // partitioned, epoch-keyed sample buffer with a hard memory bound,
-// fixed-bucket histograms, and the recorders that feed them from the
+// fixed-bucket histograms, and the recorder that feeds them from the
 // protocol core (direct-ack RTTs, probe outcomes, LHM score changes,
 // suspicion lifecycle durations).
 //
@@ -11,79 +11,55 @@
 // RNG or schedules clock events — enabling a recorder cannot perturb a
 // simulation's event ordering or its same-seed byte-identical records.
 //
-// Two concrete recorders are provided: NodeRecorder for a live agent
-// (per-peer RTT/loss partitions plus process-wide histograms, exported
-// over cmd/lifeguard-agent's HTTP ops surface) and ClusterRecorder for
-// the experiment harness (origin-attributed RTT samples scored against
-// the simulator's ground truth by the WAN scenario).
+// NodeRecorder is the recorder for a live agent: per-peer RTT/loss
+// partitions plus process-wide histograms, exported over
+// cmd/lifeguard-agent's HTTP ops surface.
 package telemetry
 
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 )
 
-// BufferConfig parameterizes a Buffer. The zero value is not usable;
-// every field except Epoch is required (Hash may be omitted only with
-// Stripes == 1).
+// BufferConfig parameterizes a Buffer. The zero value is not usable:
+// both bounds are required.
 type BufferConfig[K comparable] struct {
 	// MaxSamplesPerPartition is the ring capacity of one partition:
 	// once full, new samples overwrite the oldest in place.
 	MaxSamplesPerPartition int
 
-	// MaxPartitions bounds the number of live partitions. The bound is
-	// enforced per stripe (MaxPartitions/Stripes each, minimum one), so
-	// the effective ceiling is Stripes × max(1, MaxPartitions/Stripes);
+	// MaxPartitions bounds the number of live partitions, exactly;
 	// together with the ring capacity this is the buffer's hard memory
-	// bound. When a stripe is full, the partition with the lowest Epoch
-	// in that stripe is evicted to make room.
+	// bound. When the buffer is full, the partition with the lowest
+	// (Epoch, Less) key is evicted to make room.
 	MaxPartitions int
 
-	// Stripes is the number of independently locked shards keys hash
-	// across, bounding write contention from concurrent recorders. It
-	// is rounded up to a power of two; zero means one stripe.
-	Stripes int
-
-	// Hash maps a key to its stripe. Required when Stripes > 1; must be
-	// deterministic for a given key.
-	Hash func(K) uint64
-
-	// Epoch orders partitions for eviction: when a stripe is at
-	// capacity the partition whose key has the lowest Epoch is dropped.
-	// Nil treats every partition as epoch zero (arbitrary eviction).
+	// Epoch orders partitions for eviction: the partition whose key has
+	// the lowest Epoch is dropped first. Nil treats every partition as
+	// epoch zero.
 	Epoch func(K) uint64
 
 	// Less breaks eviction ties between equal-epoch partitions: among
-	// the stripe's lowest-epoch keys the least key by Less is evicted.
-	// Nil leaves ties to map iteration order, which is nondeterministic.
-	// Note that with Stripes > 1 which keys share a stripe depends on
-	// Hash (typically seeded per process), so eviction choice is only
-	// fully deterministic across processes with Stripes == 1 and a
-	// process-independent ordering here.
+	// the lowest-epoch keys the least key by Less is evicted. With a
+	// total order here eviction is a pure function of the Add sequence,
+	// the same in every process; nil leaves ties to map iteration order.
 	Less func(a, b K) bool
 }
 
 // Buffer is a partitioned, epoch-keyed sample store with a hard memory
-// bound: per-partition ring storage (MaxSamplesPerPartition), a bounded
-// partition count with oldest-epoch eviction, and lock-striped writes
-// so concurrent recorders rarely contend.
+// bound: per-partition ring storage (MaxSamplesPerPartition) and an
+// exact partition count bound with oldest-epoch eviction, under one
+// lock. Every Recorder hook runs under its node's protocol lock, so a
+// buffer has one writer and the occasional scraping reader.
 //
 // Buffer is safe for concurrent use.
 type Buffer[K comparable, S any] struct {
-	cfg        BufferConfig[K]
-	mask       uint64
-	perStripe  int
-	stripes    []bufferStripe[K, S]
-	evictions  atomic.Uint64
-	overwrites atomic.Uint64
-}
+	cfg BufferConfig[K]
 
-// bufferStripe is one independently locked shard of the partition map.
-type bufferStripe[K comparable, S any] struct {
-	mu    sync.Mutex
-	parts map[K]*partition[S]
-	_     [40]byte // pad toward a cache line so stripe locks do not false-share
+	mu         sync.Mutex
+	parts      map[K]*partition[S]
+	evictions  uint64
+	overwrites uint64
 }
 
 // partition is one key's ring of samples, preallocated at creation so
@@ -102,57 +78,26 @@ func NewBuffer[K comparable, S any](cfg BufferConfig[K]) (*Buffer[K, S], error) 
 	if cfg.MaxPartitions < 1 {
 		return nil, errors.New("telemetry: MaxPartitions must be at least 1")
 	}
-	if cfg.Stripes < 1 {
-		cfg.Stripes = 1
-	}
-	stripes := 1
-	for stripes < cfg.Stripes {
-		stripes <<= 1
-	}
-	if stripes > 1 && cfg.Hash == nil {
-		return nil, errors.New("telemetry: Hash is required with more than one stripe")
-	}
-	perStripe := cfg.MaxPartitions / stripes
-	if perStripe < 1 {
-		perStripe = 1
-	}
-	b := &Buffer[K, S]{
-		cfg:       cfg,
-		mask:      uint64(stripes - 1),
-		perStripe: perStripe,
-		stripes:   make([]bufferStripe[K, S], stripes),
-	}
-	for i := range b.stripes {
-		b.stripes[i].parts = make(map[K]*partition[S], perStripe)
-	}
-	return b, nil
-}
-
-// stripeFor returns the shard responsible for k.
-func (b *Buffer[K, S]) stripeFor(k K) *bufferStripe[K, S] {
-	if b.mask == 0 {
-		return &b.stripes[0]
-	}
-	return &b.stripes[b.cfg.Hash(k)&b.mask]
+	return &Buffer[K, S]{cfg: cfg, parts: make(map[K]*partition[S])}, nil
 }
 
 // Add appends one sample to k's partition, creating it (and evicting
-// the stripe's oldest-epoch partition if at capacity) as needed. A full
+// the oldest-epoch partition if the buffer is full) as needed. A full
 // ring overwrites its oldest sample in place, so steady-state adds are
 // allocation-free.
 func (b *Buffer[K, S]) Add(k K, s S) {
-	st := b.stripeFor(k)
-	st.mu.Lock()
-	p := st.parts[k]
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	p := b.parts[k]
 	if p == nil {
-		if len(st.parts) >= b.perStripe {
-			b.evictOldestLocked(st)
+		if len(b.parts) >= b.cfg.MaxPartitions {
+			b.evictOldestLocked()
 		}
 		p = &partition[S]{samples: make([]S, b.cfg.MaxSamplesPerPartition)}
-		st.parts[k] = p
+		b.parts[k] = p
 	}
 	if p.count == len(p.samples) {
-		b.overwrites.Add(1)
+		b.overwrites++
 	} else {
 		p.count++
 	}
@@ -161,17 +106,16 @@ func (b *Buffer[K, S]) Add(k K, s S) {
 	if p.next == len(p.samples) {
 		p.next = 0
 	}
-	st.mu.Unlock()
 }
 
-// evictOldestLocked drops the partition with the lowest epoch in the
-// stripe, breaking equal-epoch ties with cfg.Less when set. Called with
-// the stripe lock held.
-func (b *Buffer[K, S]) evictOldestLocked(st *bufferStripe[K, S]) {
+// evictOldestLocked drops the partition with the lowest epoch, breaking
+// equal-epoch ties with cfg.Less when set. Called with b.mu held and at
+// least one live partition.
+func (b *Buffer[K, S]) evictOldestLocked() {
 	var victim K
 	var victimEpoch uint64
 	first := true
-	for k := range st.parts {
+	for k := range b.parts {
 		e := uint64(0)
 		if b.cfg.Epoch != nil {
 			e = b.cfg.Epoch(k)
@@ -183,78 +127,73 @@ func (b *Buffer[K, S]) evictOldestLocked(st *bufferStripe[K, S]) {
 			victim = k
 		}
 	}
-	if !first {
-		delete(st.parts, victim)
-		b.evictions.Add(1)
-	}
+	delete(b.parts, victim)
+	b.evictions++
 }
 
 // Len returns the total number of samples currently held.
 func (b *Buffer[K, S]) Len() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	total := 0
-	for i := range b.stripes {
-		st := &b.stripes[i]
-		st.mu.Lock()
-		for _, p := range st.parts {
-			total += p.count
-		}
-		st.mu.Unlock()
+	for _, p := range b.parts {
+		total += p.count
 	}
 	return total
 }
 
 // Partitions returns the number of live partitions.
 func (b *Buffer[K, S]) Partitions() int {
-	total := 0
-	for i := range b.stripes {
-		st := &b.stripes[i]
-		st.mu.Lock()
-		total += len(st.parts)
-		st.mu.Unlock()
-	}
-	return total
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.parts)
 }
 
 // Evictions returns how many partitions have been evicted to enforce
 // the partition bound.
-func (b *Buffer[K, S]) Evictions() uint64 { return b.evictions.Load() }
+func (b *Buffer[K, S]) Evictions() uint64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.evictions
+}
 
 // Overwrites returns how many samples have been overwritten in full
 // rings.
-func (b *Buffer[K, S]) Overwrites() uint64 { return b.overwrites.Load() }
+func (b *Buffer[K, S]) Overwrites() uint64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.overwrites
+}
 
 // MaxSamples returns the hard sample-count bound implied by the
-// configuration: per-stripe partition cap × stripes × ring capacity.
+// configuration: partition bound × ring capacity.
 func (b *Buffer[K, S]) MaxSamples() int {
-	return b.perStripe * len(b.stripes) * b.cfg.MaxSamplesPerPartition
+	return b.cfg.MaxPartitions * b.cfg.MaxSamplesPerPartition
 }
 
 // ForEach calls fn once per live partition with the key and a copy of
-// its samples in insertion order (oldest first). Only one stripe is
-// locked at a time, so concurrent Adds to other stripes proceed; the
-// iteration order is unspecified.
+// its samples in insertion order (oldest first). The copy is taken
+// under the lock and fn runs outside it; the iteration order is
+// unspecified.
 func (b *Buffer[K, S]) ForEach(fn func(k K, samples []S)) {
-	for i := range b.stripes {
-		st := &b.stripes[i]
-		st.mu.Lock()
-		type entry struct {
-			k  K
-			ss []S
+	type entry struct {
+		k  K
+		ss []S
+	}
+	b.mu.Lock()
+	entries := make([]entry, 0, len(b.parts))
+	for k, p := range b.parts {
+		ss := make([]S, 0, p.count)
+		if p.count == len(p.samples) {
+			ss = append(ss, p.samples[p.next:]...)
+			ss = append(ss, p.samples[:p.next]...)
+		} else {
+			ss = append(ss, p.samples[:p.count]...)
 		}
-		entries := make([]entry, 0, len(st.parts))
-		for k, p := range st.parts {
-			ss := make([]S, 0, p.count)
-			if p.count == len(p.samples) {
-				ss = append(ss, p.samples[p.next:]...)
-				ss = append(ss, p.samples[:p.next]...)
-			} else {
-				ss = append(ss, p.samples[:p.count]...)
-			}
-			entries = append(entries, entry{k: k, ss: ss})
-		}
-		st.mu.Unlock()
-		for _, e := range entries {
-			fn(e.k, e.ss)
-		}
+		entries = append(entries, entry{k: k, ss: ss})
+	}
+	b.mu.Unlock()
+	for _, e := range entries {
+		fn(e.k, e.ss)
 	}
 }

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -29,24 +30,13 @@ func TestBufferConfigValidation(t *testing.T) {
 	}{
 		{"no ring capacity", BufferConfig[intKey]{MaxPartitions: 1}},
 		{"no partition bound", BufferConfig[intKey]{MaxSamplesPerPartition: 1}},
-		{"stripes without hash", BufferConfig[intKey]{MaxSamplesPerPartition: 1, MaxPartitions: 4, Stripes: 4}},
 	}
 	for _, tc := range cases {
 		if _, err := NewBuffer[intKey, int](tc.cfg); err == nil {
 			t.Errorf("%s: no error", tc.name)
 		}
 	}
-	// Stripes are rounded up to a power of two.
-	b := newTestBuffer(t, BufferConfig[intKey]{
-		MaxSamplesPerPartition: 2,
-		MaxPartitions:          12,
-		Stripes:                3,
-		Hash:                   func(k intKey) uint64 { return uint64(k.ID) },
-	})
-	if got := len(b.stripes); got != 4 {
-		t.Errorf("stripes = %d, want 4", got)
-	}
-	// 12/4 = 3 partitions per stripe × 2 samples = 24.
+	b := newTestBuffer(t, BufferConfig[intKey]{MaxSamplesPerPartition: 2, MaxPartitions: 12})
 	if got := b.MaxSamples(); got != 24 {
 		t.Errorf("MaxSamples = %d, want 24", got)
 	}
@@ -144,14 +134,73 @@ func TestBufferEvictionTieBreak(t *testing.T) {
 	}
 }
 
+// TestBufferEvictionDeterministic pins eviction as a pure function of
+// the Add sequence: two buffers fed the same keys past MaxPartitions
+// evict the same victims in the same order — with no hash in the path
+// there is nothing process-local left to differ — and the partition
+// bound is exact at every step.
+func TestBufferEvictionDeterministic(t *testing.T) {
+	const maxParts = 8
+	cfg := BufferConfig[intKey]{
+		MaxSamplesPerPartition: 2,
+		MaxPartitions:          maxParts,
+		Epoch:                  func(k intKey) uint64 { return k.Epoch },
+		Less:                   func(a, b intKey) bool { return a.ID < b.ID },
+	}
+	// live returns the sorted live key set; the victim of a step is the
+	// key that left it.
+	live := func(b *Buffer[intKey, int]) []intKey {
+		var ks []intKey
+		b.ForEach(func(k intKey, _ []int) { ks = append(ks, k) })
+		sort.Slice(ks, func(i, j int) bool {
+			if ks[i].Epoch != ks[j].Epoch {
+				return ks[i].Epoch < ks[j].Epoch
+			}
+			return ks[i].ID < ks[j].ID
+		})
+		return ks
+	}
+	a, b := newTestBuffer(t, cfg), newTestBuffer(t, cfg)
+	var want []intKey // the reference model's live set, sorted by (Epoch, ID)
+	for i := 0; i < 500; i++ {
+		// Epochs advance slowly and IDs wrap, so most steps create a
+		// partition and most evictions have equal-epoch candidates.
+		k := intKey{ID: (i * 7) % 23, Epoch: uint64(i / 40)}
+		a.Add(k, i)
+		b.Add(k, i)
+
+		at := sort.Search(len(want), func(j int) bool {
+			return want[j].Epoch > k.Epoch || (want[j].Epoch == k.Epoch && want[j].ID >= k.ID)
+		})
+		if at == len(want) || want[at] != k {
+			if len(want) == maxParts {
+				want = want[1:] // lowest (Epoch, ID) goes
+				if at > 0 {
+					at--
+				}
+			}
+			want = append(want[:at], append([]intKey{k}, want[at:]...)...)
+		}
+
+		la, lb := live(a), live(b)
+		if fmt.Sprint(la) != fmt.Sprint(want) || fmt.Sprint(lb) != fmt.Sprint(want) {
+			t.Fatalf("step %d: live sets\n a    %v\n b    %v\n want %v", i, la, lb, want)
+		}
+		if got := a.Partitions(); got > maxParts {
+			t.Fatalf("step %d: %d partitions, bound %d", i, got, maxParts)
+		}
+	}
+	if a.Evictions() == 0 || a.Evictions() != b.Evictions() {
+		t.Errorf("evictions a=%d b=%d, want equal and non-zero", a.Evictions(), b.Evictions())
+	}
+}
+
 // TestBufferMemoryBound is the churn test for the hard memory bound:
 // a stream of ever-new keys must never push occupancy past MaxSamples.
 func TestBufferMemoryBound(t *testing.T) {
 	b := newTestBuffer(t, BufferConfig[intKey]{
 		MaxSamplesPerPartition: 4,
 		MaxPartitions:          16,
-		Stripes:                4,
-		Hash:                   func(k intKey) uint64 { return uint64(k.ID) * 0x9e3779b97f4a7c15 },
 		Epoch:                  func(k intKey) uint64 { return k.Epoch },
 	})
 	bound := b.MaxSamples()
@@ -160,21 +209,22 @@ func TestBufferMemoryBound(t *testing.T) {
 		if got := b.Len(); got > bound {
 			t.Fatalf("after %d adds: Len = %d exceeds bound %d", i+1, got, bound)
 		}
+		if got := b.Partitions(); got > 16 {
+			t.Fatalf("after %d adds: %d partitions, bound 16", i+1, got)
+		}
 	}
 	if b.Evictions() == 0 {
 		t.Error("churn caused no evictions")
 	}
 }
 
-// TestBufferConcurrent exercises striped writes racing ForEach and the
+// TestBufferConcurrent exercises writes racing ForEach and the
 // occupancy accessors; run under -race this is the buffer's
 // thread-safety proof.
 func TestBufferConcurrent(t *testing.T) {
 	b := newTestBuffer(t, BufferConfig[intKey]{
 		MaxSamplesPerPartition: 8,
 		MaxPartitions:          64,
-		Stripes:                8,
-		Hash:                   func(k intKey) uint64 { return uint64(k.ID) * 0x9e3779b97f4a7c15 },
 		Epoch:                  func(k intKey) uint64 { return k.Epoch },
 	})
 	var wg sync.WaitGroup
@@ -210,8 +260,6 @@ func BenchmarkBufferAdd(b *testing.B) {
 	buf, err := NewBuffer[intKey, int](BufferConfig[intKey]{
 		MaxSamplesPerPartition: 128,
 		MaxPartitions:          64,
-		Stripes:                8,
-		Hash:                   func(k intKey) uint64 { return uint64(k.ID) * 0x9e3779b97f4a7c15 },
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -1,52 +1,42 @@
 package telemetry
 
 import (
-	"hash/maphash"
 	"sort"
 	"sync"
 	"time"
 )
 
-// NodeConfig parameterizes a NodeRecorder. The zero value takes every
-// documented default.
+// NodeConfig parameterizes a NodeRecorder. The zero value is what the
+// agent runs with.
 type NodeConfig struct {
 	// Now supplies timestamps; defaults to time.Now. Simulated nodes
 	// inject their virtual clock.
 	Now func() time.Time
-
-	// EpochInterval is the width of one sample epoch: per-peer RTT
-	// samples are partitioned by (peer, epoch), and when the partition
-	// bound is hit the oldest epoch is evicted first. Zero means 60 s.
-	EpochInterval time.Duration
-
-	// MaxSamplesPerPartition bounds one (peer, epoch) partition's ring.
-	// Zero means 128.
-	MaxSamplesPerPartition int
-
-	// MaxPartitions bounds the live (peer, epoch) partitions (see
-	// BufferConfig.MaxPartitions for the exact per-stripe enforcement).
-	// Zero means 1024.
-	MaxPartitions int
-
-	// Stripes is the buffer's lock-stripe count. Zero means 8.
-	Stripes int
-
-	// RTTBuckets overrides the RTT histogram bounds. Nil takes
-	// DefaultRTTBuckets.
-	RTTBuckets []time.Duration
-
-	// SuspicionBuckets overrides the suspicion-duration histogram
-	// bounds. Nil takes DefaultSuspicionBuckets.
-	SuspicionBuckets []time.Duration
 }
+
+// A NodeRecorder's sizes: one value each, because nothing runs with
+// another.
+const (
+	// nodeEpochInterval is the width of one sample epoch: per-peer RTT
+	// samples are partitioned by (peer, epoch), and when the partition
+	// bound is hit the oldest epoch is evicted first.
+	nodeEpochInterval = time.Minute
+
+	// nodeRingSize bounds one (peer, epoch) partition's ring.
+	nodeRingSize = 128
+
+	// nodeMaxPartitions bounds the live (peer, epoch) partitions and,
+	// separately, the peers with live outcome counters.
+	nodeMaxPartitions = 1024
+)
 
 // PeerEpoch keys one peer's RTT samples within one epoch.
 type PeerEpoch struct {
 	// Peer is the peer member's name.
 	Peer string
 
-	// Epoch is the sample epoch number (elapsed time since the
-	// recorder started, in EpochInterval units).
+	// Epoch is the sample epoch number (minutes since the recorder
+	// started).
 	Epoch uint64
 }
 
@@ -59,8 +49,11 @@ type RTTSample struct {
 	RTT time.Duration
 }
 
-// peerCounters accumulates one peer's probe outcomes.
+// peerCounters accumulates one peer's probe outcomes. touched is the
+// recorder's touch count when the peer was last recorded about; the
+// entry with the lowest value goes when the peer table is full.
 type peerCounters struct {
+	touched      uint64
 	directAcks   uint64
 	indirectAcks uint64
 	timeouts     uint64
@@ -69,9 +62,10 @@ type peerCounters struct {
 }
 
 // NodeRecorder implements Recorder for one live node: per-(peer, epoch)
-// RTT sample partitions with a hard memory bound, per-peer probe
-// outcome counters, and process-wide RTT/suspicion histograms plus the
-// LHM gauge. It backs the agent's /telemetry and /metrics endpoints.
+// RTT sample partitions and per-peer probe outcome counters, both with
+// a hard memory bound however many peer names come and go, and
+// process-wide RTT/suspicion histograms plus the LHM gauge. It backs
+// the agent's /telemetry and /metrics endpoints.
 //
 // NodeRecorder is safe for concurrent use.
 type NodeRecorder struct {
@@ -86,52 +80,23 @@ type NodeRecorder struct {
 
 	mu         sync.Mutex
 	peers      map[string]*peerCounters
+	touches    uint64
 	lhm        int
 	lhmChanges uint64
 }
 
 var _ Recorder = (*NodeRecorder)(nil)
 
-// peerEpochSeed seeds the stripe hash; process-local, never serialized.
-var peerEpochSeed = maphash.MakeSeed()
-
-// hashPeerEpoch maps a (peer, epoch) key onto a buffer stripe.
-func hashPeerEpoch(k PeerEpoch) uint64 {
-	var h maphash.Hash
-	h.SetSeed(peerEpochSeed)
-	h.WriteString(k.Peer)
-	return h.Sum64() ^ k.Epoch
-}
-
-// NewNodeRecorder validates cfg and returns an empty recorder.
+// NewNodeRecorder returns an empty recorder.
 func NewNodeRecorder(cfg NodeConfig) (*NodeRecorder, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	if cfg.EpochInterval <= 0 {
-		cfg.EpochInterval = time.Minute
-	}
-	if cfg.MaxSamplesPerPartition <= 0 {
-		cfg.MaxSamplesPerPartition = 128
-	}
-	if cfg.MaxPartitions <= 0 {
-		cfg.MaxPartitions = 1024
-	}
-	if cfg.Stripes <= 0 {
-		cfg.Stripes = 8
-	}
 	buf, err := NewBuffer[PeerEpoch, RTTSample](BufferConfig[PeerEpoch]{
-		MaxSamplesPerPartition: cfg.MaxSamplesPerPartition,
-		MaxPartitions:          cfg.MaxPartitions,
-		Stripes:                cfg.Stripes,
-		Hash:                   hashPeerEpoch,
+		MaxSamplesPerPartition: nodeRingSize,
+		MaxPartitions:          nodeMaxPartitions,
 		Epoch:                  func(k PeerEpoch) uint64 { return k.Epoch },
-		Less: func(a, b PeerEpoch) bool {
-			if a.Epoch != b.Epoch {
-				return a.Epoch < b.Epoch
-			}
-			return a.Peer < b.Peer
-		},
+		Less:                   func(a, b PeerEpoch) bool { return a.Peer < b.Peer },
 	})
 	if err != nil {
 		return nil, err
@@ -140,18 +105,10 @@ func NewNodeRecorder(cfg NodeConfig) (*NodeRecorder, error) {
 		cfg:           cfg,
 		epoch0:        cfg.Now(),
 		buf:           buf,
-		RTTHist:       NewHistogram(cfg.RTTBuckets),
-		SuspicionHist: NewHistogram(firstNonEmpty(cfg.SuspicionBuckets, DefaultSuspicionBuckets)),
+		RTTHist:       NewHistogram(rttBuckets),
+		SuspicionHist: NewHistogram(suspicionBuckets),
 		peers:         make(map[string]*peerCounters),
 	}, nil
-}
-
-// firstNonEmpty returns a if non-empty, b otherwise.
-func firstNonEmpty(a, b []time.Duration) []time.Duration {
-	if len(a) > 0 {
-		return a
-	}
-	return b
 }
 
 // epochAt returns the epoch number for a timestamp.
@@ -160,7 +117,32 @@ func (r *NodeRecorder) epochAt(t time.Time) uint64 {
 	if d < 0 {
 		return 0
 	}
-	return uint64(d / r.cfg.EpochInterval)
+	return uint64(d / nodeEpochInterval)
+}
+
+// peerLocked returns peer's counters, marked as the most recently
+// touched. A new peer arriving at a full table replaces the least
+// recently touched one (touch counts are unique, so there are no ties
+// to break). Called with r.mu held.
+func (r *NodeRecorder) peerLocked(peer string) *peerCounters {
+	c := r.peers[peer]
+	if c == nil {
+		if len(r.peers) >= nodeMaxPartitions {
+			var victim string
+			oldest := r.touches + 1
+			for name, pc := range r.peers {
+				if pc.touched < oldest {
+					victim, oldest = name, pc.touched
+				}
+			}
+			delete(r.peers, victim)
+		}
+		c = &peerCounters{}
+		r.peers[peer] = c
+	}
+	r.touches++
+	c.touched = r.touches
+	return c
 }
 
 // Buffer exposes the underlying sample buffer (bounds, eviction
@@ -172,16 +154,15 @@ func (r *NodeRecorder) RecordRTT(peer string, rtt time.Duration) {
 	now := r.cfg.Now()
 	r.buf.Add(PeerEpoch{Peer: peer, Epoch: r.epochAt(now)}, RTTSample{At: now, RTT: rtt})
 	r.RTTHist.Observe(rtt)
+	r.mu.Lock()
+	r.peerLocked(peer)
+	r.mu.Unlock()
 }
 
 // RecordProbe implements Recorder.
 func (r *NodeRecorder) RecordProbe(peer string, outcome ProbeOutcome) {
 	r.mu.Lock()
-	c := r.peers[peer]
-	if c == nil {
-		c = &peerCounters{}
-		r.peers[peer] = c
-	}
+	c := r.peerLocked(peer)
 	switch outcome {
 	case OutcomeDirectAck:
 		c.directAcks++
@@ -207,11 +188,7 @@ func (r *NodeRecorder) RecordLHM(score int) {
 func (r *NodeRecorder) RecordSuspicion(peer string, d time.Duration, died bool) {
 	r.SuspicionHist.Observe(d)
 	r.mu.Lock()
-	c := r.peers[peer]
-	if c == nil {
-		c = &peerCounters{}
-		r.peers[peer] = c
-	}
+	c := r.peerLocked(peer)
 	c.suspicions++
 	if died {
 		c.deaths++
@@ -254,7 +231,8 @@ type PeerSnapshot struct {
 
 // Snapshot is a point-in-time copy of a NodeRecorder.
 type Snapshot struct {
-	// Peers has one entry per observed peer, sorted by name.
+	// Peers has one entry per peer in the recorder's peer table — at
+	// most 1024, the most recently recorded about — sorted by name.
 	Peers []PeerSnapshot `json:"peers"`
 
 	// RTT and Suspicion are the process-wide histograms.
@@ -305,14 +283,6 @@ func (r *NodeRecorder) Snapshot() Snapshot {
 	lhm, lhmChanges := r.lhm, r.lhmChanges
 	r.mu.Unlock()
 
-	names := make(map[string]struct{}, len(agg)+len(peers))
-	for name := range agg {
-		names[name] = struct{}{}
-	}
-	for name := range peers {
-		names[name] = struct{}{}
-	}
-
 	snap := Snapshot{
 		RTT:        r.RTTHist.Snapshot(),
 		Suspicion:  r.SuspicionHist.Snapshot(),
@@ -323,7 +293,7 @@ func (r *NodeRecorder) Snapshot() Snapshot {
 		Evictions:  r.buf.Evictions(),
 		Overwrites: r.buf.Overwrites(),
 	}
-	for name := range names {
+	for name, c := range peers {
 		ps := PeerSnapshot{Peer: name}
 		if a := agg[name]; a != nil {
 			sort.Float64s(a.rtts)
@@ -333,15 +303,13 @@ func (r *NodeRecorder) Snapshot() Snapshot {
 			ps.RTTP90Ms = quantile(a.rtts, 0.90)
 			ps.RTTP99Ms = quantile(a.rtts, 0.99)
 		}
-		if c, ok := peers[name]; ok {
-			ps.DirectAcks = c.directAcks
-			ps.IndirectAcks = c.indirectAcks
-			ps.Timeouts = c.timeouts
-			ps.Suspicions = c.suspicions
-			ps.Deaths = c.deaths
-			if rounds := c.directAcks + c.indirectAcks + c.timeouts; rounds > 0 {
-				ps.LossRate = float64(c.timeouts) / float64(rounds)
-			}
+		ps.DirectAcks = c.directAcks
+		ps.IndirectAcks = c.indirectAcks
+		ps.Timeouts = c.timeouts
+		ps.Suspicions = c.suspicions
+		ps.Deaths = c.deaths
+		if rounds := c.directAcks + c.indirectAcks + c.timeouts; rounds > 0 {
+			ps.LossRate = float64(c.timeouts) / float64(rounds)
 		}
 		snap.Peers = append(snap.Peers, ps)
 	}

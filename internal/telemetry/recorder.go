@@ -67,10 +67,9 @@ type Recorder interface {
 	RecordSuspicion(peer string, d time.Duration, died bool)
 }
 
-// DefaultRTTBuckets are the histogram bounds used for RTT observations
-// when none are configured: sub-millisecond LAN through multi-second
-// outliers.
-var DefaultRTTBuckets = []time.Duration{
+// rttBuckets are a NodeRecorder's histogram bounds for RTT
+// observations: sub-millisecond LAN through multi-second outliers.
+var rttBuckets = []time.Duration{
 	500 * time.Microsecond,
 	time.Millisecond,
 	2500 * time.Microsecond,
@@ -85,10 +84,10 @@ var DefaultRTTBuckets = []time.Duration{
 	2500 * time.Millisecond,
 }
 
-// DefaultSuspicionBuckets are the histogram bounds used for suspicion
-// lifecycle durations when none are configured: sub-second refutations
-// through multi-minute timeouts.
-var DefaultSuspicionBuckets = []time.Duration{
+// suspicionBuckets are a NodeRecorder's histogram bounds for suspicion
+// lifecycle durations: sub-second refutations through multi-minute
+// timeouts.
+var suspicionBuckets = []time.Duration{
 	250 * time.Millisecond,
 	500 * time.Millisecond,
 	time.Second,
@@ -114,12 +113,8 @@ type Histogram struct {
 }
 
 // NewHistogram returns a histogram over the given ascending bucket
-// upper bounds, plus an implicit overflow bucket. Nil bounds take
-// DefaultRTTBuckets.
+// upper bounds, plus an implicit overflow bucket.
 func NewHistogram(bounds []time.Duration) *Histogram {
-	if len(bounds) == 0 {
-		bounds = DefaultRTTBuckets
-	}
 	return &Histogram{
 		bounds: append([]time.Duration(nil), bounds...),
 		counts: make([]atomic.Uint64, len(bounds)+1),

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -62,7 +63,7 @@ func TestProbeOutcomeString(t *testing.T) {
 
 func TestNodeRecorderSnapshot(t *testing.T) {
 	clock := newFakeClock()
-	r, err := NewNodeRecorder(NodeConfig{Now: clock.Now, EpochInterval: time.Minute})
+	r, err := NewNodeRecorder(NodeConfig{Now: clock.Now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,43 +128,96 @@ func TestNodeRecorderSnapshot(t *testing.T) {
 	}
 }
 
-// TestNodeRecorderMemoryBound churns peers and epochs past the
-// configured partition bound and checks occupancy never exceeds the
-// buffer's hard sample bound.
+// TestNodeRecorderMemoryBound fills more (peer, epoch) partitions than
+// the recorder keeps, each past its ring, and checks occupancy never
+// exceeds the fixed bounds (1024 partitions of 128 samples).
 func TestNodeRecorderMemoryBound(t *testing.T) {
 	clock := newFakeClock()
-	r, err := NewNodeRecorder(NodeConfig{
-		Now:                    clock.Now,
-		EpochInterval:          time.Second,
-		MaxSamplesPerPartition: 8,
-		MaxPartitions:          32,
-		Stripes:                4,
-	})
+	r, err := NewNodeRecorder(NodeConfig{Now: clock.Now})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound := r.Buffer().MaxSamples()
-	peers := []string{"a", "b", "c", "d", "e", "f", "g"}
-	for i := 0; i < 5000; i++ {
-		r.RecordRTT(peers[i%len(peers)], time.Millisecond)
-		clock.Advance(100 * time.Millisecond)
-		if got := r.Buffer().Len(); got > bound {
-			t.Fatalf("after %d samples: Len = %d exceeds bound %d", i+1, got, bound)
-		}
+	bound := nodeMaxPartitions * nodeRingSize
+	if got := r.Buffer().MaxSamples(); got != bound {
+		t.Fatalf("MaxSamples = %d, want %d", got, bound)
 	}
-	if r.Buffer().Evictions() == 0 {
-		t.Error("churn caused no evictions")
+	peers := make([]string, nodeMaxPartitions+76)
+	for i := range peers {
+		peers[i] = fmt.Sprintf("peer-%04d", i)
+	}
+	for epoch := 0; epoch < 2; epoch++ {
+		for i, p := range peers {
+			for n := 0; n < nodeRingSize+2; n++ {
+				r.RecordRTT(p, time.Millisecond)
+			}
+			if got := r.Buffer().Len(); got > bound {
+				t.Fatalf("epoch %d peer %d: Len = %d exceeds bound %d", epoch, i, got, bound)
+			}
+			if got := r.Buffer().Partitions(); got > nodeMaxPartitions {
+				t.Fatalf("epoch %d peer %d: %d partitions, bound %d", epoch, i, got, nodeMaxPartitions)
+			}
+		}
+		clock.Advance(nodeEpochInterval)
+	}
+	if r.Buffer().Evictions() == 0 || r.Buffer().Overwrites() == 0 {
+		t.Errorf("evictions = %d overwrites = %d, want both non-zero", r.Buffer().Evictions(), r.Buffer().Overwrites())
 	}
 	s := r.Snapshot()
-	if s.Samples > bound {
-		t.Errorf("snapshot samples = %d exceeds bound %d", s.Samples, bound)
+	if s.Samples > bound || s.Partitions > nodeMaxPartitions {
+		t.Errorf("snapshot: %d samples in %d partitions, bounds %d / %d", s.Samples, s.Partitions, bound, nodeMaxPartitions)
+	}
+}
+
+// TestNodeRecorderPeersBounded is the name-churn test for the peer
+// table: ten thousand distinct peer names (every replacement member in
+// a long-lived cluster joins under a new one) leave at most 1024
+// entries in a snapshot, and those are the most recently recorded
+// about.
+func TestNodeRecorderPeersBounded(t *testing.T) {
+	r, err := NewNodeRecorder(NodeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const names = 10_000
+	name := func(i int) string { return fmt.Sprintf("peer-%05d", i) }
+	for i := 0; i < names; i++ {
+		switch i % 3 {
+		case 0:
+			r.RecordProbe(name(i), OutcomeTimeout)
+		case 1:
+			r.RecordSuspicion(name(i), time.Second, true)
+		default:
+			r.RecordProbe(name(i), OutcomeDirectAck)
+			r.RecordRTT(name(i), time.Millisecond)
+		}
+		// An old peer recorded about again is recent again.
+		r.RecordProbe(name(0), OutcomeDirectAck)
+	}
+	s := r.Snapshot()
+	if len(s.Peers) > nodeMaxPartitions {
+		t.Fatalf("snapshot lists %d peers, bound %d", len(s.Peers), nodeMaxPartitions)
+	}
+	listed := make(map[string]PeerSnapshot, len(s.Peers))
+	for _, p := range s.Peers {
+		listed[p.Peer] = p
+	}
+	for i := names - (nodeMaxPartitions - 1); i < names; i++ {
+		if _, ok := listed[name(i)]; !ok {
+			t.Fatalf("recent peer %s was dropped", name(i))
+		}
+	}
+	if p, ok := listed[name(0)]; !ok || p.DirectAcks != names {
+		t.Errorf("peer touched every step: listed %t with %d direct acks, want %d", ok, p.DirectAcks, names)
+	}
+	if _, ok := listed[name(1)]; ok {
+		t.Errorf("peer %s, untouched since step 1, survived %d newer names", name(1), names)
 	}
 }
 
 // TestNodeRecorderConcurrent races every write hook against Snapshot;
 // under -race this is the recorder's thread-safety proof.
 func TestNodeRecorderConcurrent(t *testing.T) {
-	r, err := NewNodeRecorder(NodeConfig{MaxPartitions: 64})
+	r, err := NewNodeRecorder(NodeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,41 +253,6 @@ func TestNodeRecorderConcurrent(t *testing.T) {
 	s := r.Snapshot()
 	if s.RTT.Count != 4000 {
 		t.Errorf("rtt count = %d, want 4000", s.RTT.Count)
-	}
-}
-
-func TestClusterRecorderPairs(t *testing.T) {
-	clock := newFakeClock()
-	c, err := NewClusterRecorder(ClusterConfig{Now: clock.Now, EpochInterval: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	va, vb := c.For("a"), c.For("b")
-	va.RecordRTT("b", 10*time.Millisecond)
-	va.RecordRTT("b", 12*time.Millisecond)
-	vb.RecordRTT("a", 11*time.Millisecond)
-	clock.Advance(2 * time.Minute)
-	va.RecordRTT("b", 14*time.Millisecond) // new epoch, new partition
-
-	// The discarded hooks must not contribute samples.
-	va.RecordProbe("b", OutcomeTimeout)
-	va.RecordLHM(3)
-	va.RecordSuspicion("b", time.Second, false)
-
-	got := map[PairKey]int{}
-	c.ForEachPair(func(k PairKey, ss []RTTSample) { got[k] = len(ss) })
-	want := map[PairKey]int{
-		{Origin: "a", Peer: "b", Epoch: 0}: 2,
-		{Origin: "b", Peer: "a", Epoch: 0}: 1,
-		{Origin: "a", Peer: "b", Epoch: 2}: 1,
-	}
-	if len(got) != len(want) {
-		t.Fatalf("partitions = %v, want %v", got, want)
-	}
-	for k, n := range want {
-		if got[k] != n {
-			t.Errorf("partition %+v has %d samples, want %d", k, got[k], n)
-		}
 	}
 }
 

@@ -151,17 +151,17 @@ const (
 // /telemetry endpoint.
 type NodeTelemetry = telemetry.NodeRecorder
 
-// NodeTelemetryConfig parameterizes NewNodeTelemetry; the zero value
-// takes the documented defaults (60 s epochs, 128 samples per
-// partition, 1024 partitions, 8 lock stripes).
+// NodeTelemetryConfig parameterizes NewNodeTelemetry: the timestamp
+// source, time.Now in the zero value. The recorder's sizes are fixed
+// (60 s epochs, 128 samples per partition, 1024 partitions, 1024 peers).
 type NodeTelemetryConfig = telemetry.NodeConfig
 
 // TelemetrySnapshot is a point-in-time copy of a NodeTelemetry: per-peer
 // RTT quantiles and loss rates, histograms, and buffer occupancy.
 type TelemetrySnapshot = telemetry.Snapshot
 
-// NewNodeTelemetry validates cfg and returns an empty recorder, ready
-// to assign to Config.Telemetry.
+// NewNodeTelemetry returns an empty recorder, ready to assign to
+// Config.Telemetry.
 func NewNodeTelemetry(cfg NodeTelemetryConfig) (*NodeTelemetry, error) {
 	return telemetry.NewNodeRecorder(cfg)
 }

@@ -194,13 +194,13 @@ type (
 	Cell = experiment.Cell
 
 	// RunOptions parameterizes one scenario run: scale, seed,
-	// parallelism, progress callbacks and per-scenario overrides.
+	// parallelism and progress callbacks. The scale is what sizes a
+	// scenario; for other sizes build a custom Scale or call RunWAN,
+	// RunChaos or RunRestart with their own parameters.
 	RunOptions = experiment.RunOptions
 
-	// Scenario is one registered experiment: it plans independent
-	// seeded cells and merges their outputs into records and sections.
-	// Implement it and call RegisterScenario to add custom scenarios to
-	// the harness.
+	// Scenario is one registered experiment, as listed by Scenarios:
+	// its name and one-line description.
 	Scenario = experiment.Scenario
 
 	// Progress receives completion callbacks (done and total cells).
@@ -332,21 +332,15 @@ func FormatChurn(r ChurnResult) string { return experiment.FormatChurn(r) }
 // summary.
 func FormatPartition(r PartitionResult) string { return experiment.FormatPartition(r) }
 
-// Scenarios returns the registered scenarios in registration order —
-// the canonical run order of lifebench's -exp all.
+// Scenarios returns the registered scenarios in the canonical run order
+// of lifebench's -exp all.
 func Scenarios() []Scenario { return experiment.Scenarios() }
 
-// ScenarioNames returns the registered scenario names in registration
-// order.
+// ScenarioNames returns the registered scenario names in run order.
 func ScenarioNames() []string { return experiment.ScenarioNames() }
 
 // LookupScenario resolves a registered scenario by name.
 func LookupScenario(name string) (Scenario, error) { return experiment.LookupScenario(name) }
-
-// RegisterScenario adds a custom scenario to the registry, making it
-// runnable through RunScenario alongside the built-ins. It panics on a
-// duplicate name.
-func RegisterScenario(s Scenario) { experiment.Register(s) }
 
 // RunScenario plans, executes and reports one registered scenario. Up
 // to opt.Parallel independent cells run concurrently; because every
