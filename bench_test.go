@@ -22,7 +22,6 @@ import (
 	"lifeguard/internal/core"
 	"lifeguard/internal/experiment"
 	"lifeguard/internal/sim"
-	"lifeguard/internal/stats"
 	"lifeguard/internal/wire"
 )
 
@@ -216,7 +215,9 @@ func BenchmarkTable7SuspicionTuning(b *testing.B) {
 	}
 }
 
-// --- Ablation benches: the design choices DESIGN.md calls out ---
+// --- Ablation benches: the simulator's queueing model
+// (docs/ARCHITECTURE.md §Simulator engine) and Lifeguard's heuristic
+// constants ---
 
 // BenchmarkAblationQueueCapacity varies the simulated kernel receive
 // buffer: an unbounded queue removes the tail-drop that buries
@@ -303,43 +304,6 @@ func BenchmarkAblationMaxLHM(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.ReportMetric(float64(r.FP), "fp")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationProbeSelection compares SWIM's round-robin probe
-// target selection against uniform random selection (the strawman §III-A
-// rejects): the tail of first-detection latency is the casualty.
-func BenchmarkAblationProbeSelection(b *testing.B) {
-	// Ablation hook: the experiment package exposes the flag through
-	// ClusterConfig for exactly this comparison.
-	for _, random := range []bool{false, true} {
-		name := "round-robin"
-		if random {
-			name = "random"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				var first []float64
-				for run := 0; run < 6; run++ {
-					cc := experiment.ClusterConfig{
-						N: 64, Seed: benchSeed + int64(run)*31, Protocol: experiment.ConfigLifeguard,
-						RandomProbeSelection: random,
-					}
-					r, err := experiment.RunThreshold(cc, experiment.ThresholdParams{
-						C: 8, D: 32768 * time.Millisecond,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					for _, d := range r.FirstDetect {
-						first = append(first, d.Seconds())
-					}
-				}
-				s := stats.Summarize(first)
-				b.ReportMetric(s.Median, "med-detect-s")
-				b.ReportMetric(s.Max, "max-detect-s")
 			}
 		})
 	}

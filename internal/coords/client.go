@@ -286,54 +286,15 @@ func (c *Client) EstimateRTT(peer string) (time.Duration, bool) {
 	return c.coord.DistanceTo(co), true
 }
 
-// PeerRTT predicts the round-trip time between two third-party peers
-// from their cached coordinates — the single-pair form of the estimate
-// NearestPeers ranks by (how far is a relay candidate from the probe
-// target, as seen from here), exposed for callers that need one pair
-// rather than a ranking. The second return is false when either peer's
-// coordinate is unknown.
-func (c *Client) PeerRTT(a, b string) (time.Duration, bool) {
-	ca, ok := c.peers[a]
-	if !ok {
-		return 0, false
-	}
-	cb, ok := c.peers[b]
-	if !ok {
-		return 0, false
-	}
-	return ca.DistanceTo(cb), true
-}
-
-// NearestPeers returns up to k of the candidate peers ranked by
-// estimated RTT from the reference point: the cached coordinate of the
-// named ref peer, or the node's own coordinate when ref is empty.
+// NearestPeerIndexes appends to out the indexes of up to k candidate
+// peers ranked by estimated RTT from the reference point: the cached
+// coordinate of the named ref peer, or the node's own coordinate when
+// ref is empty (pass a reused out to rank without allocating).
 // Candidates with no cached coordinate are skipped (the caller decides
-// how to fill the shortfall); an unknown non-empty ref yields nil. Ties
-// break by name, and the candidate order does not affect the result, so
-// the ranking is deterministic — a requirement for same-seed simulation
-// reproducibility.
-func (c *Client) NearestPeers(ref string, candidates []string, k int) []string {
-	if k <= 0 {
-		return nil
-	}
-	if ref != "" {
-		if _, ok := c.peers[ref]; !ok {
-			return nil
-		}
-	}
-	idx := c.NearestPeerIndexes(ref, candidates, k, nil)
-	out := make([]string, len(idx))
-	for i, j := range idx {
-		out[i] = candidates[j]
-	}
-	return out
-}
-
-// NearestPeerIndexes is NearestPeers returning candidate indexes instead
-// of names, appended to out (pass a reused slice to rank without
-// allocating). Ranking, tie-breaking and edge cases are identical to
-// NearestPeers: candidates without cached coordinates are skipped, ties
-// break by name, and an unknown non-empty ref yields out unchanged.
+// how to fill the shortfall); an unknown non-empty ref yields out
+// unchanged. Ties break by name, and the candidate order does not
+// affect the result, so the ranking is deterministic — a requirement
+// for same-seed simulation reproducibility.
 func (c *Client) NearestPeerIndexes(ref string, candidates []string, k int, out []int) []int {
 	if k <= 0 {
 		return out

@@ -3,6 +3,7 @@ package coords
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -278,10 +279,9 @@ func TestWitnessAndEstimateRTT(t *testing.T) {
 	}
 }
 
-// TestPeerRTTAndNearestPeers exercises the third-party estimate and the
-// deterministic nearest-k ranking behind coordinate-aware relay and
-// gossip selection.
-func TestPeerRTTAndNearestPeers(t *testing.T) {
+// TestNearestPeerIndexes exercises the deterministic nearest-k ranking
+// behind coordinate-aware relay and gossip selection.
+func TestNearestPeerIndexes(t *testing.T) {
 	c, err := NewClient(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -298,33 +298,41 @@ func TestPeerRTTAndNearestPeers(t *testing.T) {
 	place("near", 0.110)
 	place("mid", 0.200)
 	place("far", 0.900)
+	place("twin-b", 0.300)
+	place("twin-a", 0.300)
 
-	rtt, ok := c.PeerRTT("near", "target")
-	if !ok {
-		t.Fatal("no estimate between two cached peers")
+	nearest := func(ref string, candidates []string, k int) []string {
+		var out []string
+		for _, i := range c.NearestPeerIndexes(ref, candidates, k, nil) {
+			out = append(out, candidates[i])
+		}
+		return out
 	}
-	if rtt < 5*time.Millisecond || rtt > 50*time.Millisecond {
-		t.Errorf("near-target estimate %v, want ≈10ms", rtt)
-	}
-	if _, ok := c.PeerRTT("near", "unknown"); ok {
-		t.Error("estimate produced for unknown peer")
-	}
-
-	got := c.NearestPeers("target", []string{"far", "mid", "near", "unknown"}, 2)
-	if len(got) != 2 || got[0] != "near" || got[1] != "mid" {
-		t.Errorf("NearestPeers(target) = %v, want [near mid]", got)
+	// Ranking from a peer; "unknown" has no cached coordinate and is
+	// skipped rather than ranked.
+	got := nearest("target", []string{"far", "mid", "near", "unknown"}, 2)
+	if !slices.Equal(got, []string{"near", "mid"}) {
+		t.Errorf("ranked from target = %v, want [near mid]", got)
 	}
 	// Candidate order must not change the ranking.
-	again := c.NearestPeers("target", []string{"near", "unknown", "mid", "far"}, 2)
-	if len(again) != 2 || again[0] != got[0] || again[1] != got[1] {
+	if again := nearest("target", []string{"near", "unknown", "mid", "far"}, 2); !slices.Equal(again, got) {
 		t.Errorf("ranking depends on candidate order: %v vs %v", again, got)
 	}
 	// Empty ref ranks from the local coordinate (at the origin here).
-	fromSelf := c.NearestPeers("", []string{"far", "target", "near"}, 3)
-	if len(fromSelf) != 3 || fromSelf[0] != "target" || fromSelf[2] != "far" {
-		t.Errorf("NearestPeers(self) = %v, want [target near far]", fromSelf)
+	if fromSelf := nearest("", []string{"far", "target", "near"}, 3); !slices.Equal(fromSelf, []string{"target", "near", "far"}) {
+		t.Errorf("ranked from self = %v, want [target near far]", fromSelf)
 	}
-	if c.NearestPeers("unknown", []string{"near"}, 1) != nil {
-		t.Error("unknown ref produced a ranking")
+	// Equal distances break by name, whatever the candidate order.
+	if tie := nearest("target", []string{"twin-b", "twin-a"}, 2); !slices.Equal(tie, []string{"twin-a", "twin-b"}) {
+		t.Errorf("tie = %v, want [twin-a twin-b]", tie)
+	}
+	// Only uncached candidates: nothing to rank.
+	if cold := nearest("target", []string{"unknown", "other"}, 2); len(cold) != 0 {
+		t.Errorf("uncached candidates ranked: %v", cold)
+	}
+	// An unknown ref leaves out unchanged.
+	out := []int{7}
+	if res := c.NearestPeerIndexes("unknown", []string{"near"}, 1, out); !slices.Equal(res, out) {
+		t.Errorf("unknown ref produced a ranking: %v", res)
 	}
 }

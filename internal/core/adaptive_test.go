@@ -48,11 +48,11 @@ func warmPeer(h *harness, peer string, rtt time.Duration) {
 	}
 }
 
-// TestAdaptiveTimeoutColdFallsBack: with AdaptiveProbeTimeout enabled
+// TestAdaptiveTimeoutColdFallsBack: with TopologyAware enabled
 // but no RTT observations applied, probe rounds use the static timeout
 // and the fallback counter accounts for them.
 func TestAdaptiveTimeoutColdFallsBack(t *testing.T) {
-	h := newHarness(t, func(cfg *Config) { cfg.AdaptiveProbeTimeout = true })
+	h := newHarness(t, func(cfg *Config) { cfg.TopologyAware = true })
 	h.addMember("peer-1", 1)
 
 	if got, want := h.node.EffectiveProbeTimeout("peer-1"), h.node.Config().ProbeTimeout; got != want {
@@ -71,7 +71,7 @@ func TestAdaptiveTimeoutColdFallsBack(t *testing.T) {
 // the adaptive timeout at adaptiveTimeoutFloor rather than producing a
 // degenerate deadline.
 func TestAdaptiveTimeoutWarmClampsToFloor(t *testing.T) {
-	h := newHarness(t, func(cfg *Config) { cfg.AdaptiveProbeTimeout = true })
+	h := newHarness(t, func(cfg *Config) { cfg.TopologyAware = true })
 	h.addMember("peer-1", 1)
 	h.autoAck = false
 	warmPeer(h, "peer-1", time.Millisecond)
@@ -92,7 +92,7 @@ func TestAdaptiveTimeoutWarmClampsToFloor(t *testing.T) {
 // timeout clamps at ProbeTimeout — adaptive rounds never wait longer
 // than the configured worst case.
 func TestAdaptiveTimeoutClampsToCeiling(t *testing.T) {
-	h := newHarness(t, func(cfg *Config) { cfg.AdaptiveProbeTimeout = true })
+	h := newHarness(t, func(cfg *Config) { cfg.TopologyAware = true })
 	h.addMember("peer-1", 1)
 	h.autoAck = false
 	warmPeer(h, "peer-1", time.Millisecond)
@@ -117,7 +117,7 @@ func TestAdaptiveTimeoutClampsToCeiling(t *testing.T) {
 // the adaptive timeout exactly as it scales the static one (§IV-A on
 // top of the RTT-derived value).
 func TestAdaptiveTimeoutComposesWithAwareness(t *testing.T) {
-	h := newHarness(t, func(cfg *Config) { cfg.AdaptiveProbeTimeout = true })
+	h := newHarness(t, func(cfg *Config) { cfg.TopologyAware = true })
 	h.addMember("peer-1", 1)
 	h.autoAck = false
 	warmPeer(h, "peer-1", time.Millisecond)
@@ -144,7 +144,7 @@ func TestAdaptiveTimeoutComposesWithAwareness(t *testing.T) {
 // coordinate, so probes against a returned member fall back to the
 // static timeout instead of trusting a stale estimate.
 func TestAdaptiveTimeoutStaleAfterDeath(t *testing.T) {
-	h := newHarness(t, func(cfg *Config) { cfg.AdaptiveProbeTimeout = true })
+	h := newHarness(t, func(cfg *Config) { cfg.TopologyAware = true })
 	h.addMember("peer-1", 1)
 	h.autoAck = false
 	warmPeer(h, "peer-1", time.Millisecond)
@@ -168,7 +168,7 @@ func TestAdaptiveTimeoutStaleAfterDeath(t *testing.T) {
 func TestAdaptiveRoundClosesEarly(t *testing.T) {
 	for _, adaptive := range []bool{true, false} {
 		h := newHarness(t, func(cfg *Config) {
-			cfg.AdaptiveProbeTimeout = adaptive
+			cfg.TopologyAware = adaptive
 		})
 		h.addMember("peer-1", 1)
 		h.autoAck = false
@@ -208,16 +208,11 @@ func TestAdaptiveRoundClosesEarly(t *testing.T) {
 // fallback off), a direct ack arriving before the round's deadline is
 // still a clean direct-path measurement and must reach the Vivaldi
 // engine. Without it, an underestimated adaptive timeout could never
-// correct itself. Round-robin selection (the default) is exercised
-// explicitly — the probe-round RTT feed must not depend on
-// RandomProbeSelection.
+// correct itself.
 func TestLateDirectAckStillFeedsCoordinates(t *testing.T) {
 	h := newHarness(t, func(cfg *Config) {
-		cfg.AdaptiveProbeTimeout = true
+		cfg.TopologyAware = true
 		cfg.TCPFallback = false
-		if cfg.RandomProbeSelection {
-			t.Fatal("default config unexpectedly uses random probe selection")
-		}
 	})
 	h.addMember("peer-1", 1) // the only peer: no relay candidates
 	h.autoAck = false

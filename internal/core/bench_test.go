@@ -93,7 +93,7 @@ func BenchmarkGossipTargets(b *testing.B) {
 	})
 	b.Run("latency-aware", func(b *testing.B) {
 		n := newBenchNode(b, 1000, func(cfg *Config) {
-			cfg.LatencyAwareGossip = true
+			cfg.TopologyAware = true
 		})
 		warmCoords(b, n)
 		n.mu.Lock()
@@ -118,7 +118,7 @@ func TestGossipTargetsAllocs(t *testing.T) {
 		warm      bool
 	}{
 		{name: "uniform"},
-		{name: "latency-aware", configure: func(cfg *Config) { cfg.LatencyAwareGossip = true }, warm: true},
+		{name: "latency-aware", configure: func(cfg *Config) { cfg.TopologyAware = true }, warm: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var b testing.B

@@ -129,13 +129,6 @@ type Config struct {
 	// member always carry the suspicion.
 	BuddySystem bool
 
-	// RandomProbeSelection replaces SWIM's round-robin probe target
-	// selection with uniform random selection, the strawman the SWIM
-	// paper rejects because it leaves worst-case first-detection latency
-	// unbounded (§III-A). Provided for ablation studies; leave false in
-	// production.
-	RandomProbeSelection bool
-
 	// DisableCoordinates turns off the Vivaldi network-coordinate
 	// subsystem: no coordinate payloads on pings and acks, no RTT
 	// estimation. Coordinates are on by default; members with and
@@ -143,32 +136,26 @@ type Config struct {
 	// trailing block old decoders skip).
 	DisableCoordinates bool
 
-	// AdaptiveProbeTimeout derives each direct probe's ack timeout from
-	// the Vivaldi RTT estimate to the target — clamp(3·estRTT + 10 ms,
-	// 20 ms, ProbeTimeout) — instead of the one static ProbeTimeout,
-	// and closes the probe round's suspicion decision early (3 × the
-	// derived timeout, capped by the protocol period) once the
-	// RTT-scaled budget has conclusively passed. While coordinates are
-	// cold (fewer than 8 observations applied, or no estimate for the
-	// target) the round falls back to the static timeout and
-	// full-period close. The LHA-Probe awareness multiplier composes on
-	// top in both cases. Requires coordinates; off by default.
-	AdaptiveProbeTimeout bool
-
-	// CoordinateRelaySelection biases indirect-probe relay selection
-	// toward members whose estimated RTT to the probe target is lowest
-	// (per the cached peer coordinates), after a guaranteed
-	// random-diversity slice of a third of IndirectChecks (at least one
-	// slot) uniform picks so selection never collapses onto one zone.
-	// Off by default.
-	CoordinateRelaySelection bool
-
-	// LatencyAwareGossip biases the dedicated gossip tick's peer
-	// sampling toward members with a low estimated RTT from the local
-	// coordinate, reserving half of the fanout (at least one slot) for
-	// uniform picks so updates still escape across zones. Waits for the
-	// same 8 observations as AdaptiveProbeTimeout; off by default.
-	LatencyAwareGossip bool
+	// TopologyAware turns on the coordinate-driven extensions beyond the
+	// paper, together:
+	//   - Each direct probe's ack timeout is derived from the Vivaldi RTT
+	//     estimate to the target — clamp(3·estRTT + 10 ms, 20 ms,
+	//     ProbeTimeout) — instead of the one static ProbeTimeout, and the
+	//     round's suspicion decision closes early (3 × the derived
+	//     timeout, capped by the protocol period). While coordinates are
+	//     cold (fewer than 8 observations applied, or no estimate for the
+	//     target) the round falls back to the static timeout and
+	//     full-period close. The LHA-Probe multiplier composes on top.
+	//   - Indirect-probe relays are biased toward members with the lowest
+	//     estimated RTT to the target, after a guaranteed random-diversity
+	//     slice of a third of IndirectChecks (at least one slot) so
+	//     selection never collapses onto one zone.
+	//   - Once warm, the gossip tick's fanout is biased toward members
+	//     with a low estimated RTT from the local coordinate, reserving
+	//     half of it (at least one slot) for uniform picks so updates
+	//     still escape across zones.
+	// Requires coordinates; off by default.
+	TopologyAware bool
 
 	// MTU is the maximum packet size for piggyback packing.
 	MTU int
@@ -295,14 +282,8 @@ func (c *Config) validate() error {
 	if c.NackTimeoutFraction <= 0 || c.NackTimeoutFraction >= 1 {
 		return errors.New("core: NackTimeoutFraction must be in (0, 1)")
 	}
-	if c.AdaptiveProbeTimeout && c.DisableCoordinates {
-		return errors.New("core: AdaptiveProbeTimeout requires coordinates")
-	}
-	if c.CoordinateRelaySelection && c.DisableCoordinates {
-		return errors.New("core: CoordinateRelaySelection requires coordinates")
-	}
-	if c.LatencyAwareGossip && c.DisableCoordinates {
-		return errors.New("core: LatencyAwareGossip requires coordinates")
+	if c.TopologyAware && c.DisableCoordinates {
+		return errors.New("core: TopologyAware requires coordinates")
 	}
 	if c.MTU < 128 {
 		return errors.New("core: MTU must be at least 128 bytes")

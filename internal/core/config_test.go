@@ -50,6 +50,7 @@ func TestConfigValidationTable(t *testing.T) {
 		{"zero LHM max", func(c *Config) { c.MaxLHM = 0 }, "MaxLHM"},
 		{"nack fraction zero", func(c *Config) { c.NackTimeoutFraction = 0 }, "NackTimeoutFraction"},
 		{"nack fraction one", func(c *Config) { c.NackTimeoutFraction = 1 }, "NackTimeoutFraction"},
+		{"topology-aware without coordinates", func(c *Config) { c.TopologyAware, c.DisableCoordinates = true, true }, "requires coordinates"},
 		{"tiny MTU", func(c *Config) { c.MTU = 16 }, "MTU"},
 	}
 	for _, c := range cases {
@@ -81,8 +82,8 @@ func TestConfigSurface(t *testing.T) {
 		"ProbeInterval", "ProbeTimeout", "IndirectChecks", "TCPFallback", "RetransmitMult",
 		"GossipInterval", "GossipNodes", "GossipToTheDead", "PushPullInterval", "ReconnectInterval",
 		"SuspicionAlpha", "SuspicionBeta", "SuspicionK", "MaxLHM", "NackTimeoutFraction",
-		"LHAProbe", "LHASuspicion", "BuddySystem", "RandomProbeSelection", "DisableCoordinates",
-		"AdaptiveProbeTimeout", "CoordinateRelaySelection", "LatencyAwareGossip", "MTU", "Blocked",
+		"LHAProbe", "LHASuspicion", "BuddySystem", "DisableCoordinates", "TopologyAware",
+		"MTU", "Blocked",
 	}
 	typ := reflect.TypeOf(Config{})
 	got := make([]string, typ.NumField())

@@ -67,7 +67,7 @@ func (n *Node) sendWithPiggybackLocked(addr string, primary wire.Message, buddy 
 }
 
 // gossipTargetsLocked picks this tick's gossip fanout. The default is
-// GossipNodes uniform random picks; with LatencyAwareGossip on and
+// GossipNodes uniform random picks; with TopologyAware on and
 // coordinates warm, the fanout splits into a near slice — the lowest
 // estimated RTT from the local coordinate, ranked within a uniformly
 // drawn candidate pool a few times the fanout, so no per-tick O(n)
@@ -92,7 +92,7 @@ func (n *Node) gossipTargetsLocked() []*memberState {
 		}
 	}
 	k := n.cfg.GossipNodes
-	if !n.cfg.LatencyAwareGossip || k <= 0 || !n.coordWarmLocked() {
+	if !n.cfg.TopologyAware || k <= 0 || !n.coordWarmLocked() {
 		n.gossipTargets = n.selectRandomIntoLocked(n.gossipTargets[:0], k, match)
 		return n.gossipTargets
 	}
@@ -110,20 +110,7 @@ func (n *Node) gossipTargetsLocked() []*memberState {
 		escape = 1
 	}
 
-	// Rank the pool by index: no per-tick name slice, membership map or
-	// result map — the candidate-name scratch, ranked-index scratch and
-	// pick-mark scratch are all reused across ticks.
-	n.nearNames = n.nearNames[:0]
-	for _, m := range pool {
-		n.nearNames = append(n.nearNames, m.Name)
-	}
-	marks := n.poolMarksLocked(len(pool))
-	targets := n.gossipTargets[:0]
-	n.nearIdx = n.coordClient.NearestPeerIndexes("", n.nearNames, k-escape, n.nearIdx[:0])
-	for _, i := range n.nearIdx {
-		targets = append(targets, pool[i])
-		marks[i] = true
-	}
+	targets, marks := n.appendNearestLocked(n.gossipTargets[:0], pool, "", k-escape)
 	n.cfg.Metrics.IncrCounter(metrics.CounterGossipNearPicks, int64(len(targets)))
 
 	// Escape slice (plus any near shortfall): uniform over the pool's

@@ -147,7 +147,7 @@ func TestMsgsSentCounterCountsCompoundOnce(t *testing.T) {
 // local coordinate) and a uniformly random escape slice, per
 // gossipEscapeFraction.
 func TestLatencyAwareGossipSplitsNearAndEscape(t *testing.T) {
-	h := newHarness(t, func(cfg *Config) { cfg.LatencyAwareGossip = true })
+	h := newHarness(t, func(cfg *Config) { cfg.TopologyAware = true })
 	h.addMember("peer-1", 1)
 	h.autoAck = false
 	warmPeer(h, "peer-1", time.Millisecond)
@@ -195,7 +195,7 @@ func TestLatencyAwareGossipSplitsNearAndEscape(t *testing.T) {
 // TestLatencyAwareGossipColdStaysUniform: before coordMinSamples
 // observations the latency bias stays off and selection is uniform.
 func TestLatencyAwareGossipColdStaysUniform(t *testing.T) {
-	h := newHarness(t, func(cfg *Config) { cfg.LatencyAwareGossip = true })
+	h := newHarness(t, func(cfg *Config) { cfg.TopologyAware = true })
 	for _, name := range []string{"m1", "m2", "m3", "m4", "m5"} {
 		h.addMember(name, 1)
 	}

@@ -227,20 +227,6 @@ func (n *Node) EstimateRTT(name string) (time.Duration, bool) {
 	return n.coordClient.EstimateRTT(name)
 }
 
-// PeerRTT predicts the round-trip time between two other members from
-// their cached coordinates — the third-party estimate coordinate-aware
-// relay selection ranks by, exposed for application-level placement
-// decisions. The second return is false when coordinates are disabled
-// or either member's coordinate is unknown.
-func (n *Node) PeerRTT(a, b string) (time.Duration, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.coordClient == nil {
-		return 0, false
-	}
-	return n.coordClient.PeerRTT(a, b)
-}
-
 // CoordinatePeers returns the names of every member whose coordinate
 // is currently cached, sorted — the enumeration behind the agent's
 // /coords endpoint. Nil when coordinates are disabled.
@@ -292,7 +278,7 @@ func (n *Node) coordWarmLocked() bool {
 
 // EffectiveProbeTimeout returns the direct-probe ack timeout a probe
 // round against the named member would use if it started now: the
-// RTT-adaptive value when Config.AdaptiveProbeTimeout is enabled and
+// RTT-adaptive value when Config.TopologyAware is enabled and
 // coordinates are warm, the static ProbeTimeout otherwise — in both
 // cases scaled by the LHA-Probe awareness multiplier when that is
 // enabled.

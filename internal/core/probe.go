@@ -134,7 +134,7 @@ func (n *Node) scaledProbeTimeout() time.Duration {
 // coordMinSamples observations, or no coordinate is cached for the
 // target (never probed, or dropped when it died).
 func (n *Node) adaptiveProbeTimeoutLocked(target string) (time.Duration, bool) {
-	if !n.cfg.AdaptiveProbeTimeout || !n.coordWarmLocked() {
+	if !n.cfg.TopologyAware || !n.coordWarmLocked() {
 		return 0, false
 	}
 	est, ok := n.coordClient.EstimateRTT(target)
@@ -246,26 +246,12 @@ func (n *Node) probeLocked() {
 	n.probeNodeLocked(target)
 }
 
-// nextProbeTargetLocked selects the member to probe this period:
-// round-robin by default, uniform random under the ablation flag.
+// nextProbeTargetLocked selects the member to probe this period by
+// advancing the round-robin schedule (§III-A). The probe list is
+// maintained incrementally and holds exactly the probeable members
+// (non-self, not dead or left), so a pass is a straight walk; the
+// membership checks are kept as a safety net only.
 func (n *Node) nextProbeTargetLocked() *memberState {
-	if n.cfg.RandomProbeSelection {
-		picks := n.selectRandomLocked(1, func(m *memberState) bool {
-			return m != n.self && m.State != StateDead && m.State != StateLeft
-		})
-		if len(picks) == 0 {
-			return nil
-		}
-		return picks[0]
-	}
-	return n.nextRoundRobinTargetLocked()
-}
-
-// nextRoundRobinTargetLocked advances the round-robin schedule. The
-// probe list is maintained incrementally and holds exactly the probeable
-// members (non-self, not dead or left), so a pass is a straight walk;
-// the membership checks are kept as a safety net only.
-func (n *Node) nextRoundRobinTargetLocked() *memberState {
 	for pass := 0; pass < 2; pass++ {
 		for n.probeIdx < len(n.probeList) {
 			m := n.probeList[n.probeIdx]
@@ -373,7 +359,7 @@ func (n *Node) startProbeRoundLocked(m *memberState) *wire.Ping {
 	timeout, interval, adaptive := n.probeTimeoutsLocked(m.Name)
 	if adaptive {
 		n.cfg.Metrics.IncrCounter(metrics.CounterAdaptiveTimeouts, 1)
-	} else if n.cfg.AdaptiveProbeTimeout {
+	} else if n.cfg.TopologyAware {
 		n.cfg.Metrics.IncrCounter(metrics.CounterAdaptiveFallbacks, 1)
 	}
 
@@ -467,7 +453,7 @@ func (n *Node) probeTimeoutExpiredLocked(seq uint32) {
 		return
 	}
 	// Indirect probes through k members (uniform random, or
-	// coordinate-aware under CoordinateRelaySelection).
+	// coordinate-aware under TopologyAware).
 	relays := n.selectRelaysLocked(target)
 	// Only an actually-escalated round pollutes ack timing: if no
 	// indirect probe or fallback ping leaves (no eligible relay and no
@@ -768,7 +754,7 @@ func (n *Node) handleNackLocked(_ string, nk *wire.Nack) {
 
 // selectRelaysLocked picks the relays for an indirect probe against
 // target. The default is IndirectChecks uniform random picks; with
-// CoordinateRelaySelection on, a guaranteed random-diversity slice is
+// TopologyAware on, a guaranteed random-diversity slice is
 // drawn first (so selection never collapses onto one zone) and the
 // remaining slots go to the candidates whose estimated RTT to the
 // target is lowest per the cached peer coordinates — the members best
@@ -783,7 +769,7 @@ func (n *Node) selectRelaysLocked(target *memberState) []*memberState {
 	match := func(m *memberState) bool {
 		return m.State == StateAlive && m != n.self && m != target
 	}
-	if !n.cfg.CoordinateRelaySelection || n.coordClient == nil || k <= 0 {
+	if !n.cfg.TopologyAware || k <= 0 {
 		return n.selectRandomLocked(k, match)
 	}
 
@@ -812,16 +798,7 @@ func (n *Node) selectRelaysLocked(target *memberState) []*memberState {
 		}
 		return true
 	})
-	n.nearNames = n.nearNames[:0]
-	for _, m := range pool {
-		n.nearNames = append(n.nearNames, m.Name)
-	}
-	marks := n.poolMarksLocked(len(pool))
-	n.nearIdx = n.coordClient.NearestPeerIndexes(target.Name, n.nearNames, k-len(picked), n.nearIdx[:0])
-	for _, i := range n.nearIdx {
-		picked = append(picked, pool[i])
-		marks[i] = true
-	}
+	picked, marks := n.appendNearestLocked(picked, pool, target.Name, k-len(picked))
 	n.cfg.Metrics.IncrCounter(metrics.CounterRelayNearPicks, int64(len(n.nearIdx)))
 
 	// Cold coordinates (target or candidates unranked) leave slots
@@ -841,17 +818,27 @@ func (n *Node) selectRelaysLocked(target *memberState) []*memberState {
 	return picked
 }
 
-// poolMarksLocked returns the node's reusable per-pool-slot flag
-// scratch, zeroed to the requested size.
-func (n *Node) poolMarksLocked(size int) []bool {
-	if cap(n.pickMarks) < size {
-		n.pickMarks = make([]bool, size)
+// appendNearestLocked ranks pool by estimated RTT from ref's cached
+// coordinate (the local one when ref is empty) and appends up to k of
+// the nearest to dst, in rank order. marks flags the pool slots taken;
+// the candidate-name, ranked-index and mark scratch are the node's,
+// reused across calls, so ranking allocates nothing at steady state.
+func (n *Node) appendNearestLocked(dst, pool []*memberState, ref string, k int) ([]*memberState, []bool) {
+	n.nearNames = n.nearNames[:0]
+	for _, m := range pool {
+		n.nearNames = append(n.nearNames, m.Name)
 	}
-	marks := n.pickMarks[:size]
-	for i := range marks {
-		marks[i] = false
+	if cap(n.pickMarks) < len(pool) {
+		n.pickMarks = make([]bool, len(pool))
 	}
-	return marks
+	marks := n.pickMarks[:len(pool)]
+	clear(marks)
+	n.nearIdx = n.coordClient.NearestPeerIndexes(ref, n.nearNames, k, n.nearIdx[:0])
+	for _, i := range n.nearIdx {
+		dst = append(dst, pool[i])
+		marks[i] = true
+	}
+	return dst, marks
 }
 
 // relayPoolSize bounds the candidate pool ranked per escalation: wide

@@ -567,53 +567,11 @@ func TestGossipDeferredWhileBlocked(t *testing.T) {
 	}
 }
 
-func TestRandomProbeSelectionProbesSomeone(t *testing.T) {
-	h := newHarness(t, func(cfg *Config) { cfg.RandomProbeSelection = true })
-	for i := 0; i < 6; i++ {
-		h.addMember(fmt.Sprintf("m%d", i), 1)
-	}
-	h.clearSent()
-	h.run(30 * time.Second)
-	counts := map[string]int{}
-	total := 0
-	for _, p := range h.sentOfType(wire.TypePing) {
-		ping := p.msg.(*wire.Ping)
-		if ping.Target == "self" {
-			t.Fatal("probed self")
-		}
-		counts[ping.Target]++
-		total++
-	}
-	if total < 25 {
-		t.Fatalf("only %d probes in 30 periods", total)
-	}
-	// Random selection with 6 targets over 30 rounds: at least a few
-	// distinct targets must appear (all-same would indicate a stuck
-	// selector).
-	if len(counts) < 3 {
-		t.Errorf("random selection hit only %d distinct targets: %v", len(counts), counts)
-	}
-}
-
-func TestRandomProbeSelectionSkipsDead(t *testing.T) {
-	h := newHarness(t, func(cfg *Config) { cfg.RandomProbeSelection = true })
-	h.addMember("m1", 1)
-	h.addMember("m2", 1)
-	h.inject("x", &wire.Dead{Incarnation: 1, Node: "m1", From: "x"})
-	h.clearSent()
-	h.run(10 * time.Second)
-	for _, p := range h.sentOfType(wire.TypePing) {
-		if p.msg.(*wire.Ping).Target == "m1" {
-			t.Fatal("random selection probed a dead member")
-		}
-	}
-}
-
 // TestCoordinateRelaySelectionPrefersNearTarget: with coordinates
 // cached, relay selection keeps a random-diversity slot and fills the
 // rest with the members whose estimated RTT to the target is lowest.
 func TestCoordinateRelaySelectionPrefersNearTarget(t *testing.T) {
-	h := newHarness(t, func(cfg *Config) { cfg.CoordinateRelaySelection = true })
+	h := newHarness(t, func(cfg *Config) { cfg.TopologyAware = true })
 	h.addMember("target", 1)
 	for _, name := range []string{"near-a", "near-b", "far-a", "far-b", "far-c"} {
 		h.addMember(name, 1)
@@ -663,7 +621,7 @@ func TestCoordinateRelaySelectionPrefersNearTarget(t *testing.T) {
 // TestCoordinateRelaySelectionColdDegradesToUniform: with no cached
 // coordinates every slot falls back to a uniform pick.
 func TestCoordinateRelaySelectionColdDegradesToUniform(t *testing.T) {
-	h := newHarness(t, func(cfg *Config) { cfg.CoordinateRelaySelection = true })
+	h := newHarness(t, func(cfg *Config) { cfg.TopologyAware = true })
 	h.addMember("target", 1)
 	for _, name := range []string{"c1", "c2", "c3", "c4"} {
 		h.addMember(name, 1)

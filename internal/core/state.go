@@ -109,8 +109,8 @@ func (n *Node) applyMergedSuspicionLocked(name string, inc uint64) {
 // anomaly — in memberlist this is a time.AfterFunc that only mutates
 // local state and enqueues a broadcast, so a stalled process still
 // executes it. This is the mechanism behind false positives at slow
-// members (DESIGN.md §2.1). m is the record the suspicion was opened
-// on.
+// members (docs/ARCHITECTURE.md §Data flow). m is the record the
+// suspicion was opened on.
 func (n *Node) suspicionExpired(m *memberState, inc uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

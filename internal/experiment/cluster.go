@@ -96,11 +96,6 @@ type ClusterConfig struct {
 	// for ablation studies. Zero keeps the paper's default (8).
 	MaxLHM int
 
-	// RandomProbeSelection replaces round-robin probe target selection
-	// with uniform random selection, the strawman SWIM rejects
-	// (§III-A). For ablation studies.
-	RandomProbeSelection bool
-
 	// TopologyAware enables the coordinate-driven protocol extensions
 	// on every member: RTT-adaptive probe timeouts with early round
 	// close, coordinate-aware indirect-probe relay selection, and
@@ -255,12 +250,7 @@ func (c *Cluster) addNode(name string) (*core.Node, error) {
 	if c.cc.MaxLHM > 0 {
 		cfg.MaxLHM = c.cc.MaxLHM
 	}
-	cfg.RandomProbeSelection = c.cc.RandomProbeSelection
-	if c.cc.TopologyAware {
-		cfg.AdaptiveProbeTimeout = true
-		cfg.CoordinateRelaySelection = true
-		cfg.LatencyAwareGossip = true
-	}
+	cfg.TopologyAware = c.cc.TopologyAware
 	// The per-member clock lets fault schedules degrade this member's
 	// timers; with no degradation installed it is identical to the
 	// shared network clock.

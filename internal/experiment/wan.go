@@ -153,12 +153,12 @@ type WANResult struct {
 
 	// RelayNear and RelayRandom count indirect-probe relays chosen by
 	// coordinate proximity versus uniformly (diversity slice + cold
-	// fill) under CoordinateRelaySelection.
+	// fill) under TopologyAware.
 	RelayNear, RelayRandom int64
 
 	// GossipNear and GossipEscape count gossip targets chosen by
 	// proximity versus the uniform escape slice under
-	// LatencyAwareGossip.
+	// TopologyAware.
 	GossipNear, GossipEscape int64
 
 	// ObsRTTSamples is the number of telemetry RTT samples behind the

@@ -54,7 +54,7 @@ const (
 	CounterCoordRejected = "coord_rejected"
 
 	// CounterAdaptiveTimeouts counts probe rounds whose direct timeout
-	// was derived from the RTT estimate (Config.AdaptiveProbeTimeout
+	// was derived from the RTT estimate (Config.TopologyAware
 	// enabled and coordinates warm).
 	CounterAdaptiveTimeouts = "adaptive_timeouts"
 
@@ -69,16 +69,16 @@ const (
 	CounterRelayNearPicks = "relay_near_picks"
 
 	// CounterRelayRandomPicks counts indirect-probe relays chosen
-	// uniformly at random while CoordinateRelaySelection is enabled
+	// uniformly at random while Config.TopologyAware is enabled
 	// (the diversity slice, plus cold-coordinate fill).
 	CounterRelayRandomPicks = "relay_random_picks"
 
 	// CounterGossipNearPicks counts gossip-tick targets chosen by
-	// coordinate proximity under LatencyAwareGossip.
+	// coordinate proximity under Config.TopologyAware.
 	CounterGossipNearPicks = "gossip_near_picks"
 
 	// CounterGossipEscapePicks counts gossip-tick targets chosen
-	// uniformly at random under LatencyAwareGossip (the cross-cluster
+	// uniformly at random under Config.TopologyAware (the cross-cluster
 	// escape slice).
 	CounterGossipEscapePicks = "gossip_escape_picks"
 )

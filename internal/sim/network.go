@@ -47,8 +47,8 @@ type Options struct {
 	// QueueCap bounds each member's inbound queue, modelling the kernel
 	// socket buffer. Overflow is tail-drop: the newest packet is lost,
 	// which is what makes a late refutation vanish behind an earlier
-	// stale suspicion at a blocked member (DESIGN.md §2.1). Defaults to
-	// 512 packets.
+	// stale suspicion at a blocked member (docs/ARCHITECTURE.md
+	// §Simulator engine). Defaults to 512 packets.
 	QueueCap int
 
 	// ServiceTime is the per-message processing cost at a member. A

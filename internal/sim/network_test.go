@@ -211,7 +211,8 @@ func TestWakeCallbacksRunOnRelease(t *testing.T) {
 
 func TestWakeOrderOutboxBeforeCallbacksBeforeDrain(t *testing.T) {
 	// On release: held sends flush first, then wake callbacks, then the
-	// backlog drains at the service rate (DESIGN.md §2.1).
+	// backlog drains at the service rate (docs/ARCHITECTURE.md §Fault
+	// injection).
 	r := newRig(t, Options{ServiceTime: time.Millisecond})
 	a, _ := r.attach(t, "a")
 	b, _ := r.attach(t, "b")

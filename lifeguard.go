@@ -89,9 +89,7 @@ type Transport = core.Transport
 // configured origin. See Node.Coordinate, Node.EstimateRTT and
 // Node.EffectiveProbeTimeout; coordinates are enabled by default and
 // controlled by Config.DisableCoordinates, and the coordinate-driven
-// protocol extensions (Config.AdaptiveProbeTimeout,
-// Config.CoordinateRelaySelection, Config.LatencyAwareGossip) build
-// on them.
+// protocol extensions (Config.TopologyAware) build on them.
 type Coordinate = coords.Coordinate
 
 // UDPTransport is the production transport: UDP datagrams with a TCP
