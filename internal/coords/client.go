@@ -358,15 +358,17 @@ func (c *Client) checkCoordinate(coord *Coordinate) error {
 // and returns the window median — the Vivaldi paper's MEDIAN filter,
 // which discards one-off latency spikes without the lag of a mean.
 func (c *Client) latencyFilter(peer string, rttSeconds float64) float64 {
-	samples := c.latencyFilters[peer]
-	samples = append(samples, rttSeconds)
-	if len(samples) > c.cfg.LatencyFilterSize {
-		// Shift in place instead of reslicing forward: a [1:] reslice
-		// walks the window through its backing array, so every append
-		// at capacity reallocated; the shift keeps one fixed-size
-		// array per peer for the life of the filter.
+	samples, ok := c.latencyFilters[peer]
+	if !ok {
+		// The window's one allocation, at its final size.
+		samples = make([]float64, 0, c.cfg.LatencyFilterSize)
+	}
+	if len(samples) == c.cfg.LatencyFilterSize {
+		// Full: shift the oldest sample out in place.
 		copy(samples, samples[1:])
-		samples = samples[:len(samples)-1]
+		samples[len(samples)-1] = rttSeconds
+	} else {
+		samples = append(samples, rttSeconds)
 	}
 	c.latencyFilters[peer] = samples
 

@@ -1,6 +1,7 @@
 package coords
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -157,6 +158,50 @@ func TestLatencyFilterSuppressesOutlier(t *testing.T) {
 	}
 	if fErr > 0.01 {
 		t.Fatalf("filtered estimate too far off: %v vs %v", filtered, trueRTT)
+	}
+}
+
+// TestLatencyFilterWindowAllocatedOnce: a new peer's first
+// LatencyFilterSize+2 observations allocate its window once, at its
+// final size (the map is pre-sized so its growth stays out of the
+// count), and the filter returns the median of a plain sliding window.
+func TestLatencyFilterWindowAllocatedOnce(t *testing.T) {
+	c := newTestClient(t, 1)
+	size := c.cfg.LatencyFilterSize
+	const peers = 64
+	names := make([]string, peers+1) // AllocsPerRun adds a warm-up run
+	for i := range names {
+		names[i] = fmt.Sprintf("peer-%02d", i)
+	}
+	c.latencyFilters = make(map[string][]float64, len(names))
+	next := 0
+	allocs := testing.AllocsPerRun(peers, func() {
+		peer := names[next]
+		next++
+		for i := 0; i < size+2; i++ {
+			c.latencyFilter(peer, float64(i+1)*1e-3)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("a new peer's first %d observations allocate %.0f times, want 1", size+2, allocs)
+	}
+	if w := c.latencyFilters[names[0]]; len(w) != size || cap(w) != size {
+		t.Fatalf("window len %d cap %d, want %d and %d", len(w), cap(w), size, size)
+	}
+
+	rng := rand.New(rand.NewSource(7))
+	var window []float64
+	for i := 0; i < 50; i++ {
+		x := rng.Float64()
+		window = append(window, x)
+		if len(window) > size {
+			window = window[1:]
+		}
+		sorted := slices.Clone(window)
+		slices.Sort(sorted)
+		if got, want := c.latencyFilter("ref", x), sorted[len(sorted)/2]; got != want {
+			t.Fatalf("observation %d: median %v, want %v", i, got, want)
+		}
 	}
 }
 

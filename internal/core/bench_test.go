@@ -143,20 +143,23 @@ func TestGossipTargetsAllocs(t *testing.T) {
 }
 
 // BenchmarkPushPullSnapshot measures one push-pull exchange's state
-// snapshot at a 1k-member table. The incrementally maintained sorted
-// roster plus the node-owned scratch slice make it a straight copy —
-// zero allocations and no per-exchange sort (the old path allocated a
-// fresh slice and sort.Slice'd the whole table every exchange).
+// snapshot at a 1k-member table, taken from the pool and returned. The
+// incrementally maintained sorted roster plus the pooled table make it a
+// straight copy and a clear — zero allocations and no per-exchange sort
+// (the old path allocated a fresh slice and sort.Slice'd the whole table
+// every exchange).
 func BenchmarkPushPullSnapshot(b *testing.B) {
 	n := newBenchNode(b, 1000, nil)
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.localStatesLocked() // grow the scratch once
+	putStates(n.localStatesLocked()) // grow a pooled table once
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := n.localStatesLocked(); len(got) != 1001 {
+		got := n.localStatesLocked()
+		if len(got) != 1001 {
 			b.Fatalf("snapshot has %d states, want 1001", len(got))
 		}
+		putStates(got)
 	}
 }

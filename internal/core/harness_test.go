@@ -28,12 +28,16 @@ type harness struct {
 	// everyone. Names in unresponsive stop answering.
 	autoAck      bool
 	unresponsive map[string]bool
+
+	// sendErr, when set, is what every send returns (after capture).
+	sendErr error
 }
 
 type sentPacket struct {
 	to       string
 	reliable bool
 	msgs     []wire.Message
+	payload  []byte // the encoded packet, copied
 }
 
 type captureTransport struct {
@@ -48,7 +52,10 @@ func (c *captureTransport) SendPacket(to string, payload []byte, reliable bool) 
 	if err != nil {
 		c.h.t.Fatalf("node sent undecodable packet: %v", err)
 	}
-	c.h.sent = append(c.h.sent, sentPacket{to: to, reliable: reliable, msgs: msgs})
+	c.h.sent = append(c.h.sent, sentPacket{to: to, reliable: reliable, msgs: msgs, payload: append([]byte(nil), payload...)})
+	if c.h.sendErr != nil {
+		return c.h.sendErr
+	}
 
 	if c.h.autoAck && !c.h.unresponsive[to] {
 		for _, m := range msgs {

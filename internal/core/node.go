@@ -140,8 +140,7 @@ type Node struct {
 	pickMarks      []bool   // per-pool-slot "already picked" flags
 	gossipPool     []*memberState
 	gossipTargets  []*memberState
-	fanoutAddrs    []string             // shared-payload gossip group addresses
-	ppStates       []wire.PushPullState // push-pull snapshot scratch
+	fanoutAddrs    []string // shared-payload gossip group addresses
 
 	// fanout is cfg.Transport's optional fan-out extension, resolved
 	// once at construction; nil when the transport sends one packet at
@@ -360,12 +359,8 @@ func (n *Node) Join(addr string) error {
 	if !n.started || n.shutdown {
 		return fmt.Errorf("core: node %s not running", n.cfg.Name)
 	}
-	req := &wire.PushPullReq{
-		Source: n.cfg.Name,
-		Join:   true,
-		States: n.localStatesLocked(),
-	}
-	return n.sendPacketLocked(addr, []wire.Message{req}, true)
+	states := n.localStatesLocked()
+	return n.sendStatesLocked(addr, &wire.PushPullReq{Source: n.cfg.Name, Join: true, States: states}, states)
 }
 
 // selfAliveLocked builds an alive announcement for the local member at

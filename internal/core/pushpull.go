@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"lifeguard/internal/wire"
@@ -19,18 +20,54 @@ func (n *Node) sortedInsertLocked(m *memberState) {
 	n.sortedMembers = slices.Insert(n.sortedMembers, i, m)
 }
 
+// statesPool holds the process's spare push-pull snapshot tables, shared
+// by every Node. A table is out of the pool only from localStatesLocked
+// to the encoding of the message that carries it (sendStatesLocked), so
+// a node holds no table between exchanges, and the pool holds at most as
+// many tables as exchanges were ever encoded at once. Every slot of a
+// pooled table is zero: no member name or Meta outlives its exchange.
+// It is a free list rather than a sync.Pool so that what it holds is
+// exactly that bound, and tests can inspect every table in it.
+var statesPool struct {
+	sync.Mutex
+	free [][]wire.PushPullState
+}
+
+// takeStates returns an empty table from the pool, or nil when the pool
+// is empty (append then allocates it).
+func takeStates() []wire.PushPullState {
+	statesPool.Lock()
+	defer statesPool.Unlock()
+	n := len(statesPool.free)
+	if n == 0 {
+		return nil
+	}
+	states := statesPool.free[n-1]
+	statesPool.free[n-1] = nil
+	statesPool.free = statesPool.free[:n-1]
+	return states
+}
+
+// putStates clears a table and returns it to the pool. Slots past
+// len(states) are already zero: every slot ever filled was inside the
+// length of some earlier table that putStates cleared.
+func putStates(states []wire.PushPullState) {
+	clear(states)
+	statesPool.Lock()
+	statesPool.free = append(statesPool.free, states[:0])
+	statesPool.Unlock()
+}
+
 // localStatesLocked snapshots the full membership table, including self
 // and the retained dead, for a push-pull exchange. The table is in
 // ascending name order so the wire encoding — and therefore the
 // receiver's merge order — is deterministic; the order comes for free
 // from the incrementally maintained sorted roster (sortedInsertLocked).
 //
-// The returned slice is the node's reusable snapshot scratch: it is
-// valid only until the next localStatesLocked call. Every caller
-// encodes it into a packet before releasing the node lock, which is
-// what makes the reuse safe.
+// The returned table is taken from statesPool; the caller hands it to
+// sendStatesLocked, which returns it.
 func (n *Node) localStatesLocked() []wire.PushPullState {
-	states := n.ppStates[:0]
+	states := takeStates()
 	for _, m := range n.sortedMembers {
 		states = append(states, wire.PushPullState{
 			Name:        m.Name,
@@ -40,8 +77,19 @@ func (n *Node) localStatesLocked() []wire.PushPullState {
 			Meta:        m.Meta,
 		})
 	}
-	n.ppStates = states
 	return states
+}
+
+// sendStatesLocked sends msg, a PushPullReq or PushPullResp carrying
+// states from localStatesLocked, over the reliable channel. The table
+// goes back to the pool as soon as msg is encoded, before the transport
+// sees the packet, so no outcome of the send can keep it.
+func (n *Node) sendStatesLocked(addr string, msg wire.Message, states []wire.PushPullState) error {
+	p := wire.AcquirePacker()
+	defer p.Release()
+	p.Add(msg)
+	putStates(states)
+	return n.sendPackedLocked(addr, p, true)
 }
 
 // schedulePushPullLocked arms the next anti-entropy exchange.
@@ -96,11 +144,8 @@ func (n *Node) pushPullLocked() {
 	if len(peers) == 0 {
 		return
 	}
-	req := &wire.PushPullReq{
-		Source: n.cfg.Name,
-		States: n.localStatesLocked(),
-	}
-	_ = n.sendPacketLocked(peers[0].Addr, []wire.Message{req}, true)
+	states := n.localStatesLocked()
+	_ = n.sendStatesLocked(peers[0].Addr, &wire.PushPullReq{Source: n.cfg.Name, States: states}, states)
 }
 
 // handlePushPullReqLocked merges the remote table and answers with ours.
@@ -112,10 +157,6 @@ func (n *Node) pushPullLocked() {
 // converge in a couple of reconnect rounds instead of many.
 func (n *Node) handlePushPullReqLocked(from string, req *wire.PushPullReq) {
 	n.mergeRemoteStateLocked(req.Source, req.States)
-	resp := &wire.PushPullResp{
-		Source: n.cfg.Name,
-		States: n.localStatesLocked(),
-	}
 
 	// Address the response by the requester's own advertised address in
 	// its state table, not by our member record: after a crash-rejoin on
@@ -136,7 +177,8 @@ func (n *Node) handlePushPullReqLocked(from string, req *wire.PushPullReq) {
 			break
 		}
 	}
-	_ = n.sendPacketLocked(addr, []wire.Message{resp}, true)
+	states := n.localStatesLocked()
+	_ = n.sendStatesLocked(addr, &wire.PushPullResp{Source: n.cfg.Name, States: states}, states)
 }
 
 // handlePushPullRespLocked merges the response half of an exchange.
@@ -183,11 +225,8 @@ func (n *Node) reconnectTick() {
 		return
 	}
 	n.cfg.Metrics.IncrCounter("reconnect_attempts", 1)
-	req := &wire.PushPullReq{
-		Source: n.cfg.Name,
-		States: n.localStatesLocked(),
-	}
-	_ = n.sendPacketLocked(targets[0].Addr, []wire.Message{req}, true)
+	states := n.localStatesLocked()
+	_ = n.sendStatesLocked(targets[0].Addr, &wire.PushPullReq{Source: n.cfg.Name, States: states}, states)
 }
 
 // mergeRemoteStateLocked reconciles a remote membership table with ours

@@ -156,7 +156,7 @@ func RunChurn(cc ClusterConfig, p ChurnParams) (ChurnResult, error) {
 			res.Leaves++
 		default: // join: a fresh member enters through the seed
 			name := fmt.Sprintf("churn-%03d", res.Joins)
-			node, err := c.addNode(name)
+			node, err := c.addNode(name, nil)
 			if err != nil {
 				return ChurnResult{}, err
 			}

@@ -7,6 +7,8 @@ package experiment
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
 	"time"
 
 	"lifeguard/internal/core"
@@ -229,19 +231,40 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 		c.Telem = telem
 	}
 
-	for i := 0; i < cc.N; i++ {
-		if _, err := c.addNode(NodeName(i)); err != nil {
+	for i, rng := range seedRNGs(cc.Seed*7919+1, cc.N) {
+		if _, err := c.addNode(NodeName(i), rng); err != nil {
 			return nil, err
 		}
 	}
 	return c, nil
 }
 
+// seedRNGs returns n RNGs seeded base, base+1, …, base+n-1, seeded on
+// every CPU: filling a math/rand source's 607-word state is most of what
+// building a member costs, and each source depends on its seed alone.
+func seedRNGs(base int64, n int) []*rand.Rand {
+	rngs := make([]*rand.Rand, n)
+	workers := min(runtime.GOMAXPROCS(0), n)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < n; i += workers {
+				rngs[i] = rand.New(rand.NewSource(base + int64(i)))
+			}
+		}()
+	}
+	wg.Wait()
+	return rngs
+}
+
 // addNode builds one protocol node, attaches it to the network, and
 // registers it with the cluster. The RNG seed derives from the node's
 // position in the join order, so runs stay deterministic even when
-// members are added mid-experiment (churn scenarios).
-func (c *Cluster) addNode(name string) (*core.Node, error) {
+// members are added mid-experiment (churn scenarios); rng, when not nil,
+// is that RNG already seeded (NewCluster seeds its members' at once).
+func (c *Cluster) addNode(name string, rng *rand.Rand) (*core.Node, error) {
 	cfg := core.DefaultConfig(name)
 	c.cc.Protocol.apply(cfg)
 	if c.cc.SuspicionK > 0 {
@@ -256,7 +279,10 @@ func (c *Cluster) addNode(name string) (*core.Node, error) {
 	// shared network clock.
 	cfg.Clock = c.Net.NodeClock(name)
 	c.addSeq++
-	cfg.RNG = rand.New(rand.NewSource(c.cc.Seed*7919 + c.addSeq))
+	if rng == nil {
+		rng = rand.New(rand.NewSource(c.cc.Seed*7919 + c.addSeq))
+	}
+	cfg.RNG = rng
 	cfg.Events = eventRecorder{log: c.Events, clock: c.Net.Clock(), observer: name}
 	cfg.Metrics = c.Sink
 	if c.Telem != nil {

@@ -236,7 +236,7 @@ func RunRestartCell(cc ClusterConfig, p RestartParams) (RestartCellResult, error
 				c.RemoveNode(name)
 			})
 			c.Sched.ScheduleAt(leaveAt.Add(p.DownFor), func() {
-				node, err := c.addNode(name)
+				node, err := c.addNode(name, nil)
 				if err == nil {
 					err = node.Start()
 				}

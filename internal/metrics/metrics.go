@@ -188,58 +188,107 @@ type Event struct {
 
 // EventLog records membership events from many observers.
 //
+// The log stores each event as a 32-byte record with no pointers —
+// nanoseconds since the Unix epoch, incarnation, observer and subject as
+// indexes into the log's name table, and type — in fixed-size chunks,
+// so the collector never scans it and growth never copies it.
+//
 // EventLog is safe for concurrent use.
 type EventLog struct {
 	mu     sync.Mutex
-	events []Event
+	chunks [][]record
+	n      int
+	names  []string          // name table: index → name
+	index  map[string]uint32 // name table: name → index
 }
+
+// record is one Event as the log stores it.
+type record struct {
+	unixNano    int64
+	incarnation uint64
+	observer    uint32
+	subject     uint32
+	typ         EventType
+}
+
+// chunkLen is the number of records per chunk (32 KiB).
+const chunkLen = 1024
 
 // NewEventLog returns an empty, unbounded event log.
 func NewEventLog() *EventLog {
 	return &EventLog{}
 }
 
-// Append records an event.
+// Append records an event. Its Time must lie within the int64
+// nanosecond range around the Unix epoch (years 1678 to 2262).
 func (l *EventLog) Append(ev Event) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.events) == cap(l.events) {
-		// Grow by explicit doubling: append's growth factor tapers off
-		// for large slices, and a busy simulation appends millions of
-		// events — the tapered growth re-copied the log often enough
-		// that its cumulative allocation ran several times the final
-		// size. Doubling caps the churn at ~2× the high-water mark.
-		newCap := 2 * cap(l.events)
-		if newCap < 256 {
-			newCap = 256
-		}
-		grown := make([]Event, len(l.events), newCap)
-		copy(grown, l.events)
-		l.events = grown
+	if l.n%chunkLen == 0 {
+		l.chunks = append(l.chunks, make([]record, 0, chunkLen))
 	}
-	l.events = append(l.events, ev)
+	last := &l.chunks[len(l.chunks)-1]
+	*last = append(*last, record{
+		unixNano:    ev.Time.UnixNano(),
+		incarnation: ev.Incarnation,
+		observer:    l.nameIndex(ev.Observer),
+		subject:     l.nameIndex(ev.Subject),
+		typ:         ev.Type,
+	})
+	l.n++
+}
+
+// nameIndex returns name's index in the name table, adding it if new.
+func (l *EventLog) nameIndex(name string) uint32 {
+	if i, ok := l.index[name]; ok {
+		return i
+	}
+	if l.index == nil {
+		l.index = make(map[string]uint32)
+	}
+	i := uint32(len(l.names))
+	l.names = append(l.names, name)
+	l.index[name] = i
+	return i
 }
 
 // Len returns the number of recorded events.
 func (l *EventLog) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.events)
+	return l.n
 }
 
-// Events returns a copy of all recorded events, ordered by time.
+// Events returns a copy of all recorded events, ordered by time (stably:
+// events at the same instant keep their append order).
+//
+// Each Time is rebuilt with time.Unix from its nanoseconds since the
+// Unix epoch, so it has no monotonic clock reading and its location is
+// time.Local. A time on a simulator clock — an epoch from time.Unix plus
+// virtual offsets — therefore comes back equal under == to the one
+// appended; a time.Now() reading comes back Equal to it, but not ==.
 func (l *EventLog) Events() []Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Event, len(l.events))
-	copy(out, l.events)
+	out := make([]Event, 0, l.n)
+	for _, chunk := range l.chunks {
+		for _, r := range chunk {
+			out = append(out, Event{
+				Time:        time.Unix(0, r.unixNano),
+				Observer:    l.names[r.observer],
+				Subject:     l.names[r.subject],
+				Type:        r.typ,
+				Incarnation: r.incarnation,
+			})
+		}
+	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Time.Before(out[j].Time) })
 	return out
 }
 
-// Reset clears the log.
+// Reset clears the log, its name table included.
 func (l *EventLog) Reset() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.events = nil
+	l.chunks, l.n, l.names, l.index = nil, 0, nil, nil
 }

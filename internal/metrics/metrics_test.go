@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestMemSinkCounters(t *testing.T) {
@@ -104,6 +105,72 @@ func TestEventLogConcurrentAppend(t *testing.T) {
 	wg.Wait()
 	if got := l.Len(); got != 2000 {
 		t.Errorf("len = %d", got)
+	}
+}
+
+// TestEventLogRoundTrip: Events returns exactly what was appended. For
+// simulator-clock times (a time.Unix epoch plus virtual offsets) every
+// field, Time included, is equal under ==, across several chunk
+// boundaries; a time.Now() reading loses its monotonic part and comes
+// back Equal.
+func TestEventLogRoundTrip(t *testing.T) {
+	l := NewEventLog()
+	epoch := time.Unix(0, 0)
+	names := []string{"node-000", "node-001", "node-002", "node-003", "node-004"}
+	var want []Event
+	for i := 0; i < 3*chunkLen+17; i++ {
+		ev := Event{
+			Time:        epoch.Add(time.Duration(i) * 1234567 * time.Nanosecond),
+			Observer:    names[i%len(names)],
+			Subject:     names[(i*7+3)%len(names)],
+			Type:        EventType(1 + i%4),
+			Incarnation: uint64(i) << 20,
+		}
+		want = append(want, ev)
+		l.Append(ev)
+	}
+	got := l.Events()
+	if len(got) != len(want) {
+		t.Fatalf("%d events back, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+
+	l.Reset()
+	now := time.Now()
+	l.Append(Event{Time: now, Observer: "a", Subject: "b", Type: EventDead, Incarnation: 9})
+	ev := l.Events()[0]
+	if !ev.Time.Equal(now) || ev.Observer != "a" || ev.Subject != "b" || ev.Type != EventDead || ev.Incarnation != 9 {
+		t.Fatalf("wall-clock event = %+v, want time Equal to %v", ev, now)
+	}
+}
+
+// TestEventLogAppendAllocs: once its names are known, appending costs one
+// chunk allocation per chunkLen events and nothing else, and a stored
+// record is 32 bytes.
+func TestEventLogAppendAllocs(t *testing.T) {
+	if size := unsafe.Sizeof(record{}); size != 32 {
+		t.Fatalf("record is %d bytes, want 32", size)
+	}
+	l := NewEventLog()
+	ev := Event{Time: time.Unix(0, 0), Observer: "node-000", Subject: "node-001", Type: EventJoin}
+	l.Append(ev)
+	for i := 1; i < chunkLen; i++ { // fill the first chunk
+		l.Append(ev)
+	}
+	allocs := testing.AllocsPerRun(8, func() {
+		for i := 0; i < chunkLen; i++ {
+			ev.Time = ev.Time.Add(time.Millisecond)
+			l.Append(ev)
+		}
+	})
+	// Each run opens one chunk; the chunk index grows by doubling, which
+	// rounds away over the runs.
+	if allocs > 1 {
+		t.Fatalf("%d appends allocate %.0f times, want 1 (the chunk)", chunkLen, allocs)
 	}
 }
 
