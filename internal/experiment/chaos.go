@@ -30,14 +30,13 @@ type ChaosParams struct {
 	N int
 
 	// Victims is the number of members afflicted by each scenario's
-	// non-fatal fault. Defaults to 6; negative means none (a pure
-	// crash-detection run).
+	// non-fatal fault. Defaults to 6.
 	Victims int
 
 	// Crashes is the number of members hard-crashed (inbound dropped,
-	// immune to resume) during the fault window. Defaults to 3;
-	// negative means none (a pure false-positive run). The crash set is
-	// disjoint from the victim set and identical in every cell.
+	// immune to resume) during the fault window. Defaults to 3. The
+	// crash set is disjoint from the victim set and identical in every
+	// cell.
 	Crashes int
 
 	// FaultFor is the fault window: scenario faults run over
@@ -46,35 +45,12 @@ type ChaosParams struct {
 
 	// CrashAt is the crash offset inside the fault window, so real
 	// failures must be detected while the chaos is ongoing. Defaults to
-	// FaultFor / 3.
+	// FaultFor / 3; it must be below FaultFor.
 	CrashAt time.Duration
 
 	// Settle is how long the run continues after the fault window, for
 	// in-flight suspicions to resolve. Defaults to 45 s.
 	Settle time.Duration
-
-	// Degrade is the degraded-member scenario's per-message (and
-	// per-timer) processing delay. The default, Base 150 ms + 300 ms
-	// jitter, makes victims miss most direct-probe deadlines and build
-	// queues under gossip bursts while still (slowly) responding — the
-	// paper's slow member, squarely in the regime where SWIM's fixed
-	// suspicion timeout false-positives and Lifeguard's does not.
-	Degrade sim.DelayDist
-
-	// PauseFor and WakeFor are the pause-flap scenario's duty cycle.
-	// Defaults: 12 s paused (long enough to outlive the SWIM suspicion
-	// timeout), 6 s awake.
-	PauseFor, WakeFor time.Duration
-
-	// Link is the lossy-link scenario's impairment, applied in both
-	// directions between each victim and every other member. Default:
-	// 25% loss, 15% duplication, 25% reordering.
-	Link sim.LinkFault
-
-	// PartitionFraction is the fraction of peers each asym-partition
-	// victim cannot send to (it still receives from everyone — the
-	// asymmetric half-open failure). Defaults to 0.6.
-	PartitionFraction float64
 
 	// Scenarios filters the scenario axis by name. Empty runs all of
 	// ChaosScenarioNames.
@@ -86,22 +62,16 @@ type ChaosParams struct {
 	Configs []ProtocolConfig
 }
 
-// withDefaults resolves zero-valued parameters.
+// withDefaults resolves zero-valued parameters. It is idempotent.
 func (p ChaosParams) withDefaults() ChaosParams {
 	if p.N == 0 {
 		p.N = 48
 	}
-	switch {
-	case p.Victims == 0:
+	if p.Victims <= 0 {
 		p.Victims = 6
-	case p.Victims < 0:
-		p.Victims = 0
 	}
-	switch {
-	case p.Crashes == 0:
+	if p.Crashes <= 0 {
 		p.Crashes = 3
-	case p.Crashes < 0:
-		p.Crashes = 0
 	}
 	if p.FaultFor <= 0 {
 		p.FaultFor = 60 * time.Second
@@ -112,26 +82,38 @@ func (p ChaosParams) withDefaults() ChaosParams {
 	if p.Settle <= 0 {
 		p.Settle = 45 * time.Second
 	}
-	if p.Degrade.IsZero() {
-		p.Degrade = sim.DelayDist{Base: 150 * time.Millisecond, Jitter: 300 * time.Millisecond}
-	}
-	if p.PauseFor <= 0 {
-		p.PauseFor = 12 * time.Second
-	}
-	if p.WakeFor <= 0 {
-		p.WakeFor = 6 * time.Second
-	}
-	if p.Link.Loss == 0 && p.Link.Duplicate == 0 && p.Link.Reorder == 0 {
-		p.Link = sim.LinkFault{Loss: 0.25, Duplicate: 0.15, Reorder: 0.25}
-	}
-	if p.PartitionFraction == 0 {
-		p.PartitionFraction = 0.6
-	}
 	if len(p.Configs) == 0 {
 		p.Configs = Configurations
 	}
 	return p
 }
+
+// The scenarios' fault levels.
+var (
+	// chaosDegrade is the degraded-member scenario's per-message (and
+	// per-timer) processing delay: victims miss most direct-probe
+	// deadlines and build queues under gossip bursts while still
+	// (slowly) responding — the paper's slow member, squarely in the
+	// regime where SWIM's fixed suspicion timeout false-positives and
+	// Lifeguard's does not.
+	chaosDegrade = sim.DelayDist{Base: 150 * time.Millisecond, Jitter: 300 * time.Millisecond}
+
+	// chaosLink is the lossy-link scenario's impairment, applied in both
+	// directions between each victim and every other member.
+	chaosLink = sim.LinkFault{Loss: 0.25, Duplicate: 0.15, Reorder: 0.25}
+)
+
+const (
+	// chaosPauseFor and chaosWakeFor are the pause-flap scenario's duty
+	// cycle: paused long enough to outlive the SWIM suspicion timeout.
+	chaosPauseFor = 12 * time.Second
+	chaosWakeFor  = 6 * time.Second
+
+	// chaosPartitionFraction is the fraction of peers each
+	// asym-partition victim cannot send to (it still receives from
+	// everyone — the asymmetric half-open failure).
+	chaosPartitionFraction = 0.6
+)
 
 // chaosScenario is one row of the scenario matrix: a named builder
 // appending its fault script for the victim set over [0, FaultFor).
@@ -148,7 +130,7 @@ type chaosScenario struct {
 // degrade slows victims' processing for the whole window.
 func buildDegraded(s *sim.FaultSchedule, victims, _ []string, p ChaosParams, _ *rand.Rand) {
 	for _, v := range victims {
-		s.DegradeNode(0, v, p.Degrade)
+		s.DegradeNode(0, v, chaosDegrade)
 		s.RestoreNode(p.FaultFor, v)
 	}
 }
@@ -156,8 +138,8 @@ func buildDegraded(s *sim.FaultSchedule, victims, _ []string, p ChaosParams, _ *
 // pause-flap cycles victims through total stalls with buffered inbound.
 func buildPauseFlap(s *sim.FaultSchedule, victims, _ []string, p ChaosParams, _ *rand.Rand) {
 	for _, v := range victims {
-		for t := time.Duration(0); t < p.FaultFor; t += p.PauseFor + p.WakeFor {
-			end := t + p.PauseFor
+		for t := time.Duration(0); t < p.FaultFor; t += chaosPauseFor + chaosWakeFor {
+			end := t + chaosPauseFor
 			if end > p.FaultFor {
 				end = p.FaultFor
 			}
@@ -168,7 +150,8 @@ func buildPauseFlap(s *sim.FaultSchedule, victims, _ []string, p ChaosParams, _ 
 }
 
 // asym-partition makes each victim half-open: it cannot send to a
-// random PartitionFraction of peers but still receives from everyone.
+// random chaosPartitionFraction of peers but still receives from
+// everyone.
 func buildAsymPartition(s *sim.FaultSchedule, victims, peers []string, p ChaosParams, rng *rand.Rand) {
 	for _, v := range victims {
 		others := make([]string, 0, len(peers)-1)
@@ -177,7 +160,7 @@ func buildAsymPartition(s *sim.FaultSchedule, victims, peers []string, p ChaosPa
 				others = append(others, o)
 			}
 		}
-		k := int(p.PartitionFraction * float64(len(others)))
+		k := int(chaosPartitionFraction * float64(len(others)))
 		for _, i := range rng.Perm(len(others))[:k] {
 			o := others[i]
 			s.FailLink(0, v, o, true)
@@ -193,8 +176,8 @@ func buildLossyLink(s *sim.FaultSchedule, victims, peers []string, p ChaosParams
 			if o == v {
 				continue
 			}
-			s.ImpairLink(0, v, o, p.Link)
-			s.ImpairLink(0, o, v, p.Link)
+			s.ImpairLink(0, v, o, chaosLink)
+			s.ImpairLink(0, o, v, chaosLink)
 			s.HealLink(p.FaultFor, v, o)
 			s.HealLink(p.FaultFor, o, v)
 		}
@@ -296,20 +279,8 @@ type ChaosResult struct {
 // run: disjoint, excluding member 0 (the join seed), identical across
 // every cell of the matrix.
 func chaosCast(p ChaosParams, seed int64) (victims, crashed []string) {
-	rng := rand.New(rand.NewSource(seed*31 + 17))
-	idx := rng.Perm(p.N - 1)
-	take := func(k int) []string {
-		if k > len(idx) {
-			k = len(idx)
-		}
-		names := make([]string, 0, k)
-		for _, i := range idx[:k] {
-			names = append(names, NodeName(i+1))
-		}
-		idx = idx[k:]
-		return names
-	}
-	return take(p.Victims), take(p.Crashes)
+	names := cast(p.N, p.Victims+p.Crashes, seed*31+17)
+	return names[:p.Victims], names[p.Victims:]
 }
 
 // findChaosScenario resolves a scenario by name.
@@ -335,9 +306,9 @@ func RunChaosCell(cc ClusterConfig, scenario string, p ChaosParams) (ChaosCellRe
 			"experiment: chaos fault sets need %d members (%d victims + %d crashes) but only %d are eligible (N=%d minus the join seed)",
 			p.Victims+p.Crashes, p.Victims, p.Crashes, p.N-1, p.N)
 	}
-	if p.PartitionFraction < 0 || p.PartitionFraction > 1 {
+	if p.CrashAt >= p.FaultFor {
 		return ChaosCellResult{}, nil, fmt.Errorf(
-			"experiment: PartitionFraction %g outside [0, 1]", p.PartitionFraction)
+			"experiment: chaos CrashAt %v must fall inside the %v fault window", p.CrashAt, p.FaultFor)
 	}
 	sc, scIndex, err := findChaosScenario(scenario)
 	if err != nil {
@@ -376,38 +347,25 @@ func RunChaosCell(cc ClusterConfig, scenario string, p ChaosParams) (ChaosCellRe
 		Victims:  len(victims),
 		Crashes:  len(crashed),
 	}
-	// False-positive classification is time-aware: a crash-set member
-	// is a legitimate detection subject only from crashStart on; a dead
-	// event about it before its crash landed is a false positive like
-	// any other (countFalsePositives cannot express this — the WAN and
-	// interval experiments have no gap between FP window and failure
-	// instant, the chaos CrashAt offset does).
-	crashedSet := toSet(crashed)
-	victimSet := toSet(victims)
-	for _, ev := range events {
-		if ev.Type != metrics.EventDead || ev.Time.Before(faultStart) {
-			continue
-		}
-		if _, bad := crashedSet[ev.Subject]; bad && !ev.Time.Before(crashStart) {
-			continue // true positive
-		}
-		res.FP++
-		if _, obsBad := crashedSet[ev.Observer]; !obsBad {
-			res.FPHealthy++
-		}
-		if _, isVictim := victimSet[ev.Subject]; isVictim {
-			res.VictimDeaths++
-		}
+	// Scored from the fault start, with the crashes departing at
+	// crashStart: a dead event about a crash-set member before its crash
+	// landed is a false positive like any other.
+	gone := departAll(crashed, crashStart, true)
+	score := scoreDeaths(events, faultStart, gone)
+	res.FP, res.FPHealthy = score.FP, score.FPHealthy
+	for _, v := range victims {
+		res.VictimDeaths += score.FPBySubject[v]
 	}
-	firstBy := firstDetectionByName(events, crashed, crashStart, nil)
-	res.CrashesDetected = len(firstBy)
 	var detect []float64
-	for _, d := range firstBy {
-		detect = append(detect, d.Seconds())
+	for _, name := range crashed {
+		if first, _, n := score.detection(name, nil); n > 0 {
+			detect = append(detect, first.Seconds())
+		}
 	}
+	res.CrashesDetected = len(detect)
 	res.CrashDetect = stats.Summarize(detect)
 	var refLat []float64
-	res.Suspicions, res.Refuted, refLat = refutationLatencies(events, crashedSet, faultStart)
+	res.Suspicions, res.Refuted, refLat = refutationLatencies(events, gone, faultStart)
 	res.RefuteLatency = stats.Summarize(refLat)
 	total := c.Net.TotalStats()
 	res.MsgsSent = total.MsgsSent
@@ -420,19 +378,16 @@ func RunChaosCell(cc ClusterConfig, scenario string, p ChaosParams) (ChaosCellRe
 }
 
 // chaosCells enumerates the scenario × configuration matrix, scenario-
-// major, every cell at cc's seed with cc.Protocol overridden. Cells
-// receive the raw params: withDefaults is not idempotent (an
-// explicit-none sentinel resolves to 0, which a second pass would
-// re-default), so it must run exactly once per cell.
+// major, every cell at cc's seed with cc.Protocol overridden.
 func chaosCells(cc ClusterConfig, p ChaosParams) []Cell {
-	resolved := p.withDefaults()
-	scenarios := resolved.Scenarios
+	p = p.withDefaults()
+	scenarios := p.Scenarios
 	if len(scenarios) == 0 {
 		scenarios = ChaosScenarioNames()
 	}
-	cells := make([]Cell, 0, len(scenarios)*len(resolved.Configs))
+	cells := make([]Cell, 0, len(scenarios)*len(p.Configs))
 	for _, name := range scenarios {
-		for _, proto := range resolved.Configs {
+		for _, proto := range p.Configs {
 			name, cellCC := name, cc
 			cellCC.Protocol = proto
 			cells = append(cells, Cell{
@@ -465,16 +420,16 @@ func RunChaos(cc ClusterConfig, p ChaosParams) (ChaosResult, error) {
 }
 
 // refutationLatencies pairs suspect events with the alive events that
-// refute them, per observer–subject pair, for subjects outside the
-// crash set. A suspicion resolved by a dead event (or never resolved)
+// refute them, per observer–subject pair, for subjects with no
+// departure. A suspicion resolved by a dead event (or never resolved)
 // counts as un-refuted.
-func refutationLatencies(events []metrics.Event, crashed map[string]struct{}, start time.Time) (suspicions, refuted int, latencies []float64) {
+func refutationLatencies(events []metrics.Event, gone map[string]departure, start time.Time) (suspicions, refuted int, latencies []float64) {
 	open := make(map[string]time.Time)
 	for _, ev := range events {
 		if ev.Time.Before(start) || ev.Observer == ev.Subject {
 			continue
 		}
-		if _, bad := crashed[ev.Subject]; bad {
+		if _, bad := gone[ev.Subject]; bad {
 			continue
 		}
 		key := ev.Observer + "|" + ev.Subject

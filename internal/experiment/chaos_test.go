@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -43,40 +44,27 @@ func TestChaosUnknownScenario(t *testing.T) {
 	}
 }
 
-// TestChaosNegativeMeansNone pins the explicit-none sentinel: negative
-// Victims or Crashes resolve to zero fault sets instead of the
-// defaults, so pure crash-detection and pure false-positive runs are
-// expressible.
-func TestChaosNegativeMeansNone(t *testing.T) {
-	p := ChaosParams{Victims: -1, Crashes: -1}.withDefaults()
-	if p.Victims != 0 || p.Crashes != 0 {
-		t.Errorf("negative fault sets resolved to %d/%d, want 0/0", p.Victims, p.Crashes)
-	}
-	p = ChaosParams{}.withDefaults()
+// TestChaosDefaultsIdempotent pins the fault-set defaults and that
+// resolving them twice changes nothing, so every cell may resolve the
+// params it is handed.
+func TestChaosDefaultsIdempotent(t *testing.T) {
+	p := ChaosParams{}.withDefaults()
 	if p.Victims != 6 || p.Crashes != 3 {
 		t.Errorf("zero fault sets resolved to %d/%d, want the 6/3 defaults", p.Victims, p.Crashes)
 	}
-
-	// End to end through RunChaos, which must not re-default the
-	// resolved sentinel on its second withDefaults pass.
-	res, err := RunChaos(ClusterConfig{Seed: 1}, ChaosParams{
-		N: 16, Crashes: -1, Victims: 2,
-		FaultFor: 10 * time.Second, Settle: 10 * time.Second,
-		Scenarios: []string{"degraded"},
-		Configs:   []ProtocolConfig{ConfigSWIM},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Params.Crashes != 0 || res.Cells[0].Crashes != 0 || res.Cells[0].CrashesDetected != 0 {
-		t.Errorf("explicit-none crash run still crashed members: params %d, cell %d/%d",
-			res.Params.Crashes, res.Cells[0].Crashes, res.Cells[0].CrashesDetected)
+	for _, p := range []ChaosParams{{}, smallChaosParams(), {Victims: -1, Crashes: -1, CrashAt: time.Second}} {
+		once := p.withDefaults()
+		if twice := once.withDefaults(); !reflect.DeepEqual(once, twice) {
+			t.Errorf("withDefaults not idempotent:\n%+v\n%+v", once, twice)
+		}
 	}
 }
 
 // TestChaosRejectsOversizedFaultSets pins that a victim+crash demand
 // exceeding the eligible membership (N minus the join seed) errors out
-// instead of silently truncating the crash set to nothing.
+// instead of silently truncating the crash set to nothing, and that a
+// crash offset outside the fault window — a crash set that would never
+// crash — errors out instead of reporting 0 of C detected.
 func TestChaosRejectsOversizedFaultSets(t *testing.T) {
 	p := smallChaosParams()
 	p.Victims = p.N - 1 // leaves no room for the crashes
@@ -86,14 +74,13 @@ func TestChaosRejectsOversizedFaultSets(t *testing.T) {
 	if _, err := RunChaos(ClusterConfig{Seed: 1}, p); err == nil {
 		t.Fatal("oversized fault sets accepted by RunChaos")
 	}
-	bad := smallChaosParams()
-	bad.PartitionFraction = 1.5
-	if _, _, err := RunChaosCell(ClusterConfig{Seed: 1}, "asym-partition", bad); err == nil {
-		t.Fatal("out-of-range PartitionFraction accepted")
+	late := smallChaosParams()
+	late.CrashAt = late.FaultFor
+	if _, _, err := RunChaosCell(ClusterConfig{Seed: 1}, "degraded", late); err == nil {
+		t.Fatal("CrashAt at the end of the fault window accepted")
 	}
-	bad.PartitionFraction = -0.5
-	if _, _, err := RunChaosCell(ClusterConfig{Seed: 1}, "asym-partition", bad); err == nil {
-		t.Fatal("negative PartitionFraction accepted")
+	if _, err := RunChaos(ClusterConfig{Seed: 1}, late); err == nil {
+		t.Fatal("CrashAt at the end of the fault window accepted by RunChaos")
 	}
 }
 
@@ -155,7 +142,7 @@ func TestRefutationLatencies(t *testing.T) {
 		{Time: at(1), Observer: "v", Subject: "v", Type: metrics.EventSuspect},   // self-observation: excluded
 		{Time: at(0.5), Observer: "c", Subject: "v", Type: metrics.EventSuspect}, // before start: excluded
 	}
-	susp, refuted, lat := refutationLatencies(events, map[string]struct{}{"x": {}}, t0.Add(800*time.Millisecond))
+	susp, refuted, lat := refutationLatencies(events, map[string]departure{"x": {}}, t0.Add(800*time.Millisecond))
 	if susp != 3 || refuted != 1 {
 		t.Fatalf("suspicions/refuted = %d/%d, want 3/1", susp, refuted)
 	}

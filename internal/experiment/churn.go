@@ -2,11 +2,11 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
 	"lifeguard/internal/core"
-	"lifeguard/internal/metrics"
 	"lifeguard/internal/stats"
 )
 
@@ -54,7 +54,7 @@ type ChurnResult struct {
 	DetectedFails int
 
 	// FP counts false-positive failure events: dead events about members
-	// that neither crashed nor left.
+	// that had not (yet) crashed or left.
 	FP int
 
 	// JoinsSeen counts joined members that a sample of long-lived
@@ -121,8 +121,9 @@ func RunChurn(cc ClusterConfig, p ChurnParams) (ChurnResult, error) {
 		return name, true
 	}
 
-	failTimes := map[string]time.Time{}
-	churnedAt := map[string]time.Time{}
+	// gone holds every crash and leave, the departures the run is scored
+	// against.
+	gone := map[string]departure{}
 	var joined []string
 
 	seedAddr := c.Nodes[0].Addr()
@@ -138,8 +139,7 @@ func RunChurn(cc ClusterConfig, p ChurnParams) (ChurnResult, error) {
 			node := c.names[name]
 			node.Shutdown()
 			c.Net.Detach(name)
-			failTimes[name] = c.Sched.Now()
-			churnedAt[name] = c.Sched.Now()
+			gone[name] = departure{at: c.Sched.Now(), inc: math.MaxUint64, crash: true}
 			res.Fails++
 		case 2: // graceful leave: announce, disseminate briefly, then exit
 			name, ok := takeRandom()
@@ -148,7 +148,7 @@ func RunChurn(cc ClusterConfig, p ChurnParams) (ChurnResult, error) {
 			}
 			node := c.names[name]
 			node.Leave()
-			churnedAt[name] = c.Sched.Now()
+			gone[name] = departure{at: c.Sched.Now(), inc: math.MaxUint64}
 			c.Sched.Schedule(2*time.Second, func() {
 				node.Shutdown()
 				c.Net.Detach(name)
@@ -171,7 +171,7 @@ func RunChurn(cc ClusterConfig, p ChurnParams) (ChurnResult, error) {
 			// Once the join has disseminated, the member is fair game
 			// for fail/leave like anyone else.
 			c.Sched.Schedule(10*time.Second, func() {
-				if _, gone := churnedAt[name]; !gone {
+				if _, departed := gone[name]; !departed {
 					pool = append(pool, name)
 				}
 			})
@@ -180,32 +180,17 @@ func RunChurn(cc ClusterConfig, p ChurnParams) (ChurnResult, error) {
 	}
 	c.Sched.RunFor(p.Settle)
 
-	// Detection latency of crash failures (first dead event about the
-	// crashed member at any other member after the crash) and false
-	// positives: a dead event is legitimate only at or after the
-	// subject's own crash or leave — a declaration about a member that
-	// was churned later (or never) is a false positive.
-	firstDead := map[string]time.Time{}
-	for _, ev := range c.Events.Events() {
-		if ev.Type != metrics.EventDead || ev.Observer == ev.Subject || ev.Time.Before(churnStart) {
-			continue
-		}
-		if at, wasChurned := churnedAt[ev.Subject]; wasChurned && !ev.Time.Before(at) {
-			if _, isFail := failTimes[ev.Subject]; isFail {
-				if _, seen := firstDead[ev.Subject]; !seen {
-					firstDead[ev.Subject] = ev.Time
-				}
-			}
-			continue // legitimate declaration of a crashed/left member
-		}
-		res.FP++
-	}
-	var latencies []time.Duration
-	for name, t := range firstDead {
-		latencies = append(latencies, t.Sub(failTimes[name]))
+	// A dead event is legitimate only at or after the subject's own
+	// crash or leave; crashes are also scored for first detection.
+	score := scoreDeaths(c.Events.Events(), churnStart, gone)
+	res.FP = score.FP
+	var latencies []float64
+	for name := range score.Detect {
+		first, _, _ := score.detection(name, nil)
+		latencies = append(latencies, first.Seconds())
 	}
 	res.DetectedFails = len(latencies)
-	res.FirstDetect = stats.Summarize(stats.DurationsToSeconds(latencies))
+	res.FirstDetect = stats.Summarize(latencies)
 
 	// Join convergence: sample long-lived survivors and count how many
 	// see each joined member alive. (Checking all ~2k observers would be
@@ -215,12 +200,12 @@ func RunChurn(cc ClusterConfig, p ChurnParams) (ChurnResult, error) {
 		if len(observers) >= 16 {
 			break
 		}
-		if _, gone := churnedAt[n.Name()]; !gone {
+		if _, departed := gone[n.Name()]; !departed {
 			observers = append(observers, n)
 		}
 	}
 	for _, name := range joined {
-		if _, gone := churnedAt[name]; gone {
+		if _, departed := gone[name]; departed {
 			continue
 		}
 		for _, obs := range observers {

@@ -411,16 +411,7 @@ func (c *Cluster) SetAnomalous(names []string, anomalous bool) {
 // PickAnomalySet selects count members uniformly at random using the
 // given seed, excluding member 0 (the join seed) to keep runs comparable.
 func (c *Cluster) PickAnomalySet(count int, seed int64) []string {
-	rng := rand.New(rand.NewSource(seed))
-	idx := rng.Perm(len(c.Nodes) - 1)
-	if count > len(idx) {
-		count = len(idx)
-	}
-	names := make([]string, 0, count)
-	for _, i := range idx[:count] {
-		names = append(names, NodeName(i+1))
-	}
-	return names
+	return cast(len(c.Nodes), count, seed)
 }
 
 // Elapsed returns virtual time since Start.

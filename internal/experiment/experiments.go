@@ -1,10 +1,6 @@
 package experiment
 
-import (
-	"time"
-
-	"lifeguard/internal/metrics"
-)
+import "time"
 
 // Paper experiment constants (§V-D).
 const (
@@ -81,11 +77,24 @@ func RunThreshold(cc ClusterConfig, p ThresholdParams) (ThresholdResult, error) 
 		c.Sched.RunFor(remaining)
 	}
 
+	gone := departAll(anomalous, anomalyStart, true)
+	score := scoreDeaths(c.Events.Events(), anomalyStart, gone)
+	healthy := func(observer string) bool { _, bad := gone[observer]; return !bad }
 	res := ThresholdResult{Params: p}
-	res.FirstDetect, res.FullDissem = detectionLatencies(
-		c.Events.Events(), anomalous, c.allNames(), anomalyStart)
+	for _, name := range anomalous {
+		first, _, n := score.detection(name, nil)
+		if n == 0 {
+			continue
+		}
+		res.FirstDetect = append(res.FirstDetect, first)
+		// Fully disseminated once every healthy member has declared it
+		// dead: the sample is the slowest of them.
+		if _, last, seen := score.detection(name, healthy); seen == len(c.Nodes)-len(anomalous) {
+			res.FullDissem = append(res.FullDissem, last)
+		}
+	}
 	res.Detected = len(res.FirstDetect)
-	res.Undetected = p.C - res.Detected
+	res.Undetected = len(anomalous) - res.Detected
 	return res, nil
 }
 
@@ -96,70 +105,6 @@ func (c *Cluster) allNames() []string {
 		names[i] = n.Name()
 	}
 	return names
-}
-
-// detectionLatencies extracts first-detection and full-dissemination
-// latencies for each anomalous member from the event log.
-func detectionLatencies(events []metrics.Event, anomalous, all []string, start time.Time) (first, full []time.Duration) {
-	anomalySet := toSet(anomalous)
-
-	// firstAt[subject][observer] = first dead event time at observer.
-	firstAt := make(map[string]map[string]time.Time, len(anomalous))
-	for _, name := range anomalous {
-		firstAt[name] = make(map[string]time.Time)
-	}
-	for _, ev := range events {
-		if ev.Type != metrics.EventDead || ev.Time.Before(start) {
-			continue
-		}
-		byObs, tracked := firstAt[ev.Subject]
-		if !tracked || ev.Observer == ev.Subject {
-			continue
-		}
-		if _, seen := byObs[ev.Observer]; !seen {
-			byObs[ev.Observer] = ev.Time
-		}
-	}
-
-	healthyCount := 0
-	for _, name := range all {
-		if _, bad := anomalySet[name]; !bad {
-			healthyCount++
-		}
-	}
-
-	for _, subject := range anomalous {
-		byObs := firstAt[subject]
-		if len(byObs) == 0 {
-			continue
-		}
-		var earliest, latestHealthy time.Time
-		healthySeen := 0
-		for obs, t := range byObs {
-			if earliest.IsZero() || t.Before(earliest) {
-				earliest = t
-			}
-			if _, bad := anomalySet[obs]; !bad {
-				healthySeen++
-				if t.After(latestHealthy) {
-					latestHealthy = t
-				}
-			}
-		}
-		first = append(first, earliest.Sub(start))
-		if healthySeen == healthyCount {
-			full = append(full, latestHealthy.Sub(start))
-		}
-	}
-	return first, full
-}
-
-func toSet(names []string) map[string]struct{} {
-	set := make(map[string]struct{}, len(names))
-	for _, n := range names {
-		set[n] = struct{}{}
-	}
-	return set
 }
 
 // IntervalParams parameterizes one Interval experiment (§V-D2): cycles
@@ -233,32 +178,12 @@ func RunInterval(cc ClusterConfig, p IntervalParams) (IntervalResult, error) {
 		c.Sched.RunFor(p.I)
 	}
 
-	res.FP, res.FPHealthy, res.TruePositives = countFalsePositives(
-		c.Events.Events(), anomalous, anomalyStart)
+	score := scoreDeaths(c.Events.Events(), anomalyStart, departAll(anomalous, anomalyStart, false))
+	res.FP, res.FPHealthy, res.TruePositives = score.FP, score.FPHealthy, score.TP
 	total := c.Net.TotalStats()
 	res.MsgsSent = total.MsgsSent
 	res.BytesSent = total.BytesSent
 	return res, nil
-}
-
-// countFalsePositives classifies dead events after start against the
-// anomaly set.
-func countFalsePositives(events []metrics.Event, anomalous []string, start time.Time) (fp, fpHealthy, truePos int) {
-	anomalySet := toSet(anomalous)
-	for _, ev := range events {
-		if ev.Type != metrics.EventDead || ev.Time.Before(start) {
-			continue
-		}
-		if _, bad := anomalySet[ev.Subject]; bad {
-			truePos++
-			continue
-		}
-		fp++
-		if _, bad := anomalySet[ev.Observer]; !bad {
-			fpHealthy++
-		}
-	}
-	return fp, fpHealthy, truePos
 }
 
 // StressParams parameterizes the Figure-1 CPU-exhaustion scenario: a
@@ -269,18 +194,17 @@ type StressParams struct {
 	// Stressed is the number of members running the stress workload.
 	Stressed int
 
-	// BlockFor is the blocked part of the duty cycle. Defaults to 12 s —
-	// long enough for a suspicion raised at one wake to outlive the next
-	// (the paper's stress tool starves the agent to ~1% of one core).
-	BlockFor time.Duration
-
-	// WakeFor is the runnable window between blocks. Defaults to 120 ms
-	// (≈1% duty cycle).
-	WakeFor time.Duration
-
 	// Duration is the workload duration. Defaults to StressHorizon.
 	Duration time.Duration
 }
+
+// The stress duty cycle: blocked long enough for a suspicion raised at
+// one wake to outlive the next, then runnable for ≈1% of the cycle (the
+// paper's stress tool starves the agent to ~1% of one core).
+const (
+	stressBlockFor = 12 * time.Second
+	stressWakeFor  = 120 * time.Millisecond
+)
 
 // StressResult mirrors Figure 1's two metrics for one configuration.
 type StressResult struct {
@@ -297,12 +221,6 @@ type StressResult struct {
 func RunStress(cc ClusterConfig, p StressParams) (StressResult, error) {
 	if cc.N == 0 {
 		cc.N = StressN
-	}
-	if p.BlockFor <= 0 {
-		p.BlockFor = 12 * time.Second
-	}
-	if p.WakeFor <= 0 {
-		p.WakeFor = 120 * time.Millisecond
 	}
 	if p.Duration <= 0 {
 		p.Duration = StressHorizon
@@ -321,15 +239,14 @@ func RunStress(cc ClusterConfig, p StressParams) (StressResult, error) {
 	deadline := workloadStart.Add(p.Duration)
 	for c.Sched.Now().Before(deadline) {
 		c.SetAnomalous(stressed, true)
-		c.Sched.RunFor(p.BlockFor)
+		c.Sched.RunFor(stressBlockFor)
 		c.SetAnomalous(stressed, false)
-		c.Sched.RunFor(p.WakeFor)
+		c.Sched.RunFor(stressWakeFor)
 	}
 	// Let in-flight suspicions resolve before counting, as the paper's
 	// log analysis does (events are logged during and after the load).
 	c.Sched.RunFor(30 * time.Second)
 
-	res := StressResult{Params: p}
-	res.FP, res.FPHealthy, _ = countFalsePositives(c.Events.Events(), stressed, workloadStart)
-	return res, nil
+	score := scoreDeaths(c.Events.Events(), workloadStart, departAll(stressed, workloadStart, false))
+	return StressResult{Params: p, FP: score.FP, FPHealthy: score.FPHealthy}, nil
 }

@@ -68,6 +68,22 @@ func TestThresholdDetectsLongAnomaly(t *testing.T) {
 	}
 }
 
+// TestThresholdCountsOnlyTheCast pins that detected + undetected counts
+// the anomalies that happened: a C beyond the N−1 eligible members is
+// clamped, and the clamped-off members were never failures.
+func TestThresholdCountsOnlyTheCast(t *testing.T) {
+	res, err := RunThreshold(
+		ClusterConfig{N: 8, Seed: 3, Protocol: ConfigSWIM},
+		ThresholdParams{C: 20, D: 30 * time.Second},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Detected + res.Undetected; got != 7 {
+		t.Errorf("detected %d + undetected %d = %d, want the 7 eligible members", res.Detected, res.Undetected, got)
+	}
+}
+
 func TestThresholdLifeguardStillDetectsTrueFailures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full threshold run")

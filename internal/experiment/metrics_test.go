@@ -18,84 +18,6 @@ func ev(t time.Duration, typ metrics.EventType, observer, subject string) metric
 	}
 }
 
-func TestCountFalsePositivesClassification(t *testing.T) {
-	anomalous := []string{"bad1", "bad2"}
-	start := time.Unix(0, 0).Add(15 * time.Second)
-	events := []metrics.Event{
-		// Before anomaly start: ignored entirely.
-		ev(10*time.Second, metrics.EventDead, "h1", "h2"),
-		// True positive: subject anomalous.
-		ev(20*time.Second, metrics.EventDead, "h1", "bad1"),
-		// FP at an anomalous observer.
-		ev(21*time.Second, metrics.EventDead, "bad1", "h3"),
-		// FP at a healthy observer (FP-).
-		ev(22*time.Second, metrics.EventDead, "h1", "h3"),
-		// Suspect events are not failure events.
-		ev(23*time.Second, metrics.EventSuspect, "h1", "h4"),
-		// Another true positive at an anomalous observer.
-		ev(24*time.Second, metrics.EventDead, "bad2", "bad1"),
-	}
-	fp, fpHealthy, tp := countFalsePositives(events, anomalous, start)
-	if fp != 2 {
-		t.Errorf("fp = %d, want 2", fp)
-	}
-	if fpHealthy != 1 {
-		t.Errorf("fp- = %d, want 1", fpHealthy)
-	}
-	if tp != 2 {
-		t.Errorf("tp = %d, want 2", tp)
-	}
-}
-
-func TestDetectionLatencies(t *testing.T) {
-	all := []string{"a", "b", "c", "d", "bad"}
-	anomalous := []string{"bad"}
-	start := time.Unix(0, 0).Add(15 * time.Second)
-	events := []metrics.Event{
-		// First detection at a (t=25), then full coverage of healthy
-		// members at t=27 (b), t=26 (c), t=30 (d).
-		ev(25*time.Second, metrics.EventDead, "a", "bad"),
-		ev(27*time.Second, metrics.EventDead, "b", "bad"),
-		ev(26*time.Second, metrics.EventDead, "c", "bad"),
-		ev(30*time.Second, metrics.EventDead, "d", "bad"),
-		// Duplicate dead at a later time must not matter.
-		ev(40*time.Second, metrics.EventDead, "a", "bad"),
-		// Self-observation is excluded.
-		ev(16*time.Second, metrics.EventDead, "bad", "bad"),
-	}
-	first, full := detectionLatencies(events, anomalous, all, start)
-	if len(first) != 1 || first[0] != 10*time.Second {
-		t.Errorf("first = %v, want [10s]", first)
-	}
-	if len(full) != 1 || full[0] != 15*time.Second {
-		t.Errorf("full = %v, want [15s]", full)
-	}
-}
-
-func TestDetectionLatenciesPartialDissemination(t *testing.T) {
-	all := []string{"a", "b", "bad"}
-	anomalous := []string{"bad"}
-	start := time.Unix(0, 0)
-	events := []metrics.Event{
-		ev(5*time.Second, metrics.EventDead, "a", "bad"),
-		// b never sees the failure: no full-dissemination sample.
-	}
-	first, full := detectionLatencies(events, anomalous, all, start)
-	if len(first) != 1 {
-		t.Errorf("first = %v", first)
-	}
-	if len(full) != 0 {
-		t.Errorf("full = %v, want none", full)
-	}
-}
-
-func TestDetectionLatenciesUndetected(t *testing.T) {
-	first, full := detectionLatencies(nil, []string{"bad"}, []string{"a", "bad"}, time.Unix(0, 0))
-	if len(first) != 0 || len(full) != 0 {
-		t.Errorf("first=%v full=%v", first, full)
-	}
-}
-
 func TestPickAnomalySetProperties(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{N: 16, Seed: 3, Protocol: ConfigSWIM})
 	if err != nil {

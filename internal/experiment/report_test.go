@@ -142,7 +142,7 @@ func TestFormatPartitionGolden(t *testing.T) {
 
 func TestFormatRestartGolden(t *testing.T) {
 	r := RestartResult{
-		Params: RestartParams{N: 32, Waves: 2, PerWave: 4, DownFor: 10 * time.Second, Stagger: 2 * time.Second},
+		Params: RestartParams{N: 32, Waves: 2, PerWave: 4},
 		Cells: []RestartCellResult{
 			{Config: "SWIM", Restarts: 8, Rejoined: 8, FP: 2, FPHealthy: 1,
 				RejoinConverge: stats.Summary{Median: 0.7, Max: 0.8}, MsgsSent: 7730, BytesSent: 800_000},

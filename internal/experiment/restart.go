@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"time"
 
@@ -35,36 +34,39 @@ type RestartParams struct {
 	// least 1).
 	PerWave int
 
-	// Stagger is the span over which one wave's leaves are spread (a
-	// rolling deploy takes machines down one after another, not
-	// simultaneously). Defaults to 2 s.
-	Stagger time.Duration
-
-	// DownFor is each member's dark window between its leave
-	// announcement and its rejoin. Defaults to 10 s.
-	DownFor time.Duration
-
-	// WaveEvery is the interval between consecutive wave starts.
-	// Defaults to DownFor + Stagger + 8 s, so a wave's rejoins settle
-	// before the next wave begins.
-	WaveEvery time.Duration
-
-	// LeaveLinger is how long a leaving member keeps running after its
-	// announcement so the leave can disseminate. Defaults to 1 s.
-	LeaveLinger time.Duration
-
 	// Settle is how long the run continues after the last wave's
 	// rejoins, for views to converge. Defaults to 30 s.
 	Settle time.Duration
-
-	// Observers is the number of long-lived (never restarted) members
-	// sampled for the re-join convergence metric. Defaults to 8.
-	Observers int
 
 	// Configs is the protocol-ablation axis. Empty runs Configurations
 	// (the paper's Table I).
 	Configs []ProtocolConfig
 }
+
+// The shape of every rolling-restart wave.
+const (
+	// restartStagger is the span over which one wave's leaves are
+	// spread: a rolling deploy takes machines down one after another,
+	// not simultaneously.
+	restartStagger = 2 * time.Second
+
+	// restartDownFor is each member's dark window between its leave
+	// announcement and its rejoin.
+	restartDownFor = 10 * time.Second
+
+	// restartWaveEvery is the interval between consecutive wave starts,
+	// long enough for a wave's rejoins to settle before the next begins.
+	restartWaveEvery = restartDownFor + restartStagger + 8*time.Second
+
+	// restartLeaveLinger is how long a leaving member keeps running
+	// after its announcement so the leave can disseminate; it is gone
+	// well before its replacement rejoins.
+	restartLeaveLinger = time.Second
+
+	// restartObservers is the number of long-lived (never restarted)
+	// members sampled for the re-join convergence metric.
+	restartObservers = 8
+)
 
 // withDefaults resolves zero-valued parameters.
 func (p RestartParams) withDefaults() RestartParams {
@@ -80,23 +82,8 @@ func (p RestartParams) withDefaults() RestartParams {
 			p.PerWave = 1
 		}
 	}
-	if p.Stagger <= 0 {
-		p.Stagger = 2 * time.Second
-	}
-	if p.DownFor <= 0 {
-		p.DownFor = 10 * time.Second
-	}
-	if p.WaveEvery <= 0 {
-		p.WaveEvery = p.DownFor + p.Stagger + 8*time.Second
-	}
-	if p.LeaveLinger <= 0 {
-		p.LeaveLinger = time.Second
-	}
 	if p.Settle <= 0 {
 		p.Settle = 30 * time.Second
-	}
-	if p.Observers <= 0 {
-		p.Observers = 8
 	}
 	if len(p.Configs) == 0 {
 		p.Configs = Configurations
@@ -157,32 +144,7 @@ type RestartResult struct {
 // the run: Waves × PerWave distinct members, excluding member 0 (the
 // join seed), identical across every cell.
 func restartCast(p RestartParams, seed int64) []string {
-	return castFromSeed(p.N, p.Waves*p.PerWave, seed*127+29)
-}
-
-// castFromSeed picks k distinct member names from indices [1, n) using
-// the given seed.
-func castFromSeed(n, k int, seed int64) []string {
-	rng := rand.New(rand.NewSource(seed))
-	idx := rng.Perm(n - 1)
-	if k > len(idx) {
-		k = len(idx)
-	}
-	names := make([]string, 0, k)
-	for _, i := range idx[:k] {
-		names = append(names, NodeName(i+1))
-	}
-	return names
-}
-
-// restartRecord tracks one member's restart lifecycle for scoring.
-type restartRecord struct {
-	leaveAt  time.Time
-	rejoinAt time.Time
-	// leaveInc is the member's incarnation at its leave announcement.
-	// The departure news carries at most this incarnation; anything
-	// above it refers to the rejoined instance.
-	leaveInc uint64
+	return cast(p.N, p.Waves*p.PerWave, seed*127+29)
 }
 
 // RunRestartCell executes one configuration's rolling-restart run:
@@ -196,11 +158,6 @@ func RunRestartCell(cc ClusterConfig, p RestartParams) (RestartCellResult, error
 			"experiment: rolling restart needs %d distinct members (%d waves × %d) but only %d are eligible (N=%d minus the join seed)",
 			p.Waves*p.PerWave, p.Waves, p.PerWave, p.N-1, p.N)
 	}
-	if p.LeaveLinger >= p.DownFor {
-		return RestartCellResult{}, fmt.Errorf(
-			"experiment: rolling restart LeaveLinger %v must be shorter than DownFor %v (the member must be gone before its replacement rejoins)",
-			p.LeaveLinger, p.DownFor)
-	}
 	cc.N = p.N
 	c, err := NewCluster(cc)
 	if err != nil {
@@ -212,36 +169,37 @@ func RunRestartCell(cc ClusterConfig, p RestartParams) (RestartCellResult, error
 	}
 
 	cast := restartCast(p, cc.Seed)
-	recs := make(map[string]*restartRecord, len(cast))
+	// gone holds each restarted member's leave: the departure news
+	// carries at most the incarnation it left at; anything above refers
+	// to the rejoined instance. Every leave lands before the horizon.
+	gone := make(map[string]departure, len(cast))
+	rejoinAt := make(map[string]time.Time, len(cast))
 	seedAddr := c.Nodes[0].Addr()
 	start := c.Sched.Now()
 	var runErr error
 	for w := 0; w < p.Waves; w++ {
 		for j := 0; j < p.PerWave; j++ {
 			name := cast[w*p.PerWave+j]
-			rec := &restartRecord{}
-			recs[name] = rec
-			offset := time.Duration(w) * p.WaveEvery
+			offset := time.Duration(w) * restartWaveEvery
 			if p.PerWave > 1 {
-				offset += p.Stagger * time.Duration(j) / time.Duration(p.PerWave-1)
+				offset += restartStagger * time.Duration(j) / time.Duration(p.PerWave-1)
 			}
 			leaveAt := start.Add(offset)
 			c.Sched.ScheduleAt(leaveAt, func() {
 				node := c.names[name]
-				rec.leaveAt = c.Sched.Now()
-				rec.leaveInc = node.Incarnation()
+				gone[name] = departure{at: c.Sched.Now(), inc: node.Incarnation()}
 				node.Leave()
 			})
-			c.Sched.ScheduleAt(leaveAt.Add(p.LeaveLinger), func() {
+			c.Sched.ScheduleAt(leaveAt.Add(restartLeaveLinger), func() {
 				c.RemoveNode(name)
 			})
-			c.Sched.ScheduleAt(leaveAt.Add(p.DownFor), func() {
+			c.Sched.ScheduleAt(leaveAt.Add(restartDownFor), func() {
 				node, err := c.addNode(name, nil)
 				if err == nil {
 					err = node.Start()
 				}
 				if err == nil {
-					rec.rejoinAt = c.Sched.Now()
+					rejoinAt[name] = c.Sched.Now()
 					err = node.Join(seedAddr)
 				}
 				if err != nil && runErr == nil {
@@ -250,34 +208,19 @@ func RunRestartCell(cc ClusterConfig, p RestartParams) (RestartCellResult, error
 			})
 		}
 	}
-	horizon := time.Duration(p.Waves-1)*p.WaveEvery + p.Stagger + p.DownFor + p.Settle
+	horizon := time.Duration(p.Waves-1)*restartWaveEvery + restartStagger + restartDownFor + p.Settle
 	c.Sched.RunFor(horizon)
 	if runErr != nil {
 		return RestartCellResult{}, runErr
 	}
 
 	events := c.Events.Events()
+	score := scoreDeaths(events, start, gone)
 	res := RestartCellResult{
-		Config:   cc.Protocol.Name,
-		Restarts: len(cast),
-	}
-
-	// False positives: a dead event is legitimate only as stale news of
-	// an actual departure — subject restarted, event at or after its
-	// leave, incarnation at or below the incarnation that left.
-	for _, ev := range events {
-		if ev.Type != metrics.EventDead || ev.Time.Before(start) || ev.Observer == ev.Subject {
-			continue
-		}
-		if rec := recs[ev.Subject]; rec != nil &&
-			!rec.leaveAt.IsZero() && !ev.Time.Before(rec.leaveAt) &&
-			ev.Incarnation <= rec.leaveInc {
-			continue
-		}
-		res.FP++
-		if recs[ev.Observer] == nil {
-			res.FPHealthy++
-		}
+		Config:    cc.Protocol.Name,
+		Restarts:  len(cast),
+		FP:        score.FP,
+		FPHealthy: score.FPHealthy,
 	}
 
 	// Re-join convergence: for each restarted member, the first
@@ -285,10 +228,10 @@ func RunRestartCell(cc ClusterConfig, p RestartParams) (RestartCellResult, error
 	// incarnation) at each sampled long-lived observer; the member
 	// counts as rejoined when every observer saw it, and its latency is
 	// the slowest observer's.
-	observers := make(map[string]bool, p.Observers)
-	for i := 0; i < p.N && len(observers) < p.Observers; i++ {
+	observers := make(map[string]bool, restartObservers)
+	for i := 0; i < p.N && len(observers) < restartObservers; i++ {
 		name := NodeName(i)
-		if recs[name] == nil {
+		if _, restarted := gone[name]; !restarted {
 			observers[name] = true
 		}
 	}
@@ -297,9 +240,8 @@ func RunRestartCell(cc ClusterConfig, p RestartParams) (RestartCellResult, error
 		if ev.Type != metrics.EventJoin && ev.Type != metrics.EventAlive {
 			continue
 		}
-		rec := recs[ev.Subject]
-		if rec == nil || rec.rejoinAt.IsZero() || !observers[ev.Observer] ||
-			ev.Time.Before(rec.rejoinAt) || ev.Incarnation <= rec.leaveInc {
+		back, ok := rejoinAt[ev.Subject]
+		if !ok || !observers[ev.Observer] || ev.Time.Before(back) || ev.Incarnation <= gone[ev.Subject].inc {
 			continue
 		}
 		key := ev.Observer + "|" + ev.Subject
@@ -309,7 +251,6 @@ func RunRestartCell(cc ClusterConfig, p RestartParams) (RestartCellResult, error
 	}
 	var converge []float64
 	for _, name := range cast {
-		rec := recs[name]
 		var last time.Time
 		sawAll := true
 		for obs := range observers {
@@ -324,7 +265,7 @@ func RunRestartCell(cc ClusterConfig, p RestartParams) (RestartCellResult, error
 		}
 		if sawAll {
 			res.Rejoined++
-			converge = append(converge, last.Sub(rec.rejoinAt).Seconds())
+			converge = append(converge, last.Sub(rejoinAt[name]).Seconds())
 		}
 	}
 	res.RejoinConverge = stats.Summarize(converge)
@@ -374,7 +315,7 @@ func RunRestart(cc ClusterConfig, p RestartParams) (RestartResult, error) {
 func FormatRestart(r RestartResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Rolling restart: N=%d, %d waves × %d members, down %v, stagger %v\n",
-		r.Params.N, r.Params.Waves, r.Params.PerWave, r.Params.DownFor, r.Params.Stagger)
+		r.Params.N, r.Params.Waves, r.Params.PerWave, restartDownFor, restartStagger)
 	fmt.Fprintf(&b, "%-14s %9s %9s %4s %4s %12s %12s %10s %10s\n",
 		"Config", "Restarts", "Rejoined", "FP", "FP-", "MedRejoin(s)", "MaxRejoin(s)", "Msgs", "MB")
 	for _, cell := range r.Cells {

@@ -59,14 +59,6 @@ func TestRestartRejectsOversizedCast(t *testing.T) {
 	if _, err := RunRestart(ClusterConfig{Seed: 1}, p); err == nil {
 		t.Fatal("oversized restart cast accepted by RunRestart")
 	}
-
-	// A down window shorter than the leave linger would try to re-add
-	// the member while the old instance is still attached.
-	bad := smallRestartParams()
-	bad.DownFor = 500 * time.Millisecond
-	if _, err := RunRestartCell(ClusterConfig{Seed: 1, Protocol: ConfigLifeguard}, bad); err == nil {
-		t.Fatal("DownFor shorter than LeaveLinger accepted")
-	}
 }
 
 // TestRollingRestartRejoins is the scenario's acceptance bar: under

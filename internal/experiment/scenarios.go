@@ -668,9 +668,9 @@ func restartRecords(res RestartResult) []Record {
 				"members":      res.Params.N,
 				"waves":        res.Params.Waves,
 				"per_wave":     res.Params.PerWave,
-				"down_for_s":   res.Params.DownFor.Seconds(),
-				"stagger_s":    res.Params.Stagger.Seconds(),
-				"wave_every_s": res.Params.WaveEvery.Seconds(),
+				"down_for_s":   restartDownFor.Seconds(),
+				"stagger_s":    restartStagger.Seconds(),
+				"wave_every_s": restartWaveEvery.Seconds(),
 				"settle_s":     res.Params.Settle.Seconds(),
 			},
 			Metrics: map[string]float64{

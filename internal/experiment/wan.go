@@ -265,7 +265,6 @@ func RunWAN(cc ClusterConfig, p WANParams) (WANResult, error) {
 	res.ObsRTTP50ErrMedian, res.ObsRTTP90ErrMedian = pairErrMedians(res.ObsRTTPairs)
 
 	// Phase 2: crash FailPerZone members per zone, watch detection.
-	zoneOf := func(name string) string { return topo.Zone(name) }
 	var failed []string
 	failedByZone := make(map[string][]string)
 	if p.FailPerZone > 0 {
@@ -295,40 +294,30 @@ func RunWAN(cc ClusterConfig, p WANParams) (WANResult, error) {
 		c.Sched.RunFor(p.DetectHorizon)
 	}
 
-	events := c.Events.Events()
-	res.FP, res.FPHealthy, _ = countFalsePositives(events, failed, failStart)
+	score := scoreDeaths(c.Events.Events(), failStart, departAll(failed, failStart, true))
+	res.FP, res.FPHealthy = score.FP, score.FPHealthy
 
-	// Per-zone breakdown: first-detection per failed member (anywhere,
-	// and at an observer in a different zone), FPs by the subject's
-	// zone.
-	firstByName := firstDetectionByName(events, failed, failStart, nil)
-	// Cross-zone: the moment the failure became visible to the rest of
-	// the WAN.
-	crossByName := firstDetectionByName(events, failed, failStart, func(observer, subject string) bool {
-		return zoneOf(observer) != zoneOf(subject)
-	})
+	// Per-zone breakdown: first detection of each failed member
+	// (anywhere, and at an observer in a different zone — the moment
+	// the failure became visible to the rest of the WAN), FPs by the
+	// subject's zone.
 	fpByZone := make(map[string]int)
-	failedSet := toSet(failed)
-	for _, ev := range events {
-		if ev.Type != metrics.EventDead || ev.Time.Before(failStart) {
-			continue
-		}
-		if _, bad := failedSet[ev.Subject]; !bad {
-			fpByZone[zoneOf(ev.Subject)]++
-		}
+	for subject, n := range score.FPBySubject {
+		fpByZone[topo.Zone(subject)] += n
 	}
 	var crossAll []float64
 	for _, z := range p.Zones {
 		zr := WANZoneResult{Zone: z.Name, Members: z.Members, FP: fpByZone[z.Name]}
+		elsewhere := func(observer string) bool { return topo.Zone(observer) != z.Name }
 		var lat, cross []float64
 		for _, name := range failedByZone[z.Name] {
 			zr.Failed++
-			if d, ok := firstByName[name]; ok {
+			if first, _, n := score.detection(name, nil); n > 0 {
 				zr.Detected++
-				lat = append(lat, d.Seconds())
+				lat = append(lat, first.Seconds())
 			}
-			if d, ok := crossByName[name]; ok {
-				cross = append(cross, d.Seconds())
+			if first, _, n := score.detection(name, elsewhere); n > 0 {
+				cross = append(cross, first.Seconds())
 			}
 		}
 		zr.FirstDetect = stats.Summarize(lat)
@@ -528,30 +517,6 @@ func scoreCoordinates(c *Cluster, topo *sim.Topology, seed int64, samplePairs in
 		return stats.Summary{}, 0, 0
 	}
 	return stats.Summarize(relErrs), absSum / float64(len(relErrs)), len(relErrs)
-}
-
-// firstDetectionByName maps each crashed member to the delay until the
-// first dead event about it at another member — any other member, or,
-// with observes set, the first one it accepts (given the event's
-// observer and subject).
-func firstDetectionByName(events []metrics.Event, failed []string, start time.Time, observes func(observer, subject string) bool) map[string]time.Duration {
-	out := make(map[string]time.Duration, len(failed))
-	failedSet := toSet(failed)
-	for _, ev := range events {
-		if ev.Type != metrics.EventDead || ev.Time.Before(start) || ev.Observer == ev.Subject {
-			continue
-		}
-		if _, bad := failedSet[ev.Subject]; !bad {
-			continue
-		}
-		if observes != nil && !observes(ev.Observer, ev.Subject) {
-			continue
-		}
-		if _, seen := out[ev.Subject]; !seen {
-			out[ev.Subject] = ev.Time.Sub(start)
-		}
-	}
-	return out
 }
 
 // FormatWAN renders one WAN result: the coordinate-estimation quality

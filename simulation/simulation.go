@@ -146,8 +146,8 @@ type (
 	FaultSchedule = sim.FaultSchedule
 
 	// ChaosParams parameterizes the chaos scenario matrix: cluster and
-	// fault-set sizes, the fault window, per-scenario fault levels, and
-	// the scenario/configuration axes.
+	// fault-set sizes, the fault window and crash offset, and the
+	// scenario/configuration axes. Each scenario's fault level is fixed.
 	ChaosParams = experiment.ChaosParams
 
 	// ChaosCellResult is one (scenario, configuration) cell of a chaos
