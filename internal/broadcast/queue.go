@@ -7,11 +7,10 @@
 // that have been sent fewer times are preferred, so fresh information
 // spreads even under high update load (SWIM §3.2, Lifeguard §III-A).
 //
-// The queue is indexed for large clusters: a per-name map gives O(1)
-// Queue/Invalidate/Peek, and items are kept in per-transmit-count buckets
-// of id-ordered intrusive lists. A populated-bucket bitmap plus an exact
-// per-bucket minimum payload length let GetBroadcasts skip empty and
-// oversized buckets in O(1), so it walks only the items it selects.
+// The queue is one slice kept in selection order — fewest transmits
+// first, then id — plus a per-name map for Queue/Invalidate/Peek. A queue
+// holds at most a few hundred updates (N at a join storm), so binary
+// search and block copies over that slice are all the index it needs.
 //
 // The queue owns every byte it hands out: Queue copies the caller's
 // payload into an internal buffer, and spent Broadcast structs (and their
@@ -19,10 +18,7 @@
 // Queue/GetBroadcasts traffic is allocation-free.
 package broadcast
 
-import (
-	"math/bits"
-	"sync"
-)
+import "sync"
 
 // Broadcast is one queued update.
 type Broadcast struct {
@@ -34,111 +30,10 @@ type Broadcast struct {
 	Payload []byte
 
 	// transmits counts how many times the payload has been handed out.
-	// It doubles as the index of the bucket holding the item.
 	transmits int
 
 	// id breaks ties so ordering is stable and FIFO among equals.
 	id uint64
-
-	// prev/next link the item into its bucket's id-ordered list.
-	prev, next *Broadcast
-}
-
-// bucket holds the queued items at one transmit count, in ascending id
-// order (FIFO among equals).
-type bucket struct {
-	head, tail *Broadcast
-	count      int
-
-	// minLen is a lower bound on the payload lengths in the bucket,
-	// exact whenever minStale is false. Removing a minimum-length item
-	// only marks the bound stale; retighten restores exactness on
-	// demand, so the byte-budget skip check never degrades into futile
-	// full walks (a stale-small bound can cause a futile walk, never a
-	// wrongly skipped item — selection is unaffected either way).
-	minLen   int
-	minStale bool
-}
-
-// insert places b into the bucket in id order. Items arrive with the
-// largest id so far in the common cases (fresh updates, and selections
-// promoted from the previous bucket), so the walk starts from the tail.
-func (k *bucket) insert(b *Broadcast) {
-	if k.count == 0 {
-		k.minLen, k.minStale = len(b.Payload), false
-	} else if len(b.Payload) < k.minLen {
-		// The new item undercuts the (lower-bound) minimum, so it is
-		// the exact minimum now.
-		k.minLen, k.minStale = len(b.Payload), false
-	}
-	k.count++
-	at := k.tail
-	for at != nil && at.id > b.id {
-		at = at.prev
-	}
-	if at == nil {
-		// New head.
-		b.prev, b.next = nil, k.head
-		if k.head != nil {
-			k.head.prev = b
-		} else {
-			k.tail = b
-		}
-		k.head = b
-		return
-	}
-	b.prev, b.next = at, at.next
-	if at.next != nil {
-		at.next.prev = b
-	} else {
-		k.tail = b
-	}
-	at.next = b
-}
-
-// remove unlinks b from the bucket. Removing the (possibly unique)
-// minimum-length item marks minLen stale; an emptied bucket resets it.
-func (k *bucket) remove(b *Broadcast) {
-	if b.prev != nil {
-		b.prev.next = b.next
-	} else {
-		k.head = b.next
-	}
-	if b.next != nil {
-		b.next.prev = b.prev
-	} else {
-		k.tail = b.prev
-	}
-	b.prev, b.next = nil, nil
-	k.count--
-	if k.count == 0 {
-		k.minLen, k.minStale = 0, false
-	} else if len(b.Payload) == k.minLen {
-		k.minStale = true
-	}
-}
-
-// retighten rescans the bucket and restores an exact minLen. The stored
-// value is a lower bound on the true minimum, so the scan can stop early
-// the moment it finds a payload matching it (the common case when several
-// same-sized updates share a bucket).
-func (k *bucket) retighten() {
-	k.minStale = false
-	if k.count == 0 {
-		k.minLen = 0
-		return
-	}
-	floor := k.minLen
-	min := -1
-	for b := k.head; b != nil; b = b.next {
-		if n := len(b.Payload); min < 0 || n < min {
-			min = n
-			if min == floor {
-				break
-			}
-		}
-	}
-	k.minLen = min
 }
 
 // Queue is a transmit-limited broadcast queue. The zero value is not
@@ -153,38 +48,35 @@ type Queue struct {
 	// RetransmitMult is λ in the λ·log(n) retransmit budget.
 	RetransmitMult int
 
-	mu      sync.Mutex
-	byName  map[string]*Broadcast
-	buckets []bucket
-	size    int
-	nextID  uint64
+	mu     sync.Mutex
+	byName map[string]*Broadcast
+	nextID uint64
 
-	// occupied is a bitmap over buckets: bit t is set iff buckets[t]
-	// holds at least one item, so the emit scan finds populated buckets
-	// with TrailingZeros instead of probing empty ones.
-	occupied []uint64
+	// items holds every queued update in (transmits, id) order.
+	items []*Broadcast
 
-	// moved is per-call scratch for selected items awaiting promotion to
-	// their next bucket (reused to keep GetBroadcasts allocation-free).
+	// minLen is a lower bound on the queued payload lengths: exact when
+	// set, it only goes stale-small as items leave, and is reset by the
+	// first insert into an empty queue. A selection stops once the
+	// remaining budget cannot fit it.
+	minLen int
+
+	// moved is per-call scratch for selected items awaiting their merge
+	// back into items (reused to keep GetBroadcasts allocation-free).
 	moved []*Broadcast
 
 	// free recycles spent Broadcast structs and their payload buffers.
 	free []*Broadcast
 
-	// futile counts items that were walked by GetBroadcastsInto but not
-	// selected (payload would not fit). With exact minLen bounds this
-	// stays near zero; tests pin it to catch skip-index regressions.
-	futile uint64
-
 	// repeatable records whether the most recent GetBroadcastsInto call
 	// is provably repeatable: it selected every queued item (nothing was
 	// skipped for budget) and dropped none at the transmit limit. Under
 	// those conditions every item was promoted by exactly one transmit,
-	// which preserves bucket order and within-bucket id order, so an
-	// immediately following call with the same overhead and limit would
-	// emit the identical payload sequence — RepeatBroadcastsInto applies
-	// that call's state transition without re-emitting. Any queue
-	// mutation (Queue, Invalidate, Reset) clears the flag.
+	// which preserves the queue's order, so an immediately following call
+	// with the same overhead and limit would emit the identical payload
+	// sequence — RepeatBroadcastsInto applies that call's state
+	// transition without re-emitting. Any queue mutation (Queue,
+	// Invalidate, Reset) clears the flag.
 	repeatable   bool
 	lastOverhead int
 	lastLimit    int
@@ -234,65 +126,54 @@ func RetransmitLimit(mult, n int) int {
 	return limit
 }
 
-// setOccupied marks bucket t as populated, growing the bitmap as needed.
-func (q *Queue) setOccupied(t int) {
-	w := t >> 6
-	for len(q.occupied) <= w {
-		q.occupied = append(q.occupied, 0)
+// search returns the index of the first item in items, which must be in
+// (transmits, id) order, not ordered before b.
+func search(items []*Broadcast, b *Broadcast) int {
+	lo, hi := 0, len(items)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if it := items[m]; it.transmits < b.transmits || it.transmits == b.transmits && it.id < b.id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	q.occupied[w] |= 1 << (uint(t) & 63)
+	return lo
 }
 
-// clearOccupied marks bucket t as empty.
-func (q *Queue) clearOccupied(t int) {
-	q.occupied[t>>6] &^= 1 << (uint(t) & 63)
-}
-
-// insertLocked files b under its transmit count, growing the bucket
-// slice as needed.
-func (q *Queue) insertLocked(b *Broadcast) {
-	for len(q.buckets) <= b.transmits {
-		q.buckets = append(q.buckets, bucket{})
-	}
-	q.buckets[b.transmits].insert(b)
-	q.setOccupied(b.transmits)
-	q.size++
-}
-
-// removeLocked unlinks b from its bucket and the name index.
+// removeLocked takes b out of the slice, then forgets it.
 func (q *Queue) removeLocked(b *Broadcast) {
-	k := &q.buckets[b.transmits]
-	k.remove(b)
-	if k.count == 0 {
-		q.clearOccupied(b.transmits)
+	i := search(q.items, b)
+	n := len(q.items) - 1
+	copy(q.items[i:], q.items[i+1:])
+	q.items[n] = nil
+	q.items = q.items[:n]
+	q.forgetLocked(b)
+}
+
+// mergeLocked merges moved, itself in (transmits, id) order, into items.
+// It works from the back: each promoted item is placed by binary search
+// among the items not yet passed, and the block above it shifts once.
+func (q *Queue) mergeLocked(moved []*Broadcast) {
+	hi := len(q.items)
+	q.items = append(q.items, moved...)
+	for j := len(moved) - 1; j >= 0; j-- {
+		b := moved[j]
+		p := search(q.items[:hi], b)
+		copy(q.items[p+j+1:], q.items[p:hi])
+		q.items[p+j] = b
+		hi = p
 	}
+}
+
+// forgetLocked drops b from the name index and returns it to the
+// freelist, keeping its payload buffer for reuse.
+func (q *Queue) forgetLocked(b *Broadcast) {
 	delete(q.byName, b.Name)
-	q.size--
-}
-
-// newBroadcastLocked returns a zeroed Broadcast, recycled if possible.
-func (q *Queue) newBroadcastLocked() *Broadcast {
-	if n := len(q.free); n > 0 {
-		b := q.free[n-1]
-		q.free[n-1] = nil
-		q.free = q.free[:n-1]
-		return b
+	if len(q.free) < maxFree {
+		b.Name, b.Payload = "", b.Payload[:0]
+		q.free = append(q.free, b)
 	}
-	return &Broadcast{}
-}
-
-// recycleLocked returns a spent, already-unlinked Broadcast to the
-// freelist, retaining its payload buffer for reuse.
-func (q *Queue) recycleLocked(b *Broadcast) {
-	if len(q.free) >= maxFree {
-		return
-	}
-	b.Name = ""
-	b.Payload = b.Payload[:0]
-	b.transmits = 0
-	b.id = 0
-	b.prev, b.next = nil, nil
-	q.free = append(q.free, b)
 }
 
 // Queue adds an update about the named member, invalidating any older
@@ -310,17 +191,26 @@ func (q *Queue) Queue(name string, payload []byte) {
 	q.repeatable = false
 	if old, ok := q.byName[name]; ok {
 		q.removeLocked(old)
-		q.recycleLocked(old)
 	}
 
+	var b *Broadcast
+	if n := len(q.free); n > 0 {
+		b, q.free = q.free[n-1], q.free[:n-1]
+	} else {
+		b = &Broadcast{}
+	}
 	q.nextID++
-	b := q.newBroadcastLocked()
-	b.Name = name
-	b.Payload = append(b.Payload[:0], payload...)
-	b.id = q.nextID
-	b.transmits = 0
+	b.Name, b.Payload = name, append(b.Payload[:0], payload...)
+	b.transmits, b.id = 0, q.nextID
 	q.byName[name] = b
-	q.insertLocked(b)
+	if len(q.items) == 0 || len(payload) < q.minLen {
+		q.minLen = len(payload)
+	}
+	// The newest id sorts last among the unsent items.
+	i := search(q.items, b)
+	q.items = append(q.items, nil)
+	copy(q.items[i+1:], q.items[i:])
+	q.items[i] = b
 }
 
 // Invalidate drops any queued update about the named member without
@@ -331,7 +221,6 @@ func (q *Queue) Invalidate(name string) {
 	q.repeatable = false
 	if b, ok := q.byName[name]; ok {
 		q.removeLocked(b)
-		q.recycleLocked(b)
 	}
 }
 
@@ -339,7 +228,7 @@ func (q *Queue) Invalidate(name string) {
 func (q *Queue) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.size
+	return len(q.items)
 }
 
 // Reset drops all queued updates.
@@ -348,18 +237,7 @@ func (q *Queue) Reset() {
 	defer q.mu.Unlock()
 	q.repeatable = false
 	q.byName = make(map[string]*Broadcast)
-	q.buckets = nil
-	q.occupied = nil
-	q.size = 0
-}
-
-// FutileWalks reports how many items GetBroadcasts has walked without
-// selecting over the queue's lifetime. It exists for tests and
-// diagnostics: a growing count means the skip index has gone slack.
-func (q *Queue) FutileWalks() uint64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.futile
+	q.items = nil
 }
 
 // GetBroadcasts selects queued payloads to piggyback on an outgoing
@@ -384,71 +262,40 @@ func (q *Queue) GetBroadcasts(overhead, limit int) [][]byte {
 func (q *Queue) GetBroadcastsInto(overhead, limit int, emit func(payload []byte)) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.size == 0 {
+	n := len(q.items)
+	if n == 0 {
 		return
 	}
 
 	transmitLimit := RetransmitLimit(q.RetransmitMult, q.NumNodes())
-
 	used := 0
-	startSize, selected, dropped := q.size, 0, 0
 	moved := q.moved[:0]
-	for w := 0; w < len(q.occupied); w++ {
-		word := q.occupied[w]
-		for word != 0 {
-			bit := bits.TrailingZeros64(word)
-			word &^= 1 << uint(bit)
-			t := w<<6 | bit
-			k := &q.buckets[t]
-			// A stale bound can only be too small: if it would fail the
-			// budget check the true minimum fails too, but if it would
-			// pass it must be verified first or the walk may be futile.
-			if k.minStale && limit-used >= overhead+k.minLen {
-				k.retighten()
-			}
-			if limit-used < overhead+k.minLen {
-				continue
-			}
-			for b := k.head; b != nil; {
-				next := b.next
-				cost := overhead + len(b.Payload)
-				if used+cost <= limit {
-					used += cost
-					selected++
-					emit(b.Payload)
-					k.remove(b)
-					if k.count == 0 {
-						q.clearOccupied(t)
-					}
-					b.transmits++
-					if b.transmits < transmitLimit {
-						// Re-filed after the walk so an item is handed out
-						// at most once per call.
-						moved = append(moved, b)
-					} else {
-						delete(q.byName, b.Name)
-						q.recycleLocked(b)
-						dropped++
-					}
-					q.size--
-					if k.minStale && limit-used >= overhead+k.minLen {
-						k.retighten()
-					}
-					if limit-used < overhead+k.minLen {
-						break // nothing else in this bucket can fit
-					}
-				} else {
-					q.futile++
-				}
-				b = next
-			}
+	kept := q.items[:0]
+	i := 0
+	for ; i < n && limit-used >= overhead+q.minLen; i++ {
+		b := q.items[i]
+		cost := overhead + len(b.Payload)
+		if used+cost > limit {
+			kept = append(kept, b)
+			continue
+		}
+		used += cost
+		emit(b.Payload)
+		b.transmits++
+		if b.transmits < transmitLimit {
+			// Merged back after the walk so an item is handed out at
+			// most once per call.
+			moved = append(moved, b)
+		} else {
+			q.forgetLocked(b)
 		}
 	}
-	for _, b := range moved {
-		q.insertLocked(b)
-	}
+	selected := i - len(kept)
+	q.items = append(kept, q.items[i:]...)
+	q.mergeLocked(moved)
+	clear(q.items[len(q.items):n])
 	q.moved = moved[:0]
-	q.repeatable = selected > 0 && selected == startSize && dropped == 0
+	q.repeatable = selected == n && len(q.items) == n // no skips, no drops
 	q.lastOverhead, q.lastLimit = overhead, limit
 }
 
@@ -469,49 +316,31 @@ func (q *Queue) GetBroadcastsInto(overhead, limit int, emit func(payload []byte)
 func (q *Queue) RepeatBroadcastsInto(overhead, limit int) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if !q.repeatable || overhead != q.lastOverhead || limit != q.lastLimit || q.size == 0 {
+	n := len(q.items)
+	if !q.repeatable || overhead != q.lastOverhead || limit != q.lastLimit || n == 0 {
 		return false
 	}
 
 	// The drop threshold is recomputed exactly as the repeated call
 	// would compute it; a cluster-size change between calls shifts the
-	// threshold for both paths identically.
+	// threshold for both paths identically. Promoting every item by one
+	// transmit keeps the slice in order.
 	transmitLimit := RetransmitLimit(q.RetransmitMult, q.NumNodes())
-	dropped := 0
-	moved := q.moved[:0]
-	for w := 0; w < len(q.occupied); w++ {
-		word := q.occupied[w]
-		for word != 0 {
-			bit := bits.TrailingZeros64(word)
-			word &^= 1 << uint(bit)
-			t := w<<6 | bit
-			k := &q.buckets[t]
-			for b := k.head; b != nil; {
-				next := b.next
-				k.remove(b)
-				b.transmits++
-				if b.transmits < transmitLimit {
-					// Re-filed after the walk, like GetBroadcastsInto.
-					moved = append(moved, b)
-				} else {
-					delete(q.byName, b.Name)
-					q.recycleLocked(b)
-					dropped++
-				}
-				q.size--
-				b = next
-			}
-			q.clearOccupied(t)
+	kept := q.items[:0]
+	for _, b := range q.items {
+		b.transmits++
+		if b.transmits < transmitLimit {
+			kept = append(kept, b)
+		} else {
+			q.forgetLocked(b)
 		}
 	}
-	for _, b := range moved {
-		q.insertLocked(b)
-	}
-	q.moved = moved[:0]
+	clear(q.items[len(kept):])
+	q.items = kept
 	// The repeat selected the whole queue by construction; it stays
 	// repeatable unless this promotion dropped items (the next real call
 	// would then select a smaller set) or emptied the queue.
-	q.repeatable = dropped == 0 && q.size > 0
+	q.repeatable = len(kept) == n
 	return true
 }
 

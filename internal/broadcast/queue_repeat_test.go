@@ -153,58 +153,104 @@ func TestRepeatAppliesDropsAndStops(t *testing.T) {
 	}
 }
 
+// repeatShape sizes one TestQuickRepeatEquivalence trial.
+type repeatShape struct {
+	nodes, mult, limit int
+	names              int // distinct member names
+	storm, steps       int // queue-only steps first, then mixed steps
+	minLen, maxLen     int // payload length range
+}
+
 // TestQuickRepeatEquivalence drives a twin pair of queues through
 // random mixed workloads: whenever the shared-encode queue's repeat is
 // accepted, the baseline queue runs a real selection instead, and the
 // two must emit identical sequences and stay in identical states. This
-// is the randomized version of the hand-built equivalence pin.
+// is the randomized version of the hand-built equivalence pin. The last
+// trials run at the sizes the workloads reach (see
+// TestQueueMatchesSeedImplementation) and must take the repeat path.
+// The seed implementation runs as a third twin throughout.
 func TestQuickRepeatEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
 		nodes := 1 + rng.Intn(200)
 		mult := 1 + rng.Intn(3)
-		base := NewQueue(fixedNodes(nodes), mult)
-		twin := NewQueue(fixedNodes(nodes), mult)
 		limit := 32 + rng.Intn(256)
+		repeatTrial(t, rng, trial, repeatShape{nodes: nodes, mult: mult, limit: limit,
+			names: 8, steps: 60, minLen: 1, maxLen: 40})
+	}
+	repeats := 0
+	for trial := 50; trial < 60; trial++ {
+		repeats += repeatTrial(t, rng, trial, repeatShape{nodes: 384, mult: 4, limit: 1400,
+			names: 400, storm: 400, steps: 1200, minLen: 20, maxLen: 60})
+	}
+	if repeats == 0 {
+		t.Fatal("no production-size trial accepted a repeat")
+	}
+}
 
-		var lastTwin []string // the twin's most recent emitted selection
-		for step := 0; step < 60; step++ {
-			switch rng.Intn(4) {
-			case 0:
-				name := fmt.Sprintf("m%d", rng.Intn(8))
-				payload := make([]byte, 1+rng.Intn(40))
-				for i := range payload {
-					payload[i] = byte(rng.Intn(256))
-				}
-				base.Queue(name, payload)
-				twin.Queue(name, payload)
-			case 1:
-				name := fmt.Sprintf("m%d", rng.Intn(8))
-				base.Invalidate(name)
-				twin.Invalidate(name)
-			default:
-				want := drain(base, 2, limit)
-				if twin.RepeatBroadcastsInto(2, limit) {
-					// The twin promised this selection equals its own
-					// previous emission; the baseline's real selection is
-					// the ground truth that reuse must match.
-					if !reflect.DeepEqual(lastTwin, want) {
-						t.Fatalf("trial %d step %d: repeat reused %q, baseline selected %q",
-							trial, step, lastTwin, want)
-					}
-				} else {
-					got := drain(twin, 2, limit)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("trial %d step %d: selections diverged:\n got %q\nwant %q",
-							trial, step, got, want)
-					}
-					lastTwin = got
-				}
+// repeatTrial runs one trial and returns how many repeats the twin
+// accepted. The baseline's selections and Len are also held to the seed
+// implementation's.
+func repeatTrial(t *testing.T, rng *rand.Rand, trial int, shape repeatShape) (repeats int) {
+	base := NewQueue(fixedNodes(shape.nodes), shape.mult)
+	twin := NewQueue(fixedNodes(shape.nodes), shape.mult)
+	slow := &seedQueue{numNodes: fixedNodes(shape.nodes), retransmitMult: shape.mult}
+
+	var lastTwin []string // the twin's most recent emitted selection
+	for step := 0; step < shape.storm+shape.steps; step++ {
+		kind := 0
+		if step >= shape.storm {
+			kind = rng.Intn(4)
+		}
+		switch kind {
+		case 0:
+			name := fmt.Sprintf("m%d", rng.Intn(shape.names))
+			payload := make([]byte, shape.minLen+rng.Intn(shape.maxLen-shape.minLen+1))
+			for i := range payload {
+				payload[i] = byte(rng.Intn(256))
 			}
-			if base.Len() != twin.Len() {
-				t.Fatalf("trial %d step %d: sizes diverged: base %d, twin %d",
-					trial, step, base.Len(), twin.Len())
+			base.Queue(name, payload)
+			twin.Queue(name, payload)
+			slow.Queue(name, payload)
+		case 1:
+			name := fmt.Sprintf("m%d", rng.Intn(shape.names))
+			base.Invalidate(name)
+			twin.Invalidate(name)
+			slow.Invalidate(name)
+		default:
+			want := drain(base, 2, shape.limit)
+			var seed []string
+			for _, p := range slow.GetBroadcasts(2, shape.limit) {
+				seed = append(seed, string(p))
+			}
+			if !reflect.DeepEqual(seed, want) {
+				t.Fatalf("trial %d step %d: baseline selected %q, seed %q", trial, step, want, seed)
+			}
+			if twin.RepeatBroadcastsInto(2, shape.limit) {
+				repeats++
+				// The twin promised this selection equals its own
+				// previous emission; the baseline's real selection is
+				// the ground truth that reuse must match.
+				if !reflect.DeepEqual(lastTwin, want) {
+					t.Fatalf("trial %d step %d: repeat reused %q, baseline selected %q",
+						trial, step, lastTwin, want)
+				}
+			} else {
+				got := drain(twin, 2, shape.limit)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d step %d: selections diverged:\n got %q\nwant %q",
+						trial, step, got, want)
+				}
+				lastTwin = got
 			}
 		}
+		if base.Len() != twin.Len() {
+			t.Fatalf("trial %d step %d: sizes diverged: base %d, twin %d",
+				trial, step, base.Len(), twin.Len())
+		}
+		if base.Len() != slow.Len() {
+			t.Fatalf("trial %d step %d: Len = %d, seed = %d", trial, step, base.Len(), slow.Len())
+		}
 	}
+	return repeats
 }

@@ -253,48 +253,6 @@ func TestQueueCopiesCallerPayload(t *testing.T) {
 	}
 }
 
-func TestEmitScanSkipsRetightenedBucket(t *testing.T) {
-	// Regression: minLen used to stay stale-small forever once the one
-	// short payload left a bucket, so a byte-limited call walked every
-	// long item futilely. With exact bounds the bucket is skipped in
-	// O(1) and the futile-walk counter stays flat.
-	q := NewQueue(fixedNodes(1), 1) // limit 1: items are spent on first transmit
-	q.Queue("short", make([]byte, 2))
-	for i := 0; i < 10; i++ {
-		q.Queue(fmt.Sprintf("long%d", i), make([]byte, 100))
-	}
-	// Budget fits only the short payload; it gets selected and dropped
-	// (retransmit limit 1), leaving ten 100-byte items behind.
-	if got := q.GetBroadcasts(0, 50); len(got) != 1 || len(got[0]) != 2 {
-		t.Fatalf("first draw: got %d payloads, want just the short one", len(got))
-	}
-	base := q.FutileWalks()
-	// A budget below 100 must now skip bucket 0 without touching its
-	// items: no walked-but-unselected work.
-	if got := q.GetBroadcasts(0, 50); len(got) != 0 {
-		t.Fatalf("second draw selected %d payloads, want 0", len(got))
-	}
-	if walked := q.FutileWalks() - base; walked != 0 {
-		t.Errorf("skip index walked %d items futilely, want 0", walked)
-	}
-}
-
-func TestFutileWalkCounterCountsUnselected(t *testing.T) {
-	// Items are walked in id order, not size order, so a big item ahead
-	// of a small one is visited-but-unselected under a tight budget.
-	// This pins that the counter actually counts.
-	q := NewQueue(fixedNodes(128), 4)
-	q.Queue("big", make([]byte, 100))
-	q.Queue("small", make([]byte, 2))
-	got := q.GetBroadcasts(0, 50)
-	if len(got) != 1 || len(got[0]) != 2 {
-		t.Fatalf("got %d payloads, want just the small one", len(got))
-	}
-	if q.FutileWalks() != 1 {
-		t.Errorf("futile walks = %d, want 1 (the big item)", q.FutileWalks())
-	}
-}
-
 func TestQueueSteadyStateAllocationFree(t *testing.T) {
 	// Once the freelist is warm, Queue + GetBroadcastsInto must not
 	// allocate: Broadcast structs and payload buffers are recycled.
@@ -312,7 +270,7 @@ func TestQueueSteadyStateAllocationFree(t *testing.T) {
 			q.GetBroadcastsInto(2, 1400, func([]byte) {})
 		}
 	}
-	work() // warm the freelist and bucket/bitmap storage
+	work() // warm the freelist and slice storage
 	if allocs := testing.AllocsPerRun(100, work); allocs > 0 {
 		t.Errorf("steady-state queue cycle allocates %.1f times, want 0", allocs)
 	}

@@ -52,7 +52,16 @@ func (n *Node) suspectNodeLocked(m *memberState, s *wire.Suspect) {
 	m.State = StateSuspect
 	m.StateChange = n.cfg.Clock.Now()
 	n.cfg.Metrics.IncrCounter(metrics.CounterSuspicionsRaised, 1)
+	n.startSuspicionLocked(m, s.From, s.Incarnation)
 
+	n.broadcastLocked(m.Name, s)
+	n.eventSuspectLocked(m)
+}
+
+// startSuspicionLocked arms m's suspicion timer, opened by accuser about
+// incarnation inc: K confirmations shrink it from Max toward Min under
+// LHA-Suspicion; baseline SWIM runs a fixed Min timeout.
+func (n *Node) startSuspicionLocked(m *memberState, accuser string, inc uint64) {
 	k := 0
 	if n.cfg.LHASuspicion {
 		k = n.cfg.SuspicionK
@@ -62,13 +71,9 @@ func (n *Node) suspectNodeLocked(m *memberState, s *wire.Suspect) {
 	if n.cfg.LHASuspicion {
 		max = time.Duration(n.cfg.SuspicionBeta * float64(min))
 	}
-	accusedInc := s.Incarnation
-	m.susp = suspicion.New(n.cfg.Clock, s.From, k, min, max, func(int) {
-		n.suspicionExpired(m, accusedInc)
+	m.susp = suspicion.New(n.cfg.Clock, accuser, k, min, max, func(int) {
+		n.suspicionExpired(m, inc)
 	})
-
-	n.broadcastLocked(m.Name, s)
-	n.eventSuspectLocked(m)
 }
 
 // applyMergedSuspicionLocked applies a suspicion learned through
@@ -88,19 +93,7 @@ func (n *Node) applyMergedSuspicionLocked(name string, inc uint64) {
 	m.State = StateSuspect
 	m.StateChange = n.cfg.Clock.Now()
 	n.cfg.Metrics.IncrCounter(metrics.CounterSuspicionsRaised, 1)
-
-	k := 0
-	if n.cfg.LHASuspicion {
-		k = n.cfg.SuspicionK
-	}
-	min := SuspicionMin(n.cfg.SuspicionAlpha, n.aliveCount, n.cfg.ProbeInterval)
-	max := min
-	if n.cfg.LHASuspicion {
-		max = time.Duration(n.cfg.SuspicionBeta * float64(min))
-	}
-	m.susp = suspicion.New(n.cfg.Clock, n.cfg.Name, k, min, max, func(int) {
-		n.suspicionExpired(m, inc)
-	})
+	n.startSuspicionLocked(m, n.cfg.Name, inc)
 	n.eventSuspectLocked(m)
 }
 

@@ -40,15 +40,6 @@ type PeerEpoch struct {
 	Epoch uint64
 }
 
-// RTTSample is one measured direct-path round-trip.
-type RTTSample struct {
-	// At is when the measurement was taken.
-	At time.Time
-
-	// RTT is the measured round-trip time.
-	RTT time.Duration
-}
-
 // peerCounters accumulates one peer's probe outcomes. touched is the
 // recorder's touch count when the peer was last recorded about; the
 // entry with the lowest value goes when the peer table is full.
@@ -71,7 +62,7 @@ type peerCounters struct {
 type NodeRecorder struct {
 	cfg    NodeConfig
 	epoch0 time.Time
-	buf    *Buffer[PeerEpoch, RTTSample]
+	buf    *Buffer[PeerEpoch, time.Duration]
 
 	// RTTHist and SuspicionHist are the process-wide histograms, exposed
 	// for Prometheus exposition.
@@ -92,7 +83,7 @@ func NewNodeRecorder(cfg NodeConfig) (*NodeRecorder, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	buf, err := NewBuffer[PeerEpoch, RTTSample](BufferConfig[PeerEpoch]{
+	buf, err := NewBuffer[PeerEpoch, time.Duration](BufferConfig[PeerEpoch]{
 		MaxSamplesPerPartition: nodeRingSize,
 		MaxPartitions:          nodeMaxPartitions,
 		Epoch:                  func(k PeerEpoch) uint64 { return k.Epoch },
@@ -147,12 +138,11 @@ func (r *NodeRecorder) peerLocked(peer string) *peerCounters {
 
 // Buffer exposes the underlying sample buffer (bounds, eviction
 // counters) for tests and ops surfaces.
-func (r *NodeRecorder) Buffer() *Buffer[PeerEpoch, RTTSample] { return r.buf }
+func (r *NodeRecorder) Buffer() *Buffer[PeerEpoch, time.Duration] { return r.buf }
 
 // RecordRTT implements Recorder.
 func (r *NodeRecorder) RecordRTT(peer string, rtt time.Duration) {
-	now := r.cfg.Now()
-	r.buf.Add(PeerEpoch{Peer: peer, Epoch: r.epochAt(now)}, RTTSample{At: now, RTT: rtt})
+	r.buf.Add(PeerEpoch{Peer: peer, Epoch: r.epochAt(r.cfg.Now())}, rtt)
 	r.RTTHist.Observe(rtt)
 	r.mu.Lock()
 	r.peerLocked(peer)
@@ -262,17 +252,17 @@ func (r *NodeRecorder) Snapshot() Snapshot {
 	}
 	agg := make(map[string]*peerAgg)
 	samples := 0
-	r.buf.ForEach(func(k PeerEpoch, ss []RTTSample) {
+	r.buf.ForEach(func(k PeerEpoch, rtts []time.Duration) {
 		a := agg[k.Peer]
 		if a == nil {
 			a = &peerAgg{}
 			agg[k.Peer] = a
 		}
 		a.epochs++
-		for _, s := range ss {
-			a.rtts = append(a.rtts, float64(s.RTT)/float64(time.Millisecond))
+		for _, rtt := range rtts {
+			a.rtts = append(a.rtts, float64(rtt)/float64(time.Millisecond))
 		}
-		samples += len(ss)
+		samples += len(rtts)
 	})
 
 	r.mu.Lock()
