@@ -309,7 +309,7 @@ func BenchmarkAblationMaxLHM(b *testing.B) {
 	}
 }
 
-// --- Hot-path micro-benchmarks: the 10k-member scaling work ---
+// --- Hot-path micro-benchmarks: gossip queue and piggyback encoding ---
 
 // benchNode builds a started protocol node with n merged members on a
 // virtual clock (timers are registered but never fire — the scheduler is
@@ -377,27 +377,6 @@ func BenchmarkBroadcastQueue(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				q.Queue(names[i%n], payload)
 				q.GetBroadcastsInto(wire.CompoundOverhead, 1400, emit)
-			}
-		})
-	}
-}
-
-// BenchmarkKRandomSelection10k exercises k-random peer selection (the
-// primitive behind indirect-probe relays and gossip/push-pull fan-out)
-// against cluster size. The partial Fisher–Yates walk costs O(k) when
-// most members match, so ns/op should stay roughly flat in n, where the
-// seed implementation collected, sorted and fully shuffled every
-// candidate per pick (O(n log n)).
-func BenchmarkKRandomSelection10k(b *testing.B) {
-	for _, n := range []int{128, 1024, 10240} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			node := benchNode(b, n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if got := node.SampleMembers(3); len(got) != 3 {
-					b.Fatalf("sampled %d members, want 3", len(got))
-				}
 			}
 		})
 	}

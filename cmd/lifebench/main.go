@@ -15,7 +15,8 @@
 // table7, and "all". Scales trade fidelity for time: smoke (seconds),
 // bench (minutes, default), paper (the full grids of Tables II/III
 // with 10 repetitions — hours). -scale is the one place a scenario is
-// sized; for other sizes call simulation.RunWAN, RunChaos or RunRestart.
+// sized; code inside this module may instead pass a custom
+// experiment.Scale to experiment.RunScenario.
 //
 // -parallel N runs up to N independent scenario cells concurrently.
 // Every cell derives its seed from its canonical matrix position, so

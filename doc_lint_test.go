@@ -10,24 +10,22 @@ import (
 )
 
 // TestExportedSymbolsDocumented is the doc lint for the public surface
-// (this package and simulation/): every exported type, function,
-// method, constant, variable, struct field and interface method must
-// carry a doc comment. CI runs it as a dedicated step, so a godoc
-// regression fails the build — the AST-walk equivalent of `revive
-// exported`, with no external dependency.
+// (this package): every exported type, function, method, constant,
+// variable, struct field and interface method must carry a doc comment.
+// CI runs it as a dedicated step, so a godoc regression fails the
+// build — the AST-walk equivalent of `revive exported`, with no external
+// dependency.
 func TestExportedSymbolsDocumented(t *testing.T) {
-	for _, dir := range []string{".", "./simulation"} {
-		fset := token.NewFileSet()
-		pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
-			return !strings.HasSuffix(fi.Name(), "_test.go")
-		}, parser.ParseComments)
-		if err != nil {
-			t.Fatalf("%s: %v", dir, err)
-		}
-		for _, pkg := range pkgs {
-			for _, file := range pkg.Files {
-				checkFileDocs(t, fset, file)
-			}
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			checkFileDocs(t, fset, file)
 		}
 	}
 }

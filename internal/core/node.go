@@ -470,23 +470,6 @@ func (n *Node) Members() []Member {
 	return out
 }
 
-// SampleMembers returns up to k distinct members chosen uniformly at
-// random among the alive and suspect members other than the local one —
-// the peer-sampling primitive behind gossip fan-out and indirect-probe
-// relay selection, exposed for application-level dissemination layers.
-func (n *Node) SampleMembers(k int) []Member {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	picks := n.selectRandomLocked(k, func(m *memberState) bool {
-		return m != n.self && (m.State == StateAlive || m.State == StateSuspect)
-	})
-	out := make([]Member, len(picks))
-	for i, m := range picks {
-		out[i] = m.Member
-	}
-	return out
-}
-
 // Member returns the local view of the named member.
 func (n *Node) Member(name string) (Member, bool) {
 	n.mu.Lock()

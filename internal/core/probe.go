@@ -760,8 +760,8 @@ func (n *Node) handleNackLocked(_ string, nk *wire.Nack) {
 // target is lowest per the cached peer coordinates — the members best
 // placed to reach the target quickly. The near ranking runs within a
 // bounded uniform candidate pool (a few dozen members), not the whole
-// roster, so an escalation costs O(pool log pool) even at 10k members —
-// the same bounded-pool shape as gossipTargetsLocked. Candidates
+// roster, so an escalation costs O(pool log pool) whatever the cluster
+// size — the same bounded-pool shape as gossipTargetsLocked. Candidates
 // without cached coordinates can only enter through the random slices,
 // and a fully cold cache degrades to the uniform behavior.
 func (n *Node) selectRelaysLocked(target *memberState) []*memberState {

@@ -10,8 +10,8 @@ import (
 // lifecycle and a deterministic parallel executor for the named
 // experiment scenarios listed in scenarios.go — the paper's sweeps as
 // well as the churn, partition, WAN, chaos and rolling-restart
-// scenarios — so cmd/lifebench and library users run them all through
-// one door.
+// scenarios — so cmd/lifebench and the root package's paper benchmarks
+// run them all through one door.
 //
 // Determinism contract: a scenario's plan must enumerate independent
 // cells whose seeds derive from the base seed and the cell's canonical
@@ -99,9 +99,9 @@ type Cell struct {
 // RunOptions parameterizes one scenario run.
 type RunOptions struct {
 	// Scale selects the sweep scale (grids, cluster sizes, durations):
-	// the one place a registered scenario is sized. For another size,
-	// pass a custom Scale or call RunWAN, RunChaos or RunRestart with
-	// their own parameters.
+	// the one place a registered scenario is sized. Outside this module
+	// that means lifebench's -scale presets; code inside it may pass a
+	// custom Scale.
 	Scale Scale
 
 	// Seed is the base RNG seed; every cell derives its own seed from

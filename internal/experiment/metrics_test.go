@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"lifeguard/internal/metrics"
+	"lifeguard/internal/sim"
 	"lifeguard/internal/stats"
 )
 
@@ -78,6 +79,72 @@ func TestClusterConvergesAfterQuiesce(t *testing.T) {
 	}
 }
 
+// TestNewClusterSuspectsAndRecovers drives a cluster by hand rather
+// than through a scenario: fault one member, watch it get suspected,
+// lift the fault, watch the cluster re-converge. SetAnomalous gates the
+// member's own processing; DegradeNode delays its traffic while it
+// stays alive.
+func TestNewClusterSuspectsAndRecovers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation run")
+	}
+	boot := func(t *testing.T, seed int64) *Cluster {
+		t.Helper()
+		c, err := NewCluster(ClusterConfig{N: 16, Seed: seed, Protocol: ConfigLifeguard})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Shutdown)
+		if err := c.Start(Quiesce); err != nil {
+			t.Fatal(err)
+		}
+		if !c.Converged() {
+			t.Fatal("no convergence")
+		}
+		return c
+	}
+	suspected := func(c *Cluster, victim string) bool {
+		for _, e := range c.Events.Events() {
+			if e.Subject == victim && e.Observer != victim && e.Type == metrics.EventSuspect {
+				return true
+			}
+		}
+		return false
+	}
+
+	t.Run("SetAnomalous", func(t *testing.T) {
+		c := boot(t, 4)
+		victim := NodeName(3)
+		c.SetAnomalous([]string{victim}, true)
+		c.Sched.RunFor(5 * time.Second)
+		if !suspected(c, victim) {
+			t.Error("gated member never suspected")
+		}
+		c.SetAnomalous([]string{victim}, false)
+		c.Sched.RunFor(30 * time.Second)
+		if !c.Converged() {
+			t.Error("cluster did not re-converge after release")
+		}
+	})
+
+	t.Run("DegradeNode", func(t *testing.T) {
+		c := boot(t, 6)
+		victim := NodeName(5)
+		s := &sim.FaultSchedule{}
+		s.DegradeNode(0, victim, sim.DelayDist{Base: 2 * time.Second, Jitter: 2 * time.Second})
+		s.RestoreNode(20*time.Second, victim)
+		c.Net.InstallFaults(s)
+		c.Sched.RunFor(20 * time.Second)
+		if !suspected(c, victim) {
+			t.Error("degraded member never suspected")
+		}
+		c.Sched.RunFor(50 * time.Second)
+		if !c.Converged() {
+			t.Error("cluster did not re-converge after the degradation ended")
+		}
+	})
+}
+
 func TestWithTuning(t *testing.T) {
 	p := ConfigLifeguard.WithTuning(2, 4)
 	if p.Alpha != 2 || p.Beta != 4 {
@@ -89,6 +156,14 @@ func TestWithTuning(t *testing.T) {
 	// Original untouched.
 	if ConfigLifeguard.Alpha != 5 {
 		t.Error("WithTuning mutated the original")
+	}
+	// Configurations is Table I, in the paper's order.
+	names := make([]string, 0, len(Configurations))
+	for _, p := range Configurations {
+		names = append(names, p.Name)
+	}
+	if got, want := strings.Join(names, ", "), "SWIM, LHA-Probe, LHA-Suspicion, Buddy System, Lifeguard"; got != want {
+		t.Errorf("configurations = %s, want %s", got, want)
 	}
 }
 
