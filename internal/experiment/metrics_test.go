@@ -157,7 +157,11 @@ func TestWithTuning(t *testing.T) {
 	if ConfigLifeguard.Alpha != 5 {
 		t.Error("WithTuning mutated the original")
 	}
-	// Configurations is Table I, in the paper's order.
+}
+
+// TestConfigurationsMatchTableI checks that Configurations lists the
+// paper's Table I variants in the paper's order.
+func TestConfigurationsMatchTableI(t *testing.T) {
 	names := make([]string, 0, len(Configurations))
 	for _, p := range Configurations {
 		names = append(names, p.Name)
