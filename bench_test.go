@@ -463,16 +463,16 @@ func TestPiggybackSendAllocs(t *testing.T) {
 // a fully bisected cluster takes to re-merge after the network heals.
 func BenchmarkPartitionHeal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunPartition(
+		rec, err := experiment.RunPartition(
 			experiment.ClusterConfig{N: 32, Seed: benchSeed, Protocol: experiment.ConfigLifeguard},
 			experiment.PartitionParams{SizeA: 16, Duration: time.Minute, HealBudget: 5 * time.Minute},
 		)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !res.Remerged {
+		if rec.Metrics["remerged"] != 1 {
 			b.Fatal("partition did not heal")
 		}
-		b.ReportMetric(res.RemergeTime.Seconds(), "remerge-s")
+		b.ReportMetric(rec.Metrics["remerge_s"], "remerge-s")
 	}
 }

@@ -196,7 +196,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	var records []record
+	var records []experiment.Record
 	for _, nr := range results {
 		if *timings {
 			fmt.Fprintf(os.Stderr, "[%s took %v]\n", nr.Name, time.Duration(nr.Wall*float64(time.Second)).Round(time.Millisecond))

@@ -134,7 +134,7 @@ func TestRunWANJSON(t *testing.T) {
 	if err := run([]string{"-exp", "wan", "-scale", "smoke", "-quiet", "-timings=false", "-json"}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	var records []record
+	var records []experiment.Record
 	if err := json.Unmarshal(buf.Bytes(), &records); err != nil {
 		t.Fatalf("output is not a JSON record array: %v\noutput: %s", err, buf.String())
 	}
@@ -196,7 +196,7 @@ func TestRunChaosJSON(t *testing.T) {
 	if err := run([]string{"-exp", "chaos", "-scale", "smoke", "-quiet", "-timings=false", "-json", "-parallel", "2"}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	var records []record
+	var records []experiment.Record
 	if err := json.Unmarshal(buf.Bytes(), &records); err != nil {
 		t.Fatalf("output is not a JSON record array: %v\noutput: %s", err, buf.String())
 	}
@@ -232,7 +232,7 @@ func TestRunJSONTableSmoke(t *testing.T) {
 	if err := run([]string{"-exp", "table5", "-scale", "smoke", "-quiet", "-timings=false", "-json"}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	var records []record
+	var records []experiment.Record
 	if err := json.Unmarshal(buf.Bytes(), &records); err != nil {
 		t.Fatalf("bad JSON: %v", err)
 	}

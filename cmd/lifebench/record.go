@@ -7,14 +7,11 @@ import (
 	"lifeguard/internal/experiment"
 )
 
-// record is one machine-readable result row, emitted under -json so
-// bench trajectories can be tracked across commits without parsing the
-// human tables. The scenarios build their own records; lifebench only
+// writeRecords emits the collected records as one JSON array, so bench
+// trajectories can be tracked across commits without parsing the human
+// tables. The scenarios build their own records; lifebench only
 // serializes them.
-type record = experiment.Record
-
-// writeRecords emits the collected records as one JSON array.
-func writeRecords(w io.Writer, records []record) error {
+func writeRecords(w io.Writer, records []experiment.Record) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(records)

@@ -13,7 +13,7 @@ import (
 // loadGolden reads a checked-in golden record array strictly: unknown
 // fields are rejected, so a renamed or removed struct field fails here
 // before it bit-rots the docs.
-func loadGolden(t *testing.T, path string) []record {
+func loadGolden(t *testing.T, path string) []experiment.Record {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -21,7 +21,7 @@ func loadGolden(t *testing.T, path string) []record {
 	}
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
-	var records []record
+	var records []experiment.Record
 	if err := dec.Decode(&records); err != nil {
 		t.Fatalf("%s no longer matches the record schema: %v", path, err)
 	}
@@ -62,7 +62,7 @@ func TestGoldenWANRecordSchema(t *testing.T) {
 		"obs_rtt_samples", "obs_rtt_p50_err_median", "obs_rtt_p90_err_median",
 	}
 	perZonePrefixes := []string{
-		"detect_median_s_", "detect_cross_zone_median_s_",
+		"members_", "detect_median_s_", "detect_max_s_", "detect_cross_zone_median_s_",
 		"detected_", "failed_", "fp_",
 	}
 	// Telemetry-derived per-zone-pair quantile errors: 10 unordered

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"strings"
 	"time"
@@ -51,15 +50,6 @@ type ChaosParams struct {
 	// Settle is how long the run continues after the fault window, for
 	// in-flight suspicions to resolve. Defaults to 45 s.
 	Settle time.Duration
-
-	// Scenarios filters the scenario axis by name. Empty runs all of
-	// ChaosScenarioNames.
-	Scenarios []string
-
-	// Configs is the protocol-ablation axis. Empty runs Configurations
-	// (the paper's Table I: SWIM, LHA-Probe, LHA-Suspicion, Buddy
-	// System, Lifeguard).
-	Configs []ProtocolConfig
 }
 
 // withDefaults resolves zero-valued parameters. It is idempotent.
@@ -81,9 +71,6 @@ func (p ChaosParams) withDefaults() ChaosParams {
 	}
 	if p.Settle <= 0 {
 		p.Settle = 45 * time.Second
-	}
-	if len(p.Configs) == 0 {
-		p.Configs = Configurations
 	}
 	return p
 }
@@ -216,65 +203,6 @@ func ChaosScenarioNames() []string {
 	return names
 }
 
-// ChaosCellResult is one (scenario, configuration) cell of the chaos
-// matrix. It contains no pointers, slices or maps, so whole-struct
-// equality is the determinism check.
-type ChaosCellResult struct {
-	// Scenario and Config identify the cell.
-	Scenario, Config string
-
-	// Victims and Crashes are the fault-set sizes.
-	Victims, Crashes int
-
-	// FP counts false positives: dead events about members that were
-	// alive at the time — subjects outside the crash set (victims
-	// included: they are impaired, not dead), plus crash-set members
-	// declared dead before their crash actually landed. FPHealthy
-	// counts those raised at observers outside the crash set.
-	FP, FPHealthy int
-
-	// VictimDeaths is the slice of FP whose subject is a victim — an
-	// impaired-but-alive member wrongly declared dead, the paper's
-	// degraded-member false positive. FP − VictimDeaths is collateral
-	// damage on completely healthy members.
-	VictimDeaths int
-
-	// CrashesDetected counts crashed members whose failure was detected
-	// somewhere; CrashDetect summarizes crash-to-first-detection
-	// latency in seconds.
-	CrashesDetected int
-	CrashDetect     stats.Summary
-
-	// Suspicions counts suspicion episodes about non-crashed members
-	// (per observer–subject pair); Refuted counts those cleared by a
-	// refutation, and RefuteLatency summarizes suspect-to-alive latency
-	// in seconds.
-	Suspicions, Refuted int
-	RefuteLatency       stats.Summary
-
-	// MsgsSent and BytesSent total transport load over the run.
-	MsgsSent, BytesSent int64
-
-	// Duplicated, Reordered and FaultDrops total the fault engine's
-	// packet interventions (duplicate deliveries, reorder hold-backs,
-	// fault-injected drops).
-	Duplicated, Reordered, FaultDrops int64
-
-	// EventDigest is an FNV-64a digest of the full membership event
-	// log — the byte-identical-replay fingerprint for this cell.
-	EventDigest string
-}
-
-// ChaosResult holds one chaos matrix run.
-type ChaosResult struct {
-	// Params echoes the resolved parameters.
-	Params ChaosParams
-
-	// Cells holds one result per (scenario, configuration), scenario-
-	// major in ChaosScenarioNames × Params.Configs order.
-	Cells []ChaosCellResult
-}
-
 // chaosCast deterministically selects the victim and crash sets for a
 // run: disjoint, excluding member 0 (the join seed), identical across
 // every cell of the matrix.
@@ -296,32 +224,33 @@ func findChaosScenario(name string) (chaosScenario, int, error) {
 
 // RunChaosCell executes one (scenario, configuration) cell: quiesce,
 // install the scenario's fault schedule plus the crash set, run out the
-// fault window and settle phase, and score. It returns the scored cell
-// and the full membership event log (the raw material for invariant
-// harnesses). cc.N is taken from the params and must be left zero.
-func RunChaosCell(cc ClusterConfig, scenario string, p ChaosParams) (ChaosCellResult, []metrics.Event, error) {
+// fault window and settle phase, and score. It returns the cell's
+// record (docs/LIFEBENCH.md lists its keys) and the full membership
+// event log (the raw material for invariant harnesses). cc.N is taken
+// from the params and must be left zero.
+func RunChaosCell(cc ClusterConfig, scenario string, p ChaosParams) (Record, []metrics.Event, error) {
 	p = p.withDefaults()
 	if p.Victims+p.Crashes > p.N-1 {
-		return ChaosCellResult{}, nil, fmt.Errorf(
+		return Record{}, nil, fmt.Errorf(
 			"experiment: chaos fault sets need %d members (%d victims + %d crashes) but only %d are eligible (N=%d minus the join seed)",
 			p.Victims+p.Crashes, p.Victims, p.Crashes, p.N-1, p.N)
 	}
 	if p.CrashAt >= p.FaultFor {
-		return ChaosCellResult{}, nil, fmt.Errorf(
+		return Record{}, nil, fmt.Errorf(
 			"experiment: chaos CrashAt %v must fall inside the %v fault window", p.CrashAt, p.FaultFor)
 	}
 	sc, scIndex, err := findChaosScenario(scenario)
 	if err != nil {
-		return ChaosCellResult{}, nil, err
+		return Record{}, nil, err
 	}
 	cc.N = p.N
 	c, err := NewCluster(cc)
 	if err != nil {
-		return ChaosCellResult{}, nil, err
+		return Record{}, nil, err
 	}
 	defer c.Shutdown()
 	if err := c.Start(Quiesce); err != nil {
-		return ChaosCellResult{}, nil, err
+		return Record{}, nil, err
 	}
 
 	victims, crashed := chaosCast(p, cc.Seed)
@@ -341,20 +270,14 @@ func RunChaosCell(cc ClusterConfig, scenario string, p ChaosParams) (ChaosCellRe
 	c.Sched.RunFor(p.FaultFor + p.Settle)
 
 	events := c.Events.Events()
-	res := ChaosCellResult{
-		Scenario: sc.name,
-		Config:   cc.Protocol.Name,
-		Victims:  len(victims),
-		Crashes:  len(crashed),
-	}
 	// Scored from the fault start, with the crashes departing at
 	// crashStart: a dead event about a crash-set member before its crash
 	// landed is a false positive like any other.
 	gone := departAll(crashed, crashStart, true)
 	score := scoreDeaths(events, faultStart, gone)
-	res.FP, res.FPHealthy = score.FP, score.FPHealthy
+	victimDeaths := 0
 	for _, v := range victims {
-		res.VictimDeaths += score.FPBySubject[v]
+		victimDeaths += score.FPBySubject[v]
 	}
 	var detect []float64
 	for _, name := range crashed {
@@ -362,61 +285,58 @@ func RunChaosCell(cc ClusterConfig, scenario string, p ChaosParams) (ChaosCellRe
 			detect = append(detect, first.Seconds())
 		}
 	}
-	res.CrashesDetected = len(detect)
-	res.CrashDetect = stats.Summarize(detect)
-	var refLat []float64
-	res.Suspicions, res.Refuted, refLat = refutationLatencies(events, gone, faultStart)
-	res.RefuteLatency = stats.Summarize(refLat)
+	crashDetect := stats.Summarize(detect)
+	suspicions, refuted, refLat := refutationLatencies(events, gone, faultStart)
 	total := c.Net.TotalStats()
-	res.MsgsSent = total.MsgsSent
-	res.BytesSent = total.BytesSent
-	res.Duplicated = total.Duplicated
-	res.Reordered = total.Reordered
-	res.FaultDrops = total.DropsFault
-	res.EventDigest = eventDigest(events)
-	return res, events, nil
+	return Record{
+		Experiment: "chaos",
+		Config:     cc.Protocol.Name,
+		Params: map[string]any{
+			"scenario":    sc.name,
+			"members":     p.N,
+			"victims":     len(victims),
+			"crashes":     len(crashed),
+			"fault_for_s": p.FaultFor.Seconds(),
+			"crash_at_s":  p.CrashAt.Seconds(),
+		},
+		Metrics: map[string]float64{
+			"fp":                    float64(score.FP),
+			"fp_healthy":            float64(score.FPHealthy),
+			"victim_deaths":         float64(victimDeaths),
+			"crashes_detected":      float64(len(detect)),
+			"crash_detect_median_s": crashDetect.Median,
+			"crash_detect_max_s":    crashDetect.Max,
+			"suspicions":            float64(suspicions),
+			"refuted":               float64(refuted),
+			"refute_median_s":       stats.Summarize(refLat).Median,
+			"msgs_sent":             float64(total.MsgsSent),
+			"bytes_sent":            float64(total.BytesSent),
+			"duplicated":            float64(total.Duplicated),
+			"reordered":             float64(total.Reordered),
+			"fault_drops":           float64(total.DropsFault),
+		},
+	}, events, nil
 }
 
 // chaosCells enumerates the scenario × configuration matrix, scenario-
-// major, every cell at cc's seed with cc.Protocol overridden.
+// major over ChaosScenarioNames × Configurations, every cell at cc's
+// seed with cc.Protocol overridden.
 func chaosCells(cc ClusterConfig, p ChaosParams) []Cell {
-	p = p.withDefaults()
-	scenarios := p.Scenarios
-	if len(scenarios) == 0 {
-		scenarios = ChaosScenarioNames()
-	}
-	cells := make([]Cell, 0, len(scenarios)*len(p.Configs))
-	for _, name := range scenarios {
-		for _, proto := range p.Configs {
+	var cells []Cell
+	for _, name := range ChaosScenarioNames() {
+		for _, proto := range Configurations {
 			name, cellCC := name, cc
 			cellCC.Protocol = proto
 			cells = append(cells, Cell{
 				Label: fmt.Sprintf("chaos %s/%s", name, proto.Name),
 				Run: func() (any, error) {
-					cell, _, err := RunChaosCell(cellCC, name, p)
-					return cell, err
+					rec, _, err := RunChaosCell(cellCC, name, p)
+					return rec, err
 				},
 			})
 		}
 	}
 	return cells
-}
-
-// chaosResult assembles a matrix run from chaosCells' outputs.
-func chaosResult(p ChaosParams, outs []any) (ChaosResult, error) {
-	cells, err := outsAs[ChaosCellResult](outs)
-	return ChaosResult{Params: p.withDefaults(), Cells: cells}, err
-}
-
-// RunChaos executes the full scenario × configuration matrix with one
-// shared seed. cc.Protocol is overridden per cell; cc.N must be left
-// zero (the params size the cluster).
-func RunChaos(cc ClusterConfig, p ChaosParams) (ChaosResult, error) {
-	outs, err := runCells(chaosCells(cc, p), 1, nil)
-	if err != nil {
-		return ChaosResult{}, err
-	}
-	return chaosResult(p, outs)
 }
 
 // refutationLatencies pairs suspect events with the alive events that
@@ -450,33 +370,4 @@ func refutationLatencies(events []metrics.Event, gone map[string]departure, star
 		}
 	}
 	return suspicions, refuted, latencies
-}
-
-// eventDigest fingerprints a membership event log. Two runs with
-// byte-identical protocol behaviour produce equal digests.
-func eventDigest(events []metrics.Event) string {
-	h := fnv.New64a()
-	for _, ev := range events {
-		fmt.Fprintf(h, "%d|%s|%s|%d|%d\n",
-			ev.Time.UnixNano(), ev.Observer, ev.Subject, ev.Type, ev.Incarnation)
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// FormatChaos renders a chaos matrix as the ablation table: one row per
-// cell with false positives, crash detection and refutation behaviour.
-func FormatChaos(r ChaosResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Chaos matrix: N=%d, %d victims, %d crashes, fault window %v (crashes at +%v)\n",
-		r.Params.N, r.Params.Victims, r.Params.Crashes, r.Params.FaultFor, r.Params.CrashAt)
-	fmt.Fprintf(&b, "%-14s %-14s %4s %4s %6s %7s %10s %6s %8s %10s %6s %6s\n",
-		"Scenario", "Config", "FP", "FP-", "VicDie", "CrashOK", "MedDet(s)", "Susp", "Refuted", "MedRef(s)", "Dup", "Reord")
-	for _, cell := range r.Cells {
-		fmt.Fprintf(&b, "%-14s %-14s %4d %4d %6d %4d/%-2d %10.2f %6d %8d %10.2f %6d %6d\n",
-			cell.Scenario, cell.Config, cell.FP, cell.FPHealthy, cell.VictimDeaths,
-			cell.CrashesDetected, cell.Crashes, cell.CrashDetect.Median,
-			cell.Suspicions, cell.Refuted, cell.RefuteLatency.Median,
-			cell.Duplicated, cell.Reordered)
-	}
-	return b.String()
 }

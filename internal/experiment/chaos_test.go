@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"fmt"
+	"hash/fnv"
 	"reflect"
 	"testing"
 	"time"
@@ -62,25 +64,24 @@ func TestChaosDefaultsIdempotent(t *testing.T) {
 
 // TestChaosRejectsOversizedFaultSets pins that a victim+crash demand
 // exceeding the eligible membership (N minus the join seed) errors out
-// instead of silently truncating the crash set to nothing, and that a
-// crash offset outside the fault window — a crash set that would never
-// crash — errors out instead of reporting 0 of C detected.
+// instead of silently truncating the crash set to nothing — per cell
+// and through the registered scenario — and that a crash offset outside
+// the fault window — a crash set that would never crash — errors out
+// instead of reporting 0 of C detected.
 func TestChaosRejectsOversizedFaultSets(t *testing.T) {
 	p := smallChaosParams()
 	p.Victims = p.N - 1 // leaves no room for the crashes
 	if _, _, err := RunChaosCell(ClusterConfig{Seed: 1}, "degraded", p); err == nil {
 		t.Fatal("oversized fault sets accepted")
 	}
-	if _, err := RunChaos(ClusterConfig{Seed: 1}, p); err == nil {
-		t.Fatal("oversized fault sets accepted by RunChaos")
+	// The default 6 victims + 3 crashes need 9 of the 7 eligible members.
+	if _, err := RunScenario("chaos", RunOptions{Scale: Scale{Name: "tiny", ChaosN: 8}, Seed: 1}); err == nil {
+		t.Fatal("oversized fault sets accepted by the chaos scenario")
 	}
 	late := smallChaosParams()
 	late.CrashAt = late.FaultFor
 	if _, _, err := RunChaosCell(ClusterConfig{Seed: 1}, "degraded", late); err == nil {
 		t.Fatal("CrashAt at the end of the fault window accepted")
-	}
-	if _, err := RunChaos(ClusterConfig{Seed: 1}, late); err == nil {
-		t.Fatal("CrashAt at the end of the fault window accepted by RunChaos")
 	}
 }
 
@@ -161,11 +162,11 @@ func TestChaosCombinedCoversAllFaultClasses(t *testing.T) {
 	}
 	p := smallChaosParams()
 	p.Victims = 4
-	cell, _, err := RunChaosCell(ClusterConfig{Seed: 2, Protocol: ConfigSWIM}, "combined", p)
+	rec, _, err := RunChaosCell(ClusterConfig{Seed: 2, Protocol: ConfigSWIM}, "combined", p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cell.Duplicated == 0 && cell.Reordered == 0 {
+	if rec.Metrics["duplicated"] == 0 && rec.Metrics["reordered"] == 0 {
 		t.Errorf("combined cell with 4 victims shows no link-fault interventions — lossy class missing")
 	}
 }
@@ -180,84 +181,78 @@ func TestChaosLifeguardBeatsSWIM(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos matrix run")
 	}
-	res, err := RunChaos(
-		ClusterConfig{Seed: 1},
-		ChaosParams{
-			CrashAt:   5 * time.Second,
-			Scenarios: []string{"degraded"},
-			Configs:   []ProtocolConfig{ConfigSWIM, ConfigLifeguard},
-		},
-	)
-	if err != nil {
-		t.Fatal(err)
+	var recs []Record
+	for _, proto := range []ProtocolConfig{ConfigSWIM, ConfigLifeguard} {
+		rec, _, err := RunChaosCell(ClusterConfig{Seed: 1, Protocol: proto}, "degraded", ChaosParams{CrashAt: 5 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
 	}
-	t.Logf("\n%s", FormatChaos(res))
-	if len(res.Cells) != 2 {
-		t.Fatalf("got %d cells, want 2", len(res.Cells))
-	}
-	swim, lifeguard := res.Cells[0], res.Cells[1]
-	if swim.Config != "SWIM" || lifeguard.Config != "Lifeguard" {
-		t.Fatalf("cell order %s/%s", swim.Config, lifeguard.Config)
-	}
+	t.Logf("\n%s", renderChaos(recs, RunOptions{}))
+	swim, lifeguard := recs[0].Metrics, recs[1].Metrics
 	// Both configurations must detect every real crash.
-	for _, cell := range res.Cells {
-		if cell.CrashesDetected != cell.Crashes {
-			t.Errorf("%s: detected %d of %d crashes", cell.Config, cell.CrashesDetected, cell.Crashes)
+	for _, rec := range recs {
+		if crashes := rec.Params["crashes"].(int); rec.Metrics["crashes_detected"] != float64(crashes) {
+			t.Errorf("%s: detected %g of %d crashes", rec.Config, rec.Metrics["crashes_detected"], crashes)
 		}
 	}
 	// The headline: strictly fewer false positives under Lifeguard.
-	if lifeguard.FP >= swim.FP {
-		t.Errorf("Lifeguard FP %d not strictly below SWIM FP %d", lifeguard.FP, swim.FP)
+	if lifeguard["fp"] >= swim["fp"] {
+		t.Errorf("Lifeguard FP %g not strictly below SWIM FP %g", lifeguard["fp"], swim["fp"])
 	}
 	// At equal-or-better detection latency for the real crashes.
-	if lifeguard.CrashDetect.Median > swim.CrashDetect.Median {
+	if lifeguard["crash_detect_median_s"] > swim["crash_detect_median_s"] {
 		t.Errorf("Lifeguard crash-detection median %.2fs worse than SWIM %.2fs",
-			lifeguard.CrashDetect.Median, swim.CrashDetect.Median)
+			lifeguard["crash_detect_median_s"], swim["crash_detect_median_s"])
 	}
 	// The degradation must actually bite: SWIM's false positives are
 	// the paper's motivating condition, not noise.
-	if swim.FP < 100 {
-		t.Errorf("SWIM produced only %d FP — degradation did not engage", swim.FP)
+	if swim["fp"] < 100 {
+		t.Errorf("SWIM produced only %g FP — degradation did not engage", swim["fp"])
 	}
-	if swim.Suspicions == 0 || lifeguard.Refuted == 0 {
-		t.Errorf("suspicion machinery idle: SWIM susp %d, Lifeguard refuted %d",
-			swim.Suspicions, lifeguard.Refuted)
+	if swim["suspicions"] == 0 || lifeguard["refuted"] == 0 {
+		t.Errorf("suspicion machinery idle: SWIM susp %g, Lifeguard refuted %g",
+			swim["suspicions"], lifeguard["refuted"])
 	}
 }
 
 // TestChaosMatrixDeterminism pins same-seed reproducibility of the
-// full scenario × configuration matrix: every cell — metrics, stats
-// counters and the event-log digest — must be byte-identical across
-// runs, and a different seed must actually change the runs.
+// full scenario × configuration matrix: every cell — its record and
+// the digest of its event log — must be identical across runs, and a
+// different seed must actually change the runs.
 func TestChaosMatrixDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("double chaos matrix run")
 	}
-	run := func(seed int64) ChaosResult {
-		res, err := RunChaos(ClusterConfig{Seed: seed}, smallChaosParams())
-		if err != nil {
-			t.Fatal(err)
+	run := func(seed int64) (recs []Record, digests []string) {
+		for _, scenario := range ChaosScenarioNames() {
+			for _, proto := range Configurations {
+				rec, events, err := RunChaosCell(ClusterConfig{Seed: seed, Protocol: proto}, scenario, smallChaosParams())
+				if err != nil {
+					t.Fatal(err)
+				}
+				recs, digests = append(recs, rec), append(digests, eventDigest(events))
+			}
 		}
-		return res
+		return recs, digests
 	}
-	a, b := run(5), run(5)
-	if len(a.Cells) != len(chaosScenarios)*len(Configurations) {
-		t.Fatalf("matrix has %d cells, want %d", len(a.Cells), len(chaosScenarios)*len(Configurations))
-	}
-	for i := range a.Cells {
-		if a.Cells[i] != b.Cells[i] {
-			t.Errorf("same-seed cell %s/%s diverged:\n%+v\n%+v",
-				a.Cells[i].Scenario, a.Cells[i].Config, a.Cells[i], b.Cells[i])
+	a, aDigests := run(5)
+	b, bDigests := run(5)
+	for i := range a {
+		if !reflect.DeepEqual(a[i], b[i]) || aDigests[i] != bDigests[i] {
+			t.Errorf("same-seed cell %v/%s diverged:\n%+v %s\n%+v %s",
+				a[i].Params["scenario"], a[i].Config, a[i], aDigests[i], b[i], bDigests[i])
 		}
 	}
-	c := run(6)
+	_, cDigests := run(6)
 	same := 0
-	for i := range a.Cells {
-		if a.Cells[i].EventDigest == c.Cells[i].EventDigest {
+	for i := range aDigests {
+		if aDigests[i] == cDigests[i] {
 			same++
 		}
 	}
-	if same == len(a.Cells) {
+	if same == len(aDigests) {
 		t.Error("different seeds produced identical event digests in every cell (suspicious)")
 	}
 }
@@ -277,7 +272,7 @@ func TestChaosInvariants(t *testing.T) {
 	}
 	for _, scenario := range scenarios {
 		for _, proto := range configs {
-			cell, events, err := RunChaosCell(ClusterConfig{Seed: 3, Protocol: proto}, scenario, p)
+			_, events, err := RunChaosCell(ClusterConfig{Seed: 3, Protocol: proto}, scenario, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -285,9 +280,6 @@ func TestChaosInvariants(t *testing.T) {
 				t.Fatalf("%s/%s: empty event log", scenario, proto.Name)
 			}
 			checkChaosInvariants(t, scenario+"/"+proto.Name, events)
-			if cell.EventDigest == "" {
-				t.Errorf("%s/%s: empty event digest", scenario, proto.Name)
-			}
 		}
 	}
 }
@@ -402,4 +394,15 @@ func TestChaosPausedMemberRefutes(t *testing.T) {
 		t.Error("SWIM: victim was never declared dead — no differential with the Lifeguard run")
 	}
 	_ = refutes // SWIM may eventually refute the death itself; the dead events are the regression.
+}
+
+// eventDigest fingerprints a membership event log. Two runs with
+// byte-identical protocol behaviour produce equal digests.
+func eventDigest(events []metrics.Event) string {
+	h := fnv.New64a()
+	for _, ev := range events {
+		fmt.Fprintf(h, "%d|%s|%s|%d|%d\n",
+			ev.Time.UnixNano(), ev.Observer, ev.Subject, ev.Type, ev.Incarnation)
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
 }

@@ -35,39 +35,9 @@ type ChurnParams struct {
 	Settle time.Duration
 }
 
-// ChurnResult reports protocol behavior across one churn run.
-type ChurnResult struct {
-	Params ChurnParams
-
-	// N is the initial cluster size.
-	N int
-
-	// Fails, Leaves and Joins count the churn actions performed.
-	Fails, Leaves, Joins int
-
-	// FirstDetect summarizes, per crashed member that was detected, the
-	// seconds from crash to the first dead event at a surviving member.
-	FirstDetect stats.Summary
-
-	// DetectedFails counts crashed members detected by at least one
-	// surviving member within the run.
-	DetectedFails int
-
-	// FP counts false-positive failure events: dead events about members
-	// that had not (yet) crashed or left.
-	FP int
-
-	// JoinsSeen counts joined members that a sample of long-lived
-	// surviving members sees alive at the end of the run.
-	JoinsSeen int
-
-	// JoinsSampled is the sample size behind JoinsSeen (joins × sampled
-	// observers).
-	JoinsSampled int
-}
-
-// RunChurn executes the large-cluster churn scenario.
-func RunChurn(cc ClusterConfig, p ChurnParams) (ChurnResult, error) {
+// RunChurn executes the large-cluster churn scenario and returns its
+// record (docs/LIFEBENCH.md lists its keys).
+func RunChurn(cc ClusterConfig, p ChurnParams) (Record, error) {
 	if cc.N == 0 {
 		cc.N = DefaultChurnN
 	}
@@ -89,16 +59,16 @@ func RunChurn(cc ClusterConfig, p ChurnParams) (ChurnResult, error) {
 
 	c, err := NewCluster(cc)
 	if err != nil {
-		return ChurnResult{}, err
+		return Record{}, err
 	}
 	defer c.Shutdown()
 	// Quiesce must cover the join-stagger window plus epidemic
 	// convergence of the bootstrap state before churn starts.
 	if err := c.Start(Quiesce + bootstrapWindow(cc.N)); err != nil {
-		return ChurnResult{}, err
+		return Record{}, err
 	}
 
-	res := ChurnResult{Params: p, N: cc.N}
+	var fails, leaves, joins, joinsSeen, joinsSampled int
 	rng := rand.New(rand.NewSource(cc.Seed + 2))
 
 	// pool is the set of members eligible for fail/leave: initially
@@ -140,7 +110,7 @@ func RunChurn(cc ClusterConfig, p ChurnParams) (ChurnResult, error) {
 			node.Shutdown()
 			c.Net.Detach(name)
 			gone[name] = departure{at: c.Sched.Now(), inc: math.MaxUint64, crash: true}
-			res.Fails++
+			fails++
 		case 2: // graceful leave: announce, disseminate briefly, then exit
 			name, ok := takeRandom()
 			if !ok {
@@ -153,21 +123,21 @@ func RunChurn(cc ClusterConfig, p ChurnParams) (ChurnResult, error) {
 				node.Shutdown()
 				c.Net.Detach(name)
 			})
-			res.Leaves++
+			leaves++
 		default: // join: a fresh member enters through the seed
-			name := fmt.Sprintf("churn-%03d", res.Joins)
+			name := fmt.Sprintf("churn-%03d", joins)
 			node, err := c.addNode(name, nil)
 			if err != nil {
-				return ChurnResult{}, err
+				return Record{}, err
 			}
 			if err := node.Start(); err != nil {
-				return ChurnResult{}, fmt.Errorf("experiment: start %s: %w", name, err)
+				return Record{}, fmt.Errorf("experiment: start %s: %w", name, err)
 			}
 			if err := node.Join(seedAddr); err != nil {
-				return ChurnResult{}, fmt.Errorf("experiment: join %s: %w", name, err)
+				return Record{}, fmt.Errorf("experiment: join %s: %w", name, err)
 			}
 			joined = append(joined, name)
-			res.Joins++
+			joins++
 			// Once the join has disseminated, the member is fair game
 			// for fail/leave like anyone else.
 			c.Sched.Schedule(10*time.Second, func() {
@@ -183,14 +153,12 @@ func RunChurn(cc ClusterConfig, p ChurnParams) (ChurnResult, error) {
 	// A dead event is legitimate only at or after the subject's own
 	// crash or leave; crashes are also scored for first detection.
 	score := scoreDeaths(c.Events.Events(), churnStart, gone)
-	res.FP = score.FP
 	var latencies []float64
 	for name := range score.Detect {
 		first, _, _ := score.detection(name, nil)
 		latencies = append(latencies, first.Seconds())
 	}
-	res.DetectedFails = len(latencies)
-	res.FirstDetect = stats.Summarize(latencies)
+	firstDetect := stats.Summarize(latencies)
 
 	// Join convergence: sample long-lived survivors and count how many
 	// see each joined member alive. (Checking all ~2k observers would be
@@ -209,11 +177,30 @@ func RunChurn(cc ClusterConfig, p ChurnParams) (ChurnResult, error) {
 			continue
 		}
 		for _, obs := range observers {
-			res.JoinsSampled++
+			joinsSampled++
 			if m, ok := obs.Member(name); ok && m.State == core.StateAlive {
-				res.JoinsSeen++
+				joinsSeen++
 			}
 		}
 	}
-	return res, nil
+	return Record{
+		Experiment: "churn",
+		Config:     cc.Protocol.Name,
+		Params: map[string]any{
+			"members":    cc.N,
+			"duration_s": p.Duration.Seconds(),
+			"interval_s": p.Interval.Seconds(),
+		},
+		Metrics: map[string]float64{
+			"fails":                 float64(fails),
+			"leaves":                float64(leaves),
+			"joins":                 float64(joins),
+			"detected_fails":        float64(len(latencies)),
+			"first_detect_median_s": firstDetect.Median,
+			"first_detect_max_s":    firstDetect.Max,
+			"fp":                    float64(score.FP),
+			"joins_seen":            float64(joinsSeen),
+			"joins_sampled":         float64(joinsSampled),
+		},
+	}, nil
 }

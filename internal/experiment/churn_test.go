@@ -11,24 +11,23 @@ import (
 // run can afford: actions execute, crashes are detected, and joins
 // become visible.
 func TestChurnSmall(t *testing.T) {
-	res, err := RunChurn(
+	rec, err := RunChurn(
 		ClusterConfig{N: 24, Seed: 3, Protocol: ConfigLifeguard},
 		ChurnParams{Interval: time.Second, Duration: 8 * time.Second},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("churn small: fails=%d leaves=%d joins=%d detected=%d fp=%d joinsSeen=%d/%d med=%.2fs",
-		res.Fails, res.Leaves, res.Joins, res.DetectedFails, res.FP,
-		res.JoinsSeen, res.JoinsSampled, res.FirstDetect.Median)
-	if res.Fails == 0 || res.Leaves == 0 || res.Joins == 0 {
-		t.Fatalf("churn schedule did not execute all action kinds: %+v", res)
+	m := rec.Metrics
+	t.Logf("churn small: %v", m)
+	if m["fails"] == 0 || m["leaves"] == 0 || m["joins"] == 0 {
+		t.Fatalf("churn schedule did not execute all action kinds: %+v", rec)
 	}
-	if res.DetectedFails != res.Fails {
-		t.Errorf("detected %d of %d crashed members", res.DetectedFails, res.Fails)
+	if m["detected_fails"] != m["fails"] {
+		t.Errorf("detected %g of %g crashed members", m["detected_fails"], m["fails"])
 	}
-	if res.JoinsSampled > 0 && res.JoinsSeen < res.JoinsSampled*9/10 {
-		t.Errorf("joins seen %d/%d, want ≥90%%", res.JoinsSeen, res.JoinsSampled)
+	if m["joins_sampled"] > 0 && m["joins_seen"] < float64(int(m["joins_sampled"])*9/10) {
+		t.Errorf("joins seen %g/%g, want ≥90%%", m["joins_seen"], m["joins_sampled"])
 	}
 }
 
@@ -36,15 +35,15 @@ func TestChurnSmall(t *testing.T) {
 // initial membership can supply: the pool must refill from converged
 // joins and, if it still runs dry, skip the action rather than panic.
 func TestChurnPoolExhaustion(t *testing.T) {
-	res, err := RunChurn(
+	rec, err := RunChurn(
 		ClusterConfig{N: 8, Seed: 5, Protocol: ConfigLifeguard},
 		ChurnParams{Interval: 200 * time.Millisecond, Duration: 10 * time.Second, Settle: 5 * time.Second},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Fails+res.Leaves == 0 || res.Joins == 0 {
-		t.Fatalf("degenerate churn run: %+v", res)
+	if m := rec.Metrics; m["fails"]+m["leaves"] == 0 || m["joins"] == 0 {
+		t.Fatalf("degenerate churn run: %+v", rec)
 	}
 }
 
@@ -68,31 +67,30 @@ func TestChurnLargeCluster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-cluster churn run")
 	}
-	res, err := RunChurn(
+	rec, err := RunChurn(
 		ClusterConfig{N: ScaleBench.ChurnN, Seed: 1, Protocol: ConfigLifeguard},
 		ChurnParams{},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("churn %d: fails=%d leaves=%d joins=%d detected=%d fp=%d joinsSeen=%d/%d med=%.2fs p99=%.2fs",
-		res.N, res.Fails, res.Leaves, res.Joins, res.DetectedFails, res.FP,
-		res.JoinsSeen, res.JoinsSampled, res.FirstDetect.Median, res.FirstDetect.P99)
+	n, m := rec.Params["members"].(int), rec.Metrics
+	t.Logf("churn %d: %v", n, m)
 
-	if res.N < 500 {
-		t.Fatalf("cluster size %d, want ≥ 500", res.N)
+	if n < 500 {
+		t.Fatalf("cluster size %d, want ≥ 500", n)
 	}
-	if res.DetectedFails != res.Fails {
-		t.Errorf("detected %d of %d crashed members (completeness violated)", res.DetectedFails, res.Fails)
+	if m["detected_fails"] != m["fails"] {
+		t.Errorf("detected %g of %g crashed members (completeness violated)", m["detected_fails"], m["fails"])
 	}
-	suspMin := core.SuspicionMin(ConfigLifeguard.Alpha, res.N, time.Second).Seconds() // the §V-C timeout floor
-	if res.FirstDetect.Median <= 1 || res.FirstDetect.Median > 2*suspMin {
-		t.Errorf("median first-detection %.2fs outside (1s, %.1fs]", res.FirstDetect.Median, 2*suspMin)
+	suspMin := core.SuspicionMin(ConfigLifeguard.Alpha, n, time.Second).Seconds() // the §V-C timeout floor
+	if med := m["first_detect_median_s"]; med <= 1 || med > 2*suspMin {
+		t.Errorf("median first-detection %.2fs outside (1s, %.1fs]", med, 2*suspMin)
 	}
-	if res.FP > res.Fails/2 {
-		t.Errorf("false positives %d vs %d true failures; churn destabilized the detector", res.FP, res.Fails)
+	if int(m["fp"]) > int(m["fails"])/2 {
+		t.Errorf("false positives %g vs %g true failures; churn destabilized the detector", m["fp"], m["fails"])
 	}
-	if res.JoinsSampled > 0 && res.JoinsSeen < res.JoinsSampled*9/10 {
-		t.Errorf("joins seen %d/%d, want ≥90%%", res.JoinsSeen, res.JoinsSampled)
+	if m["joins_sampled"] > 0 && m["joins_seen"] < float64(int(m["joins_sampled"])*9/10) {
+		t.Errorf("joins seen %g/%g, want ≥90%%", m["joins_seen"], m["joins_sampled"])
 	}
 }

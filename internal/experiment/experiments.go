@@ -206,19 +206,9 @@ const (
 	stressWakeFor  = 120 * time.Millisecond
 )
 
-// StressResult mirrors Figure 1's two metrics for one configuration.
-type StressResult struct {
-	Params StressParams
-
-	// FP is the total number of false-positive failure events.
-	FP int
-
-	// FPHealthy is the number of false positives at healthy members.
-	FPHealthy int
-}
-
-// RunStress executes one Figure-1 scenario run.
-func RunStress(cc ClusterConfig, p StressParams) (StressResult, error) {
+// RunStress executes one Figure-1 scenario run and returns its record
+// (docs/LIFEBENCH.md lists its keys).
+func RunStress(cc ClusterConfig, p StressParams) (Record, error) {
 	if cc.N == 0 {
 		cc.N = StressN
 	}
@@ -227,11 +217,11 @@ func RunStress(cc ClusterConfig, p StressParams) (StressResult, error) {
 	}
 	c, err := NewCluster(cc)
 	if err != nil {
-		return StressResult{}, err
+		return Record{}, err
 	}
 	defer c.Shutdown()
 	if err := c.Start(Quiesce); err != nil {
-		return StressResult{}, err
+		return Record{}, err
 	}
 
 	stressed := c.PickAnomalySet(p.Stressed, cc.Seed+1)
@@ -248,5 +238,13 @@ func RunStress(cc ClusterConfig, p StressParams) (StressResult, error) {
 	c.Sched.RunFor(30 * time.Second)
 
 	score := scoreDeaths(c.Events.Events(), workloadStart, departAll(stressed, workloadStart, false))
-	return StressResult{Params: p, FP: score.FP, FPHealthy: score.FPHealthy}, nil
+	return Record{
+		Experiment: "stress",
+		Config:     cc.Protocol.Name,
+		Params:     map[string]any{"stressed": p.Stressed},
+		Metrics: map[string]float64{
+			"fp":         float64(score.FP),
+			"fp_healthy": float64(score.FPHealthy),
+		},
+	}, nil
 }

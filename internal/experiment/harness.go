@@ -16,16 +16,18 @@ import (
 // Determinism contract: a scenario's plan must enumerate independent
 // cells whose seeds derive from the base seed and the cell's canonical
 // index, never from execution order or shared mutable state. The
-// executor may run cells concurrently in any order, but it hands report
-// the outputs in canonical (plan) order, so the records produced at
-// -parallel N are byte-identical to a serial run. The only
-// post-hoc fields are the wall-clock duration and cell count stamped by
-// RunScenario, which measure the harness, not the simulation.
+// executor may run cells concurrently in any order, but it hands the
+// scenario's records step the outputs in canonical (plan) order, so the
+// records produced at -parallel N are byte-identical to a serial run.
+// RunScenarios then stamps every record with the scale name, seed,
+// wall_s and cell count; of those only wall_s — the wall-clock span,
+// which measures the harness, not the simulation — varies between runs.
 
-// Record is one machine-readable result row, the unified output format
-// of every scenario. cmd/lifebench emits records as a JSON array under
-// -json, the stable interface for tracking bench trajectories across
-// commits.
+// Record is one machine-readable result row, the one result format of
+// every scenario: cells return records (or the runs a sweep record sums
+// and pools), and every human report section is rendered from them.
+// cmd/lifebench emits records as a JSON array under -json, the stable
+// interface for tracking bench trajectories across commits.
 type Record struct {
 	// Experiment names the table/figure/scenario ("table4", "wan",
 	// "rolling-restart", …).
@@ -35,7 +37,7 @@ type Record struct {
 	// applicable ("SWIM", "Lifeguard", …).
 	Config string `json:"config,omitempty"`
 
-	// Scale and Seed identify the run for reproduction. RunScenario
+	// Scale and Seed identify the run for reproduction. RunScenarios
 	// stamps both from its options.
 	Scale string `json:"scale"`
 	Seed  int64  `json:"seed"`
@@ -60,9 +62,9 @@ type Record struct {
 	Metrics map[string]float64 `json:"metrics"`
 }
 
-// Section is one human-readable report block of a scenario: a stable
-// key (used by cmd/lifebench's table/figure aliases to select views), a
-// display title, and the formatted body.
+// Section is one human-readable report block of a scenario, rendered
+// from its records: a stable key (used by cmd/lifebench's table/figure
+// aliases to select views), a display title, and the formatted body.
 type Section struct {
 	// Key identifies the section ("table4", "fig2", "chaos", …).
 	Key string
@@ -121,18 +123,28 @@ type RunOptions struct {
 }
 
 // Scenario is one registered experiment: it plans a set of independent
-// seeded cells and merges their outputs into records and report
-// sections. plan and report must be pure with respect to execution
-// order — see the determinism contract above.
+// seeded cells, folds their outputs into records, and renders its
+// report sections from those records. plan and records must be pure
+// with respect to execution order — see the determinism contract above.
 type Scenario struct {
 	name, desc string
 
 	// plan enumerates the run's independent cells in canonical order.
 	plan func(opt RunOptions) ([]Cell, error)
 
-	// report merges the cell outputs — provided in canonical order —
-	// into the final records and sections.
-	report func(opt RunOptions, outs []any) (ScenarioResult, error)
+	// records folds the cell outputs — provided in canonical order —
+	// into the scenario's records.
+	records func(opt RunOptions, outs []any) ([]Record, error)
+
+	// sections lists the report blocks, in display order.
+	sections []section
+}
+
+// section is one report block of a scenario: its key and title, and
+// the renderer that formats the body from the stamped records.
+type section struct {
+	key, title string
+	render     func(recs []Record, opt RunOptions) string
 }
 
 // Name is the registry key ("chaos", "rolling-restart", …).
@@ -180,14 +192,13 @@ func RunScenario(name string, opt RunOptions) (ScenarioResult, error) {
 }
 
 // NamedResult is one scenario's output from a RunScenarios batch: the
-// scenario name, its merged result, and the wall-clock span (seconds)
-// from its first cell starting to its last cell finishing — the value
-// stamped into its records' wall_s field.
+// scenario name, its result, and the wall-clock span (seconds) from its
+// first cell starting to its last cell finishing — the value stamped
+// into its records' wall_s field.
 type NamedResult struct {
 	Name   string
 	Result ScenarioResult
 	Wall   float64
-	Cells  int
 }
 
 // RunScenarios plans every named scenario up front, concatenates their
@@ -195,9 +206,11 @@ type NamedResult struct {
 // single worker pool of up to opt.Parallel workers. A short scenario's
 // tail no longer idles workers while a long one runs — the pool drains
 // cells across scenario boundaries. Each cell keeps its canonical index
-// within its scenario, and each scenario's report receives its outputs
-// in canonical order, so the records are byte-identical to running the
-// scenarios one at a time, at any parallelism (wall_s aside).
+// within its scenario, and each scenario's records step receives its
+// outputs in canonical order, so the records are byte-identical to
+// running the scenarios one at a time, at any parallelism (wall_s
+// aside). Every record is stamped with the scale name, seed, wall_s and
+// cell count before the sections are rendered from them.
 func RunScenarios(names []string, opt RunOptions) ([]NamedResult, error) {
 	type planned struct {
 		s     Scenario
@@ -255,22 +268,26 @@ func RunScenarios(names []string, opt RunOptions) ([]NamedResult, error) {
 
 	results := make([]NamedResult, len(names))
 	for i, p := range plans {
-		res, err := p.s.report(opt, outs[p.first:p.first+len(p.cells)])
+		recs, err := p.s.records(opt, outs[p.first:p.first+len(p.cells)])
 		if err != nil {
-			return nil, fmt.Errorf("experiment: report %s: %w", names[i], err)
+			return nil, fmt.Errorf("experiment: records %s: %w", names[i], err)
 		}
 		wall := 0.0
 		if !starts[i].IsZero() {
 			wall = ends[i].Sub(starts[i]).Seconds()
 		}
-		for r := range res.Records {
-			rec := &res.Records[r]
+		for r := range recs {
+			rec := &recs[r]
 			rec.Scale = opt.Scale.Name
 			rec.Seed = opt.Seed
 			rec.Wall = wall
 			rec.Cells = len(p.cells)
 		}
-		results[i] = NamedResult{Name: names[i], Result: res, Wall: wall, Cells: len(p.cells)}
+		res := ScenarioResult{Records: recs}
+		for _, sec := range p.s.sections {
+			res.Sections = append(res.Sections, Section{Key: sec.key, Title: sec.title, Body: sec.render(recs, opt)})
+		}
+		results[i] = NamedResult{Name: names[i], Result: res, Wall: wall}
 	}
 	return results, nil
 }

@@ -316,13 +316,11 @@ func TestRunScenariosSharedPoolMatchesPerScenario(t *testing.T) {
 			if nr.Name != names[i] {
 				t.Fatalf("results[%d] = %q, want %q", i, nr.Name, names[i])
 			}
-			if nr.Cells == 0 || len(nr.Result.Records) == 0 {
-				t.Fatalf("scenario %s: empty result (%d cells)", nr.Name, nr.Cells)
+			if len(nr.Result.Records) == 0 {
+				t.Fatalf("scenario %s: empty result", nr.Name)
 			}
+			// The byte comparison below covers the cells stamp too.
 			for r := range nr.Result.Records {
-				if nr.Result.Records[r].Cells != nr.Cells {
-					t.Errorf("scenario %s: record cells %d != %d", nr.Name, nr.Result.Records[r].Cells, nr.Cells)
-				}
 				nr.Result.Records[r].Wall = 0
 			}
 			b, err := json.Marshal(nr.Result.Records)

@@ -7,7 +7,6 @@ import (
 
 	"lifeguard/internal/metrics"
 	"lifeguard/internal/sim"
-	"lifeguard/internal/stats"
 )
 
 func ev(t time.Duration, typ metrics.EventType, observer, subject string) metrics.Event {
@@ -168,102 +167,5 @@ func TestConfigurationsMatchTableI(t *testing.T) {
 	}
 	if got, want := strings.Join(names, ", "), "SWIM, LHA-Probe, LHA-Suspicion, Buddy System, Lifeguard"; got != want {
 		t.Errorf("configurations = %s, want %s", got, want)
-	}
-}
-
-// --- Report formatting ---
-
-func sampleIntervalResults() []IntervalSweepResult {
-	return []IntervalSweepResult{
-		{
-			Config: ConfigSWIM, FP: 1000, FPHealthy: 40,
-			MsgsSent: 2_000_000, BytesSent: 3 << 30, Runs: 4,
-			ByC: map[int]*IntervalCell{
-				4:  {FP: 400, FPHealthy: 10, Runs: 2},
-				16: {FP: 600, FPHealthy: 30, Runs: 2},
-			},
-		},
-		{
-			Config: ConfigLifeguard, FP: 20, FPHealthy: 1,
-			MsgsSent: 2_200_000, BytesSent: 29 << 27, Runs: 4,
-			ByC: map[int]*IntervalCell{
-				4:  {FP: 5, FPHealthy: 0, Runs: 2},
-				16: {FP: 15, FPHealthy: 1, Runs: 2},
-			},
-		},
-	}
-}
-
-func TestFormatTable4(t *testing.T) {
-	out := FormatTable4(sampleIntervalResults())
-	for _, want := range []string{"SWIM", "Lifeguard", "100.00", "2.00", "2.50"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table 4 missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestFormatTable5(t *testing.T) {
-	res := []ThresholdSweepResult{{
-		Config:      ConfigSWIM,
-		FirstDetect: stats.Summary{Count: 10, Median: 12.44, P99: 16.96, P999: 19.4},
-		FullDissem:  stats.Summary{Count: 10, Median: 12.9, P99: 16.93, P999: 20.17},
-	}}
-	out := FormatTable5(res)
-	for _, want := range []string{"SWIM", "12.44", "16.96", "20.17"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table 5 missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestFormatTable6(t *testing.T) {
-	out := FormatTable6(sampleIntervalResults())
-	for _, want := range []string{"Msgs Sent(M)", "2.000", "110.00", "SWIM"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table 6 missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestFormatTable7(t *testing.T) {
-	res := TuningSweepResult{Cells: []TuningCell{
-		{Alpha: 2, Beta: 2, MedFirst: 53.14, FP: 98.37, FPHealthy: 31.15},
-		{Alpha: 5, Beta: 6, MedFirst: 100.08, FP: 1.53, FPHealthy: 1.89},
-	}}
-	out := FormatTable7(res)
-	for _, want := range []string{"α=2,β=2", "α=5,β=6", "53.14", "1.53", "FP-"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table 7 missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestFormatFigure2(t *testing.T) {
-	out := FormatFigure2(sampleIntervalResults(), false)
-	for _, want := range []string{"C=4", "C=16", "400", "15"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("figure 2 missing %q:\n%s", want, out)
-		}
-	}
-	healthy := FormatFigure2(sampleIntervalResults(), true)
-	if !strings.Contains(healthy, "FP at Healthy") {
-		t.Errorf("figure 3 header missing:\n%s", healthy)
-	}
-}
-
-func TestFormatFigure1(t *testing.T) {
-	res := []StressSweepResult{{
-		Config: ConfigSWIM,
-		ByCount: map[int]StressResult{
-			4:  {FP: 70, FPHealthy: 2},
-			16: {FP: 500, FPHealthy: 9},
-		},
-	}}
-	out := FormatFigure1(res)
-	for _, want := range []string{"S=4", "S=16", "500", "total FP", "FP@healthy"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("figure 1 missing %q:\n%s", want, out)
-		}
 	}
 }

@@ -49,30 +49,9 @@ type PartitionParams struct {
 	HealBudget time.Duration
 }
 
-// PartitionResult reports how the group behaved across a partition.
-type PartitionResult struct {
-	Params PartitionParams
-
-	// SideAConverged and SideBConverged report whether each side
-	// settled on exactly its own membership (everyone else dead) while
-	// partitioned.
-	SideAConverged, SideBConverged bool
-
-	// CrossDeclaredDead counts cross-partition dead declarations during
-	// the split (expected: each side declares the other dead).
-	CrossDeclaredDead int
-
-	// Remerged reports whether every member saw every member alive
-	// again within the heal budget.
-	Remerged bool
-
-	// RemergeTime is the time from healing until full re-convergence
-	// (valid only when Remerged).
-	RemergeTime time.Duration
-}
-
-// RunPartition executes one partition/heal experiment.
-func RunPartition(cc ClusterConfig, p PartitionParams) (PartitionResult, error) {
+// RunPartition executes one partition/heal experiment and returns its
+// record (docs/LIFEBENCH.md lists its keys).
+func RunPartition(cc ClusterConfig, p PartitionParams) (Record, error) {
 	if cc.N == 0 {
 		cc.N = 32
 	}
@@ -88,14 +67,13 @@ func RunPartition(cc ClusterConfig, p PartitionParams) (PartitionResult, error) 
 
 	c, err := NewCluster(cc)
 	if err != nil {
-		return PartitionResult{}, err
+		return Record{}, err
 	}
 	defer c.Shutdown()
 	if err := c.Start(Quiesce); err != nil {
-		return PartitionResult{}, err
+		return Record{}, err
 	}
 
-	res := PartitionResult{Params: p}
 	c.Partition(p.SizeA)
 	c.Sched.RunFor(p.Duration)
 
@@ -121,10 +99,13 @@ func RunPartition(cc ClusterConfig, p PartitionParams) (PartitionResult, error) 
 		}
 		return true
 	}
-	res.SideAConverged = sideSettled(true)
-	res.SideBConverged = sideSettled(false)
-
-	res.CrossDeclaredDead = c.countCrossDead(p.SizeA)
+	m := map[string]float64{
+		"side_a_converged":    b2f(sideSettled(true)),
+		"side_b_converged":    b2f(sideSettled(false)),
+		"cross_declared_dead": float64(c.countCrossDead(p.SizeA)),
+		"remerged":            0,
+		"remerge_s":           0,
+	}
 
 	c.Heal(p.SizeA)
 	healStart := c.Sched.Now()
@@ -132,12 +113,30 @@ func RunPartition(cc ClusterConfig, p PartitionParams) (PartitionResult, error) 
 	for waited := time.Duration(0); waited < p.HealBudget; waited += step {
 		c.Sched.RunFor(step)
 		if c.Converged() {
-			res.Remerged = true
-			res.RemergeTime = c.Sched.Now().Sub(healStart)
+			m["remerged"] = 1
+			m["remerge_s"] = c.Sched.Now().Sub(healStart).Seconds()
 			break
 		}
 	}
-	return res, nil
+	return Record{
+		Experiment: "partition",
+		Config:     cc.Protocol.Name,
+		Params: map[string]any{
+			"members":       cc.N,
+			"size_a":        p.SizeA,
+			"duration_s":    p.Duration.Seconds(),
+			"heal_budget_s": p.HealBudget.Seconds(),
+		},
+		Metrics: m,
+	}, nil
+}
+
+// b2f encodes a boolean outcome as a record metric: 1 or 0.
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // countCrossDead counts members of each side currently holding the other

@@ -2,208 +2,299 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 	"strings"
+	"time"
 
 	"lifeguard/internal/stats"
 )
 
-// This file renders sweep results in the layout of the paper's tables
-// and figures, so bench output can be compared side by side with the
-// published numbers.
+// This file renders every report section from its scenario's records,
+// laid out as the paper's tables and figures for side-by-side reading.
+// Every number a section prints is a record key (or a count of keys).
 
-// FormatTable4 renders aggregated false-positive results for a set of
-// configurations in the layout of Table IV. The first result is treated
-// as the SWIM baseline for the percentage columns.
-func FormatTable4(results []IntervalSweepResult) string {
+// seconds turns a record's seconds value into a Duration for display.
+func seconds(v any) time.Duration {
+	s, _ := v.(float64)
+	return time.Duration(math.Round(s * float64(time.Second)))
+}
+
+// sortedInts returns a set's members in ascending order.
+func sortedInts(set map[int]bool) []int {
+	out := make([]int, 0, len(set))
+	for v := range set {
+		out = append(out, v)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// renderTable4 lays the interval records out as Table IV. The first
+// record is the SWIM baseline for the percentage columns.
+func renderTable4(recs []Record, _ RunOptions) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-15s %12s %12s %12s %12s\n",
 		"Configuration", "FP Events", "FP- Events", "FP %SWIM", "FP- %SWIM")
-	if len(results) == 0 {
-		return b.String()
-	}
-	base := results[0]
-	for _, r := range results {
-		fmt.Fprintf(&b, "%-15s %12d %12d %12.2f %12.2f\n",
-			r.Config.Name, r.FP, r.FPHealthy,
-			stats.PercentOf(float64(r.FP), float64(base.FP)),
-			stats.PercentOf(float64(r.FPHealthy), float64(base.FPHealthy)))
+	for _, r := range recs {
+		m, base := r.Metrics, recs[0].Metrics
+		fmt.Fprintf(&b, "%-15s %12.0f %12.0f %12.2f %12.2f\n",
+			r.Config, m["fp"], m["fp_healthy"],
+			stats.PercentOf(m["fp"], base["fp"]),
+			stats.PercentOf(m["fp_healthy"], base["fp_healthy"]))
 	}
 	return b.String()
 }
 
-// FormatTable5 renders detection/dissemination latencies in the layout
-// of Table V (seconds).
-func FormatTable5(results []ThresholdSweepResult) string {
+// renderTable5 lays the threshold records out as Table V (seconds).
+func renderTable5(recs []Record, _ RunOptions) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-15s %10s %10s %10s %10s %10s %10s\n",
 		"Configuration",
 		"Med 1stDet", "99% 1stDet", "99.9% 1stD",
 		"Med FullDs", "99% FullDs", "99.9% FlDs")
-	for _, r := range results {
-		fmt.Fprintf(&b, "%-15s %10.2f %10.2f %10.2f %10.2f %10.2f %10.2f\n",
-			r.Config.Name,
-			r.FirstDetect.Median, r.FirstDetect.P99, r.FirstDetect.P999,
-			r.FullDissem.Median, r.FullDissem.P99, r.FullDissem.P999)
+	for _, r := range recs {
+		fmt.Fprintf(&b, "%-15s", r.Config)
+		for _, key := range []string{
+			"first_detect_median_s", "first_detect_p99_s", "first_detect_p999_s",
+			"full_dissem_median_s", "full_dissem_p99_s", "full_dissem_p999_s",
+		} {
+			fmt.Fprintf(&b, " %10.2f", r.Metrics[key])
+		}
+		b.WriteByte('\n')
 	}
 	return b.String()
 }
 
-// FormatTable6 renders message-load results in the layout of Table VI.
-// The first result is the SWIM baseline for the percentage columns.
-func FormatTable6(results []IntervalSweepResult) string {
+// renderTable6 lays the interval records out as Table VI. The first
+// record is the SWIM baseline for the percentage columns.
+func renderTable6(recs []Record, _ RunOptions) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-15s %14s %14s %12s %12s\n",
 		"Configuration", "Msgs Sent(M)", "Bytes(GiB)", "Msgs %SWIM", "Bytes %SWIM")
-	if len(results) == 0 {
-		return b.String()
-	}
-	base := results[0]
-	for _, r := range results {
+	for _, r := range recs {
+		m, base := r.Metrics, recs[0].Metrics
 		fmt.Fprintf(&b, "%-15s %14.3f %14.3f %12.2f %12.2f\n",
-			r.Config.Name,
-			float64(r.MsgsSent)/1e6,
-			float64(r.BytesSent)/(1<<30),
-			stats.PercentOf(float64(r.MsgsSent), float64(base.MsgsSent)),
-			stats.PercentOf(float64(r.BytesSent), float64(base.BytesSent)))
+			r.Config, m["msgs_sent"]/1e6, m["bytes_sent"]/(1<<30),
+			stats.PercentOf(m["msgs_sent"], base["msgs_sent"]),
+			stats.PercentOf(m["bytes_sent"], base["bytes_sent"]))
 	}
 	return b.String()
 }
 
-// FormatTable7 renders the suspicion-tuning grid in the layout of
-// Table VII (all cells as % of the SWIM baseline).
-func FormatTable7(res TuningSweepResult) string {
+// table7Rows are Table VII's rows and the tuning-record metric of each.
+var table7Rows = []struct{ name, key string }{
+	{"Med First", "med_first_pct_swim"},
+	{"Med Full", "med_full_pct_swim"},
+	{"99% First", "p99_first_pct_swim"},
+	{"99% Full", "p99_full_pct_swim"},
+	{"99.9% First", "p999_first_pct_swim"},
+	{"99.9% Full", "p999_full_pct_swim"},
+	{"FP", "fp_pct_swim"},
+	{"FP-", "fp_healthy_pct_swim"},
+}
+
+// renderTable7 lays the tuning records out as Table VII: one column
+// per (α, β), every cell a percentage of the SWIM baseline.
+func renderTable7(recs []Record, _ RunOptions) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s", "Metric")
-	for _, c := range res.Cells {
-		fmt.Fprintf(&b, " α=%g,β=%g", c.Alpha, c.Beta)
+	for _, r := range recs {
+		fmt.Fprintf(&b, " α=%g,β=%g", r.Params["alpha"], r.Params["beta"])
 	}
 	b.WriteByte('\n')
-	row := func(name string, get func(TuningCell) float64) {
-		fmt.Fprintf(&b, "%-12s", name)
-		for _, c := range res.Cells {
-			fmt.Fprintf(&b, " %8.2f", get(c))
+	for _, row := range table7Rows {
+		fmt.Fprintf(&b, "%-12s", row.name)
+		for _, r := range recs {
+			fmt.Fprintf(&b, " %8.2f", r.Metrics[row.key])
 		}
 		b.WriteByte('\n')
 	}
-	row("Med First", func(c TuningCell) float64 { return c.MedFirst })
-	row("Med Full", func(c TuningCell) float64 { return c.MedFull })
-	row("99% First", func(c TuningCell) float64 { return c.P99First })
-	row("99% Full", func(c TuningCell) float64 { return c.P99Full })
-	row("99.9% First", func(c TuningCell) float64 { return c.P999First })
-	row("99.9% Full", func(c TuningCell) float64 { return c.P999Full })
-	row("FP", func(c TuningCell) float64 { return c.FP })
-	row("FP-", func(c TuningCell) float64 { return c.FPHealthy })
 	return b.String()
 }
 
-// FormatFigure2 renders total false positives per concurrency level for
-// each configuration: the series plotted in Figure 2 (and Figure 3 with
-// healthy=true).
-func FormatFigure2(results []IntervalSweepResult, healthy bool) string {
-	var b strings.Builder
-	name := "Total FP"
-	if healthy {
-		name = "FP at Healthy"
-	}
-	// Union of concurrency levels, sorted.
-	levels := map[int]bool{}
-	for _, r := range results {
-		for c := range r.ByC {
-			levels[c] = true
-		}
-	}
-	cs := make([]int, 0, len(levels))
-	for c := range levels {
-		cs = append(cs, c)
-	}
-	sort.Ints(cs)
-
-	fmt.Fprintf(&b, "%s by concurrent anomalies\n%-15s", name, "Configuration")
-	for _, c := range cs {
-		fmt.Fprintf(&b, " %8s", fmt.Sprintf("C=%d", c))
-	}
-	b.WriteByte('\n')
-	for _, r := range results {
-		fmt.Fprintf(&b, "%-15s", r.Config.Name)
-		for _, c := range cs {
-			cell := r.ByC[c]
-			v := 0
-			if cell != nil {
-				if healthy {
-					v = cell.FPHealthy
-				} else {
-					v = cell.FP
+// fpByC renders one series of Figure 2 (total FP, prefix "fp_c") or
+// Figure 3 (FP at healthy members, prefix "fp_healthy_c") from the
+// interval records' per-concurrency metrics: one row per configuration,
+// one column per concurrency level any record holds.
+func fpByC(name, prefix string) func([]Record, RunOptions) string {
+	return func(recs []Record, _ RunOptions) string {
+		levels := map[int]bool{}
+		for _, r := range recs {
+			for key := range r.Metrics {
+				if rest, ok := strings.CutPrefix(key, prefix); ok {
+					if c, err := strconv.Atoi(rest); err == nil {
+						levels[c] = true
+					}
 				}
 			}
-			fmt.Fprintf(&b, " %8d", v)
+		}
+		cs := sortedInts(levels)
+
+		var b strings.Builder
+		fmt.Fprintf(&b, "%s by concurrent anomalies\n%-15s", name, "Configuration")
+		for _, c := range cs {
+			fmt.Fprintf(&b, " %8s", fmt.Sprintf("C=%d", c))
 		}
 		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// FormatChurn renders one large-cluster churn run: action counts,
-// crash-detection latency, false positives and join convergence.
-func FormatChurn(r ChurnResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Churn: N=%d, %d fails / %d leaves / %d joins over %v (every %v)\n",
-		r.N, r.Fails, r.Leaves, r.Joins, r.Params.Duration, r.Params.Interval)
-	fmt.Fprintf(&b, "crashes detected %d/%d, first-detect median %.2fs max %.2fs; FP %d; joins seen %d/%d sampled views\n",
-		r.DetectedFails, r.Fails, r.FirstDetect.Median, r.FirstDetect.Max,
-		r.FP, r.JoinsSeen, r.JoinsSampled)
-	return b.String()
-}
-
-// FormatPartition renders one partition/heal run: per-side convergence
-// during the split and the re-merge outcome.
-func FormatPartition(r PartitionResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Partition: side A %d members for %v (heal budget %v)\n",
-		r.Params.SizeA, r.Params.Duration, r.Params.HealBudget)
-	fmt.Fprintf(&b, "side A converged: %t, side B converged: %t, cross-side dead views: %d\n",
-		r.SideAConverged, r.SideBConverged, r.CrossDeclaredDead)
-	if r.Remerged {
-		fmt.Fprintf(&b, "re-merged %v after healing\n", r.RemergeTime)
-	} else {
-		b.WriteString("did NOT re-merge within the heal budget\n")
-	}
-	return b.String()
-}
-
-// FormatFigure1 renders the CPU-exhaustion scenario results in the
-// layout of Figure 1: for each stressed-member count, total FP and FP at
-// healthy members, for each configuration.
-func FormatFigure1(results []StressSweepResult) string {
-	var b strings.Builder
-	levels := map[int]bool{}
-	for _, r := range results {
-		for c := range r.ByCount {
-			levels[c] = true
+		for _, r := range recs {
+			fmt.Fprintf(&b, "%-15s", r.Config)
+			for _, c := range cs {
+				fmt.Fprintf(&b, " %8.0f", r.Metrics[prefix+strconv.Itoa(c)])
+			}
+			b.WriteByte('\n')
 		}
+		return b.String()
 	}
-	cs := make([]int, 0, len(levels))
-	for c := range levels {
-		cs = append(cs, c)
-	}
-	sort.Ints(cs)
+}
 
+// renderFigure1 lays the stress records out as Figure 1: for each
+// configuration, total FP and FP at healthy members per stressed-member
+// count.
+func renderFigure1(recs []Record, _ RunOptions) string {
+	var configs []string
+	byCount := map[string]map[int]map[string]float64{}
+	levels := map[int]bool{}
+	for _, r := range recs {
+		s, _ := r.Params["stressed"].(int)
+		if byCount[r.Config] == nil {
+			configs = append(configs, r.Config)
+			byCount[r.Config] = map[int]map[string]float64{}
+		}
+		byCount[r.Config][s] = r.Metrics
+		levels[s] = true
+	}
+	cs := sortedInts(levels)
+
+	var b strings.Builder
 	fmt.Fprintf(&b, "%-28s", "Series")
 	for _, c := range cs {
 		fmt.Fprintf(&b, " %8s", fmt.Sprintf("S=%d", c))
 	}
 	b.WriteByte('\n')
-	for _, r := range results {
-		fmt.Fprintf(&b, "%-28s", r.Config.Name+" total FP")
-		for _, c := range cs {
-			fmt.Fprintf(&b, " %8d", r.ByCount[c].FP)
+	for _, config := range configs {
+		for _, series := range []struct{ label, key string }{{" total FP", "fp"}, {" FP@healthy", "fp_healthy"}} {
+			fmt.Fprintf(&b, "%-28s", config+series.label)
+			for _, c := range cs {
+				fmt.Fprintf(&b, " %8.0f", byCount[config][c][series.key])
+			}
+			b.WriteByte('\n')
 		}
-		b.WriteByte('\n')
-		fmt.Fprintf(&b, "%-28s", r.Config.Name+" FP@healthy")
-		for _, c := range cs {
-			fmt.Fprintf(&b, " %8d", r.ByCount[c].FPHealthy)
+	}
+	return b.String()
+}
+
+// renderWAN renders the static and adaptive WAN records, in that order,
+// with the headline deltas.
+func renderWAN(recs []Record, opt RunOptions) string {
+	var b strings.Builder
+	static, adaptive := recs[0].Metrics, recs[1].Metrics
+	b.WriteString("--- static (uniform timeouts and peer selection) ---\n")
+	wanRun(&b, recs[0], opt)
+	b.WriteString("--- adaptive (RTT-adaptive timeouts, coordinate-aware relays, latency-biased gossip) ---\n")
+	wanRun(&b, recs[1], opt)
+	fmt.Fprintf(&b, "delta: cross-zone detect median %.2fs -> %.2fs, FP %.0f -> %.0f, bytes %.1f MB -> %.1f MB\n",
+		static["detect_cross_zone_median_s"], adaptive["detect_cross_zone_median_s"],
+		static["fp"], adaptive["fp"], static["bytes_sent"]/1e6, adaptive["bytes_sent"]/1e6)
+	return b.String()
+}
+
+// wanRun renders one WAN record: the coordinate-estimation quality
+// line and the per-zone detection table, zones in the scenario's
+// topology order.
+func wanRun(b *strings.Builder, r Record, opt RunOptions) {
+	m := r.Metrics
+	fmt.Fprintf(b, "WAN cluster: %d members, %d zones; coordinate error over %.0f pairs: median %.1f%%, p99 %.1f%%, mean abs %.1fms\n",
+		r.Params["members"], r.Params["zones"], m["pairs_scored"],
+		m["coord_rel_err_median"]*100, m["coord_rel_err_p99"]*100, m["coord_abs_err_mean_s"]*1000)
+	if m["obs_rtt_samples"] > 0 {
+		pairs := 0
+		for key := range m {
+			if strings.HasPrefix(key, "obs_rtt_p50_err_") && strings.Contains(key, "__") {
+				pairs++
+			}
 		}
-		b.WriteByte('\n')
+		fmt.Fprintf(b, "observed RTT (telemetry, %.0f samples over %d zone pairs): p50 err median %.1f%%, p90 err median %.1f%%\n",
+			m["obs_rtt_samples"], pairs, m["obs_rtt_p50_err_median"]*100, m["obs_rtt_p90_err_median"]*100)
+	}
+	fmt.Fprintf(b, "%-10s %8s %7s %9s %11s %11s %11s %6s\n",
+		"Zone", "Members", "Failed", "Detected", "MedDet(s)", "MaxDet(s)", "XZoneMed(s)", "FP")
+	for _, z := range wanParams(opt).Zones {
+		fmt.Fprintf(b, "%-10s %8.0f %7.0f %9.0f %11.2f %11.2f %11.2f %6.0f\n",
+			z.Name, m["members_"+z.Name], m["failed_"+z.Name], m["detected_"+z.Name],
+			m["detect_median_s_"+z.Name], m["detect_max_s_"+z.Name],
+			m["detect_cross_zone_median_s_"+z.Name], m["fp_"+z.Name])
+	}
+	fmt.Fprintf(b, "cluster-wide FP: %.0f (at healthy observers: %.0f); cross-zone detect median %.2fs; %.0f msgs, %.1f MB\n",
+		m["fp"], m["fp_healthy"], m["detect_cross_zone_median_s"], m["msgs_sent"], m["bytes_sent"]/1e6)
+	if m["adaptive_timeouts"]+m["adaptive_timeout_fallbacks"] > 0 {
+		fmt.Fprintf(b, "adaptive: %.0f RTT-derived probe timeouts (%.0f cold fallbacks), relays %.0f near/%.0f random, gossip %.0f near/%.0f escape\n",
+			m["adaptive_timeouts"], m["adaptive_timeout_fallbacks"], m["relay_near_picks"],
+			m["relay_random_picks"], m["gossip_near_picks"], m["gossip_escape_picks"])
+	}
+}
+
+// renderChaos lays the chaos records out as the ablation table: one
+// row per cell with false positives, crash detection and refutation
+// behaviour.
+func renderChaos(recs []Record, _ RunOptions) string {
+	var b strings.Builder
+	p := recs[0].Params
+	fmt.Fprintf(&b, "Chaos matrix: N=%d, %d victims, %d crashes, fault window %v (crashes at +%v)\n",
+		p["members"], p["victims"], p["crashes"], seconds(p["fault_for_s"]), seconds(p["crash_at_s"]))
+	fmt.Fprintf(&b, "%-14s %-14s %4s %4s %6s %7s %10s %6s %8s %10s %6s %6s\n",
+		"Scenario", "Config", "FP", "FP-", "VicDie", "CrashOK", "MedDet(s)", "Susp", "Refuted", "MedRef(s)", "Dup", "Reord")
+	for _, r := range recs {
+		m := r.Metrics
+		fmt.Fprintf(&b, "%-14s %-14s %4.0f %4.0f %6.0f %4.0f/%-2d %10.2f %6.0f %8.0f %10.2f %6.0f %6.0f\n",
+			r.Params["scenario"], r.Config, m["fp"], m["fp_healthy"], m["victim_deaths"],
+			m["crashes_detected"], r.Params["crashes"], m["crash_detect_median_s"],
+			m["suspicions"], m["refuted"], m["refute_median_s"],
+			m["duplicated"], m["reordered"])
+	}
+	return b.String()
+}
+
+// renderChurn renders the churn record: action counts, crash-detection
+// latency, false positives and join convergence.
+func renderChurn(recs []Record, _ RunOptions) string {
+	p, m := recs[0].Params, recs[0].Metrics
+	return fmt.Sprintf("Churn: N=%d, %.0f fails / %.0f leaves / %.0f joins over %v (every %v)\n"+
+		"crashes detected %.0f/%.0f, first-detect median %.2fs max %.2fs; FP %.0f; joins seen %.0f/%.0f sampled views\n",
+		p["members"], m["fails"], m["leaves"], m["joins"], seconds(p["duration_s"]), seconds(p["interval_s"]),
+		m["detected_fails"], m["fails"], m["first_detect_median_s"], m["first_detect_max_s"],
+		m["fp"], m["joins_seen"], m["joins_sampled"])
+}
+
+// renderPartition renders the partition record: per-side convergence
+// during the split and the re-merge outcome.
+func renderPartition(recs []Record, _ RunOptions) string {
+	p, m := recs[0].Params, recs[0].Metrics
+	out := fmt.Sprintf("Partition: side A %d members for %v (heal budget %v)\n"+
+		"side A converged: %t, side B converged: %t, cross-side dead views: %.0f\n",
+		p["size_a"], seconds(p["duration_s"]), seconds(p["heal_budget_s"]),
+		m["side_a_converged"] == 1, m["side_b_converged"] == 1, m["cross_declared_dead"])
+	if m["remerged"] == 1 {
+		return out + fmt.Sprintf("re-merged %v after healing\n", seconds(m["remerge_s"]))
+	}
+	return out + "did NOT re-merge within the heal budget\n"
+}
+
+// renderRestart lays the rolling-restart records out as the
+// per-configuration comparison table.
+func renderRestart(recs []Record, _ RunOptions) string {
+	var b strings.Builder
+	p := recs[0].Params
+	fmt.Fprintf(&b, "Rolling restart: N=%d, %d waves × %d members, down %v, stagger %v\n",
+		p["members"], p["waves"], p["per_wave"], seconds(p["down_for_s"]), seconds(p["stagger_s"]))
+	fmt.Fprintf(&b, "%-14s %9s %9s %4s %4s %12s %12s %10s %10s\n",
+		"Config", "Restarts", "Rejoined", "FP", "FP-", "MedRejoin(s)", "MaxRejoin(s)", "Msgs", "MB")
+	for _, r := range recs {
+		m := r.Metrics
+		fmt.Fprintf(&b, "%-14s %9.0f %9.0f %4.0f %4.0f %12.2f %12.2f %10.0f %10.1f\n",
+			r.Config, m["restarts"], m["rejoined"], m["fp"], m["fp_healthy"],
+			m["rejoin_median_s"], m["rejoin_max_s"], m["msgs_sent"], m["bytes_sent"]/1e6)
 	}
 	return b.String()
 }

@@ -1,24 +1,40 @@
 package experiment
 
 import (
+	"fmt"
 	"testing"
-	"time"
-
-	"lifeguard/internal/stats"
 )
 
 // These golden-string tests pin the exact rendering of every report
-// formatter on small synthetic results, so a drive-by format change
+// section on small synthetic records, so a drive-by format change
 // (column order, width, units) is a deliberate diff, not an accident.
+
+// intervalRec builds an interval-sweep record fixture: the totals plus
+// per-concurrency (FP, FP-) pairs.
+func intervalRec(config string, fp, fpHealthy, msgs, bytes float64, byC map[int][2]float64) Record {
+	m := map[string]float64{"fp": fp, "fp_healthy": fpHealthy, "msgs_sent": msgs, "bytes_sent": bytes}
+	for c, v := range byC {
+		m[fmt.Sprintf("fp_c%d", c)] = v[0]
+		m[fmt.Sprintf("fp_healthy_c%d", c)] = v[1]
+	}
+	return Record{Experiment: "interval-sweep", Config: config, Metrics: m}
+}
 
 // fmtIntervalFixture is shared by the Table IV/VI and Figure 2/3
 // goldens.
-func fmtIntervalFixture() []IntervalSweepResult {
-	return []IntervalSweepResult{
-		{Config: ConfigSWIM, FP: 100, FPHealthy: 40, MsgsSent: 2_000_000, BytesSent: 3 << 30, Runs: 4,
-			ByC: map[int]*IntervalCell{4: {FP: 60, FPHealthy: 25, Runs: 2}, 12: {FP: 40, FPHealthy: 15, Runs: 2}}},
-		{Config: ConfigLifeguard, FP: 25, FPHealthy: 10, MsgsSent: 2_200_000, BytesSent: 3_500_000_000, Runs: 4,
-			ByC: map[int]*IntervalCell{4: {FP: 15, FPHealthy: 6, Runs: 2}, 12: {FP: 10, FPHealthy: 4, Runs: 2}}},
+func fmtIntervalFixture() []Record {
+	return []Record{
+		intervalRec("SWIM", 100, 40, 2_000_000, 3<<30, map[int][2]float64{4: {60, 25}, 12: {40, 15}}),
+		intervalRec("Lifeguard", 25, 10, 2_200_000, 3_500_000_000, map[int][2]float64{4: {15, 6}, 12: {10, 4}}),
+	}
+}
+
+// sampleIntervalFixture is a second interval fixture with a wide FP
+// ratio and different concurrency levels.
+func sampleIntervalFixture() []Record {
+	return []Record{
+		intervalRec("SWIM", 1000, 40, 2_000_000, 3<<30, map[int][2]float64{4: {400, 10}, 16: {600, 30}}),
+		intervalRec("Lifeguard", 20, 1, 2_200_000, 29<<27, map[int][2]float64{4: {5, 0}, 16: {15, 1}}),
 	}
 }
 
@@ -34,22 +50,47 @@ func TestFormatTable4Golden(t *testing.T) {
 		"Configuration      FP Events   FP- Events     FP %SWIM    FP- %SWIM\n" +
 		"SWIM                     100           40       100.00       100.00\n" +
 		"Lifeguard                 25           10        25.00        25.00\n"
-	checkGolden(t, "Table4", FormatTable4(fmtIntervalFixture()), want)
+	checkGolden(t, "Table4", renderTable4(fmtIntervalFixture(), RunOptions{}), want)
 	// The empty case renders the header alone.
 	wantEmpty := "Configuration      FP Events   FP- Events     FP %SWIM    FP- %SWIM\n"
-	checkGolden(t, "Table4 empty", FormatTable4(nil), wantEmpty)
+	checkGolden(t, "Table4 empty", renderTable4(nil, RunOptions{}), wantEmpty)
+}
+
+func TestFormatTable4(t *testing.T) {
+	want := "" +
+		"Configuration      FP Events   FP- Events     FP %SWIM    FP- %SWIM\n" +
+		"SWIM                    1000           40       100.00       100.00\n" +
+		"Lifeguard                 20            1         2.00         2.50\n"
+	checkGolden(t, "Table4 sample", renderTable4(sampleIntervalFixture(), RunOptions{}), want)
+}
+
+// thresholdRec builds a threshold-sweep record from its (median, p99,
+// p99.9) first-detection and full-dissemination latencies.
+func thresholdRec(config string, first, full [3]float64) Record {
+	return Record{Experiment: "threshold-sweep", Config: config, Metrics: map[string]float64{
+		"first_detect_median_s": first[0], "first_detect_p99_s": first[1], "first_detect_p999_s": first[2],
+		"full_dissem_median_s": full[0], "full_dissem_p99_s": full[1], "full_dissem_p999_s": full[2],
+	}}
 }
 
 func TestFormatTable5Golden(t *testing.T) {
-	results := []ThresholdSweepResult{
-		{Config: ConfigSWIM, FirstDetect: stats.Summary{Median: 1.5, P99: 2.5, P999: 3.5}, FullDissem: stats.Summary{Median: 2, P99: 4, P999: 6}},
-		{Config: ConfigLifeguard, FirstDetect: stats.Summary{Median: 1.25, P99: 2, P999: 3}, FullDissem: stats.Summary{Median: 1.75, P99: 3.5, P999: 5}},
+	recs := []Record{
+		thresholdRec("SWIM", [3]float64{1.5, 2.5, 3.5}, [3]float64{2, 4, 6}),
+		thresholdRec("Lifeguard", [3]float64{1.25, 2, 3}, [3]float64{1.75, 3.5, 5}),
 	}
 	want := "" +
 		"Configuration   Med 1stDet 99% 1stDet 99.9% 1stD Med FullDs 99% FullDs 99.9% FlDs\n" +
 		"SWIM                  1.50       2.50       3.50       2.00       4.00       6.00\n" +
 		"Lifeguard             1.25       2.00       3.00       1.75       3.50       5.00\n"
-	checkGolden(t, "Table5", FormatTable5(results), want)
+	checkGolden(t, "Table5", renderTable5(recs, RunOptions{}), want)
+}
+
+func TestFormatTable5(t *testing.T) {
+	want := "" +
+		"Configuration   Med 1stDet 99% 1stDet 99.9% 1stD Med FullDs 99% FullDs 99.9% FlDs\n" +
+		"SWIM                 12.44      16.96      19.40      12.90      16.93      20.17\n"
+	sample := []Record{thresholdRec("SWIM", [3]float64{12.44, 16.96, 19.4}, [3]float64{12.9, 16.93, 20.17})}
+	checkGolden(t, "Table5 sample", renderTable5(sample, RunOptions{}), want)
 }
 
 func TestFormatTable6Golden(t *testing.T) {
@@ -57,14 +98,33 @@ func TestFormatTable6Golden(t *testing.T) {
 		"Configuration     Msgs Sent(M)     Bytes(GiB)   Msgs %SWIM  Bytes %SWIM\n" +
 		"SWIM                     2.000          3.000       100.00       100.00\n" +
 		"Lifeguard                2.200          3.260       110.00       108.65\n"
-	checkGolden(t, "Table6", FormatTable6(fmtIntervalFixture()), want)
+	checkGolden(t, "Table6", renderTable6(fmtIntervalFixture(), RunOptions{}), want)
+}
+
+func TestFormatTable6(t *testing.T) {
+	want := "" +
+		"Configuration     Msgs Sent(M)     Bytes(GiB)   Msgs %SWIM  Bytes %SWIM\n" +
+		"SWIM                     2.000          3.000       100.00       100.00\n" +
+		"Lifeguard                2.200          3.625       110.00       120.83\n"
+	checkGolden(t, "Table6 sample", renderTable6(sampleIntervalFixture(), RunOptions{}), want)
+}
+
+// tuningRec builds a tuning-sweep record for one (α, β) cell; vals
+// follow the row order of table7Rows.
+func tuningRec(alpha, beta float64, vals ...float64) Record {
+	m := map[string]float64{}
+	for i, row := range table7Rows {
+		m[row.key] = vals[i]
+	}
+	return Record{Experiment: "tuning-sweep", Config: "Lifeguard",
+		Params: map[string]any{"alpha": alpha, "beta": beta}, Metrics: m}
 }
 
 func TestFormatTable7Golden(t *testing.T) {
-	res := TuningSweepResult{Cells: []TuningCell{
-		{Alpha: 2, Beta: 4, MedFirst: 110, MedFull: 105, P99First: 95, P99Full: 90, P999First: 85, P999Full: 80, FP: 20, FPHealthy: 10},
-		{Alpha: 5, Beta: 6, MedFirst: 120, MedFull: 115, P99First: 100, P99Full: 95, P999First: 90, P999Full: 85, FP: 15, FPHealthy: 5},
-	}}
+	recs := []Record{
+		tuningRec(2, 4, 110, 105, 95, 90, 85, 80, 20, 10),
+		tuningRec(5, 6, 120, 115, 100, 95, 90, 85, 15, 5),
+	}
 	want := "" +
 		"Metric       α=2,β=4 α=5,β=6\n" +
 		"Med First      110.00   120.00\n" +
@@ -75,28 +135,69 @@ func TestFormatTable7Golden(t *testing.T) {
 		"99.9% Full      80.00    85.00\n" +
 		"FP              20.00    15.00\n" +
 		"FP-             10.00     5.00\n"
-	checkGolden(t, "Table7", FormatTable7(res), want)
+	checkGolden(t, "Table7", renderTable7(recs, RunOptions{}), want)
+}
+
+func TestFormatTable7(t *testing.T) {
+	sample := []Record{
+		tuningRec(2, 2, 53.14, 0, 0, 0, 0, 0, 98.37, 31.15),
+		tuningRec(5, 6, 100.08, 0, 0, 0, 0, 0, 1.53, 1.89),
+	}
+	wantSample := "" +
+		"Metric       α=2,β=2 α=5,β=6\n" +
+		"Med First       53.14   100.08\n" +
+		"Med Full         0.00     0.00\n" +
+		"99% First        0.00     0.00\n" +
+		"99% Full         0.00     0.00\n" +
+		"99.9% First      0.00     0.00\n" +
+		"99.9% Full       0.00     0.00\n" +
+		"FP              98.37     1.53\n" +
+		"FP-             31.15     1.89\n"
+	checkGolden(t, "Table7 sample", renderTable7(sample, RunOptions{}), wantSample)
 }
 
 func TestFormatFigure2Golden(t *testing.T) {
+	total, healthy := fpByC("Total FP", "fp_c"), fpByC("FP at Healthy", "fp_healthy_c")
 	wantTotal := "" +
 		"Total FP by concurrent anomalies\n" +
 		"Configuration        C=4     C=12\n" +
 		"SWIM                  60       40\n" +
 		"Lifeguard             15       10\n"
-	checkGolden(t, "Figure2", FormatFigure2(fmtIntervalFixture(), false), wantTotal)
+	checkGolden(t, "Figure2", total(fmtIntervalFixture(), RunOptions{}), wantTotal)
 	wantHealthy := "" +
 		"FP at Healthy by concurrent anomalies\n" +
 		"Configuration        C=4     C=12\n" +
 		"SWIM                  25       15\n" +
 		"Lifeguard              6        4\n"
-	checkGolden(t, "Figure3", FormatFigure2(fmtIntervalFixture(), true), wantHealthy)
+	checkGolden(t, "Figure3", healthy(fmtIntervalFixture(), RunOptions{}), wantHealthy)
+}
+
+func TestFormatFigure2(t *testing.T) {
+	total, healthy := fpByC("Total FP", "fp_c"), fpByC("FP at Healthy", "fp_healthy_c")
+	wantSampleTotal := "" +
+		"Total FP by concurrent anomalies\n" +
+		"Configuration        C=4     C=16\n" +
+		"SWIM                 400      600\n" +
+		"Lifeguard              5       15\n"
+	checkGolden(t, "Figure2 sample", total(sampleIntervalFixture(), RunOptions{}), wantSampleTotal)
+	wantSampleHealthy := "" +
+		"FP at Healthy by concurrent anomalies\n" +
+		"Configuration        C=4     C=16\n" +
+		"SWIM                  10       30\n" +
+		"Lifeguard              0        1\n"
+	checkGolden(t, "Figure3 sample", healthy(sampleIntervalFixture(), RunOptions{}), wantSampleHealthy)
+}
+
+// stressRec builds a stress-sweep record for one stressed-member count.
+func stressRec(config string, stressed int, fp, fpHealthy float64) Record {
+	return Record{Experiment: "stress", Config: config, Params: map[string]any{"stressed": stressed},
+		Metrics: map[string]float64{"fp": fp, "fp_healthy": fpHealthy}}
 }
 
 func TestFormatFigure1Golden(t *testing.T) {
-	results := []StressSweepResult{
-		{Config: ConfigSWIM, ByCount: map[int]StressResult{4: {FP: 12, FPHealthy: 5}, 16: {FP: 48, FPHealthy: 20}}},
-		{Config: ConfigLifeguard, ByCount: map[int]StressResult{4: {FP: 1, FPHealthy: 0}, 16: {FP: 3, FPHealthy: 1}}},
+	recs := []Record{
+		stressRec("SWIM", 4, 12, 5), stressRec("SWIM", 16, 48, 20),
+		stressRec("Lifeguard", 4, 1, 0), stressRec("Lifeguard", 16, 3, 1),
 	}
 	want := "" +
 		"Series                            S=4     S=16\n" +
@@ -104,56 +205,153 @@ func TestFormatFigure1Golden(t *testing.T) {
 		"SWIM FP@healthy                     5       20\n" +
 		"Lifeguard total FP                  1        3\n" +
 		"Lifeguard FP@healthy                0        1\n"
-	checkGolden(t, "Figure1", FormatFigure1(results), want)
+	checkGolden(t, "Figure1", renderFigure1(recs, RunOptions{}), want)
+}
+
+func TestFormatFigure1(t *testing.T) {
+	want := "" +
+		"Series                            S=4     S=16\n" +
+		"SWIM total FP                      70      500\n" +
+		"SWIM FP@healthy                     2        9\n"
+	sample := []Record{stressRec("SWIM", 4, 70, 2), stressRec("SWIM", 16, 500, 9)}
+	checkGolden(t, "Figure1 sample", renderFigure1(sample, RunOptions{}), want)
 }
 
 func TestFormatChurnGolden(t *testing.T) {
-	r := ChurnResult{
-		Params: ChurnParams{Interval: 500 * time.Millisecond, Duration: 30 * time.Second},
-		N:      2048, Fails: 15, Leaves: 15, Joins: 30, DetectedFails: 15,
-		FirstDetect: stats.Summary{Median: 18.6, Max: 22.1},
-		JoinsSeen:   480, JoinsSampled: 480,
+	r := Record{
+		Experiment: "churn", Config: "Lifeguard",
+		Params: map[string]any{"members": 2048, "duration_s": 30.0, "interval_s": 0.5},
+		Metrics: map[string]float64{
+			"fails": 15, "leaves": 15, "joins": 30, "detected_fails": 15,
+			"first_detect_median_s": 18.6, "first_detect_max_s": 22.1,
+			"fp": 0, "joins_seen": 480, "joins_sampled": 480,
+		},
 	}
 	want := "" +
 		"Churn: N=2048, 15 fails / 15 leaves / 30 joins over 30s (every 500ms)\n" +
 		"crashes detected 15/15, first-detect median 18.60s max 22.10s; FP 0; joins seen 480/480 sampled views\n"
-	checkGolden(t, "Churn", FormatChurn(r), want)
+	checkGolden(t, "Churn", renderChurn([]Record{r}, RunOptions{}), want)
 }
 
 func TestFormatPartitionGolden(t *testing.T) {
-	r := PartitionResult{
-		Params:         PartitionParams{SizeA: 16, Duration: time.Minute, HealBudget: 2 * time.Minute},
-		SideAConverged: true, SideBConverged: true, CrossDeclaredDead: 512,
-		Remerged: true, RemergeTime: 15500 * time.Millisecond,
+	r := Record{
+		Experiment: "partition", Config: "Lifeguard",
+		Params: map[string]any{"members": 32, "size_a": 16, "duration_s": 60.0, "heal_budget_s": 120.0},
+		Metrics: map[string]float64{
+			"side_a_converged": 1, "side_b_converged": 1, "cross_declared_dead": 512,
+			"remerged": 1, "remerge_s": 15.5,
+		},
 	}
 	want := "" +
 		"Partition: side A 16 members for 1m0s (heal budget 2m0s)\n" +
 		"side A converged: true, side B converged: true, cross-side dead views: 512\n" +
 		"re-merged 15.5s after healing\n"
-	checkGolden(t, "Partition", FormatPartition(r), want)
+	checkGolden(t, "Partition", renderPartition([]Record{r}, RunOptions{}), want)
 
-	r.Remerged, r.RemergeTime = false, 0
+	r.Metrics["remerged"], r.Metrics["remerge_s"] = 0, 0
 	wantStuck := "" +
 		"Partition: side A 16 members for 1m0s (heal budget 2m0s)\n" +
 		"side A converged: true, side B converged: true, cross-side dead views: 512\n" +
 		"did NOT re-merge within the heal budget\n"
-	checkGolden(t, "Partition stuck", FormatPartition(r), wantStuck)
+	checkGolden(t, "Partition stuck", renderPartition([]Record{r}, RunOptions{}), wantStuck)
 }
 
 func TestFormatRestartGolden(t *testing.T) {
-	r := RestartResult{
-		Params: RestartParams{N: 32, Waves: 2, PerWave: 4},
-		Cells: []RestartCellResult{
-			{Config: "SWIM", Restarts: 8, Rejoined: 8, FP: 2, FPHealthy: 1,
-				RejoinConverge: stats.Summary{Median: 0.7, Max: 0.8}, MsgsSent: 7730, BytesSent: 800_000},
-			{Config: "Lifeguard", Restarts: 8, Rejoined: 8,
-				RejoinConverge: stats.Summary{Median: 0.73, Max: 0.8}, MsgsSent: 7710, BytesSent: 790_000},
-		},
+	rec := func(config string, fp, fpHealthy, median, msgs, bytes float64) Record {
+		return Record{
+			Experiment: "rolling-restart", Config: config,
+			Params: map[string]any{"members": 32, "waves": 2, "per_wave": 4, "down_for_s": 10.0, "stagger_s": 2.0},
+			Metrics: map[string]float64{
+				"restarts": 8, "rejoined": 8, "fp": fp, "fp_healthy": fpHealthy,
+				"rejoin_median_s": median, "rejoin_max_s": 0.8, "msgs_sent": msgs, "bytes_sent": bytes,
+			},
+		}
 	}
+	recs := []Record{rec("SWIM", 2, 1, 0.7, 7730, 800_000), rec("Lifeguard", 0, 0, 0.73, 7710, 790_000)}
 	want := "" +
 		"Rolling restart: N=32, 2 waves × 4 members, down 10s, stagger 2s\n" +
 		"Config          Restarts  Rejoined   FP  FP- MedRejoin(s) MaxRejoin(s)       Msgs         MB\n" +
 		"SWIM                   8         8    2    1         0.70         0.80       7730        0.8\n" +
 		"Lifeguard              8         8    0    0         0.73         0.80       7710        0.8\n"
-	checkGolden(t, "Restart", FormatRestart(r), want)
+	checkGolden(t, "Restart", renderRestart(recs, RunOptions{}), want)
+}
+
+func TestFormatChaosGolden(t *testing.T) {
+	rec := func(scenario, config string, m map[string]float64) Record {
+		return Record{
+			Experiment: "chaos", Config: config,
+			Params: map[string]any{
+				"scenario": scenario, "members": 32, "victims": 4, "crashes": 2,
+				"fault_for_s": 24.0, "crash_at_s": 8.0,
+			},
+			Metrics: m,
+		}
+	}
+	recs := []Record{
+		rec("degraded", "SWIM", map[string]float64{
+			"fp": 212, "fp_healthy": 180, "victim_deaths": 150, "crashes_detected": 2,
+			"crash_detect_median_s": 4.25, "suspicions": 900, "refuted": 610, "refute_median_s": 1.5,
+		}),
+		rec("lossy-link", "Lifeguard", map[string]float64{
+			"fp": 3, "fp_healthy": 1, "victim_deaths": 2, "crashes_detected": 1,
+			"crash_detect_median_s": 6.5, "suspicions": 120, "refuted": 118, "refute_median_s": 0.75,
+			"duplicated": 1200, "reordered": 3400,
+		}),
+	}
+	want := "" +
+		"Chaos matrix: N=32, 4 victims, 2 crashes, fault window 24s (crashes at +8s)\n" +
+		"Scenario       Config           FP  FP- VicDie CrashOK  MedDet(s)   Susp  Refuted  MedRef(s)    Dup  Reord\n" +
+		"degraded       SWIM            212  180    150    2/2        4.25    900      610       1.50      0      0\n" +
+		"lossy-link     Lifeguard         3    1      2    1/2        6.50    120      118       0.75   1200   3400\n"
+	checkGolden(t, "Chaos", renderChaos(recs, RunOptions{}), want)
+}
+
+// TestFormatWANGolden pins the WAN section on a static/adaptive pair
+// over the canonical four zones: only the adaptive record carries
+// telemetry samples and adaptive counters, so only it prints those
+// lines.
+func TestFormatWANGolden(t *testing.T) {
+	type zone struct{ detected, median, max, cross, fp float64 }
+	rec := func(adaptive bool, zones [4]zone, m map[string]float64) Record {
+		for i, z := range []string{"us-east", "us-west", "eu", "ap"} {
+			m["members_"+z], m["failed_"+z], m["detected_"+z] = 24, 3, zones[i].detected
+			m["detect_median_s_"+z], m["detect_max_s_"+z] = zones[i].median, zones[i].max
+			m["detect_cross_zone_median_s_"+z], m["fp_"+z] = zones[i].cross, zones[i].fp
+		}
+		m["pairs_scored"], m["coord_rel_err_median"], m["coord_rel_err_p99"], m["coord_abs_err_mean_s"] = 2000, 0.123, 0.456, 0.0042
+		return Record{Experiment: "wan", Config: "Lifeguard",
+			Params:  map[string]any{"members": 96, "zones": 4, "adaptive": adaptive},
+			Metrics: m}
+	}
+	static := rec(false, [4]zone{{3, 5.5, 7.25, 6, 1}, {2, 4, 4, 4.5, 0}, {3, 6.25, 9.5, 7, 2}, {3, 5, 5.75, 5.5, 0}},
+		map[string]float64{"fp": 3, "fp_healthy": 2, "detect_cross_zone_median_s": 5.25, "msgs_sent": 12345, "bytes_sent": 6_789_000})
+	adaptive := rec(true, [4]zone{{3, 3.5, 4.75, 4, 0}, {3, 3, 3.5, 3.25, 0}, {3, 4.5, 6, 4.75, 1}, {3, 3.25, 4, 3.5, 0}},
+		map[string]float64{
+			"fp": 1, "fp_healthy": 1, "detect_cross_zone_median_s": 3.75, "msgs_sent": 13000, "bytes_sent": 7_100_000,
+			"obs_rtt_samples": 4096, "obs_rtt_p50_err_median": 0.052, "obs_rtt_p90_err_median": 0.118,
+			"obs_rtt_p50_err_ap__eu": 0.05, "obs_rtt_p50_err_eu__us-east": 0.06, "obs_rtt_p50_err_us-east__us-east": 0.01,
+			"adaptive_timeouts": 900, "adaptive_timeout_fallbacks": 40, "relay_near_picks": 300,
+			"relay_random_picks": 100, "gossip_near_picks": 2000, "gossip_escape_picks": 500,
+		})
+	want := "" +
+		"--- static (uniform timeouts and peer selection) ---\n" +
+		"WAN cluster: 96 members, 4 zones; coordinate error over 2000 pairs: median 12.3%, p99 45.6%, mean abs 4.2ms\n" +
+		"Zone        Members  Failed  Detected   MedDet(s)   MaxDet(s) XZoneMed(s)     FP\n" +
+		"us-east          24       3         3        5.50        7.25        6.00      1\n" +
+		"us-west          24       3         2        4.00        4.00        4.50      0\n" +
+		"eu               24       3         3        6.25        9.50        7.00      2\n" +
+		"ap               24       3         3        5.00        5.75        5.50      0\n" +
+		"cluster-wide FP: 3 (at healthy observers: 2); cross-zone detect median 5.25s; 12345 msgs, 6.8 MB\n" +
+		"--- adaptive (RTT-adaptive timeouts, coordinate-aware relays, latency-biased gossip) ---\n" +
+		"WAN cluster: 96 members, 4 zones; coordinate error over 2000 pairs: median 12.3%, p99 45.6%, mean abs 4.2ms\n" +
+		"observed RTT (telemetry, 4096 samples over 3 zone pairs): p50 err median 5.2%, p90 err median 11.8%\n" +
+		"Zone        Members  Failed  Detected   MedDet(s)   MaxDet(s) XZoneMed(s)     FP\n" +
+		"us-east          24       3         3        3.50        4.75        4.00      0\n" +
+		"us-west          24       3         3        3.00        3.50        3.25      0\n" +
+		"eu               24       3         3        4.50        6.00        4.75      1\n" +
+		"ap               24       3         3        3.25        4.00        3.50      0\n" +
+		"cluster-wide FP: 1 (at healthy observers: 1); cross-zone detect median 3.75s; 13000 msgs, 7.1 MB\n" +
+		"adaptive: 900 RTT-derived probe timeouts (40 cold fallbacks), relays 300 near/100 random, gossip 2000 near/500 escape\n" +
+		"delta: cross-zone detect median 5.25s -> 3.75s, FP 3 -> 1, bytes 6.8 MB -> 7.1 MB\n"
+	checkGolden(t, "WAN", renderWAN([]Record{static, adaptive}, RunOptions{Scale: ScaleSmoke}), want)
 }

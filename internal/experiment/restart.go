@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"lifeguard/internal/metrics"
@@ -37,10 +36,6 @@ type RestartParams struct {
 	// Settle is how long the run continues after the last wave's
 	// rejoins, for views to converge. Defaults to 30 s.
 	Settle time.Duration
-
-	// Configs is the protocol-ablation axis. Empty runs Configurations
-	// (the paper's Table I).
-	Configs []ProtocolConfig
 }
 
 // The shape of every rolling-restart wave.
@@ -85,59 +80,7 @@ func (p RestartParams) withDefaults() RestartParams {
 	if p.Settle <= 0 {
 		p.Settle = 30 * time.Second
 	}
-	if len(p.Configs) == 0 {
-		p.Configs = Configurations
-	}
 	return p
-}
-
-// RestartCellResult is one configuration's rolling-restart score. It
-// contains no pointers, slices or maps, so whole-struct equality is
-// the determinism check.
-type RestartCellResult struct {
-	// Config identifies the protocol configuration.
-	Config string
-
-	// Restarts is the number of members restarted (Waves × PerWave).
-	Restarts int
-
-	// FP counts false-positive dead declarations: dead events about
-	// members that never restarted, dead events about a restarting
-	// member before its leave, and dead events about a rejoined
-	// incarnation (incarnation above the one that left) — the restarted
-	// member was alive again and still got killed. Stale dissemination
-	// of the leave itself (dead events at or below the departing
-	// incarnation, after the leave) is legitimate, however late it
-	// lands. FPHealthy counts the subset raised at observers outside
-	// the restart cast.
-	FP, FPHealthy int
-
-	// Rejoined counts restarted members that every sampled observer saw
-	// alive again (at a post-leave incarnation) after their rejoin.
-	Rejoined int
-
-	// RejoinConverge summarizes, in seconds per fully re-seen member,
-	// the time from rejoin to the moment the last sampled observer saw
-	// it alive again.
-	RejoinConverge stats.Summary
-
-	// MsgsSent and BytesSent total transport load over the run.
-	MsgsSent, BytesSent int64
-
-	// EventDigest is an FNV-64a digest of the full membership event
-	// log — the byte-identical-replay fingerprint for this cell.
-	EventDigest string
-}
-
-// RestartResult holds one rolling-restart run across the configuration
-// axis.
-type RestartResult struct {
-	// Params echoes the resolved parameters.
-	Params RestartParams
-
-	// Cells holds one result per configuration, in Params.Configs
-	// order.
-	Cells []RestartCellResult
 }
 
 // restartCast deterministically selects the members restarted across
@@ -149,23 +92,24 @@ func restartCast(p RestartParams, seed int64) []string {
 
 // RunRestartCell executes one configuration's rolling-restart run:
 // quiesce, then Waves staggered leave/rejoin waves, then a settle
-// phase, scored from the event log. cc.N is taken from the params and
-// must be left zero.
-func RunRestartCell(cc ClusterConfig, p RestartParams) (RestartCellResult, error) {
+// phase, scored from the event log. It returns the cell's record
+// (docs/LIFEBENCH.md lists its keys) and the full membership event log.
+// cc.N is taken from the params and must be left zero.
+func RunRestartCell(cc ClusterConfig, p RestartParams) (Record, []metrics.Event, error) {
 	p = p.withDefaults()
 	if p.Waves*p.PerWave > p.N-1 {
-		return RestartCellResult{}, fmt.Errorf(
+		return Record{}, nil, fmt.Errorf(
 			"experiment: rolling restart needs %d distinct members (%d waves × %d) but only %d are eligible (N=%d minus the join seed)",
 			p.Waves*p.PerWave, p.Waves, p.PerWave, p.N-1, p.N)
 	}
 	cc.N = p.N
 	c, err := NewCluster(cc)
 	if err != nil {
-		return RestartCellResult{}, err
+		return Record{}, nil, err
 	}
 	defer c.Shutdown()
 	if err := c.Start(Quiesce); err != nil {
-		return RestartCellResult{}, err
+		return Record{}, nil, err
 	}
 
 	cast := restartCast(p, cc.Seed)
@@ -211,17 +155,11 @@ func RunRestartCell(cc ClusterConfig, p RestartParams) (RestartCellResult, error
 	horizon := time.Duration(p.Waves-1)*restartWaveEvery + restartStagger + restartDownFor + p.Settle
 	c.Sched.RunFor(horizon)
 	if runErr != nil {
-		return RestartCellResult{}, runErr
+		return Record{}, nil, runErr
 	}
 
 	events := c.Events.Events()
 	score := scoreDeaths(events, start, gone)
-	res := RestartCellResult{
-		Config:    cc.Protocol.Name,
-		Restarts:  len(cast),
-		FP:        score.FP,
-		FPHealthy: score.FPHealthy,
-	}
 
 	// Re-join convergence: for each restarted member, the first
 	// post-rejoin sighting (join or alive at a higher-than-departed
@@ -249,6 +187,7 @@ func RunRestartCell(cc ClusterConfig, p RestartParams) (RestartCellResult, error
 			firstSeen[key] = ev.Time
 		}
 	}
+	rejoined := 0
 	var converge []float64
 	for _, name := range cast {
 		var last time.Time
@@ -264,65 +203,52 @@ func RunRestartCell(cc ClusterConfig, p RestartParams) (RestartCellResult, error
 			}
 		}
 		if sawAll {
-			res.Rejoined++
+			rejoined++
 			converge = append(converge, last.Sub(rejoinAt[name]).Seconds())
 		}
 	}
-	res.RejoinConverge = stats.Summarize(converge)
-
+	rejoin := stats.Summarize(converge)
 	total := c.Net.TotalStats()
-	res.MsgsSent = total.MsgsSent
-	res.BytesSent = total.BytesSent
-	res.EventDigest = eventDigest(events)
-	return res, nil
+	return Record{
+		Experiment: "rolling-restart",
+		Config:     cc.Protocol.Name,
+		Params: map[string]any{
+			"members":      p.N,
+			"waves":        p.Waves,
+			"per_wave":     p.PerWave,
+			"down_for_s":   restartDownFor.Seconds(),
+			"stagger_s":    restartStagger.Seconds(),
+			"wave_every_s": restartWaveEvery.Seconds(),
+			"settle_s":     p.Settle.Seconds(),
+		},
+		Metrics: map[string]float64{
+			"restarts":        float64(len(cast)),
+			"rejoined":        float64(rejoined),
+			"fp":              float64(score.FP),
+			"fp_healthy":      float64(score.FPHealthy),
+			"rejoin_median_s": rejoin.Median,
+			"rejoin_max_s":    rejoin.Max,
+			"msgs_sent":       float64(total.MsgsSent),
+			"bytes_sent":      float64(total.BytesSent),
+		},
+	}, events, nil
 }
 
-// restartCells enumerates the configuration axis, every cell at cc's
-// seed with cc.Protocol overridden, so columns are directly comparable.
+// restartCells enumerates the configuration axis, Configurations in
+// order, every cell at cc's seed with cc.Protocol overridden, so
+// columns are directly comparable.
 func restartCells(cc ClusterConfig, p RestartParams) []Cell {
-	p = p.withDefaults()
-	cells := make([]Cell, 0, len(p.Configs))
-	for _, proto := range p.Configs {
+	cells := make([]Cell, 0, len(Configurations))
+	for _, proto := range Configurations {
 		cellCC := cc
 		cellCC.Protocol = proto
 		cells = append(cells, Cell{
 			Label: fmt.Sprintf("rolling-restart %s", proto.Name),
-			Run:   func() (any, error) { return RunRestartCell(cellCC, p) },
+			Run: func() (any, error) {
+				rec, _, err := RunRestartCell(cellCC, p)
+				return rec, err
+			},
 		})
 	}
 	return cells
-}
-
-// restartResult assembles a run from restartCells' outputs.
-func restartResult(p RestartParams, outs []any) (RestartResult, error) {
-	cells, err := outsAs[RestartCellResult](outs)
-	return RestartResult{Params: p.withDefaults(), Cells: cells}, err
-}
-
-// RunRestart executes the rolling-restart scenario across the
-// configuration axis with one shared seed. cc.Protocol is overridden
-// per cell; cc.N must be left zero (the params size the cluster).
-func RunRestart(cc ClusterConfig, p RestartParams) (RestartResult, error) {
-	outs, err := runCells(restartCells(cc, p), 1, nil)
-	if err != nil {
-		return RestartResult{}, err
-	}
-	return restartResult(p, outs)
-}
-
-// FormatRestart renders a rolling-restart run as the per-configuration
-// comparison table.
-func FormatRestart(r RestartResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Rolling restart: N=%d, %d waves × %d members, down %v, stagger %v\n",
-		r.Params.N, r.Params.Waves, r.Params.PerWave, restartDownFor, restartStagger)
-	fmt.Fprintf(&b, "%-14s %9s %9s %4s %4s %12s %12s %10s %10s\n",
-		"Config", "Restarts", "Rejoined", "FP", "FP-", "MedRejoin(s)", "MaxRejoin(s)", "Msgs", "MB")
-	for _, cell := range r.Cells {
-		fmt.Fprintf(&b, "%-14s %9d %9d %4d %4d %12.2f %12.2f %10d %10.1f\n",
-			cell.Config, cell.Restarts, cell.Rejoined, cell.FP, cell.FPHealthy,
-			cell.RejoinConverge.Median, cell.RejoinConverge.Max,
-			cell.MsgsSent, float64(cell.BytesSent)/1e6)
-	}
-	return b.String()
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -49,15 +50,17 @@ func TestRestartCastDisjointAndDeterministic(t *testing.T) {
 }
 
 // TestRestartRejectsOversizedCast pins the validation: more restarts
-// than eligible members errors out instead of silently truncating.
+// than eligible members errors out instead of silently truncating, per
+// cell and through the registered scenario.
 func TestRestartRejectsOversizedCast(t *testing.T) {
 	p := smallRestartParams()
 	p.Waves, p.PerWave = 4, 10 // 40 > N-1 = 31
-	if _, err := RunRestartCell(ClusterConfig{Seed: 1, Protocol: ConfigLifeguard}, p); err == nil {
+	if _, _, err := RunRestartCell(ClusterConfig{Seed: 1, Protocol: ConfigLifeguard}, p); err == nil {
 		t.Fatal("oversized restart cast accepted")
 	}
-	if _, err := RunRestart(ClusterConfig{Seed: 1}, p); err == nil {
-		t.Fatal("oversized restart cast accepted by RunRestart")
+	// 8 waves of N/8 = 1 member need 8 of the 7 eligible members.
+	if _, err := RunScenario("rolling-restart", RunOptions{Scale: Scale{Name: "tiny", RestartN: 8, RestartWaves: 8}, Seed: 1}); err == nil {
+		t.Fatal("oversized restart cast accepted by the rolling-restart scenario")
 	}
 }
 
@@ -70,65 +73,61 @@ func TestRollingRestartRejoins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("rolling-restart run")
 	}
-	cell, err := RunRestartCell(ClusterConfig{Seed: 1, Protocol: ConfigLifeguard}, smallRestartParams())
+	rec, events, err := RunRestartCell(ClusterConfig{Seed: 1, Protocol: ConfigLifeguard}, smallRestartParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("restarts=%d rejoined=%d fp=%d fp-=%d rejoin med=%.2fs max=%.2fs msgs=%d",
-		cell.Restarts, cell.Rejoined, cell.FP, cell.FPHealthy,
-		cell.RejoinConverge.Median, cell.RejoinConverge.Max, cell.MsgsSent)
-	if cell.Restarts != 6 {
-		t.Fatalf("restarts = %d, want 6", cell.Restarts)
+	m := rec.Metrics
+	t.Logf("rolling restart: %v", m)
+	if m["restarts"] != 6 {
+		t.Fatalf("restarts = %g, want 6", m["restarts"])
 	}
-	if cell.Rejoined != cell.Restarts {
-		t.Errorf("only %d of %d restarted members fully rejoined", cell.Rejoined, cell.Restarts)
-	}
-	if cell.RejoinConverge.Count != cell.Rejoined {
-		t.Errorf("convergence summary holds %d samples, want %d", cell.RejoinConverge.Count, cell.Rejoined)
+	if m["rejoined"] != m["restarts"] {
+		t.Errorf("only %g of %g restarted members fully rejoined", m["rejoined"], m["restarts"])
 	}
 	// A rejoin should converge within the settle phase, not linger to
 	// the horizon.
-	if cell.RejoinConverge.Max > 30 {
-		t.Errorf("slowest rejoin took %.2fs, want under 30s", cell.RejoinConverge.Max)
+	if m["rejoin_max_s"] > 30 {
+		t.Errorf("slowest rejoin took %.2fs, want under 30s", m["rejoin_max_s"])
 	}
 	// Graceful leaves with dissemination time are not false positives;
 	// the known FP source is a suspicion racing the leave, which the
 	// Lifeguard configuration should keep rare.
-	if cell.FP > cell.Restarts {
-		t.Errorf("FP %d exceeds the restart count %d — leaves are being misclassified", cell.FP, cell.Restarts)
+	if m["fp"] > m["restarts"] {
+		t.Errorf("FP %g exceeds the restart count %g — leaves are being misclassified", m["fp"], m["restarts"])
 	}
-	if cell.MsgsSent == 0 || cell.EventDigest == "" {
-		t.Errorf("missing load or digest: msgs=%d digest=%q", cell.MsgsSent, cell.EventDigest)
+	if m["msgs_sent"] == 0 || len(events) == 0 {
+		t.Errorf("missing load or event log: msgs=%g events=%d", m["msgs_sent"], len(events))
 	}
 }
 
 // TestRollingRestartDeterminism pins same-seed reproducibility of the
-// per-configuration comparison: every cell must be identical across
-// runs, and a different seed must actually change the event logs.
+// per-configuration comparison: every cell's record and event-log
+// digest must be identical across runs, and a different seed must
+// actually change the event logs.
 func TestRollingRestartDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("double rolling-restart run")
 	}
-	p := smallRestartParams()
-	p.Configs = []ProtocolConfig{ConfigSWIM, ConfigLifeguard}
-	run := func(seed int64) RestartResult {
-		res, err := RunRestart(ClusterConfig{Seed: seed}, p)
-		if err != nil {
-			t.Fatal(err)
+	run := func(seed int64) (recs []Record, digests []string) {
+		for _, proto := range []ProtocolConfig{ConfigSWIM, ConfigLifeguard} {
+			rec, events, err := RunRestartCell(ClusterConfig{Seed: seed, Protocol: proto}, smallRestartParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs, digests = append(recs, rec), append(digests, eventDigest(events))
 		}
-		return res
+		return recs, digests
 	}
-	a, b := run(7), run(7)
-	if len(a.Cells) != 2 {
-		t.Fatalf("got %d cells, want 2", len(a.Cells))
-	}
-	for i := range a.Cells {
-		if a.Cells[i] != b.Cells[i] {
-			t.Errorf("same-seed cell %s diverged:\n%+v\n%+v", a.Cells[i].Config, a.Cells[i], b.Cells[i])
+	a, aDigests := run(7)
+	b, bDigests := run(7)
+	for i := range a {
+		if !reflect.DeepEqual(a[i], b[i]) || aDigests[i] != bDigests[i] {
+			t.Errorf("same-seed cell %s diverged:\n%+v %s\n%+v %s", a[i].Config, a[i], aDigests[i], b[i], bDigests[i])
 		}
 	}
-	c := run(8)
-	if a.Cells[0].EventDigest == c.Cells[0].EventDigest && a.Cells[1].EventDigest == c.Cells[1].EventDigest {
+	_, cDigests := run(8)
+	if aDigests[0] == cDigests[0] && aDigests[1] == cDigests[1] {
 		t.Error("different seeds produced identical event digests (suspicious)")
 	}
 }

@@ -2,67 +2,84 @@ package experiment
 
 import (
 	"fmt"
-	"sort"
+	"time"
+
+	"lifeguard/internal/stats"
 )
 
-// This file lists every experiment driver for the scenario harness and
-// builds their machine-readable records.
+// This file lists every scenario the harness runs: how each plans its
+// cells, folds their outputs into records, and which report sections it
+// renders from those records (report.go).
 
 // registry holds the scenarios in the canonical "all" run order.
 var registry = []Scenario{
 	{
-		name:   "interval",
-		desc:   "Interval sweeps over Table I: false positives and message load (Tables IV/VI, Figures 2/3)",
-		plan:   planInterval,
-		report: reportInterval,
+		name:    "interval",
+		desc:    "Interval sweeps over Table I: false positives and message load (Tables IV/VI, Figures 2/3)",
+		plan:    planInterval,
+		records: sweepRecords(intervalRecord),
+		sections: []section{
+			{"table4", "Table IV: aggregated false positives", renderTable4},
+			{"fig2", "Figure 2: total FP vs concurrent anomalies", fpByC("Total FP", "fp_c")},
+			{"fig3", "Figure 3: FP at healthy members vs concurrent anomalies", fpByC("FP at Healthy", "fp_healthy_c")},
+			{"table6", "Table VI: message load", renderTable6},
+		},
 	},
 	{
-		name:   "threshold",
-		desc:   "Threshold sweeps over Table I: detection and dissemination latency (Table V)",
-		plan:   planThreshold,
-		report: reportThreshold,
+		name:     "threshold",
+		desc:     "Threshold sweeps over Table I: detection and dissemination latency (Table V)",
+		plan:     planThreshold,
+		records:  sweepRecords(thresholdRecord),
+		sections: []section{{"table5", "Table V: detection and dissemination latency (s)", renderTable5}},
 	},
 	{
-		name:   "tuning",
-		desc:   "Suspicion α/β grid against a SWIM baseline (Table VII)",
-		plan:   planTuning,
-		report: reportTuning,
+		name:     "tuning",
+		desc:     "Suspicion α/β grid against a SWIM baseline (Table VII)",
+		plan:     planTuning,
+		records:  tuningRecords,
+		sections: []section{{"table7", "Table VII: performance as % of SWIM under α/β tunings", renderTable7}},
 	},
 	{
-		name:   "stress",
-		desc:   "CPU-exhaustion duty cycle, SWIM vs Lifeguard (Figure 1)",
-		plan:   planStress,
-		report: reportStress,
+		name:     "stress",
+		desc:     "CPU-exhaustion duty cycle, SWIM vs Lifeguard (Figure 1)",
+		plan:     planStress,
+		records:  cellRecords,
+		sections: []section{{"fig1", "Figure 1: false positives from CPU exhaustion", renderFigure1}},
 	},
 	{
-		name:   "wan",
-		desc:   "Multi-zone WAN: coordinate accuracy and cross-zone detection, static vs adaptive",
-		plan:   planWAN,
-		report: reportWAN,
+		name:     "wan",
+		desc:     "Multi-zone WAN: coordinate accuracy and cross-zone detection, static vs adaptive",
+		plan:     planWAN,
+		records:  cellRecords,
+		sections: []section{{"wan", "WAN: adaptive vs static topology-aware detection", renderWAN}},
 	},
 	{
-		name:   "chaos",
-		desc:   "Fault-scenario matrix (degraded, flapping, partitioned, lossy, combined) × Table I",
-		plan:   planChaos,
-		report: reportChaos,
+		name:     "chaos",
+		desc:     "Fault-scenario matrix (degraded, flapping, partitioned, lossy, combined) × Table I",
+		plan:     planChaos,
+		records:  cellRecords,
+		sections: []section{{"chaos", "Chaos: fault-scenario matrix × protocol ablation", renderChaos}},
 	},
 	{
-		name:   "churn",
-		desc:   "Large cluster under continuous fail/join/leave membership change",
-		plan:   planChurn,
-		report: reportChurn,
+		name:     "churn",
+		desc:     "Large cluster under continuous fail/join/leave membership change",
+		plan:     planChurn,
+		records:  cellRecords,
+		sections: []section{{"churn", "Churn: continuous fail/join/leave at scale", renderChurn}},
 	},
 	{
-		name:   "partition",
-		desc:   "Full split and heal: independent operation and automatic re-merge (§II)",
-		plan:   planPartition,
-		report: reportPartition,
+		name:     "partition",
+		desc:     "Full split and heal: independent operation and automatic re-merge (§II)",
+		plan:     planPartition,
+		records:  cellRecords,
+		sections: []section{{"partition", "Partition: split, independent operation, heal and re-merge", renderPartition}},
 	},
 	{
-		name:   "rolling-restart",
-		desc:   "Members leave and rejoin in staggered waves, scored per Table I configuration",
-		plan:   planRestart,
-		report: reportRestart,
+		name:     "rolling-restart",
+		desc:     "Members leave and rejoin in staggered waves, scored per Table I configuration",
+		plan:     planRestart,
+		records:  cellRecords,
+		sections: []section{{"rolling-restart", "Rolling restart: staggered leave/rejoin waves", renderRestart}},
 	},
 }
 
@@ -78,6 +95,32 @@ func outsAs[T any](outs []any) ([]T, error) {
 		typed[i] = v
 	}
 	return typed, nil
+}
+
+// cellRecords is the records step of every scenario whose cells each
+// return one output row: the records are the cell outputs, in plan
+// order.
+func cellRecords(_ RunOptions, outs []any) ([]Record, error) {
+	return outsAs[Record](outs)
+}
+
+// sweepRecords is the records step of the interval and threshold
+// sweeps: the outputs hold one equal block of runs per configuration
+// of Configurations, in order, and fold folds each block into its
+// configuration's record.
+func sweepRecords[T any](fold func(ProtocolConfig, []T) Record) func(RunOptions, []any) ([]Record, error) {
+	return func(_ RunOptions, outs []any) ([]Record, error) {
+		runs, err := outsAs[T](outs)
+		if err != nil {
+			return nil, err
+		}
+		per := len(runs) / len(Configurations)
+		recs := make([]Record, len(Configurations))
+		for ci, proto := range Configurations {
+			recs[ci] = fold(proto, runs[ci*per:(ci+1)*per])
+		}
+		return recs, nil
+	}
 }
 
 // --- interval -------------------------------------------------------
@@ -109,25 +152,25 @@ func planInterval(opt RunOptions) ([]Cell, error) {
 	return cells, nil
 }
 
-func reportInterval(opt RunOptions, outs []any) (ScenarioResult, error) {
-	runs, err := outsAs[IntervalResult](outs)
-	if err != nil {
-		return ScenarioResult{}, err
+// intervalRecord folds one configuration's Interval runs into its
+// sweep record: the totals behind Tables IV and VI, and per-C false
+// positives (fp_c<C>, fp_healthy_c<C>) behind Figures 2/3.
+func intervalRecord(proto ProtocolConfig, runs []IntervalResult) Record {
+	m := map[string]float64{"fp": 0, "fp_healthy": 0, "msgs_sent": 0, "bytes_sent": 0, "runs": float64(len(runs))}
+	for _, r := range runs {
+		m["fp"] += float64(r.FP)
+		m["fp_healthy"] += float64(r.FPHealthy)
+		m["msgs_sent"] += float64(r.MsgsSent)
+		m["bytes_sent"] += float64(r.BytesSent)
+		m[fmt.Sprintf("fp_c%d", r.Params.C)] += float64(r.FP)
+		m[fmt.Sprintf("fp_healthy_c%d", r.Params.C)] += float64(r.FPHealthy)
 	}
-	points := intervalPoints(opt.Scale)
-	results := make([]IntervalSweepResult, 0, len(Configurations))
-	for ci, proto := range Configurations {
-		results = append(results, aggregateInterval(proto, points, runs[ci*len(points):(ci+1)*len(points)]))
+	return Record{
+		Experiment: "interval-sweep",
+		Config:     proto.Name,
+		Params:     map[string]any{"alpha": proto.Alpha, "beta": proto.Beta},
+		Metrics:    m,
 	}
-	return ScenarioResult{
-		Records: intervalRecords(results),
-		Sections: []Section{
-			{Key: "table4", Title: "Table IV: aggregated false positives", Body: FormatTable4(results)},
-			{Key: "fig2", Title: "Figure 2: total FP vs concurrent anomalies", Body: FormatFigure2(results, false)},
-			{Key: "fig3", Title: "Figure 3: FP at healthy members vs concurrent anomalies", Body: FormatFigure2(results, true)},
-			{Key: "table6", Title: "Table VI: message load", Body: FormatTable6(results)},
-		},
-	}, nil
 }
 
 // --- threshold ------------------------------------------------------
@@ -158,22 +201,37 @@ func planThreshold(opt RunOptions) ([]Cell, error) {
 	return cells, nil
 }
 
-func reportThreshold(opt RunOptions, outs []any) (ScenarioResult, error) {
-	runs, err := outsAs[ThresholdResult](outs)
-	if err != nil {
-		return ScenarioResult{}, err
+// thresholdRecord folds one configuration's Threshold runs into its
+// sweep record: Table V's percentiles over the pooled latency samples,
+// and the anomalies that did / did not become failures (short
+// anomalies refute in time by design).
+func thresholdRecord(proto ProtocolConfig, runs []ThresholdResult) Record {
+	var first, full []time.Duration
+	detected, undetected := 0, 0
+	for _, r := range runs {
+		first = append(first, r.FirstDetect...)
+		full = append(full, r.FullDissem...)
+		detected += r.Detected
+		undetected += r.Undetected
 	}
-	per := len(thresholdPoints(opt.Scale))
-	results := make([]ThresholdSweepResult, 0, len(Configurations))
-	for ci, proto := range Configurations {
-		results = append(results, aggregateThreshold(proto, runs[ci*per:(ci+1)*per]))
-	}
-	return ScenarioResult{
-		Records: thresholdRecords(results),
-		Sections: []Section{
-			{Key: "table5", Title: "Table V: detection and dissemination latency (s)", Body: FormatTable5(results)},
+	fd := stats.Summarize(stats.DurationsToSeconds(first))
+	fl := stats.Summarize(stats.DurationsToSeconds(full))
+	return Record{
+		Experiment: "threshold-sweep",
+		Config:     proto.Name,
+		Params:     map[string]any{"alpha": proto.Alpha, "beta": proto.Beta},
+		Metrics: map[string]float64{
+			"first_detect_median_s": fd.Median,
+			"first_detect_p99_s":    fd.P99,
+			"first_detect_p999_s":   fd.P999,
+			"full_dissem_median_s":  fl.Median,
+			"full_dissem_p99_s":     fl.P99,
+			"full_dissem_p999_s":    fl.P999,
+			"detected":              float64(detected),
+			"undetected":            float64(undetected),
+			"runs":                  float64(len(runs)),
 		},
-	}, nil
+	}
 }
 
 // --- tuning ---------------------------------------------------------
@@ -201,44 +259,70 @@ func planTuning(opt RunOptions) ([]Cell, error) {
 	return cells, nil
 }
 
-func reportTuning(opt RunOptions, outs []any) (ScenarioResult, error) {
+// tuningPct maps each Table VII metric to the sweep metric it takes as
+// a percentage of the SWIM baseline's.
+var tuningPct = map[string]string{
+	"med_first_pct_swim":  "first_detect_median_s",
+	"med_full_pct_swim":   "full_dissem_median_s",
+	"p99_first_pct_swim":  "first_detect_p99_s",
+	"p99_full_pct_swim":   "full_dissem_p99_s",
+	"p999_first_pct_swim": "first_detect_p999_s",
+	"p999_full_pct_swim":  "full_dissem_p999_s",
+	"fp_pct_swim":         "fp",
+	"fp_healthy_pct_swim": "fp_healthy",
+}
+
+// tuningRecords scores every (α, β) configuration's threshold and
+// interval sweeps against the SWIM baseline's: one Table VII record
+// per pair, in grid order.
+func tuningRecords(opt RunOptions, outs []any) ([]Record, error) {
 	protos := tuningProtos(opt.Scale.TuningGrid())
-	tPoints := thresholdPoints(opt.Scale)
-	iPoints := intervalPoints(opt.Scale)
-	per := len(tPoints) + len(iPoints)
+	nT := len(thresholdPoints(opt.Scale))
+	per := nT + len(intervalPoints(opt.Scale))
 	if len(outs) != len(protos)*per {
-		return ScenarioResult{}, fmt.Errorf("tuning: %d outputs for %d cells", len(outs), len(protos)*per)
+		return nil, fmt.Errorf("tuning: %d outputs for %d cells", len(outs), len(protos)*per)
 	}
-	aggregate := func(ci int, proto ProtocolConfig) (ThresholdSweepResult, IntervalSweepResult, error) {
+	// sweep folds one configuration's block into its threshold and
+	// interval metrics, merged: the one key they share, runs, is not a
+	// Table VII input.
+	sweep := func(ci int) (map[string]float64, error) {
 		block := outs[ci*per : (ci+1)*per]
-		tRuns, err := outsAs[ThresholdResult](block[:len(tPoints)])
+		tRuns, err := outsAs[ThresholdResult](block[:nT])
 		if err != nil {
-			return ThresholdSweepResult{}, IntervalSweepResult{}, err
+			return nil, err
 		}
-		iRuns, err := outsAs[IntervalResult](block[len(tPoints):])
+		iRuns, err := outsAs[IntervalResult](block[nT:])
 		if err != nil {
-			return ThresholdSweepResult{}, IntervalSweepResult{}, err
+			return nil, err
 		}
-		return aggregateThreshold(proto, tRuns), aggregateInterval(proto, iPoints, iRuns), nil
+		m := thresholdRecord(protos[ci], tRuns).Metrics
+		for k, v := range intervalRecord(protos[ci], iRuns).Metrics {
+			m[k] = v
+		}
+		return m, nil
 	}
-	baseT, baseI, err := aggregate(0, protos[0])
+	base, err := sweep(0)
 	if err != nil {
-		return ScenarioResult{}, err
+		return nil, err
 	}
-	res := TuningSweepResult{BaselineThreshold: baseT, BaselineInterval: baseI}
-	for ci, proto := range protos[1:] {
-		t, iv, err := aggregate(ci+1, proto)
+	recs := make([]Record, 0, len(protos)-1)
+	for ci := 1; ci < len(protos); ci++ {
+		m, err := sweep(ci)
 		if err != nil {
-			return ScenarioResult{}, err
+			return nil, err
 		}
-		res.Cells = append(res.Cells, tuningCell(proto.Alpha, proto.Beta, t, baseT, iv, baseI))
+		pct := make(map[string]float64, len(tuningPct))
+		for key, src := range tuningPct {
+			pct[key] = stats.PercentOf(m[src], base[src])
+		}
+		recs = append(recs, Record{
+			Experiment: "tuning-sweep",
+			Config:     "Lifeguard",
+			Params:     map[string]any{"alpha": protos[ci].Alpha, "beta": protos[ci].Beta},
+			Metrics:    pct,
+		})
 	}
-	return ScenarioResult{
-		Records: tuningRecords(res),
-		Sections: []Section{
-			{Key: "table7", Title: "Table VII: performance as % of SWIM under α/β tunings", Body: FormatTable7(res)},
-		},
-	}, nil
+	return recs, nil
 }
 
 // --- stress ---------------------------------------------------------
@@ -267,28 +351,6 @@ func planStress(opt RunOptions) ([]Cell, error) {
 	return cells, nil
 }
 
-func reportStress(opt RunOptions, outs []any) (ScenarioResult, error) {
-	runs, err := outsAs[StressResult](outs)
-	if err != nil {
-		return ScenarioResult{}, err
-	}
-	counts := stressCounts(opt.Scale)
-	results := make([]StressSweepResult, 0, len(stressProtos))
-	for ci, proto := range stressProtos {
-		r := StressSweepResult{Config: proto, ByCount: make(map[int]StressResult)}
-		for i, count := range counts {
-			r.ByCount[count] = runs[ci*len(counts)+i]
-		}
-		results = append(results, r)
-	}
-	return ScenarioResult{
-		Records: stressRecords(results),
-		Sections: []Section{
-			{Key: "fig1", Title: "Figure 1: false positives from CPU exhaustion", Body: FormatFigure1(results)},
-		},
-	}, nil
-}
-
 // --- wan ------------------------------------------------------------
 
 // wanParams sizes the WAN scenario from the scale: the canonical four
@@ -308,23 +370,10 @@ func planWAN(opt RunOptions) ([]Cell, error) {
 	return wanCells(cc, wanParams(opt)), nil
 }
 
-func reportWAN(opt RunOptions, outs []any) (ScenarioResult, error) {
-	cmp, err := wanComparison(outs)
-	if err != nil {
-		return ScenarioResult{}, err
-	}
-	return ScenarioResult{
-		Records: []Record{wanRecord(cmp.Static, false), wanRecord(cmp.Adaptive, true)},
-		Sections: []Section{
-			{Key: "wan", Title: "WAN: adaptive vs static topology-aware detection", Body: FormatWANComparison(cmp)},
-		},
-	}, nil
-}
-
 // --- chaos ----------------------------------------------------------
 
-// chaosParams sizes the chaos scenario from the scale; chaosCells and
-// chaosResult apply the defaults for the rest.
+// chaosParams sizes the chaos scenario from the scale; RunChaosCell
+// applies the defaults for the rest.
 func chaosParams(opt RunOptions) ChaosParams {
 	return ChaosParams{
 		N:        opt.Scale.ChaosN,
@@ -335,19 +384,6 @@ func chaosParams(opt RunOptions) ChaosParams {
 
 func planChaos(opt RunOptions) ([]Cell, error) {
 	return chaosCells(ClusterConfig{Seed: opt.Seed}, chaosParams(opt)), nil
-}
-
-func reportChaos(opt RunOptions, outs []any) (ScenarioResult, error) {
-	res, err := chaosResult(chaosParams(opt), outs)
-	if err != nil {
-		return ScenarioResult{}, err
-	}
-	return ScenarioResult{
-		Records: chaosRecords(res),
-		Sections: []Section{
-			{Key: "chaos", Title: "Chaos: fault-scenario matrix × protocol ablation", Body: FormatChaos(res)},
-		},
-	}, nil
 }
 
 // --- churn ----------------------------------------------------------
@@ -363,20 +399,6 @@ func planChurn(opt RunOptions) ([]Cell, error) {
 	}}, nil
 }
 
-func reportChurn(opt RunOptions, outs []any) (ScenarioResult, error) {
-	runs, err := outsAs[ChurnResult](outs)
-	if err != nil {
-		return ScenarioResult{}, err
-	}
-	r := runs[0]
-	return ScenarioResult{
-		Records: []Record{churnRecord(r)},
-		Sections: []Section{
-			{Key: "churn", Title: "Churn: continuous fail/join/leave at scale", Body: FormatChurn(r)},
-		},
-	}, nil
-}
-
 // --- partition ------------------------------------------------------
 
 func planPartition(opt RunOptions) ([]Cell, error) {
@@ -390,300 +412,14 @@ func planPartition(opt RunOptions) ([]Cell, error) {
 	}}, nil
 }
 
-func reportPartition(opt RunOptions, outs []any) (ScenarioResult, error) {
-	runs, err := outsAs[PartitionResult](outs)
-	if err != nil {
-		return ScenarioResult{}, err
-	}
-	r := runs[0]
-	return ScenarioResult{
-		Records: []Record{partitionRecord(opt.Scale.PartitionN, r)},
-		Sections: []Section{
-			{Key: "partition", Title: "Partition: split, independent operation, heal and re-merge", Body: FormatPartition(r)},
-		},
-	}, nil
-}
-
 // --- rolling-restart ------------------------------------------------
 
 // restartParams sizes the rolling-restart scenario from the scale;
-// restartCells and restartResult apply the defaults for the rest.
+// RunRestartCell applies the defaults for the rest.
 func restartParams(opt RunOptions) RestartParams {
 	return RestartParams{N: opt.Scale.RestartN, Waves: opt.Scale.RestartWaves}
 }
 
 func planRestart(opt RunOptions) ([]Cell, error) {
 	return restartCells(ClusterConfig{Seed: opt.Seed}, restartParams(opt)), nil
-}
-
-func reportRestart(opt RunOptions, outs []any) (ScenarioResult, error) {
-	res, err := restartResult(restartParams(opt), outs)
-	if err != nil {
-		return ScenarioResult{}, err
-	}
-	return ScenarioResult{
-		Records: restartRecords(res),
-		Sections: []Section{
-			{Key: "rolling-restart", Title: "Rolling restart: staggered leave/rejoin waves", Body: FormatRestart(res)},
-		},
-	}, nil
-}
-
-// --- record builders ------------------------------------------------
-
-func intervalRecords(results []IntervalSweepResult) []Record {
-	out := make([]Record, 0, len(results))
-	for _, r := range results {
-		rec := Record{
-			Experiment: "interval-sweep",
-			Config:     r.Config.Name,
-			Params:     map[string]any{"alpha": r.Config.Alpha, "beta": r.Config.Beta},
-			Metrics: map[string]float64{
-				"fp":         float64(r.FP),
-				"fp_healthy": float64(r.FPHealthy),
-				"msgs_sent":  float64(r.MsgsSent),
-				"bytes_sent": float64(r.BytesSent),
-				"runs":       float64(r.Runs),
-			},
-		}
-		for c, cell := range r.ByC {
-			rec.Metrics[fmt.Sprintf("fp_c%d", c)] = float64(cell.FP)
-			rec.Metrics[fmt.Sprintf("fp_healthy_c%d", c)] = float64(cell.FPHealthy)
-		}
-		out = append(out, rec)
-	}
-	return out
-}
-
-func thresholdRecords(results []ThresholdSweepResult) []Record {
-	out := make([]Record, 0, len(results))
-	for _, r := range results {
-		out = append(out, Record{
-			Experiment: "threshold-sweep",
-			Config:     r.Config.Name,
-			Params:     map[string]any{"alpha": r.Config.Alpha, "beta": r.Config.Beta},
-			Metrics: map[string]float64{
-				"first_detect_median_s": r.FirstDetect.Median,
-				"first_detect_p99_s":    r.FirstDetect.P99,
-				"first_detect_p999_s":   r.FirstDetect.P999,
-				"full_dissem_median_s":  r.FullDissem.Median,
-				"full_dissem_p99_s":     r.FullDissem.P99,
-				"full_dissem_p999_s":    r.FullDissem.P999,
-				"detected":              float64(r.Detected),
-				"undetected":            float64(r.Undetected),
-				"runs":                  float64(r.Runs),
-			},
-		})
-	}
-	return out
-}
-
-func tuningRecords(res TuningSweepResult) []Record {
-	out := make([]Record, 0, len(res.Cells))
-	for _, cell := range res.Cells {
-		out = append(out, Record{
-			Experiment: "tuning-sweep",
-			Config:     "Lifeguard",
-			Params:     map[string]any{"alpha": cell.Alpha, "beta": cell.Beta},
-			Metrics: map[string]float64{
-				"med_first_pct_swim":  cell.MedFirst,
-				"med_full_pct_swim":   cell.MedFull,
-				"p99_first_pct_swim":  cell.P99First,
-				"p99_full_pct_swim":   cell.P99Full,
-				"p999_first_pct_swim": cell.P999First,
-				"p999_full_pct_swim":  cell.P999Full,
-				"fp_pct_swim":         cell.FP,
-				"fp_healthy_pct_swim": cell.FPHealthy,
-			},
-		})
-	}
-	return out
-}
-
-func stressRecords(results []StressSweepResult) []Record {
-	var out []Record
-	for _, r := range results {
-		// ByCount is a map; sort the keys so records are stable across
-		// identical runs (the whole point of the records).
-		counts := make([]int, 0, len(r.ByCount))
-		for count := range r.ByCount {
-			counts = append(counts, count)
-		}
-		sort.Ints(counts)
-		for _, count := range counts {
-			sr := r.ByCount[count]
-			out = append(out, Record{
-				Experiment: "stress",
-				Config:     r.Config.Name,
-				Params:     map[string]any{"stressed": count},
-				Metrics: map[string]float64{
-					"fp":         float64(sr.FP),
-					"fp_healthy": float64(sr.FPHealthy),
-				},
-			})
-		}
-	}
-	return out
-}
-
-func chaosRecords(res ChaosResult) []Record {
-	out := make([]Record, 0, len(res.Cells))
-	for _, cell := range res.Cells {
-		out = append(out, Record{
-			Experiment: "chaos",
-			Config:     cell.Config,
-			Params: map[string]any{
-				"scenario":    cell.Scenario,
-				"members":     res.Params.N,
-				"victims":     cell.Victims,
-				"crashes":     cell.Crashes,
-				"fault_for_s": res.Params.FaultFor.Seconds(),
-				"crash_at_s":  res.Params.CrashAt.Seconds(),
-			},
-			Metrics: map[string]float64{
-				"fp":                    float64(cell.FP),
-				"fp_healthy":            float64(cell.FPHealthy),
-				"victim_deaths":         float64(cell.VictimDeaths),
-				"crashes_detected":      float64(cell.CrashesDetected),
-				"crash_detect_median_s": cell.CrashDetect.Median,
-				"crash_detect_max_s":    cell.CrashDetect.Max,
-				"suspicions":            float64(cell.Suspicions),
-				"refuted":               float64(cell.Refuted),
-				"refute_median_s":       cell.RefuteLatency.Median,
-				"msgs_sent":             float64(cell.MsgsSent),
-				"bytes_sent":            float64(cell.BytesSent),
-				"duplicated":            float64(cell.Duplicated),
-				"reordered":             float64(cell.Reordered),
-				"fault_drops":           float64(cell.FaultDrops),
-			},
-		})
-	}
-	return out
-}
-
-func wanRecord(res WANResult, adaptive bool) Record {
-	rec := Record{
-		Experiment: "wan",
-		Config:     "Lifeguard",
-		Params: map[string]any{
-			"members":       res.N,
-			"zones":         len(res.Params.Zones),
-			"fail_per_zone": res.Params.FailPerZone,
-			"converge_s":    res.Params.Converge.Seconds(),
-			"adaptive":      adaptive,
-		},
-		Metrics: map[string]float64{
-			"coord_rel_err_median":       res.CoordErr.Median,
-			"coord_rel_err_p99":          res.CoordErr.P99,
-			"coord_abs_err_mean_s":       res.MeanAbsErr,
-			"pairs_scored":               float64(res.PairsScored),
-			"fp":                         float64(res.FP),
-			"fp_healthy":                 float64(res.FPHealthy),
-			"detect_cross_zone_median_s": res.CrossZoneDetect.Median,
-			"detect_cross_zone_p99_s":    res.CrossZoneDetect.P99,
-			"msgs_sent":                  float64(res.MsgsSent),
-			"bytes_sent":                 float64(res.BytesSent),
-			"adaptive_timeouts":          float64(res.AdaptiveTimeouts),
-			"adaptive_timeout_fallbacks": float64(res.AdaptiveFallbacks),
-			"relay_near_picks":           float64(res.RelayNear),
-			"relay_random_picks":         float64(res.RelayRandom),
-			"gossip_near_picks":          float64(res.GossipNear),
-			"gossip_escape_picks":        float64(res.GossipEscape),
-			"obs_rtt_samples":            float64(res.ObsRTTSamples),
-			"obs_rtt_p50_err_median":     res.ObsRTTP50ErrMedian,
-			"obs_rtt_p90_err_median":     res.ObsRTTP90ErrMedian,
-		},
-	}
-	for _, pe := range res.ObsRTTPairs {
-		pair := pe.ZoneA + "__" + pe.ZoneB
-		rec.Metrics["obs_rtt_p50_err_"+pair] = pe.P50RelErr
-		rec.Metrics["obs_rtt_p90_err_"+pair] = pe.P90RelErr
-	}
-	for _, z := range res.PerZone {
-		rec.Metrics["detect_median_s_"+z.Zone] = z.FirstDetect.Median
-		rec.Metrics["detect_cross_zone_median_s_"+z.Zone] = z.CrossZoneDetect.Median
-		rec.Metrics["detected_"+z.Zone] = float64(z.Detected)
-		rec.Metrics["failed_"+z.Zone] = float64(z.Failed)
-		rec.Metrics["fp_"+z.Zone] = float64(z.FP)
-	}
-	return rec
-}
-
-func churnRecord(r ChurnResult) Record {
-	return Record{
-		Experiment: "churn",
-		Config:     "Lifeguard",
-		Params: map[string]any{
-			"members":    r.N,
-			"duration_s": r.Params.Duration.Seconds(),
-			"interval_s": r.Params.Interval.Seconds(),
-		},
-		Metrics: map[string]float64{
-			"fails":                 float64(r.Fails),
-			"leaves":                float64(r.Leaves),
-			"joins":                 float64(r.Joins),
-			"detected_fails":        float64(r.DetectedFails),
-			"first_detect_median_s": r.FirstDetect.Median,
-			"first_detect_max_s":    r.FirstDetect.Max,
-			"fp":                    float64(r.FP),
-			"joins_seen":            float64(r.JoinsSeen),
-			"joins_sampled":         float64(r.JoinsSampled),
-		},
-	}
-}
-
-func partitionRecord(n int, r PartitionResult) Record {
-	b2f := func(b bool) float64 {
-		if b {
-			return 1
-		}
-		return 0
-	}
-	return Record{
-		Experiment: "partition",
-		Config:     "Lifeguard",
-		Params: map[string]any{
-			"members":       n,
-			"size_a":        r.Params.SizeA,
-			"duration_s":    r.Params.Duration.Seconds(),
-			"heal_budget_s": r.Params.HealBudget.Seconds(),
-		},
-		Metrics: map[string]float64{
-			"side_a_converged":    b2f(r.SideAConverged),
-			"side_b_converged":    b2f(r.SideBConverged),
-			"cross_declared_dead": float64(r.CrossDeclaredDead),
-			"remerged":            b2f(r.Remerged),
-			"remerge_s":           r.RemergeTime.Seconds(),
-		},
-	}
-}
-
-func restartRecords(res RestartResult) []Record {
-	out := make([]Record, 0, len(res.Cells))
-	for _, cell := range res.Cells {
-		out = append(out, Record{
-			Experiment: "rolling-restart",
-			Config:     cell.Config,
-			Params: map[string]any{
-				"members":      res.Params.N,
-				"waves":        res.Params.Waves,
-				"per_wave":     res.Params.PerWave,
-				"down_for_s":   restartDownFor.Seconds(),
-				"stagger_s":    restartStagger.Seconds(),
-				"wave_every_s": restartWaveEvery.Seconds(),
-				"settle_s":     res.Params.Settle.Seconds(),
-			},
-			Metrics: map[string]float64{
-				"restarts":        float64(cell.Restarts),
-				"rejoined":        float64(cell.Rejoined),
-				"fp":              float64(cell.FP),
-				"fp_healthy":      float64(cell.FPHealthy),
-				"rejoin_median_s": cell.RejoinConverge.Median,
-				"rejoin_max_s":    cell.RejoinConverge.Max,
-				"msgs_sent":       float64(cell.MsgsSent),
-				"bytes_sent":      float64(cell.BytesSent),
-			},
-		})
-	}
-	return out
 }

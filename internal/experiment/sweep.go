@@ -1,10 +1,6 @@
 package experiment
 
-import (
-	"time"
-
-	"lifeguard/internal/stats"
-)
+import "time"
 
 // Paper sweep grids (Tables II and III).
 var (
@@ -185,34 +181,6 @@ var ScalePaper = Scale{
 // It may be nil.
 type Progress func(done, total int)
 
-// IntervalSweepResult aggregates Interval runs for one configuration:
-// the material for Table IV (FP totals), Table VI (message load) and
-// Figures 2/3 (per-C breakdown).
-type IntervalSweepResult struct {
-	Config ProtocolConfig
-
-	// FP and FPHealthy total false positives across the sweep.
-	FP, FPHealthy int
-
-	// MsgsSent and BytesSent total transport load across the sweep.
-	MsgsSent, BytesSent int64
-
-	// Runs is the number of experiments aggregated.
-	Runs int
-
-	// ByC breaks totals down by concurrent-anomaly count (Figures 2/3).
-	ByC map[int]*IntervalCell
-}
-
-// IntervalCell is the per-C aggregate of an interval sweep.
-type IntervalCell struct {
-	// FP and FPHealthy total false positives at this concurrency.
-	FP, FPHealthy int
-
-	// Runs is the number of experiments at this concurrency.
-	Runs int
-}
-
 // intervalPoints enumerates the Interval grid of a scale in canonical
 // (C-major) order. The index of a point is its seed-derivation index.
 func intervalPoints(sc Scale) []IntervalParams {
@@ -234,45 +202,6 @@ func intervalPoints(sc Scale) []IntervalParams {
 // it re-seeds every published interval number.
 func intervalSeed(base int64, idx int) int64 { return base + int64(idx)*1000003 + 7 }
 
-// aggregateInterval folds one configuration's per-point Interval
-// results (in canonical grid order) into the sweep aggregate.
-func aggregateInterval(proto ProtocolConfig, points []IntervalParams, results []IntervalResult) IntervalSweepResult {
-	res := IntervalSweepResult{Config: proto, ByC: make(map[int]*IntervalCell)}
-	for i, r := range results {
-		cell := res.ByC[points[i].C]
-		if cell == nil {
-			cell = &IntervalCell{}
-			res.ByC[points[i].C] = cell
-		}
-		res.FP += r.FP
-		res.FPHealthy += r.FPHealthy
-		res.MsgsSent += r.MsgsSent
-		res.BytesSent += r.BytesSent
-		res.Runs++
-		cell.FP += r.FP
-		cell.FPHealthy += r.FPHealthy
-		cell.Runs++
-	}
-	return res
-}
-
-// ThresholdSweepResult aggregates Threshold runs for one configuration:
-// the material for Table V.
-type ThresholdSweepResult struct {
-	Config ProtocolConfig
-
-	// FirstDetect and FullDissem are percentile summaries over all
-	// latency samples, in seconds.
-	FirstDetect, FullDissem stats.Summary
-
-	// Detected and Undetected count anomalies that did / did not become
-	// failures (short anomalies refute in time by design).
-	Detected, Undetected int
-
-	// Runs is the number of experiments aggregated.
-	Runs int
-}
-
 // thresholdPoints enumerates the Threshold grid of a scale in canonical
 // (C-major) order. The index of a point is its seed-derivation index.
 func thresholdPoints(sc Scale) []ThresholdParams {
@@ -291,32 +220,6 @@ func thresholdPoints(sc Scale) []ThresholdParams {
 // Threshold grid.
 func thresholdSeed(base int64, idx int) int64 { return base + int64(idx)*999983 + 13 }
 
-// aggregateThreshold folds one configuration's per-point Threshold
-// results (in canonical grid order) into the sweep aggregate.
-func aggregateThreshold(proto ProtocolConfig, results []ThresholdResult) ThresholdSweepResult {
-	res := ThresholdSweepResult{Config: proto}
-	var first, full []time.Duration
-	for _, r := range results {
-		first = append(first, r.FirstDetect...)
-		full = append(full, r.FullDissem...)
-		res.Detected += r.Detected
-		res.Undetected += r.Undetected
-		res.Runs++
-	}
-	res.FirstDetect = stats.Summarize(stats.DurationsToSeconds(first))
-	res.FullDissem = stats.Summarize(stats.DurationsToSeconds(full))
-	return res
-}
-
-// StressSweepResult aggregates the Figure-1 scenario for one
-// configuration: FP and FP⁻ per stressed-member count.
-type StressSweepResult struct {
-	Config ProtocolConfig
-
-	// ByCount maps stressed-member count to results.
-	ByCount map[int]StressResult
-}
-
 // stressCounts returns the scale's Figure-1 x-axis, defaulting to the
 // paper's counts.
 func stressCounts(sc Scale) []int {
@@ -328,43 +231,3 @@ func stressCounts(sc Scale) []int {
 
 // stressSeed derives the cell seed for the i-th stressed-member count.
 func stressSeed(base int64, i int) int64 { return base + int64(i)*104729 }
-
-// TuningCell is one (α, β) cell of Table VII: Lifeguard's metrics as a
-// percentage of the SWIM baseline from the same sweep grids.
-type TuningCell struct {
-	Alpha, Beta float64
-
-	// Latency ratios (% of SWIM): median/99/99.9 of first detection and
-	// full dissemination.
-	MedFirst, MedFull, P99First, P99Full, P999First, P999Full float64
-
-	// False positive ratios (% of SWIM).
-	FP, FPHealthy float64
-}
-
-// TuningSweepResult is Table VII: one cell per (α, β) pair.
-type TuningSweepResult struct {
-	// Baseline summarizes the SWIM runs the percentages refer to.
-	BaselineThreshold ThresholdSweepResult
-	BaselineInterval  IntervalSweepResult
-
-	// Cells holds one entry per (α, β), in sweep order.
-	Cells []TuningCell
-}
-
-// tuningCell scores one (α, β) pair's sweeps against the SWIM baseline
-// sweeps as Table VII percentages.
-func tuningCell(alpha, beta float64, t, baseT ThresholdSweepResult, iv, baseI IntervalSweepResult) TuningCell {
-	return TuningCell{
-		Alpha:     alpha,
-		Beta:      beta,
-		MedFirst:  stats.PercentOf(t.FirstDetect.Median, baseT.FirstDetect.Median),
-		MedFull:   stats.PercentOf(t.FullDissem.Median, baseT.FullDissem.Median),
-		P99First:  stats.PercentOf(t.FirstDetect.P99, baseT.FirstDetect.P99),
-		P99Full:   stats.PercentOf(t.FullDissem.P99, baseT.FullDissem.P99),
-		P999First: stats.PercentOf(t.FirstDetect.P999, baseT.FirstDetect.P999),
-		P999Full:  stats.PercentOf(t.FullDissem.P999, baseT.FullDissem.P999),
-		FP:        stats.PercentOf(float64(iv.FP), float64(baseI.FP)),
-		FPHealthy: stats.PercentOf(float64(iv.FPHealthy), float64(baseI.FPHealthy)),
-	}
-}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 	"time"
 
 	"lifeguard/internal/metrics"
@@ -83,121 +82,6 @@ func DefaultWANZones(membersPerZone int) ([]WANZone, map[[2]string]sim.LinkProfi
 	return zones, pairs
 }
 
-// WANZoneResult is the per-zone slice of a WAN run.
-type WANZoneResult struct {
-	// Zone is the zone name.
-	Zone string
-
-	// Members is the number of members in the zone.
-	Members int
-
-	// Failed and Detected count crashed members and those whose
-	// failure was detected somewhere.
-	Failed, Detected int
-
-	// FirstDetect summarizes, in seconds, the time from failure to the
-	// first dead event about each detected member.
-	FirstDetect stats.Summary
-
-	// CrossZoneDetect summarizes, in seconds, the time from failure to
-	// the first dead event about each member observed in a *different*
-	// zone — when the failure became actionable for the rest of the
-	// WAN, the paper-level number the adaptive configuration is scored
-	// on.
-	CrossZoneDetect stats.Summary
-
-	// FP counts false-positive dead events about healthy members of
-	// this zone.
-	FP int
-}
-
-// WANResult holds one WAN run's metrics.
-type WANResult struct {
-	Params WANParams
-
-	// N is the total cluster size.
-	N int
-
-	// PairsScored is the number of member pairs behind CoordErr.
-	PairsScored int
-
-	// CoordErr summarizes the relative RTT-estimation error
-	// |estimate − truth| / truth over the scored pairs, where estimate
-	// is the coordinate distance between the pair's members and truth
-	// is the topology's expected RTT.
-	CoordErr stats.Summary
-
-	// MeanAbsErr is the mean absolute estimation error in seconds.
-	MeanAbsErr float64
-
-	// PerZone has one entry per zone, in Params.Zones order.
-	PerZone []WANZoneResult
-
-	// CrossZoneDetect summarizes cross-zone first-detection latency in
-	// seconds over every crashed member (all zones pooled); see
-	// WANZoneResult.CrossZoneDetect.
-	CrossZoneDetect stats.Summary
-
-	// FP and FPHealthy count false positives cluster-wide during the
-	// detection phase (FPHealthy: observer also healthy).
-	FP, FPHealthy int
-
-	// MsgsSent and BytesSent total the transport load over the whole
-	// run — the bandwidth side of the adaptive-versus-static tradeoff.
-	MsgsSent, BytesSent int64
-
-	// AdaptiveTimeouts and AdaptiveFallbacks count probe rounds that
-	// used an RTT-derived timeout versus ones that fell back to the
-	// static timeout while coordinates were cold, cluster-wide.
-	AdaptiveTimeouts, AdaptiveFallbacks int64
-
-	// RelayNear and RelayRandom count indirect-probe relays chosen by
-	// coordinate proximity versus uniformly (diversity slice + cold
-	// fill) under TopologyAware.
-	RelayNear, RelayRandom int64
-
-	// GossipNear and GossipEscape count gossip targets chosen by
-	// proximity versus the uniform escape slice under
-	// TopologyAware.
-	GossipNear, GossipEscape int64
-
-	// ObsRTTSamples is the number of telemetry RTT samples behind the
-	// observed-RTT scoring (zero when the cluster ran without a
-	// telemetry recorder).
-	ObsRTTSamples int
-
-	// ObsRTTPairs scores, per zone pair, the members' *observed*
-	// direct-ack RTT distribution (from the telemetry recorder — real
-	// measurements, not coordinate estimates) against the topology's
-	// ground-truth RTT.
-	ObsRTTPairs []WANPairRTTErr
-
-	// ObsRTTP50ErrMedian and ObsRTTP90ErrMedian are the medians, over
-	// the zone pairs, of the per-pair p50 and p90 relative errors.
-	ObsRTTP50ErrMedian, ObsRTTP90ErrMedian float64
-}
-
-// WANPairRTTErr scores one zone pair's observed RTT distribution
-// against the simulator's ground truth.
-type WANPairRTTErr struct {
-	// ZoneA and ZoneB name the pair (sorted; equal for intra-zone).
-	ZoneA, ZoneB string
-
-	// Samples is the number of RTT measurements in the pair.
-	Samples int
-
-	// ObsP50S and ObsP90S are the observed RTT quantiles in seconds.
-	ObsP50S, ObsP90S float64
-
-	// TruthS is the topology's expected RTT in seconds (averaged over
-	// the contributing member pairs).
-	TruthS float64
-
-	// P50RelErr and P90RelErr are |observed − truth| / truth at the
-	// respective quantiles.
-	P50RelErr, P90RelErr float64
-}
-
 // BuildWANTopology constructs the sim topology for the given zones:
 // contiguous member-index blocks per zone, the intra-zone profile on
 // every zone with itself, and the listed pair profiles.
@@ -220,9 +104,11 @@ func BuildWANTopology(zones []WANZone, intra sim.LinkProfile, pairs map[[2]strin
 	return topo, idx
 }
 
-// RunWAN executes one WAN experiment. cc.N and cc.Net.Topology are
-// derived from the params and must be left zero.
-func RunWAN(cc ClusterConfig, p WANParams) (WANResult, error) {
+// RunWAN executes one WAN experiment and returns its record
+// (docs/LIFEBENCH.md lists its keys). cc.N and cc.Net.Topology are
+// derived from the params and must be left zero; cc.TopologyAware
+// selects the adaptive configuration.
+func RunWAN(cc ClusterConfig, p WANParams) (Record, error) {
 	if len(p.Zones) == 0 {
 		zones, pairs := DefaultWANZones(32)
 		p.Zones, p.Pairs = zones, pairs
@@ -246,23 +132,25 @@ func RunWAN(cc ClusterConfig, p WANParams) (WANResult, error) {
 
 	c, err := NewCluster(cc)
 	if err != nil {
-		return WANResult{}, err
+		return Record{}, err
 	}
 	defer c.Shutdown()
 	if err := c.Start(Quiesce); err != nil {
-		return WANResult{}, err
+		return Record{}, err
 	}
 
 	// Phase 1: coordinate convergence, then score estimates against the
 	// topology's ground truth using each member's own coordinate.
 	c.Sched.RunFor(p.Converge)
-	res := WANResult{Params: p, N: n}
-	res.CoordErr, res.MeanAbsErr, res.PairsScored = scoreCoordinates(c, topo, cc.Seed, p.SamplePairs)
-	res.ObsRTTPairs, res.ObsRTTSamples, err = scoreObservedRTT(c, topo)
-	if err != nil {
-		return WANResult{}, err
+	m := make(map[string]float64)
+	coordErr, meanAbsErr, pairsScored := scoreCoordinates(c, topo, cc.Seed, p.SamplePairs)
+	m["coord_rel_err_median"] = coordErr.Median
+	m["coord_rel_err_p99"] = coordErr.P99
+	m["coord_abs_err_mean_s"] = meanAbsErr
+	m["pairs_scored"] = float64(pairsScored)
+	if err := scoreObservedRTT(c, topo, m); err != nil {
+		return Record{}, err
 	}
-	res.ObsRTTP50ErrMedian, res.ObsRTTP90ErrMedian = pairErrMedians(res.ObsRTTPairs)
 
 	// Phase 2: crash FailPerZone members per zone, watch detection.
 	var failed []string
@@ -295,11 +183,10 @@ func RunWAN(cc ClusterConfig, p WANParams) (WANResult, error) {
 	}
 
 	score := scoreDeaths(c.Events.Events(), failStart, departAll(failed, failStart, true))
-	res.FP, res.FPHealthy = score.FP, score.FPHealthy
+	m["fp"], m["fp_healthy"] = float64(score.FP), float64(score.FPHealthy)
 
 	// Per-zone breakdown: first detection of each failed member
-	// (anywhere, and at an observer in a different zone — the moment
-	// the failure became visible to the rest of the WAN), FPs by the
+	// (anywhere, and at an observer in a different zone), FPs by the
 	// subject's zone.
 	fpByZone := make(map[string]int)
 	for subject, n := range score.FPBySubject {
@@ -307,48 +194,57 @@ func RunWAN(cc ClusterConfig, p WANParams) (WANResult, error) {
 	}
 	var crossAll []float64
 	for _, z := range p.Zones {
-		zr := WANZoneResult{Zone: z.Name, Members: z.Members, FP: fpByZone[z.Name]}
 		elsewhere := func(observer string) bool { return topo.Zone(observer) != z.Name }
+		detected := 0
 		var lat, cross []float64
 		for _, name := range failedByZone[z.Name] {
-			zr.Failed++
 			if first, _, n := score.detection(name, nil); n > 0 {
-				zr.Detected++
+				detected++
 				lat = append(lat, first.Seconds())
 			}
 			if first, _, n := score.detection(name, elsewhere); n > 0 {
 				cross = append(cross, first.Seconds())
 			}
 		}
-		zr.FirstDetect = stats.Summarize(lat)
-		zr.CrossZoneDetect = stats.Summarize(cross)
+		first := stats.Summarize(lat)
+		m["members_"+z.Name] = float64(z.Members)
+		m["detect_median_s_"+z.Name] = first.Median
+		m["detect_max_s_"+z.Name] = first.Max
+		m["detect_cross_zone_median_s_"+z.Name] = stats.Summarize(cross).Median
+		m["detected_"+z.Name] = float64(detected)
+		m["failed_"+z.Name] = float64(len(failedByZone[z.Name]))
+		m["fp_"+z.Name] = float64(fpByZone[z.Name])
 		crossAll = append(crossAll, cross...)
-		res.PerZone = append(res.PerZone, zr)
 	}
-	res.CrossZoneDetect = stats.Summarize(crossAll)
+	crossZone := stats.Summarize(crossAll)
+	m["detect_cross_zone_median_s"] = crossZone.Median
+	m["detect_cross_zone_p99_s"] = crossZone.P99
 
 	total := c.Net.TotalStats()
-	res.MsgsSent = total.MsgsSent
-	res.BytesSent = total.BytesSent
-	res.AdaptiveTimeouts = c.Sink.Get(metrics.CounterAdaptiveTimeouts)
-	res.AdaptiveFallbacks = c.Sink.Get(metrics.CounterAdaptiveFallbacks)
-	res.RelayNear = c.Sink.Get(metrics.CounterRelayNearPicks)
-	res.RelayRandom = c.Sink.Get(metrics.CounterRelayRandomPicks)
-	res.GossipNear = c.Sink.Get(metrics.CounterGossipNearPicks)
-	res.GossipEscape = c.Sink.Get(metrics.CounterGossipEscapePicks)
-	return res, nil
-}
-
-// WANComparison holds one same-seed adaptive-versus-static pair of WAN
-// runs: identical topology, identical failures, the only difference
-// being ClusterConfig.TopologyAware.
-type WANComparison struct {
-	// Static is the run with the coordinate-driven extensions off.
-	Static WANResult
-
-	// Adaptive is the run with RTT-adaptive probe timeouts,
-	// coordinate-aware relay selection, and latency-biased gossip on.
-	Adaptive WANResult
+	m["msgs_sent"] = float64(total.MsgsSent)
+	m["bytes_sent"] = float64(total.BytesSent)
+	for key, counter := range map[string]string{
+		"adaptive_timeouts":          metrics.CounterAdaptiveTimeouts,
+		"adaptive_timeout_fallbacks": metrics.CounterAdaptiveFallbacks,
+		"relay_near_picks":           metrics.CounterRelayNearPicks,
+		"relay_random_picks":         metrics.CounterRelayRandomPicks,
+		"gossip_near_picks":          metrics.CounterGossipNearPicks,
+		"gossip_escape_picks":        metrics.CounterGossipEscapePicks,
+	} {
+		m[key] = float64(c.Sink.Get(counter))
+	}
+	return Record{
+		Experiment: "wan",
+		Config:     cc.Protocol.Name,
+		Params: map[string]any{
+			"members":       n,
+			"zones":         len(p.Zones),
+			"fail_per_zone": p.FailPerZone,
+			"converge_s":    p.Converge.Seconds(),
+			"adaptive":      cc.TopologyAware,
+		},
+		Metrics: m,
+	}, nil
 }
 
 // wanCells enumerates the comparison's two runs, static then adaptive:
@@ -362,37 +258,21 @@ func wanCells(cc ClusterConfig, p WANParams) []Cell {
 	return []Cell{cell("wan static", false), cell("wan adaptive", true)}
 }
 
-// wanComparison pairs wanCells' outputs.
-func wanComparison(outs []any) (WANComparison, error) {
-	runs, err := outsAs[WANResult](outs)
-	if err != nil {
-		return WANComparison{}, err
-	}
-	return WANComparison{Static: runs[0], Adaptive: runs[1]}, nil
-}
-
-// RunWANComparison executes the WAN experiment twice with the same seed
-// and parameters — once static, once topology-aware — so detection
-// latency, false positives and bandwidth can be compared directly.
-func RunWANComparison(cc ClusterConfig, p WANParams) (WANComparison, error) {
-	outs, err := runCells(wanCells(cc, p), 1, nil)
-	if err != nil {
-		return WANComparison{}, err
-	}
-	return wanComparison(outs)
-}
-
 // scoreObservedRTT groups the cluster's telemetry RTT samples by zone
 // pair and scores the observed p50/p90 against the topology's
-// ground-truth RTT — the first telemetry-derived record metric. Returns
-// nil with telemetry off, and an error if the buffer evicted partitions
-// (whole (origin, peer) streams would be missing from the score).
-func scoreObservedRTT(c *Cluster, topo *sim.Topology) ([]WANPairRTTErr, int, error) {
+// ground-truth RTT into m: obs_rtt_samples, the per-pair relative
+// errors obs_rtt_p50_err_<a>__<b> and obs_rtt_p90_err_<a>__<b> (zone
+// names sorted; equal for intra-zone), and their medians over the
+// pairs. Without telemetry only the zero sample count and medians are
+// set. It errors if the buffer evicted partitions (whole (origin, peer)
+// streams would be missing from the score).
+func scoreObservedRTT(c *Cluster, topo *sim.Topology, m map[string]float64) error {
+	m["obs_rtt_samples"], m["obs_rtt_p50_err_median"], m["obs_rtt_p90_err_median"] = 0, 0, 0
 	if c.Telem == nil {
-		return nil, 0, nil
+		return nil
 	}
 	if ev := c.Telem.Evictions(); ev > 0 {
-		return nil, 0, fmt.Errorf("experiment: telemetry evicted %d partitions during a scored run; observed-RTT metrics would score a partial sample set", ev)
+		return fmt.Errorf("experiment: telemetry evicted %d partitions during a scored run; observed-RTT metrics would score a partial sample set", ev)
 	}
 	// ForEach visits partitions in unspecified (map) order and float
 	// addition is not associative, so collect per-partition contributions
@@ -425,6 +305,7 @@ func scoreObservedRTT(c *Cluster, topo *sim.Topology) ([]WANPairRTTErr, int, err
 		})
 		total += len(ss)
 	})
+	m["obs_rtt_samples"] = float64(total)
 
 	keys := make([][2]string, 0, len(byPair))
 	for k := range byPair {
@@ -437,7 +318,7 @@ func scoreObservedRTT(c *Cluster, topo *sim.Topology) ([]WANPairRTTErr, int, err
 		return keys[i][1] < keys[j][1]
 	})
 
-	out := make([]WANPairRTTErr, 0, len(keys))
+	var e50, e90 []float64
 	for _, k := range keys {
 		cs := byPair[k]
 		sort.Slice(cs, func(i, j int) bool {
@@ -454,35 +335,17 @@ func scoreObservedRTT(c *Cluster, topo *sim.Topology) ([]WANPairRTTErr, int, err
 			truthSum += cb.truth * float64(len(cb.rtts))
 		}
 		truth := truthSum / float64(len(rtts))
-		pe := WANPairRTTErr{
-			ZoneA:   k[0],
-			ZoneB:   k[1],
-			Samples: len(rtts),
-			ObsP50S: stats.Percentile(rtts, 50),
-			ObsP90S: stats.Percentile(rtts, 90),
-			TruthS:  truth,
-		}
+		var p50, p90 float64
 		if truth > 0 {
-			pe.P50RelErr = math.Abs(pe.ObsP50S-truth) / truth
-			pe.P90RelErr = math.Abs(pe.ObsP90S-truth) / truth
+			p50 = math.Abs(stats.Percentile(rtts, 50)-truth) / truth
+			p90 = math.Abs(stats.Percentile(rtts, 90)-truth) / truth
 		}
-		out = append(out, pe)
+		pair := k[0] + "__" + k[1]
+		m["obs_rtt_p50_err_"+pair], m["obs_rtt_p90_err_"+pair] = p50, p90
+		e50, e90 = append(e50, p50), append(e90, p90)
 	}
-	return out, total, nil
-}
-
-// pairErrMedians returns the medians, over the zone pairs, of the
-// per-pair p50 and p90 relative errors.
-func pairErrMedians(pairs []WANPairRTTErr) (p50, p90 float64) {
-	if len(pairs) == 0 {
-		return 0, 0
-	}
-	e50 := make([]float64, len(pairs))
-	e90 := make([]float64, len(pairs))
-	for i, p := range pairs {
-		e50[i], e90[i] = p.P50RelErr, p.P90RelErr
-	}
-	return stats.Percentile(e50, 50), stats.Percentile(e90, 50)
+	m["obs_rtt_p50_err_median"], m["obs_rtt_p90_err_median"] = stats.Percentile(e50, 50), stats.Percentile(e90, 50)
+	return nil
 }
 
 // scoreCoordinates samples random member pairs and scores coordinate
@@ -517,46 +380,4 @@ func scoreCoordinates(c *Cluster, topo *sim.Topology, seed int64, samplePairs in
 		return stats.Summary{}, 0, 0
 	}
 	return stats.Summarize(relErrs), absSum / float64(len(relErrs)), len(relErrs)
-}
-
-// FormatWAN renders one WAN result: the coordinate-estimation quality
-// line and the per-zone detection table.
-func FormatWAN(r WANResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "WAN cluster: %d members, %d zones; coordinate error over %d pairs: median %.1f%%, p99 %.1f%%, mean abs %.1fms\n",
-		r.N, len(r.Params.Zones), r.PairsScored,
-		r.CoordErr.Median*100, r.CoordErr.P99*100, r.MeanAbsErr*1000)
-	if r.ObsRTTSamples > 0 {
-		fmt.Fprintf(&b, "observed RTT (telemetry, %d samples over %d zone pairs): p50 err median %.1f%%, p90 err median %.1f%%\n",
-			r.ObsRTTSamples, len(r.ObsRTTPairs), r.ObsRTTP50ErrMedian*100, r.ObsRTTP90ErrMedian*100)
-	}
-	fmt.Fprintf(&b, "%-10s %8s %7s %9s %11s %11s %11s %6s\n",
-		"Zone", "Members", "Failed", "Detected", "MedDet(s)", "MaxDet(s)", "XZoneMed(s)", "FP")
-	for _, z := range r.PerZone {
-		fmt.Fprintf(&b, "%-10s %8d %7d %9d %11.2f %11.2f %11.2f %6d\n",
-			z.Zone, z.Members, z.Failed, z.Detected,
-			z.FirstDetect.Median, z.FirstDetect.Max, z.CrossZoneDetect.Median, z.FP)
-	}
-	fmt.Fprintf(&b, "cluster-wide FP: %d (at healthy observers: %d); cross-zone detect median %.2fs; %d msgs, %.1f MB\n",
-		r.FP, r.FPHealthy, r.CrossZoneDetect.Median, r.MsgsSent, float64(r.BytesSent)/1e6)
-	if r.AdaptiveTimeouts+r.AdaptiveFallbacks > 0 {
-		fmt.Fprintf(&b, "adaptive: %d RTT-derived probe timeouts (%d cold fallbacks), relays %d near/%d random, gossip %d near/%d escape\n",
-			r.AdaptiveTimeouts, r.AdaptiveFallbacks, r.RelayNear, r.RelayRandom, r.GossipNear, r.GossipEscape)
-	}
-	return b.String()
-}
-
-// FormatWANComparison renders an adaptive-versus-static WAN pair with
-// the headline deltas.
-func FormatWANComparison(c WANComparison) string {
-	var b strings.Builder
-	b.WriteString("--- static (uniform timeouts and peer selection) ---\n")
-	b.WriteString(FormatWAN(c.Static))
-	b.WriteString("--- adaptive (RTT-adaptive timeouts, coordinate-aware relays, latency-biased gossip) ---\n")
-	b.WriteString(FormatWAN(c.Adaptive))
-	fmt.Fprintf(&b, "delta: cross-zone detect median %.2fs -> %.2fs, FP %d -> %d, bytes %.1f MB -> %.1f MB\n",
-		c.Static.CrossZoneDetect.Median, c.Adaptive.CrossZoneDetect.Median,
-		c.Static.FP, c.Adaptive.FP,
-		float64(c.Static.BytesSent)/1e6, float64(c.Adaptive.BytesSent)/1e6)
-	return b.String()
 }

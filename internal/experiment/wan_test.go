@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -30,6 +32,19 @@ func smallWANParams() WANParams {
 	}
 }
 
+// obsRTTPairErrs returns a record's per-zone-pair observed-RTT errors
+// under prefix ("obs_rtt_p50_err_" or "obs_rtt_p90_err_"), keyed by the
+// pair, without the medians over the pairs.
+func obsRTTPairErrs(m map[string]float64, prefix string) map[string]float64 {
+	out := map[string]float64{}
+	for key, v := range m {
+		if pair, ok := strings.CutPrefix(key, prefix); ok && strings.Contains(pair, "__") {
+			out[pair] = v
+		}
+	}
+	return out
+}
+
 // TestWANSmallCluster exercises the whole WAN pipeline at small scale:
 // coordinates must beat 35% median error after two minutes, and every
 // crashed member must be detected, in every zone.
@@ -37,39 +52,37 @@ func TestWANSmallCluster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("WAN run")
 	}
-	res, err := RunWAN(
+	rec, err := RunWAN(
 		ClusterConfig{Seed: 21, Protocol: ConfigLifeguard},
 		smallWANParams(),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("\n%s", FormatWAN(res))
-	if res.N != 48 {
-		t.Fatalf("N = %d, want 48", res.N)
+	m := rec.Metrics
+	t.Logf("%v", m)
+	if rec.Params["members"] != 48 {
+		t.Fatalf("members = %v, want 48", rec.Params["members"])
 	}
-	if res.PairsScored < 500 {
-		t.Fatalf("scored %d pairs, want 500", res.PairsScored)
+	if m["pairs_scored"] < 500 {
+		t.Fatalf("scored %g pairs, want 500", m["pairs_scored"])
 	}
-	if res.CoordErr.Median > 0.35 {
-		t.Errorf("median coordinate error %.1f%% > 35%%", res.CoordErr.Median*100)
+	if m["coord_rel_err_median"] > 0.35 {
+		t.Errorf("median coordinate error %.1f%% > 35%%", m["coord_rel_err_median"]*100)
 	}
-	if len(res.PerZone) != 3 {
-		t.Fatalf("PerZone has %d entries, want 3", len(res.PerZone))
-	}
-	for _, z := range res.PerZone {
-		if z.Failed != 2 {
-			t.Errorf("zone %s: %d failed, want 2", z.Zone, z.Failed)
+	for _, z := range smallWANParams().Zones {
+		if m["failed_"+z.Name] != 2 {
+			t.Errorf("zone %s: %g failed, want 2", z.Name, m["failed_"+z.Name])
 		}
-		if z.Detected != z.Failed {
-			t.Errorf("zone %s: detected %d of %d failures", z.Zone, z.Detected, z.Failed)
+		if m["detected_"+z.Name] != m["failed_"+z.Name] {
+			t.Errorf("zone %s: detected %g of %g failures", z.Name, m["detected_"+z.Name], m["failed_"+z.Name])
 		}
 	}
 }
 
-// TestWANDeterminism pins that same-seed WAN runs are bit-identical in
-// their reported metrics (the simulation contract the whole evaluation
-// rests on), and that a different seed actually changes the run.
+// TestWANDeterminism pins that same-seed WAN runs produce identical
+// records (the simulation contract the whole evaluation rests on), and
+// that a different seed actually changes the run.
 func TestWANDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("WAN run")
@@ -79,27 +92,23 @@ func TestWANDeterminism(t *testing.T) {
 	p.FailPerZone = 1
 	p.DetectHorizon = 45 * time.Second
 
-	run := func(seed int64) WANResult {
-		res, err := RunWAN(ClusterConfig{Seed: seed, Protocol: ConfigLifeguard}, p)
+	run := func(seed int64) Record {
+		rec, err := RunWAN(ClusterConfig{Seed: seed, Protocol: ConfigLifeguard}, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return rec
 	}
 	a, b := run(5), run(5)
-	if a.CoordErr != b.CoordErr || a.MeanAbsErr != b.MeanAbsErr {
-		t.Errorf("same-seed coordinate metrics diverged:\n%+v\n%+v", a.CoordErr, b.CoordErr)
-	}
-	if a.FP != b.FP || a.FPHealthy != b.FPHealthy {
-		t.Errorf("same-seed FP counts diverged: %d/%d vs %d/%d", a.FP, a.FPHealthy, b.FP, b.FPHealthy)
-	}
-	for i := range a.PerZone {
-		if a.PerZone[i] != b.PerZone[i] {
-			t.Errorf("same-seed zone %s diverged:\n%+v\n%+v", a.PerZone[i].Zone, a.PerZone[i], b.PerZone[i])
-		}
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("same-seed WAN records diverged:\n%v\n%v", a.Metrics, b.Metrics)
 	}
 	c := run(6)
-	if a.CoordErr == c.CoordErr {
+	same := true
+	for _, key := range []string{"coord_rel_err_median", "coord_rel_err_p99", "coord_abs_err_mean_s"} {
+		same = same && a.Metrics[key] == c.Metrics[key]
+	}
+	if same {
 		t.Error("different seeds produced identical coordinate metrics (suspicious)")
 	}
 }
@@ -164,38 +173,38 @@ func TestWANTelemetryDoesNotPerturb(t *testing.T) {
 	p.FailPerZone = 1
 	p.DetectHorizon = 45 * time.Second
 
-	run := func(telem bool) WANResult {
-		res, err := RunWAN(ClusterConfig{Seed: 5, Protocol: ConfigLifeguard, Telemetry: telem}, p)
+	run := func(telem bool) Record {
+		rec, err := RunWAN(ClusterConfig{Seed: 5, Protocol: ConfigLifeguard, Telemetry: telem}, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return rec
 	}
 	off, on := run(false), run(true)
-	if off.CoordErr != on.CoordErr || off.MeanAbsErr != on.MeanAbsErr {
-		t.Errorf("telemetry changed coordinate metrics:\n%+v\n%+v", off.CoordErr, on.CoordErr)
-	}
-	if off.FP != on.FP || off.MsgsSent != on.MsgsSent || off.BytesSent != on.BytesSent {
-		t.Errorf("telemetry changed load: FP %d/%d msgs %d/%d bytes %d/%d",
-			off.FP, on.FP, off.MsgsSent, on.MsgsSent, off.BytesSent, on.BytesSent)
-	}
-	for i := range off.PerZone {
-		if off.PerZone[i] != on.PerZone[i] {
-			t.Errorf("telemetry changed zone %s:\n%+v\n%+v", off.PerZone[i].Zone, off.PerZone[i], on.PerZone[i])
+	protocol := func(m map[string]float64) map[string]float64 {
+		out := map[string]float64{}
+		for key, v := range m {
+			if !strings.HasPrefix(key, "obs_rtt_") {
+				out[key] = v
+			}
 		}
+		return out
 	}
-	if off.ObsRTTSamples != 0 || len(off.ObsRTTPairs) != 0 {
-		t.Errorf("telemetry-off run scored observed RTTs: %d samples", off.ObsRTTSamples)
+	if !reflect.DeepEqual(protocol(off.Metrics), protocol(on.Metrics)) {
+		t.Errorf("telemetry changed protocol metrics:\n%v\n%v", protocol(off.Metrics), protocol(on.Metrics))
 	}
-	if on.ObsRTTSamples == 0 || len(on.ObsRTTPairs) == 0 {
+	if off.Metrics["obs_rtt_samples"] != 0 || len(obsRTTPairErrs(off.Metrics, "obs_rtt_p50_err_")) != 0 {
+		t.Errorf("telemetry-off run scored observed RTTs: %g samples", off.Metrics["obs_rtt_samples"])
+	}
+	onPairs := obsRTTPairErrs(on.Metrics, "obs_rtt_p50_err_")
+	if on.Metrics["obs_rtt_samples"] == 0 || len(onPairs) == 0 {
 		t.Fatal("telemetry-on run recorded no RTT samples")
 	}
 	// Direct-path RTT medians should track the simulator's ground truth
 	// well within a factor of two on every zone pair.
-	for _, pe := range on.ObsRTTPairs {
-		if pe.P50RelErr > 1.0 {
-			t.Errorf("pair %s-%s: observed p50 off by %.0f%% from ground truth",
-				pe.ZoneA, pe.ZoneB, pe.P50RelErr*100)
+	for pair, e := range onPairs {
+		if e > 1.0 {
+			t.Errorf("pair %s: observed p50 off by %.0f%% from ground truth", pair, e*100)
 		}
 	}
 }
@@ -218,31 +227,24 @@ func TestWANObservedRTTDeterminism(t *testing.T) {
 	p.SamplePairs = 100
 	p.FailPerZone = 0 // skip the detection phase
 
-	run := func() WANResult {
-		res, err := RunWAN(ClusterConfig{Seed: 9, Protocol: ConfigLifeguard, Telemetry: true}, p)
+	run := func() Record {
+		rec, err := RunWAN(ClusterConfig{Seed: 9, Protocol: ConfigLifeguard, Telemetry: true}, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return rec
 	}
 	a, b := run(), run()
-	if a.ObsRTTSamples == 0 {
+	if a.Metrics["obs_rtt_samples"] == 0 {
 		t.Fatal("no RTT samples recorded")
 	}
-	if a.ObsRTTSamples != b.ObsRTTSamples {
-		t.Errorf("obs_rtt_samples %d vs %d", a.ObsRTTSamples, b.ObsRTTSamples)
-	}
-	if a.ObsRTTP50ErrMedian != b.ObsRTTP50ErrMedian || a.ObsRTTP90ErrMedian != b.ObsRTTP90ErrMedian {
-		t.Errorf("err medians differ: p50 %v/%v p90 %v/%v",
-			a.ObsRTTP50ErrMedian, b.ObsRTTP50ErrMedian, a.ObsRTTP90ErrMedian, b.ObsRTTP90ErrMedian)
-	}
-	if len(a.ObsRTTPairs) != len(b.ObsRTTPairs) {
-		t.Fatalf("pair counts differ: %d vs %d", len(a.ObsRTTPairs), len(b.ObsRTTPairs))
-	}
-	for i := range a.ObsRTTPairs {
-		if a.ObsRTTPairs[i] != b.ObsRTTPairs[i] {
-			t.Errorf("pair %d differs:\n%+v\n%+v", i, a.ObsRTTPairs[i], b.ObsRTTPairs[i])
+	for _, prefix := range []string{"obs_rtt_p50_err_", "obs_rtt_p90_err_"} {
+		if len(obsRTTPairErrs(a.Metrics, prefix)) == 0 {
+			t.Fatalf("no %s pair metrics", prefix)
 		}
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("same-seed observed-RTT records differ:\n%v\n%v", a.Metrics, b.Metrics)
 	}
 }
 
@@ -259,33 +261,19 @@ func TestWANAdaptiveDeterminism(t *testing.T) {
 	p.FailPerZone = 1
 	p.DetectHorizon = 45 * time.Second
 
-	run := func() WANResult {
-		res, err := RunWAN(ClusterConfig{Seed: 5, Protocol: ConfigLifeguard, TopologyAware: true}, p)
+	run := func() Record {
+		rec, err := RunWAN(ClusterConfig{Seed: 5, Protocol: ConfigLifeguard, TopologyAware: true}, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return rec
 	}
 	a, b := run(), run()
-	if a.CoordErr != b.CoordErr || a.CrossZoneDetect != b.CrossZoneDetect {
-		t.Errorf("same-seed adaptive metrics diverged:\n%+v %+v\n%+v %+v",
-			a.CoordErr, a.CrossZoneDetect, b.CoordErr, b.CrossZoneDetect)
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("same-seed adaptive records diverged:\n%v\n%v", a.Metrics, b.Metrics)
 	}
-	if a.FP != b.FP || a.MsgsSent != b.MsgsSent || a.BytesSent != b.BytesSent {
-		t.Errorf("same-seed load diverged: FP %d/%d msgs %d/%d bytes %d/%d",
-			a.FP, b.FP, a.MsgsSent, b.MsgsSent, a.BytesSent, b.BytesSent)
-	}
-	if a.AdaptiveTimeouts != b.AdaptiveTimeouts || a.RelayNear != b.RelayNear ||
-		a.RelayRandom != b.RelayRandom || a.GossipNear != b.GossipNear || a.GossipEscape != b.GossipEscape {
-		t.Errorf("same-seed adaptive counters diverged:\n%+v\n%+v", a, b)
-	}
-	if a.AdaptiveTimeouts == 0 {
+	if a.Metrics["adaptive_timeouts"] == 0 {
 		t.Error("adaptive run took no adaptive timeouts")
-	}
-	for i := range a.PerZone {
-		if a.PerZone[i] != b.PerZone[i] {
-			t.Errorf("same-seed zone %s diverged:\n%+v\n%+v", a.PerZone[i].Zone, a.PerZone[i], b.PerZone[i])
-		}
 	}
 }
 
@@ -300,49 +288,52 @@ func TestWANAdaptiveBeatsStatic(t *testing.T) {
 		t.Skip("large WAN comparison run")
 	}
 	zones, pairs := DefaultWANZones(128)
-	cmp, err := RunWANComparison(
-		ClusterConfig{Seed: 31, Protocol: ConfigLifeguard},
-		WANParams{
-			Zones:    zones,
-			Pairs:    pairs,
-			Converge: 5 * time.Minute,
-			// 8 crashes per zone = 32 latency samples, enough for the
-			// median comparison to clear per-seed scheduling noise.
-			SamplePairs:   2000,
-			FailPerZone:   8,
-			DetectHorizon: 90 * time.Second,
-		},
-	)
-	if err != nil {
-		t.Fatal(err)
+	p := WANParams{
+		Zones:    zones,
+		Pairs:    pairs,
+		Converge: 5 * time.Minute,
+		// 8 crashes per zone = 32 latency samples, enough for the
+		// median comparison to clear per-seed scheduling noise.
+		SamplePairs:   2000,
+		FailPerZone:   8,
+		DetectHorizon: 90 * time.Second,
 	}
-	t.Logf("\n%s", FormatWANComparison(cmp))
-	if cmp.Static.N != 512 || cmp.Adaptive.N != 512 {
-		t.Fatalf("N = %d/%d, want 512", cmp.Static.N, cmp.Adaptive.N)
+	var recs []Record
+	for _, adaptive := range []bool{false, true} {
+		rec, err := RunWAN(ClusterConfig{Seed: 31, Protocol: ConfigLifeguard, TopologyAware: adaptive}, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
 	}
-	for _, r := range []WANResult{cmp.Static, cmp.Adaptive} {
-		detected, failed := 0, 0
-		for _, z := range r.PerZone {
-			detected += z.Detected
-			failed += z.Failed
+	t.Logf("\n%s", renderWAN(recs, RunOptions{}))
+	for _, rec := range recs {
+		if rec.Params["members"] != 512 {
+			t.Fatalf("members = %v, want 512", rec.Params["members"])
+		}
+		detected, failed := 0.0, 0.0
+		for _, z := range zones {
+			detected += rec.Metrics["detected_"+z.Name]
+			failed += rec.Metrics["failed_"+z.Name]
 		}
 		if detected != failed {
-			t.Errorf("only %d of %d crashed members detected", detected, failed)
+			t.Errorf("only %g of %g crashed members detected", detected, failed)
 		}
 	}
-	if s, a := cmp.Static.CrossZoneDetect.Median, cmp.Adaptive.CrossZoneDetect.Median; a >= s {
+	static, adaptive := recs[0].Metrics, recs[1].Metrics
+	if s, a := static["detect_cross_zone_median_s"], adaptive["detect_cross_zone_median_s"]; a >= s {
 		t.Errorf("adaptive cross-zone detection median %.2fs not better than static %.2fs", a, s)
 	}
-	if cmp.Adaptive.FP > cmp.Static.FP {
-		t.Errorf("adaptive FP %d exceeds static %d", cmp.Adaptive.FP, cmp.Static.FP)
+	if adaptive["fp"] > static["fp"] {
+		t.Errorf("adaptive FP %g exceeds static %g", adaptive["fp"], static["fp"])
 	}
 	// The comparison is only meaningful if the extensions engaged.
-	if cmp.Adaptive.AdaptiveTimeouts == 0 || cmp.Adaptive.GossipNear == 0 {
-		t.Errorf("adaptive run barely engaged: %d adaptive timeouts, %d near gossip picks",
-			cmp.Adaptive.AdaptiveTimeouts, cmp.Adaptive.GossipNear)
+	if adaptive["adaptive_timeouts"] == 0 || adaptive["gossip_near_picks"] == 0 {
+		t.Errorf("adaptive run barely engaged: %g adaptive timeouts, %g near gossip picks",
+			adaptive["adaptive_timeouts"], adaptive["gossip_near_picks"])
 	}
-	if cmp.Static.AdaptiveTimeouts != 0 {
-		t.Errorf("static run took %d adaptive timeouts", cmp.Static.AdaptiveTimeouts)
+	if static["adaptive_timeouts"] != 0 {
+		t.Errorf("static run took %g adaptive timeouts", static["adaptive_timeouts"])
 	}
 }
 
@@ -355,7 +346,7 @@ func TestWANLargeClusterConvergence(t *testing.T) {
 		t.Skip("large WAN run")
 	}
 	zones, pairs := DefaultWANZones(128)
-	res, err := RunWAN(
+	rec, err := RunWAN(
 		ClusterConfig{Seed: 31, Protocol: ConfigLifeguard},
 		WANParams{
 			Zones:         zones,
@@ -369,19 +360,20 @@ func TestWANLargeClusterConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("\n%s", FormatWAN(res))
-	if res.N != 512 {
-		t.Fatalf("N = %d, want 512", res.N)
+	var b strings.Builder
+	wanRun(&b, rec, RunOptions{})
+	t.Logf("\n%s", b.String())
+	if rec.Params["members"] != 512 {
+		t.Fatalf("members = %v, want 512", rec.Params["members"])
 	}
-	if res.CoordErr.Median > 0.25 {
-		t.Errorf("median relative RTT-estimation error %.1f%% exceeds the 25%% acceptance bar",
-			res.CoordErr.Median*100)
+	if e := rec.Metrics["coord_rel_err_median"]; e > 0.25 {
+		t.Errorf("median relative RTT-estimation error %.1f%% exceeds the 25%% acceptance bar", e*100)
 	}
-	detected := 0
-	for _, z := range res.PerZone {
-		detected += z.Detected
+	detected := 0.0
+	for _, z := range zones {
+		detected += rec.Metrics["detected_"+z.Name]
 	}
-	if want := 4 * 3; detected < want-1 {
-		t.Errorf("only %d of %d crashed members detected", detected, want)
+	if want := 4 * 3; detected < float64(want-1) {
+		t.Errorf("only %g of %d crashed members detected", detected, want)
 	}
 }
