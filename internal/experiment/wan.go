@@ -30,13 +30,10 @@ type WANParams struct {
 	// zones in contiguous index blocks, in order.
 	Zones []WANZone
 
-	// Intra is the within-zone link profile.
-	Intra sim.LinkProfile
-
-	// Pairs maps zone pairs (unordered; put both names) to their link
-	// profiles. Pairs not listed fall back to the topology's InterZone
-	// default.
-	Pairs map[[2]string]sim.LinkProfile
+	// Pairs maps zone pairs (unordered; put both names) to their
+	// one-way delays. Pairs not listed fall back to the topology's
+	// InterZone default. Within a zone the delay is 1 ms + [0, 200 µs).
+	Pairs map[[2]string]sim.DelayDist
 
 	// Converge is how long coordinates settle after the cluster
 	// quiesces, before scoring. Each member takes roughly one RTT
@@ -59,7 +56,7 @@ type WANParams struct {
 // DefaultWANZones returns the canonical 4-zone WAN used by lifebench
 // and tests: two US zones, Europe and Asia-Pacific, with realistic
 // inter-zone latencies, membersPerZone members each.
-func DefaultWANZones(membersPerZone int) ([]WANZone, map[[2]string]sim.LinkProfile) {
+func DefaultWANZones(membersPerZone int) ([]WANZone, map[[2]string]sim.DelayDist) {
 	zones := []WANZone{
 		{Name: "us-east", Members: membersPerZone},
 		{Name: "us-west", Members: membersPerZone},
@@ -67,11 +64,11 @@ func DefaultWANZones(membersPerZone int) ([]WANZone, map[[2]string]sim.LinkProfi
 		{Name: "ap", Members: membersPerZone},
 	}
 	ms := time.Millisecond
-	pair := func(base time.Duration) sim.LinkProfile {
+	pair := func(base time.Duration) sim.DelayDist {
 		// 10% jitter around the base one-way delay.
-		return sim.LinkProfile{Base: base, Jitter: base / 10}
+		return sim.DelayDist{Base: base, Jitter: base / 10}
 	}
-	pairs := map[[2]string]sim.LinkProfile{
+	pairs := map[[2]string]sim.DelayDist{
 		{"us-east", "us-west"}: pair(30 * ms),
 		{"us-east", "eu"}:      pair(40 * ms),
 		{"us-east", "ap"}:      pair(90 * ms),
@@ -80,28 +77,6 @@ func DefaultWANZones(membersPerZone int) ([]WANZone, map[[2]string]sim.LinkProfi
 		{"eu", "ap"}:           pair(120 * ms),
 	}
 	return zones, pairs
-}
-
-// BuildWANTopology constructs the sim topology for the given zones:
-// contiguous member-index blocks per zone, the intra-zone profile on
-// every zone with itself, and the listed pair profiles.
-func BuildWANTopology(zones []WANZone, intra sim.LinkProfile, pairs map[[2]string]sim.LinkProfile) (*sim.Topology, int) {
-	topo := sim.NewTopology()
-	if intra.Base > 0 || intra.Jitter > 0 {
-		topo.IntraZone = intra
-	}
-	idx := 0
-	for _, z := range zones {
-		for i := 0; i < z.Members; i++ {
-			topo.SetZone(NodeName(idx), z.Name)
-			idx++
-		}
-		topo.SetZonePair(z.Name, z.Name, topo.IntraZone)
-	}
-	for pair, p := range pairs {
-		topo.SetZonePair(pair[0], pair[1], p)
-	}
-	return topo, idx
 }
 
 // RunWAN executes one WAN experiment and returns its record
@@ -113,9 +88,6 @@ func RunWAN(cc ClusterConfig, p WANParams) (Record, error) {
 		zones, pairs := DefaultWANZones(32)
 		p.Zones, p.Pairs = zones, pairs
 	}
-	if p.Intra.Base == 0 && p.Intra.Jitter == 0 {
-		p.Intra = sim.LinkProfile{Base: time.Millisecond, Jitter: 200 * time.Microsecond}
-	}
 	if p.Converge <= 0 {
 		p.Converge = 5 * time.Minute
 	}
@@ -126,7 +98,19 @@ func RunWAN(cc ClusterConfig, p WANParams) (Record, error) {
 		p.DetectHorizon = 90 * time.Second
 	}
 
-	topo, n := BuildWANTopology(p.Zones, p.Intra, p.Pairs)
+	// Members fill the zones in contiguous index blocks.
+	topo := sim.NewTopology()
+	topo.IntraZone = sim.DelayDist{Base: time.Millisecond, Jitter: 200 * time.Microsecond}
+	n := 0
+	for _, z := range p.Zones {
+		for i := 0; i < z.Members; i++ {
+			topo.SetZone(NodeName(n), z.Name)
+			n++
+		}
+	}
+	for pair, d := range p.Pairs {
+		topo.SetZonePair(pair[0], pair[1], d)
+	}
 	cc.N = n
 	cc.Net.Topology = topo
 

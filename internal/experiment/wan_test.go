@@ -19,8 +19,7 @@ func smallWANParams() WANParams {
 			{Name: "eu", Members: 16},
 			{Name: "ap", Members: 16},
 		},
-		Intra: sim.LinkProfile{Base: ms, Jitter: 200 * time.Microsecond},
-		Pairs: map[[2]string]sim.LinkProfile{
+		Pairs: map[[2]string]sim.DelayDist{
 			{"us", "eu"}: {Base: 40 * ms, Jitter: 4 * ms},
 			{"us", "ap"}: {Base: 80 * ms, Jitter: 8 * ms},
 			{"eu", "ap"}: {Base: 120 * ms, Jitter: 12 * ms},

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/rand"
 	"time"
 
 	"lifeguard/internal/timeutil"
@@ -19,27 +18,6 @@ import (
 // to a run without one. (Scheduled FailLink partitions share the
 // pre-existing partition semantics: packets dropped on a failed link
 // consume no draws, like packets to a detached member.)
-
-// DelayDist is a delay distribution: Base plus a uniform random
-// addition in [0, Jitter). The zero value means "no delay".
-type DelayDist struct {
-	// Base is the deterministic part of the delay.
-	Base time.Duration
-
-	// Jitter is the width of the uniform random addition to Base.
-	Jitter time.Duration
-}
-
-// sample draws one delay.
-func (d DelayDist) sample(rng *rand.Rand) time.Duration {
-	if d.Jitter <= 0 {
-		return d.Base
-	}
-	return d.Base + time.Duration(rng.Int63n(int64(d.Jitter)))
-}
-
-// IsZero reports whether the distribution is the zero value (no delay).
-func (d DelayDist) IsZero() bool { return d.Base <= 0 && d.Jitter <= 0 }
 
 // PauseMode selects what happens to inbound packets while a member is
 // paused.
@@ -74,26 +52,13 @@ type LinkFault struct {
 	Duplicate float64
 
 	// Reorder is the probability a packet is held back by an extra
-	// ReorderDelay, letting packets sent after it overtake it.
+	// draw from reorderHold, letting packets sent after it overtake it.
 	Reorder float64
-
-	// ReorderDelay is the extra delay for held-back packets. Zero takes
-	// DefaultReorderDelay.
-	ReorderDelay DelayDist
 }
 
-// DefaultReorderDelay is the hold-back applied to reordered packets
-// when LinkFault.ReorderDelay is zero: long relative to LAN latency, so
-// the held packet is genuinely overtaken.
-var DefaultReorderDelay = DelayDist{Base: 10 * time.Millisecond, Jitter: 30 * time.Millisecond}
-
-// reorderDelay resolves the hold-back distribution.
-func (f LinkFault) reorderDelay() DelayDist {
-	if f.ReorderDelay.IsZero() {
-		return DefaultReorderDelay
-	}
-	return f.ReorderDelay
-}
+// reorderHold is the extra delay of a reordered packet: long relative
+// to LAN latency, so the held packet is genuinely overtaken.
+var reorderHold = DelayDist{Base: 10 * time.Millisecond, Jitter: 30 * time.Millisecond}
 
 // SetDegraded puts a member into (or adjusts) processing degradation:
 // every inbound packet costs an extra draw from d on top of

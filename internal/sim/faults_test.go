@@ -124,22 +124,37 @@ func TestLinkFaultIsDirectionalAndClearable(t *testing.T) {
 }
 
 // TestReorderedPacketIsOvertaken pins the semantic point of the reorder
-// fault: a held-back packet is actually overtaken by one sent later.
+// fault: a held-back packet is actually overtaken by one sent later,
+// and its hold-back is a draw from reorderHold.
 func TestReorderedPacketIsOvertaken(t *testing.T) {
-	r := newRig(t, Options{Latency: UniformLatency(time.Millisecond, time.Millisecond), Seed: 1})
+	r := newRig(t, Options{Topology: flatTopology(DelayDist{Base: time.Millisecond}), Seed: 1})
 	a, _ := r.attach(t, "a")
-	_, bGot := r.attach(t, "b")
-	// Reorder every packet from a with a hold long enough that the
-	// next packet (sent 2 ms later, arriving ~1 ms after that)
-	// overtakes it; then clear and send the chaser un-reordered.
-	r.net.SetLinkFault("a", "b", LinkFault{Reorder: 1.0, ReorderDelay: DelayDist{Base: 50 * time.Millisecond}})
+	var got []string
+	var heldAt time.Time
+	if _, err := r.net.Attach("b", func(_ string, payload []byte) {
+		got = append(got, string(payload))
+		if string(payload) == "held" {
+			heldAt = r.sched.Now()
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Reorder the first packet, whose hold-back of at least 10 ms lets
+	// the next packet (sent 2 ms later, arriving 1 ms after that)
+	// overtake it; then clear and send the chaser un-reordered.
+	r.net.SetLinkFault("a", "b", LinkFault{Reorder: 1.0})
 	a.SendPacket("b", []byte("held"), false)
 	r.sched.RunFor(2 * time.Millisecond)
 	r.net.ClearLinkFault("a", "b")
 	a.SendPacket("b", []byte("chaser"), false)
 	r.sched.RunFor(time.Second)
-	if len(*bGot) != 2 || (*bGot)[0] != "a:chaser" || (*bGot)[1] != "a:held" {
-		t.Fatalf("delivery order %v, want chaser before held", *bGot)
+	if len(got) != 2 || got[0] != "chaser" || got[1] != "held" {
+		t.Fatalf("delivery order %v, want chaser before held", got)
+	}
+	// Arrival is 1 ms latency + the hold-back + 100 µs service.
+	hold := heldAt.Sub(time.Unix(0, 0)) - time.Millisecond - 100*time.Microsecond
+	if hold < reorderHold.Base || hold >= reorderHold.Base+reorderHold.Jitter {
+		t.Errorf("hold-back %v outside [%v, %v)", hold, reorderHold.Base, reorderHold.Base+reorderHold.Jitter)
 	}
 	if got := r.net.NodeStats("b").Reordered; got != 1 {
 		t.Errorf("reordered = %d, want 1", got)
@@ -259,7 +274,7 @@ func TestDegradedServiceDelayBounds(t *testing.T) {
 	service := time.Millisecond
 	degrade := DelayDist{Base: 20 * time.Millisecond, Jitter: 30 * time.Millisecond}
 	r := newRig(t, Options{
-		Latency:     UniformLatency(time.Millisecond, time.Millisecond),
+		Topology:    flatTopology(DelayDist{Base: time.Millisecond}),
 		ServiceTime: service,
 		Seed:        11,
 	})

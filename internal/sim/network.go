@@ -11,33 +11,45 @@ import (
 // PacketHandler consumes one inbound packet at a member.
 type PacketHandler func(from string, payload []byte)
 
-// LatencyModel draws a one-way packet delay.
-type LatencyModel func(rng *rand.Rand) time.Duration
+// DelayDist is a delay distribution: Base plus a uniform random
+// addition in [0, Jitter). It is the simulator's one way to say a
+// delay: link latencies, the reorder hold-back and member degradation
+// all draw from one. The zero value means "no delay".
+type DelayDist struct {
+	// Base is the deterministic part of the delay.
+	Base time.Duration
 
-// UniformLatency returns a model drawing uniformly from [min, max].
-func UniformLatency(min, max time.Duration) LatencyModel {
-	if max < min {
-		max = min
-	}
-	return func(rng *rand.Rand) time.Duration {
-		if max == min {
-			return min
-		}
-		return min + time.Duration(rng.Int63n(int64(max-min)))
-	}
+	// Jitter is the width of the uniform random addition to Base.
+	Jitter time.Duration
 }
+
+// sample draws one delay. A distribution without jitter returns Base
+// and draws nothing from rng.
+func (d DelayDist) sample(rng *rand.Rand) time.Duration {
+	if d.Jitter <= 0 {
+		return d.Base
+	}
+	return d.Base + time.Duration(rng.Int63n(int64(d.Jitter)))
+}
+
+// expected is the mean delay.
+func (d DelayDist) expected() time.Duration { return d.Base + d.Jitter/2 }
+
+// IsZero reports whether the distribution is the zero value (no delay).
+func (d DelayDist) IsZero() bool { return d.Base <= 0 && d.Jitter <= 0 }
+
+// flatDelay is the one-way delay of a network with no Topology:
+// uniform in [100µs, 1ms), approximating the paper's loopback
+// deployment.
+var flatDelay = DelayDist{Base: 100 * time.Microsecond, Jitter: 900 * time.Microsecond}
 
 // Options configures a simulated network.
 type Options struct {
-	// Latency draws per-packet one-way delays. Defaults to uniform
-	// 100µs–1ms, approximating the paper's loopback deployment.
-	Latency LatencyModel
-
-	// Topology, when non-nil, replaces Latency with a zone-structured
-	// model: per-packet delays depend on the source and destination
-	// members' zones (with per-link overrides). WAN experiments use it
-	// both to shape traffic and as the ground truth for scoring
-	// Vivaldi coordinate estimates.
+	// Topology, when non-nil, is the zone-structured latency model:
+	// per-packet delays depend on the source and destination members'
+	// zones. WAN experiments use it both to shape traffic and as the
+	// ground truth for scoring Vivaldi coordinate estimates. Without
+	// one, every packet draws from a flat uniform 100µs–1ms.
 	Topology *Topology
 
 	// Loss is the probability an unreliable packet is dropped in
@@ -63,9 +75,6 @@ type Options struct {
 
 func (o *Options) withDefaults() Options {
 	out := *o
-	if out.Latency == nil {
-		out.Latency = UniformLatency(100*time.Microsecond, time.Millisecond)
-	}
 	if out.QueueCap <= 0 {
 		out.QueueCap = 512
 	}
@@ -246,15 +255,6 @@ type Network struct {
 	// scheduler (see delivery).
 	freeDeliveries []*delivery
 
-	// delayBatch prefetches base-latency draws when the flat latency
-	// model is provably the base RNG's only consumer (Loss == 0, no
-	// topology): prefetching in draw order is then indistinguishable
-	// from drawing per packet, and the hot path reads from a slice
-	// instead of calling through the model closure. delayPos ==
-	// len(delayBatch) triggers a refill.
-	delayBatch []time.Duration
-	delayPos   int
-
 	// faultRNG drives every fault-injection draw (link-fault loss,
 	// duplicate latency, reorder hold-back, degradation delays). It is
 	// a separate stream from rng so that installing faults never
@@ -264,7 +264,7 @@ type Network struct {
 
 // NewNetwork returns a network on the given scheduler.
 func NewNetwork(sched *Scheduler, opts Options) *Network {
-	n := &Network{
+	return &Network{
 		sched:       sched,
 		clock:       NewClock(sched),
 		opts:        opts.withDefaults(),
@@ -275,13 +275,6 @@ func NewNetwork(sched *Scheduler, opts Options) *Network {
 		linkFaults:  make(map[[2]int32]LinkFault),
 		faultRNG:    rand.New(rand.NewSource(opts.Seed ^ 0x5eedfa17)),
 	}
-	if n.opts.Loss == 0 && n.opts.Topology == nil {
-		// The base RNG's only consumer is the per-packet delay draw, so
-		// draws can be prefetched in batches (see delayBatch).
-		n.delayBatch = make([]time.Duration, 64)
-		n.delayPos = len(n.delayBatch)
-	}
-	return n
 }
 
 // Clock returns the virtual clock shared by all members of this network.
@@ -448,7 +441,7 @@ func (n *Network) transmit(p *Port, to string, buf *bufpool.Buf, reliable bool) 
 	// fault-dropped packet still consumes exactly the draw it would
 	// have in a fault-free run — installing faults never shifts the
 	// base RNG stream of unaffected traffic.
-	delay := n.baseDelay(p.name, to)
+	delay := n.sampleDelay(p.name, to, n.rng)
 	if haveFault {
 		if !reliable && fault.Loss > 0 && n.faultRNG.Float64() < fault.Loss {
 			dst.stats.DropsFault++
@@ -468,38 +461,19 @@ func (n *Network) transmit(p *Port, to string, buf *bufpool.Buf, reliable bool) 
 		}
 		if fault.Reorder > 0 && n.faultRNG.Float64() < fault.Reorder {
 			dst.stats.Reordered++
-			delay += fault.reorderDelay().sample(n.faultRNG)
+			delay += reorderHold.sample(n.faultRNG)
 		}
 	}
 	n.deliverAfter(dst, p.name, buf, delay)
 }
 
-// baseDelay draws the base one-way delay for one packet from the
-// network's own RNG, through the prefetch batch when it is active. The
-// batch consumes the identical draw sequence — same model, same RNG,
-// same order — so runs are byte-identical with and without it.
-func (n *Network) baseDelay(from, to string) time.Duration {
-	if n.delayBatch == nil {
-		return n.sampleDelay(from, to, n.rng)
-	}
-	if n.delayPos == len(n.delayBatch) {
-		for i := range n.delayBatch {
-			n.delayBatch[i] = n.opts.Latency(n.rng)
-		}
-		n.delayPos = 0
-	}
-	d := n.delayBatch[n.delayPos]
-	n.delayPos++
-	return d
-}
-
-// sampleDelay draws a one-way delay for a packet from the given model:
-// the zone topology when configured, the flat latency model otherwise.
+// sampleDelay draws a one-way delay for a packet: from the zone
+// topology when configured, from the flat default otherwise.
 func (n *Network) sampleDelay(from, to string, rng *rand.Rand) time.Duration {
 	if n.opts.Topology != nil {
 		return n.opts.Topology.Sample(from, to, rng)
 	}
-	return n.opts.Latency(rng)
+	return flatDelay.sample(rng)
 }
 
 // deliverAfter schedules a packet's arrival at dst, taking ownership of

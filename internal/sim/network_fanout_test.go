@@ -160,7 +160,7 @@ func BenchmarkNetworkDeliverFanout(b *testing.B) {
 	sched := NewScheduler(time.Unix(0, 0))
 	net := NewNetwork(sched, Options{
 		Seed:        1,
-		Latency:     UniformLatency(200*time.Microsecond, 2*time.Millisecond),
+		Topology:    flatTopology(DelayDist{Base: 200 * time.Microsecond, Jitter: 1800 * time.Microsecond}),
 		ServiceTime: 50 * time.Microsecond,
 	})
 	const fanout = 8

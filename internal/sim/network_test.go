@@ -18,6 +18,14 @@ func newRig(t *testing.T, opts Options) *rig {
 	return &rig{sched: sched, net: NewNetwork(sched, opts)}
 }
 
+// flatTopology is a one-zone topology: every packet draws from d, as a
+// network-wide uniform latency in [d.Base, d.Base+d.Jitter) would.
+func flatTopology(d DelayDist) *Topology {
+	topo := NewTopology()
+	topo.IntraZone = d
+	return topo
+}
+
 // attach registers a member that records deliveries.
 func (r *rig) attach(t *testing.T, name string) (*Port, *[]string) {
 	t.Helper()
@@ -56,7 +64,7 @@ func TestDeliveryBasics(t *testing.T) {
 }
 
 func TestDeliveryLatencyWithinModel(t *testing.T) {
-	r := newRig(t, Options{Latency: UniformLatency(5*time.Millisecond, 10*time.Millisecond)})
+	r := newRig(t, Options{Topology: flatTopology(DelayDist{Base: 5 * time.Millisecond, Jitter: 5 * time.Millisecond})})
 	a, _ := r.attach(t, "a")
 	var at time.Time
 	_, err := r.net.Attach("b", func(string, []byte) { at = r.sched.Now() })
@@ -340,21 +348,48 @@ func TestTotalStats(t *testing.T) {
 	if total.MsgsSent != 2 || total.BytesSent != 8 || total.MsgsDelivered != 2 {
 		t.Errorf("total = %+v", total)
 	}
+
 }
 
-func TestUniformLatencyBounds(t *testing.T) {
-	m := UniformLatency(2*time.Millisecond, 7*time.Millisecond)
+func TestDelayDistBounds(t *testing.T) {
+	d := DelayDist{Base: 2 * time.Millisecond, Jitter: 5 * time.Millisecond}
 	rng := newTestRand()
 	for i := 0; i < 1000; i++ {
-		d := m(rng)
-		if d < 2*time.Millisecond || d >= 7*time.Millisecond {
-			t.Fatalf("latency %v out of [2ms, 7ms)", d)
+		if got := d.sample(rng); got < 2*time.Millisecond || got >= 7*time.Millisecond {
+			t.Fatalf("delay %v out of [2ms, 7ms)", got)
 		}
 	}
-	// Degenerate: max < min collapses to min.
-	fixed := UniformLatency(5*time.Millisecond, time.Millisecond)
-	if d := fixed(rng); d != 5*time.Millisecond {
-		t.Errorf("degenerate latency %v", d)
+	// Without jitter the draw is Base, and the RNG is left untouched.
+	used, fresh := newTestRand(), newTestRand()
+	if got := (DelayDist{Base: 5 * time.Millisecond}).sample(used); got != 5*time.Millisecond {
+		t.Errorf("jitter-free delay %v, want 5ms", got)
+	}
+	if used.Int63() != fresh.Int63() {
+		t.Error("a jitter-free sample drew from the RNG")
+	}
+}
+
+// TestFlatDelayDraws pins the default latency draw for draw: with no
+// Topology, the k-th packet's one-way delay is the k-th
+// 100µs + Int63n(900µs) from an RNG seeded with Options.Seed.
+func TestFlatDelayDraws(t *testing.T) {
+	const seed = 42
+	r := newRig(t, Options{Seed: seed})
+	a, _ := r.attach(t, "a")
+	var at time.Time
+	if _, err := r.net.Attach("b", func(string, []byte) { at = r.sched.Now() }); err != nil {
+		t.Fatal(err)
+	}
+	want := rand.New(rand.NewSource(seed))
+	for k := 0; k < 200; k++ {
+		sent := r.sched.Now()
+		a.SendPacket("b", []byte("x"), false)
+		r.sched.RunFor(10 * time.Millisecond)
+		// Arrival is the delay plus one default service interval.
+		got := at.Sub(sent) - 100*time.Microsecond
+		if w := 100*time.Microsecond + time.Duration(want.Int63n(int64(900*time.Microsecond))); got != w {
+			t.Fatalf("packet %d: delay %v, want %v", k, got, w)
+		}
 	}
 }
 

@@ -5,35 +5,11 @@ import (
 	"time"
 )
 
-// LinkProfile describes one link class: a base one-way delay plus
-// uniform jitter in [0, Jitter).
-type LinkProfile struct {
-	// Base is the deterministic part of the one-way delay.
-	Base time.Duration
-
-	// Jitter is the width of the uniform random addition to Base.
-	Jitter time.Duration
-}
-
-// sample draws one one-way delay.
-func (p LinkProfile) sample(rng *rand.Rand) time.Duration {
-	if p.Jitter <= 0 {
-		return p.Base
-	}
-	return p.Base + time.Duration(rng.Int63n(int64(p.Jitter)))
-}
-
-// expected is the mean one-way delay.
-func (p LinkProfile) expected() time.Duration {
-	return p.Base + p.Jitter/2
-}
-
 // Topology is a zone-structured latency model for the simulated
 // network, replacing the single global latency distribution for WAN
 // and multi-zone experiments. Each member belongs to a named zone;
 // packet delays are drawn from the profile of the (source zone,
-// destination zone) pair, with optional per-link overrides for
-// degenerate paths (a congested peering link, a satellite hop).
+// destination zone) pair.
 //
 // Because the model is explicit, the ground-truth expected RTT between
 // any two members is known — the reference against which Vivaldi
@@ -45,22 +21,18 @@ func (p LinkProfile) expected() time.Duration {
 type Topology struct {
 	// IntraZone is the profile for traffic within a zone. Defaults to
 	// 500µs ± 500µs, a LAN.
-	IntraZone LinkProfile
+	IntraZone DelayDist
 
 	// InterZone is the fallback profile for traffic between two zones
 	// that have no explicit pair profile. Defaults to 40ms ± 4ms.
-	InterZone LinkProfile
+	InterZone DelayDist
 
 	// zones maps member name to zone name. Members without a zone use
 	// DefaultZone.
 	zones map[string]string
 
 	// pairs maps an unordered zone pair to its profile.
-	pairs map[[2]string]LinkProfile
-
-	// links maps a directed member pair "a->b" to an override profile,
-	// taking precedence over zone profiles.
-	links map[string]LinkProfile
+	pairs map[[2]string]DelayDist
 }
 
 // DefaultZone is the zone of members never assigned one.
@@ -69,11 +41,10 @@ const DefaultZone = "default"
 // NewTopology returns an empty topology with LAN/WAN default profiles.
 func NewTopology() *Topology {
 	return &Topology{
-		IntraZone: LinkProfile{Base: 500 * time.Microsecond, Jitter: 500 * time.Microsecond},
-		InterZone: LinkProfile{Base: 40 * time.Millisecond, Jitter: 4 * time.Millisecond},
+		IntraZone: DelayDist{Base: 500 * time.Microsecond, Jitter: 500 * time.Microsecond},
+		InterZone: DelayDist{Base: 40 * time.Millisecond, Jitter: 4 * time.Millisecond},
 		zones:     make(map[string]string),
-		pairs:     make(map[[2]string]LinkProfile),
-		links:     make(map[string]LinkProfile),
+		pairs:     make(map[[2]string]DelayDist),
 	}
 }
 
@@ -92,20 +63,8 @@ func (t *Topology) Zone(member string) string {
 
 // SetZonePair sets the symmetric profile for traffic between two zones
 // (or within one, when a == b).
-func (t *Topology) SetZonePair(a, b string, p LinkProfile) {
-	t.pairs[zoneKey(a, b)] = p
-}
-
-// SetLink sets a directed per-link override from one member to
-// another, taking precedence over every zone profile. Call twice for a
-// symmetric override.
-func (t *Topology) SetLink(from, to string, p LinkProfile) {
-	t.links[from+"->"+to] = p
-}
-
-// ClearLink removes a per-link override.
-func (t *Topology) ClearLink(from, to string) {
-	delete(t.links, from+"->"+to)
+func (t *Topology) SetZonePair(a, b string, d DelayDist) {
+	t.pairs[zoneKey(a, b)] = d
 }
 
 func zoneKey(a, b string) [2]string {
@@ -115,14 +74,9 @@ func zoneKey(a, b string) [2]string {
 	return [2]string{a, b}
 }
 
-// profileFor resolves the link profile for one directed member pair:
-// link override, then zone-pair profile, then the intra/inter default.
-func (t *Topology) profileFor(from, to string) LinkProfile {
-	if len(t.links) > 0 {
-		if p, ok := t.links[from+"->"+to]; ok {
-			return p
-		}
-	}
+// profileFor resolves the delay profile for one member pair: the
+// zone-pair profile, else the intra/inter default.
+func (t *Topology) profileFor(from, to string) DelayDist {
 	za, zb := t.Zone(from), t.Zone(to)
 	if p, ok := t.pairs[zoneKey(za, zb)]; ok {
 		return p
@@ -140,9 +94,8 @@ func (t *Topology) Sample(from, to string, rng *rand.Rand) time.Duration {
 }
 
 // GroundTruthRTT returns the expected round-trip time between two
-// members under this model: the mean forward delay plus the mean
-// reverse delay. This is the reference RTT for scoring coordinate
-// estimates.
+// members under this model: twice the mean one-way delay of their zone
+// pair. This is the reference RTT for scoring coordinate estimates.
 func (t *Topology) GroundTruthRTT(a, b string) time.Duration {
-	return t.profileFor(a, b).expected() + t.profileFor(b, a).expected()
+	return 2 * t.profileFor(a, b).expected()
 }

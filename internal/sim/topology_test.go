@@ -11,7 +11,7 @@ func wanTopology() *Topology {
 	topo.SetZone("a1", "alpha")
 	topo.SetZone("a2", "alpha")
 	topo.SetZone("b1", "beta")
-	topo.SetZonePair("alpha", "beta", LinkProfile{Base: 50 * time.Millisecond, Jitter: 10 * time.Millisecond})
+	topo.SetZonePair("alpha", "beta", DelayDist{Base: 50 * time.Millisecond, Jitter: 10 * time.Millisecond})
 	return topo
 }
 
@@ -48,19 +48,6 @@ func TestTopologyProfileResolutionOrder(t *testing.T) {
 	if d < topo.InterZone.Base || d >= topo.InterZone.Base+topo.InterZone.Jitter {
 		t.Fatalf("fallback delay %v outside inter-zone profile", d)
 	}
-
-	// A per-link override beats everything, and is directed.
-	topo.SetLink("a1", "b1", LinkProfile{Base: 300 * time.Millisecond})
-	if d := topo.Sample("a1", "b1", rng); d != 300*time.Millisecond {
-		t.Fatalf("link override ignored: %v", d)
-	}
-	if d := topo.Sample("b1", "a1", rng); d >= 300*time.Millisecond {
-		t.Fatalf("reverse direction picked up directed override: %v", d)
-	}
-	topo.ClearLink("a1", "b1")
-	if d := topo.Sample("a1", "b1", rng); d >= 300*time.Millisecond {
-		t.Fatalf("ClearLink did not remove override: %v", d)
-	}
 }
 
 func TestTopologyGroundTruthRTT(t *testing.T) {
@@ -69,13 +56,12 @@ func TestTopologyGroundTruthRTT(t *testing.T) {
 	if got, want := topo.GroundTruthRTT("a1", "b1"), 110*time.Millisecond; got != want {
 		t.Errorf("cross-zone ground truth = %v, want %v", got, want)
 	}
-	// Asymmetric link override affects only its direction.
-	topo.SetLink("a1", "b1", LinkProfile{Base: 100 * time.Millisecond})
-	if got, want := topo.GroundTruthRTT("a1", "b1"), 155*time.Millisecond; got != want {
-		t.Errorf("asymmetric ground truth = %v, want %v", got, want)
+	if got, want := topo.GroundTruthRTT("b1", "a1"), 110*time.Millisecond; got != want {
+		t.Errorf("reverse ground truth = %v, want %v", got, want)
 	}
-	if ab, ba := topo.GroundTruthRTT("a1", "b1"), topo.GroundTruthRTT("b1", "a1"); ab != ba {
-		t.Errorf("RTT not symmetric under asymmetric links: %v vs %v", ab, ba)
+	// Intra-zone: 500µs + 500µs/2 each way.
+	if got, want := topo.GroundTruthRTT("a1", "a2"), 1500*time.Microsecond; got != want {
+		t.Errorf("intra-zone ground truth = %v, want %v", got, want)
 	}
 }
 
@@ -87,7 +73,7 @@ func TestNetworkUsesTopology(t *testing.T) {
 	topo := NewTopology()
 	topo.SetZone("x", "west")
 	topo.SetZone("y", "east")
-	topo.SetZonePair("west", "east", LinkProfile{Base: 80 * time.Millisecond}) // no jitter
+	topo.SetZonePair("west", "east", DelayDist{Base: 80 * time.Millisecond}) // no jitter
 	net := NewNetwork(sched, Options{Topology: topo, Seed: 1})
 
 	var deliveredAt time.Time
