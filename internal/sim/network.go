@@ -255,6 +255,10 @@ type Network struct {
 	// scheduler (see delivery).
 	freeDeliveries []*delivery
 
+	// retired accumulates the statistics of detached Ports, so
+	// TotalStats covers the whole run across restarts.
+	retired Stats
+
 	// faultRNG drives every fault-injection draw (link-fault loss,
 	// duplicate latency, reorder hold-back, degradation delays). It is
 	// a separate stream from rng so that installing faults never
@@ -317,10 +321,12 @@ func (n *Network) linkID(from, to string) [2]int32 {
 
 // Detach removes a member; packets in flight to it are dropped on
 // delivery. Re-attaching the same name creates a fresh Port, so
-// in-flight packets addressed to the old one still drop.
+// in-flight packets addressed to the old one still drop. The Port's
+// statistics stay in TotalStats.
 func (n *Network) Detach(name string) {
 	if p, ok := n.nodes[name]; ok {
 		p.detached = true
+		n.retired.Merge(p.stats)
 		delete(n.nodes, name)
 	}
 }
@@ -398,9 +404,10 @@ func (n *Network) NodeStats(name string) Stats {
 	return Stats{}
 }
 
-// TotalStats aggregates statistics across all members.
+// TotalStats aggregates statistics across all members, detached ones
+// included.
 func (n *Network) TotalStats() Stats {
-	var total Stats
+	total := n.retired
 	for _, p := range n.nodes {
 		total.Merge(p.stats)
 	}

@@ -349,6 +349,16 @@ func TestTotalStats(t *testing.T) {
 		t.Errorf("total = %+v", total)
 	}
 
+	// A detached member's traffic stays in the total, and a replacement
+	// attached under the same name adds to it.
+	r.net.Detach("a")
+	a2, _ := r.attach(t, "a")
+	a2.SendPacket("b", []byte("1234567"), false)
+	r.sched.RunFor(time.Second)
+	total = r.net.TotalStats()
+	if total.MsgsSent != 3 || total.BytesSent != 15 || total.MsgsDelivered != 3 {
+		t.Errorf("total after detach and re-attach = %+v", total)
+	}
 }
 
 func TestDelayDistBounds(t *testing.T) {
