@@ -86,7 +86,7 @@ type ClusterConfig struct {
 	// Protocol selects the Lifeguard components and suspicion tuning.
 	Protocol ProtocolConfig
 
-	// Net overrides simulator options (latency, loss, queue capacity,
+	// Net overrides simulator options (topology, loss, queue capacity,
 	// service time). Zero values take the simulator defaults.
 	Net sim.Options
 
