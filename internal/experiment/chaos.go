@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
@@ -102,87 +103,81 @@ const (
 	chaosPartitionFraction = 0.6
 )
 
-// chaosScenario is one row of the scenario matrix: a named builder
-// appending its fault script for the victim set over [0, FaultFor).
+// chaosScenario is one row of the scenario matrix: a named builder of
+// the fault script for the victim set over [0, FaultFor).
 type chaosScenario struct {
 	name string
 	desc string
-	// build appends the scenario's transitions to s. victims is the
-	// scenario's victim set, peers every member name; rng is a
-	// dedicated deterministic stream (same across configs, so every
-	// column of a row sees identical faults).
-	build func(s *sim.FaultSchedule, victims, peers []string, p ChaosParams, rng *rand.Rand)
+	// build returns the scenario's entries. victims is the scenario's
+	// victim set, peers every member name; rng is a dedicated
+	// deterministic stream (same across configs, so every column of a
+	// row sees identical faults).
+	build func(victims, peers []string, p ChaosParams, rng *rand.Rand) script
 }
 
 // degrade slows victims' processing for the whole window.
-func buildDegraded(s *sim.FaultSchedule, victims, _ []string, p ChaosParams, _ *rand.Rand) {
+func buildDegraded(victims, _ []string, p ChaosParams, _ *rand.Rand) script {
+	var s script
 	for _, v := range victims {
-		s.DegradeNode(0, v, chaosDegrade)
-		s.RestoreNode(p.FaultFor, v)
+		s = s.span(entry{op: opDegrade, node: v, delay: chaosDegrade}, p.FaultFor)
 	}
+	return s
 }
 
 // pause-flap cycles victims through total stalls with buffered inbound.
-func buildPauseFlap(s *sim.FaultSchedule, victims, _ []string, p ChaosParams, _ *rand.Rand) {
+func buildPauseFlap(victims, _ []string, p ChaosParams, _ *rand.Rand) script {
+	var s script
 	for _, v := range victims {
 		for t := time.Duration(0); t < p.FaultFor; t += chaosPauseFor + chaosWakeFor {
-			end := t + chaosPauseFor
-			if end > p.FaultFor {
-				end = p.FaultFor
-			}
-			s.PauseNode(t, v, sim.PauseBuffer)
-			s.ResumeNode(end, v)
+			s = s.span(entry{at: t, op: opPause, node: v, mode: sim.PauseBuffer}, min(t+chaosPauseFor, p.FaultFor))
 		}
 	}
+	return s
 }
 
 // asym-partition makes each victim half-open: it cannot send to a
 // random chaosPartitionFraction of peers but still receives from
 // everyone.
-func buildAsymPartition(s *sim.FaultSchedule, victims, peers []string, p ChaosParams, rng *rand.Rand) {
+func buildAsymPartition(victims, peers []string, p ChaosParams, rng *rand.Rand) script {
+	var s script
 	for _, v := range victims {
-		others := make([]string, 0, len(peers)-1)
-		for _, o := range peers {
-			if o != v {
-				others = append(others, o)
-			}
-		}
+		others := without(peers, v)
 		k := int(chaosPartitionFraction * float64(len(others)))
-		for _, i := range rng.Perm(len(others))[:k] {
-			o := others[i]
-			s.FailLink(0, v, o, true)
-			s.FailLink(p.FaultFor, v, o, false)
+		cut := make([]string, k)
+		for j, i := range rng.Perm(len(others))[:k] {
+			cut[j] = others[i]
 		}
+		s = s.span(entry{op: opCut, node: v, peers: cut, oneWay: true}, p.FaultFor)
 	}
+	return s
 }
 
 // lossy-link impairs both directions between each victim and everyone.
-func buildLossyLink(s *sim.FaultSchedule, victims, peers []string, p ChaosParams, _ *rand.Rand) {
+func buildLossyLink(victims, peers []string, p ChaosParams, _ *rand.Rand) script {
+	var s script
 	for _, v := range victims {
-		for _, o := range peers {
-			if o == v {
-				continue
-			}
-			s.ImpairLink(0, v, o, chaosLink)
-			s.ImpairLink(0, o, v, chaosLink)
-			s.HealLink(p.FaultFor, v, o)
-			s.HealLink(p.FaultFor, o, v)
-		}
+		s = s.span(entry{op: opImpair, node: v, peers: without(peers, v), link: chaosLink}, p.FaultFor)
 	}
+	return s
+}
+
+// without returns a copy of names minus name.
+func without(names []string, name string) []string {
+	return slices.DeleteFunc(slices.Clone(names), func(n string) bool { return n == name })
 }
 
 // combined deals the victims round-robin across the three fault
 // classes — degraded, flapping, lossy — so every class is present
 // whenever there are at least three victims (fewer victims cover the
 // classes in that priority order).
-func buildCombined(s *sim.FaultSchedule, victims, peers []string, p ChaosParams, rng *rand.Rand) {
+func buildCombined(victims, peers []string, p ChaosParams, rng *rand.Rand) script {
 	var groups [3][]string
 	for i, v := range victims {
 		groups[i%3] = append(groups[i%3], v)
 	}
-	buildDegraded(s, groups[0], peers, p, rng)
-	buildPauseFlap(s, groups[1], peers, p, rng)
-	buildLossyLink(s, groups[2], peers, p, rng)
+	s := buildDegraded(groups[0], peers, p, rng)
+	s = append(s, buildPauseFlap(groups[1], peers, p, rng)...)
+	return append(s, buildLossyLink(groups[2], peers, p, rng)...)
 }
 
 // chaosScenarios is the scenario matrix, in report order.
@@ -223,7 +218,7 @@ func findChaosScenario(name string) (chaosScenario, int, error) {
 }
 
 // RunChaosCell executes one (scenario, configuration) cell: quiesce,
-// install the scenario's fault schedule plus the crash set, run out the
+// play the scenario's fault script plus the crash set, run out the
 // fault window and settle phase, and score. It returns the cell's
 // record (docs/LIFEBENCH.md lists its keys) and the full membership
 // event log (the raw material for invariant harnesses). cc.N is taken
@@ -254,27 +249,24 @@ func RunChaosCell(cc ClusterConfig, scenario string, p ChaosParams) (Record, []m
 	}
 
 	victims, crashed := chaosCast(p, cc.Seed)
-	sched := &sim.FaultSchedule{}
-	// The schedule RNG depends on seed and scenario, never on the
+	// The script RNG depends on seed and scenario, never on the
 	// configuration, so every column of a matrix row sees identical
 	// faults.
 	rng := rand.New(rand.NewSource(cc.Seed*104729 + int64(scIndex)))
-	sc.build(sched, victims, c.allNames(), p, rng)
+	s := sc.build(victims, c.allNames(), p, rng)
 	for _, name := range crashed {
-		sched.CrashNode(p.CrashAt, name)
+		s = append(s, entry{at: p.CrashAt, op: opCrash, node: name})
+	}
+	r := c.play(s)
+	if err := r.runTo(p.FaultFor + p.Settle); err != nil {
+		return Record{}, nil, err
 	}
 
-	faultStart := c.Sched.Now()
-	crashStart := faultStart.Add(p.CrashAt)
-	c.Net.InstallFaults(sched)
-	c.Sched.RunFor(p.FaultFor + p.Settle)
-
 	events := c.Events.Events()
-	// Scored from the fault start, with the crashes departing at
-	// crashStart: a dead event about a crash-set member before its crash
-	// landed is a false positive like any other.
-	gone := departAll(crashed, crashStart, true)
-	score := scoreDeaths(events, faultStart, gone)
+	// Scored from the fault start, with the crashes departing when they
+	// land: a dead event about a crash-set member before its crash is a
+	// false positive like any other.
+	score := scoreDeaths(events, r.start, r.gone)
 	victimDeaths := 0
 	for _, v := range victims {
 		victimDeaths += score.FPBySubject[v]
@@ -286,7 +278,7 @@ func RunChaosCell(cc ClusterConfig, scenario string, p ChaosParams) (Record, []m
 		}
 	}
 	crashDetect := stats.Summarize(detect)
-	suspicions, refuted, refLat := refutationLatencies(events, gone, faultStart)
+	suspicions, refuted, refLat := refutationLatencies(events, r.gone, r.start)
 	total := c.Net.TotalStats()
 	return Record{
 		Experiment: "chaos",

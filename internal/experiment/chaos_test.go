@@ -279,14 +279,16 @@ func TestChaosInvariants(t *testing.T) {
 			if len(events) == 0 {
 				t.Fatalf("%s/%s: empty event log", scenario, proto.Name)
 			}
-			checkChaosInvariants(t, scenario+"/"+proto.Name, events)
+			checkInvariants(t, scenario+"/"+proto.Name, events)
 		}
 	}
 }
 
-// checkChaosInvariants asserts the membership-protocol safety
-// properties on one cell's event log.
-func checkChaosInvariants(t *testing.T, cell string, events []metrics.Event) {
+// checkInvariants asserts the membership-protocol safety properties on
+// one run's event log: per observer–subject stream, incarnations never
+// decrease, and no member goes dead → alive without an incarnation
+// bump.
+func checkInvariants(t *testing.T, cell string, events []metrics.Event) {
 	t.Helper()
 	type view struct {
 		incarnation uint64
@@ -340,11 +342,13 @@ func TestChaosPausedMemberRefutes(t *testing.T) {
 			t.Fatal(err)
 		}
 		victim := NodeName(7)
-		s := &sim.FaultSchedule{}
-		s.PauseNode(0, victim, sim.PauseDrop)
-		s.ResumeNode(7*time.Second, victim)
-		c.Net.InstallFaults(s)
-		c.Sched.RunFor(60 * time.Second)
+		r := c.play(script{
+			{op: opPause, node: victim, mode: sim.PauseDrop},
+			{at: 7 * time.Second, op: opResume, node: victim},
+		})
+		if err := r.runTo(60 * time.Second); err != nil {
+			t.Fatal(err)
+		}
 
 		for _, ev := range c.Events.Events() {
 			if ev.Subject != victim || ev.Observer == victim {

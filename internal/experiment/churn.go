@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -68,97 +67,26 @@ func RunChurn(cc ClusterConfig, p ChurnParams) (Record, error) {
 		return Record{}, err
 	}
 
-	var fails, leaves, joins, joinsSeen, joinsSampled int
-	rng := rand.New(rand.NewSource(cc.Seed + 2))
-
-	// pool is the set of members eligible for fail/leave: initially
-	// everyone but the join seed (member 0), shrinking as members are
-	// churned out and growing as fresh members join and converge (joined
-	// members enter the pool after a dissemination delay, so a member is
-	// never crashed before the cluster has learned it exists).
-	pool := make([]string, 0, cc.N)
-	for _, n := range c.Nodes[1:] {
-		pool = append(pool, n.Name())
+	s, end := churnScript(c.allNames()[1:], p, cc.Seed)
+	r := c.play(s)
+	if err := r.runTo(end + p.Settle); err != nil {
+		return Record{}, err
 	}
-	takeRandom := func() (string, bool) {
-		if len(pool) == 0 {
-			return "", false
-		}
-		i := rng.Intn(len(pool))
-		name := pool[i]
-		pool[i] = pool[len(pool)-1]
-		pool = pool[:len(pool)-1]
-		return name, true
-	}
-
-	// gone holds every crash and leave, the departures the run is scored
-	// against.
-	gone := map[string]departure{}
-	var joined []string
-
-	seedAddr := c.Nodes[0].Addr()
-	churnStart := c.Sched.Now()
-	deadline := churnStart.Add(p.Duration)
-	for i := 0; c.Sched.Now().Before(deadline); i++ {
-		switch i % 4 {
-		case 0: // crash failure: the process vanishes mid-protocol
-			name, ok := takeRandom()
-			if !ok {
-				break
-			}
-			node := c.names[name]
-			node.Shutdown()
-			c.Net.Detach(name)
-			gone[name] = departure{at: c.Sched.Now(), inc: math.MaxUint64, crash: true}
-			fails++
-		case 2: // graceful leave: announce, disseminate briefly, then exit
-			name, ok := takeRandom()
-			if !ok {
-				break
-			}
-			node := c.names[name]
-			node.Leave()
-			gone[name] = departure{at: c.Sched.Now(), inc: math.MaxUint64}
-			c.Sched.Schedule(2*time.Second, func() {
-				node.Shutdown()
-				c.Net.Detach(name)
-			})
-			leaves++
-		default: // join: a fresh member enters through the seed
-			name := fmt.Sprintf("churn-%03d", joins)
-			node, err := c.addNode(name, nil)
-			if err != nil {
-				return Record{}, err
-			}
-			if err := node.Start(); err != nil {
-				return Record{}, fmt.Errorf("experiment: start %s: %w", name, err)
-			}
-			if err := node.Join(seedAddr); err != nil {
-				return Record{}, fmt.Errorf("experiment: join %s: %w", name, err)
-			}
-			joined = append(joined, name)
-			joins++
-			// Once the join has disseminated, the member is fair game
-			// for fail/leave like anyone else.
-			c.Sched.Schedule(10*time.Second, func() {
-				if _, departed := gone[name]; !departed {
-					pool = append(pool, name)
-				}
-			})
-		}
-		c.Sched.RunFor(p.Interval)
-	}
-	c.Sched.RunFor(p.Settle)
 
 	// A dead event is legitimate only at or after the subject's own
 	// crash or leave; crashes are also scored for first detection.
-	score := scoreDeaths(c.Events.Events(), churnStart, gone)
+	score := scoreDeaths(c.Events.Events(), r.start, r.gone)
 	var latencies []float64
 	for name := range score.Detect {
 		first, _, _ := score.detection(name, nil)
 		latencies = append(latencies, first.Seconds())
 	}
 	firstDetect := stats.Summarize(latencies)
+	// Every leave is followed by a stop; the other stops are crashes.
+	count := map[op]int{}
+	for _, e := range s {
+		count[e.op]++
+	}
 
 	// Join convergence: sample long-lived survivors and count how many
 	// see each joined member alive. (Checking all ~2k observers would be
@@ -168,17 +96,18 @@ func RunChurn(cc ClusterConfig, p ChurnParams) (Record, error) {
 		if len(observers) >= 16 {
 			break
 		}
-		if _, departed := gone[n.Name()]; !departed {
+		if _, departed := r.gone[n.Name()]; !departed {
 			observers = append(observers, n)
 		}
 	}
-	for _, name := range joined {
-		if _, departed := gone[name]; departed {
+	var joinsSeen, joinsSampled int
+	for _, e := range s {
+		if _, departed := r.gone[e.node]; e.op != opJoin || departed {
 			continue
 		}
 		for _, obs := range observers {
 			joinsSampled++
-			if m, ok := obs.Member(name); ok && m.State == core.StateAlive {
+			if m, ok := obs.Member(e.node); ok && m.State == core.StateAlive {
 				joinsSeen++
 			}
 		}
@@ -192,9 +121,9 @@ func RunChurn(cc ClusterConfig, p ChurnParams) (Record, error) {
 			"interval_s": p.Interval.Seconds(),
 		},
 		Metrics: map[string]float64{
-			"fails":                 float64(fails),
-			"leaves":                float64(leaves),
-			"joins":                 float64(joins),
+			"fails":                 float64(count[opStop] - count[opLeave]),
+			"leaves":                float64(count[opLeave]),
+			"joins":                 float64(count[opJoin]),
 			"detected_fails":        float64(len(latencies)),
 			"first_detect_median_s": firstDetect.Median,
 			"first_detect_max_s":    firstDetect.Max,
@@ -203,4 +132,43 @@ func RunChurn(cc ClusterConfig, p ChurnParams) (Record, error) {
 			"joins_sampled":         float64(joinsSampled),
 		},
 	}, nil
+}
+
+// churnScript draws the churn phase's actions from the seed, one every
+// p.Interval while under p.Duration, cycling crash → join → leave →
+// join so the population stays roughly stable. A crash stops a member;
+// a leave announces, disseminates for 2 s, then stops. Crashes and
+// leaves take a random member of the pool: initially pool (everyone but
+// the join seed), shrinking as members are churned out and growing as
+// fresh members join — a joiner enters the pool 10 s after its join,
+// before any action at that instant, so a member is never crashed
+// before the cluster has learned it exists. It returns the script and
+// the offset at which the churn phase ends.
+func churnScript(pool []string, p ChurnParams, seed int64) (script, time.Duration) {
+	rng := rand.New(rand.NewSource(seed + 2))
+	var s script
+	var joined []entry
+	t := time.Duration(0)
+	for i := 0; t < p.Duration; i, t = i+1, t+p.Interval {
+		for len(joined) > 0 && joined[0].at+10*time.Second <= t {
+			pool, joined = append(pool, joined[0].node), joined[1:]
+		}
+		if i%2 == 1 {
+			e := entry{at: t, op: opJoin, node: fmt.Sprintf("churn-%03d", i/2)}
+			s, joined = append(s, e), append(joined, e)
+			continue
+		}
+		if len(pool) == 0 {
+			continue
+		}
+		k := rng.Intn(len(pool))
+		name := pool[k]
+		pool[k], pool = pool[len(pool)-1], pool[:len(pool)-1]
+		if i%4 == 0 {
+			s = append(s, entry{at: t, op: opStop, node: name})
+		} else {
+			s = append(s, entry{at: t, op: opLeave, node: name}, entry{at: t + 2*time.Second, op: opStop, node: name})
+		}
+	}
+	return s, t
 }

@@ -112,6 +112,10 @@ type ClusterConfig struct {
 	// events, so enabling it leaves the simulation's event ordering — and
 	// its same-seed records — unchanged.
 	Telemetry bool
+
+	// played, when set, is handed every script run the cluster starts,
+	// so a test can read the departures a scenario's script derived.
+	played func(*run)
 }
 
 // Cluster is a simulated group of protocol nodes with anomaly gates.
@@ -274,9 +278,9 @@ func (c *Cluster) addNode(name string, rng *rand.Rand) (*core.Node, error) {
 		cfg.MaxLHM = c.cc.MaxLHM
 	}
 	cfg.TopologyAware = c.cc.TopologyAware
-	// The per-member clock lets fault schedules degrade this member's
-	// timers; with no degradation installed it is identical to the
-	// shared network clock.
+	// The per-member clock lets a script degrade this member's timers;
+	// with no degradation installed it is identical to the shared
+	// network clock.
 	cfg.Clock = c.Net.NodeClock(name)
 	c.addSeq++
 	if rng == nil {
@@ -398,20 +402,6 @@ func (c *Cluster) Converged() bool {
 		}
 	}
 	return true
-}
-
-// SetAnomalous gates or releases the named members in lock step, the
-// paper's synchronized anomaly model (§V-D, footnote 6).
-func (c *Cluster) SetAnomalous(names []string, anomalous bool) {
-	for _, name := range names {
-		c.Net.SetGated(name, anomalous)
-	}
-}
-
-// PickAnomalySet selects count members uniformly at random using the
-// given seed, excluding member 0 (the join seed) to keep runs comparable.
-func (c *Cluster) PickAnomalySet(count int, seed int64) []string {
-	return cast(len(c.Nodes), count, seed)
 }
 
 // Elapsed returns virtual time since Start.

@@ -64,22 +64,19 @@ func RunThreshold(cc ClusterConfig, p ThresholdParams) (ThresholdResult, error) 
 		return ThresholdResult{}, err
 	}
 
-	anomalous := c.PickAnomalySet(p.C, cc.Seed+1)
-	anomalyStart := c.Sched.Now()
-	c.SetAnomalous(anomalous, true)
-	c.Sched.RunFor(p.D)
-	c.SetAnomalous(anomalous, false)
-
+	anomalous := cast(cc.N, p.C, cc.Seed+1)
+	r := c.play(script{}.anomaly(anomalous, 0, p.D))
+	if err := r.finish(); err != nil {
+		return ThresholdResult{}, err
+	}
 	// Run out the horizon (the paper runs until recovery or 120 s from
 	// experiment start; detections happen well inside the horizon).
-	remaining := Horizon - c.Elapsed()
-	if remaining > 0 {
+	if remaining := Horizon - c.Elapsed(); remaining > 0 {
 		c.Sched.RunFor(remaining)
 	}
 
-	gone := departAll(anomalous, anomalyStart, true)
-	score := scoreDeaths(c.Events.Events(), anomalyStart, gone)
-	healthy := func(observer string) bool { _, bad := gone[observer]; return !bad }
+	score := scoreDeaths(c.Events.Events(), r.start, r.gone)
+	healthy := func(observer string) bool { _, bad := r.gone[observer]; return !bad }
 	res := ThresholdResult{Params: p}
 	for _, name := range anomalous {
 		first, _, n := score.detection(name, nil)
@@ -160,25 +157,25 @@ func RunInterval(cc ClusterConfig, p IntervalParams) (IntervalResult, error) {
 		return IntervalResult{}, err
 	}
 
-	anomalous := c.PickAnomalySet(p.C, cc.Seed+1)
-	anomalyStart := c.Sched.Now()
-
+	anomalous := cast(cc.N, p.C, cc.Seed+1)
 	res := IntervalResult{Params: p}
 	// Cycle anomalies until at least Horizon has passed since the start
 	// of the test; the test ends at the end of an anomalous period
 	// (§V-D2).
-	for {
-		c.SetAnomalous(anomalous, true)
-		c.Sched.RunFor(p.D)
-		c.SetAnomalous(anomalous, false)
+	var s script
+	for t, until := time.Duration(0), Horizon-c.Elapsed(); ; t += p.D + p.I {
+		s = s.anomaly(anomalous, t, p.D)
 		res.Cycles++
-		if c.Elapsed() >= Horizon {
+		if t+p.D >= until {
 			break
 		}
-		c.Sched.RunFor(p.I)
+	}
+	r := c.play(s)
+	if err := r.finish(); err != nil {
+		return IntervalResult{}, err
 	}
 
-	score := scoreDeaths(c.Events.Events(), anomalyStart, departAll(anomalous, anomalyStart, false))
+	score := scoreDeaths(c.Events.Events(), r.start, r.gone)
 	res.FP, res.FPHealthy, res.TruePositives = score.FP, score.FPHealthy, score.TP
 	total := c.Net.TotalStats()
 	res.MsgsSent = total.MsgsSent
@@ -224,20 +221,20 @@ func RunStress(cc ClusterConfig, p StressParams) (Record, error) {
 		return Record{}, err
 	}
 
-	stressed := c.PickAnomalySet(p.Stressed, cc.Seed+1)
-	workloadStart := c.Sched.Now()
-	deadline := workloadStart.Add(p.Duration)
-	for c.Sched.Now().Before(deadline) {
-		c.SetAnomalous(stressed, true)
-		c.Sched.RunFor(stressBlockFor)
-		c.SetAnomalous(stressed, false)
-		c.Sched.RunFor(stressWakeFor)
+	stressed := cast(cc.N, p.Stressed, cc.Seed+1)
+	var s script
+	t := time.Duration(0)
+	for ; t < p.Duration; t += stressBlockFor + stressWakeFor {
+		s = s.anomaly(stressed, t, stressBlockFor)
 	}
 	// Let in-flight suspicions resolve before counting, as the paper's
 	// log analysis does (events are logged during and after the load).
-	c.Sched.RunFor(30 * time.Second)
+	r := c.play(s)
+	if err := r.runTo(t + 30*time.Second); err != nil {
+		return Record{}, err
+	}
 
-	score := scoreDeaths(c.Events.Events(), workloadStart, departAll(stressed, workloadStart, false))
+	score := scoreDeaths(c.Events.Events(), r.start, r.gone)
 	return Record{
 		Experiment: "stress",
 		Config:     cc.Protocol.Name,

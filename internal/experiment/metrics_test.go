@@ -18,14 +18,11 @@ func ev(t time.Duration, typ metrics.EventType, observer, subject string) metric
 	}
 }
 
-func TestPickAnomalySetProperties(t *testing.T) {
-	c, err := NewCluster(ClusterConfig{N: 16, Seed: 3, Protocol: ConfigSWIM})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Shutdown()
-
-	names := c.PickAnomalySet(5, 42)
+// TestCastProperties pins what every scenario's cast guarantees: k
+// distinct names, never the join seed, a pure function of the seed,
+// clamped to the n−1 eligible members.
+func TestCastProperties(t *testing.T) {
+	names := cast(16, 5, 42)
 	if len(names) != 5 {
 		t.Fatalf("got %d names", len(names))
 	}
@@ -36,19 +33,19 @@ func TestPickAnomalySetProperties(t *testing.T) {
 		}
 		seen[n] = true
 		if n == NodeName(0) {
-			t.Error("join seed selected as anomalous")
+			t.Error("join seed cast")
 		}
 	}
 	// Deterministic per seed.
-	again := c.PickAnomalySet(5, 42)
+	again := cast(16, 5, 42)
 	for i := range names {
 		if names[i] != again[i] {
-			t.Fatal("anomaly set not deterministic")
+			t.Fatal("cast not deterministic")
 		}
 	}
 	// Requesting more than available clamps.
-	if got := c.PickAnomalySet(100, 1); len(got) != 15 {
-		t.Errorf("clamped set size = %d, want 15", len(got))
+	if got := cast(16, 100, 1); len(got) != 15 {
+		t.Errorf("clamped cast size = %d, want 15", len(got))
 	}
 }
 
@@ -78,10 +75,11 @@ func TestClusterConvergesAfterQuiesce(t *testing.T) {
 	}
 }
 
-// TestNewClusterSuspectsAndRecovers drives a cluster by hand rather
-// than through a scenario: fault one member, watch it get suspected,
-// lift the fault, watch the cluster re-converge. SetAnomalous gates the
-// member's own processing; DegradeNode delays its traffic while it
+// TestNewClusterSuspectsAndRecovers drives a cluster with a two-entry
+// script rather than through a scenario: fault one member, watch it get
+// suspected, lift the fault, watch the cluster re-converge. The
+// SetAnomalous subtest pauses the member as the paper's anomaly does,
+// stalling its own processing; DegradeNode delays its traffic while it
 // stays alive.
 func TestNewClusterSuspectsAndRecovers(t *testing.T) {
 	if testing.Short() {
@@ -114,30 +112,37 @@ func TestNewClusterSuspectsAndRecovers(t *testing.T) {
 	t.Run("SetAnomalous", func(t *testing.T) {
 		c := boot(t, 4)
 		victim := NodeName(3)
-		c.SetAnomalous([]string{victim}, true)
-		c.Sched.RunFor(5 * time.Second)
-		if !suspected(c, victim) {
-			t.Error("gated member never suspected")
+		r := c.play(script{}.anomaly([]string{victim}, 0, 5*time.Second))
+		if err := r.runTo(5 * time.Second); err != nil {
+			t.Fatal(err)
 		}
-		c.SetAnomalous([]string{victim}, false)
-		c.Sched.RunFor(30 * time.Second)
+		if !suspected(c, victim) {
+			t.Error("paused member never suspected")
+		}
+		if err := r.runTo(35 * time.Second); err != nil {
+			t.Fatal(err)
+		}
 		if !c.Converged() {
-			t.Error("cluster did not re-converge after release")
+			t.Error("cluster did not re-converge after the resume")
 		}
 	})
 
 	t.Run("DegradeNode", func(t *testing.T) {
 		c := boot(t, 6)
 		victim := NodeName(5)
-		s := &sim.FaultSchedule{}
-		s.DegradeNode(0, victim, sim.DelayDist{Base: 2 * time.Second, Jitter: 2 * time.Second})
-		s.RestoreNode(20*time.Second, victim)
-		c.Net.InstallFaults(s)
-		c.Sched.RunFor(20 * time.Second)
+		r := c.play(script{
+			{op: opDegrade, node: victim, delay: sim.DelayDist{Base: 2 * time.Second, Jitter: 2 * time.Second}},
+			{at: 20 * time.Second, op: opRestore, node: victim},
+		})
+		if err := r.runTo(20 * time.Second); err != nil {
+			t.Fatal(err)
+		}
 		if !suspected(c, victim) {
 			t.Error("degraded member never suspected")
 		}
-		c.Sched.RunFor(50 * time.Second)
+		if err := r.runTo(70 * time.Second); err != nil {
+			t.Fatal(err)
+		}
 		if !c.Converged() {
 			t.Error("cluster did not re-converge after the degradation ended")
 		}

@@ -13,28 +13,6 @@ import (
 // exercises the anti-entropy and refutation machinery the tables depend
 // on, so it ships with its own harness and bench.
 
-// Partition splits the cluster into two halves by failing every
-// cross-half link in both directions. sizeA members (from index 0) form
-// side A; the rest form side B.
-func (c *Cluster) Partition(sizeA int) {
-	c.setPartition(sizeA, true)
-}
-
-// Heal removes a partition created by Partition.
-func (c *Cluster) Heal(sizeA int) {
-	c.setPartition(sizeA, false)
-}
-
-func (c *Cluster) setPartition(sizeA int, failed bool) {
-	for i := 0; i < sizeA; i++ {
-		for j := sizeA; j < len(c.Nodes); j++ {
-			a, b := NodeName(i), NodeName(j)
-			c.Net.FailLink(a, b, failed)
-			c.Net.FailLink(b, a, failed)
-		}
-	}
-}
-
 // PartitionParams parameterizes one partition/heal experiment.
 type PartitionParams struct {
 	// SizeA is the size of the first partition (the side holding the
@@ -74,8 +52,15 @@ func RunPartition(cc ClusterConfig, p PartitionParams) (Record, error) {
 		return Record{}, err
 	}
 
-	c.Partition(p.SizeA)
-	c.Sched.RunFor(p.Duration)
+	// Every link between side A (members 0…SizeA−1) and B fails both ways.
+	var s script
+	for _, a := range c.allNames()[:p.SizeA] {
+		s = s.span(entry{op: opCut, node: a, peers: c.allNames()[p.SizeA:]}, p.Duration)
+	}
+	r := c.play(s)
+	if err := r.runTo(p.Duration); err != nil {
+		return Record{}, err
+	}
 
 	inA := func(i int) bool { return i < p.SizeA }
 	sideSettled := func(a bool) bool {
@@ -107,7 +92,9 @@ func RunPartition(cc ClusterConfig, p PartitionParams) (Record, error) {
 		"remerge_s":           0,
 	}
 
-	c.Heal(p.SizeA)
+	if err := r.finish(); err != nil {
+		return Record{}, err
+	}
 	healStart := c.Sched.Now()
 	step := 500 * time.Millisecond
 	for waited := time.Duration(0); waited < p.HealBudget; waited += step {

@@ -112,54 +112,29 @@ func RunRestartCell(cc ClusterConfig, p RestartParams) (Record, []metrics.Event,
 		return Record{}, nil, err
 	}
 
-	cast := restartCast(p, cc.Seed)
-	// gone holds each restarted member's leave: the departure news
-	// carries at most the incarnation it left at; anything above refers
-	// to the rejoined instance. Every leave lands before the horizon.
-	gone := make(map[string]departure, len(cast))
-	rejoinAt := make(map[string]time.Time, len(cast))
-	seedAddr := c.Nodes[0].Addr()
-	start := c.Sched.Now()
-	var runErr error
-	for w := 0; w < p.Waves; w++ {
-		for j := 0; j < p.PerWave; j++ {
-			name := cast[w*p.PerWave+j]
-			offset := time.Duration(w) * restartWaveEvery
-			if p.PerWave > 1 {
-				offset += restartStagger * time.Duration(j) / time.Duration(p.PerWave-1)
-			}
-			leaveAt := start.Add(offset)
-			c.Sched.ScheduleAt(leaveAt, func() {
-				node := c.names[name]
-				gone[name] = departure{at: c.Sched.Now(), inc: node.Incarnation()}
-				node.Leave()
-			})
-			c.Sched.ScheduleAt(leaveAt.Add(restartLeaveLinger), func() {
-				c.RemoveNode(name)
-			})
-			c.Sched.ScheduleAt(leaveAt.Add(restartDownFor), func() {
-				node, err := c.addNode(name, nil)
-				if err == nil {
-					err = node.Start()
-				}
-				if err == nil {
-					rejoinAt[name] = c.Sched.Now()
-					err = node.Join(seedAddr)
-				}
-				if err != nil && runErr == nil {
-					runErr = fmt.Errorf("experiment: rejoin %s: %w", name, err)
-				}
-			})
+	// Each restarted member leaves, stops restartLeaveLinger later and
+	// rejoins under its own name restartDownFor after the leave.
+	restarted := restartCast(p, cc.Seed)
+	rejoinAt := make(map[string]time.Time, len(restarted))
+	var s script
+	for i, name := range restarted {
+		offset := time.Duration(i/p.PerWave) * restartWaveEvery
+		if p.PerWave > 1 {
+			offset += restartStagger * time.Duration(i%p.PerWave) / time.Duration(p.PerWave-1)
 		}
+		s = append(s, entry{at: offset, op: opLeave, node: name},
+			entry{at: offset + restartLeaveLinger, op: opStop, node: name},
+			entry{at: offset + restartDownFor, op: opJoin, node: name})
+		rejoinAt[name] = c.Sched.Now().Add(offset + restartDownFor)
 	}
+	r := c.play(s)
 	horizon := time.Duration(p.Waves-1)*restartWaveEvery + restartStagger + restartDownFor + p.Settle
-	c.Sched.RunFor(horizon)
-	if runErr != nil {
-		return Record{}, nil, runErr
+	if err := r.runTo(horizon); err != nil {
+		return Record{}, nil, err
 	}
 
 	events := c.Events.Events()
-	score := scoreDeaths(events, start, gone)
+	score := scoreDeaths(events, r.start, r.gone)
 
 	// Re-join convergence: for each restarted member, the first
 	// post-rejoin sighting (join or alive at a higher-than-departed
@@ -169,7 +144,7 @@ func RunRestartCell(cc ClusterConfig, p RestartParams) (Record, []metrics.Event,
 	observers := make(map[string]bool, restartObservers)
 	for i := 0; i < p.N && len(observers) < restartObservers; i++ {
 		name := NodeName(i)
-		if _, restarted := gone[name]; !restarted {
+		if _, left := r.gone[name]; !left {
 			observers[name] = true
 		}
 	}
@@ -179,7 +154,7 @@ func RunRestartCell(cc ClusterConfig, p RestartParams) (Record, []metrics.Event,
 			continue
 		}
 		back, ok := rejoinAt[ev.Subject]
-		if !ok || !observers[ev.Observer] || ev.Time.Before(back) || ev.Incarnation <= gone[ev.Subject].inc {
+		if !ok || !observers[ev.Observer] || ev.Time.Before(back) || ev.Incarnation <= r.gone[ev.Subject].inc {
 			continue
 		}
 		key := ev.Observer + "|" + ev.Subject
@@ -189,7 +164,7 @@ func RunRestartCell(cc ClusterConfig, p RestartParams) (Record, []metrics.Event,
 	}
 	rejoined := 0
 	var converge []float64
-	for _, name := range cast {
+	for _, name := range restarted {
 		var last time.Time
 		sawAll := true
 		for obs := range observers {
@@ -222,7 +197,7 @@ func RunRestartCell(cc ClusterConfig, p RestartParams) (Record, []metrics.Event,
 			"settle_s":     p.Settle.Seconds(),
 		},
 		Metrics: map[string]float64{
-			"restarts":        float64(len(cast)),
+			"restarts":        float64(len(restarted)),
 			"rejoined":        float64(rejoined),
 			"fp":              float64(score.FP),
 			"fp_healthy":      float64(score.FPHealthy),

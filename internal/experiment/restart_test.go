@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -99,6 +100,30 @@ func TestRollingRestartRejoins(t *testing.T) {
 	if m["msgs_sent"] == 0 || len(events) == 0 {
 		t.Errorf("missing load or event log: msgs=%g events=%d", m["msgs_sent"], len(events))
 	}
+	checkInvariants(t, "Lifeguard", events)
+}
+
+// TestRestartInvariants runs the protocol invariants chaos is held to
+// over rolling-restart logs, where members rejoin under their own name
+// — a path no chaos cell takes: per observer, a restarted member's
+// incarnation never goes down, and it never comes back from dead
+// without a bump. Under -short it covers one seed of SWIM and
+// Lifeguard; the full suite covers seeds 1–4 × all five configurations
+// at N = 24.
+func TestRestartInvariants(t *testing.T) {
+	seeds, configs := []int64{1, 2, 3, 4}, Configurations
+	if testing.Short() {
+		seeds, configs = seeds[:1], []ProtocolConfig{ConfigSWIM, ConfigLifeguard}
+	}
+	for _, seed := range seeds {
+		for _, proto := range configs {
+			_, events, err := RunRestartCell(ClusterConfig{Seed: seed, Protocol: proto}, RestartParams{N: 24})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkInvariants(t, fmt.Sprintf("seed %d/%s", seed, proto.Name), events)
+		}
+	}
 }
 
 // TestRollingRestartDeterminism pins same-seed reproducibility of the
@@ -115,6 +140,7 @@ func TestRollingRestartDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkInvariants(t, proto.Name, events)
 			recs, digests = append(recs, rec), append(digests, eventDigest(events))
 		}
 		return recs, digests

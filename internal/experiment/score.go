@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"math"
 	"math/rand"
 	"time"
 
@@ -21,16 +20,6 @@ type departure struct {
 	at    time.Time
 	inc   uint64
 	crash bool
-}
-
-// departAll states the same exit, at any incarnation, for every named
-// member.
-func departAll(names []string, at time.Time, crash bool) map[string]departure {
-	gone := make(map[string]departure, len(names))
-	for _, name := range names {
-		gone[name] = departure{at: at, inc: math.MaxUint64, crash: crash}
-	}
-	return gone
 }
 
 // deaths is the verdict on one run's dead events.

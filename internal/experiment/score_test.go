@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -14,7 +15,7 @@ func TestScoreDeaths(t *testing.T) {
 	at := func(s int) time.Time { return time.Unix(0, 0).Add(time.Duration(s) * time.Second) }
 
 	t.Run("anomaly set classification", func(t *testing.T) {
-		gone := departAll([]string{"bad1", "bad2"}, at(15), false)
+		gone := departed([]string{"bad1", "bad2"}, at(15), false)
 		s := scoreDeaths([]metrics.Event{
 			// Before the phase start: ignored entirely.
 			ev(10*time.Second, metrics.EventDead, "h1", "h2"),
@@ -41,7 +42,7 @@ func TestScoreDeaths(t *testing.T) {
 	})
 
 	t.Run("first detection and full dissemination", func(t *testing.T) {
-		gone := departAll([]string{"bad"}, at(15), true)
+		gone := departed([]string{"bad"}, at(15), true)
 		healthy := func(obs string) bool { return obs != "bad" }
 		s := scoreDeaths([]metrics.Event{
 			// First detection at a (t=25), then full coverage of the four
@@ -70,21 +71,21 @@ func TestScoreDeaths(t *testing.T) {
 		s := scoreDeaths([]metrics.Event{
 			ev(5*time.Second, metrics.EventDead, "a", "bad"),
 			// b never sees the failure: one of two healthy members.
-		}, at(0), departAll([]string{"bad"}, at(0), true))
+		}, at(0), departed([]string{"bad"}, at(0), true))
 		if first, last, n := s.detection("bad", nil); n != 1 || first != 5*time.Second || last != first {
 			t.Errorf("detection %v..%v by %d, want 5s by 1", first, last, n)
 		}
 	})
 
 	t.Run("undetected", func(t *testing.T) {
-		s := scoreDeaths(nil, at(0), departAll([]string{"bad"}, at(0), true))
+		s := scoreDeaths(nil, at(0), departed([]string{"bad"}, at(0), true))
 		if _, _, n := s.detection("bad", nil); n != 0 {
 			t.Errorf("detected by %d observers in an empty log", n)
 		}
 	})
 
 	t.Run("death before the crash lands", func(t *testing.T) {
-		gone := departAll([]string{"x"}, at(20), true)
+		gone := departed([]string{"x"}, at(20), true)
 		s := scoreDeaths([]metrics.Event{
 			ev(15*time.Second, metrics.EventDead, "h1", "x"), // alive yet: FP⁻
 			ev(25*time.Second, metrics.EventDead, "h1", "x"), // after the crash: detection
@@ -122,7 +123,7 @@ func TestScoreDeaths(t *testing.T) {
 			ev(2*time.Second, metrics.EventDead, "us-1", "us-x"),
 			ev(5*time.Second, metrics.EventDead, "eu-1", "us-x"),
 			ev(4*time.Second, metrics.EventDead, "eu-2", "us-x"),
-		}, at(0), departAll([]string{"us-x"}, at(0), true))
+		}, at(0), departed([]string{"us-x"}, at(0), true))
 		elsewhere := func(obs string) bool { return !strings.HasPrefix(obs, "us-") }
 		if first, _, n := s.detection("us-x", elsewhere); n != 2 || first != 4*time.Second {
 			t.Errorf("cross-zone detection %v by %d, want 4s by 2", first, n)
@@ -148,10 +149,15 @@ func TestCastPinned(t *testing.T) {
 	same("restart cast", restartCast(RestartParams{N: 32, Waves: 2, PerWave: 3}, 9),
 		"node-008", "node-004", "node-028", "node-023", "node-019", "node-018")
 
-	c, err := NewCluster(ClusterConfig{N: 16, Seed: 3, Protocol: ConfigSWIM})
-	if err != nil {
-		t.Fatal(err)
+	same("anomaly set", cast(16, 5, 42), "node-013", "node-006", "node-015", "node-010", "node-014")
+}
+
+// departed states the same exit, at any incarnation, for every named
+// member.
+func departed(names []string, at time.Time, crash bool) map[string]departure {
+	gone := make(map[string]departure, len(names))
+	for _, name := range names {
+		gone[name] = departure{at: at, inc: math.MaxUint64, crash: crash}
 	}
-	defer c.Shutdown()
-	same("anomaly set", c.PickAnomalySet(5, 42), "node-013", "node-006", "node-015", "node-010", "node-014")
+	return gone
 }

@@ -137,7 +137,7 @@ func RunWAN(cc ClusterConfig, p WANParams) (Record, error) {
 	}
 
 	// Phase 2: crash FailPerZone members per zone, watch detection.
-	var failed []string
+	var s script
 	failedByZone := make(map[string][]string)
 	if p.FailPerZone > 0 {
 		rng := rand.New(rand.NewSource(cc.Seed + 1))
@@ -155,18 +155,19 @@ func RunWAN(cc ClusterConfig, p WANParams) (Record, error) {
 			}
 			for _, off := range perm[:k] {
 				name := NodeName(lo + off)
-				failed = append(failed, name)
+				s = append(s, entry{op: opCrash, node: name})
 				failedByZone[z.Name] = append(failedByZone[z.Name], name)
 			}
 		}
 	}
-	failStart := c.Sched.Now()
-	if len(failed) > 0 {
-		c.SetAnomalous(failed, true)
-		c.Sched.RunFor(p.DetectHorizon)
+	r := c.play(s)
+	if len(s) > 0 {
+		if err := r.runTo(p.DetectHorizon); err != nil {
+			return Record{}, err
+		}
 	}
 
-	score := scoreDeaths(c.Events.Events(), failStart, departAll(failed, failStart, true))
+	score := scoreDeaths(c.Events.Events(), r.start, r.gone)
 	m["fp"], m["fp_healthy"] = float64(score.FP), float64(score.FPHealthy)
 
 	// Per-zone breakdown: first detection of each failed member

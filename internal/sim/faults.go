@@ -6,18 +6,18 @@ import (
 	"lifeguard/internal/timeutil"
 )
 
-// This file is the fault-injection engine: deterministic, scriptable
-// faults layered on top of the simulated network, reproducing the
-// degraded-member conditions that motivate Lifeguard (slow message
-// processing, process stalls, impaired links) rather than only clean
-// crashes. All fault randomness is drawn from a dedicated RNG stream
-// (Network.faultRNG), and a fault-dropped packet still consumes the
-// base delay draw it would have consumed anyway, so degradation and
-// link impairments never perturb the base latency/loss sequence of
-// unaffected traffic — a run with an empty schedule is byte-identical
-// to a run without one. (Scheduled FailLink partitions share the
-// pre-existing partition semantics: packets dropped on a failed link
-// consume no draws, like packets to a detached member.)
+// This file holds the fault primitives: deterministic faults layered on
+// top of the simulated network, reproducing the degraded-member
+// conditions that motivate Lifeguard (slow message processing, process
+// stalls, impaired links) rather than only clean crashes. Scenarios
+// time them with a script (internal/experiment). All fault randomness
+// is drawn from a dedicated RNG stream (Network.faultRNG), and a
+// fault-dropped packet still consumes the base delay draw it would have
+// consumed anyway, so degradation and link impairments never perturb
+// the base latency/loss sequence of unaffected traffic — a run with no
+// faults installed is byte-identical to a run without the engine.
+// (FailLink partitions consume no draws, like packets to a detached
+// member.)
 
 // PauseMode selects what happens to inbound packets while a member is
 // paused.
@@ -107,7 +107,7 @@ func (n *Network) Resume(name string) {
 
 // Crash permanently silences a member: inbound is dropped, held sends
 // never flush, and every later Pause, Resume or SetGated call on the
-// member is ignored — a schedule that flaps a member it also crashes
+// member is ignored — a script that flaps a member it also crashes
 // cannot accidentally resurrect it. Crashed reports the state.
 func (n *Network) Crash(name string) {
 	p, ok := n.nodes[name]
@@ -153,8 +153,8 @@ type NodeClock struct {
 var _ timeutil.Clock = (*NodeClock)(nil)
 
 // NodeClock returns the named member's clock. The protocol core of a
-// simulated member should be driven by this clock so that fault
-// schedules can degrade its timers.
+// simulated member should be driven by this clock so that SetDegraded
+// can slow its timers.
 func (n *Network) NodeClock(name string) *NodeClock {
 	return &NodeClock{net: n, name: name}
 }
@@ -221,91 +221,4 @@ func (t *nodeTimer) Stop() bool { return t.ev.Stop() }
 func (t *nodeTimer) Reset(d time.Duration) bool {
 	t.deferred = false
 	return t.ev.Reset(d)
-}
-
-// FaultSchedule is a deterministic script of fault transitions, each at
-// an offset from the moment the schedule is installed. Building a
-// schedule does nothing; Network.InstallFaults schedules every
-// transition on the simulation's event loop, where the scheduler's
-// (time, insertion-order) ordering makes application fully
-// deterministic. Schedules drive the chaos experiments; tests build
-// them directly for single-fault scenarios.
-type FaultSchedule struct {
-	events []faultEvent
-}
-
-// faultEvent is one scripted transition.
-type faultEvent struct {
-	at    time.Duration
-	apply func(n *Network)
-}
-
-// add appends one transition. Negative offsets clamp to zero.
-func (s *FaultSchedule) add(at time.Duration, apply func(*Network)) {
-	if at < 0 {
-		at = 0
-	}
-	s.events = append(s.events, faultEvent{at: at, apply: apply})
-}
-
-// Len returns the number of scripted transitions.
-func (s *FaultSchedule) Len() int { return len(s.events) }
-
-// DegradeNode schedules processing degradation for a member at offset
-// at: inbound handling and timer callbacks delayed by draws from d.
-func (s *FaultSchedule) DegradeNode(at time.Duration, node string, d DelayDist) {
-	s.add(at, func(n *Network) { n.SetDegraded(node, d) })
-}
-
-// RestoreNode schedules the end of a member's processing degradation.
-func (s *FaultSchedule) RestoreNode(at time.Duration, node string) {
-	s.add(at, func(n *Network) { n.SetDegraded(node, DelayDist{}) })
-}
-
-// PauseNode schedules a total stall of a member, with inbound packets
-// buffered or dropped per mode.
-func (s *FaultSchedule) PauseNode(at time.Duration, node string, mode PauseMode) {
-	s.add(at, func(n *Network) { n.Pause(node, mode) })
-}
-
-// ResumeNode schedules the release of a paused member.
-func (s *FaultSchedule) ResumeNode(at time.Duration, node string) {
-	s.add(at, func(n *Network) { n.Resume(node) })
-}
-
-// CrashNode schedules a permanent hard stop of a member: inbound
-// dropped, sends held, immune to later pause/resume transitions. The
-// member stops responding and its failure should be detected.
-func (s *FaultSchedule) CrashNode(at time.Duration, node string) {
-	s.add(at, func(n *Network) { n.Crash(node) })
-}
-
-// ImpairLink schedules the installation of a directed link impairment
-// (loss/duplication/reordering overrides).
-func (s *FaultSchedule) ImpairLink(at time.Duration, from, to string, f LinkFault) {
-	s.add(at, func(n *Network) { n.SetLinkFault(from, to, f) })
-}
-
-// HealLink schedules the removal of a directed link impairment.
-func (s *FaultSchedule) HealLink(at time.Duration, from, to string) {
-	s.add(at, func(n *Network) { n.ClearLinkFault(from, to) })
-}
-
-// FailLink schedules a directed link to start (failed=true) or stop
-// (failed=false) dropping all traffic — the primitive behind scripted
-// asymmetric partitions.
-func (s *FaultSchedule) FailLink(at time.Duration, from, to string, failed bool) {
-	s.add(at, func(n *Network) { n.FailLink(from, to, failed) })
-}
-
-// InstallFaults schedules every transition of the script on the event
-// loop, at its offset from the current virtual time. Transitions at
-// equal offsets apply in the order they were added to the schedule.
-// Must be called on the event loop (or before the simulation starts),
-// like every other Network mutation.
-func (n *Network) InstallFaults(s *FaultSchedule) {
-	for _, ev := range s.events {
-		apply := ev.apply
-		n.sched.Schedule(ev.at, func() { apply(n) })
-	}
 }

@@ -216,15 +216,13 @@ func TestSetGatedReleaseEndsDropMode(t *testing.T) {
 	}
 }
 
-// TestCrashNodeNeverResponds pins that a scheduled crash silences a
-// member permanently: inbound dropped, sends held forever.
+// TestCrashNodeNeverResponds pins that a crash silences a member
+// permanently: inbound dropped, sends held forever.
 func TestCrashNodeNeverResponds(t *testing.T) {
 	r := newRig(t, Options{})
 	a, aGot := r.attach(t, "a")
 	b, _ := r.attach(t, "b")
-	s := &FaultSchedule{}
-	s.CrashNode(10*time.Millisecond, "b")
-	r.net.InstallFaults(s)
+	r.sched.Schedule(10*time.Millisecond, func() { r.net.Crash("b") })
 
 	r.sched.RunFor(20 * time.Millisecond)
 	b.SendPacket("a", []byte("from the grave"), false)
@@ -472,80 +470,6 @@ func TestStatsMergeCoversAllFields(t *testing.T) {
 		if got := av.Field(i).Int(); got != want {
 			t.Errorf("field %s = %d after Merge, want %d",
 				av.Type().Field(i).Name, got, want)
-		}
-	}
-}
-
-// TestFaultScheduleAppliesInOrder pins schedule semantics: transitions
-// fire at their virtual-time offsets from installation, same-offset
-// transitions apply in insertion order, and negative offsets clamp to
-// installation time.
-func TestFaultScheduleAppliesInOrder(t *testing.T) {
-	r := newRig(t, Options{})
-	r.attach(t, "a")
-	var order []string
-	s := &FaultSchedule{}
-	mark := func(label string) func(*Network) {
-		return func(*Network) { order = append(order, fmt.Sprintf("%s@%v", label, r.sched.Now().Sub(time.Unix(0, 0)))) }
-	}
-	s.add(20*time.Millisecond, mark("late"))
-	s.add(10*time.Millisecond, mark("mid-1"))
-	s.add(10*time.Millisecond, mark("mid-2"))
-	s.add(-5*time.Millisecond, mark("clamped"))
-	if s.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", s.Len())
-	}
-	r.sched.RunFor(5 * time.Millisecond) // install mid-simulation
-	r.net.InstallFaults(s)
-	r.sched.RunFor(time.Second)
-	want := []string{"clamped@5ms", "mid-1@15ms", "mid-2@15ms", "late@25ms"}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
-// TestFaultScheduleDrivesNetwork exercises every schedule primitive end
-// to end: degrade/restore, pause/resume, impair/heal and fail/heal all
-// take effect at their scheduled times.
-func TestFaultScheduleDrivesNetwork(t *testing.T) {
-	r := newRig(t, Options{})
-	r.attach(t, "a")
-	r.attach(t, "b")
-	s := &FaultSchedule{}
-	s.DegradeNode(10*time.Millisecond, "a", DelayDist{Base: time.Millisecond})
-	s.RestoreNode(20*time.Millisecond, "a")
-	s.PauseNode(30*time.Millisecond, "b", PauseBuffer)
-	s.ResumeNode(40*time.Millisecond, "b")
-	s.ImpairLink(50*time.Millisecond, "a", "b", LinkFault{Loss: 1})
-	s.HealLink(60*time.Millisecond, "a", "b")
-	s.FailLink(70*time.Millisecond, "b", "a", true)
-	s.FailLink(80*time.Millisecond, "b", "a", false)
-	r.net.InstallFaults(s)
-
-	type check struct {
-		at   time.Duration
-		test func() bool
-		desc string
-	}
-	checks := []check{
-		{15 * time.Millisecond, func() bool { return r.net.Degraded("a") }, "a degraded at 15ms"},
-		{25 * time.Millisecond, func() bool { return !r.net.Degraded("a") }, "a restored at 25ms"},
-		{35 * time.Millisecond, func() bool { return r.net.Gated("b") }, "b paused at 35ms"},
-		{45 * time.Millisecond, func() bool { return !r.net.Gated("b") }, "b resumed at 45ms"},
-		{55 * time.Millisecond, func() bool { _, ok := r.net.linkFaults[r.net.linkID("a", "b")]; return ok }, "a->b impaired at 55ms"},
-		{65 * time.Millisecond, func() bool { _, ok := r.net.linkFaults[r.net.linkID("a", "b")]; return !ok }, "a->b healed at 65ms"},
-		{75 * time.Millisecond, func() bool { return r.net.linkFailed(r.net.ids["b"], r.net.ids["a"]) }, "b->a failed at 75ms"},
-		{85 * time.Millisecond, func() bool { return !r.net.linkFailed(r.net.ids["b"], r.net.ids["a"]) }, "b->a healed at 85ms"},
-	}
-	for _, c := range checks {
-		r.sched.RunUntil(time.Unix(0, 0).Add(c.at))
-		if !c.test() {
-			t.Errorf("%s: condition does not hold", c.desc)
 		}
 	}
 }
