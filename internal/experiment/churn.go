@@ -75,7 +75,7 @@ func RunChurn(cc ClusterConfig, p ChurnParams) (Record, error) {
 
 	// A dead event is legitimate only at or after the subject's own
 	// crash or leave; crashes are also scored for first detection.
-	score := scoreDeaths(c.Events.Events(), r.start, r.gone)
+	score := r.score(c.Events.Events())
 	var latencies []float64
 	for name := range score.Detect {
 		first, _, _ := score.detection(name, nil)

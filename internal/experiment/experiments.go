@@ -75,7 +75,7 @@ func RunThreshold(cc ClusterConfig, p ThresholdParams) (ThresholdResult, error) 
 		c.Sched.RunFor(remaining)
 	}
 
-	score := scoreDeaths(c.Events.Events(), r.start, r.gone)
+	score := r.score(c.Events.Events())
 	healthy := func(observer string) bool { _, bad := r.gone[observer]; return !bad }
 	res := ThresholdResult{Params: p}
 	for _, name := range anomalous {
@@ -175,7 +175,7 @@ func RunInterval(cc ClusterConfig, p IntervalParams) (IntervalResult, error) {
 		return IntervalResult{}, err
 	}
 
-	score := scoreDeaths(c.Events.Events(), r.start, r.gone)
+	score := r.score(c.Events.Events())
 	res.FP, res.FPHealthy, res.TruePositives = score.FP, score.FPHealthy, score.TP
 	total := c.Net.TotalStats()
 	res.MsgsSent = total.MsgsSent
@@ -234,7 +234,7 @@ func RunStress(cc ClusterConfig, p StressParams) (Record, error) {
 		return Record{}, err
 	}
 
-	score := scoreDeaths(c.Events.Events(), r.start, r.gone)
+	score := r.score(c.Events.Events())
 	return Record{
 		Experiment: "stress",
 		Config:     cc.Protocol.Name,

@@ -134,7 +134,7 @@ func RunRestartCell(cc ClusterConfig, p RestartParams) (Record, []metrics.Event,
 	}
 
 	events := c.Events.Events()
-	score := scoreDeaths(events, r.start, r.gone)
+	score := r.score(events)
 
 	// Re-join convergence: for each restarted member, the first
 	// post-rejoin sighting (join or alive at a higher-than-departed

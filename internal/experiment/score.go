@@ -8,9 +8,10 @@ import (
 )
 
 // This file is where every scenario's dead events are judged, by one
-// rule. A scenario states its departures — which members it crashed,
-// gated or made leave, and from when — and a dead event about a peer is
-// either news of a departure or a false positive.
+// rule. A scenario's script states its departures — which members it
+// crashed, stopped, paused as anomalous or made leave, and from when —
+// and a dead event about a peer is either news of a departure or a
+// false positive.
 
 // departure is one member's scripted exit: from at on, a dead event
 // about the member at incarnation inc or below is news of the exit.
@@ -25,8 +26,8 @@ type departure struct {
 // deaths is the verdict on one run's dead events.
 type deaths struct {
 	// FP counts dead events no departure explains, and FPHealthy the
-	// subset raised at observers with no departure of their own (the
-	// paper's FP⁻, §V-F1). TP counts the dead events a departure
+	// subset raised at healthy observers — neither departed nor faulted
+	// (the paper's FP⁻, §V-F1). TP counts the dead events a departure
 	// explains.
 	FP, FPHealthy, TP int
 
@@ -39,9 +40,10 @@ type deaths struct {
 }
 
 // scoreDeaths judges every dead event from since on against the
-// departures in gone. A member's dead event about itself is its own
-// leave, not news about a peer, and is skipped.
-func scoreDeaths(events []metrics.Event, since time.Time, gone map[string]departure) deaths {
+// departures in gone; an observer in gone or faulted is not healthy. A
+// member's dead event about itself is its own leave, not news about a
+// peer, and is skipped.
+func scoreDeaths(events []metrics.Event, since time.Time, gone map[string]departure, faulted map[string]bool) deaths {
 	s := deaths{FPBySubject: make(map[string]int), Detect: make(map[string]map[string]time.Duration)}
 	for _, ev := range events {
 		if ev.Type != metrics.EventDead || ev.Time.Before(since) || ev.Observer == ev.Subject {
@@ -64,7 +66,7 @@ func scoreDeaths(events []metrics.Event, since time.Time, gone map[string]depart
 		}
 		s.FP++
 		s.FPBySubject[ev.Subject]++
-		if _, departed := gone[ev.Observer]; !departed {
+		if _, departed := gone[ev.Observer]; !departed && !faulted[ev.Observer] {
 			s.FPHealthy++
 		}
 	}

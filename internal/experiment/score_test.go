@@ -29,7 +29,7 @@ func TestScoreDeaths(t *testing.T) {
 			ev(23*time.Second, metrics.EventSuspect, "h1", "h4"),
 			// Another true positive, at an anomalous observer.
 			ev(24*time.Second, metrics.EventDead, "bad2", "bad1"),
-		}, at(15), gone)
+		}, at(15), gone, nil)
 		if s.FP != 2 || s.FPHealthy != 1 || s.TP != 2 {
 			t.Errorf("fp/fp-/tp = %d/%d/%d, want 2/1/2", s.FP, s.FPHealthy, s.TP)
 		}
@@ -38,6 +38,20 @@ func TestScoreDeaths(t *testing.T) {
 		}
 		if len(s.Detect) != 0 {
 			t.Errorf("anomalies not scored for detection, yet Detect = %v", s.Detect)
+		}
+	})
+
+	t.Run("faulted observer", func(t *testing.T) {
+		// A chaos victim is faulted — degraded, paused, cut off — but
+		// never departs: it stays alive, only impaired, so a dead event
+		// about it is an FP, and one it raises is an FP but not FP⁻.
+		s := scoreDeaths([]metrics.Event{
+			ev(20*time.Second, metrics.EventDead, "victim", "h1"), // at a faulted observer: FP
+			ev(21*time.Second, metrics.EventDead, "h2", "h1"),     // at a healthy observer: FP⁻
+			ev(22*time.Second, metrics.EventDead, "h2", "victim"), // about the victim: FP⁻
+		}, at(15), nil, map[string]bool{"victim": true})
+		if s.FP != 3 || s.FPHealthy != 2 || s.TP != 0 {
+			t.Errorf("fp/fp-/tp = %d/%d/%d, want 3/2/0", s.FP, s.FPHealthy, s.TP)
 		}
 	})
 
@@ -55,7 +69,7 @@ func TestScoreDeaths(t *testing.T) {
 			ev(40*time.Second, metrics.EventDead, "a", "bad"),
 			// Self-observation is excluded.
 			ev(16*time.Second, metrics.EventDead, "bad", "bad"),
-		}, at(15), gone)
+		}, at(15), gone, nil)
 		if first, _, n := s.detection("bad", nil); n != 4 || first != 10*time.Second {
 			t.Errorf("first detection %v by %d observers, want 10s by 4", first, n)
 		}
@@ -71,14 +85,14 @@ func TestScoreDeaths(t *testing.T) {
 		s := scoreDeaths([]metrics.Event{
 			ev(5*time.Second, metrics.EventDead, "a", "bad"),
 			// b never sees the failure: one of two healthy members.
-		}, at(0), departed([]string{"bad"}, at(0), true))
+		}, at(0), departed([]string{"bad"}, at(0), true), nil)
 		if first, last, n := s.detection("bad", nil); n != 1 || first != 5*time.Second || last != first {
 			t.Errorf("detection %v..%v by %d, want 5s by 1", first, last, n)
 		}
 	})
 
 	t.Run("undetected", func(t *testing.T) {
-		s := scoreDeaths(nil, at(0), departed([]string{"bad"}, at(0), true))
+		s := scoreDeaths(nil, at(0), departed([]string{"bad"}, at(0), true), nil)
 		if _, _, n := s.detection("bad", nil); n != 0 {
 			t.Errorf("detected by %d observers in an empty log", n)
 		}
@@ -90,7 +104,7 @@ func TestScoreDeaths(t *testing.T) {
 			ev(15*time.Second, metrics.EventDead, "h1", "x"), // alive yet: FP⁻
 			ev(25*time.Second, metrics.EventDead, "h1", "x"), // after the crash: detection
 			ev(26*time.Second, metrics.EventDead, "x", "h2"), // raised at the crashed member: FP, not FP⁻
-		}, at(10), gone)
+		}, at(10), gone, nil)
 		if s.FP != 2 || s.FPHealthy != 1 || s.TP != 1 {
 			t.Errorf("fp/fp-/tp = %d/%d/%d, want 2/1/1", s.FP, s.FPHealthy, s.TP)
 		}
@@ -109,7 +123,7 @@ func TestScoreDeaths(t *testing.T) {
 			ev(20*time.Second, metrics.EventDead, "l", "l"), // its own leave: skipped
 			leaveNews, // stale news of the leave: legitimate
 			rejoined,  // above the leave incarnation: the rejoined member, FP
-		}, at(10), gone)
+		}, at(10), gone, nil)
 		if s.TP != 1 || s.FP != 1 || s.FPBySubject["l"] != 1 {
 			t.Errorf("tp/fp = %d/%d (by subject %v), want 1/1", s.TP, s.FP, s.FPBySubject)
 		}
@@ -123,7 +137,7 @@ func TestScoreDeaths(t *testing.T) {
 			ev(2*time.Second, metrics.EventDead, "us-1", "us-x"),
 			ev(5*time.Second, metrics.EventDead, "eu-1", "us-x"),
 			ev(4*time.Second, metrics.EventDead, "eu-2", "us-x"),
-		}, at(0), departed([]string{"us-x"}, at(0), true))
+		}, at(0), departed([]string{"us-x"}, at(0), true), nil)
 		elsewhere := func(obs string) bool { return !strings.HasPrefix(obs, "us-") }
 		if first, _, n := s.detection("us-x", elsewhere); n != 2 || first != 4*time.Second {
 			t.Errorf("cross-zone detection %v by %d, want 4s by 2", first, n)

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"time"
 
+	"lifeguard/internal/metrics"
 	"lifeguard/internal/sim"
 )
 
@@ -92,13 +93,17 @@ type run struct {
 	// any incarnation, scored for detection; a leave departs it at the
 	// incarnation it held, as legitimate news only.
 	gone map[string]departure
+
+	// faulted holds every member a fault or departure entry named: not
+	// a healthy observer for FP⁻. A link entry faults node, not peers.
+	faulted map[string]bool
 }
 
 // play starts s on the cluster at the current instant.
 func (c *Cluster) play(s script) *run {
 	s = slices.Clone(s)
 	slices.SortStableFunc(s, func(a, b entry) int { return cmp.Compare(a.at, b.at) })
-	r := &run{c: c, entries: s, start: c.Sched.Now(), gone: make(map[string]departure)}
+	r := &run{c: c, entries: s, start: c.Sched.Now(), gone: make(map[string]departure), faulted: make(map[string]bool)}
 	if c.cc.played != nil {
 		c.cc.played(r)
 	}
@@ -182,9 +187,19 @@ func (r *run) apply(e entry) error {
 			return fmt.Errorf("experiment: join %s: %w", e.node, err)
 		}
 	}
+	switch e.op {
+	case opResume, opRestore, opClear, opHeal, opJoin:
+	default:
+		r.faulted[e.node] = true
+	}
 	departs := e.op == opCrash || e.op == opLeave || e.op == opStop || e.op == opPause && e.anomaly
 	if _, left := r.gone[e.node]; departs && !left {
 		r.gone[e.node] = dep
 	}
 	return nil
+}
+
+// score judges the run's dead events against what its entries stated.
+func (r *run) score(events []metrics.Event) deaths {
+	return scoreDeaths(events, r.start, r.gone, r.faulted)
 }

@@ -136,6 +136,7 @@ func TestScriptDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("double scripted run")
 	}
+	var faulted []string
 	play := func() (string, deaths, sim.Stats, string) {
 		c, err := NewCluster(ClusterConfig{N: 16, Seed: 5, Protocol: ConfigLifeguard})
 		if err != nil {
@@ -150,7 +151,12 @@ func TestScriptDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		events := c.Events.Events()
-		return describe(r), scoreDeaths(events, r.start, r.gone), c.Net.TotalStats(), eventDigest(events)
+		faulted = faulted[:0]
+		for name := range r.faulted {
+			faulted = append(faulted, name)
+		}
+		slices.Sort(faulted)
+		return describe(r), r.score(events), c.Net.TotalStats(), eventDigest(events)
 	}
 	gone1, score1, stats1, digest1 := play()
 	gone2, score2, stats2, digest2 := play()
@@ -167,6 +173,10 @@ func TestScriptDeterministic(t *testing.T) {
 	}, "\n")
 	if gone1 != want {
 		t.Errorf("derived departures:\n%s\nwant:\n%s", gone1, want)
+	}
+	// Link entries fault their node, not its peers; joins fault no one.
+	if got, want := strings.Join(faulted, ","), "node-001,node-002,node-003,node-004,node-005,node-008,node-011,node-012,node-013"; got != want {
+		t.Errorf("faulted = %s, want %s", got, want)
 	}
 	if score1.TP == 0 || stats1.Duplicated == 0 || stats1.DropsFault == 0 {
 		t.Errorf("script did not bite: tp %d, duplicated %d, fault drops %d", score1.TP, stats1.Duplicated, stats1.DropsFault)
