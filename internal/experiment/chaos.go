@@ -266,7 +266,7 @@ func RunChaosCell(cc ClusterConfig, scenario string, p ChaosParams) (Record, []m
 	// Scored from the fault start, with the crashes departing when they
 	// land: a dead event about a crash-set member before its crash is a
 	// false positive like any other.
-	score := r.score(events)
+	score := scoreDeaths(events, r.start, r.gone, r.faulted)
 	victimDeaths := 0
 	for _, v := range victims {
 		victimDeaths += score.FPBySubject[v]

@@ -75,18 +75,13 @@ func RunChurn(cc ClusterConfig, p ChurnParams) (Record, error) {
 
 	// A dead event is legitimate only at or after the subject's own
 	// crash or leave; crashes are also scored for first detection.
-	score := r.score(c.Events.Events())
+	score := scoreDeaths(c.Events.Events(), r.start, r.gone, r.faulted)
 	var latencies []float64
 	for name := range score.Detect {
 		first, _, _ := score.detection(name, nil)
 		latencies = append(latencies, first.Seconds())
 	}
 	firstDetect := stats.Summarize(latencies)
-	// Every leave is followed by a stop; the other stops are crashes.
-	count := map[op]int{}
-	for _, e := range s {
-		count[e.op]++
-	}
 
 	// Join convergence: sample long-lived survivors and count how many
 	// see each joined member alive. (Checking all ~2k observers would be
@@ -100,8 +95,11 @@ func RunChurn(cc ClusterConfig, p ChurnParams) (Record, error) {
 			observers = append(observers, n)
 		}
 	}
+	// Every leave is followed by a stop; the other stops are crashes.
+	count := map[op]int{}
 	var joinsSeen, joinsSampled int
 	for _, e := range s {
+		count[e.op]++
 		if _, departed := r.gone[e.node]; e.op != opJoin || departed {
 			continue
 		}

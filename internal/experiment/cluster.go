@@ -363,8 +363,8 @@ func bootstrapWindow(n int) time.Duration {
 
 // RemoveNode shuts the named member down, detaches it from the network
 // and forgets it, so a fresh member can later be added under the same
-// name (the rolling-restart scenario's process restart). Removing an
-// unknown name is a no-op.
+// name (a script's stop entry; rolling-restart then rejoins the name).
+// Removing an unknown name is a no-op.
 func (c *Cluster) RemoveNode(name string) {
 	node, ok := c.names[name]
 	if !ok {

@@ -75,7 +75,7 @@ func RunThreshold(cc ClusterConfig, p ThresholdParams) (ThresholdResult, error) 
 		c.Sched.RunFor(remaining)
 	}
 
-	score := r.score(c.Events.Events())
+	score := scoreDeaths(c.Events.Events(), r.start, r.gone, r.faulted)
 	healthy := func(observer string) bool { _, bad := r.gone[observer]; return !bad }
 	res := ThresholdResult{Params: p}
 	for _, name := range anomalous {
@@ -161,21 +161,19 @@ func RunInterval(cc ClusterConfig, p IntervalParams) (IntervalResult, error) {
 	res := IntervalResult{Params: p}
 	// Cycle anomalies until at least Horizon has passed since the start
 	// of the test; the test ends at the end of an anomalous period
-	// (§V-D2).
+	// (§V-D2): a period starts while the one before it, which ended I
+	// earlier, ended before the horizon.
 	var s script
-	for t, until := time.Duration(0), Horizon-c.Elapsed(); ; t += p.D + p.I {
+	for t := time.Duration(0); t-p.I < Horizon-c.Elapsed(); t += p.D + p.I {
 		s = s.anomaly(anomalous, t, p.D)
 		res.Cycles++
-		if t+p.D >= until {
-			break
-		}
 	}
 	r := c.play(s)
 	if err := r.finish(); err != nil {
 		return IntervalResult{}, err
 	}
 
-	score := r.score(c.Events.Events())
+	score := scoreDeaths(c.Events.Events(), r.start, r.gone, r.faulted)
 	res.FP, res.FPHealthy, res.TruePositives = score.FP, score.FPHealthy, score.TP
 	total := c.Net.TotalStats()
 	res.MsgsSent = total.MsgsSent
@@ -222,8 +220,7 @@ func RunStress(cc ClusterConfig, p StressParams) (Record, error) {
 	}
 
 	stressed := cast(cc.N, p.Stressed, cc.Seed+1)
-	var s script
-	t := time.Duration(0)
+	s, t := script{}, time.Duration(0)
 	for ; t < p.Duration; t += stressBlockFor + stressWakeFor {
 		s = s.anomaly(stressed, t, stressBlockFor)
 	}
@@ -234,7 +231,7 @@ func RunStress(cc ClusterConfig, p StressParams) (Record, error) {
 		return Record{}, err
 	}
 
-	score := r.score(c.Events.Events())
+	score := scoreDeaths(c.Events.Events(), r.start, r.gone, r.faulted)
 	return Record{
 		Experiment: "stress",
 		Config:     cc.Protocol.Name,

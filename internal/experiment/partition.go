@@ -52,7 +52,6 @@ func RunPartition(cc ClusterConfig, p PartitionParams) (Record, error) {
 		return Record{}, err
 	}
 
-	// Every link between side A (members 0…SizeA−1) and B fails both ways.
 	var s script
 	for _, a := range c.allNames()[:p.SizeA] {
 		s = s.span(entry{op: opCut, node: a, peers: c.allNames()[p.SizeA:]}, p.Duration)

@@ -112,10 +112,7 @@ func RunRestartCell(cc ClusterConfig, p RestartParams) (Record, []metrics.Event,
 		return Record{}, nil, err
 	}
 
-	// Each restarted member leaves, stops restartLeaveLinger later and
-	// rejoins under its own name restartDownFor after the leave.
 	restarted := restartCast(p, cc.Seed)
-	rejoinAt := make(map[string]time.Time, len(restarted))
 	var s script
 	for i, name := range restarted {
 		offset := time.Duration(i/p.PerWave) * restartWaveEvery
@@ -125,7 +122,6 @@ func RunRestartCell(cc ClusterConfig, p RestartParams) (Record, []metrics.Event,
 		s = append(s, entry{at: offset, op: opLeave, node: name},
 			entry{at: offset + restartLeaveLinger, op: opStop, node: name},
 			entry{at: offset + restartDownFor, op: opJoin, node: name})
-		rejoinAt[name] = c.Sched.Now().Add(offset + restartDownFor)
 	}
 	r := c.play(s)
 	horizon := time.Duration(p.Waves-1)*restartWaveEvery + restartStagger + restartDownFor + p.Settle
@@ -134,7 +130,7 @@ func RunRestartCell(cc ClusterConfig, p RestartParams) (Record, []metrics.Event,
 	}
 
 	events := c.Events.Events()
-	score := r.score(events)
+	score := scoreDeaths(events, r.start, r.gone, r.faulted)
 
 	// Re-join convergence: for each restarted member, the first
 	// post-rejoin sighting (join or alive at a higher-than-departed
@@ -153,8 +149,9 @@ func RunRestartCell(cc ClusterConfig, p RestartParams) (Record, []metrics.Event,
 		if ev.Type != metrics.EventJoin && ev.Type != metrics.EventAlive {
 			continue
 		}
-		back, ok := rejoinAt[ev.Subject]
-		if !ok || !observers[ev.Observer] || ev.Time.Before(back) || ev.Incarnation <= r.gone[ev.Subject].inc {
+		// A restarted member rejoins restartDownFor after its leave.
+		left, ok := r.gone[ev.Subject]
+		if !ok || !observers[ev.Observer] || ev.Time.Before(left.at.Add(restartDownFor)) || ev.Incarnation <= left.inc {
 			continue
 		}
 		key := ev.Observer + "|" + ev.Subject
@@ -179,7 +176,7 @@ func RunRestartCell(cc ClusterConfig, p RestartParams) (Record, []metrics.Event,
 		}
 		if sawAll {
 			rejoined++
-			converge = append(converge, last.Sub(rejoinAt[name]).Seconds())
+			converge = append(converge, last.Sub(r.gone[name].at.Add(restartDownFor)).Seconds())
 		}
 	}
 	rejoin := stats.Summarize(converge)

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"time"
 
-	"lifeguard/internal/metrics"
 	"lifeguard/internal/sim"
 )
 
@@ -56,11 +55,11 @@ type entry struct {
 	anomaly bool
 }
 
-// script is a run's disturbances. Entries at the same offset apply in
-// script order.
+// script is a run's disturbances, listed in any order (see run).
 type script []entry
 
-// span appends the fault e and, at until, the entry that undoes it.
+// span appends the fault e (a pause, degrade, impair or cut) and, at
+// until, the entry that undoes it.
 func (s script) span(e entry, until time.Duration) script {
 	undo := e
 	undo.at, undo.op = until, e.op+1
@@ -167,10 +166,7 @@ func (r *run) apply(e entry) error {
 			}
 		}
 	case opLeave:
-		node, ok := c.names[e.node]
-		if !ok {
-			return fmt.Errorf("experiment: leave %s: no such member", e.node)
-		}
+		node := c.names[e.node]
 		dep = departure{at: dep.at, inc: node.Incarnation()}
 		node.Leave()
 	case opStop:
@@ -187,19 +183,12 @@ func (r *run) apply(e entry) error {
 			return fmt.Errorf("experiment: join %s: %w", e.node, err)
 		}
 	}
-	switch e.op {
-	case opResume, opRestore, opClear, opHeal, opJoin:
-	default:
-		r.faulted[e.node] = true
+	if e.op != opJoin {
+		r.faulted[e.node] = true // an undo names the member its fault named
 	}
 	departs := e.op == opCrash || e.op == opLeave || e.op == opStop || e.op == opPause && e.anomaly
 	if _, left := r.gone[e.node]; departs && !left {
 		r.gone[e.node] = dep
 	}
 	return nil
-}
-
-// score judges the run's dead events against what its entries stated.
-func (r *run) score(events []metrics.Event) deaths {
-	return scoreDeaths(events, r.start, r.gone, r.faulted)
 }

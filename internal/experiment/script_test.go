@@ -35,12 +35,12 @@ func describe(r *run) string {
 }
 
 // TestScriptDeparturesMatchDrivers runs each of the eight scenario
-// drivers at a small size and compares the departures its script
-// derived with the map the driver stated by hand before scripts
-// existed. Two rules changed on purpose: an anomaly-set pause is scored
-// for detection in every scenario (interval and stress never read
+// drivers at a small size and pins the departures its script derived.
+// The pinned maps are the ones each driver used to state by hand, with
+// two deliberate rule changes: an anomaly-set pause is scored for
+// detection in every scenario (interval and stress never read
 // detections), and a churn leave departs at the incarnation it held,
-// as a rolling-restart leave always did.
+// as a rolling-restart leave does.
 func TestScriptDeparturesMatchDrivers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("eight scenario runs")
@@ -156,7 +156,7 @@ func TestScriptDeterministic(t *testing.T) {
 			faulted = append(faulted, name)
 		}
 		slices.Sort(faulted)
-		return describe(r), r.score(events), c.Net.TotalStats(), eventDigest(events)
+		return describe(r), scoreDeaths(events, r.start, r.gone, r.faulted), c.Net.TotalStats(), eventDigest(events)
 	}
 	gone1, score1, stats1, digest1 := play()
 	gone2, score2, stats2, digest2 := play()

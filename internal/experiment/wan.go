@@ -167,7 +167,7 @@ func RunWAN(cc ClusterConfig, p WANParams) (Record, error) {
 		}
 	}
 
-	score := r.score(c.Events.Events())
+	score := scoreDeaths(c.Events.Events(), r.start, r.gone, r.faulted)
 	m["fp"], m["fp_healthy"] = float64(score.FP), float64(score.FPHealthy)
 
 	// Per-zone breakdown: first detection of each failed member
