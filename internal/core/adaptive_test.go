@@ -201,61 +201,3 @@ func TestAdaptiveRoundClosesEarly(t *testing.T) {
 		}
 	}
 }
-
-// TestLateDirectAckStillFeedsCoordinates is the regression test for the
-// escalation-marking fix: when a round's timeout fires but no indirect
-// probe or fallback ping actually leaves (no eligible relay, TCP
-// fallback off), a direct ack arriving before the round's deadline is
-// still a clean direct-path measurement and must reach the Vivaldi
-// engine. Without it, an underestimated adaptive timeout could never
-// correct itself.
-func TestLateDirectAckStillFeedsCoordinates(t *testing.T) {
-	h := newHarness(t, func(cfg *Config) {
-		cfg.TopologyAware = true
-		cfg.TCPFallback = false
-	})
-	h.addMember("peer-1", 1) // the only peer: no relay candidates
-	h.autoAck = false
-	warmPeer(h, "peer-1", time.Millisecond)
-	updatesBefore := h.sink.Get("coord_updates")
-	if updatesBefore == 0 {
-		t.Fatal("warm-up fed no observations")
-	}
-	// Adaptive timeout is now the 20 ms floor, the round deadline 60 ms.
-	if got := h.node.EffectiveProbeTimeout("peer-1"); got != adaptiveTimeoutFloor {
-		t.Fatalf("effective timeout = %v, want floor", got)
-	}
-
-	// Answer the next ping at 40 ms: after the 20 ms timeout fired,
-	// before the 60 ms round deadline.
-	answered := false
-	for i := 0; i < 200 && !answered; i++ {
-		h.run(10 * time.Millisecond)
-		for _, s := range h.sentOfType(wire.TypePing) {
-			ping := s.msg.(*wire.Ping)
-			if ping.Target != "peer-1" {
-				continue
-			}
-			seq := ping.SeqNo
-			peerCoord := h.node.Coordinate()
-			peerCoord.Error = 0.1
-			h.sched.Schedule(40*time.Millisecond, func() {
-				h.inject("peer-1", &wire.Ack{SeqNo: seq, Source: "peer-1", Coord: peerCoord})
-			})
-			answered = true
-		}
-		h.clearSent()
-	}
-	if !answered {
-		t.Fatal("no probe round to answer")
-	}
-	h.run(100 * time.Millisecond)
-
-	if got := h.sink.Get("coord_updates"); got != updatesBefore+1 {
-		t.Errorf("late direct ack fed %d observations, want 1 (total %d, was %d)",
-			got-updatesBefore, got, updatesBefore)
-	}
-	if state := h.state("peer-1").State; state != StateAlive {
-		t.Errorf("peer-1 is %v after in-deadline ack, want alive", state)
-	}
-}

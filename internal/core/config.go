@@ -20,8 +20,9 @@ type Config struct {
 	// Name is the member's unique name within the group.
 	Name string
 
-	// Addr is the member's transport address. Defaults to Name, which is
-	// what the simulator uses.
+	// Addr is the member's transport address. Defaults to the
+	// Transport's LocalAddr, which is the member's Name under the
+	// simulator.
 	Addr string
 
 	// Meta is opaque application metadata announced with the member (at
@@ -63,39 +64,6 @@ type Config struct {
 	// in the paper). LHA-Probe scales it by (LHM+1).
 	ProbeTimeout time.Duration
 
-	// IndirectChecks is k, the number of members enlisted for indirect
-	// probes (3 in SWIM and the paper).
-	IndirectChecks int
-
-	// TCPFallback enables memberlist's reliable-channel direct probe
-	// issued alongside the indirect probes (§III-B).
-	TCPFallback bool
-
-	// RetransmitMult is λ, the gossip retransmission multiplier (the
-	// per-update budget is λ·⌈log10(n+1)⌉). memberlist's default is 4.
-	RetransmitMult int
-
-	// GossipInterval is the dedicated gossip tick (200 ms in
-	// memberlist).
-	GossipInterval time.Duration
-
-	// GossipNodes is the gossip fanout per tick (3 in memberlist).
-	GossipNodes int
-
-	// GossipToTheDead is how long after death a member still receives
-	// gossip, aiding recovery (30 s in memberlist).
-	GossipToTheDead time.Duration
-
-	// PushPullInterval is the anti-entropy full state sync period (30 s
-	// in memberlist). Zero disables push-pull.
-	PushPullInterval time.Duration
-
-	// ReconnectInterval is how often the member attempts a push-pull
-	// with a random dead (not left) member, the Serf-layer reconnect
-	// that lets fully partitioned sub-groups re-merge once connectivity
-	// returns (§II; Serf's default is 30 s). Zero disables reconnects.
-	ReconnectInterval time.Duration
-
 	// SuspicionAlpha is α in Min = α·log10(n)·ProbeInterval (paper
 	// §V-C). The SWIM baseline uses α = 5 with β = 1.
 	SuspicionAlpha float64
@@ -111,10 +79,6 @@ type Config struct {
 	// MaxLHM is S, the Local Health Multiplier saturation limit (8 in
 	// the paper).
 	MaxLHM int
-
-	// NackTimeoutFraction is the fraction of the probe timeout after
-	// which an indirect-probe relay sends a nack (0.8 in the paper).
-	NackTimeoutFraction float64
 
 	// LHAProbe enables Local Health Aware Probe (§IV-A): the LHM
 	// counter, nack requests, and dynamic probe interval/timeout.
@@ -148,7 +112,7 @@ type Config struct {
 	//     full-period close. The LHA-Probe multiplier composes on top.
 	//   - Indirect-probe relays are biased toward members with the lowest
 	//     estimated RTT to the target, after a guaranteed random-diversity
-	//     slice of a third of IndirectChecks (at least one slot) so
+	//     slice of a third of the indirect checks (at least one slot) so
 	//     selection never collapses onto one zone.
 	//   - Once warm, the gossip tick's fanout is biased toward members
 	//     with a low estimated RTT from the local coordinate, reserving
@@ -157,9 +121,6 @@ type Config struct {
 	// Requires coordinates; off by default.
 	TopologyAware bool
 
-	// MTU is the maximum packet size for piggyback packing.
-	MTU int
-
 	// Blocked, when non-nil, reports whether the member's protocol
 	// loops are currently stalled by an injected anomaly. The probe,
 	// gossip and push-pull loops consult it and defer their work to the
@@ -167,6 +128,35 @@ type Config struct {
 	// Production deployments leave it nil.
 	Blocked func() bool
 }
+
+// memberlist's defaults, which the paper runs unchanged (§V-C varies
+// only α, β, K, S and the Lifeguard components). Nothing sets a second
+// value for any of them, so they are constants rather than Config
+// fields (docs/ARCHITECTURE.md, Contracts). Packets are packed up to
+// wire.MTU, and the reliable-channel direct probe of §III-B always goes
+// out alongside the indirect ones.
+const (
+	// k, the number of members enlisted for indirect probes.
+	indirectChecks = 3
+	// λ, the gossip retransmission multiplier: each update's budget is
+	// λ·⌈log10(n+1)⌉ transmissions.
+	retransmitMult = 4
+	// The dedicated gossip tick and its fanout.
+	gossipInterval = 200 * time.Millisecond
+	gossipNodes    = 3
+	// How long after its death a member still receives gossip, so a
+	// falsely declared member hears of it and can refute.
+	gossipToTheDead = 30 * time.Second
+	// The anti-entropy full state sync period.
+	pushPullInterval = 30 * time.Second
+	// How often a member attempts a push-pull with a random dead (not
+	// left) member: the Serf-layer reconnect that lets partitioned
+	// sub-groups re-merge once connectivity returns (§II).
+	reconnectInterval = 30 * time.Second
+	// Fraction of the probe timeout after which an indirect-probe relay
+	// sends a nack.
+	nackTimeoutFraction = 0.8
+)
 
 // Tuning of the coordinate-driven extensions. Nothing sets a second
 // value for any of them, so they are constants rather than Config
@@ -197,26 +187,16 @@ const (
 // S = 8.
 func DefaultConfig(name string) *Config {
 	return &Config{
-		Name:                name,
-		ProbeInterval:       time.Second,
-		ProbeTimeout:        500 * time.Millisecond,
-		IndirectChecks:      3,
-		TCPFallback:         true,
-		RetransmitMult:      4,
-		GossipInterval:      200 * time.Millisecond,
-		GossipNodes:         3,
-		GossipToTheDead:     30 * time.Second,
-		PushPullInterval:    30 * time.Second,
-		ReconnectInterval:   30 * time.Second,
-		SuspicionAlpha:      5,
-		SuspicionBeta:       6,
-		SuspicionK:          3,
-		MaxLHM:              8,
-		NackTimeoutFraction: 0.8,
-		LHAProbe:            true,
-		LHASuspicion:        true,
-		BuddySystem:         true,
-		MTU:                 1400,
+		Name:           name,
+		ProbeInterval:  time.Second,
+		ProbeTimeout:   500 * time.Millisecond,
+		SuspicionAlpha: 5,
+		SuspicionBeta:  6,
+		SuspicionK:     3,
+		MaxLHM:         8,
+		LHAProbe:       true,
+		LHASuspicion:   true,
+		BuddySystem:    true,
 	}
 }
 
@@ -258,15 +238,6 @@ func (c *Config) validate() error {
 	if c.ProbeTimeout > c.ProbeInterval {
 		return fmt.Errorf("core: probe timeout (%v) exceeds probe interval (%v)", c.ProbeTimeout, c.ProbeInterval)
 	}
-	if c.IndirectChecks < 0 {
-		return errors.New("core: IndirectChecks must be non-negative")
-	}
-	if c.RetransmitMult < 1 {
-		return errors.New("core: RetransmitMult must be at least 1")
-	}
-	if c.GossipInterval <= 0 || c.GossipNodes < 0 {
-		return errors.New("core: gossip interval must be positive and fanout non-negative")
-	}
 	if c.SuspicionAlpha <= 0 {
 		return errors.New("core: SuspicionAlpha must be positive")
 	}
@@ -279,14 +250,8 @@ func (c *Config) validate() error {
 	if c.MaxLHM < 1 {
 		return errors.New("core: MaxLHM must be at least 1")
 	}
-	if c.NackTimeoutFraction <= 0 || c.NackTimeoutFraction >= 1 {
-		return errors.New("core: NackTimeoutFraction must be in (0, 1)")
-	}
 	if c.TopologyAware && c.DisableCoordinates {
 		return errors.New("core: TopologyAware requires coordinates")
-	}
-	if c.MTU < 128 {
-		return errors.New("core: MTU must be at least 128 bytes")
 	}
 	if len(c.Meta) > wire.MaxMetaLen {
 		return fmt.Errorf("core: Meta is %d bytes, limit %d", len(c.Meta), wire.MaxMetaLen)

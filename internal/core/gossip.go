@@ -58,7 +58,7 @@ func (n *Node) sendWithPiggybackLocked(addr string, primary wire.Message, buddy 
 		used += p.Add(&n.scratchSuspect) + wire.CompoundOverhead
 	}
 
-	if budget := n.cfg.MTU - used; budget > 0 {
+	if budget := wire.MTU - used; budget > 0 {
 		n.queue.GetBroadcastsInto(wire.CompoundOverhead, budget, p.AddRaw)
 	}
 	// Sends are fire-and-forget at this layer; the failure detector is
@@ -67,7 +67,7 @@ func (n *Node) sendWithPiggybackLocked(addr string, primary wire.Message, buddy 
 }
 
 // gossipTargetsLocked picks this tick's gossip fanout. The default is
-// GossipNodes uniform random picks; with TopologyAware on and
+// gossipNodes uniform random picks; with TopologyAware on and
 // coordinates warm, the fanout splits into a near slice — the lowest
 // estimated RTT from the local coordinate, ranked within a uniformly
 // drawn candidate pool a few times the fanout, so no per-tick O(n)
@@ -86,13 +86,13 @@ func (n *Node) gossipTargetsLocked() []*memberState {
 		case StateDead:
 			// Gossip to the recently dead so a falsely-declared member
 			// hears about it and can refute (§III-B).
-			return now.Sub(m.StateChange) <= n.cfg.GossipToTheDead
+			return now.Sub(m.StateChange) <= gossipToTheDead
 		default:
 			return false
 		}
 	}
-	k := n.cfg.GossipNodes
-	if !n.cfg.TopologyAware || k <= 0 || !n.coordWarmLocked() {
+	const k = gossipNodes
+	if !n.cfg.TopologyAware || !n.coordWarmLocked() {
 		n.gossipTargets = n.selectRandomIntoLocked(n.gossipTargets[:0], k, match)
 		return n.gossipTargets
 	}
@@ -138,13 +138,13 @@ func (n *Node) gossipTargetsLocked() []*memberState {
 // gossip layer separate from the failure detector, so dissemination rate
 // can exceed probe rate).
 func (n *Node) scheduleGossipLocked() {
-	if n.shutdown || n.cfg.GossipInterval <= 0 {
+	if n.shutdown {
 		return
 	}
 	if n.gossipTimer == nil { // at the call site: see scheduleProbeLocked
-		n.gossipTimer = n.cfg.Clock.AfterFunc(n.cfg.GossipInterval, n.gossipTick)
+		n.gossipTimer = n.cfg.Clock.AfterFunc(gossipInterval, n.gossipTick)
 	} else {
-		n.gossipTimer.Reset(n.cfg.GossipInterval)
+		n.gossipTimer.Reset(gossipInterval)
 	}
 }
 
@@ -193,12 +193,12 @@ func (n *Node) gossipLocked() {
 	defer p.Release()
 	for i := 0; i < len(targets); {
 		p.Reset()
-		n.queue.GetBroadcastsInto(wire.CompoundOverhead, n.cfg.MTU, p.AddRaw)
+		n.queue.GetBroadcastsInto(wire.CompoundOverhead, wire.MTU, p.AddRaw)
 		if p.Count() == 0 {
 			return
 		}
 		j := i + 1
-		for j < len(targets) && n.queue.RepeatBroadcastsInto(wire.CompoundOverhead, n.cfg.MTU) {
+		for j < len(targets) && n.queue.RepeatBroadcastsInto(wire.CompoundOverhead, wire.MTU) {
 			j++
 		}
 		n.sendFanoutLocked(targets[i:j], p, false)

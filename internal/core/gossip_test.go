@@ -30,14 +30,14 @@ func TestGossipTickFlushesQueue(t *testing.T) {
 }
 
 func TestGossipFanout(t *testing.T) {
-	h := newHarness(t, func(cfg *Config) { cfg.GossipNodes = 2 })
+	h := newHarness(t, nil)
 	for i := 0; i < 8; i++ {
 		h.addMember(nodeName(i), 1)
 	}
 	h.clearSent()
 	h.inject("x", &wire.Alive{Incarnation: 5, Node: nodeName(0), Addr: nodeName(0)})
 
-	// One tick: at most GossipNodes pure-gossip packets (plus any probe
+	// One tick: at most gossipNodes pure-gossip packets (plus any probe
 	// traffic, which carries a ping).
 	h.run(210 * time.Millisecond)
 	gossipPkts := 0
@@ -54,8 +54,8 @@ func TestGossipFanout(t *testing.T) {
 			gossipPkts++
 		}
 	}
-	if gossipPkts > 2 {
-		t.Errorf("%d pure gossip packets in one tick, want <= fanout 2", gossipPkts)
+	if gossipPkts > gossipNodes {
+		t.Errorf("%d pure gossip packets in one tick, want <= fanout %d", gossipPkts, gossipNodes)
 	}
 }
 
@@ -168,9 +168,8 @@ func TestLatencyAwareGossipSplitsNearAndEscape(t *testing.T) {
 	targets := h.node.gossipTargetsLocked()
 	h.node.mu.Unlock()
 
-	k := h.node.Config().GossipNodes
-	if len(targets) != k {
-		t.Fatalf("picked %d gossip targets, want %d", len(targets), k)
+	if len(targets) != gossipNodes {
+		t.Fatalf("picked %d gossip targets, want %d", len(targets), gossipNodes)
 	}
 	seen := map[string]bool{}
 	for _, m := range targets {
@@ -202,8 +201,8 @@ func TestLatencyAwareGossipColdStaysUniform(t *testing.T) {
 	h.node.mu.Lock()
 	targets := h.node.gossipTargetsLocked()
 	h.node.mu.Unlock()
-	if len(targets) != h.node.Config().GossipNodes {
-		t.Fatalf("picked %d gossip targets, want %d", len(targets), h.node.Config().GossipNodes)
+	if len(targets) != gossipNodes {
+		t.Fatalf("picked %d gossip targets, want %d", len(targets), gossipNodes)
 	}
 	if h.sink.Get("gossip_near_picks") != 0 || h.sink.Get("gossip_escape_picks") != 0 {
 		t.Error("cold engine used latency-aware selection")

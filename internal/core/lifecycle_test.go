@@ -256,16 +256,3 @@ func TestReconnectAttemptsDeadMembers(t *testing.T) {
 		t.Fatal("no reconnect attempt to the dead member")
 	}
 }
-
-func TestReconnectDisabled(t *testing.T) {
-	h := newHarness(t, func(cfg *Config) { cfg.ReconnectInterval = 0 })
-	h.addMember("m1", 1)
-	h.inject("x", &wire.Dead{Incarnation: 1, Node: "m1", From: "x"})
-	h.clearSent()
-	h.run(2 * time.Minute)
-	for _, p := range h.sentOfType(wire.TypePushPullReq) {
-		if p.pkt.to == "m1" {
-			t.Fatal("reconnect attempted despite ReconnectInterval=0")
-		}
-	}
-}

@@ -176,7 +176,7 @@ func New(cfg *Config) (*Node, error) {
 		}
 		n.coordClient = client
 	}
-	n.queue = broadcast.NewQueue(n.estNumNodes, c.RetransmitMult)
+	n.queue = broadcast.NewQueue(n.estNumNodes, retransmitMult)
 	return n, nil
 }
 

@@ -33,7 +33,7 @@ type ackHandler struct {
 	nacksExpected int
 
 	// nackFrom dedupes relay nacks by relay name. At most
-	// IndirectChecks relays answer, so a linear scan over a slice
+	// indirectChecks relays answer, so a linear scan over a slice
 	// replaces the per-round map allocation.
 	nackFrom []string
 
@@ -453,15 +453,11 @@ func (n *Node) probeTimeoutExpiredLocked(seq uint32) {
 		return
 	}
 	// Indirect probes through k members (uniform random, or
-	// coordinate-aware under TopologyAware).
+	// coordinate-aware under TopologyAware), and the reliable-channel
+	// fallback ping below: from here on an ack's timing no longer
+	// measures the direct path.
 	relays := n.selectRelaysLocked(target)
-	// Only an actually-escalated round pollutes ack timing: if no
-	// indirect probe or fallback ping leaves (no eligible relay and no
-	// reliable channel), a late direct ack still measures the direct
-	// path. That matters under adaptive timeouts, where an
-	// underestimated RTT fires the timeout before the ack — without
-	// the sample the estimate could never correct itself.
-	h.indirect = len(relays) > 0 || n.cfg.TCPFallback
+	h.indirect = true
 	wantNack := n.cfg.LHAProbe
 	for _, r := range relays {
 		ind := &wire.IndirectPing{
@@ -480,10 +476,8 @@ func (n *Node) probeTimeoutExpiredLocked(seq uint32) {
 	// carries the coordinate like every other ping: under degraded UDP
 	// the fallback may be the only path our coordinate reaches the
 	// target on.
-	if n.cfg.TCPFallback {
-		n.scratchPing = wire.Ping{SeqNo: seq, Target: target.Name, Source: n.cfg.Name, Coord: n.coordPayloadLocked()}
-		n.sendWithPiggybackLocked(target.Addr, &n.scratchPing, target, true)
-	}
+	n.scratchPing = wire.Ping{SeqNo: seq, Target: target.Name, Source: n.cfg.Name, Coord: n.coordPayloadLocked()}
+	n.sendWithPiggybackLocked(target.Addr, &n.scratchPing, target, true)
 }
 
 // probePeriodExpired is the period timer's callback on the round h
@@ -616,7 +610,7 @@ func (n *Node) handleIndirectPingLocked(from string, ind *wire.IndirectPing) {
 	n.relays[seq] = r
 
 	if ind.WantNack {
-		nackAfter := time.Duration(float64(n.scaledProbeTimeout()) * n.cfg.NackTimeoutFraction)
+		nackAfter := time.Duration(float64(n.scaledProbeTimeout()) * nackTimeoutFraction)
 		r.nackTimer = n.cfg.Clock.AfterFunc(nackAfter, func() { n.relayNackExpired(seq) })
 	}
 	// Forget the relay once the originator's round is long over.
@@ -753,7 +747,7 @@ func (n *Node) handleNackLocked(_ string, nk *wire.Nack) {
 }
 
 // selectRelaysLocked picks the relays for an indirect probe against
-// target. The default is IndirectChecks uniform random picks; with
+// target. The default is indirectChecks uniform random picks; with
 // TopologyAware on, a guaranteed random-diversity slice is
 // drawn first (so selection never collapses onto one zone) and the
 // remaining slots go to the candidates whose estimated RTT to the
@@ -765,11 +759,11 @@ func (n *Node) handleNackLocked(_ string, nk *wire.Nack) {
 // without cached coordinates can only enter through the random slices,
 // and a fully cold cache degrades to the uniform behavior.
 func (n *Node) selectRelaysLocked(target *memberState) []*memberState {
-	k := n.cfg.IndirectChecks
+	const k = indirectChecks
 	match := func(m *memberState) bool {
 		return m.State == StateAlive && m != n.self && m != target
 	}
-	if !n.cfg.TopologyAware || k <= 0 {
+	if !n.cfg.TopologyAware {
 		return n.selectRandomLocked(k, match)
 	}
 
@@ -787,7 +781,7 @@ func (n *Node) selectRelaysLocked(target *memberState) []*memberState {
 	// estimated RTT to the target. Pool draw and ranking are both
 	// deterministic, preserving same-seed reproducibility. The diverse
 	// slice is excluded by a linear scan — it holds at most k records.
-	pool := n.selectRandomLocked(relayPoolSize(k), func(m *memberState) bool {
+	pool := n.selectRandomLocked(relayPoolSize, func(m *memberState) bool {
 		if !match(m) {
 			return false
 		}
@@ -844,13 +838,7 @@ func (n *Node) appendNearestLocked(dst, pool []*memberState, ref string, k int) 
 // relayPoolSize bounds the candidate pool ranked per escalation: wide
 // enough that the nearest members are almost surely represented, small
 // enough that sorting it is negligible.
-func relayPoolSize(k int) int {
-	const min = 24
-	if 8*k > min {
-		return 8 * k
-	}
-	return min
-}
+const relayPoolSize = 8 * indirectChecks
 
 // selectRandomLocked returns up to k distinct members matching the
 // filter, chosen uniformly at random by a partial Fisher–Yates walk over

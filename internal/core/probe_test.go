@@ -595,8 +595,8 @@ func TestCoordinateRelaySelectionPrefersNearTarget(t *testing.T) {
 	relays := h.node.selectRelaysLocked(h.node.members["target"])
 	h.node.mu.Unlock()
 
-	if len(relays) != h.node.Config().IndirectChecks {
-		t.Fatalf("selected %d relays, want %d", len(relays), h.node.Config().IndirectChecks)
+	if len(relays) != indirectChecks {
+		t.Fatalf("selected %d relays, want %d", len(relays), indirectChecks)
 	}
 	got := map[string]bool{}
 	for _, r := range relays {
@@ -629,8 +629,8 @@ func TestCoordinateRelaySelectionColdDegradesToUniform(t *testing.T) {
 	h.node.mu.Lock()
 	relays := h.node.selectRelaysLocked(h.node.members["target"])
 	h.node.mu.Unlock()
-	if len(relays) != h.node.Config().IndirectChecks {
-		t.Fatalf("selected %d relays, want %d", len(relays), h.node.Config().IndirectChecks)
+	if len(relays) != indirectChecks {
+		t.Fatalf("selected %d relays, want %d", len(relays), indirectChecks)
 	}
 	if h.sink.Get("relay_near_picks") != 0 {
 		t.Error("cold cache produced near picks")

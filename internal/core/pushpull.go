@@ -92,18 +92,20 @@ func (n *Node) sendStatesLocked(addr string, msg wire.Message, states []wire.Pus
 	return n.sendPackedLocked(addr, p, true)
 }
 
+// jitterLocked draws a period uniformly from d ± d/8, so the syncs and
+// reconnects of a simultaneously started cluster do not run in lock
+// step.
+func (n *Node) jitterLocked(d time.Duration) time.Duration {
+	jitter := d / 8
+	return d - jitter + time.Duration(n.cfg.RNG.Int63n(int64(2*jitter)))
+}
+
 // schedulePushPullLocked arms the next anti-entropy exchange.
 func (n *Node) schedulePushPullLocked() {
-	if n.shutdown || n.cfg.PushPullInterval <= 0 {
+	if n.shutdown {
 		return
 	}
-	// Jitter the first and subsequent syncs so a simultaneously-started
-	// cluster does not synchronize in lock step.
-	d := n.cfg.PushPullInterval
-	jitter := d / 8
-	if jitter > 0 {
-		d = d - jitter + time.Duration(n.cfg.RNG.Int63n(int64(2*jitter)))
-	}
+	d := n.jitterLocked(pushPullInterval)
 	if n.pushPullTimer == nil { // at the call site: see scheduleProbeLocked
 		n.pushPullTimer = n.cfg.Clock.AfterFunc(d, n.pushPullTick)
 	} else {
@@ -189,14 +191,10 @@ func (n *Node) handlePushPullRespLocked(resp *wire.PushPullResp) {
 // scheduleReconnectLocked arms the next reconnect attempt (the Serf
 // layer's partition-healing behaviour).
 func (n *Node) scheduleReconnectLocked() {
-	if n.shutdown || n.cfg.ReconnectInterval <= 0 {
+	if n.shutdown {
 		return
 	}
-	d := n.cfg.ReconnectInterval
-	jitter := d / 8
-	if jitter > 0 {
-		d = d - jitter + time.Duration(n.cfg.RNG.Int63n(int64(2*jitter)))
-	}
+	d := n.jitterLocked(reconnectInterval)
 	if n.reconnectTimer == nil { // at the call site: see scheduleProbeLocked
 		n.reconnectTimer = n.cfg.Clock.AfterFunc(d, n.reconnectTick)
 	} else {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -232,16 +233,6 @@ func TestPushPullTickExchangesState(t *testing.T) {
 	}
 }
 
-func TestPushPullDisabled(t *testing.T) {
-	h := newHarness(t, func(cfg *Config) { cfg.PushPullInterval = 0 })
-	h.addMember("m1", 1)
-	h.clearSent()
-	h.run(2 * time.Minute)
-	if got := len(h.sentOfType(wire.TypePushPullReq)); got != 0 {
-		t.Errorf("%d push-pulls despite PushPullInterval=0", got)
-	}
-}
-
 func TestPushPullStatesIncludeDead(t *testing.T) {
 	// Dead-member retention: the table carries dead entries so failure
 	// knowledge survives partitions (§III-B).
@@ -265,18 +256,26 @@ func TestPushPullStatesIncludeDead(t *testing.T) {
 	}
 }
 
+// TestGossipPiggybackRespectsMTU queues more broadcasts than one packet
+// holds, so the wire.MTU budget binds on every gossip and piggyback
+// packet, and checks that none exceeds it.
 func TestGossipPiggybackRespectsMTU(t *testing.T) {
-	h := newHarness(t, func(cfg *Config) { cfg.MTU = 256 })
-	for i := 0; i < 40; i++ {
-		h.addMember(nodeName(i), 1)
+	h := newHarness(t, nil)
+	for i := 0; i < 100; i++ {
+		name := nodeName(i)
+		h.inject(name, &wire.Alive{Incarnation: 1, Node: name, Addr: fmt.Sprintf("10.0.%d.%d:7946", i/10, i%10)})
 	}
 	h.clearSent()
 	h.run(5 * time.Second)
+	largest := 0
 	for _, pkt := range h.sent {
-		total := len(wire.EncodePacket(pkt.msgs))
-		if total > 256 {
-			t.Fatalf("packet of %d bytes exceeds MTU 256", total)
-		}
+		largest = max(largest, len(wire.EncodePacket(pkt.msgs)))
+	}
+	if largest > wire.MTU {
+		t.Fatalf("packet of %d bytes exceeds MTU %d", largest, wire.MTU)
+	}
+	if largest < wire.MTU*3/4 {
+		t.Fatalf("largest packet is %d bytes: the MTU budget never bound", largest)
 	}
 }
 
@@ -285,10 +284,7 @@ func nodeName(i int) string {
 }
 
 func TestGossipToTheRecentlyDead(t *testing.T) {
-	h := newHarness(t, func(cfg *Config) {
-		cfg.GossipNodes = 1
-		cfg.GossipToTheDead = 30 * time.Second
-	})
+	h := newHarness(t, nil)
 	h.addMember("m1", 1)
 	h.inject("x", &wire.Dead{Incarnation: 1, Node: "m1", From: "x"})
 	h.clearSent()

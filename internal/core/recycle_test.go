@@ -42,7 +42,7 @@ type simPair struct {
 	sink  *metrics.MemSink
 }
 
-func newSimPair(t *testing.T, configure func(*Config)) *simPair {
+func newSimPair(t *testing.T) *simPair {
 	t.Helper()
 	sched := sim.NewScheduler(time.Unix(0, 0))
 	network := sim.NewNetwork(sched, sim.Options{Seed: 1})
@@ -52,9 +52,6 @@ func newSimPair(t *testing.T, configure func(*Config)) *simPair {
 		cfg.Clock = network.NodeClock(name)
 		cfg.RNG = rand.New(rand.NewSource(int64(i) + 1))
 		cfg.Metrics = p.sink
-		if configure != nil {
-			configure(cfg)
-		}
 		var node *Node
 		port, err := network.Attach(name, func(from string, payload []byte) { node.HandlePacket(from, payload) })
 		if err != nil {
@@ -84,13 +81,16 @@ func TestProbeRoundAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation pin: sync.Pool drops items under -race")
 	}
-	p := newSimPair(t, func(cfg *Config) {
-		// Anti-entropy is TestPushPullMergeAllocs's subject; a push-pull
-		// request still builds its message.
-		cfg.PushPullInterval = 0
-		cfg.ReconnectInterval = 0
-	})
+	p := newSimPair(t)
 	p.sched.RunFor(30 * time.Second)
+	// Anti-entropy is TestPushPullMergeAllocs's subject; a push-pull
+	// request still builds its message.
+	for _, n := range p.nodes {
+		n.mu.Lock()
+		stopTimer(n.pushPullTimer)
+		stopTimer(n.reconnectTimer)
+		n.mu.Unlock()
+	}
 
 	const periods = 20
 	probes := p.sink.Get(metrics.CounterProbes)
@@ -409,8 +409,6 @@ func TestAckRecycleRealClock(t *testing.T) {
 		cfg.Clock = timeutil.RealClock{}
 		cfg.RNG = rand.New(rand.NewSource(int64(i) + 1))
 		cfg.ProbeInterval, cfg.ProbeTimeout = interval, interval
-		cfg.GossipInterval = time.Millisecond
-		cfg.PushPullInterval = 20 * time.Millisecond
 		// Late acks fail rounds and raise suspicions, which the peer
 		// refutes; neither awareness back-off nor a death may end the
 		// probing before the second is up.

@@ -123,8 +123,6 @@ func TestConcurrentRealClockCluster(t *testing.T) {
 		cfg.RNG = rand.New(rand.NewSource(int64(len(nodes) + 1)))
 		cfg.ProbeInterval = 20 * time.Millisecond
 		cfg.ProbeTimeout = 10 * time.Millisecond
-		cfg.GossipInterval = 5 * time.Millisecond
-		cfg.PushPullInterval = 50 * time.Millisecond
 		node, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -183,6 +183,39 @@ func TestScriptDeterministic(t *testing.T) {
 	}
 }
 
+// TestScriptShutdownLeavesNoTimers plays the mixed script — anomaly
+// pauses, a degrade, a crash, a leave, stops, and joins under a new and
+// a reused name — then shuts the cluster down: once the packets still
+// in flight are delivered, the scheduler holds nothing. Every timer a
+// member armed, on every path the script took it down, is stopped by
+// Shutdown or RemoveNode.
+func TestScriptShutdownLeavesNoTimers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scripted run")
+	}
+	c, err := NewCluster(ClusterConfig{N: 16, Seed: 5, Protocol: ConfigLifeguard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start(Quiesce); err != nil {
+		t.Fatal(err)
+	}
+	r := c.play(mixedScript())
+	if err := r.runTo(40 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if c.Sched.Len() == 0 {
+		t.Fatal("no events pending before shutdown")
+	}
+	c.Shutdown()
+	// Long enough to deliver what is on the wire, shorter than the
+	// gossip tick: a tick timer left running is still pending.
+	c.Sched.RunFor(100 * time.Millisecond)
+	if n := c.Sched.Len(); n != 0 {
+		t.Errorf("%d events pending after shutdown and the in-flight drain, want 0", n)
+	}
+}
+
 // TestScriptTieRule pins when entries apply: after every event at or
 // before their instant — events scheduled at that instant by events at
 // that instant included — and, at one instant, together in script

@@ -40,8 +40,11 @@ type Node = core.Node
 // Config parameterizes a Node. The zero value is not usable: start
 // from DefaultConfig (all Lifeguard components on) or SWIMConfig (the
 // paper's baseline) and override fields; durations are wall-clock
-// (virtual time under the simulator), and zero-valued tunables take
-// the documented per-field defaults at NewNode.
+// (virtual time under the simulator). NewNode fills in only Addr (the
+// transport's address), Clock (the real clock), RNG (time-seeded) and
+// Metrics (a no-op sink) when they are unset; every other value comes
+// from DefaultConfig or SWIMConfig, and a zero ProbeInterval,
+// SuspicionAlpha or MaxLHM is rejected, not defaulted.
 type Config = core.Config
 
 // Member is a snapshot of one member's entry in the membership view,

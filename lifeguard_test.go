@@ -40,8 +40,6 @@ func startUDPCluster(t *testing.T, n int, configure func(*lifeguard.Config)) []u
 		// timeout scales off these.
 		cfg.ProbeInterval = 100 * time.Millisecond
 		cfg.ProbeTimeout = 50 * time.Millisecond
-		cfg.GossipInterval = 20 * time.Millisecond
-		cfg.PushPullInterval = time.Second
 		if configure != nil {
 			configure(cfg)
 		}
