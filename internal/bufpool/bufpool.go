@@ -11,9 +11,19 @@
 // destination), and the buffer returns to the pool when the last
 // consumer releases it. Holders must treat B as read-only whenever more
 // than one reference is outstanding.
+//
+// Buffers are pooled by capacity class: the powers of two from 64 B to
+// 64 KiB, one pool each. A payload takes the smallest class that fits
+// it, and a released buffer only ever serves payloads of its own class:
+// a 40 B ack never rides in the 4 KiB array a push-pull table left
+// behind. A payload over 64 KiB gets an array of exactly its size,
+// which is not pooled. So a queued packet pins at most twice its size,
+// or 64 B. Outstanding counts the buffers handed out and not yet
+// returned.
 package bufpool
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -23,23 +33,65 @@ import (
 type Buf struct {
 	B []byte
 
-	// refs counts outstanding owners. Copy starts it at one; Acquire
+	// refs counts outstanding owners. Get starts it at one; Acquire
 	// and Release move it up and down, and the buffer returns to the
 	// pool when it hits zero. A released buffer's count stays at zero
-	// until the pool recycles it through Copy, so Acquire and Release
+	// until the pool recycles it through Get, so Acquire and Release
 	// on a stale reference are detected instead of aliasing the next
 	// packet's payload.
 	refs atomic.Int32
 }
 
-var pool = sync.Pool{New: func() any { return new(Buf) }}
+// The capacity classes are 1<<minShift … 1<<maxShift bytes.
+const (
+	minShift   = 6
+	maxShift   = 16
+	numClasses = maxShift - minShift + 1
+)
 
-// Copy returns a pooled buffer holding a copy of src, with one
-// reference owned by the caller.
-func Copy(src []byte) *Buf {
-	b := pool.Get().(*Buf)
-	b.B = append(b.B[:0], src...)
+var (
+	pools [numClasses]sync.Pool
+
+	// outstanding counts buffers handed out by Get whose last
+	// reference has not been released.
+	outstanding atomic.Int64
+)
+
+// class returns the index of the smallest class holding n bytes, or -1
+// when n is over the largest.
+func class(n int) int {
+	if n <= 1<<minShift {
+		return 0
+	}
+	if n > 1<<maxShift {
+		return -1
+	}
+	return bits.Len(uint(n-1)) - minShift
+}
+
+// Get returns an empty buffer with room for n bytes, with one reference
+// owned by the caller: a pooled buffer of the smallest class that fits,
+// or, over 64 KiB, a fresh one of capacity n that Release drops.
+func Get(n int) *Buf {
+	var b *Buf
+	if c := class(n); c < 0 {
+		b = &Buf{B: make([]byte, 0, n)}
+	} else if v := pools[c].Get(); v != nil {
+		b = v.(*Buf)
+		b.B = b.B[:0]
+	} else {
+		b = &Buf{B: make([]byte, 0, 1<<(c+minShift))}
+	}
 	b.refs.Store(1)
+	outstanding.Add(1)
+	return b
+}
+
+// Copy returns a buffer holding a copy of src, with one reference owned
+// by the caller.
+func Copy(src []byte) *Buf {
+	b := Get(len(src))
+	b.B = append(b.B, src...)
 	return b
 }
 
@@ -55,7 +107,9 @@ func (b *Buf) Acquire() *Buf {
 }
 
 // Release drops one reference; the last release returns the buffer to
-// the pool. The caller must not use B afterwards. Releasing more
+// the pool of its class, if its capacity is exactly a class (a holder
+// that appended past it, or an over-64 KiB buffer, is left to the
+// collector). The caller must not use B afterwards. Releasing more
 // references than were held panics rather than handing the same buffer
 // out twice.
 func (b *Buf) Release() {
@@ -64,9 +118,18 @@ func (b *Buf) Release() {
 		panic("bufpool: double Release")
 	}
 	if n == 0 {
-		pool.Put(b)
+		outstanding.Add(-1)
+		size := cap(b.B)
+		if c := class(size); c >= 0 && size == 1<<(c+minShift) {
+			pools[c].Put(b)
+		}
 	}
 }
 
 // Refs reports the current reference count, for tests.
 func (b *Buf) Refs() int { return int(b.refs.Load()) }
+
+// Outstanding reports how many buffers have been handed out and not
+// yet released by their last holder — zero, or its value before a run,
+// once every packet of the run has been consumed or dropped.
+func Outstanding() int64 { return outstanding.Load() }

@@ -84,18 +84,18 @@ type Client struct {
 	// origin is a zero-value coordinate used as the gravity anchor.
 	origin *Coordinate
 
-	// latencyFilters holds the per-peer RTT sample windows.
-	latencyFilters map[string][]float64
-
 	// adjustmentSamples is the circular raw-error window feeding the
 	// adjustment term.
 	adjustmentSamples []float64
 	adjustmentIndex   int
 
-	// peers caches the most recent coordinate heard from each peer
-	// (from pings received and acks observed), the basis for
-	// EstimateRTT to members this node has not probed itself.
-	peers map[string]*Coordinate
+	// peers holds one record per peer this node has a coordinate for
+	// (from pings received and acks observed): the cached coordinate,
+	// the basis for EstimateRTT to members this node has not probed
+	// itself, and the peer's RTT sample window. A record exists exactly
+	// while a coordinate is cached — Witness and Observe create it, only
+	// Forget drops it — so every peer-facing query sees one set.
+	peers map[string]*peer
 
 	// stats counters.
 	updates  uint64
@@ -111,6 +111,21 @@ type Client struct {
 	// unitScratch is reusable scratch for applyForce's unit vector, so
 	// the two spring steps per observation do not allocate.
 	unitScratch []float64
+}
+
+// peer is the engine's state for one peer. Its coordinate vector and
+// its RTT window share one float array of Dimensionality +
+// LatencyFilterSize elements, so a new peer costs two allocations (this
+// record and the array) and a known peer's observation none. A peer
+// only ever witnessed carries a window it never fills; that is
+// LatencyFilterSize floats, against the map entry and the allocation a
+// separate window map would cost the peers that are observed.
+type peer struct {
+	coord Coordinate
+
+	// window holds the peer's most recent RTT samples, in seconds,
+	// oldest first; its capacity is LatencyFilterSize.
+	window []float64
 }
 
 // rankedPeer is one candidate in a NearestPeerIndexes ranking.
@@ -155,8 +170,7 @@ func NewClient(cfg *Config) (*Client, error) {
 		cfg:               cfg,
 		coord:             NewCoordinate(cfg),
 		origin:            NewCoordinate(cfg),
-		latencyFilters:    make(map[string][]float64),
-		peers:             make(map[string]*Coordinate),
+		peers:             make(map[string]*peer),
 		adjustmentSamples: make([]float64, adjustmentWindow),
 		unitScratch:       make([]float64, cfg.Dimensionality),
 	}, nil
@@ -190,33 +204,45 @@ func (c *Client) SetCoordinate(coord *Coordinate) error {
 // receive side of a ping, which knows the sender's coordinate but not
 // the path RTT). Invalid coordinates are discarded; the return
 // reports whether the coordinate was cached.
-func (c *Client) Witness(peer string, coord *Coordinate) bool {
+func (c *Client) Witness(name string, coord *Coordinate) bool {
 	if coord == nil || c.checkCoordinate(coord) != nil {
 		c.rejected++
 		return false
 	}
-	c.storePeer(peer, coord)
+	c.peer(name).store(coord)
 	return true
 }
 
-// storePeer caches a (validated) peer coordinate, copying into the
-// existing cache entry when dimensions match so steady-state traffic
-// does not allocate a Coordinate per observation.
-func (c *Client) storePeer(peer string, coord *Coordinate) {
-	if cur, ok := c.peers[peer]; ok && len(cur.Vec) == len(coord.Vec) {
-		copy(cur.Vec, coord.Vec)
-		cur.Error = coord.Error
-		cur.Adjustment = coord.Adjustment
-		cur.Height = coord.Height
-		return
+// peer returns the named peer's record, creating an empty one. Callers
+// validate their input first, so a record is only created for a peer
+// whose coordinate is about to be stored.
+func (c *Client) peer(name string) *peer {
+	if p, ok := c.peers[name]; ok {
+		return p
 	}
-	c.peers[peer] = coord.Clone()
+	dim, size := c.cfg.Dimensionality, c.cfg.LatencyFilterSize
+	floats := make([]float64, dim+size)
+	p := &peer{
+		coord:  Coordinate{Vec: floats[:dim:dim]},
+		window: floats[dim:dim],
+	}
+	c.peers[name] = p
+	return p
+}
+
+// store copies a validated coordinate into the record, so steady-state
+// traffic does not allocate a Coordinate per observation.
+func (p *peer) store(coord *Coordinate) {
+	copy(p.coord.Vec, coord.Vec)
+	p.coord.Error = coord.Error
+	p.coord.Adjustment = coord.Adjustment
+	p.coord.Height = coord.Height
 }
 
 // Observe incorporates one probe observation: the peer's coordinate and
 // the measured round-trip time. Invalid inputs (malformed coordinate,
 // non-positive or absurd RTT) are rejected without mutating state.
-func (c *Client) Observe(peer string, other *Coordinate, rtt time.Duration) error {
+func (c *Client) Observe(name string, other *Coordinate, rtt time.Duration) error {
 	if other == nil {
 		return fmt.Errorf("coords: nil peer coordinate")
 	}
@@ -229,11 +255,12 @@ func (c *Client) Observe(peer string, other *Coordinate, rtt time.Duration) erro
 		return fmt.Errorf("coords: RTT %v outside acceptable range (0, %v]", rtt, c.cfg.MaxRTT)
 	}
 
-	rttSeconds := c.latencyFilter(peer, rtt.Seconds())
+	p := c.peer(name)
+	rttSeconds := c.latencyFilter(p, rtt.Seconds())
 	c.updateVivaldi(other, rttSeconds)
 	c.updateAdjustment(other, rttSeconds)
 	c.updateGravity()
-	c.storePeer(peer, other)
+	p.store(other)
 	c.updates++
 	return nil
 }
@@ -241,17 +268,16 @@ func (c *Client) Observe(peer string, other *Coordinate, rtt time.Duration) erro
 // Update is Observe returning a copy of the node's updated coordinate,
 // for callers that want the result in hand; the protocol core, which
 // reads the live coordinate under its own lock, calls Observe.
-func (c *Client) Update(peer string, other *Coordinate, rtt time.Duration) (*Coordinate, error) {
-	if err := c.Observe(peer, other, rtt); err != nil {
+func (c *Client) Update(name string, other *Coordinate, rtt time.Duration) (*Coordinate, error) {
+	if err := c.Observe(name, other, rtt); err != nil {
 		return nil, err
 	}
 	return c.coord.Clone(), nil
 }
 
 // Forget drops the per-peer state for a departed member.
-func (c *Client) Forget(peer string) {
-	delete(c.latencyFilters, peer)
-	delete(c.peers, peer)
+func (c *Client) Forget(name string) {
+	delete(c.peers, name)
 }
 
 // PeerNames returns the names of every peer with a cached coordinate,
@@ -268,9 +294,9 @@ func (c *Client) PeerNames() []string {
 
 // PeerCoordinate returns the cached coordinate last heard from the
 // peer, or nil when none is known.
-func (c *Client) PeerCoordinate(peer string) *Coordinate {
-	if co, ok := c.peers[peer]; ok {
-		return co.Clone()
+func (c *Client) PeerCoordinate(name string) *Coordinate {
+	if p, ok := c.peers[name]; ok {
+		return p.coord.Clone()
 	}
 	return nil
 }
@@ -278,12 +304,12 @@ func (c *Client) PeerCoordinate(peer string) *Coordinate {
 // EstimateRTT predicts the round-trip time to the peer from the cached
 // coordinates. The second return is false when the peer's coordinate
 // is unknown.
-func (c *Client) EstimateRTT(peer string) (time.Duration, bool) {
-	co, ok := c.peers[peer]
+func (c *Client) EstimateRTT(name string) (time.Duration, bool) {
+	p, ok := c.peers[name]
 	if !ok {
 		return 0, false
 	}
-	return c.coord.DistanceTo(co), true
+	return c.coord.DistanceTo(&p.coord), true
 }
 
 // NearestPeerIndexes appends to out the indexes of up to k candidate
@@ -301,19 +327,19 @@ func (c *Client) NearestPeerIndexes(ref string, candidates []string, k int, out 
 	}
 	refCoord := c.coord
 	if ref != "" {
-		co, ok := c.peers[ref]
+		p, ok := c.peers[ref]
 		if !ok {
 			return out
 		}
-		refCoord = co
+		refCoord = &p.coord
 	}
 	pool := c.ranked[:0]
 	for i, name := range candidates {
-		co, ok := c.peers[name]
+		p, ok := c.peers[name]
 		if !ok {
 			continue
 		}
-		pool = append(pool, rankedPeer{i, name, refCoord.DistanceTo(co)})
+		pool = append(pool, rankedPeer{i, name, refCoord.DistanceTo(&p.coord)})
 	}
 	c.ranked = pool[:0]
 	// slices.SortFunc, unlike sort.Slice, does not box the slice or the
@@ -357,24 +383,24 @@ func (c *Client) checkCoordinate(coord *Coordinate) error {
 // latencyFilter pushes one RTT sample (seconds) into the peer's window
 // and returns the window median — the Vivaldi paper's MEDIAN filter,
 // which discards one-off latency spikes without the lag of a mean.
-func (c *Client) latencyFilter(peer string, rttSeconds float64) float64 {
-	samples, ok := c.latencyFilters[peer]
-	if !ok {
-		// The window's one allocation, at its final size.
-		samples = make([]float64, 0, c.cfg.LatencyFilterSize)
-	}
-	if len(samples) == c.cfg.LatencyFilterSize {
+func (c *Client) latencyFilter(p *peer, rttSeconds float64) float64 {
+	if len(p.window) == cap(p.window) {
 		// Full: shift the oldest sample out in place.
-		copy(samples, samples[1:])
-		samples[len(samples)-1] = rttSeconds
+		copy(p.window, p.window[1:])
+		p.window[len(p.window)-1] = rttSeconds
 	} else {
-		samples = append(samples, rttSeconds)
+		p.window = append(p.window, rttSeconds)
 	}
-	c.latencyFilters[peer] = samples
 
-	sorted := append(c.medScratch[:0], samples...)
+	// An insertion sort: the window is a few samples, and the median is
+	// the same value any sort would pick.
+	sorted := append(c.medScratch[:0], p.window...)
 	c.medScratch = sorted[:0]
-	sort.Float64s(sorted)
+	for i := 1; i < len(sorted); i++ {
+		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
+			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
+		}
+	}
 	return sorted[len(sorted)/2]
 }
 

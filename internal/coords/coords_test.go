@@ -161,11 +161,14 @@ func TestLatencyFilterSuppressesOutlier(t *testing.T) {
 	}
 }
 
-// TestLatencyFilterWindowAllocatedOnce: a new peer's first
-// LatencyFilterSize+2 observations allocate its window once, at its
-// final size (the map is pre-sized so its growth stays out of the
-// count), and the filter returns the median of a plain sliding window.
-func TestLatencyFilterWindowAllocatedOnce(t *testing.T) {
+// TestPeerRecordAllocs pins what the per-peer state costs: a new
+// peer's Witness and first Observe allocate its record once — at most
+// two allocations, the record and the float array its coordinate and
+// window share (the two-map engine paid three: Clone's two and the
+// window's one) — and a known peer's allocate nothing. The map is
+// pre-sized so its growth stays out of the count. The filter returns the
+// median of a plain sliding window.
+func TestPeerRecordAllocs(t *testing.T) {
 	c := newTestClient(t, 1)
 	size := c.cfg.LatencyFilterSize
 	const peers = 64
@@ -173,23 +176,42 @@ func TestLatencyFilterWindowAllocatedOnce(t *testing.T) {
 	for i := range names {
 		names[i] = fmt.Sprintf("peer-%02d", i)
 	}
-	c.latencyFilters = make(map[string][]float64, len(names))
+	c.peers = make(map[string]*peer, len(names))
+	other := NewCoordinate(c.cfg)
+	other.Error = 0.5
+	other.Vec[0] = 0.01
 	next := 0
 	allocs := testing.AllocsPerRun(peers, func() {
 		peer := names[next]
 		next++
-		for i := 0; i < size+2; i++ {
-			c.latencyFilter(peer, float64(i+1)*1e-3)
+		c.Witness(peer, other)
+		if err := c.Observe(peer, other, 20*time.Millisecond); err != nil {
+			t.Fatal(err)
 		}
 	})
-	if allocs != 1 {
-		t.Fatalf("a new peer's first %d observations allocate %.0f times, want 1", size+2, allocs)
+	if allocs > 2 {
+		t.Fatalf("a new peer's Witness and Observe allocate %.0f times, want at most 2", allocs)
 	}
-	if w := c.latencyFilters[names[0]]; len(w) != size || cap(w) != size {
+	next = 0
+	allocs = testing.AllocsPerRun(peers, func() {
+		peer := names[next]
+		next++
+		c.Witness(peer, other)
+		for i := 0; i < size+2; i++ {
+			if err := c.Observe(peer, other, time.Duration(i+1)*time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a known peer's Witness and %d observations allocate %.0f times, want 0", size+2, allocs)
+	}
+	if w := c.peers[names[0]].window; len(w) != size || cap(w) != size {
 		t.Fatalf("window len %d cap %d, want %d and %d", len(w), cap(w), size, size)
 	}
 
 	rng := rand.New(rand.NewSource(7))
+	ref := c.peer("ref")
 	var window []float64
 	for i := 0; i < 50; i++ {
 		x := rng.Float64()
@@ -199,7 +221,7 @@ func TestLatencyFilterWindowAllocatedOnce(t *testing.T) {
 		}
 		sorted := slices.Clone(window)
 		slices.Sort(sorted)
-		if got, want := c.latencyFilter("ref", x), sorted[len(sorted)/2]; got != want {
+		if got, want := c.latencyFilter(ref, x), sorted[len(sorted)/2]; got != want {
 			t.Fatalf("observation %d: median %v, want %v", i, got, want)
 		}
 	}

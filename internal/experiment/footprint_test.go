@@ -12,6 +12,18 @@ import (
 // records in a doubling array retained 529 B.
 const bootBytesPerPair = 410
 
+// steadyAllocPerPair bounds what sim-steady's 400 s phase allocates at
+// N = 128 per observer–subject pair, and steadyRetainedPerPair what the
+// cluster retains after it: 247 B and 681 B measured, plus 10 %. With
+// each peer in two coordinate maps (a Clone per new peer, a window
+// written back per sample) and one packet-buffer pool for every size,
+// the phase allocated 410 B per pair (6.4 MB) and the cluster retained
+// 757 B.
+const (
+	steadyAllocPerPair    = 272
+	steadyRetainedPerPair = 749
+)
+
 // TestBootFootprint boots N = 384 members to a converged view and checks
 // the heap the cluster retains after a collection, per observer–subject
 // pair: member records, per-peer state, queues and the event log, with
@@ -51,5 +63,54 @@ func TestBootFootprint(t *testing.T) {
 	t.Logf("booted N=%d retains %.1f MB, %.0f B per observer–subject pair", n, float64(after.HeapAlloc-before.HeapAlloc)/(1<<20), perPair)
 	if perPair > bootBytesPerPair {
 		t.Fatalf("booted cluster retains %.0f B per pair, want ≤ %d", perPair, bootBytesPerPair)
+	}
+}
+
+// TestSteadyFootprint boots N = 128 Lifeguard members to a converged
+// view, as the benchmark's sim-steady workload does, then runs 400
+// virtual seconds with no faults. It pins what that steady phase
+// allocates, per observer–subject pair, and the heap the cluster
+// retains after it: filling each node's coordinate cache and carrying
+// its pings and acks must not allocate in proportion to the traffic.
+// What the phase allocates decides whether the heap crosses the GC goal
+// the boot left it; a collection mid-phase is what kept the process's
+// peak RSS high.
+func TestSteadyFootprint(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("boots 128 members and runs them 400 virtual seconds")
+	}
+	const n = DefaultN
+	var before, booted, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c, err := NewCluster(ClusterConfig{N: n, Seed: 1, Protocol: ConfigLifeguard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	if err := c.Start(Quiesce); err != nil {
+		t.Fatal(err)
+	}
+	for waited := 0; !c.Converged(); waited++ {
+		if waited == 60 {
+			t.Fatalf("%d members not converged 60 s after boot", n)
+		}
+		c.Sched.RunFor(time.Second)
+	}
+	runtime.ReadMemStats(&booted)
+	c.Sched.RunFor(400 * time.Second)
+	runtime.ReadMemStats(&after)
+	allocated := float64(after.TotalAlloc-booted.TotalAlloc) / (n * n)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(c)
+	retained := float64(after.HeapAlloc-before.HeapAlloc) / (n * n)
+	t.Logf("steady phase allocates %.2f MB, %.0f B per pair; cluster retains %.2f MB, %.0f B per pair",
+		allocated*n*n/(1<<20), allocated, retained*n*n/(1<<20), retained)
+	if allocated > steadyAllocPerPair {
+		t.Errorf("steady phase allocates %.0f B per pair, want ≤ %d", allocated, steadyAllocPerPair)
+	}
+	if retained > steadyRetainedPerPair {
+		t.Errorf("cluster retains %.0f B per pair after the steady phase, want ≤ %d", retained, steadyRetainedPerPair)
 	}
 }

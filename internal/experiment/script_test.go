@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"lifeguard/internal/bufpool"
 	"lifeguard/internal/core"
 	"lifeguard/internal/metrics"
 	"lifeguard/internal/sim"
@@ -213,6 +214,43 @@ func TestScriptShutdownLeavesNoTimers(t *testing.T) {
 	c.Sched.RunFor(100 * time.Millisecond)
 	if n := c.Sched.Len(); n != 0 {
 		t.Errorf("%d events pending after shutdown and the in-flight drain, want 0", n)
+	}
+}
+
+// TestScriptReturnsEveryBuffer plays the mixed script, shuts the
+// cluster down and removes every member: once the packets still in
+// flight are delivered, every pooled packet buffer the run handed out
+// is back. The run is cut once mid-anomaly, while two members are
+// paused holding an inbound backlog and their own sends, and once after
+// the script has played out.
+func TestScriptReturnsEveryBuffer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scripted run")
+	}
+	for _, cut := range []time.Duration{3 * time.Second, 40 * time.Second} {
+		before := bufpool.Outstanding()
+		c, err := NewCluster(ClusterConfig{N: 16, Seed: 5, Protocol: ConfigLifeguard})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Start(Quiesce); err != nil {
+			t.Fatal(err)
+		}
+		r := c.play(mixedScript())
+		if err := r.runTo(cut); err != nil {
+			t.Fatal(err)
+		}
+		if cut < 4*time.Second && c.Net.QueueLen(NodeName(1)) == 0 {
+			t.Fatalf("cut at %v: the paused member holds no backlog", cut)
+		}
+		c.Shutdown()
+		for _, node := range slices.Clone(c.Nodes) {
+			c.RemoveNode(node.Name())
+		}
+		c.Sched.RunFor(100 * time.Millisecond)
+		if held := bufpool.Outstanding() - before; held != 0 {
+			t.Errorf("cut at %v: %d packet buffers not returned after shutdown, removal and the in-flight drain, want 0", cut, held)
+		}
 	}
 }
 

@@ -44,9 +44,8 @@ type stream struct {
 // sender goroutine is started if the destination has none running.
 func (t *Transport) queueFrame(addr string, payload []byte) error {
 	// The caller only guarantees payload for the duration of this call.
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	frame := bufpool.Copy(hdr[:])
+	frame := bufpool.Get(4 + len(payload))
+	frame.B = binary.BigEndian.AppendUint32(frame.B, uint32(len(payload)))
 	frame.B = append(frame.B, payload...)
 
 	t.connMu.Lock()

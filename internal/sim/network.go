@@ -322,12 +322,21 @@ func (n *Network) linkID(from, to string) [2]int32 {
 // Detach removes a member; packets in flight to it are dropped on
 // delivery. Re-attaching the same name creates a fresh Port, so
 // in-flight packets addressed to the old one still drop. The Port's
-// statistics stay in TotalStats.
+// statistics stay in TotalStats. The packets it still held — an inbound
+// backlog, and sends held while gated (a crashed member's never flush)
+// — are released without being counted anywhere.
 func (n *Network) Detach(name string) {
 	if p, ok := n.nodes[name]; ok {
 		p.detached = true
 		n.retired.Merge(p.stats)
 		delete(n.nodes, name)
+		for _, pkt := range p.inbox[p.inHead:] {
+			pkt.buf.Release()
+		}
+		for _, o := range p.outbox {
+			o.buf.Release()
+		}
+		p.inbox, p.inHead, p.outbox = nil, 0, nil
 	}
 }
 

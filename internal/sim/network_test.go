@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"lifeguard/internal/bufpool"
 )
 
 type rig struct {
@@ -297,6 +299,36 @@ func TestDetachDropsInFlight(t *testing.T) {
 	r.sched.RunFor(time.Second)
 	if len(*bGot) != 0 {
 		t.Error("packet delivered to detached member")
+	}
+}
+
+// TestDetachReleasesHeldPackets: a crashed member holds the backlog it
+// had queued when it crashed and the sends its gate holds; detaching it
+// returns every one of those buffers to the pool and counts nothing.
+func TestDetachReleasesHeldPackets(t *testing.T) {
+	before := bufpool.Outstanding()
+	r := newRig(t, Options{})
+	a, _ := r.attach(t, "a")
+	b, _ := r.attach(t, "b")
+	r.attach(t, "c")
+	r.net.Pause("b", PauseBuffer)
+	a.SendPacket("b", []byte("queued"), false)
+	a.SendPacketFanout([]string{"b", "c"}, []byte("fan-out"), false)
+	r.sched.RunFor(time.Second)
+	r.net.Crash("b")
+	b.SendPacket("a", []byte("held"), false)
+	b.SendPacketFanout([]string{"a", "c"}, []byte("held fan-out"), false)
+	if got := r.net.QueueLen("b"); got != 2 {
+		t.Fatalf("crashed member queues %d packets, want 2", got)
+	}
+	stats := r.net.TotalStats()
+	r.net.Detach("b")
+	r.sched.RunFor(time.Second)
+	if held := bufpool.Outstanding() - before; held != 0 {
+		t.Errorf("%d buffers still out after detaching the crashed member, want 0", held)
+	}
+	if got := r.net.TotalStats(); got != stats {
+		t.Errorf("detach moved the statistics: %+v, was %+v", got, stats)
 	}
 }
 
