@@ -10,8 +10,8 @@
 // components, -disable-coords turns off the Vivaldi coordinate wire
 // extension) and tuning (-alpha, -beta, -probe-interval,
 // -probe-timeout). -http starts the embedded ops server: /healthz,
-// /members, /coords, /telemetry (JSON) and /metrics (Prometheus text)
-// — see docs/OPS.md. The agent leaves gracefully on SIGINT/SIGTERM,
+// /members, /coords, /telemetry (JSON), /metrics (Prometheus text) and
+// /debug/pprof/ (Go runtime profiles) — see docs/OPS.md. The agent leaves gracefully on SIGINT/SIGTERM,
 // waiting up to -leave-timeout for the leave broadcast to drain before
 // shutting down.
 //

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"runtime"
 	"sort"
@@ -16,9 +17,9 @@ import (
 )
 
 // opsServer is the agent's embedded HTTP ops surface: liveness,
-// membership, coordinates, telemetry and Prometheus metrics. It is
-// read-only — every endpoint is a snapshot of node state, never a
-// mutation.
+// membership, coordinates, telemetry, Prometheus metrics and Go
+// runtime profiles. It is read-only — every endpoint is a snapshot of
+// node or process state, never a mutation.
 type opsServer struct {
 	srv *http.Server
 	ln  net.Listener
@@ -210,7 +211,6 @@ func newOpsMux(node *lifeguard.Node, tr *lifeguard.UDPTransport, rec *telemetry.
 		if rec != nil {
 			snap := rec.Snapshot()
 			telemetry.WriteGauge(w, "lifeguard_telemetry_samples", float64(snap.Samples))
-			telemetry.WriteGauge(w, "lifeguard_telemetry_partitions", float64(snap.Partitions))
 			telemetry.WriteCounters(w, "lifeguard_", map[string]int64{
 				"telemetry_evictions":  int64(snap.Evictions),
 				"telemetry_overwrites": int64(snap.Overwrites),
@@ -220,5 +220,11 @@ func newOpsMux(node *lifeguard.Node, tr *lifeguard.UDPTransport, rec *telemetry.
 			telemetry.WriteHistogram(w, "lifeguard_suspicion_seconds", snap.Suspicion)
 		}
 	})
+	// Go's runtime profiles, on the same opt-in listener.
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }

@@ -1,11 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"compress/gzip"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -146,7 +151,7 @@ func TestOpsTelemetry(t *testing.T) {
 	m := getJSON(t, srv, "/telemetry")
 	assertKeys(t, "/telemetry", m,
 		"peers", "rtt", "suspicion", "lhm", "lhm_changes",
-		"samples", "partitions", "evictions", "overwrites")
+		"samples", "evictions", "overwrites")
 	for _, h := range []string{"rtt", "suspicion"} {
 		assertKeys(t, "/telemetry "+h, m[h].(map[string]any), "bounds_ns", "counts", "count", "sum_ns")
 	}
@@ -156,7 +161,7 @@ func TestOpsTelemetry(t *testing.T) {
 	}
 	p := peers[0].(map[string]any)
 	assertKeys(t, "/telemetry peer", p,
-		"peer", "samples", "epochs", "rtt_p50_ms", "rtt_p90_ms", "rtt_p99_ms",
+		"peer", "samples", "rtt_p50_ms", "rtt_p90_ms", "rtt_p99_ms",
 		"direct_acks", "indirect_acks", "timeouts", "loss_rate", "suspicions", "deaths")
 	if p["peer"] != "peer-1" || p["samples"].(float64) != 1 {
 		t.Errorf("peer = %v", p)
@@ -201,6 +206,89 @@ func TestOpsMetricsExposition(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
+}
+
+// TestOpsPprof checks the Go runtime profiles are mounted on the ops
+// mux: the index answers, and a one-second CPU profile comes back as a
+// gzipped protocol buffer that decodes to the end and names its sample
+// types.
+func TestOpsPprof(t *testing.T) {
+	srv, _, _ := newTestAgent(t)
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d: %s", path, resp.StatusCode, body)
+		}
+		return body
+	}
+	if index := get("/debug/pprof/"); !strings.Contains(string(index), "goroutine") {
+		t.Errorf("/debug/pprof/ index lists no goroutine profile:\n%s", index)
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(get("/debug/pprof/profile?seconds=1")))
+	if err != nil {
+		t.Fatalf("CPU profile is not gzipped: %v", err)
+	}
+	raw, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatalf("CPU profile: %v", err)
+	}
+	strs, err := protoStrings(raw)
+	if err != nil {
+		t.Fatalf("CPU profile does not decode: %v", err)
+	}
+	// field 6 of a profile.proto Profile is its string table.
+	if !slices.Contains(strs[6], "samples") || !slices.Contains(strs[6], "cpu") {
+		t.Errorf("CPU profile's string table %q lacks its sample types", strs[6])
+	}
+}
+
+// protoStrings walks one protocol-buffer message in wire format and
+// returns its length-delimited fields' bytes, as strings, by field
+// number; it errors unless every field decodes and the walk ends at
+// the last byte.
+func protoStrings(b []byte) (map[uint64][]string, error) {
+	out := make(map[uint64][]string)
+	for len(b) > 0 {
+		key, n := binary.Uvarint(b)
+		if n <= 0 {
+			return nil, fmt.Errorf("bad field key at %d bytes from the end", len(b))
+		}
+		b = b[n:]
+		field, wire := key>>3, key&7
+		switch wire {
+		case 0: // varint
+			if _, n = binary.Uvarint(b); n <= 0 {
+				return nil, fmt.Errorf("field %d: bad varint", field)
+			}
+		case 1: // 64-bit
+			n = 8
+		case 2: // length-delimited
+			l, m := binary.Uvarint(b)
+			if m <= 0 || uint64(len(b)-m) < l {
+				return nil, fmt.Errorf("field %d: bad length", field)
+			}
+			out[field] = append(out[field], string(b[m:m+int(l)]))
+			n = m + int(l)
+		case 5: // 32-bit
+			n = 4
+		default:
+			return nil, fmt.Errorf("field %d: wire type %d", field, wire)
+		}
+		if n > len(b) {
+			return nil, fmt.Errorf("field %d: truncated", field)
+		}
+		b = b[n:]
+	}
+	return out, nil
 }
 
 // TestOpsMetricsTransportCounters checks the transport series are the

@@ -133,10 +133,10 @@ type Cluster struct {
 	// coordinate updates, …), cluster-wide.
 	Sink *metrics.MemSink
 
-	// Telem holds every member's direct-path RTT samples, one ring of
-	// the latest 64 per (origin, peer); nil unless
+	// Telem holds every member's direct-path RTT samples, all of them,
+	// in the order recorded, per (origin, peer); nil unless
 	// ClusterConfig.Telemetry was set.
-	Telem *telemetry.Buffer[RTTPair, time.Duration]
+	Telem map[RTTPair][]time.Duration
 
 	cc      ClusterConfig
 	names   map[string]*core.Node
@@ -178,17 +178,19 @@ type RTTPair struct {
 	Origin, Peer string
 }
 
-// rttRecorder is one member's telemetry.Recorder: RTT samples go into
-// the cluster's buffer under the member's name; the other hooks are
-// accepted and discarded (experiments score those through Events and
-// Sink).
+// rttRecorder is one member's telemetry.Recorder: RTT samples are
+// appended to the cluster's list for (member, peer); the other hooks
+// are accepted and discarded (experiments score those through Events
+// and Sink). A cluster's members all run on its scheduler's goroutine,
+// so the lists need no lock, and a finite run needs no bound.
 type rttRecorder struct {
-	buf    *telemetry.Buffer[RTTPair, time.Duration]
-	origin string
+	samples map[RTTPair][]time.Duration
+	origin  string
 }
 
 func (r rttRecorder) RecordRTT(peer string, rtt time.Duration) {
-	r.buf.Add(RTTPair{Origin: r.origin, Peer: peer}, rtt)
+	k := RTTPair{Origin: r.origin, Peer: peer}
+	r.samples[k] = append(r.samples[k], rtt)
 }
 func (rttRecorder) RecordProbe(string, telemetry.ProbeOutcome)  {}
 func (rttRecorder) RecordLHM(int)                               {}
@@ -216,23 +218,7 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 		names:  make(map[string]*core.Node, cc.N),
 	}
 	if cc.Telemetry {
-		// N² partitions hold every (origin, peer) there can be, so a
-		// run whose members keep their names never evicts;
-		// scoreObservedRTT fails one that did.
-		telem, err := telemetry.NewBuffer[RTTPair, time.Duration](telemetry.BufferConfig[RTTPair]{
-			MaxSamplesPerPartition: 64,
-			MaxPartitions:          cc.N * cc.N,
-			Less: func(a, b RTTPair) bool {
-				if a.Origin != b.Origin {
-					return a.Origin < b.Origin
-				}
-				return a.Peer < b.Peer
-			},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiment: telemetry: %w", err)
-		}
-		c.Telem = telem
+		c.Telem = make(map[RTTPair][]time.Duration)
 	}
 
 	for i, rng := range seedRNGs(cc.Seed*7919+1, cc.N) {
@@ -290,7 +276,7 @@ func (c *Cluster) addNode(name string, rng *rand.Rand) (*core.Node, error) {
 	cfg.Events = eventRecorder{log: c.Events, clock: c.Net.Clock(), observer: name}
 	cfg.Metrics = c.Sink
 	if c.Telem != nil {
-		cfg.Telemetry = rttRecorder{buf: c.Telem, origin: name}
+		cfg.Telemetry = rttRecorder{samples: c.Telem, origin: name}
 	}
 
 	var node *core.Node

@@ -24,6 +24,12 @@ const (
 	steadyRetainedPerPair = 749
 )
 
+// wanTelemetryBytesPerSample bounds the heap the smoke WAN cluster's
+// telemetry retains per RTT sample after its convergence phase: 91 B
+// measured, plus 10 %. Partitions of 64 preallocated slots each, one
+// per (origin, peer), retained 458–459 B.
+const wanTelemetryBytesPerSample = 100
+
 // TestBootFootprint boots N = 384 members to a converged view and checks
 // the heap the cluster retains after a collection, per observer–subject
 // pair: member records, per-peer state, queues and the event log, with
@@ -112,5 +118,49 @@ func TestSteadyFootprint(t *testing.T) {
 	}
 	if retained > steadyRetainedPerPair {
 		t.Errorf("cluster retains %.0f B per pair after the steady phase, want ≤ %d", retained, steadyRetainedPerPair)
+	}
+}
+
+// TestWANTelemetryFootprint runs the smoke WAN cluster through its
+// convergence phase with telemetry on and with it off, and bounds the
+// heap the on side retains beyond the off side, after a collection, per
+// RTT sample recorded: the cost of keeping every (origin, peer) sample
+// list. Two collections on each side empty the sync.Pool victim
+// caches, which one would leave behind.
+func TestWANTelemetryFootprint(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("runs the smoke WAN cluster twice and sizes its heap")
+	}
+	p := wanParams(RunOptions{Scale: ScaleSmoke})
+	retained := func(telem bool) (bytes int64, samples int) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		c, _, err := startWANCluster(ClusterConfig{Seed: 1, Protocol: ConfigLifeguard, Telemetry: telem}, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Shutdown()
+		c.Sched.RunFor(p.Converge)
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		for _, ss := range c.Telem {
+			samples += len(ss)
+		}
+		runtime.KeepAlive(c)
+		return int64(after.HeapAlloc) - int64(before.HeapAlloc), samples
+	}
+	off, _ := retained(false)
+	on, samples := retained(true)
+	if samples == 0 {
+		t.Fatal("telemetry recorded no RTT samples")
+	}
+	perSample := float64(on-off) / float64(samples)
+	t.Logf("telemetry off retains %.1f MB, on %.1f MB: %.0f B per sample over %d samples",
+		float64(off)/(1<<20), float64(on)/(1<<20), perSample, samples)
+	if perSample > wanTelemetryBytesPerSample {
+		t.Errorf("telemetry retains %.0f B per RTT sample, want ≤ %d", perSample, wanTelemetryBytesPerSample)
 	}
 }

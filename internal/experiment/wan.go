@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -98,30 +97,12 @@ func RunWAN(cc ClusterConfig, p WANParams) (Record, error) {
 		p.DetectHorizon = 90 * time.Second
 	}
 
-	// Members fill the zones in contiguous index blocks.
-	topo := sim.NewTopology()
-	topo.IntraZone = sim.DelayDist{Base: time.Millisecond, Jitter: 200 * time.Microsecond}
-	n := 0
-	for _, z := range p.Zones {
-		for i := 0; i < z.Members; i++ {
-			topo.SetZone(NodeName(n), z.Name)
-			n++
-		}
-	}
-	for pair, d := range p.Pairs {
-		topo.SetZonePair(pair[0], pair[1], d)
-	}
-	cc.N = n
-	cc.Net.Topology = topo
-
-	c, err := NewCluster(cc)
+	c, topo, err := startWANCluster(cc, p)
 	if err != nil {
 		return Record{}, err
 	}
 	defer c.Shutdown()
-	if err := c.Start(Quiesce); err != nil {
-		return Record{}, err
-	}
+	n := len(c.Nodes)
 
 	// Phase 1: coordinate convergence, then score estimates against the
 	// topology's ground truth using each member's own coordinate.
@@ -132,9 +113,7 @@ func RunWAN(cc ClusterConfig, p WANParams) (Record, error) {
 	m["coord_rel_err_p99"] = coordErr.P99
 	m["coord_abs_err_mean_s"] = meanAbsErr
 	m["pairs_scored"] = float64(pairsScored)
-	if err := scoreObservedRTT(c, topo, m); err != nil {
-		return Record{}, err
-	}
+	scoreObservedRTT(c, topo, m)
 
 	// Phase 2: crash FailPerZone members per zone, watch detection.
 	var s script
@@ -232,6 +211,36 @@ func RunWAN(cc ClusterConfig, p WANParams) (Record, error) {
 	}, nil
 }
 
+// startWANCluster builds the cluster p's zones describe on a topology
+// of their delays, members filling the zones in contiguous index
+// blocks, and starts it.
+func startWANCluster(cc ClusterConfig, p WANParams) (*Cluster, *sim.Topology, error) {
+	topo := sim.NewTopology()
+	topo.IntraZone = sim.DelayDist{Base: time.Millisecond, Jitter: 200 * time.Microsecond}
+	n := 0
+	for _, z := range p.Zones {
+		for i := 0; i < z.Members; i++ {
+			topo.SetZone(NodeName(n), z.Name)
+			n++
+		}
+	}
+	for pair, d := range p.Pairs {
+		topo.SetZonePair(pair[0], pair[1], d)
+	}
+	cc.N = n
+	cc.Net.Topology = topo
+
+	c, err := NewCluster(cc)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := c.Start(Quiesce); err != nil {
+		c.Shutdown()
+		return nil, nil, err
+	}
+	return c, topo, nil
+}
+
 // wanCells enumerates the comparison's two runs, static then adaptive:
 // cc and p shared, only TopologyAware differing.
 func wanCells(cc ClusterConfig, p WANParams) []Cell {
@@ -249,88 +258,65 @@ func wanCells(cc ClusterConfig, p WANParams) []Cell {
 // errors obs_rtt_p50_err_<a>__<b> and obs_rtt_p90_err_<a>__<b> (zone
 // names sorted; equal for intra-zone), and their medians over the
 // pairs. Without telemetry only the zero sample count and medians are
-// set. It errors if the buffer evicted partitions (whole (origin, peer)
-// streams would be missing from the score).
-func scoreObservedRTT(c *Cluster, topo *sim.Topology, m map[string]float64) error {
+// set.
+func scoreObservedRTT(c *Cluster, topo *sim.Topology, m map[string]float64) {
 	m["obs_rtt_samples"], m["obs_rtt_p50_err_median"], m["obs_rtt_p90_err_median"] = 0, 0, 0
 	if c.Telem == nil {
-		return nil
+		return
 	}
-	if ev := c.Telem.Evictions(); ev > 0 {
-		return fmt.Errorf("experiment: telemetry evicted %d partitions during a scored run; observed-RTT metrics would score a partial sample set", ev)
+	// Float addition is not associative, so each zone pair's truth sum
+	// accumulates in (origin, peer) order: the CI determinism guard
+	// byte-diffs same-seed records across processes.
+	keys := make([]RTTPair, 0, len(c.Telem))
+	for k := range c.Telem {
+		keys = append(keys, k)
 	}
-	// ForEach visits partitions in unspecified (map) order and float
-	// addition is not associative, so collect per-partition contributions
-	// first and fix the accumulation order by sorting on the key: the CI
-	// determinism guard byte-diffs same-seed records across processes.
-	type contrib struct {
-		key   RTTPair
-		rtts  []float64
-		truth float64 // ground-truth RTT for the member pair, seconds
-	}
-	byPair := make(map[[2]string][]contrib)
-	total := 0
-	c.Telem.ForEach(func(k RTTPair, ss []time.Duration) {
-		if len(ss) == 0 {
-			return
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].Origin != keys[j].Origin {
+			return keys[i].Origin < keys[j].Origin
 		}
+		return keys[i].Peer < keys[j].Peer
+	})
+	type zonePair struct {
+		rtts     []float64 // seconds
+		truthSum float64   // ground-truth RTT summed per sample, seconds
+	}
+	byPair := make(map[[2]string]*zonePair)
+	total := 0
+	for _, k := range keys {
 		za, zb := topo.Zone(k.Origin), topo.Zone(k.Peer)
 		if za > zb {
 			za, zb = zb, za
 		}
-		rtts := make([]float64, len(ss))
-		for i, s := range ss {
-			rtts[i] = s.Seconds()
-		}
 		pk := [2]string{za, zb}
-		byPair[pk] = append(byPair[pk], contrib{
-			key:   k,
-			rtts:  rtts,
-			truth: topo.GroundTruthRTT(k.Origin, k.Peer).Seconds(),
-		})
+		zp := byPair[pk]
+		if zp == nil {
+			zp = &zonePair{}
+			byPair[pk] = zp
+		}
+		ss := c.Telem[k]
+		for _, s := range ss {
+			zp.rtts = append(zp.rtts, s.Seconds())
+		}
+		zp.truthSum += topo.GroundTruthRTT(k.Origin, k.Peer).Seconds() * float64(len(ss))
 		total += len(ss)
-	})
+	}
 	m["obs_rtt_samples"] = float64(total)
 
-	keys := make([][2]string, 0, len(byPair))
-	for k := range byPair {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-
+	// Any zone-pair order will do: the medians sort their input.
 	var e50, e90 []float64
-	for _, k := range keys {
-		cs := byPair[k]
-		sort.Slice(cs, func(i, j int) bool {
-			a, b := cs[i].key, cs[j].key
-			if a.Origin != b.Origin {
-				return a.Origin < b.Origin
-			}
-			return a.Peer < b.Peer
-		})
-		var rtts []float64
-		truthSum := 0.0
-		for _, cb := range cs {
-			rtts = append(rtts, cb.rtts...)
-			truthSum += cb.truth * float64(len(cb.rtts))
-		}
-		truth := truthSum / float64(len(rtts))
+	for k, zp := range byPair {
+		truth := zp.truthSum / float64(len(zp.rtts))
 		var p50, p90 float64
 		if truth > 0 {
-			p50 = math.Abs(stats.Percentile(rtts, 50)-truth) / truth
-			p90 = math.Abs(stats.Percentile(rtts, 90)-truth) / truth
+			p50 = math.Abs(stats.Percentile(zp.rtts, 50)-truth) / truth
+			p90 = math.Abs(stats.Percentile(zp.rtts, 90)-truth) / truth
 		}
 		pair := k[0] + "__" + k[1]
 		m["obs_rtt_p50_err_"+pair], m["obs_rtt_p90_err_"+pair] = p50, p90
 		e50, e90 = append(e50, p50), append(e90, p90)
 	}
 	m["obs_rtt_p50_err_median"], m["obs_rtt_p90_err_median"] = stats.Percentile(e50, 50), stats.Percentile(e90, 50)
-	return nil
 }
 
 // scoreCoordinates samples random member pairs and scores coordinate

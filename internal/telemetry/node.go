@@ -4,162 +4,131 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"lifeguard/internal/stats"
 )
 
-// NodeConfig parameterizes a NodeRecorder. The zero value is what the
-// agent runs with.
-type NodeConfig struct {
-	// Now supplies timestamps; defaults to time.Now. Simulated nodes
-	// inject their virtual clock.
-	Now func() time.Time
-}
+// NodeConfig parameterizes a NodeRecorder. It has no fields — the
+// recorder's sizes are constants — and stays so that the callers that
+// construct one (the agent, the lifeguard facade's NodeTelemetryConfig,
+// the benchmark) keep a stable signature.
+type NodeConfig struct{}
 
 // A NodeRecorder's sizes: one value each, because nothing runs with
-// another.
+// another. Together they are its hard memory bound: 1024 peers × 128
+// RTTs × 8 B = 1 MiB of samples.
 const (
-	// nodeEpochInterval is the width of one sample epoch: per-peer RTT
-	// samples are partitioned by (peer, epoch), and when the partition
-	// bound is hit the oldest epoch is evicted first.
-	nodeEpochInterval = time.Minute
-
-	// nodeRingSize bounds one (peer, epoch) partition's ring.
+	// nodeRingSize bounds one peer's RTT ring: its latest 128 RTTs.
 	nodeRingSize = 128
 
-	// nodeMaxPartitions bounds the live (peer, epoch) partitions and,
-	// separately, the peers with live outcome counters.
-	nodeMaxPartitions = 1024
+	// nodeMaxPeers bounds the peer table.
+	nodeMaxPeers = 1024
 )
 
-// PeerEpoch keys one peer's RTT samples within one epoch.
-type PeerEpoch struct {
-	// Peer is the peer member's name.
-	Peer string
-
-	// Epoch is the sample epoch number (minutes since the recorder
-	// started).
-	Epoch uint64
-}
-
-// peerCounters accumulates one peer's probe outcomes. touched is the
+// peerEntry is everything a NodeRecorder keeps about one peer: its
+// probe outcome counters and a ring of its latest RTTs. touched is the
 // recorder's touch count when the peer was last recorded about; the
-// entry with the lowest value goes when the peer table is full.
-type peerCounters struct {
+// entry with the lowest value goes when the table is full.
+type peerEntry struct {
 	touched      uint64
 	directAcks   uint64
 	indirectAcks uint64
 	timeouts     uint64
 	suspicions   uint64
 	deaths       uint64
+
+	// rtts grows to nodeRingSize; from then on next is the slot the
+	// following RTT overwrites, the oldest one.
+	rtts []time.Duration
+	next int
 }
 
-// NodeRecorder implements Recorder for one live node: per-(peer, epoch)
-// RTT sample partitions and per-peer probe outcome counters, both with
-// a hard memory bound however many peer names come and go, and
-// process-wide RTT/suspicion histograms plus the LHM gauge. It backs
-// the agent's /telemetry and /metrics endpoints.
+// NodeRecorder implements Recorder for one live node: one entry per
+// peer, holding the peer's probe outcome counters and its latest RTTs,
+// in a table of at most 1024 peers however many names come and go; plus
+// process-wide RTT/suspicion histograms and the LHM gauge. It backs the
+// agent's /telemetry and /metrics endpoints.
 //
 // NodeRecorder is safe for concurrent use.
 type NodeRecorder struct {
-	cfg    NodeConfig
-	epoch0 time.Time
-	buf    *Buffer[PeerEpoch, time.Duration]
-
 	// RTTHist and SuspicionHist are the process-wide histograms, exposed
 	// for Prometheus exposition.
 	RTTHist       *Histogram
 	SuspicionHist *Histogram
 
 	mu         sync.Mutex
-	peers      map[string]*peerCounters
+	peers      map[string]*peerEntry
 	touches    uint64
+	evictions  uint64
+	overwrites uint64
 	lhm        int
 	lhmChanges uint64
 }
 
 var _ Recorder = (*NodeRecorder)(nil)
 
-// NewNodeRecorder returns an empty recorder.
-func NewNodeRecorder(cfg NodeConfig) (*NodeRecorder, error) {
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
-	buf, err := NewBuffer[PeerEpoch, time.Duration](BufferConfig[PeerEpoch]{
-		MaxSamplesPerPartition: nodeRingSize,
-		MaxPartitions:          nodeMaxPartitions,
-		Epoch:                  func(k PeerEpoch) uint64 { return k.Epoch },
-		Less:                   func(a, b PeerEpoch) bool { return a.Peer < b.Peer },
-	})
-	if err != nil {
-		return nil, err
-	}
+// NewNodeRecorder returns an empty recorder. The error is always nil;
+// the signature is the one its callers were written against.
+func NewNodeRecorder(NodeConfig) (*NodeRecorder, error) {
 	return &NodeRecorder{
-		cfg:           cfg,
-		epoch0:        cfg.Now(),
-		buf:           buf,
 		RTTHist:       NewHistogram(rttBuckets),
 		SuspicionHist: NewHistogram(suspicionBuckets),
-		peers:         make(map[string]*peerCounters),
+		peers:         make(map[string]*peerEntry),
 	}, nil
 }
 
-// epochAt returns the epoch number for a timestamp.
-func (r *NodeRecorder) epochAt(t time.Time) uint64 {
-	d := t.Sub(r.epoch0)
-	if d < 0 {
-		return 0
-	}
-	return uint64(d / nodeEpochInterval)
-}
-
-// peerLocked returns peer's counters, marked as the most recently
-// touched. A new peer arriving at a full table replaces the least
-// recently touched one (touch counts are unique, so there are no ties
-// to break). Called with r.mu held.
-func (r *NodeRecorder) peerLocked(peer string) *peerCounters {
-	c := r.peers[peer]
-	if c == nil {
-		if len(r.peers) >= nodeMaxPartitions {
+// peerLocked returns peer's entry, marked as the most recently touched.
+// A new peer arriving at a full table replaces the least recently
+// touched one, its RTTs with it (touch counts are unique, so there are
+// no ties to break). Called with r.mu held.
+func (r *NodeRecorder) peerLocked(peer string) *peerEntry {
+	e := r.peers[peer]
+	if e == nil {
+		if len(r.peers) >= nodeMaxPeers {
 			var victim string
 			oldest := r.touches + 1
-			for name, pc := range r.peers {
-				if pc.touched < oldest {
-					victim, oldest = name, pc.touched
+			for name, pe := range r.peers {
+				if pe.touched < oldest {
+					victim, oldest = name, pe.touched
 				}
 			}
 			delete(r.peers, victim)
+			r.evictions++
 		}
-		c = &peerCounters{}
-		r.peers[peer] = c
+		e = &peerEntry{}
+		r.peers[peer] = e
 	}
 	r.touches++
-	c.touched = r.touches
-	return c
+	e.touched = r.touches
+	return e
 }
-
-// Buffer exposes the underlying sample buffer (bounds, eviction
-// counters) for tests and ops surfaces.
-func (r *NodeRecorder) Buffer() *Buffer[PeerEpoch, time.Duration] { return r.buf }
 
 // RecordRTT implements Recorder.
 func (r *NodeRecorder) RecordRTT(peer string, rtt time.Duration) {
-	r.buf.Add(PeerEpoch{Peer: peer, Epoch: r.epochAt(r.cfg.Now())}, rtt)
 	r.RTTHist.Observe(rtt)
 	r.mu.Lock()
-	r.peerLocked(peer)
+	e := r.peerLocked(peer)
+	if len(e.rtts) < nodeRingSize {
+		e.rtts = append(e.rtts, rtt)
+	} else {
+		e.rtts[e.next] = rtt
+		e.next = (e.next + 1) % nodeRingSize
+		r.overwrites++
+	}
 	r.mu.Unlock()
 }
 
 // RecordProbe implements Recorder.
 func (r *NodeRecorder) RecordProbe(peer string, outcome ProbeOutcome) {
 	r.mu.Lock()
-	c := r.peerLocked(peer)
+	e := r.peerLocked(peer)
 	switch outcome {
 	case OutcomeDirectAck:
-		c.directAcks++
+		e.directAcks++
 	case OutcomeIndirectAck:
-		c.indirectAcks++
+		e.indirectAcks++
 	case OutcomeTimeout:
-		c.timeouts++
+		e.timeouts++
 	}
 	r.mu.Unlock()
 }
@@ -178,10 +147,10 @@ func (r *NodeRecorder) RecordLHM(score int) {
 func (r *NodeRecorder) RecordSuspicion(peer string, d time.Duration, died bool) {
 	r.SuspicionHist.Observe(d)
 	r.mu.Lock()
-	c := r.peerLocked(peer)
-	c.suspicions++
+	e := r.peerLocked(peer)
+	e.suspicions++
 	if died {
-		c.deaths++
+		e.deaths++
 	}
 	r.mu.Unlock()
 }
@@ -191,14 +160,13 @@ type PeerSnapshot struct {
 	// Peer is the peer member's name.
 	Peer string `json:"peer"`
 
-	// Samples is the number of buffered RTT samples for the peer.
+	// Samples is the number of RTTs held for the peer: its latest, at
+	// most 128.
 	Samples int `json:"samples"`
 
-	// Epochs is the number of live sample epochs for the peer.
-	Epochs int `json:"epochs"`
-
-	// RTTP50Ms, RTTP90Ms and RTTP99Ms are RTT quantiles over the
-	// buffered samples, in milliseconds (0 with no samples).
+	// RTTP50Ms, RTTP90Ms and RTTP99Ms are RTT percentiles over the held
+	// RTTs (linear interpolation between closest ranks), in
+	// milliseconds (0 with no samples).
 	RTTP50Ms float64 `json:"rtt_p50_ms"`
 	RTTP90Ms float64 `json:"rtt_p90_ms"`
 	RTTP99Ms float64 `json:"rtt_p99_ms"`
@@ -234,85 +202,57 @@ type Snapshot struct {
 	LHM        int    `json:"lhm"`
 	LHMChanges uint64 `json:"lhm_changes"`
 
-	// Samples, Partitions, Evictions and Overwrites describe the
-	// sample buffer's occupancy against its memory bound.
+	// Samples is the number of RTTs held, the sum over Peers. Evictions
+	// counts peers dropped from the full table, and Overwrites RTTs
+	// overwritten in full rings.
 	Samples    int    `json:"samples"`
-	Partitions int    `json:"partitions"`
 	Evictions  uint64 `json:"evictions"`
 	Overwrites uint64 `json:"overwrites"`
 }
 
-// Snapshot copies the recorder's current state: per-peer RTT quantiles
-// and loss, the histograms, and buffer occupancy. Safe to call while
-// recording continues.
+// Snapshot copies the recorder's current state: per-peer RTT
+// percentiles and loss, the histograms, and the table's occupancy.
+// Safe to call while recording continues.
 func (r *NodeRecorder) Snapshot() Snapshot {
-	type peerAgg struct {
-		rtts   []float64 // milliseconds
-		epochs int
-	}
-	agg := make(map[string]*peerAgg)
-	samples := 0
-	r.buf.ForEach(func(k PeerEpoch, rtts []time.Duration) {
-		a := agg[k.Peer]
-		if a == nil {
-			a = &peerAgg{}
-			agg[k.Peer] = a
-		}
-		a.epochs++
-		for _, rtt := range rtts {
-			a.rtts = append(a.rtts, float64(rtt)/float64(time.Millisecond))
-		}
-		samples += len(rtts)
-	})
-
 	r.mu.Lock()
-	peers := make(map[string]peerCounters, len(r.peers))
-	for name, c := range r.peers {
-		peers[name] = *c
+	snap := Snapshot{
+		Peers:      make([]PeerSnapshot, 0, len(r.peers)),
+		LHM:        r.lhm,
+		LHMChanges: r.lhmChanges,
+		Evictions:  r.evictions,
+		Overwrites: r.overwrites,
 	}
-	lhm, lhmChanges := r.lhm, r.lhmChanges
+	rtts := make([][]float64, 0, len(r.peers)) // milliseconds, per peer
+	for name, e := range r.peers {
+		ms := make([]float64, len(e.rtts))
+		for i, rtt := range e.rtts {
+			ms[i] = float64(rtt) / float64(time.Millisecond)
+		}
+		rtts = append(rtts, ms)
+		snap.Peers = append(snap.Peers, PeerSnapshot{
+			Peer:         name,
+			Samples:      len(ms),
+			DirectAcks:   e.directAcks,
+			IndirectAcks: e.indirectAcks,
+			Timeouts:     e.timeouts,
+			Suspicions:   e.suspicions,
+			Deaths:       e.deaths,
+		})
+	}
 	r.mu.Unlock()
 
-	snap := Snapshot{
-		RTT:        r.RTTHist.Snapshot(),
-		Suspicion:  r.SuspicionHist.Snapshot(),
-		LHM:        lhm,
-		LHMChanges: lhmChanges,
-		Samples:    samples,
-		Partitions: r.buf.Partitions(),
-		Evictions:  r.buf.Evictions(),
-		Overwrites: r.buf.Overwrites(),
-	}
-	for name, c := range peers {
-		ps := PeerSnapshot{Peer: name}
-		if a := agg[name]; a != nil {
-			sort.Float64s(a.rtts)
-			ps.Samples = len(a.rtts)
-			ps.Epochs = a.epochs
-			ps.RTTP50Ms = quantile(a.rtts, 0.50)
-			ps.RTTP90Ms = quantile(a.rtts, 0.90)
-			ps.RTTP99Ms = quantile(a.rtts, 0.99)
+	snap.RTT = r.RTTHist.Snapshot()
+	snap.Suspicion = r.SuspicionHist.Snapshot()
+	for i := range snap.Peers {
+		ps := &snap.Peers[i]
+		ps.RTTP50Ms = stats.Percentile(rtts[i], 50)
+		ps.RTTP90Ms = stats.Percentile(rtts[i], 90)
+		ps.RTTP99Ms = stats.Percentile(rtts[i], 99)
+		if rounds := ps.DirectAcks + ps.IndirectAcks + ps.Timeouts; rounds > 0 {
+			ps.LossRate = float64(ps.Timeouts) / float64(rounds)
 		}
-		ps.DirectAcks = c.directAcks
-		ps.IndirectAcks = c.indirectAcks
-		ps.Timeouts = c.timeouts
-		ps.Suspicions = c.suspicions
-		ps.Deaths = c.deaths
-		if rounds := c.directAcks + c.indirectAcks + c.timeouts; rounds > 0 {
-			ps.LossRate = float64(c.timeouts) / float64(rounds)
-		}
-		snap.Peers = append(snap.Peers, ps)
+		snap.Samples += ps.Samples
 	}
 	sort.Slice(snap.Peers, func(i, j int) bool { return snap.Peers[i].Peer < snap.Peers[j].Peer })
 	return snap
-}
-
-// quantile returns the q-quantile of ascending-sorted vs by
-// nearest-rank, or 0 when empty.
-func quantile(vs []float64, q float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(vs)-1))
-	return vs[i]
 }

@@ -1,3 +1,20 @@
+// Package telemetry is the live observability subsystem: the Recorder
+// interface the protocol core reports through (direct-ack RTTs, probe
+// outcomes, LHM score changes, suspicion lifecycle durations),
+// fixed-bucket histograms, and NodeRecorder, the recorder a live agent
+// runs.
+//
+// The protocol core consumes it through the Recorder interface behind
+// core's Config.Telemetry, which is nil by default: with no recorder
+// installed the hooks are single nil checks, the probe hot path stays
+// allocation-free, and — because recording never draws from a node's
+// RNG or schedules clock events — enabling a recorder cannot perturb a
+// simulation's event ordering or its same-seed byte-identical records.
+//
+// NodeRecorder keeps one entry per peer — its probe outcome counters
+// and a ring of its latest RTTs — in a table with a hard memory bound,
+// plus process-wide histograms, exported over cmd/lifeguard-agent's
+// HTTP ops surface.
 package telemetry
 
 import (

@@ -2,31 +2,12 @@ package telemetry
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
-
-// fakeClock is a hand-advanced Now source for recorder tests.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newFakeClock() *fakeClock { return &fakeClock{t: time.Unix(1000, 0)} }
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
 
 func TestHistogramBuckets(t *testing.T) {
 	h := NewHistogram([]time.Duration{time.Millisecond, 10 * time.Millisecond})
@@ -62,16 +43,14 @@ func TestProbeOutcomeString(t *testing.T) {
 }
 
 func TestNodeRecorderSnapshot(t *testing.T) {
-	clock := newFakeClock()
-	r, err := NewNodeRecorder(NodeConfig{Now: clock.Now})
+	r, err := NewNodeRecorder(NodeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Ten RTT samples for peer a across two epochs: 10ms..100ms.
+	// Ten RTT samples for peer a: 10ms..100ms.
 	for i := 1; i <= 10; i++ {
 		r.RecordRTT("a", time.Duration(i)*10*time.Millisecond)
-		clock.Advance(15 * time.Second) // crosses an epoch every 4 samples
 	}
 	r.RecordProbe("a", OutcomeDirectAck)
 	r.RecordProbe("a", OutcomeDirectAck)
@@ -92,14 +71,15 @@ func TestNodeRecorderSnapshot(t *testing.T) {
 	if a.Samples != 10 {
 		t.Errorf("a samples = %d, want 10", a.Samples)
 	}
-	if a.Epochs < 2 {
-		t.Errorf("a epochs = %d, want >= 2", a.Epochs)
-	}
-	if a.RTTP50Ms < 40 || a.RTTP50Ms > 60 {
-		t.Errorf("a p50 = %g ms, want ~50", a.RTTP50Ms)
-	}
-	if a.RTTP99Ms < 90 {
-		t.Errorf("a p99 = %g ms, want >= 90", a.RTTP99Ms)
+	// Linear interpolation between closest ranks, the rule every record
+	// uses: rank p/100·(n−1) over 10..100 ms.
+	for _, q := range []struct {
+		name      string
+		got, want float64
+	}{{"p50", a.RTTP50Ms, 55}, {"p90", a.RTTP90Ms, 91}, {"p99", a.RTTP99Ms, 99.1}} {
+		if math.Abs(q.got-q.want) > 1e-9 {
+			t.Errorf("a %s = %g ms, want %g", q.name, q.got, q.want)
+		}
 	}
 	if a.DirectAcks != 2 || a.IndirectAcks != 1 || a.Timeouts != 1 {
 		t.Errorf("a outcomes = %d/%d/%d", a.DirectAcks, a.IndirectAcks, a.Timeouts)
@@ -111,6 +91,9 @@ func TestNodeRecorderSnapshot(t *testing.T) {
 		t.Errorf("a suspicions = %d deaths = %d", a.Suspicions, a.Deaths)
 	}
 	b := s.Peers[1]
+	if b.Samples != 0 || b.RTTP50Ms != 0 {
+		t.Errorf("b samples = %d p50 = %g, want none", b.Samples, b.RTTP50Ms)
+	}
 	if b.Timeouts != 1 || b.LossRate != 1 {
 		t.Errorf("b timeouts = %d loss = %g", b.Timeouts, b.LossRate)
 	}
@@ -128,43 +111,170 @@ func TestNodeRecorderSnapshot(t *testing.T) {
 	}
 }
 
-// TestNodeRecorderMemoryBound fills more (peer, epoch) partitions than
-// the recorder keeps, each past its ring, and checks occupancy never
-// exceeds the fixed bounds (1024 partitions of 128 samples).
-func TestNodeRecorderMemoryBound(t *testing.T) {
-	clock := newFakeClock()
-	r, err := NewNodeRecorder(NodeConfig{Now: clock.Now})
+// TestNodeRecorderRingOverwrite pins one peer's ring: past 128 RTTs
+// each new one overwrites the oldest, so the percentiles are taken over
+// the latest 128 and every overwrite is counted.
+func TestNodeRecorderRingOverwrite(t *testing.T) {
+	r, err := NewNodeRecorder(NodeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound := nodeMaxPartitions * nodeRingSize
-	if got := r.Buffer().MaxSamples(); got != bound {
-		t.Fatalf("MaxSamples = %d, want %d", got, bound)
+	const extra = 72
+	for i := 1; i <= nodeRingSize+extra; i++ {
+		r.RecordRTT("a", time.Duration(i)*time.Millisecond)
 	}
-	peers := make([]string, nodeMaxPartitions+76)
+	s := r.Snapshot()
+	a := s.Peers[0]
+	if a.Samples != nodeRingSize || s.Samples != nodeRingSize {
+		t.Errorf("samples = %d (total %d), want %d", a.Samples, s.Samples, nodeRingSize)
+	}
+	if s.Overwrites != extra || s.Evictions != 0 {
+		t.Errorf("overwrites = %d evictions = %d, want %d and 0", s.Overwrites, s.Evictions, extra)
+	}
+	// The ring holds 73..200 ms, whose median is 136.5 ms.
+	if want := float64(extra) + float64(nodeRingSize+1)/2; a.RTTP50Ms != want {
+		t.Errorf("p50 = %g ms, want %g (the latest %d RTTs)", a.RTTP50Ms, want, nodeRingSize)
+	}
+	// A full ring overwrites in place: steady-state recording is
+	// allocation-free.
+	if n := testing.AllocsPerRun(100, func() { r.RecordRTT("a", time.Millisecond) }); n != 0 {
+		t.Errorf("RecordRTT on a full ring allocates %g times", n)
+	}
+}
+
+// TestNodeRecorderMemoryBound records more peers than the table keeps,
+// each past its ring, and checks occupancy never exceeds the fixed
+// bound: 1024 peers of 128 RTTs.
+func TestNodeRecorderMemoryBound(t *testing.T) {
+	r, err := NewNodeRecorder(NodeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound = nodeMaxPeers * nodeRingSize
+	peers := make([]string, nodeMaxPeers+76)
 	for i := range peers {
 		peers[i] = fmt.Sprintf("peer-%04d", i)
 	}
-	for epoch := 0; epoch < 2; epoch++ {
+	for round := 0; round < 2; round++ {
 		for i, p := range peers {
 			for n := 0; n < nodeRingSize+2; n++ {
 				r.RecordRTT(p, time.Millisecond)
 			}
-			if got := r.Buffer().Len(); got > bound {
-				t.Fatalf("epoch %d peer %d: Len = %d exceeds bound %d", epoch, i, got, bound)
+			if i%100 != 0 {
+				continue
 			}
-			if got := r.Buffer().Partitions(); got > nodeMaxPartitions {
-				t.Fatalf("epoch %d peer %d: %d partitions, bound %d", epoch, i, got, nodeMaxPartitions)
+			if s := r.Snapshot(); s.Samples > bound || len(s.Peers) > nodeMaxPeers {
+				t.Fatalf("round %d peer %d: %d samples over %d peers, bounds %d / %d",
+					round, i, s.Samples, len(s.Peers), bound, nodeMaxPeers)
 			}
 		}
-		clock.Advance(nodeEpochInterval)
-	}
-	if r.Buffer().Evictions() == 0 || r.Buffer().Overwrites() == 0 {
-		t.Errorf("evictions = %d overwrites = %d, want both non-zero", r.Buffer().Evictions(), r.Buffer().Overwrites())
 	}
 	s := r.Snapshot()
-	if s.Samples > bound || s.Partitions > nodeMaxPartitions {
-		t.Errorf("snapshot: %d samples in %d partitions, bounds %d / %d", s.Samples, s.Partitions, bound, nodeMaxPartitions)
+	if s.Samples != bound || len(s.Peers) != nodeMaxPeers {
+		t.Errorf("full table: %d samples over %d peers, want %d / %d", s.Samples, len(s.Peers), bound, nodeMaxPeers)
+	}
+	if s.Evictions == 0 || s.Overwrites == 0 {
+		t.Errorf("evictions = %d overwrites = %d, want both non-zero", s.Evictions, s.Overwrites)
+	}
+}
+
+// TestBufferMemoryBound churns the recorder's RTT buffers: windows of
+// 257 short-lived peers, about four RTTs each, pass through the table
+// while one hot peer is recorded about on every step. Occupancy stays
+// within the bound throughout, short-lived peers are evicted with their
+// RTTs, and the hot peer keeps a full ring of its latest RTTs.
+func TestBufferMemoryBound(t *testing.T) {
+	r, err := NewNodeRecorder(NodeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		adds  = 20_000
+		bound = nodeMaxPeers * nodeRingSize
+	)
+	for i := 0; i < adds; i++ {
+		r.RecordRTT(fmt.Sprintf("p%05d", i%257+257*(i/1000)), time.Millisecond)
+		r.RecordRTT("hot", time.Duration(i)*time.Microsecond)
+		if i%100 != 0 {
+			continue
+		}
+		s := r.Snapshot()
+		if s.Samples > bound || len(s.Peers) > nodeMaxPeers {
+			t.Fatalf("after %d adds: %d samples over %d peers, bounds %d / %d",
+				i+1, s.Samples, len(s.Peers), bound, nodeMaxPeers)
+		}
+		for _, p := range s.Peers {
+			if p.Peer != "hot" && p.Samples > 4 {
+				t.Fatalf("after %d adds: short-lived peer %s holds %d RTTs, want <= 4", i+1, p.Peer, p.Samples)
+			}
+		}
+	}
+	s := r.Snapshot()
+	if len(s.Peers) != nodeMaxPeers {
+		t.Errorf("full table lists %d peers, want %d", len(s.Peers), nodeMaxPeers)
+	}
+	if s.Evictions == 0 {
+		t.Error("churn caused no evictions")
+	}
+	if want := uint64(adds - nodeRingSize); s.Overwrites != want {
+		t.Errorf("overwrites = %d, want %d (the hot peer's ring only)", s.Overwrites, want)
+	}
+	for _, p := range s.Peers {
+		if p.Peer != "hot" {
+			continue
+		}
+		// The hot ring holds the latest 128 RTTs: 19872..19999 µs.
+		if want := float64(adds-nodeRingSize)/1000 + float64(nodeRingSize-1)/2000; p.Samples != nodeRingSize || math.Abs(p.RTTP50Ms-want) > 1e-9 {
+			t.Errorf("hot peer: %d samples p50 %g ms, want %d and %g", p.Samples, p.RTTP50Ms, nodeRingSize, want)
+		}
+		return
+	}
+	t.Error("the hot peer, recorded about on every step, was evicted")
+}
+
+// TestBufferConcurrent races RTT writes over far more peer names than
+// the table holds against Snapshot and its occupancy figures; run under
+// -race this is the thread-safety proof for the recorder's RTT buffers
+// while peers are being evicted.
+func TestBufferConcurrent(t *testing.T) {
+	r, err := NewNodeRecorder(NodeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound = nodeMaxPeers * nodeRingSize
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				r.RecordRTT(fmt.Sprintf("p%04d", (w*31+i)%97+97*(i/50)), time.Duration(i)*time.Microsecond)
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 100; i++ {
+			s := r.Snapshot()
+			sum := 0
+			for _, p := range s.Peers {
+				sum += p.Samples
+			}
+			if s.Samples > bound || len(s.Peers) > nodeMaxPeers || s.Samples != sum {
+				t.Errorf("snapshot: %d samples (peers hold %d) over %d peers, bounds %d / %d",
+					s.Samples, sum, len(s.Peers), bound, nodeMaxPeers)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	s := r.Snapshot()
+	if s.RTT.Count != 8000 {
+		t.Errorf("rtt count = %d, want 8000", s.RTT.Count)
+	}
+	if s.Evictions == 0 {
+		t.Error("3880 peer names caused no evictions")
 	}
 }
 
@@ -194,14 +304,14 @@ func TestNodeRecorderPeersBounded(t *testing.T) {
 		r.RecordProbe(name(0), OutcomeDirectAck)
 	}
 	s := r.Snapshot()
-	if len(s.Peers) > nodeMaxPartitions {
-		t.Fatalf("snapshot lists %d peers, bound %d", len(s.Peers), nodeMaxPartitions)
+	if len(s.Peers) > nodeMaxPeers {
+		t.Fatalf("snapshot lists %d peers, bound %d", len(s.Peers), nodeMaxPeers)
 	}
 	listed := make(map[string]PeerSnapshot, len(s.Peers))
 	for _, p := range s.Peers {
 		listed[p.Peer] = p
 	}
-	for i := names - (nodeMaxPartitions - 1); i < names; i++ {
+	for i := names - (nodeMaxPeers - 1); i < names; i++ {
 		if _, ok := listed[name(i)]; !ok {
 			t.Fatalf("recent peer %s was dropped", name(i))
 		}
@@ -211,6 +321,35 @@ func TestNodeRecorderPeersBounded(t *testing.T) {
 	}
 	if _, ok := listed[name(1)]; ok {
 		t.Errorf("peer %s, untouched since step 1, survived %d newer names", name(1), names)
+	}
+
+	// A peer's counters and RTTs leave the table together: one RTT for
+	// zzz, then one each for 1024 other peers, evicts zzz with its
+	// sample, and the sample total is the sum over the listed peers.
+	r, err = NewNodeRecorder(NodeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.RecordRTT("zzz", time.Millisecond)
+	for i := 0; i < nodeMaxPeers; i++ {
+		r.RecordRTT(fmt.Sprintf("p%04d", i), time.Millisecond)
+	}
+	s = r.Snapshot()
+	sum := 0
+	for _, p := range s.Peers {
+		sum += p.Samples
+		if p.Peer == "zzz" {
+			t.Errorf("zzz, the least recently recorded about, is still listed")
+		}
+		if p.Samples == 0 {
+			t.Errorf("peer %s had an RTT recorded but is listed with 0 samples", p.Peer)
+		}
+	}
+	if s.Samples != sum {
+		t.Errorf("samples = %d, but the %d listed peers hold %d", s.Samples, len(s.Peers), sum)
+	}
+	if s.Samples != nodeMaxPeers || s.Evictions != 1 {
+		t.Errorf("samples = %d evictions = %d, want %d and 1", s.Samples, s.Evictions, nodeMaxPeers)
 	}
 }
 
@@ -243,8 +382,8 @@ func TestNodeRecorderConcurrent(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
 			s := r.Snapshot()
-			if len(s.Peers) > len(peers) {
-				t.Errorf("snapshot has %d peers", len(s.Peers))
+			if len(s.Peers) > len(peers) || s.Samples > len(peers)*nodeRingSize {
+				t.Errorf("snapshot has %d samples over %d peers", s.Samples, len(s.Peers))
 				return
 			}
 		}

@@ -146,19 +146,20 @@ const (
 	OutcomeTimeout = telemetry.OutcomeTimeout
 )
 
-// NodeTelemetry is the bundled TelemetryRecorder: bounded per-(peer,
-// epoch) RTT sample partitions, per-peer probe outcome counters, and
-// RTT/suspicion histograms. Its Snapshot method backs the agent's
-// /telemetry endpoint.
+// NodeTelemetry is the bundled TelemetryRecorder: one entry per peer,
+// holding its probe outcome counters and a ring of its latest RTTs, in
+// a bounded table, plus RTT/suspicion histograms. Its Snapshot method
+// backs the agent's /telemetry endpoint.
 type NodeTelemetry = telemetry.NodeRecorder
 
-// NodeTelemetryConfig parameterizes NewNodeTelemetry: the timestamp
-// source, time.Now in the zero value. The recorder's sizes are fixed
-// (60 s epochs, 128 samples per partition, 1024 partitions, 1024 peers).
+// NodeTelemetryConfig is NewNodeTelemetry's argument. It has no fields:
+// the recorder's sizes are fixed (the latest 128 RTTs per peer, 1024
+// peers).
 type NodeTelemetryConfig = telemetry.NodeConfig
 
 // TelemetrySnapshot is a point-in-time copy of a NodeTelemetry: per-peer
-// RTT quantiles and loss rates, histograms, and buffer occupancy.
+// RTT percentiles and loss rates, histograms, and the peer table's
+// occupancy.
 type TelemetrySnapshot = telemetry.Snapshot
 
 // NewNodeTelemetry returns an empty recorder, ready to assign to
