@@ -75,8 +75,9 @@ type Agent struct {
 	GossipAddr string   // bound UDP/TCP address, parsed from the log
 	OpsURL     string   // "http://host:port" of the ops server
 
-	cmd    *exec.Cmd
-	waitCh chan error
+	cmd     *exec.Cmd
+	waitCh  chan error
+	started time.Time // when the process was spawned
 
 	mu      sync.Mutex
 	logBuf  bytes.Buffer
@@ -103,7 +104,7 @@ func (a *Agent) Log() string {
 // starts capturing its output. It does not wait for readiness.
 func startAgentProcess(t *testing.T, name string, args []string) *Agent {
 	t.Helper()
-	a := &Agent{Name: name, Args: args, waitCh: make(chan error, 1)}
+	a := &Agent{Name: name, Args: args, waitCh: make(chan error, 1), started: time.Now()}
 	a.cmd = exec.Command(agentBin, args...)
 	a.cmd.Stdout = a
 	a.cmd.Stderr = a
@@ -287,8 +288,8 @@ func (a *Agent) Metrics() (map[string]float64, error) {
 // loopback, plus the bookkeeping to know who is supposed to be alive.
 type Cluster struct {
 	t      *testing.T
-	Agents []*Agent // every agent ever started, including stopped ones
-	gone   map[string]bool
+	Agents []*Agent             // every agent ever started, including stopped ones
+	gone   map[string]time.Time // deliberately stopped agents, by name: when
 	seq    int
 }
 
@@ -313,7 +314,7 @@ func defaultAgentArgs(name string) []string {
 // WaitConverged for that.
 func StartCluster(t *testing.T, n int, extraArgs func(i int) []string) *Cluster {
 	t.Helper()
-	c := &Cluster{t: t, gone: make(map[string]bool)}
+	c := &Cluster{t: t, gone: make(map[string]time.Time)}
 	t.Cleanup(c.dumpOnFailure)
 	for i := 0; i < n; i++ {
 		var extra []string
@@ -358,7 +359,7 @@ func (c *Cluster) Restart(t *testing.T, name string, extra ...string) *Agent {
 
 // MarkGone records that an agent was deliberately stopped, so Live and
 // the convergence helpers stop expecting it.
-func (c *Cluster) MarkGone(a *Agent) { c.gone[a.Name] = true }
+func (c *Cluster) MarkGone(a *Agent) { c.gone[a.Name] = time.Now() }
 
 // Live returns the agents currently expected to be up, newest instance
 // winning when a name was restarted.
@@ -369,7 +370,7 @@ func (c *Cluster) Live() []*Agent {
 	}
 	var out []*Agent
 	for name, a := range latest {
-		if !c.gone[name] {
+		if _, gone := c.gone[name]; !gone {
 			out = append(out, a)
 		}
 	}
@@ -440,7 +441,9 @@ func waitUntil(t *testing.T, timeout time.Duration, desc string, cond func() err
 // viewConsistent checks one agent's /members view against the cluster's
 // expectations: every live agent alive, every named departed agent in
 // wantGone's state, and — the zero-false-positive invariant — no live
-// agent ever reported dead or left.
+// agent ever reported dead or left. An agent started after a member
+// departed may hold no entry for it: members are learned only from
+// alive news, so a newcomer never learns one that was already gone.
 func (c *Cluster) viewConsistent(a *Agent, wantGone map[string]string) error {
 	view, err := a.Members()
 	if err != nil {
@@ -466,6 +469,9 @@ func (c *Cluster) viewConsistent(a *Agent, wantGone map[string]string) error {
 	for name, wantState := range wantGone {
 		m, ok := view[name]
 		if !ok {
+			if a.started.After(c.gone[name]) {
+				continue
+			}
 			return fmt.Errorf("agent %s has no entry for departed member %s", a.Name, name)
 		}
 		if m.State != wantState {

@@ -158,6 +158,14 @@ const (
 	nackTimeoutFraction = 0.8
 )
 
+// tombstoneTTL is how long a dead or left record stays in the member
+// table after its last state change; the next push-pull snapshot after
+// that drops it. It is longer than memberlist's horizon
+// (gossipToTheDead) so that reconnect ticks keep reaching the far side
+// of a partition: a split up to tombstoneTTL − 2·reconnectInterval
+// re-merges on its own (docs/ARCHITECTURE.md, Contracts).
+const tombstoneTTL = 5 * time.Minute
+
 // Tuning of the coordinate-driven extensions. Nothing sets a second
 // value for any of them, so they are constants rather than Config
 // fields (docs/ARCHITECTURE.md, Contracts).

@@ -42,7 +42,10 @@ type Node struct {
 	// inbound messages carry names, so packet handling resolves name →
 	// record here once, and everything downstream (probe rounds,
 	// relays, suspicion timers, the schedules below) holds the record
-	// pointer. Records are never freed.
+	// pointer. Only alive news creates a record (handleAliveLocked), and
+	// only the push-pull snapshot walk drops one, a tombstone older than
+	// tombstoneTTL (localStatesLocked), from this map, roster and
+	// sortedMembers together.
 	members map[string]*memberState
 
 	// self is the local member's own record, resolved once at Start so
@@ -59,8 +62,8 @@ type Node struct {
 	probeIdx  int
 
 	// roster is an incrementally shuffled slice of every known member
-	// (self, dead and left included; entries are never removed, matching
-	// the members map). selectRandomLocked draws k-of-n samples from it
+	// (self, dead and left included; the same records as the members
+	// map). selectRandomLocked draws k-of-n samples from it
 	// with a partial Fisher–Yates walk instead of sorting and shuffling
 	// the whole member table per pick.
 	roster []*memberState
@@ -68,7 +71,8 @@ type Node struct {
 	// sortedMembers mirrors the membership table in ascending name
 	// order, maintained by a binary-search insert when a record is
 	// created, so a push-pull snapshot walks it in place instead of
-	// allocating and sorting the full roster per exchange.
+	// allocating and sorting the full roster per exchange; that walk
+	// also reaps old tombstones.
 	sortedMembers []*memberState
 
 	// aliveCount tracks members in the alive or suspect states
@@ -458,8 +462,9 @@ func stopTimer(t timeutil.Timer) {
 	}
 }
 
-// Members returns a snapshot of every known member, including the
-// retained dead.
+// Members returns a snapshot of every known member, including the dead
+// and left members still retained: each is kept for 5 minutes after its
+// death or leave, and dropped at the next push-pull exchange after that.
 func (n *Node) Members() []Member {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -20,8 +20,9 @@ type ackHandler struct {
 	// read it under the node lock.
 	seq uint32
 
-	// target is the probed member's record. Records are never freed
-	// (the dead are retained), so the pointer outlives the round.
+	// target is the probed member's record. A record is reaped only
+	// long after its death (tombstoneTTL), and a round against a dead
+	// record does nothing, so the pointer is safe for the round's life.
 	target *memberState
 
 	// acked is set by the first matching ack (direct, relayed, or

@@ -12,8 +12,9 @@ import (
 // sortedInsertLocked files a newly created record into sortedMembers at
 // its name's position: O(log n) search plus an O(n) move, paid once per
 // member arrival instead of an allocate-and-sort of the whole table on
-// every push-pull exchange. Names are unique (the caller has just
-// missed in n.members) and records are never removed.
+// every push-pull exchange. Names are unique: the caller has just missed
+// in n.members, and a reaped record leaves sortedMembers with its map
+// entry (localStatesLocked).
 func (n *Node) sortedInsertLocked(m *memberState) {
 	i, _ := slices.BinarySearchFunc(n.sortedMembers, m.Name,
 		func(s *memberState, name string) int { return strings.Compare(s.Name, name) })
@@ -58,17 +59,32 @@ func putStates(states []wire.PushPullState) {
 	statesPool.Unlock()
 }
 
-// localStatesLocked snapshots the full membership table, including self
-// and the retained dead, for a push-pull exchange. The table is in
-// ascending name order so the wire encoding — and therefore the
-// receiver's merge order — is deterministic; the order comes for free
-// from the incrementally maintained sorted roster (sortedInsertLocked).
+// localStatesLocked snapshots the membership table, including self and
+// the retained dead, for a push-pull exchange. The table is in ascending
+// name order so the wire encoding — and therefore the receiver's merge
+// order — is deterministic; the order comes for free from the
+// incrementally maintained sorted roster (sortedInsertLocked).
+//
+// The same walk is the member table's only way out: it drops each
+// non-self dead or left record whose state is older than tombstoneTTL
+// from members, sortedMembers and roster, and does not send it. The
+// survivors keep their order and no RNG draw is taken, so same-seed runs
+// stay reproducible. Nothing still acts on a dropped record: it left the
+// probe schedule and lost its suspicion timer at its death, and a round
+// or relay still holding it finds it dead.
 //
 // The returned table is taken from statesPool; the caller hands it to
 // sendStatesLocked, which returns it.
 func (n *Node) localStatesLocked() []wire.PushPullState {
 	states := takeStates()
+	now := n.cfg.Clock.Now()
+	kept := n.sortedMembers[:0]
 	for _, m := range n.sortedMembers {
+		if m != n.self && (m.State == StateDead || m.State == StateLeft) && now.Sub(m.StateChange) > tombstoneTTL {
+			delete(n.members, m.Name)
+			continue
+		}
+		kept = append(kept, m)
 		states = append(states, wire.PushPullState{
 			Name:        m.Name,
 			Addr:        m.Addr,
@@ -76,6 +92,11 @@ func (n *Node) localStatesLocked() []wire.PushPullState {
 			State:       uint8(m.State),
 			Meta:        m.Meta,
 		})
+	}
+	if len(kept) < len(n.sortedMembers) {
+		clear(n.sortedMembers[len(kept):])
+		n.sortedMembers = kept
+		n.roster = slices.DeleteFunc(n.roster, func(m *memberState) bool { return n.members[m.Name] != m })
 	}
 	return states
 }
@@ -232,29 +253,31 @@ func (n *Node) reconnectTick() {
 // regular message handlers. A remote dead is merged as a suspicion
 // (memberlist's choice): if the member is actually alive, refutation can
 // still win; left is terminal and merged as-is, over a held dead too.
+//
+// Only an alive entry creates a record: a suspect, dead or left entry
+// about a name this view does not know is dropped (memberlist drops
+// suspect and dead news about unknown names), so a joiner does not
+// relearn, probe and declare every member that ever died.
 func (n *Node) mergeRemoteStateLocked(source string, states []wire.PushPullState) {
 	for i := range states {
 		s := &states[i]
 		switch State(s.State) {
 		case StateAlive:
-			n.replayAliveLocked(s, s.Meta)
+			// Replayed through the node's scratch: handleAliveLocked
+			// copies out the fields it keeps and marshals its broadcast
+			// before returning, so a table with no news allocates nothing.
+			n.scratchAlive = wire.Alive{Incarnation: s.Incarnation, Node: s.Name, Addr: s.Addr, Meta: s.Meta}
+			n.handleAliveLocked(&n.scratchAlive)
 		case StateSuspect, StateDead:
-			// Learn of the member first if it is new, then apply the
-			// suspicion at the remote incarnation. Anti-entropy state is
-			// not an accusation: it must neither confirm an existing
-			// suspicion (only received suspect messages from distinct
-			// accusers count as independent, §IV-B) nor be re-gossiped
-			// with a relabeled accuser — doing either manufactures fake
-			// independent suspicions on every push-pull and collapses
-			// LHA-Suspicion's timeout cluster-wide.
-			if _, known := n.members[s.Name]; !known {
-				n.replayAliveLocked(s, nil)
-			}
+			// Apply the suspicion at the remote incarnation. Anti-entropy
+			// state is not an accusation: it must neither confirm an
+			// existing suspicion (only received suspect messages from
+			// distinct accusers count as independent, §IV-B) nor be
+			// re-gossiped with a relabeled accuser — doing either
+			// manufactures fake independent suspicions on every push-pull
+			// and collapses LHA-Suspicion's timeout cluster-wide.
 			n.applyMergedSuspicionLocked(s.Name, s.Incarnation)
 		case StateLeft:
-			if _, known := n.members[s.Name]; !known {
-				n.replayAliveLocked(s, nil)
-			}
 			n.handleDeadLocked(&wire.Dead{
 				Incarnation: s.Incarnation,
 				Node:        s.Name,
@@ -262,13 +285,4 @@ func (n *Node) mergeRemoteStateLocked(source string, states []wire.PushPullState
 			})
 		}
 	}
-}
-
-// replayAliveLocked replays one push-pull entry as an alive message,
-// through the node's scratch: handleAliveLocked copies out the fields it
-// keeps and marshals its broadcast before returning, so a table with no
-// news allocates nothing.
-func (n *Node) replayAliveLocked(s *wire.PushPullState, meta []byte) {
-	n.scratchAlive = wire.Alive{Incarnation: s.Incarnation, Node: s.Name, Addr: s.Addr, Meta: meta}
-	n.handleAliveLocked(&n.scratchAlive)
 }

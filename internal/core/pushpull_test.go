@@ -179,6 +179,7 @@ func TestPushPullMergeRemoteDeadTreatedAsSuspicion(t *testing.T) {
 
 func TestPushPullMergeRemoteLeftIsTerminal(t *testing.T) {
 	h := newHarness(t, nil)
+	h.addMember("m1", 1)
 	h.inject("peer", &wire.PushPullResp{
 		Source: "peer",
 		States: []wire.PushPullState{
@@ -204,17 +205,34 @@ func TestPushPullMergeSuspectAboutSelfRefutes(t *testing.T) {
 	}
 }
 
-func TestPushPullMergeUnknownSuspectLearnsThenSuspects(t *testing.T) {
-	h := newHarness(t, nil)
-	h.inject("peer", &wire.PushPullResp{
-		Source: "peer",
-		States: []wire.PushPullState{
-			{Name: "ghost", Addr: "ghost", Incarnation: 4, State: uint8(StateSuspect)},
-		},
-	})
-	m := h.state("ghost")
-	if m.State != StateSuspect || m.Incarnation != 4 {
-		t.Errorf("ghost = %+v", m)
+// TestPushPullMergeUnknownAccusationIgnored: only alive news creates a
+// record. A suspect, dead or left entry about a name this view has never
+// heard of is dropped — no record, no event, nothing queued for gossip —
+// so a joiner does not relearn every member that ever died.
+func TestPushPullMergeUnknownAccusationIgnored(t *testing.T) {
+	for _, st := range []State{StateSuspect, StateDead, StateLeft} {
+		t.Run(st.String(), func(t *testing.T) {
+			h := newHarness(t, nil)
+			for h.node.queue.Len() > 0 {
+				h.node.queue.GetBroadcasts(2, 1400)
+			}
+			h.events = nil
+			h.inject("peer", &wire.PushPullResp{
+				Source: "peer",
+				States: []wire.PushPullState{
+					{Name: "ghost", Addr: "ghost", Incarnation: 4, State: uint8(st)},
+				},
+			})
+			if m, ok := h.node.Member("ghost"); ok {
+				t.Errorf("ghost learned from a %v entry: %+v", st, m)
+			}
+			if len(h.events) != 0 {
+				t.Errorf("events = %v, want none", h.events)
+			}
+			if got := h.node.queue.Len(); got != 0 {
+				t.Errorf("%d broadcasts queued, want none", got)
+			}
+		})
 	}
 }
 

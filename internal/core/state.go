@@ -139,7 +139,8 @@ func (n *Node) handleDeadLocked(d *wire.Dead) {
 
 // deadNodeLocked marks a member dead (or left, when self-announced) and
 // re-gossips the declaration. Dead members are retained for push-pull
-// exchange and late gossip (§III-B).
+// exchange and late gossip (§III-B) until tombstoneTTL has passed
+// (localStatesLocked).
 func (n *Node) deadNodeLocked(m *memberState, d *wire.Dead) {
 	if d.Incarnation < m.Incarnation {
 		return // stale declaration, already refuted

@@ -1,10 +1,13 @@
 package experiment
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
 	"lifeguard/internal/core"
+	"lifeguard/internal/metrics"
 )
 
 // TestChurnSmall smoke-tests the churn machinery at a size every test
@@ -93,4 +96,69 @@ func TestChurnLargeCluster(t *testing.T) {
 	if m["joins_sampled"] > 0 && m["joins_seen"] < float64(int(m["joins_sampled"])*9/10) {
 		t.Errorf("joins seen %g/%g, want ≥90%%", m["joins_seen"], m["joins_sampled"])
 	}
+}
+
+// TestLateJoinerLearnsOnlyTheLive is the virtual-time repro of the ghost
+// defect: a 16-member cluster loses a member and gains one under a fresh
+// name every 20 s for 20 minutes, then a late member joins through the
+// seed. The seed's push-pull table still carries the recent dead, but
+// the joiner learns members only from alive news: it holds exactly the
+// live members, all alive, and raises no join or dead event about a
+// member that is gone.
+func TestLateJoinerLearnsOnlyTheLive(t *testing.T) {
+	const (
+		n      = 16
+		every  = 20 * time.Second
+		churn  = 20 * time.Minute
+		settle = time.Minute
+	)
+	c, err := NewCluster(ClusterConfig{N: n, Seed: 1, Protocol: ConfigLifeguard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	if err := c.Start(Quiesce); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	pool := c.allNames()[1:]
+	var s script
+	for i := 0; time.Duration(i)*every < churn; i++ {
+		at := time.Duration(i) * every
+		k := rng.Intn(len(pool))
+		fresh := fmt.Sprintf("fresh-%03d", i)
+		s = append(s, entry{at: at, op: opStop, node: pool[k]}, entry{at: at, op: opJoin, node: fresh})
+		pool[k] = fresh
+	}
+	s = append(s, entry{at: churn, op: opJoin, node: "late"})
+	r := c.play(s)
+	if err := r.runTo(churn + settle); err != nil {
+		t.Fatal(err)
+	}
+
+	live := make(map[string]bool, len(c.Nodes))
+	for _, node := range c.Nodes {
+		live[node.Name()] = true
+	}
+	late := c.names["late"]
+	held := late.Members()
+	for _, m := range held {
+		if !live[m.Name] || m.State != core.StateAlive {
+			t.Errorf("late joiner holds %s as %v; live: %v", m.Name, m.State, live[m.Name])
+		}
+	}
+	if len(held) != len(live) {
+		t.Errorf("late joiner holds %d records, want the %d live members", len(held), len(live))
+	}
+	ghosts := 0
+	for _, e := range c.Events.Events() {
+		if e.Observer == "late" && !live[e.Subject] && (e.Type == metrics.EventJoin || e.Type == metrics.EventDead) {
+			ghosts++
+		}
+	}
+	if ghosts > 0 {
+		t.Errorf("late joiner raised %d join/dead events about departed members", ghosts)
+	}
+	t.Logf("%d departed; seed holds %d records; late joiner holds %d, LHM %d",
+		len(r.gone), len(c.Nodes[0].Members()), len(held), late.HealthScore())
 }
