@@ -110,6 +110,8 @@ func TestRunErrorPaths(t *testing.T) {
 			args:    []string{"-bind", "127.0.0.1:0", "-probe-interval", "100ms", "-probe-timeout", "300ms"},
 			wantErr: "probe timeout",
 		},
+		{name: "NaN alpha", args: []string{"-bind", "127.0.0.1:0", "-alpha", "NaN"}, wantErr: "SuspicionAlpha"},
+		{name: "infinite beta", args: []string{"-bind", "127.0.0.1:0", "-beta", "Inf"}, wantErr: "SuspicionBeta"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

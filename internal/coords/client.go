@@ -9,76 +9,71 @@ import (
 	"time"
 )
 
-// Config tunes the Vivaldi engine. The defaults follow the Vivaldi
-// paper's evaluated constants (and Serf's production tuning of them).
-type Config struct {
-	// Dimensionality is the Euclidean dimension of the coordinate
+// The Vivaldi paper's evaluated constants, as Serf tunes them. Nothing
+// sets a second value for any of them, so they are constants rather than
+// Config fields (docs/ARCHITECTURE.md, Contracts).
+const (
+	// dimensionality is the Euclidean dimension of the coordinate
 	// space. The Vivaldi paper finds low dimensions plus a height
-	// outperform high-dimensional embeddings; 8 is Serf's default.
-	Dimensionality int
+	// outperform high-dimensional embeddings.
+	dimensionality = 8
 
-	// VivaldiErrorMax caps (and initializes) a coordinate's error
+	// vivaldiErrorMax caps (and initializes) a coordinate's error
 	// estimate.
-	VivaldiErrorMax float64
+	vivaldiErrorMax = 1.5
 
-	// VivaldiCE is c_e, the maximum fraction of the error estimate
+	// vivaldiCE is c_e, the maximum fraction of the error estimate
 	// replaced by one observation.
-	VivaldiCE float64
+	vivaldiCE = 0.25
 
-	// VivaldiCC is c_c, the maximum fraction of the distance to the
+	// vivaldiCC is c_c, the maximum fraction of the distance to the
 	// peer travelled in one update (the adaptive timestep ceiling).
-	VivaldiCC float64
+	vivaldiCC = 0.25
 
-	// AdjustmentWindowSize is the number of recent samples over which
-	// the additive adjustment term is averaged. Zero disables the
-	// adjustment term.
-	AdjustmentWindowSize int
+	// adjustmentWindowSize is the number of recent samples over which
+	// the additive adjustment term is averaged.
+	adjustmentWindowSize = 20
 
-	// HeightMin is the floor of the height component, in seconds.
-	HeightMin float64
+	// heightMin is the floor of the height component, in seconds.
+	heightMin = 10.0e-6
 
-	// LatencyFilterSize is the per-peer median filter window: an RTT
+	// latencyFilterSize is the per-peer median filter window: an RTT
 	// observation only reaches the Vivaldi update as the median of the
-	// last LatencyFilterSize samples from that peer, suppressing
+	// last latencyFilterSize samples from that peer, suppressing
 	// one-off outliers (queueing spikes, retransmits).
-	LatencyFilterSize int
+	latencyFilterSize = 3
 
-	// GravityRho tunes the gravity force that pulls coordinates toward
+	// gravityRho tunes the gravity force that pulls coordinates toward
 	// the origin, preventing the coordinate system from drifting away
-	// as a whole: the pull is proportional to distance/GravityRho.
-	// Zero disables gravity.
-	GravityRho float64
+	// as a whole: the pull is proportional to distance/gravityRho.
+	gravityRho = 150.0
 
-	// MaxRTT bounds accepted RTT observations; larger samples are
+	// maxRTT bounds accepted RTT observations; larger samples are
 	// discarded as outliers (a 10-second "round trip" is a stalled
 	// process, not a network path).
-	MaxRTT time.Duration
+	maxRTT = 10 * time.Second
+)
 
+// Config holds what differs between engines: their source of
+// randomness. The tuning is the constants above.
+type Config struct {
 	// Rand supplies the engine's randomness (tie-breaking coincident
 	// coordinates). Defaults to a fixed-seed xorshift generator;
 	// inject the node's seeded RNG for simulation determinism.
 	Rand func() float64
 }
 
-// DefaultConfig returns the paper-tuned defaults.
+// DefaultConfig returns a Config with no Rand, so NewClient falls back
+// to its fixed-seed generator. It stays for the callers written against
+// it, the benchmark module's kernels among them.
 func DefaultConfig() *Config {
-	return &Config{
-		Dimensionality:       8,
-		VivaldiErrorMax:      1.5,
-		VivaldiCE:            0.25,
-		VivaldiCC:            0.25,
-		AdjustmentWindowSize: 20,
-		HeightMin:            10.0e-6,
-		LatencyFilterSize:    3,
-		GravityRho:           150.0,
-		MaxRTT:               10 * time.Second,
-	}
+	return &Config{}
 }
 
 // Client is one node's Vivaldi engine. It is not safe for concurrent
 // use; the protocol core serializes access under the node lock.
 type Client struct {
-	cfg   *Config
+	rand  func() float64
 	coord *Coordinate
 
 	// origin is a zero-value coordinate used as the gravity anchor.
@@ -86,7 +81,7 @@ type Client struct {
 
 	// adjustmentSamples is the circular raw-error window feeding the
 	// adjustment term.
-	adjustmentSamples []float64
+	adjustmentSamples [adjustmentWindowSize]float64
 	adjustmentIndex   int
 
 	// peers holds one record per peer this node has a coordinate for
@@ -114,17 +109,17 @@ type Client struct {
 }
 
 // peer is the engine's state for one peer. Its coordinate vector and
-// its RTT window share one float array of Dimensionality +
-// LatencyFilterSize elements, so a new peer costs two allocations (this
+// its RTT window share one float array of dimensionality +
+// latencyFilterSize elements, so a new peer costs two allocations (this
 // record and the array) and a known peer's observation none. A peer
 // only ever witnessed carries a window it never fills; that is
-// LatencyFilterSize floats, against the map entry and the allocation a
+// latencyFilterSize floats, against the map entry and the allocation a
 // separate window map would cost the peers that are observed.
 type peer struct {
 	coord Coordinate
 
 	// window holds the peer's most recent RTT samples, in seconds,
-	// oldest first; its capacity is LatencyFilterSize.
+	// oldest first; its capacity is latencyFilterSize.
 	window []float64
 }
 
@@ -135,25 +130,18 @@ type rankedPeer struct {
 	rtt  time.Duration
 }
 
-// NewClient validates cfg and returns an engine at the origin. The
-// config is copied, so one Config value can seed many engines without
-// the engines sharing mutable state.
+// NewClient returns an engine at the origin, drawing its randomness
+// from cfg.Rand (nil cfg or Rand: a fixed-seed generator). The error is
+// always nil; the signature is the one its callers were written
+// against, the benchmark module's kernels among them.
 func NewClient(cfg *Config) (*Client, error) {
-	if cfg == nil {
-		cfg = DefaultConfig()
-	} else {
-		cc := *cfg
-		cfg = &cc
+	var rnd func() float64
+	if cfg != nil {
+		rnd = cfg.Rand
 	}
-	if cfg.Dimensionality <= 0 {
-		return nil, fmt.Errorf("coords: dimensionality must be positive, got %d", cfg.Dimensionality)
-	}
-	if cfg.LatencyFilterSize <= 0 {
-		return nil, fmt.Errorf("coords: latency filter size must be positive, got %d", cfg.LatencyFilterSize)
-	}
-	if cfg.Rand == nil {
+	if rnd == nil {
 		rng := uint64(0x9E3779B97F4A7C15)
-		cfg.Rand = func() float64 {
+		rnd = func() float64 {
 			// xorshift64*: deterministic fallback randomness; only used
 			// to separate exactly-coincident coordinates.
 			rng ^= rng >> 12
@@ -162,17 +150,12 @@ func NewClient(cfg *Config) (*Client, error) {
 			return float64(rng*0x2545F4914F6CDD1D>>11) / float64(1<<53)
 		}
 	}
-	adjustmentWindow := cfg.AdjustmentWindowSize
-	if adjustmentWindow < 0 {
-		adjustmentWindow = 0
-	}
 	return &Client{
-		cfg:               cfg,
-		coord:             NewCoordinate(cfg),
-		origin:            NewCoordinate(cfg),
-		peers:             make(map[string]*peer),
-		adjustmentSamples: make([]float64, adjustmentWindow),
-		unitScratch:       make([]float64, cfg.Dimensionality),
+		rand:        rnd,
+		coord:       NewCoordinate(nil),
+		origin:      NewCoordinate(nil),
+		peers:       make(map[string]*peer),
+		unitScratch: make([]float64, dimensionality),
 	}, nil
 }
 
@@ -220,11 +203,10 @@ func (c *Client) peer(name string) *peer {
 	if p, ok := c.peers[name]; ok {
 		return p
 	}
-	dim, size := c.cfg.Dimensionality, c.cfg.LatencyFilterSize
-	floats := make([]float64, dim+size)
+	floats := make([]float64, dimensionality+latencyFilterSize)
 	p := &peer{
-		coord:  Coordinate{Vec: floats[:dim:dim]},
-		window: floats[dim:dim],
+		coord:  Coordinate{Vec: floats[:dimensionality:dimensionality]},
+		window: floats[dimensionality:dimensionality],
 	}
 	c.peers[name] = p
 	return p
@@ -250,9 +232,9 @@ func (c *Client) Observe(name string, other *Coordinate, rtt time.Duration) erro
 		c.rejected++
 		return err
 	}
-	if rtt <= 0 || (c.cfg.MaxRTT > 0 && rtt > c.cfg.MaxRTT) {
+	if rtt <= 0 || rtt > maxRTT {
 		c.rejected++
-		return fmt.Errorf("coords: RTT %v outside acceptable range (0, %v]", rtt, c.cfg.MaxRTT)
+		return fmt.Errorf("coords: RTT %v outside acceptable range (0, %v]", rtt, maxRTT)
 	}
 
 	p := c.peer(name)
@@ -419,37 +401,31 @@ func (c *Client) updateVivaldi(other *Coordinate, rttSeconds float64) {
 	weight := c.coord.Error / totalError
 
 	c.coord.Error = math.Min(
-		wrongness*c.cfg.VivaldiCE*weight+c.coord.Error*(1.0-c.cfg.VivaldiCE*weight),
-		c.cfg.VivaldiErrorMax)
+		wrongness*vivaldiCE*weight+c.coord.Error*(1.0-vivaldiCE*weight),
+		vivaldiErrorMax)
 
-	force := c.cfg.VivaldiCC * weight * (rttSeconds - dist)
-	c.coord.applyForce(c.cfg, force, other, c.cfg.Rand, c.unitScratch)
+	force := vivaldiCC * weight * (rttSeconds - dist)
+	c.coord.applyForce(force, other, c.rand, c.unitScratch)
 }
 
 // updateAdjustment maintains the additive adjustment term: the average
 // over the window of (measured − modelled) raw distances, split evenly
 // between the two endpoints of each future prediction.
 func (c *Client) updateAdjustment(other *Coordinate, rttSeconds float64) {
-	if c.cfg.AdjustmentWindowSize <= 0 {
-		return
-	}
 	c.adjustmentSamples[c.adjustmentIndex] = rttSeconds - c.coord.rawDistanceTo(other)
-	c.adjustmentIndex = (c.adjustmentIndex + 1) % c.cfg.AdjustmentWindowSize
+	c.adjustmentIndex = (c.adjustmentIndex + 1) % adjustmentWindowSize
 
 	sum := 0.0
 	for _, s := range c.adjustmentSamples {
 		sum += s
 	}
-	c.coord.Adjustment = sum / (2.0 * float64(c.cfg.AdjustmentWindowSize))
+	c.coord.Adjustment = sum / (2.0 * adjustmentWindowSize)
 }
 
 // updateGravity pulls the coordinate toward the origin in proportion
 // to its distance, countering whole-system drift.
 func (c *Client) updateGravity() {
-	if c.cfg.GravityRho <= 0 {
-		return
-	}
 	dist := c.origin.DistanceTo(c.coord).Seconds()
-	force := -1.0 * dist / c.cfg.GravityRho
-	c.coord.applyForce(c.cfg, force, c.origin, c.cfg.Rand, c.unitScratch)
+	force := -1.0 * dist / gravityRho
+	c.coord.applyForce(force, c.origin, c.rand, c.unitScratch)
 }

@@ -38,9 +38,8 @@ func newClientOracle(t testing.TB, seed int64, peers int) *clientOracle {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seedCfg := *got.cfg
-	seedCfg.Rand = rand.New(rand.NewSource(seed)).Float64
-	o := &clientOracle{got: got, want: newSeedClient(&seedCfg), dim: cfg.Dimensionality, max: cfg.MaxRTT}
+	seedCfg := seedDefaultConfig(rand.New(rand.NewSource(seed)).Float64)
+	o := &clientOracle{got: got, want: newSeedClient(seedCfg), dim: seedCfg.Dimensionality, max: seedCfg.MaxRTT}
 	for i := 0; i < peers; i++ {
 		o.names = append(o.names, fmt.Sprintf("peer-%02d", i))
 	}

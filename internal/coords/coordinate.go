@@ -50,13 +50,15 @@ type Coordinate struct {
 	Height float64
 }
 
-// NewCoordinate returns an origin coordinate for the given
-// configuration: zero vector, minimum height, maximum error.
+// NewCoordinate returns an origin coordinate: zero vector, minimum
+// height, maximum error. cfg is unused (every engine shares one
+// tuning); the signature is the one its callers were written against,
+// the benchmark module's kernels among them.
 func NewCoordinate(cfg *Config) *Coordinate {
 	return &Coordinate{
-		Vec:    make([]float64, cfg.Dimensionality),
-		Error:  cfg.VivaldiErrorMax,
-		Height: cfg.HeightMin,
+		Vec:    make([]float64, dimensionality),
+		Error:  vivaldiErrorMax,
+		Height: heightMin,
 	}
 }
 
@@ -117,14 +119,14 @@ func (c *Coordinate) rawDistanceTo(other *Coordinate) float64 {
 // fresh diff/mul/add vectors) was a steady-state cost; the arithmetic
 // is element-for-element the same as the allocating chain, keeping
 // same-seed runs bit-identical.
-func (c *Coordinate) applyForce(cfg *Config, force float64, other *Coordinate, rnd func() float64, scratch []float64) {
+func (c *Coordinate) applyForce(force float64, other *Coordinate, rnd func() float64, scratch []float64) {
 	mag := unitVectorInto(scratch, c.Vec, other.Vec, rnd)
 	for i := range c.Vec {
 		c.Vec[i] += scratch[i] * force
 	}
 	if mag > zeroThreshold {
 		c.Height = (c.Height+other.Height)*force/mag + c.Height
-		c.Height = math.Max(c.Height, cfg.HeightMin)
+		c.Height = math.Max(c.Height, heightMin)
 	}
 }
 

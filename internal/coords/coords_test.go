@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -21,22 +22,36 @@ func newTestClient(t *testing.T, seed int64) *Client {
 	return c
 }
 
+// TestConfigSurface pins Config's field set: the engine's tuning is
+// constants, so a field is added only with a caller that sets it.
+func TestConfigSurface(t *testing.T) {
+	want := []string{"Rand"}
+	typ := reflect.TypeOf(Config{})
+	got := make([]string, typ.NumField())
+	for i := range got {
+		got[i] = typ.Field(i).Name
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("a new Config field needs a non-test caller that sets it (docs/ARCHITECTURE.md, Contracts)\n got %d: %v\nwant %d: %v",
+			len(got), got, len(want), want)
+	}
+}
+
 func TestNewCoordinateStartsAtOrigin(t *testing.T) {
-	cfg := DefaultConfig()
-	c := NewCoordinate(cfg)
-	if len(c.Vec) != cfg.Dimensionality {
-		t.Fatalf("dimensionality: got %d, want %d", len(c.Vec), cfg.Dimensionality)
+	c := NewCoordinate(DefaultConfig())
+	if len(c.Vec) != dimensionality {
+		t.Fatalf("dimensionality: got %d, want %d", len(c.Vec), dimensionality)
 	}
 	for i, v := range c.Vec {
 		if v != 0 {
 			t.Fatalf("Vec[%d] = %v, want 0", i, v)
 		}
 	}
-	if c.Error != cfg.VivaldiErrorMax {
-		t.Fatalf("Error = %v, want %v", c.Error, cfg.VivaldiErrorMax)
+	if c.Error != vivaldiErrorMax {
+		t.Fatalf("Error = %v, want %v", c.Error, vivaldiErrorMax)
 	}
-	if c.Height != cfg.HeightMin {
-		t.Fatalf("Height = %v, want %v", c.Height, cfg.HeightMin)
+	if c.Height != heightMin {
+		t.Fatalf("Height = %v, want %v", c.Height, heightMin)
 	}
 }
 
@@ -116,29 +131,22 @@ func TestUpdateMovesTowardMeasuredRTT(t *testing.T) {
 	if relerr := math.Abs(est.Seconds()-rtt.Seconds()) / rtt.Seconds(); relerr > 0.1 {
 		t.Fatalf("after 50 updates estimate %v vs true %v (rel err %.2f)", est, rtt, relerr)
 	}
-	if e := c.Coordinate().Error; e >= DefaultConfig().VivaldiErrorMax {
+	if e := c.Coordinate().Error; e >= vivaldiErrorMax {
 		t.Fatalf("error estimate did not improve: %v", e)
 	}
 }
 
 // TestLatencyFilterSuppressesOutlier checks that one absurd-but-legal
-// sample inside the median window barely moves the coordinate compared
-// to feeding the spike straight in.
+// sample inside the median window leaves the coordinate exactly where a
+// run without the spike puts it.
 func TestLatencyFilterSuppressesOutlier(t *testing.T) {
-	run := func(filterSize int) time.Duration {
-		cfg := DefaultConfig()
-		cfg.LatencyFilterSize = filterSize
-		rng := rand.New(rand.NewSource(3))
-		cfg.Rand = rng.Float64
-		c, err := NewClient(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		peer := NewCoordinate(cfg)
+	run := func(spike bool) time.Duration {
+		c := newTestClient(t, 3)
+		peer := NewCoordinate(DefaultConfig())
 		peer.Error = 0.01
 		for i := 0; i < 30; i++ {
 			rtt := 20 * time.Millisecond
-			if i == 28 {
+			if spike && i == 28 {
 				rtt = 2 * time.Second // queueing spike
 			}
 			if _, err := c.Update("p", peer, rtt); err != nil {
@@ -148,15 +156,12 @@ func TestLatencyFilterSuppressesOutlier(t *testing.T) {
 		return c.Coordinate().DistanceTo(peer)
 	}
 
-	filtered := run(3)
-	unfiltered := run(1)
-	trueRTT := 20 * time.Millisecond
-	fErr := math.Abs(filtered.Seconds() - trueRTT.Seconds())
-	uErr := math.Abs(unfiltered.Seconds() - trueRTT.Seconds())
-	if fErr >= uErr {
-		t.Fatalf("median filter did not help: filtered err %v, unfiltered err %v", fErr, uErr)
+	filtered, clean := run(true), run(false)
+	if filtered != clean {
+		t.Fatalf("spike moved the estimate: %v with it, %v without", filtered, clean)
 	}
-	if fErr > 0.01 {
+	trueRTT := 20 * time.Millisecond
+	if math.Abs(filtered.Seconds()-trueRTT.Seconds()) > 0.01 {
 		t.Fatalf("filtered estimate too far off: %v vs %v", filtered, trueRTT)
 	}
 }
@@ -170,14 +175,14 @@ func TestLatencyFilterSuppressesOutlier(t *testing.T) {
 // median of a plain sliding window.
 func TestPeerRecordAllocs(t *testing.T) {
 	c := newTestClient(t, 1)
-	size := c.cfg.LatencyFilterSize
+	const size = latencyFilterSize
 	const peers = 64
 	names := make([]string, peers+1) // AllocsPerRun adds a warm-up run
 	for i := range names {
 		names[i] = fmt.Sprintf("peer-%02d", i)
 	}
 	c.peers = make(map[string]*peer, len(names))
-	other := NewCoordinate(c.cfg)
+	other := NewCoordinate(DefaultConfig())
 	other.Error = 0.5
 	other.Vec[0] = 0.01
 	next := 0
@@ -354,7 +359,7 @@ func TestNearestPeerIndexes(t *testing.T) {
 		t.Fatal(err)
 	}
 	place := func(name string, x float64) {
-		co := NewCoordinate(c.cfg)
+		co := NewCoordinate(DefaultConfig())
 		co.Vec[0] = x
 		co.Error = 0.1
 		if !c.Witness(name, co) {

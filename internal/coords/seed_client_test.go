@@ -9,6 +9,61 @@ import (
 	"time"
 )
 
+// seedConfig is the tuning struct the seed engine was written against,
+// kept with it so the reference stays independent of the constants
+// the Client now uses.
+type seedConfig struct {
+	Dimensionality       int
+	VivaldiErrorMax      float64
+	VivaldiCE            float64
+	VivaldiCC            float64
+	AdjustmentWindowSize int
+	HeightMin            float64
+	LatencyFilterSize    int
+	GravityRho           float64
+	MaxRTT               time.Duration
+	Rand                 func() float64
+}
+
+// seedDefaultConfig returns the seed's defaults (Serf's tuning of the
+// Vivaldi paper's constants), with rnd as its randomness.
+func seedDefaultConfig(rnd func() float64) *seedConfig {
+	return &seedConfig{
+		Dimensionality:       8,
+		VivaldiErrorMax:      1.5,
+		VivaldiCE:            0.25,
+		VivaldiCC:            0.25,
+		AdjustmentWindowSize: 20,
+		HeightMin:            10.0e-6,
+		LatencyFilterSize:    3,
+		GravityRho:           150.0,
+		MaxRTT:               10 * time.Second,
+		Rand:                 rnd,
+	}
+}
+
+// seedNewCoordinate is the seed's origin coordinate for cfg.
+func seedNewCoordinate(cfg *seedConfig) *Coordinate {
+	return &Coordinate{
+		Vec:    make([]float64, cfg.Dimensionality),
+		Error:  cfg.VivaldiErrorMax,
+		Height: cfg.HeightMin,
+	}
+}
+
+// seedApplyForce is the seed's Coordinate.applyForce, flooring the
+// height at cfg.HeightMin.
+func seedApplyForce(c *Coordinate, cfg *seedConfig, force float64, other *Coordinate, rnd func() float64, scratch []float64) {
+	mag := unitVectorInto(scratch, c.Vec, other.Vec, rnd)
+	for i := range c.Vec {
+		c.Vec[i] += scratch[i] * force
+	}
+	if mag > zeroThreshold {
+		c.Height = (c.Height+other.Height)*force/mag + c.Height
+		c.Height = math.Max(c.Height, cfg.HeightMin)
+	}
+}
+
 // seedClient is the engine the one-record Client replaced — each peer
 // in two name-keyed maps, a Clone per new coordinate, a window
 // allocated on first observation and written back on every sample, a
@@ -17,7 +72,7 @@ import (
 // update and of the peer-facing queries. The Client must match it bit
 // for bit.
 type seedClient struct {
-	cfg   *Config
+	cfg   *seedConfig
 	coord *Coordinate
 
 	// origin is a zero-value coordinate used as the gravity anchor.
@@ -53,12 +108,12 @@ type seedClient struct {
 }
 
 // newSeedClient returns a seed engine at the origin; cfg must be
-// complete (its Rand set), as NewClient leaves it.
-func newSeedClient(cfg *Config) *seedClient {
+// complete (its Rand set).
+func newSeedClient(cfg *seedConfig) *seedClient {
 	return &seedClient{
 		cfg:               cfg,
-		coord:             NewCoordinate(cfg),
-		origin:            NewCoordinate(cfg),
+		coord:             seedNewCoordinate(cfg),
+		origin:            seedNewCoordinate(cfg),
 		latencyFilters:    make(map[string][]float64),
 		peers:             make(map[string]*Coordinate),
 		adjustmentSamples: make([]float64, max(cfg.AdjustmentWindowSize, 0)),
@@ -267,7 +322,7 @@ func (c *seedClient) updateVivaldi(other *Coordinate, rttSeconds float64) {
 		c.cfg.VivaldiErrorMax)
 
 	force := c.cfg.VivaldiCC * weight * (rttSeconds - dist)
-	c.coord.applyForce(c.cfg, force, other, c.cfg.Rand, c.unitScratch)
+	seedApplyForce(c.coord, c.cfg, force, other, c.cfg.Rand, c.unitScratch)
 }
 
 // updateAdjustment maintains the additive adjustment term: the average
@@ -295,5 +350,5 @@ func (c *seedClient) updateGravity() {
 	}
 	dist := c.origin.DistanceTo(c.coord).Seconds()
 	force := -1.0 * dist / c.cfg.GravityRho
-	c.coord.applyForce(c.cfg, force, c.origin, c.cfg.Rand, c.unitScratch)
+	seedApplyForce(c.coord, c.cfg, force, c.origin, c.cfg.Rand, c.unitScratch)
 }

@@ -72,14 +72,6 @@ type Config struct {
 	// LHASuspicion; the effective β is 1 (fixed timeout) otherwise.
 	SuspicionBeta float64
 
-	// SuspicionK is K, the number of independent suspicions that drive
-	// the timeout to Min (3 in the paper).
-	SuspicionK int
-
-	// MaxLHM is S, the Local Health Multiplier saturation limit (8 in
-	// the paper).
-	MaxLHM int
-
 	// LHAProbe enables Local Health Aware Probe (§IV-A): the LHM
 	// counter, nack requests, and dynamic probe interval/timeout.
 	LHAProbe bool
@@ -130,7 +122,7 @@ type Config struct {
 }
 
 // memberlist's defaults, which the paper runs unchanged (§V-C varies
-// only α, β, K, S and the Lifeguard components). Nothing sets a second
+// only α, β and the Lifeguard components). Nothing sets a second
 // value for any of them, so they are constants rather than Config
 // fields (docs/ARCHITECTURE.md, Contracts). Packets are packed up to
 // wire.MTU, and the reliable-channel direct probe of §III-B always goes
@@ -190,9 +182,21 @@ const (
 	gossipEscapeFraction = 0.5
 )
 
+// The paper's Lifeguard heuristics, which it fixes and leaves tuning to
+// future work (§VII). Nothing sets a second value for either, so they
+// are constants rather than Config fields (docs/ARCHITECTURE.md,
+// Contracts).
+const (
+	// K, the number of independent suspicions that drive the suspicion
+	// timeout from Max down to Min under LHA-Suspicion.
+	suspicionK = 3
+	// S, the Local Health Multiplier saturation limit.
+	maxLHM = 8
+)
+
 // DefaultConfig returns the paper's configuration with all Lifeguard
-// components enabled (Table I, row "Lifeguard"): α = 5, β = 6, K = 3,
-// S = 8.
+// components enabled (Table I, row "Lifeguard"): α = 5, β = 6, with the
+// constants K = 3 and S = 8.
 func DefaultConfig(name string) *Config {
 	return &Config{
 		Name:           name,
@@ -200,8 +204,6 @@ func DefaultConfig(name string) *Config {
 		ProbeTimeout:   500 * time.Millisecond,
 		SuspicionAlpha: 5,
 		SuspicionBeta:  6,
-		SuspicionK:     3,
-		MaxLHM:         8,
 		LHAProbe:       true,
 		LHASuspicion:   true,
 		BuddySystem:    true,
@@ -246,17 +248,13 @@ func (c *Config) validate() error {
 	if c.ProbeTimeout > c.ProbeInterval {
 		return fmt.Errorf("core: probe timeout (%v) exceeds probe interval (%v)", c.ProbeTimeout, c.ProbeInterval)
 	}
-	if c.SuspicionAlpha <= 0 {
-		return errors.New("core: SuspicionAlpha must be positive")
+	// NaN passes every comparison and +Inf overflows the suspicion
+	// timeout's conversion to a Duration, so both are rejected too.
+	if c.SuspicionAlpha <= 0 || !isFinite(c.SuspicionAlpha) {
+		return errors.New("core: SuspicionAlpha must be positive and finite")
 	}
-	if c.SuspicionBeta < 1 {
-		return errors.New("core: SuspicionBeta must be at least 1")
-	}
-	if c.SuspicionK < 0 {
-		return errors.New("core: SuspicionK must be non-negative")
-	}
-	if c.MaxLHM < 1 {
-		return errors.New("core: MaxLHM must be at least 1")
+	if c.SuspicionBeta < 1 || !isFinite(c.SuspicionBeta) {
+		return errors.New("core: SuspicionBeta must be finite and at least 1")
 	}
 	if c.TopologyAware && c.DisableCoordinates {
 		return errors.New("core: TopologyAware requires coordinates")
@@ -266,6 +264,8 @@ func (c *Config) validate() error {
 	}
 	return nil
 }
+
+func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // SuspicionMin returns Min = α·max(1, log10(n))·probeInterval, the floor
 // of the suspicion timeout for a cluster of n members (paper §V-C,

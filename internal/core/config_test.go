@@ -42,8 +42,10 @@ func TestConfigValidationTable(t *testing.T) {
 		{"timeout exceeds interval", func(c *Config) { c.ProbeTimeout = 2 * c.ProbeInterval }, "exceeds"},
 		{"zero alpha", func(c *Config) { c.SuspicionAlpha = 0 }, "SuspicionAlpha"},
 		{"beta below one", func(c *Config) { c.SuspicionBeta = 0.5 }, "SuspicionBeta"},
-		{"negative K", func(c *Config) { c.SuspicionK = -1 }, "SuspicionK"},
-		{"zero LHM max", func(c *Config) { c.MaxLHM = 0 }, "MaxLHM"},
+		{"NaN alpha", func(c *Config) { c.SuspicionAlpha = math.NaN() }, "SuspicionAlpha"},
+		{"infinite alpha", func(c *Config) { c.SuspicionAlpha = math.Inf(1) }, "SuspicionAlpha"},
+		{"NaN beta", func(c *Config) { c.SuspicionBeta = math.NaN() }, "SuspicionBeta"},
+		{"infinite beta", func(c *Config) { c.SuspicionBeta = math.Inf(1) }, "SuspicionBeta"},
 		{"topology-aware without coordinates", func(c *Config) { c.TopologyAware, c.DisableCoordinates = true, true }, "requires coordinates"},
 	}
 	for _, c := range cases {
@@ -72,7 +74,7 @@ func TestConfigValidationTable(t *testing.T) {
 func TestConfigSurface(t *testing.T) {
 	want := []string{
 		"Name", "Addr", "Meta", "Transport", "Clock", "RNG", "Events", "Metrics", "Telemetry",
-		"ProbeInterval", "ProbeTimeout", "SuspicionAlpha", "SuspicionBeta", "SuspicionK", "MaxLHM",
+		"ProbeInterval", "ProbeTimeout", "SuspicionAlpha", "SuspicionBeta",
 		"LHAProbe", "LHASuspicion", "BuddySystem", "DisableCoordinates", "TopologyAware", "Blocked",
 	}
 	typ := reflect.TypeOf(Config{})
@@ -127,11 +129,11 @@ func TestDefaultConfigMatchesPaper(t *testing.T) {
 		{"ProbeTimeout", cfg.ProbeTimeout, 500 * time.Millisecond},
 		{"SuspicionAlpha", cfg.SuspicionAlpha, 5.0},
 		{"SuspicionBeta", cfg.SuspicionBeta, 6.0},
-		{"SuspicionK", cfg.SuspicionK, 3},
-		{"MaxLHM", cfg.MaxLHM, 8},
 		{"LHAProbe", cfg.LHAProbe, true},
 		{"LHASuspicion", cfg.LHASuspicion, true},
 		{"BuddySystem", cfg.BuddySystem, true},
+		{"suspicionK (K)", suspicionK, 3},
+		{"maxLHM (S)", maxLHM, 8},
 		{"indirectChecks (k)", indirectChecks, 3},
 		{"retransmitMult (λ)", retransmitMult, 4},
 		{"gossipInterval", gossipInterval, 200 * time.Millisecond},

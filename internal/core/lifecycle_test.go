@@ -209,7 +209,7 @@ func TestIncarnationMonotoneUnderRefutationStorm(t *testing.T) {
 		prev = got
 	}
 	// LHM saturates rather than overflowing.
-	if got := h.node.HealthScore(); got > h.node.Config().MaxLHM {
+	if got := h.node.HealthScore(); got > maxLHM {
 		t.Errorf("LHM %d beyond saturation", got)
 	}
 }

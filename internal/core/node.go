@@ -166,19 +166,14 @@ func New(cfg *Config) (*Node, error) {
 		members: make(map[string]*memberState),
 		acks:    make(map[uint32]*ackHandler),
 		relays:  make(map[uint32]*relayHandler),
-		aware:   awareness.New(c.MaxLHM),
+		aware:   awareness.New(maxLHM),
 	}
 	n.fanout, _ = c.Transport.(FanoutTransport)
 	if !c.DisableCoordinates {
-		ccfg := coords.DefaultConfig()
 		// Drive the engine's tie-breaking randomness from the node's
-		// RNG so same-seed simulations stay deterministic.
-		ccfg.Rand = c.RNG.Float64
-		client, err := coords.NewClient(ccfg)
-		if err != nil {
-			return nil, fmt.Errorf("core: coordinates: %w", err)
-		}
-		n.coordClient = client
+		// RNG so same-seed simulations stay deterministic. NewClient's
+		// error is always nil.
+		n.coordClient, _ = coords.NewClient(&coords.Config{Rand: c.RNG.Float64})
 	}
 	n.queue = broadcast.NewQueue(n.estNumNodes, retransmitMult)
 	return n, nil
@@ -201,7 +196,7 @@ func (n *Node) Incarnation() uint64 {
 }
 
 // HealthScore returns the current Local Health Multiplier value, in
-// [0, MaxLHM]. Zero means locally healthy.
+// [0, S] with S = 8. Zero means locally healthy.
 func (n *Node) HealthScore() int { return n.aware.Score() }
 
 // Coordinate returns a copy of the member's current Vivaldi network

@@ -64,7 +64,7 @@ func (n *Node) suspectNodeLocked(m *memberState, s *wire.Suspect) {
 func (n *Node) startSuspicionLocked(m *memberState, accuser string, inc uint64) {
 	k := 0
 	if n.cfg.LHASuspicion {
-		k = n.cfg.SuspicionK
+		k = suspicionK
 	}
 	min := SuspicionMin(n.cfg.SuspicionAlpha, n.aliveCount, n.cfg.ProbeInterval)
 	max := min

@@ -86,17 +86,9 @@ type ClusterConfig struct {
 	// Protocol selects the Lifeguard components and suspicion tuning.
 	Protocol ProtocolConfig
 
-	// Net overrides simulator options (topology, loss, queue capacity,
-	// service time). Zero values take the simulator defaults.
+	// Net sets the simulated network's topology and loss; its Seed is
+	// replaced by the cluster's Seed.
 	Net sim.Options
-
-	// SuspicionK overrides LHA-Suspicion's re-gossip factor K for
-	// ablation studies. Zero keeps the paper's default (3).
-	SuspicionK int
-
-	// MaxLHM overrides the Local Health Multiplier saturation limit S
-	// for ablation studies. Zero keeps the paper's default (8).
-	MaxLHM int
 
 	// TopologyAware enables the coordinate-driven protocol extensions
 	// on every member: RTT-adaptive probe timeouts with early round
@@ -257,12 +249,6 @@ func seedRNGs(base int64, n int) []*rand.Rand {
 func (c *Cluster) addNode(name string, rng *rand.Rand) (*core.Node, error) {
 	cfg := core.DefaultConfig(name)
 	c.cc.Protocol.apply(cfg)
-	if c.cc.SuspicionK > 0 {
-		cfg.SuspicionK = c.cc.SuspicionK
-	}
-	if c.cc.MaxLHM > 0 {
-		cfg.MaxLHM = c.cc.MaxLHM
-	}
 	cfg.TopologyAware = c.cc.TopologyAware
 	// The per-member clock lets a script degrade this member's timers;
 	// with no degradation installed it is identical to the shared

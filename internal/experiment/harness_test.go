@@ -5,11 +5,30 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// TestClusterConfigSurface pins ClusterConfig's exported fields: a
+// field is added only with a caller outside the tests that sets it.
+func TestClusterConfigSurface(t *testing.T) {
+	want := []string{"N", "Seed", "Protocol", "Net", "TopologyAware", "Telemetry"}
+	typ := reflect.TypeOf(ClusterConfig{})
+	var got []string
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.IsExported() {
+			got = append(got, f.Name)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("a new ClusterConfig field needs a non-test caller that sets it (docs/ARCHITECTURE.md, Contracts)\n got %d: %v\nwant %d: %v",
+			len(got), got, len(want), want)
+	}
+}
 
 // TestRegistry pins the registered scenario set and lookup behaviour.
 func TestRegistry(t *testing.T) {

@@ -24,7 +24,7 @@ import (
 type PauseMode int
 
 const (
-	// PauseBuffer queues inbound packets (subject to QueueCap
+	// PauseBuffer queues inbound packets (subject to queueCap
 	// tail-drop) for processing after resume — a stopped process whose
 	// kernel still accepts datagrams. This is the paper's §V-D anomaly
 	// model.
@@ -62,7 +62,7 @@ var reorderHold = DelayDist{Base: 10 * time.Millisecond, Jitter: 30 * time.Milli
 
 // SetDegraded puts a member into (or adjusts) processing degradation:
 // every inbound packet costs an extra draw from d on top of
-// ServiceTime, and every timer callback registered through the member's
+// serviceTime, and every timer callback registered through the member's
 // NodeClock is deferred by a draw from d when it fires. This models the
 // paper's slow member — GC pauses, CPU starvation, a saturated runtime —
 // which keeps running but reacts late. A zero d restores healthy

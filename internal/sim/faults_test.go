@@ -266,15 +266,14 @@ func TestCrashIsSticky(t *testing.T) {
 
 // TestDegradedServiceDelayBounds pins the degradation distribution at
 // the inbound path: every delivery at a degraded member lands within
-// [ServiceTime+Base, ServiceTime+Base+Jitter) of its arrival, and
-// restoring the member returns service to the plain ServiceTime.
+// [serviceTime+Base, serviceTime+Base+Jitter) of its arrival, and
+// restoring the member returns service to the plain serviceTime.
 func TestDegradedServiceDelayBounds(t *testing.T) {
-	service := time.Millisecond
+	const service = serviceTime
 	degrade := DelayDist{Base: 20 * time.Millisecond, Jitter: 30 * time.Millisecond}
 	r := newRig(t, Options{
-		Topology:    flatTopology(DelayDist{Base: time.Millisecond}),
-		ServiceTime: service,
-		Seed:        11,
+		Topology: flatTopology(DelayDist{Base: time.Millisecond}),
+		Seed:     11,
 	})
 	a, _ := r.attach(t, "a")
 	var served []time.Time

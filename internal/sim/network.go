@@ -56,33 +56,25 @@ type Options struct {
 	// flight. Reliable (TCP-modelled) packets are never loss-dropped.
 	Loss float64
 
-	// QueueCap bounds each member's inbound queue, modelling the kernel
-	// socket buffer. Overflow is tail-drop: the newest packet is lost,
-	// which is what makes a late refutation vanish behind an earlier
-	// stale suspicion at a blocked member (docs/ARCHITECTURE.md
-	// §Simulator engine). Defaults to 512 packets.
-	QueueCap int
-
-	// ServiceTime is the per-message processing cost at a member. A
-	// member that wakes from an anomaly drains its backlog at this rate,
-	// so short wake windows clear only part of the queue. Defaults to
-	// 100µs.
-	ServiceTime time.Duration
-
 	// Seed seeds the network's RNG (latency/loss draws).
 	Seed int64
 }
 
-func (o *Options) withDefaults() Options {
-	out := *o
-	if out.QueueCap <= 0 {
-		out.QueueCap = 512
-	}
-	if out.ServiceTime <= 0 {
-		out.ServiceTime = 100 * time.Microsecond
-	}
-	return out
-}
+// The member's inbound path. Nothing sets a second value for either, so
+// they are constants rather than Options fields (docs/ARCHITECTURE.md,
+// Contracts).
+const (
+	// queueCap bounds each member's inbound queue, modelling the kernel
+	// socket buffer. Overflow is tail-drop: the newest packet is lost,
+	// which is what makes a late refutation vanish behind an earlier
+	// stale suspicion at a blocked member (docs/ARCHITECTURE.md
+	// §Simulator engine).
+	queueCap = 512
+	// serviceTime is the per-message processing cost at a member. A
+	// member that wakes from an anomaly drains its backlog at this rate,
+	// so short wake windows clear only part of the queue.
+	serviceTime = 100 * time.Microsecond
+)
 
 // Stats summarizes one member's transport activity.
 type Stats struct {
@@ -271,7 +263,7 @@ func NewNetwork(sched *Scheduler, opts Options) *Network {
 	return &Network{
 		sched:       sched,
 		clock:       NewClock(sched),
-		opts:        opts.withDefaults(),
+		opts:        opts,
 		rng:         rand.New(rand.NewSource(opts.Seed)),
 		nodes:       make(map[string]*Port),
 		ids:         make(map[string]int32),
@@ -359,10 +351,10 @@ func (n *Network) linkFailed(from, to int32) bool {
 }
 
 // SetGated switches a member's anomaly gate. While gated the member's
-// inbound processing stalls (packets queue, subject to QueueCap
+// inbound processing stalls (packets queue, subject to queueCap
 // tail-drop) and its sends are held in an outbox. On release the outbox
 // flushes, registered wake callbacks run (the core resumes its blocked
-// probe/gossip loops), and the backlog drains at ServiceTime per message.
+// probe/gossip loops), and the backlog drains at serviceTime per message.
 func (n *Network) SetGated(name string, gated bool) {
 	p, ok := n.nodes[name]
 	if !ok || p.crashed || p.gated == gated {
@@ -569,7 +561,7 @@ func (p *Port) receive(from string, buf *bufpool.Buf) {
 		buf.Release()
 		return
 	}
-	if p.queued() >= p.net.opts.QueueCap {
+	if p.queued() >= queueCap {
 		p.stats.DropsOverflow++
 		buf.Release()
 		return
@@ -579,7 +571,7 @@ func (p *Port) receive(from string, buf *bufpool.Buf) {
 }
 
 // maybeServe schedules processing of the next queued packet. A
-// degraded member pays an extra per-packet delay on top of ServiceTime,
+// degraded member pays an extra per-packet delay on top of serviceTime,
 // so its effective service rate drops and a backlog builds — the
 // paper's slow-member condition.
 func (p *Port) maybeServe() {
@@ -587,7 +579,7 @@ func (p *Port) maybeServe() {
 		return
 	}
 	p.serving = true
-	d := p.net.opts.ServiceTime
+	d := serviceTime
 	if !p.degrade.IsZero() {
 		d += p.degrade.sample(p.net.faultRNG)
 	}
@@ -612,10 +604,10 @@ func (p *Port) serveOne() {
 		// Drained: reclaim the whole array (capacity retained).
 		p.inbox = p.inbox[:0]
 		p.inHead = 0
-	} else if p.inHead >= p.net.opts.QueueCap {
+	} else if p.inHead >= queueCap {
 		// The dead prefix has outgrown the queue cap; compact so the
 		// backing array stays bounded by ~2× the cap. Amortized O(1):
-		// at least QueueCap packets were served since the last compact.
+		// at least queueCap packets were served since the last compact.
 		k := copy(p.inbox, p.inbox[p.inHead:])
 		for i := k; i < len(p.inbox); i++ {
 			p.inbox[i] = inPacket{}

@@ -159,9 +159,8 @@ func TestFanoutDropPathsReleaseReferences(t *testing.T) {
 func BenchmarkNetworkDeliverFanout(b *testing.B) {
 	sched := NewScheduler(time.Unix(0, 0))
 	net := NewNetwork(sched, Options{
-		Seed:        1,
-		Topology:    flatTopology(DelayDist{Base: 200 * time.Microsecond, Jitter: 1800 * time.Microsecond}),
-		ServiceTime: 50 * time.Microsecond,
+		Seed:     1,
+		Topology: flatTopology(DelayDist{Base: 200 * time.Microsecond, Jitter: 1800 * time.Microsecond}),
 	})
 	const fanout = 8
 	received := 0

@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -41,6 +43,22 @@ func (r *rig) attach(t *testing.T, name string) (*Port, *[]string) {
 	// The closure appends to the slice it captured; return a pointer to
 	// observe it.
 	return p, &got
+}
+
+// TestOptionsSurface pins Options' field set: the inbound queue's
+// capacity and service time are constants, so a field is added only
+// with a caller that sets it.
+func TestOptionsSurface(t *testing.T) {
+	want := []string{"Topology", "Loss", "Seed"}
+	typ := reflect.TypeOf(Options{})
+	got := make([]string, typ.NumField())
+	for i := range got {
+		got[i] = typ.Field(i).Name
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("a new Options field needs a non-test caller that sets it (docs/ARCHITECTURE.md, Contracts)\n got %d: %v\nwant %d: %v",
+			len(got), got, len(want), want)
+	}
 }
 
 func TestDeliveryBasics(t *testing.T) {
@@ -115,30 +133,31 @@ func TestQueueCapTailDrop(t *testing.T) {
 	// A gated member's queue fills; the newest packets are dropped. The
 	// survivor set must be the oldest (tail drop) — this is what buries
 	// a late refutation behind an early stale suspicion.
-	r := newRig(t, Options{QueueCap: 3, ServiceTime: time.Millisecond})
+	const overflow = 3
+	r := newRig(t, Options{})
 	a, _ := r.attach(t, "a")
 	_, bGot := r.attach(t, "b")
 
 	r.net.SetGated("b", true)
-	for i := 0; i < 6; i++ {
-		a.SendPacket("b", []byte{byte('0' + i)}, false)
+	for i := 0; i < queueCap+overflow; i++ {
+		a.SendPacket("b", []byte(fmt.Sprint(i)), false)
 		r.sched.RunFor(10 * time.Millisecond) // deliver one at a time
 	}
-	if got := r.net.QueueLen("b"); got != 3 {
-		t.Fatalf("queue len = %d, want 3", got)
+	if got := r.net.QueueLen("b"); got != queueCap {
+		t.Fatalf("queue len = %d, want %d", got, queueCap)
 	}
-	if got := r.net.NodeStats("b").DropsOverflow; got != 3 {
-		t.Fatalf("overflow drops = %d, want 3", got)
+	if got := r.net.NodeStats("b").DropsOverflow; got != overflow {
+		t.Fatalf("overflow drops = %d, want %d", got, overflow)
 	}
 
 	r.net.SetGated("b", false)
 	r.sched.RunFor(time.Second)
-	if len(*bGot) != 3 {
-		t.Fatalf("b got %d packets, want 3", len(*bGot))
+	if len(*bGot) != queueCap {
+		t.Fatalf("b got %d packets, want %d", len(*bGot), queueCap)
 	}
-	for i, want := range []string{"a:0", "a:1", "a:2"} {
-		if (*bGot)[i] != want {
-			t.Errorf("packet %d = %q, want %q (oldest must survive)", i, (*bGot)[i], want)
+	for i, got := range *bGot {
+		if want := fmt.Sprintf("a:%d", i); got != want {
+			t.Fatalf("packet %d = %q, want %q (oldest must survive)", i, got, want)
 		}
 	}
 }
@@ -170,7 +189,7 @@ func TestGatedSendsHoldInOutbox(t *testing.T) {
 }
 
 func TestGatedProcessingPausesAndResumes(t *testing.T) {
-	r := newRig(t, Options{ServiceTime: time.Millisecond})
+	r := newRig(t, Options{})
 	a, _ := r.attach(t, "a")
 	_, bGot := r.attach(t, "b")
 
@@ -187,12 +206,12 @@ func TestGatedProcessingPausesAndResumes(t *testing.T) {
 	}
 
 	r.net.SetGated("b", false)
-	// Service rate: 1 ms per message → all 5 within ~6 ms.
-	r.sched.RunFor(3 * time.Millisecond)
+	// Service rate: serviceTime per message → all 5 within ~6 of them.
+	r.sched.RunFor(3 * serviceTime)
 	if got := len(*bGot); got == 0 || got == 5 {
-		t.Fatalf("drain not rate-limited: %d processed after 3ms", got)
+		t.Fatalf("drain not rate-limited: %d processed after %v", got, 3*serviceTime)
 	}
-	r.sched.RunFor(10 * time.Millisecond)
+	r.sched.RunFor(10 * serviceTime)
 	if len(*bGot) != 5 {
 		t.Fatalf("backlog not fully drained: %d", len(*bGot))
 	}
@@ -223,7 +242,7 @@ func TestWakeOrderOutboxBeforeCallbacksBeforeDrain(t *testing.T) {
 	// On release: held sends flush first, then wake callbacks, then the
 	// backlog drains at the service rate (docs/ARCHITECTURE.md §Fault
 	// injection).
-	r := newRig(t, Options{ServiceTime: time.Millisecond})
+	r := newRig(t, Options{})
 	a, _ := r.attach(t, "a")
 	b, _ := r.attach(t, "b")
 

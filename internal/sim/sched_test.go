@@ -450,9 +450,8 @@ func BenchmarkNetworkDeliver(b *testing.B) {
 		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
 			sched := NewScheduler(time.Unix(0, 0))
 			net := NewNetwork(sched, Options{
-				Seed:        1,
-				Topology:    flatTopology(DelayDist{Base: 200 * time.Microsecond, Jitter: 1800 * time.Microsecond}),
-				ServiceTime: 50 * time.Microsecond,
+				Seed:     1,
+				Topology: flatTopology(DelayDist{Base: 200 * time.Microsecond, Jitter: 1800 * time.Microsecond}),
 			})
 			const members = 16
 			ports := make([]*Port, members)

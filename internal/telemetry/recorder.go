@@ -118,14 +118,13 @@ var suspicionBuckets = []time.Duration{
 }
 
 // Histogram is a fixed-bucket duration histogram with lock-free
-// observation: one atomic add per bucket hit plus the running count and
-// sum, cheap enough for the probe hot path.
+// observation: one atomic add per bucket hit plus the running sum,
+// cheap enough for the probe hot path.
 //
 // Histogram is safe for concurrent use.
 type Histogram struct {
 	bounds []time.Duration
 	counts []atomic.Uint64
-	count  atomic.Uint64
 	sumNs  atomic.Int64
 }
 
@@ -145,7 +144,6 @@ func (h *Histogram) Observe(d time.Duration) {
 		i++
 	}
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	h.sumNs.Add(int64(d))
 }
 
@@ -160,7 +158,7 @@ type HistogramSnapshot struct {
 	// Counts has one entry per bound plus the overflow bucket.
 	Counts []uint64 `json:"counts"`
 
-	// Count is the total number of observations.
+	// Count is the total number of observations: the sum of Counts.
 	Count uint64 `json:"count"`
 
 	// Sum is the sum of all observed durations (JSON: nanoseconds).
@@ -168,16 +166,18 @@ type HistogramSnapshot struct {
 }
 
 // Snapshot copies the histogram's current state. Concurrent Observe
-// calls may straddle the copy; each bucket is individually consistent.
+// calls may straddle the copy: each bucket is individually consistent,
+// and Count, derived from the copied buckets, always equals their sum
+// (the `+Inf` bucket Prometheus requires `_count` to match).
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Bounds: append([]time.Duration(nil), h.bounds...),
 		Counts: make([]uint64, len(h.counts)),
-		Count:  h.count.Load(),
 		Sum:    time.Duration(h.sumNs.Load()),
 	}
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
+		s.Count += s.Counts[i]
 	}
 	return s
 }

@@ -28,6 +28,50 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// TestHistogramSnapshotCountMatchesBuckets snapshots a histogram while
+// several goroutines observe into it: every snapshot's Count must equal
+// the sum of its bucket counts, as Prometheus requires of `_count` and
+// the `+Inf` bucket.
+func TestHistogramSnapshotCountMatchesBuckets(t *testing.T) {
+	h := NewHistogram([]time.Duration{time.Millisecond, 10 * time.Millisecond})
+	const writers, perWriter = 4, 5000
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				h.Observe(time.Duration(i%3*w) * 4 * time.Millisecond)
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	check := func(s HistogramSnapshot) {
+		t.Helper()
+		sum := uint64(0)
+		for _, c := range s.Counts {
+			sum += c
+		}
+		if s.Count != sum {
+			t.Fatalf("Count = %d, buckets sum to %d", s.Count, sum)
+		}
+	}
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		check(h.Snapshot())
+	}
+	s := h.Snapshot()
+	check(s)
+	if s.Count != writers*perWriter {
+		t.Fatalf("Count = %d after all writers, want %d", s.Count, writers*perWriter)
+	}
+}
+
 func TestProbeOutcomeString(t *testing.T) {
 	cases := map[ProbeOutcome]string{
 		OutcomeDirectAck:   "direct_ack",

@@ -43,8 +43,8 @@ type Node = core.Node
 // (virtual time under the simulator). NewNode fills in only Addr (the
 // transport's address), Clock (the real clock), RNG (time-seeded) and
 // Metrics (a no-op sink) when they are unset; every other value comes
-// from DefaultConfig or SWIMConfig, and a zero ProbeInterval,
-// SuspicionAlpha or MaxLHM is rejected, not defaulted.
+// from DefaultConfig or SWIMConfig, and a zero ProbeInterval or
+// SuspicionAlpha is rejected, not defaulted.
 type Config = core.Config
 
 // Member is a snapshot of one member's entry in the membership view,
