@@ -57,8 +57,10 @@ var tuningScale = experiment.Scale{
 		16384 * time.Millisecond,
 		32768 * time.Millisecond,
 	},
-	Is:   []time.Duration{64 * time.Millisecond, 1024 * time.Millisecond},
-	Runs: 1,
+	Is:     []time.Duration{64 * time.Millisecond, 1024 * time.Millisecond},
+	Runs:   1,
+	Alphas: experiment.PaperAlphas,
+	Betas:  experiment.PaperBetas,
 }
 
 const benchSeed = 1
@@ -369,13 +371,7 @@ func TestPiggybackSendAllocs(t *testing.T) {
 // a fully bisected cluster takes to re-merge after the network heals.
 func BenchmarkPartitionHeal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rec, err := experiment.RunPartition(
-			experiment.ClusterConfig{N: 32, Seed: benchSeed, Protocol: experiment.ConfigLifeguard},
-			experiment.PartitionParams{SizeA: 16, Duration: time.Minute, HealBudget: 5 * time.Minute},
-		)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rec := runScenario(b, "partition", experiment.Scale{Name: "partition32", PartitionN: 32}).Records[0]
 		if rec.Metrics["remerged"] != 1 {
 			b.Fatal("partition did not heal")
 		}

@@ -112,7 +112,8 @@ func countOpenFDs() int {
 }
 
 // newOpsMux builds the ops endpoint routing; split from startOps so
-// httptest can exercise the handlers without a real listener.
+// httptest can exercise the handlers without a real listener. rec is
+// never nil: the agent attaches a recorder whenever it serves ops.
 func newOpsMux(node *lifeguard.Node, tr *lifeguard.UDPTransport, rec *telemetry.NodeRecorder, sink *metrics.MemSink, started time.Time) *http.ServeMux {
 	writeJSON := func(w http.ResponseWriter, v any) {
 		w.Header().Set("Content-Type", "application/json")
@@ -172,10 +173,6 @@ func newOpsMux(node *lifeguard.Node, tr *lifeguard.UDPTransport, rec *telemetry.
 		writeJSON(w, resp)
 	})
 	mux.HandleFunc("/telemetry", func(w http.ResponseWriter, r *http.Request) {
-		if rec == nil {
-			http.Error(w, "telemetry disabled", http.StatusNotFound)
-			return
-		}
 		writeJSON(w, rec.Snapshot())
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -208,17 +205,15 @@ func newOpsMux(node *lifeguard.Node, tr *lifeguard.UDPTransport, rec *telemetry.
 			"oversize_rejects":     int64(ts.OversizeRejects),
 		})
 		telemetry.WriteGauge(w, "lifeguard_transport_open_streams", float64(ts.OpenStreams))
-		if rec != nil {
-			snap := rec.Snapshot()
-			telemetry.WriteGauge(w, "lifeguard_telemetry_samples", float64(snap.Samples))
-			telemetry.WriteCounters(w, "lifeguard_", map[string]int64{
-				"telemetry_evictions":  int64(snap.Evictions),
-				"telemetry_overwrites": int64(snap.Overwrites),
-				"lhm_changes":          int64(snap.LHMChanges),
-			})
-			telemetry.WriteHistogram(w, "lifeguard_probe_rtt_seconds", snap.RTT)
-			telemetry.WriteHistogram(w, "lifeguard_suspicion_seconds", snap.Suspicion)
-		}
+		snap := rec.Snapshot()
+		telemetry.WriteGauge(w, "lifeguard_telemetry_samples", float64(snap.Samples))
+		telemetry.WriteCounters(w, "lifeguard_", map[string]int64{
+			"telemetry_evictions":  int64(snap.Evictions),
+			"telemetry_overwrites": int64(snap.Overwrites),
+			"lhm_changes":          int64(snap.LHMChanges),
+		})
+		telemetry.WriteHistogram(w, "lifeguard_probe_rtt_seconds", snap.RTT)
+		telemetry.WriteHistogram(w, "lifeguard_suspicion_seconds", snap.Suspicion)
 	})
 	// Go's runtime profiles, on the same opt-in listener.
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

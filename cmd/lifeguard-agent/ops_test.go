@@ -332,49 +332,6 @@ func getMetricsText(t *testing.T, srv *httptest.Server) string {
 	return string(body)
 }
 
-// TestOpsTelemetryDisabled pins the 404 on /telemetry when the agent
-// runs without a recorder, and that /metrics still serves.
-func TestOpsTelemetryDisabled(t *testing.T) {
-	tr, err := lifeguard.NewUDPTransport("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { tr.Close() })
-	cfg := lifeguard.DefaultConfig("no-telem")
-	cfg.Addr = tr.LocalAddr()
-	cfg.Transport = tr
-	sink := metrics.NewMemSink()
-	cfg.Metrics = sink
-	node, err := lifeguard.NewNode(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.Run(node.HandlePacket)
-	if err := node.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(node.Shutdown)
-	srv := httptest.NewServer(newOpsMux(node, tr, nil, sink, time.Now()))
-	t.Cleanup(srv.Close)
-
-	resp, err := http.Get(srv.URL + "/telemetry")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("/telemetry without recorder: status %d, want 404", resp.StatusCode)
-	}
-	resp, err = http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("/metrics without recorder: status %d", resp.StatusCode)
-	}
-}
-
 // TestOpsConcurrentScrapes races telemetry writes against snapshot
 // reads through the HTTP surface; under -race this is the ops server's
 // thread-safety proof.

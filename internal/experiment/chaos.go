@@ -23,58 +23,36 @@ import (
 // positive) with a set of real hard crashes (members that MUST be
 // detected — scored for latency).
 
-// ChaosParams parameterizes one chaos scenario matrix. Zero-valued
-// fields take the documented defaults.
-type ChaosParams struct {
-	// N is the cluster size. Defaults to 48.
-	N int
-
-	// Victims is the number of members afflicted by each scenario's
-	// non-fatal fault. Defaults to 6.
-	Victims int
-
-	// Crashes is the number of members hard-crashed (inbound dropped,
-	// immune to resume) during the fault window. Defaults to 3. The
-	// crash set is disjoint from the victim set and identical in every
-	// cell.
-	Crashes int
-
+// chaosParams times one chaos scenario matrix; the cluster size is
+// cc.N, and the fault sets are the chaosVictims and chaosCrashes
+// constants.
+type chaosParams struct {
 	// FaultFor is the fault window: scenario faults run over
-	// [0, FaultFor) from the post-quiesce start. Defaults to 60 s.
+	// [0, FaultFor) from the post-quiesce start.
 	FaultFor time.Duration
 
 	// CrashAt is the crash offset inside the fault window, so real
-	// failures must be detected while the chaos is ongoing. Defaults to
-	// FaultFor / 3; it must be below FaultFor.
+	// failures must be detected while the chaos is ongoing; it must lie
+	// in (0, FaultFor). The scenario crashes at FaultFor/3. It stays a
+	// parameter because TestChaosLifeguardBeatsSWIM, a one-seed claim
+	// test, crashes at +5 s, and a different offset changes its data.
 	CrashAt time.Duration
 
 	// Settle is how long the run continues after the fault window, for
-	// in-flight suspicions to resolve. Defaults to 45 s.
+	// in-flight suspicions to resolve.
 	Settle time.Duration
 }
 
-// withDefaults resolves zero-valued parameters. It is idempotent.
-func (p ChaosParams) withDefaults() ChaosParams {
-	if p.N == 0 {
-		p.N = 48
-	}
-	if p.Victims <= 0 {
-		p.Victims = 6
-	}
-	if p.Crashes <= 0 {
-		p.Crashes = 3
-	}
-	if p.FaultFor <= 0 {
-		p.FaultFor = 60 * time.Second
-	}
-	if p.CrashAt <= 0 {
-		p.CrashAt = p.FaultFor / 3
-	}
-	if p.Settle <= 0 {
-		p.Settle = 45 * time.Second
-	}
-	return p
-}
+// The chaos fault sets, disjoint and identical in every cell.
+const (
+	// chaosVictims is the number of members afflicted by each
+	// scenario's non-fatal fault.
+	chaosVictims = 6
+
+	// chaosCrashes is the number of members hard-crashed (inbound
+	// dropped, immune to resume) during the fault window.
+	chaosCrashes = 3
+)
 
 // The scenarios' fault levels.
 var (
@@ -112,11 +90,11 @@ type chaosScenario struct {
 	// victim set, peers every member name; rng is a dedicated
 	// deterministic stream (same across configs, so every column of a
 	// row sees identical faults).
-	build func(victims, peers []string, p ChaosParams, rng *rand.Rand) script
+	build func(victims, peers []string, p chaosParams, rng *rand.Rand) script
 }
 
 // degrade slows victims' processing for the whole window.
-func buildDegraded(victims, _ []string, p ChaosParams, _ *rand.Rand) script {
+func buildDegraded(victims, _ []string, p chaosParams, _ *rand.Rand) script {
 	var s script
 	for _, v := range victims {
 		s = s.span(entry{op: opDegrade, node: v, delay: chaosDegrade}, p.FaultFor)
@@ -125,7 +103,7 @@ func buildDegraded(victims, _ []string, p ChaosParams, _ *rand.Rand) script {
 }
 
 // pause-flap cycles victims through total stalls with buffered inbound.
-func buildPauseFlap(victims, _ []string, p ChaosParams, _ *rand.Rand) script {
+func buildPauseFlap(victims, _ []string, p chaosParams, _ *rand.Rand) script {
 	var s script
 	for _, v := range victims {
 		for t := time.Duration(0); t < p.FaultFor; t += chaosPauseFor + chaosWakeFor {
@@ -138,7 +116,7 @@ func buildPauseFlap(victims, _ []string, p ChaosParams, _ *rand.Rand) script {
 // asym-partition makes each victim half-open: it cannot send to a
 // random chaosPartitionFraction of peers but still receives from
 // everyone.
-func buildAsymPartition(victims, peers []string, p ChaosParams, rng *rand.Rand) script {
+func buildAsymPartition(victims, peers []string, p chaosParams, rng *rand.Rand) script {
 	var s script
 	for _, v := range victims {
 		others := without(peers, v)
@@ -153,7 +131,7 @@ func buildAsymPartition(victims, peers []string, p ChaosParams, rng *rand.Rand) 
 }
 
 // lossy-link impairs both directions between each victim and everyone.
-func buildLossyLink(victims, peers []string, p ChaosParams, _ *rand.Rand) script {
+func buildLossyLink(victims, peers []string, p chaosParams, _ *rand.Rand) script {
 	var s script
 	for _, v := range victims {
 		s = s.span(entry{op: opImpair, node: v, peers: without(peers, v), link: chaosLink}, p.FaultFor)
@@ -167,10 +145,9 @@ func without(names []string, name string) []string {
 }
 
 // combined deals the victims round-robin across the three fault
-// classes — degraded, flapping, lossy — so every class is present
-// whenever there are at least three victims (fewer victims cover the
-// classes in that priority order).
-func buildCombined(victims, peers []string, p ChaosParams, rng *rand.Rand) script {
+// classes — degraded, flapping, lossy — so each class holds a third of
+// the chaosVictims.
+func buildCombined(victims, peers []string, p chaosParams, rng *rand.Rand) script {
 	var groups [3][]string
 	for i, v := range victims {
 		groups[i%3] = append(groups[i%3], v)
@@ -199,11 +176,11 @@ func ChaosScenarioNames() []string {
 }
 
 // chaosCast deterministically selects the victim and crash sets for a
-// run: disjoint, excluding member 0 (the join seed), identical across
-// every cell of the matrix.
-func chaosCast(p ChaosParams, seed int64) (victims, crashed []string) {
-	names := cast(p.N, p.Victims+p.Crashes, seed*31+17)
-	return names[:p.Victims], names[p.Victims:]
+// run of n members: disjoint, excluding member 0 (the join seed),
+// identical across every cell of the matrix.
+func chaosCast(n int, seed int64) (victims, crashed []string) {
+	names := cast(n, chaosVictims+chaosCrashes, seed*31+17)
+	return names[:chaosVictims], names[chaosVictims:]
 }
 
 // findChaosScenario resolves a scenario by name.
@@ -217,20 +194,18 @@ func findChaosScenario(name string) (chaosScenario, int, error) {
 		name, strings.Join(ChaosScenarioNames(), "|"))
 }
 
-// RunChaosCell executes one (scenario, configuration) cell: quiesce,
+// runChaosCell executes one (scenario, configuration) cell: quiesce,
 // play the scenario's fault script plus the crash set, run out the
 // fault window and settle phase, and score. It returns the cell's
 // record (docs/LIFEBENCH.md lists its keys) and the full membership
-// event log (the raw material for invariant harnesses). cc.N is taken
-// from the params and must be left zero.
-func RunChaosCell(cc ClusterConfig, scenario string, p ChaosParams) (Record, []metrics.Event, error) {
-	p = p.withDefaults()
-	if p.Victims+p.Crashes > p.N-1 {
+// event log (the raw material for invariant harnesses).
+func runChaosCell(cc ClusterConfig, scenario string, p chaosParams) (Record, []metrics.Event, error) {
+	if chaosVictims+chaosCrashes > cc.N-1 {
 		return Record{}, nil, fmt.Errorf(
 			"experiment: chaos fault sets need %d members (%d victims + %d crashes) but only %d are eligible (N=%d minus the join seed)",
-			p.Victims+p.Crashes, p.Victims, p.Crashes, p.N-1, p.N)
+			chaosVictims+chaosCrashes, chaosVictims, chaosCrashes, cc.N-1, cc.N)
 	}
-	if p.CrashAt >= p.FaultFor {
+	if p.CrashAt <= 0 || p.CrashAt >= p.FaultFor {
 		return Record{}, nil, fmt.Errorf(
 			"experiment: chaos CrashAt %v must fall inside the %v fault window", p.CrashAt, p.FaultFor)
 	}
@@ -238,7 +213,6 @@ func RunChaosCell(cc ClusterConfig, scenario string, p ChaosParams) (Record, []m
 	if err != nil {
 		return Record{}, nil, err
 	}
-	cc.N = p.N
 	c, err := NewCluster(cc)
 	if err != nil {
 		return Record{}, nil, err
@@ -248,7 +222,7 @@ func RunChaosCell(cc ClusterConfig, scenario string, p ChaosParams) (Record, []m
 		return Record{}, nil, err
 	}
 
-	victims, crashed := chaosCast(p, cc.Seed)
+	victims, crashed := chaosCast(cc.N, cc.Seed)
 	// The script RNG depends on seed and scenario, never on the
 	// configuration, so every column of a matrix row sees identical
 	// faults.
@@ -285,7 +259,7 @@ func RunChaosCell(cc ClusterConfig, scenario string, p ChaosParams) (Record, []m
 		Config:     cc.Protocol.Name,
 		Params: map[string]any{
 			"scenario":    sc.name,
-			"members":     p.N,
+			"members":     cc.N,
 			"victims":     len(victims),
 			"crashes":     len(crashed),
 			"fault_for_s": p.FaultFor.Seconds(),
@@ -313,16 +287,16 @@ func RunChaosCell(cc ClusterConfig, scenario string, p ChaosParams) (Record, []m
 // chaosCells enumerates the scenario × configuration matrix, scenario-
 // major over ChaosScenarioNames × Configurations, every cell at cc's
 // seed with cc.Protocol overridden.
-func chaosCells(cc ClusterConfig, p ChaosParams) []Cell {
-	var cells []Cell
+func chaosCells(cc ClusterConfig, p chaosParams) []cell {
+	var cells []cell
 	for _, name := range ChaosScenarioNames() {
 		for _, proto := range Configurations {
 			name, cellCC := name, cc
 			cellCC.Protocol = proto
-			cells = append(cells, Cell{
+			cells = append(cells, cell{
 				Label: fmt.Sprintf("chaos %s/%s", name, proto.Name),
 				Run: func() (any, error) {
-					rec, _, err := RunChaosCell(cellCC, name, p)
+					rec, _, err := runChaosCell(cellCC, name, p)
 					return rec, err
 				},
 			})

@@ -12,14 +12,15 @@ import (
 	"lifeguard/internal/sim"
 )
 
-// smallChaosParams is a reduced matrix configuration for quick tests:
-// same five scenarios, smaller cluster and shorter windows.
-func smallChaosParams() ChaosParams {
-	return ChaosParams{
-		N:        32,
-		Victims:  4,
-		Crashes:  2,
+// smallChaosN and smallChaosParams are a reduced matrix configuration
+// for quick tests: same five scenarios and fault sets, smaller cluster
+// and shorter windows (the smoke scale's).
+const smallChaosN = 32
+
+func smallChaosParams() chaosParams {
+	return chaosParams{
 		FaultFor: 24 * time.Second,
+		CrashAt:  8 * time.Second,
 		Settle:   24 * time.Second,
 	}
 }
@@ -40,25 +41,9 @@ func TestChaosScenarioNames(t *testing.T) {
 
 // TestChaosUnknownScenario pins the error path.
 func TestChaosUnknownScenario(t *testing.T) {
-	_, _, err := RunChaosCell(ClusterConfig{Seed: 1}, "bogus", smallChaosParams())
+	_, _, err := runChaosCell(ClusterConfig{N: smallChaosN, Seed: 1}, "bogus", smallChaosParams())
 	if err == nil {
 		t.Fatal("unknown scenario accepted")
-	}
-}
-
-// TestChaosDefaultsIdempotent pins the fault-set defaults and that
-// resolving them twice changes nothing, so every cell may resolve the
-// params it is handed.
-func TestChaosDefaultsIdempotent(t *testing.T) {
-	p := ChaosParams{}.withDefaults()
-	if p.Victims != 6 || p.Crashes != 3 {
-		t.Errorf("zero fault sets resolved to %d/%d, want the 6/3 defaults", p.Victims, p.Crashes)
-	}
-	for _, p := range []ChaosParams{{}, smallChaosParams(), {Victims: -1, Crashes: -1, CrashAt: time.Second}} {
-		once := p.withDefaults()
-		if twice := once.withDefaults(); !reflect.DeepEqual(once, twice) {
-			t.Errorf("withDefaults not idempotent:\n%+v\n%+v", once, twice)
-		}
 	}
 }
 
@@ -66,22 +51,26 @@ func TestChaosDefaultsIdempotent(t *testing.T) {
 // exceeding the eligible membership (N minus the join seed) errors out
 // instead of silently truncating the crash set to nothing — per cell
 // and through the registered scenario — and that a crash offset outside
-// the fault window — a crash set that would never crash — errors out
-// instead of reporting 0 of C detected.
+// the fault window — a crash set that would never crash, or crashes
+// before the faults start — errors out instead of reporting 0 of C
+// detected.
 func TestChaosRejectsOversizedFaultSets(t *testing.T) {
-	p := smallChaosParams()
-	p.Victims = p.N - 1 // leaves no room for the crashes
-	if _, _, err := RunChaosCell(ClusterConfig{Seed: 1}, "degraded", p); err == nil {
+	// The 6 victims + 3 crashes need 9 of the 8 eligible members.
+	tight := ClusterConfig{N: chaosVictims + chaosCrashes, Seed: 1}
+	if _, _, err := runChaosCell(tight, "degraded", smallChaosParams()); err == nil {
 		t.Fatal("oversized fault sets accepted")
 	}
-	// The default 6 victims + 3 crashes need 9 of the 7 eligible members.
-	if _, err := RunScenario("chaos", RunOptions{Scale: Scale{Name: "tiny", ChaosN: 8}, Seed: 1}); err == nil {
+	tiny := Scale{Name: "tiny", ChaosN: 8, ChaosFaultFor: 24 * time.Second, ChaosSettle: 24 * time.Second}
+	if _, err := RunScenario("chaos", RunOptions{Scale: tiny, Seed: 1}); err == nil {
 		t.Fatal("oversized fault sets accepted by the chaos scenario")
 	}
-	late := smallChaosParams()
-	late.CrashAt = late.FaultFor
-	if _, _, err := RunChaosCell(ClusterConfig{Seed: 1}, "degraded", late); err == nil {
-		t.Fatal("CrashAt at the end of the fault window accepted")
+	cc := ClusterConfig{N: smallChaosN, Seed: 1}
+	for _, crashAt := range []time.Duration{smallChaosParams().FaultFor, 0} {
+		p := smallChaosParams()
+		p.CrashAt = crashAt
+		if _, _, err := runChaosCell(cc, "degraded", p); err == nil {
+			t.Fatalf("CrashAt %v outside the %v fault window accepted", crashAt, p.FaultFor)
+		}
 	}
 }
 
@@ -89,11 +78,10 @@ func TestChaosRejectsOversizedFaultSets(t *testing.T) {
 // victims and crashes never overlap, never include the join seed, and
 // are a pure function of the seed.
 func TestChaosCastDisjointAndDeterministic(t *testing.T) {
-	p := smallChaosParams()
-	v1, c1 := chaosCast(p, 9)
-	v2, c2 := chaosCast(p, 9)
-	if len(v1) != p.Victims || len(c1) != p.Crashes {
-		t.Fatalf("cast sizes %d/%d, want %d/%d", len(v1), len(c1), p.Victims, p.Crashes)
+	v1, c1 := chaosCast(smallChaosN, 9)
+	v2, c2 := chaosCast(smallChaosN, 9)
+	if len(v1) != chaosVictims || len(c1) != chaosCrashes {
+		t.Fatalf("cast sizes %d/%d, want %d/%d", len(v1), len(c1), chaosVictims, chaosCrashes)
 	}
 	seen := map[string]bool{NodeName(0): true}
 	for _, name := range append(append([]string{}, v1...), c1...) {
@@ -112,7 +100,7 @@ func TestChaosCastDisjointAndDeterministic(t *testing.T) {
 			t.Fatalf("crash cast not deterministic: %v vs %v", c1, c2)
 		}
 	}
-	v3, _ := chaosCast(p, 10)
+	v3, _ := chaosCast(smallChaosN, 10)
 	different := false
 	for i := range v1 {
 		if v1[i] != v3[i] {
@@ -153,21 +141,19 @@ func TestRefutationLatencies(t *testing.T) {
 }
 
 // TestChaosCombinedCoversAllFaultClasses pins that the combined
-// scenario keeps all three fault classes even at small victim counts
-// (the round-robin deal): with 4 victims the lossy class must still be
-// present, observable through the duplication/reordering counters.
+// scenario's round-robin deal keeps all three fault classes: the lossy
+// class, dealt last, must be present, observable through the
+// duplication/reordering counters.
 func TestChaosCombinedCoversAllFaultClasses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos cell run")
 	}
-	p := smallChaosParams()
-	p.Victims = 4
-	rec, _, err := RunChaosCell(ClusterConfig{Seed: 2, Protocol: ConfigSWIM}, "combined", p)
+	rec, _, err := runChaosCell(ClusterConfig{N: smallChaosN, Seed: 2, Protocol: ConfigSWIM}, "combined", smallChaosParams())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec.Metrics["duplicated"] == 0 && rec.Metrics["reordered"] == 0 {
-		t.Errorf("combined cell with 4 victims shows no link-fault interventions — lossy class missing")
+		t.Errorf("combined cell shows no link-fault interventions — lossy class missing")
 	}
 }
 
@@ -177,13 +163,22 @@ func TestChaosCombinedCoversAllFaultClasses(t *testing.T) {
 // not dead — full Lifeguard produces strictly fewer false positives
 // than plain SWIM at the same seed, while detecting the real crashes
 // just as fast (equal-or-better median) and just as completely.
+//
+// The cell is the bench scale's (48 members, a 60 s fault window, 45 s
+// settle) with one exception: the crashes land at +5 s, not at the
+// scenario's FaultFor/3 = +20 s. The detection half of the claim holds
+// only there. At seed 1, SWIM's degraded-cell crash-detection median is
+// 9.41 s against Lifeguard's 9.41 s with a +5 s crash, but 3.08 s
+// against 10.31 s with the scenario's +20 s crash (docs/ARCHITECTURE.md,
+// Fault injection). CrashAt stays a parameter for this test alone.
 func TestChaosLifeguardBeatsSWIM(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos matrix run")
 	}
+	p := chaosParams{FaultFor: 60 * time.Second, CrashAt: 5 * time.Second, Settle: 45 * time.Second}
 	var recs []Record
 	for _, proto := range []ProtocolConfig{ConfigSWIM, ConfigLifeguard} {
-		rec, _, err := RunChaosCell(ClusterConfig{Seed: 1, Protocol: proto}, "degraded", ChaosParams{CrashAt: 5 * time.Second})
+		rec, _, err := runChaosCell(ClusterConfig{N: 48, Seed: 1, Protocol: proto}, "degraded", p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +223,7 @@ func TestChaosMatrixDeterminism(t *testing.T) {
 	run := func(seed int64) (recs []Record, digests []string) {
 		for _, scenario := range ChaosScenarioNames() {
 			for _, proto := range Configurations {
-				rec, events, err := RunChaosCell(ClusterConfig{Seed: seed, Protocol: proto}, scenario, smallChaosParams())
+				rec, events, err := runChaosCell(ClusterConfig{N: smallChaosN, Seed: seed, Protocol: proto}, scenario, smallChaosParams())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -272,7 +267,7 @@ func TestChaosInvariants(t *testing.T) {
 	}
 	for _, scenario := range scenarios {
 		for _, proto := range configs {
-			_, events, err := RunChaosCell(ClusterConfig{Seed: 3, Protocol: proto}, scenario, p)
+			_, events, err := runChaosCell(ClusterConfig{N: smallChaosN, Seed: 3, Protocol: proto}, scenario, p)
 			if err != nil {
 				t.Fatal(err)
 			}

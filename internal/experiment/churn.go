@@ -15,46 +15,24 @@ import (
 // the other experiments use.
 const DefaultChurnN = 2048
 
-// ChurnParams parameterizes the large-cluster churn scenario: a big
-// cluster under continuous membership change — crash failures, graceful
-// leaves, and fresh joins interleaved at a steady rate — verifying that
-// detection latency and false-positive behavior hold at scale.
-type ChurnParams struct {
-	// Interval is the time between consecutive churn actions. Actions
-	// cycle fail → join → leave → join, so the population stays roughly
-	// stable. Defaults to 500 ms.
-	Interval time.Duration
+// churnInterval is the time between consecutive churn actions. Actions
+// cycle fail → join → leave → join, so the population stays roughly
+// stable.
+const churnInterval = 500 * time.Millisecond
 
-	// Duration is the length of the churn phase. Defaults to 30 s.
-	Duration time.Duration
-
-	// Settle is how long the cluster runs after the last churn action so
-	// in-flight suspicions resolve before measurement. Defaults to twice
-	// the cluster's maximum suspicion timeout.
-	Settle time.Duration
-}
-
-// RunChurn executes the large-cluster churn scenario and returns its
-// record (docs/LIFEBENCH.md lists its keys).
-func RunChurn(cc ClusterConfig, p ChurnParams) (Record, error) {
-	if cc.N == 0 {
-		cc.N = DefaultChurnN
-	}
-	if p.Interval <= 0 {
-		p.Interval = 500 * time.Millisecond
-	}
-	if p.Duration <= 0 {
-		p.Duration = 30 * time.Second
-	}
-	if p.Settle <= 0 {
-		// First detection of the last crash needs a probe round plus a
-		// suspicion timeout. With thousands of probers the suspicion
-		// gathers its K confirmations quickly and the timeout decays to
-		// the §V-C floor Min = α·log10(n)·ProbeInterval, so 2.5·Min
-		// covers probe, decay and dissemination slack.
-		min := core.SuspicionMin(cc.Protocol.Alpha, cc.N, time.Second)
-		p.Settle = time.Duration(2.5 * float64(min))
-	}
+// runChurn executes the large-cluster churn scenario — a big cluster
+// under continuous membership change, crash failures, graceful leaves
+// and fresh joins interleaved at a steady rate, for duration — and
+// returns its record (docs/LIFEBENCH.md lists its keys).
+func runChurn(cc ClusterConfig, duration time.Duration) (Record, error) {
+	// The run settles after the last churn action so in-flight
+	// suspicions resolve before measurement. First detection of the last
+	// crash needs a probe round plus a suspicion timeout. With thousands
+	// of probers the suspicion gathers its K confirmations quickly and
+	// the timeout decays to the §V-C floor Min =
+	// α·log10(n)·ProbeInterval, so 2.5·Min covers probe, decay and
+	// dissemination slack.
+	settle := time.Duration(2.5 * float64(core.SuspicionMin(cc.Protocol.Alpha, cc.N, time.Second)))
 
 	c, err := NewCluster(cc)
 	if err != nil {
@@ -67,9 +45,9 @@ func RunChurn(cc ClusterConfig, p ChurnParams) (Record, error) {
 		return Record{}, err
 	}
 
-	s, end := churnScript(c.allNames()[1:], p, cc.Seed)
+	s, end := churnScript(c.allNames()[1:], duration, cc.Seed)
 	r := c.play(s)
-	if err := r.runTo(end + p.Settle); err != nil {
+	if err := r.runTo(end + settle); err != nil {
 		return Record{}, err
 	}
 
@@ -115,8 +93,8 @@ func RunChurn(cc ClusterConfig, p ChurnParams) (Record, error) {
 		Config:     cc.Protocol.Name,
 		Params: map[string]any{
 			"members":    cc.N,
-			"duration_s": p.Duration.Seconds(),
-			"interval_s": p.Interval.Seconds(),
+			"duration_s": duration.Seconds(),
+			"interval_s": churnInterval.Seconds(),
 		},
 		Metrics: map[string]float64{
 			"fails":                 float64(count[opStop] - count[opLeave]),
@@ -133,7 +111,7 @@ func RunChurn(cc ClusterConfig, p ChurnParams) (Record, error) {
 }
 
 // churnScript draws the churn phase's actions from the seed, one every
-// p.Interval while under p.Duration, cycling crash → join → leave →
+// churnInterval while under duration, cycling crash → join → leave →
 // join so the population stays roughly stable. A crash stops a member;
 // a leave announces, disseminates for 2 s, then stops. Crashes and
 // leaves take a random member of the pool: initially pool (everyone but
@@ -142,12 +120,12 @@ func RunChurn(cc ClusterConfig, p ChurnParams) (Record, error) {
 // before any action at that instant, so a member is never crashed
 // before the cluster has learned it exists. It returns the script and
 // the offset at which the churn phase ends.
-func churnScript(pool []string, p ChurnParams, seed int64) (script, time.Duration) {
+func churnScript(pool []string, duration time.Duration, seed int64) (script, time.Duration) {
 	rng := rand.New(rand.NewSource(seed + 2))
 	var s script
 	var joined []entry
 	t := time.Duration(0)
-	for i := 0; t < p.Duration; i, t = i+1, t+p.Interval {
+	for i := 0; t < duration; i, t = i+1, t+churnInterval {
 		for len(joined) > 0 && joined[0].at+10*time.Second <= t {
 			pool, joined = append(pool, joined[0].node), joined[1:]
 		}

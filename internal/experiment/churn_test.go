@@ -14,10 +14,7 @@ import (
 // run can afford: actions execute, crashes are detected, and joins
 // become visible.
 func TestChurnSmall(t *testing.T) {
-	rec, err := RunChurn(
-		ClusterConfig{N: 24, Seed: 3, Protocol: ConfigLifeguard},
-		ChurnParams{Interval: time.Second, Duration: 8 * time.Second},
-	)
+	rec, err := runChurn(ClusterConfig{N: 24, Seed: 3, Protocol: ConfigLifeguard}, 8*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,10 +35,7 @@ func TestChurnSmall(t *testing.T) {
 // initial membership can supply: the pool must refill from converged
 // joins and, if it still runs dry, skip the action rather than panic.
 func TestChurnPoolExhaustion(t *testing.T) {
-	rec, err := RunChurn(
-		ClusterConfig{N: 8, Seed: 5, Protocol: ConfigLifeguard},
-		ChurnParams{Interval: 200 * time.Millisecond, Duration: 10 * time.Second, Settle: 5 * time.Second},
-	)
+	rec, err := runChurn(ClusterConfig{N: 8, Seed: 5, Protocol: ConfigLifeguard}, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,10 +64,7 @@ func TestChurnLargeCluster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-cluster churn run")
 	}
-	rec, err := RunChurn(
-		ClusterConfig{N: ScaleBench.ChurnN, Seed: 1, Protocol: ConfigLifeguard},
-		ChurnParams{},
-	)
+	rec, err := runChurn(ClusterConfig{N: ScaleBench.ChurnN, Seed: 1, Protocol: ConfigLifeguard}, ScaleBench.ChurnFor)
 	if err != nil {
 		t.Fatal(err)
 	}

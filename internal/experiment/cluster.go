@@ -53,24 +53,13 @@ var Configurations = []ProtocolConfig{
 	ConfigLifeguard,
 }
 
-// WithTuning returns a copy of p with the given suspicion tuning.
-func (p ProtocolConfig) WithTuning(alpha, beta float64) ProtocolConfig {
-	p.Alpha, p.Beta = alpha, beta
-	p.Name = fmt.Sprintf("%s(α=%g,β=%g)", p.Name, alpha, beta)
-	return p
-}
-
 // apply copies the protocol selection onto a node config.
 func (p ProtocolConfig) apply(cfg *core.Config) {
 	cfg.LHAProbe = p.LHAProbe
 	cfg.LHASuspicion = p.LHASuspicion
 	cfg.BuddySystem = p.BuddySystem
 	cfg.SuspicionAlpha = p.Alpha
-	beta := p.Beta
-	if beta < 1 {
-		beta = 1
-	}
-	cfg.SuspicionBeta = beta
+	cfg.SuspicionBeta = p.Beta
 }
 
 // ClusterConfig sizes and seeds a simulated cluster.
@@ -136,7 +125,7 @@ type Cluster struct {
 
 	// addSeq counts addNode calls for RNG-seed derivation. Unlike
 	// len(Nodes) it never decreases, so a member added after a
-	// RemoveNode cannot collide with a live member's RNG stream.
+	// removeNode cannot collide with a live member's RNG stream.
 	addSeq int64
 }
 
@@ -292,11 +281,11 @@ func (c *Cluster) addNode(name string, rng *rand.Rand) (*core.Node, error) {
 //
 // Joins are staggered across a short bootstrap window scaled to the
 // cluster size: a simultaneous join storm at thousands of members
-// overflows the seed member's inbound queue (QueueCap tail-drop) and
-// leaves the dropped joiners permanently isolated — they know no peer to
-// retry through. Real clusters bootstrap over seconds, not an instant.
-// At the paper's double-digit-to-128 sizes the window is sub-second, so
-// the §V experiments are unaffected.
+// overflows the seed member's inbound queue (the simulator's queueCap
+// tail-drop) and leaves the dropped joiners permanently isolated — they
+// know no peer to retry through. Real clusters bootstrap over seconds,
+// not an instant. At the paper's double-digit-to-128 sizes the window is
+// sub-second, so the §V experiments are unaffected.
 func (c *Cluster) Start(quiesce time.Duration) error {
 	c.started = c.Sched.Now()
 	for _, n := range c.Nodes {
@@ -333,11 +322,11 @@ func bootstrapWindow(n int) time.Duration {
 	return w
 }
 
-// RemoveNode shuts the named member down, detaches it from the network
+// removeNode shuts the named member down, detaches it from the network
 // and forgets it, so a fresh member can later be added under the same
 // name (a script's stop entry; rolling-restart then rejoins the name).
 // Removing an unknown name is a no-op.
-func (c *Cluster) RemoveNode(name string) {
+func (c *Cluster) removeNode(name string) {
 	node, ok := c.names[name]
 	if !ok {
 		return
@@ -360,8 +349,8 @@ func (c *Cluster) Shutdown() {
 	}
 }
 
-// Converged reports whether every member sees every member alive.
-func (c *Cluster) Converged() bool {
+// converged reports whether every member sees every member alive.
+func (c *Cluster) converged() bool {
 	for _, n := range c.Nodes {
 		alive := 0
 		for _, m := range n.Members() {
@@ -376,7 +365,7 @@ func (c *Cluster) Converged() bool {
 	return true
 }
 
-// Elapsed returns virtual time since Start.
-func (c *Cluster) Elapsed() time.Duration {
+// elapsed returns virtual time since Start.
+func (c *Cluster) elapsed() time.Duration {
 	return c.Sched.Now().Sub(c.started)
 }

@@ -20,9 +20,9 @@ const (
 	StressHorizon = 5 * time.Minute
 )
 
-// ThresholdParams parameterizes one Threshold experiment (§V-D1): a
+// thresholdParams parameterizes one Threshold experiment (§V-D1): a
 // single set of C fully-correlated anomalies of duration D.
-type ThresholdParams struct {
+type thresholdParams struct {
 	// C is the number of concurrent anomalous members.
 	C int
 
@@ -30,9 +30,9 @@ type ThresholdParams struct {
 	D time.Duration
 }
 
-// ThresholdResult holds the latency samples from one Threshold run.
-type ThresholdResult struct {
-	Params ThresholdParams
+// thresholdResult holds the latency samples from one Threshold run.
+type thresholdResult struct {
+	Params thresholdParams
 
 	// FirstDetect has, per anomalous member that was detected, the time
 	// from anomaly start to the first dead event about it at any other
@@ -50,34 +50,31 @@ type ThresholdResult struct {
 	Detected, Undetected int
 }
 
-// RunThreshold executes one Threshold experiment.
-func RunThreshold(cc ClusterConfig, p ThresholdParams) (ThresholdResult, error) {
-	if cc.N == 0 {
-		cc.N = DefaultN
-	}
+// runThreshold executes one Threshold experiment.
+func runThreshold(cc ClusterConfig, p thresholdParams) (thresholdResult, error) {
 	c, err := NewCluster(cc)
 	if err != nil {
-		return ThresholdResult{}, err
+		return thresholdResult{}, err
 	}
 	defer c.Shutdown()
 	if err := c.Start(Quiesce); err != nil {
-		return ThresholdResult{}, err
+		return thresholdResult{}, err
 	}
 
 	anomalous := cast(cc.N, p.C, cc.Seed+1)
 	r := c.play(script{}.anomaly(anomalous, 0, p.D))
 	if err := r.finish(); err != nil {
-		return ThresholdResult{}, err
+		return thresholdResult{}, err
 	}
 	// Run out the horizon (the paper runs until recovery or 120 s from
 	// experiment start; detections happen well inside the horizon).
-	if remaining := Horizon - c.Elapsed(); remaining > 0 {
+	if remaining := Horizon - c.elapsed(); remaining > 0 {
 		c.Sched.RunFor(remaining)
 	}
 
 	score := scoreDeaths(c.Events.Events(), r.start, r.gone, r.faulted)
 	healthy := func(observer string) bool { _, bad := r.gone[observer]; return !bad }
-	res := ThresholdResult{Params: p}
+	res := thresholdResult{Params: p}
 	for _, name := range anomalous {
 		first, _, n := score.detection(name, nil)
 		if n == 0 {
@@ -104,10 +101,10 @@ func (c *Cluster) allNames() []string {
 	return names
 }
 
-// IntervalParams parameterizes one Interval experiment (§V-D2): cycles
+// intervalParams parameterizes one Interval experiment (§V-D2): cycles
 // of anomaly duration D separated by normal intervals I, repeated until
 // the horizon.
-type IntervalParams struct {
+type intervalParams struct {
 	// C is the number of concurrent anomalous members.
 	C int
 
@@ -118,10 +115,10 @@ type IntervalParams struct {
 	I time.Duration
 }
 
-// IntervalResult holds the false-positive and load metrics from one
+// intervalResult holds the false-positive and load metrics from one
 // Interval run (§V-F1, §V-F3).
-type IntervalResult struct {
-	Params IntervalParams
+type intervalResult struct {
+	Params intervalParams
 
 	// FP counts false-positive failure events at any member: dead
 	// events whose subject is not in the anomaly set.
@@ -143,34 +140,31 @@ type IntervalResult struct {
 	Cycles int
 }
 
-// RunInterval executes one Interval experiment.
-func RunInterval(cc ClusterConfig, p IntervalParams) (IntervalResult, error) {
-	if cc.N == 0 {
-		cc.N = DefaultN
-	}
+// runInterval executes one Interval experiment.
+func runInterval(cc ClusterConfig, p intervalParams) (intervalResult, error) {
 	c, err := NewCluster(cc)
 	if err != nil {
-		return IntervalResult{}, err
+		return intervalResult{}, err
 	}
 	defer c.Shutdown()
 	if err := c.Start(Quiesce); err != nil {
-		return IntervalResult{}, err
+		return intervalResult{}, err
 	}
 
 	anomalous := cast(cc.N, p.C, cc.Seed+1)
-	res := IntervalResult{Params: p}
+	res := intervalResult{Params: p}
 	// Cycle anomalies until at least Horizon has passed since the start
 	// of the test; the test ends at the end of an anomalous period
 	// (§V-D2): a period starts while the one before it, which ended I
 	// earlier, ended before the horizon.
 	var s script
-	for t := time.Duration(0); t-p.I < Horizon-c.Elapsed(); t += p.D + p.I {
+	for t := time.Duration(0); t-p.I < Horizon-c.elapsed(); t += p.D + p.I {
 		s = s.anomaly(anomalous, t, p.D)
 		res.Cycles++
 	}
 	r := c.play(s)
 	if err := r.finish(); err != nil {
-		return IntervalResult{}, err
+		return intervalResult{}, err
 	}
 
 	score := scoreDeaths(c.Events.Events(), r.start, r.gone, r.faulted)
@@ -181,15 +175,15 @@ func RunInterval(cc ClusterConfig, p IntervalParams) (IntervalResult, error) {
 	return res, nil
 }
 
-// StressParams parameterizes the Figure-1 CPU-exhaustion scenario: a
+// stressParams parameterizes the Figure-1 CPU-exhaustion scenario: a
 // 100-member cluster where Stressed members run an extreme CPU workload
 // for 5 minutes, modelled as a heavy block/wake duty cycle (the stress
 // tool's 128 spinning processes starve the agent to ~1% of a core).
-type StressParams struct {
+type stressParams struct {
 	// Stressed is the number of members running the stress workload.
 	Stressed int
 
-	// Duration is the workload duration. Defaults to StressHorizon.
+	// Duration is the workload duration (StressHorizon in the paper).
 	Duration time.Duration
 }
 
@@ -201,15 +195,9 @@ const (
 	stressWakeFor  = 120 * time.Millisecond
 )
 
-// RunStress executes one Figure-1 scenario run and returns its record
+// runStress executes one Figure-1 scenario run and returns its record
 // (docs/LIFEBENCH.md lists its keys).
-func RunStress(cc ClusterConfig, p StressParams) (Record, error) {
-	if cc.N == 0 {
-		cc.N = StressN
-	}
-	if p.Duration <= 0 {
-		p.Duration = StressHorizon
-	}
+func runStress(cc ClusterConfig, p stressParams) (Record, error) {
 	c, err := NewCluster(cc)
 	if err != nil {
 		return Record{}, err

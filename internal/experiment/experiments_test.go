@@ -9,9 +9,9 @@ func TestIntervalSWIMProducesFalsePositives(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full interval run")
 	}
-	res, err := RunInterval(
+	res, err := runInterval(
 		ClusterConfig{N: 64, Seed: 11, Protocol: ConfigSWIM},
-		IntervalParams{C: 8, D: 16384 * time.Millisecond, I: 64 * time.Millisecond},
+		intervalParams{C: 8, D: 16384 * time.Millisecond, I: 64 * time.Millisecond},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -27,16 +27,16 @@ func TestIntervalLifeguardSuppressesFalsePositives(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full interval run")
 	}
-	swim, err := RunInterval(
+	swim, err := runInterval(
 		ClusterConfig{N: 64, Seed: 11, Protocol: ConfigSWIM},
-		IntervalParams{C: 8, D: 16384 * time.Millisecond, I: 64 * time.Millisecond},
+		intervalParams{C: 8, D: 16384 * time.Millisecond, I: 64 * time.Millisecond},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lg, err := RunInterval(
+	lg, err := runInterval(
 		ClusterConfig{N: 64, Seed: 11, Protocol: ConfigLifeguard},
-		IntervalParams{C: 8, D: 16384 * time.Millisecond, I: 64 * time.Millisecond},
+		intervalParams{C: 8, D: 16384 * time.Millisecond, I: 64 * time.Millisecond},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -51,9 +51,9 @@ func TestThresholdDetectsLongAnomaly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full threshold run")
 	}
-	res, err := RunThreshold(
+	res, err := runThreshold(
 		ClusterConfig{N: 64, Seed: 7, Protocol: ConfigSWIM},
-		ThresholdParams{C: 4, D: 32768 * time.Millisecond},
+		thresholdParams{C: 4, D: 32768 * time.Millisecond},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -72,9 +72,9 @@ func TestThresholdDetectsLongAnomaly(t *testing.T) {
 // the anomalies that happened: a C beyond the N−1 eligible members is
 // clamped, and the clamped-off members were never failures.
 func TestThresholdCountsOnlyTheCast(t *testing.T) {
-	res, err := RunThreshold(
+	res, err := runThreshold(
 		ClusterConfig{N: 8, Seed: 3, Protocol: ConfigSWIM},
-		ThresholdParams{C: 20, D: 30 * time.Second},
+		thresholdParams{C: 20, D: 30 * time.Second},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -93,16 +93,16 @@ func TestThresholdLifeguardStillDetectsTrueFailures(t *testing.T) {
 	// the healthy majority, driving the timeout back to Min: detection
 	// latency must stay within a couple of seconds of SWIM's (paper
 	// Table V).
-	swim, err := RunThreshold(
+	swim, err := runThreshold(
 		ClusterConfig{N: 64, Seed: 17, Protocol: ConfigSWIM},
-		ThresholdParams{C: 4, D: 32768 * time.Millisecond},
+		thresholdParams{C: 4, D: 32768 * time.Millisecond},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lg, err := RunThreshold(
+	lg, err := runThreshold(
 		ClusterConfig{N: 64, Seed: 17, Protocol: ConfigLifeguard},
-		ThresholdParams{C: 4, D: 32768 * time.Millisecond},
+		thresholdParams{C: 4, D: 32768 * time.Millisecond},
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -97,7 +97,7 @@ func TestSteadyFootprint(t *testing.T) {
 	if err := c.Start(Quiesce); err != nil {
 		t.Fatal(err)
 	}
-	for waited := 0; !c.Converged(); waited++ {
+	for waited := 0; !c.converged(); waited++ {
 		if waited == 60 {
 			t.Fatalf("%d members not converged 60 s after boot", n)
 		}
@@ -131,7 +131,7 @@ func TestWANTelemetryFootprint(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("runs the smoke WAN cluster twice and sizes its heap")
 	}
-	p := wanParams(RunOptions{Scale: ScaleSmoke})
+	p := scaledWANParams(RunOptions{Scale: ScaleSmoke})
 	retained := func(telem bool) (bytes int64, samples int) {
 		var before, after runtime.MemStats
 		runtime.GC()

@@ -86,11 +86,11 @@ type ScenarioResult struct {
 	Sections []Section
 }
 
-// Cell is one independent unit of scenario work: a fully seeded
+// cell is one independent unit of scenario work: a fully seeded
 // simulation run. Cells share nothing — each builds its own scheduler,
 // network and cluster — so the executor may run any subset
 // concurrently.
-type Cell struct {
+type cell struct {
 	// Label names the cell for progress and error reporting.
 	Label string
 
@@ -130,7 +130,7 @@ type Scenario struct {
 	name, desc string
 
 	// plan enumerates the run's independent cells in canonical order.
-	plan func(opt RunOptions) ([]Cell, error)
+	plan func(opt RunOptions) ([]cell, error)
 
 	// records folds the cell outputs — provided in canonical order —
 	// into the scenario's records.
@@ -214,11 +214,11 @@ type NamedResult struct {
 func RunScenarios(names []string, opt RunOptions) ([]NamedResult, error) {
 	type planned struct {
 		s     Scenario
-		cells []Cell
+		cells []cell
 		first int // index of the scenario's first cell in the global list
 	}
 	plans := make([]planned, len(names))
-	var all []Cell
+	var all []cell
 	for i, name := range names {
 		s, err := LookupScenario(name)
 		if err != nil {
@@ -239,12 +239,12 @@ func RunScenarios(names []string, opt RunOptions) ([]NamedResult, error) {
 		starts = make([]time.Time, len(names))
 		ends   = make([]time.Time, len(names))
 	)
-	wrapped := make([]Cell, len(all))
+	wrapped := make([]cell, len(all))
 	for si := range plans {
-		for ci, cell := range plans[si].cells {
-			si, run := si, cell.Run
-			wrapped[plans[si].first+ci] = Cell{
-				Label: cell.Label,
+		for ci, c := range plans[si].cells {
+			si, run := si, c.Run
+			wrapped[plans[si].first+ci] = cell{
+				Label: c.Label,
 				Run: func() (any, error) {
 					wallMu.Lock()
 					if starts[si].IsZero() {
@@ -296,7 +296,7 @@ func RunScenarios(names []string, opt RunOptions) ([]NamedResult, error) {
 // the serial run) and returns their outputs in canonical (input) order
 // regardless of completion order. The first cell error cancels the
 // remaining unstarted cells.
-func runCells(cells []Cell, parallel int, progress Progress) ([]any, error) {
+func runCells(cells []cell, parallel int, progress Progress) ([]any, error) {
 	outs := make([]any, len(cells))
 	if parallel > len(cells) {
 		parallel = len(cells)

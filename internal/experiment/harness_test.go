@@ -30,6 +30,37 @@ func TestClusterConfigSurface(t *testing.T) {
 	}
 }
 
+// TestScaleSurface pins Scale's fields and that every preset sets each
+// one: no driver fills a zero field with a default, so a zero field is
+// an empty grid or a zero-length phase.
+func TestScaleSurface(t *testing.T) {
+	want := []string{
+		"Name", "N", "Cs", "Ds", "Is", "Runs", "StressCounts", "StressDuration",
+		"WANMembersPerZone", "WANConverge", "ChaosN", "ChaosFaultFor", "ChaosSettle",
+		"Alphas", "Betas", "ChurnN", "ChurnFor", "PartitionN", "RestartN", "RestartWaves",
+	}
+	typ := reflect.TypeOf(Scale{})
+	var got []string
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.IsExported() {
+			got = append(got, f.Name)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("a new Scale field needs every preset to set it (docs/ARCHITECTURE.md, Contracts)\n got %d: %v\nwant %d: %v",
+			len(got), got, len(want), want)
+	}
+	for _, sc := range []Scale{ScaleSmoke, ScaleBench, ScalePaper} {
+		v := reflect.ValueOf(sc)
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			if f.IsZero() || (f.Kind() == reflect.Slice && f.Len() == 0) {
+				t.Errorf("scale %q leaves %s unset", sc.Name, typ.Field(i).Name)
+			}
+		}
+	}
+}
+
 // TestRegistry pins the registered scenario set and lookup behaviour.
 func TestRegistry(t *testing.T) {
 	want := []string{
@@ -62,10 +93,10 @@ func TestRegistry(t *testing.T) {
 // overlaps cell execution.
 func TestRunCellsOrderAndParallelism(t *testing.T) {
 	var inFlight, maxInFlight atomic.Int32
-	cells := make([]Cell, 8)
+	cells := make([]cell, 8)
 	for i := range cells {
 		i := i
-		cells[i] = Cell{
+		cells[i] = cell{
 			Label: fmt.Sprintf("cell-%d", i),
 			Run: func() (any, error) {
 				cur := inFlight.Add(1)
@@ -110,7 +141,7 @@ func TestRunCellsOrderAndParallelism(t *testing.T) {
 // label and stops the run, serially and in parallel.
 func TestRunCellsPropagatesErrors(t *testing.T) {
 	boom := errors.New("boom")
-	cells := []Cell{
+	cells := []cell{
 		{Label: "ok", Run: func() (any, error) { return 1, nil }},
 		{Label: "bad", Run: func() (any, error) { return nil, boom }},
 		{Label: "ok2", Run: func() (any, error) { return 2, nil }},
@@ -238,10 +269,10 @@ func TestRestartParallelMatchesSerial(t *testing.T) {
 // stale lower count after a higher one.
 func TestRunCellsProgressMonotone(t *testing.T) {
 	const n = 200
-	cells := make([]Cell, n)
+	cells := make([]cell, n)
 	for i := range cells {
 		i := i
-		cells[i] = Cell{
+		cells[i] = cell{
 			Label: fmt.Sprintf("cell-%d", i),
 			Run:   func() (any, error) { return i, nil },
 		}
@@ -271,10 +302,10 @@ func TestRunCellsProgressMonotone(t *testing.T) {
 // while a callback sleeps.
 func TestRunCellsProgressNotBlockedByCallback(t *testing.T) {
 	var inFlight, maxInFlight atomic.Int32
-	cells := make([]Cell, 16)
+	cells := make([]cell, 16)
 	for i := range cells {
 		i := i
-		cells[i] = Cell{
+		cells[i] = cell{
 			Label: fmt.Sprintf("cell-%d", i),
 			Run: func() (any, error) {
 				cur := inFlight.Add(1)

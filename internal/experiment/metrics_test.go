@@ -67,10 +67,10 @@ func TestClusterConvergesAfterQuiesce(t *testing.T) {
 	// The membership map is usually complete within the paper's 15 s
 	// quiesce; a transient suspicion may take a few more seconds to
 	// refute, so allow a little slack before declaring failure.
-	for extra := 0; extra < 30 && !c.Converged(); extra++ {
+	for extra := 0; extra < 30 && !c.converged(); extra++ {
 		c.Sched.RunFor(time.Second)
 	}
-	if !c.Converged() {
+	if !c.converged() {
 		t.Fatal("24-member cluster did not converge within quiesce + 30s")
 	}
 }
@@ -95,7 +95,7 @@ func TestNewClusterSuspectsAndRecovers(t *testing.T) {
 		if err := c.Start(Quiesce); err != nil {
 			t.Fatal(err)
 		}
-		if !c.Converged() {
+		if !c.converged() {
 			t.Fatal("no convergence")
 		}
 		return c
@@ -122,7 +122,7 @@ func TestNewClusterSuspectsAndRecovers(t *testing.T) {
 		if err := r.runTo(35 * time.Second); err != nil {
 			t.Fatal(err)
 		}
-		if !c.Converged() {
+		if !c.converged() {
 			t.Error("cluster did not re-converge after the resume")
 		}
 	})
@@ -143,24 +143,10 @@ func TestNewClusterSuspectsAndRecovers(t *testing.T) {
 		if err := r.runTo(70 * time.Second); err != nil {
 			t.Fatal(err)
 		}
-		if !c.Converged() {
+		if !c.converged() {
 			t.Error("cluster did not re-converge after the degradation ended")
 		}
 	})
-}
-
-func TestWithTuning(t *testing.T) {
-	p := ConfigLifeguard.WithTuning(2, 4)
-	if p.Alpha != 2 || p.Beta != 4 {
-		t.Errorf("tuning = %v/%v", p.Alpha, p.Beta)
-	}
-	if !strings.Contains(p.Name, "α=2") || !strings.Contains(p.Name, "β=4") {
-		t.Errorf("name = %q", p.Name)
-	}
-	// Original untouched.
-	if ConfigLifeguard.Alpha != 5 {
-		t.Error("WithTuning mutated the original")
-	}
 }
 
 // TestConfigurationsMatchTableI checks that Configurations lists the

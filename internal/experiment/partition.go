@@ -13,35 +13,22 @@ import (
 // exercises the anti-entropy and refutation machinery the tables depend
 // on, so it ships with its own harness and bench.
 
-// PartitionParams parameterizes one partition/heal experiment.
-type PartitionParams struct {
-	// SizeA is the size of the first partition (the side holding the
-	// join seed).
-	SizeA int
+// The partition/heal timeline.
+const (
+	// partitionFor is how long the split lasts.
+	partitionFor = time.Minute
 
-	// Duration is how long the partition lasts.
-	Duration time.Duration
+	// partitionHealBudget is how long after healing the cluster gets to
+	// fully re-converge.
+	partitionHealBudget = 2 * time.Minute
+)
 
-	// HealBudget is how long after healing the cluster gets to fully
-	// re-converge.
-	HealBudget time.Duration
-}
-
-// RunPartition executes one partition/heal experiment and returns its
-// record (docs/LIFEBENCH.md lists its keys).
-func RunPartition(cc ClusterConfig, p PartitionParams) (Record, error) {
-	if cc.N == 0 {
-		cc.N = 32
-	}
-	if p.SizeA <= 0 || p.SizeA >= cc.N {
-		p.SizeA = cc.N / 2
-	}
-	if p.Duration <= 0 {
-		p.Duration = time.Minute
-	}
-	if p.HealBudget <= 0 {
-		p.HealBudget = 2 * time.Minute
-	}
+// runPartition executes one partition/heal experiment — the first
+// cc.N/2 members (the side holding the join seed) cut off from the
+// rest for partitionFor, then healed — and returns its record
+// (docs/LIFEBENCH.md lists its keys).
+func runPartition(cc ClusterConfig) (Record, error) {
+	sizeA := cc.N / 2
 
 	c, err := NewCluster(cc)
 	if err != nil {
@@ -53,15 +40,15 @@ func RunPartition(cc ClusterConfig, p PartitionParams) (Record, error) {
 	}
 
 	var s script
-	for _, a := range c.allNames()[:p.SizeA] {
-		s = s.span(entry{op: opCut, node: a, peers: c.allNames()[p.SizeA:]}, p.Duration)
+	for _, a := range c.allNames()[:sizeA] {
+		s = s.span(entry{op: opCut, node: a, peers: c.allNames()[sizeA:]}, partitionFor)
 	}
 	r := c.play(s)
-	if err := r.runTo(p.Duration); err != nil {
+	if err := r.runTo(partitionFor); err != nil {
 		return Record{}, err
 	}
 
-	inA := func(i int) bool { return i < p.SizeA }
+	inA := func(i int) bool { return i < sizeA }
 	sideSettled := func(a bool) bool {
 		for i, n := range c.Nodes {
 			if inA(i) != a {
@@ -86,7 +73,7 @@ func RunPartition(cc ClusterConfig, p PartitionParams) (Record, error) {
 	m := map[string]float64{
 		"side_a_converged":    b2f(sideSettled(true)),
 		"side_b_converged":    b2f(sideSettled(false)),
-		"cross_declared_dead": float64(c.countCrossDead(p.SizeA)),
+		"cross_declared_dead": float64(c.countCrossDead(sizeA)),
 		"remerged":            0,
 		"remerge_s":           0,
 	}
@@ -96,9 +83,9 @@ func RunPartition(cc ClusterConfig, p PartitionParams) (Record, error) {
 	}
 	healStart := c.Sched.Now()
 	step := 500 * time.Millisecond
-	for waited := time.Duration(0); waited < p.HealBudget; waited += step {
+	for waited := time.Duration(0); waited < partitionHealBudget; waited += step {
 		c.Sched.RunFor(step)
-		if c.Converged() {
+		if c.converged() {
 			m["remerged"] = 1
 			m["remerge_s"] = c.Sched.Now().Sub(healStart).Seconds()
 			break
@@ -109,9 +96,9 @@ func RunPartition(cc ClusterConfig, p PartitionParams) (Record, error) {
 		Config:     cc.Protocol.Name,
 		Params: map[string]any{
 			"members":       cc.N,
-			"size_a":        p.SizeA,
-			"duration_s":    p.Duration.Seconds(),
-			"heal_budget_s": p.HealBudget.Seconds(),
+			"size_a":        sizeA,
+			"duration_s":    partitionFor.Seconds(),
+			"heal_budget_s": partitionHealBudget.Seconds(),
 		},
 		Metrics: m,
 	}, nil

@@ -1,18 +1,12 @@
 package experiment
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestPartitionSidesOperateAndRemerge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("partition run")
 	}
-	rec, err := RunPartition(
-		ClusterConfig{N: 24, Seed: 6, Protocol: ConfigLifeguard},
-		PartitionParams{SizeA: 12, Duration: 90 * time.Second, HealBudget: 3 * time.Minute},
-	)
+	rec, err := runPartition(ClusterConfig{N: 24, Seed: 6, Protocol: ConfigLifeguard})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,25 +23,5 @@ func TestPartitionSidesOperateAndRemerge(t *testing.T) {
 	}
 	if m["remerged"] != 1 {
 		t.Fatal("cluster did not automatically merge after healing (§II robustness)")
-	}
-}
-
-func TestPartitionDefaultsFilled(t *testing.T) {
-	if testing.Short() {
-		t.Skip("partition run")
-	}
-	// Degenerate split parameters fall back to a half/half split.
-	rec, err := RunPartition(
-		ClusterConfig{N: 12, Seed: 8, Protocol: ConfigLifeguard},
-		PartitionParams{SizeA: -1, Duration: 45 * time.Second, HealBudget: 2 * time.Minute},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Params["size_a"] != 6 {
-		t.Errorf("size_a = %v, want 6", rec.Params["size_a"])
-	}
-	if rec.Metrics["remerged"] != 1 {
-		t.Error("small cluster failed to remerge")
 	}
 }

@@ -220,7 +220,7 @@ func wanRun(b *strings.Builder, r Record, opt RunOptions) {
 	}
 	fmt.Fprintf(b, "%-10s %8s %7s %9s %11s %11s %11s %6s\n",
 		"Zone", "Members", "Failed", "Detected", "MedDet(s)", "MaxDet(s)", "XZoneMed(s)", "FP")
-	for _, z := range wanParams(opt).Zones {
+	for _, z := range scaledWANParams(opt).Zones {
 		fmt.Fprintf(b, "%-10s %8.0f %7.0f %9.0f %11.2f %11.2f %11.2f %6.0f\n",
 			z.Name, m["members_"+z.Name], m["failed_"+z.Name], m["detected_"+z.Name],
 			m["detect_median_s_"+z.Name], m["detect_max_s_"+z.Name],

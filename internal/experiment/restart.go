@@ -19,25 +19,6 @@ import (
 // (how long until long-lived observers see the restarted member alive
 // again), and bandwidth.
 
-// RestartParams parameterizes one rolling-restart run. Zero-valued
-// fields take the documented defaults.
-type RestartParams struct {
-	// N is the cluster size. Defaults to 48.
-	N int
-
-	// Waves is the number of restart waves. Defaults to 3.
-	Waves int
-
-	// PerWave is the number of members restarted in each wave. Each
-	// member restarts at most once across the run. Defaults to N/8 (at
-	// least 1).
-	PerWave int
-
-	// Settle is how long the run continues after the last wave's
-	// rejoins, for views to converge. Defaults to 30 s.
-	Settle time.Duration
-}
-
 // The shape of every rolling-restart wave.
 const (
 	// restartStagger is the span over which one wave's leaves are
@@ -58,51 +39,38 @@ const (
 	// well before its replacement rejoins.
 	restartLeaveLinger = time.Second
 
+	// restartSettle is how long the run continues after the last wave's
+	// rejoins, for views to converge.
+	restartSettle = 30 * time.Second
+
 	// restartObservers is the number of long-lived (never restarted)
 	// members sampled for the re-join convergence metric.
 	restartObservers = 8
 )
 
-// withDefaults resolves zero-valued parameters.
-func (p RestartParams) withDefaults() RestartParams {
-	if p.N == 0 {
-		p.N = 48
-	}
-	if p.Waves <= 0 {
-		p.Waves = 3
-	}
-	if p.PerWave <= 0 {
-		p.PerWave = p.N / 8
-		if p.PerWave < 1 {
-			p.PerWave = 1
-		}
-	}
-	if p.Settle <= 0 {
-		p.Settle = 30 * time.Second
-	}
-	return p
-}
+// restartPerWave is the number of members an n-member cluster restarts
+// in each wave: an eighth of them, at least one.
+func restartPerWave(n int) int { return max(1, n/8) }
 
 // restartCast deterministically selects the members restarted across
-// the run: Waves × PerWave distinct members, excluding member 0 (the
-// join seed), identical across every cell.
-func restartCast(p RestartParams, seed int64) []string {
-	return cast(p.N, p.Waves*p.PerWave, seed*127+29)
+// a run of n members: waves × restartPerWave(n) distinct members,
+// excluding member 0 (the join seed), identical across every cell. Each
+// member restarts at most once.
+func restartCast(n, waves int, seed int64) []string {
+	return cast(n, waves*restartPerWave(n), seed*127+29)
 }
 
-// RunRestartCell executes one configuration's rolling-restart run:
-// quiesce, then Waves staggered leave/rejoin waves, then a settle
+// runRestartCell executes one configuration's rolling-restart run:
+// quiesce, then waves staggered leave/rejoin waves, then a settle
 // phase, scored from the event log. It returns the cell's record
 // (docs/LIFEBENCH.md lists its keys) and the full membership event log.
-// cc.N is taken from the params and must be left zero.
-func RunRestartCell(cc ClusterConfig, p RestartParams) (Record, []metrics.Event, error) {
-	p = p.withDefaults()
-	if p.Waves*p.PerWave > p.N-1 {
+func runRestartCell(cc ClusterConfig, waves int) (Record, []metrics.Event, error) {
+	perWave := restartPerWave(cc.N)
+	if waves*perWave > cc.N-1 {
 		return Record{}, nil, fmt.Errorf(
 			"experiment: rolling restart needs %d distinct members (%d waves × %d) but only %d are eligible (N=%d minus the join seed)",
-			p.Waves*p.PerWave, p.Waves, p.PerWave, p.N-1, p.N)
+			waves*perWave, waves, perWave, cc.N-1, cc.N)
 	}
-	cc.N = p.N
 	c, err := NewCluster(cc)
 	if err != nil {
 		return Record{}, nil, err
@@ -112,19 +80,19 @@ func RunRestartCell(cc ClusterConfig, p RestartParams) (Record, []metrics.Event,
 		return Record{}, nil, err
 	}
 
-	restarted := restartCast(p, cc.Seed)
+	restarted := restartCast(cc.N, waves, cc.Seed)
 	var s script
 	for i, name := range restarted {
-		offset := time.Duration(i/p.PerWave) * restartWaveEvery
-		if p.PerWave > 1 {
-			offset += restartStagger * time.Duration(i%p.PerWave) / time.Duration(p.PerWave-1)
+		offset := time.Duration(i/perWave) * restartWaveEvery
+		if perWave > 1 {
+			offset += restartStagger * time.Duration(i%perWave) / time.Duration(perWave-1)
 		}
 		s = append(s, entry{at: offset, op: opLeave, node: name},
 			entry{at: offset + restartLeaveLinger, op: opStop, node: name},
 			entry{at: offset + restartDownFor, op: opJoin, node: name})
 	}
 	r := c.play(s)
-	horizon := time.Duration(p.Waves-1)*restartWaveEvery + restartStagger + restartDownFor + p.Settle
+	horizon := time.Duration(waves-1)*restartWaveEvery + restartStagger + restartDownFor + restartSettle
 	if err := r.runTo(horizon); err != nil {
 		return Record{}, nil, err
 	}
@@ -138,7 +106,7 @@ func RunRestartCell(cc ClusterConfig, p RestartParams) (Record, []metrics.Event,
 	// counts as rejoined when every observer saw it, and its latency is
 	// the slowest observer's.
 	observers := make(map[string]bool, restartObservers)
-	for i := 0; i < p.N && len(observers) < restartObservers; i++ {
+	for i := 0; i < cc.N && len(observers) < restartObservers; i++ {
 		name := NodeName(i)
 		if _, left := r.gone[name]; !left {
 			observers[name] = true
@@ -185,13 +153,13 @@ func RunRestartCell(cc ClusterConfig, p RestartParams) (Record, []metrics.Event,
 		Experiment: "rolling-restart",
 		Config:     cc.Protocol.Name,
 		Params: map[string]any{
-			"members":      p.N,
-			"waves":        p.Waves,
-			"per_wave":     p.PerWave,
+			"members":      cc.N,
+			"waves":        waves,
+			"per_wave":     perWave,
 			"down_for_s":   restartDownFor.Seconds(),
 			"stagger_s":    restartStagger.Seconds(),
 			"wave_every_s": restartWaveEvery.Seconds(),
-			"settle_s":     p.Settle.Seconds(),
+			"settle_s":     restartSettle.Seconds(),
 		},
 		Metrics: map[string]float64{
 			"restarts":        float64(len(restarted)),
@@ -209,15 +177,15 @@ func RunRestartCell(cc ClusterConfig, p RestartParams) (Record, []metrics.Event,
 // restartCells enumerates the configuration axis, Configurations in
 // order, every cell at cc's seed with cc.Protocol overridden, so
 // columns are directly comparable.
-func restartCells(cc ClusterConfig, p RestartParams) []Cell {
-	cells := make([]Cell, 0, len(Configurations))
+func restartCells(cc ClusterConfig, waves int) []cell {
+	cells := make([]cell, 0, len(Configurations))
 	for _, proto := range Configurations {
 		cellCC := cc
 		cellCC.Protocol = proto
-		cells = append(cells, Cell{
+		cells = append(cells, cell{
 			Label: fmt.Sprintf("rolling-restart %s", proto.Name),
 			Run: func() (any, error) {
-				rec, _, err := RunRestartCell(cellCC, p)
+				rec, _, err := runRestartCell(cellCC, waves)
 				return rec, err
 			},
 		})

@@ -4,29 +4,23 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-	"time"
 )
 
-// smallRestartParams is a reduced rolling-restart configuration for
-// quick tests.
-func smallRestartParams() RestartParams {
-	return RestartParams{
-		N:       32,
-		Waves:   2,
-		PerWave: 3,
-		Settle:  20 * time.Second,
-	}
-}
+// smallRestartN and smallRestartWaves are a reduced rolling-restart
+// run for quick tests (the smoke scale's): 2 waves of 4 members.
+const (
+	smallRestartN     = 32
+	smallRestartWaves = 2
+)
 
 // TestRestartCastDisjointAndDeterministic pins the restart-cast
 // selection: distinct members, never the join seed, a pure function of
 // the seed.
 func TestRestartCastDisjointAndDeterministic(t *testing.T) {
-	p := smallRestartParams().withDefaults()
-	c1 := restartCast(p, 9)
-	c2 := restartCast(p, 9)
-	if len(c1) != p.Waves*p.PerWave {
-		t.Fatalf("cast size %d, want %d", len(c1), p.Waves*p.PerWave)
+	c1 := restartCast(smallRestartN, smallRestartWaves, 9)
+	c2 := restartCast(smallRestartN, smallRestartWaves, 9)
+	if want := smallRestartWaves * restartPerWave(smallRestartN); len(c1) != want {
+		t.Fatalf("cast size %d, want %d", len(c1), want)
 	}
 	seen := map[string]bool{NodeName(0): true}
 	for i, name := range c1 {
@@ -38,7 +32,7 @@ func TestRestartCastDisjointAndDeterministic(t *testing.T) {
 			t.Fatalf("cast not deterministic: %v vs %v", c1, c2)
 		}
 	}
-	c3 := restartCast(p, 10)
+	c3 := restartCast(smallRestartN, smallRestartWaves, 10)
 	same := true
 	for i := range c1 {
 		if c1[i] != c3[i] {
@@ -54,9 +48,8 @@ func TestRestartCastDisjointAndDeterministic(t *testing.T) {
 // than eligible members errors out instead of silently truncating, per
 // cell and through the registered scenario.
 func TestRestartRejectsOversizedCast(t *testing.T) {
-	p := smallRestartParams()
-	p.Waves, p.PerWave = 4, 10 // 40 > N-1 = 31
-	if _, _, err := RunRestartCell(ClusterConfig{Seed: 1, Protocol: ConfigLifeguard}, p); err == nil {
+	// 8 waves of N/8 = 4 members need 32 of the 31 eligible members.
+	if _, _, err := runRestartCell(ClusterConfig{N: smallRestartN, Seed: 1, Protocol: ConfigLifeguard}, 8); err == nil {
 		t.Fatal("oversized restart cast accepted")
 	}
 	// 8 waves of N/8 = 1 member need 8 of the 7 eligible members.
@@ -74,14 +67,14 @@ func TestRollingRestartRejoins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("rolling-restart run")
 	}
-	rec, events, err := RunRestartCell(ClusterConfig{Seed: 1, Protocol: ConfigLifeguard}, smallRestartParams())
+	rec, events, err := runRestartCell(ClusterConfig{N: smallRestartN, Seed: 1, Protocol: ConfigLifeguard}, smallRestartWaves)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := rec.Metrics
 	t.Logf("rolling restart: %v", m)
-	if m["restarts"] != 6 {
-		t.Fatalf("restarts = %g, want 6", m["restarts"])
+	if m["restarts"] != 8 {
+		t.Fatalf("restarts = %g, want 8", m["restarts"])
 	}
 	if m["rejoined"] != m["restarts"] {
 		t.Errorf("only %g of %g restarted members fully rejoined", m["rejoined"], m["restarts"])
@@ -109,7 +102,7 @@ func TestRollingRestartRejoins(t *testing.T) {
 // incarnation never goes down, and it never comes back from dead
 // without a bump. Under -short it covers one seed of SWIM and
 // Lifeguard; the full suite covers seeds 1–4 × all five configurations
-// at N = 24.
+// at N = 24, three waves of three.
 func TestRestartInvariants(t *testing.T) {
 	seeds, configs := []int64{1, 2, 3, 4}, Configurations
 	if testing.Short() {
@@ -117,7 +110,7 @@ func TestRestartInvariants(t *testing.T) {
 	}
 	for _, seed := range seeds {
 		for _, proto := range configs {
-			_, events, err := RunRestartCell(ClusterConfig{Seed: seed, Protocol: proto}, RestartParams{N: 24})
+			_, events, err := runRestartCell(ClusterConfig{N: 24, Seed: seed, Protocol: proto}, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,7 +129,7 @@ func TestRollingRestartDeterminism(t *testing.T) {
 	}
 	run := func(seed int64) (recs []Record, digests []string) {
 		for _, proto := range []ProtocolConfig{ConfigSWIM, ConfigLifeguard} {
-			rec, events, err := RunRestartCell(ClusterConfig{Seed: seed, Protocol: proto}, smallRestartParams())
+			rec, events, err := runRestartCell(ClusterConfig{N: smallRestartN, Seed: seed, Protocol: proto}, smallRestartWaves)
 			if err != nil {
 				t.Fatal(err)
 			}

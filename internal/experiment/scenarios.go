@@ -128,24 +128,24 @@ func sweepRecords[T any](fold func(ProtocolConfig, []T) Record) func(RunOptions,
 // intervalCells enumerates one configuration's Interval grid in
 // canonical order: the only place the grid becomes cells, shared by the
 // interval and tuning scenarios.
-func intervalCells(opt RunOptions, proto ProtocolConfig) []Cell {
+func intervalCells(opt RunOptions, proto ProtocolConfig) []cell {
 	points := intervalPoints(opt.Scale)
-	cells := make([]Cell, 0, len(points))
+	cells := make([]cell, 0, len(points))
 	for idx, p := range points {
 		seed := intervalSeed(opt.Seed, idx)
 		p := p
-		cells = append(cells, Cell{
+		cells = append(cells, cell{
 			Label: fmt.Sprintf("interval %s α=%g β=%g %d/%d", proto.Name, proto.Alpha, proto.Beta, idx+1, len(points)),
 			Run: func() (any, error) {
-				return RunInterval(ClusterConfig{N: opt.Scale.N, Seed: seed, Protocol: proto}, p)
+				return runInterval(ClusterConfig{N: opt.Scale.N, Seed: seed, Protocol: proto}, p)
 			},
 		})
 	}
 	return cells
 }
 
-func planInterval(opt RunOptions) ([]Cell, error) {
-	var cells []Cell
+func planInterval(opt RunOptions) ([]cell, error) {
+	var cells []cell
 	for _, proto := range Configurations {
 		cells = append(cells, intervalCells(opt, proto)...)
 	}
@@ -155,7 +155,7 @@ func planInterval(opt RunOptions) ([]Cell, error) {
 // intervalRecord folds one configuration's Interval runs into its
 // sweep record: the totals behind Tables IV and VI, and per-C false
 // positives (fp_c<C>, fp_healthy_c<C>) behind Figures 2/3.
-func intervalRecord(proto ProtocolConfig, runs []IntervalResult) Record {
+func intervalRecord(proto ProtocolConfig, runs []intervalResult) Record {
 	m := map[string]float64{"fp": 0, "fp_healthy": 0, "msgs_sent": 0, "bytes_sent": 0, "runs": float64(len(runs))}
 	for _, r := range runs {
 		m["fp"] += float64(r.FP)
@@ -177,24 +177,24 @@ func intervalRecord(proto ProtocolConfig, runs []IntervalResult) Record {
 
 // thresholdCells enumerates one configuration's Threshold grid in
 // canonical order, shared by the threshold and tuning scenarios.
-func thresholdCells(opt RunOptions, proto ProtocolConfig) []Cell {
+func thresholdCells(opt RunOptions, proto ProtocolConfig) []cell {
 	points := thresholdPoints(opt.Scale)
-	cells := make([]Cell, 0, len(points))
+	cells := make([]cell, 0, len(points))
 	for idx, p := range points {
 		seed := thresholdSeed(opt.Seed, idx)
 		p := p
-		cells = append(cells, Cell{
+		cells = append(cells, cell{
 			Label: fmt.Sprintf("threshold %s α=%g β=%g %d/%d", proto.Name, proto.Alpha, proto.Beta, idx+1, len(points)),
 			Run: func() (any, error) {
-				return RunThreshold(ClusterConfig{N: opt.Scale.N, Seed: seed, Protocol: proto}, p)
+				return runThreshold(ClusterConfig{N: opt.Scale.N, Seed: seed, Protocol: proto}, p)
 			},
 		})
 	}
 	return cells
 }
 
-func planThreshold(opt RunOptions) ([]Cell, error) {
-	var cells []Cell
+func planThreshold(opt RunOptions) ([]cell, error) {
+	var cells []cell
 	for _, proto := range Configurations {
 		cells = append(cells, thresholdCells(opt, proto)...)
 	}
@@ -205,7 +205,7 @@ func planThreshold(opt RunOptions) ([]Cell, error) {
 // sweep record: Table V's percentiles over the pooled latency samples,
 // and the anomalies that did / did not become failures (short
 // anomalies refute in time by design).
-func thresholdRecord(proto ProtocolConfig, runs []ThresholdResult) Record {
+func thresholdRecord(proto ProtocolConfig, runs []thresholdResult) Record {
 	var first, full []time.Duration
 	detected, undetected := 0, 0
 	for _, r := range runs {
@@ -250,9 +250,9 @@ func tuningProtos(alphas, betas []float64) []ProtocolConfig {
 	return protos
 }
 
-func planTuning(opt RunOptions) ([]Cell, error) {
-	var cells []Cell
-	for _, proto := range tuningProtos(opt.Scale.TuningGrid()) {
+func planTuning(opt RunOptions) ([]cell, error) {
+	var cells []cell
+	for _, proto := range tuningProtos(opt.Scale.Alphas, opt.Scale.Betas) {
 		cells = append(cells, thresholdCells(opt, proto)...)
 		cells = append(cells, intervalCells(opt, proto)...)
 	}
@@ -276,7 +276,7 @@ var tuningPct = map[string]string{
 // interval sweeps against the SWIM baseline's: one Table VII record
 // per pair, in grid order.
 func tuningRecords(opt RunOptions, outs []any) ([]Record, error) {
-	protos := tuningProtos(opt.Scale.TuningGrid())
+	protos := tuningProtos(opt.Scale.Alphas, opt.Scale.Betas)
 	nT := len(thresholdPoints(opt.Scale))
 	per := nT + len(intervalPoints(opt.Scale))
 	if len(outs) != len(protos)*per {
@@ -287,11 +287,11 @@ func tuningRecords(opt RunOptions, outs []any) ([]Record, error) {
 	// Table VII input.
 	sweep := func(ci int) (map[string]float64, error) {
 		block := outs[ci*per : (ci+1)*per]
-		tRuns, err := outsAs[ThresholdResult](block[:nT])
+		tRuns, err := outsAs[thresholdResult](block[:nT])
 		if err != nil {
 			return nil, err
 		}
-		iRuns, err := outsAs[IntervalResult](block[nT:])
+		iRuns, err := outsAs[intervalResult](block[nT:])
 		if err != nil {
 			return nil, err
 		}
@@ -330,20 +330,20 @@ func tuningRecords(opt RunOptions, outs []any) ([]Record, error) {
 // stressProtos is the Figure-1 configuration axis.
 var stressProtos = []ProtocolConfig{ConfigSWIM, ConfigLifeguard}
 
-func planStress(opt RunOptions) ([]Cell, error) {
-	counts := stressCounts(opt.Scale)
-	cells := make([]Cell, 0, len(stressProtos)*len(counts))
+func planStress(opt RunOptions) ([]cell, error) {
+	counts := opt.Scale.StressCounts
+	cells := make([]cell, 0, len(stressProtos)*len(counts))
 	for _, proto := range stressProtos {
 		proto := proto
 		for i, count := range counts {
 			seed := stressSeed(opt.Seed, i)
 			count := count
-			cells = append(cells, Cell{
+			cells = append(cells, cell{
 				Label: fmt.Sprintf("stress %s S=%d", proto.Name, count),
 				Run: func() (any, error) {
-					return RunStress(
+					return runStress(
 						ClusterConfig{N: StressN, Seed: seed, Protocol: proto},
-						StressParams{Stressed: count, Duration: opt.Scale.StressDuration})
+						stressParams{Stressed: count, Duration: opt.Scale.StressDuration})
 				},
 			})
 		}
@@ -353,73 +353,61 @@ func planStress(opt RunOptions) ([]Cell, error) {
 
 // --- wan ------------------------------------------------------------
 
-// wanParams sizes the WAN scenario from the scale: the canonical four
-// zones, three members crashed in each.
-func wanParams(opt RunOptions) WANParams {
-	zones, pairs := DefaultWANZones(opt.Scale.WANMembersPerZone)
-	return WANParams{
-		Zones:       zones,
-		Pairs:       pairs,
-		Converge:    opt.Scale.WANConverge,
-		FailPerZone: 3,
+// scaledWANParams sizes the WAN scenario from the scale: the canonical
+// four zones, 2000 pairs scored, three members crashed in each zone and
+// 90 s to detect them.
+func scaledWANParams(opt RunOptions) wanParams {
+	zones, pairs := defaultWANZones(opt.Scale.WANMembersPerZone)
+	return wanParams{
+		Zones:         zones,
+		Pairs:         pairs,
+		Converge:      opt.Scale.WANConverge,
+		SamplePairs:   2000,
+		FailPerZone:   3,
+		DetectHorizon: 90 * time.Second,
 	}
 }
 
-func planWAN(opt RunOptions) ([]Cell, error) {
+func planWAN(opt RunOptions) ([]cell, error) {
 	cc := ClusterConfig{Seed: opt.Seed, Protocol: ConfigLifeguard, Telemetry: true}
-	return wanCells(cc, wanParams(opt)), nil
+	return wanCells(cc, scaledWANParams(opt)), nil
 }
 
 // --- chaos ----------------------------------------------------------
 
-// chaosParams sizes the chaos scenario from the scale; RunChaosCell
-// applies the defaults for the rest.
-func chaosParams(opt RunOptions) ChaosParams {
-	return ChaosParams{
-		N:        opt.Scale.ChaosN,
+func planChaos(opt RunOptions) ([]cell, error) {
+	p := chaosParams{
 		FaultFor: opt.Scale.ChaosFaultFor,
+		CrashAt:  opt.Scale.ChaosFaultFor / 3,
 		Settle:   opt.Scale.ChaosSettle,
 	}
-}
-
-func planChaos(opt RunOptions) ([]Cell, error) {
-	return chaosCells(ClusterConfig{Seed: opt.Seed}, chaosParams(opt)), nil
+	return chaosCells(ClusterConfig{N: opt.Scale.ChaosN, Seed: opt.Seed}, p), nil
 }
 
 // --- churn ----------------------------------------------------------
 
-func planChurn(opt RunOptions) ([]Cell, error) {
-	return []Cell{{
+func planChurn(opt RunOptions) ([]cell, error) {
+	return []cell{{
 		Label: "churn",
 		Run: func() (any, error) {
-			return RunChurn(
-				ClusterConfig{N: opt.Scale.ChurnN, Seed: opt.Seed, Protocol: ConfigLifeguard},
-				ChurnParams{Duration: opt.Scale.ChurnFor})
+			return runChurn(ClusterConfig{N: opt.Scale.ChurnN, Seed: opt.Seed, Protocol: ConfigLifeguard}, opt.Scale.ChurnFor)
 		},
 	}}, nil
 }
 
 // --- partition ------------------------------------------------------
 
-func planPartition(opt RunOptions) ([]Cell, error) {
-	return []Cell{{
+func planPartition(opt RunOptions) ([]cell, error) {
+	return []cell{{
 		Label: "partition",
 		Run: func() (any, error) {
-			return RunPartition(
-				ClusterConfig{N: opt.Scale.PartitionN, Seed: opt.Seed, Protocol: ConfigLifeguard},
-				PartitionParams{})
+			return runPartition(ClusterConfig{N: opt.Scale.PartitionN, Seed: opt.Seed, Protocol: ConfigLifeguard})
 		},
 	}}, nil
 }
 
 // --- rolling-restart ------------------------------------------------
 
-// restartParams sizes the rolling-restart scenario from the scale;
-// RunRestartCell applies the defaults for the rest.
-func restartParams(opt RunOptions) RestartParams {
-	return RestartParams{N: opt.Scale.RestartN, Waves: opt.Scale.RestartWaves}
-}
-
-func planRestart(opt RunOptions) ([]Cell, error) {
-	return restartCells(ClusterConfig{Seed: opt.Seed}, restartParams(opt)), nil
+func planRestart(opt RunOptions) ([]cell, error) {
+	return restartCells(ClusterConfig{N: opt.Scale.RestartN, Seed: opt.Seed}, opt.Scale.RestartWaves), nil
 }

@@ -170,7 +170,7 @@ func (r *run) apply(e entry) error {
 		dep = departure{at: dep.at, inc: node.Incarnation()}
 		node.Leave()
 	case opStop:
-		c.RemoveNode(e.node)
+		c.removeNode(e.node)
 	case opJoin:
 		node, err := c.addNode(e.node, nil)
 		if err == nil {

@@ -41,13 +41,15 @@ func describe(r *run) string {
 // two deliberate rule changes: an anomaly-set pause is scored for
 // detection in every scenario (interval and stress never read
 // detections), and a churn leave departs at the incarnation it held,
-// as a rolling-restart leave does.
+// as a rolling-restart leave does. The chaos, churn and rolling-restart
+// casts follow those scenarios' constants: 6 victims and 3 crashes, an
+// action every 500 ms, N/8 restarts per wave.
 func TestScriptDeparturesMatchDrivers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("eight scenario runs")
 	}
 	cc := func(n int) ClusterConfig { return ClusterConfig{N: n, Seed: 1, Protocol: ConfigLifeguard} }
-	zones, pairs := DefaultWANZones(6)
+	zones, pairs := defaultWANZones(6)
 	cases := []struct {
 		name string
 		cc   ClusterConfig
@@ -55,38 +57,56 @@ func TestScriptDeparturesMatchDrivers(t *testing.T) {
 		want string
 	}{
 		{"threshold", cc(16), func(cc ClusterConfig) error {
-			_, err := RunThreshold(cc, ThresholdParams{C: 3, D: 10 * time.Second})
+			_, err := runThreshold(cc, thresholdParams{C: 3, D: 10 * time.Second})
 			return err
 		}, "node-001 0s any crash\nnode-004 0s any crash\nnode-007 0s any crash"},
 		{"interval", cc(16), func(cc ClusterConfig) error {
-			_, err := RunInterval(cc, IntervalParams{C: 2, D: 10 * time.Second, I: 20 * time.Second})
+			_, err := runInterval(cc, intervalParams{C: 2, D: 10 * time.Second, I: 20 * time.Second})
 			return err
 		}, "node-001 0s any crash\nnode-004 0s any crash"},
 		{"stress", cc(16), func(cc ClusterConfig) error {
-			_, err := RunStress(cc, StressParams{Stressed: 2, Duration: 30 * time.Second})
+			_, err := runStress(cc, stressParams{Stressed: 2, Duration: 30 * time.Second})
 			return err
 		}, "node-001 0s any crash\nnode-004 0s any crash"},
 		{"wan", cc(0), func(cc ClusterConfig) error {
-			_, err := RunWAN(cc, WANParams{Zones: zones, Pairs: pairs, Converge: 10 * time.Second,
+			_, err := runWAN(cc, wanParams{Zones: zones, Pairs: pairs, Converge: 10 * time.Second,
 				SamplePairs: 50, FailPerZone: 1, DetectHorizon: 30 * time.Second})
 			return err
 		}, "node-004 0s any crash\nnode-008 0s any crash\nnode-015 0s any crash\nnode-018 0s any crash"},
-		{"chaos", cc(0), func(cc ClusterConfig) error {
-			_, _, err := RunChaosCell(cc, "combined", smallChaosParams())
+		{"chaos", cc(smallChaosN), func(cc ClusterConfig) error {
+			_, _, err := runChaosCell(cc, "combined", smallChaosParams())
 			return err
-		}, "node-005 8s any crash\nnode-010 8s any crash"},
+		}, "node-018 8s any crash\nnode-021 8s any crash\nnode-026 8s any crash"},
 		{"churn", cc(24), func(cc ClusterConfig) error {
-			_, err := RunChurn(cc, ChurnParams{Interval: time.Second, Duration: 8 * time.Second})
+			_, err := runChurn(cc, 8*time.Second)
 			return err
-		}, "node-010 4s any crash\nnode-011 6s 1 leave\nnode-018 2s 1 leave\nnode-021 0s any crash"},
+		}, strings.Join([]string{
+			"node-006 4s any crash",
+			"node-010 2s any crash",
+			"node-011 3s 1 leave",
+			"node-014 6s any crash",
+			"node-017 7s 1 leave",
+			"node-018 1s 1 leave",
+			"node-021 0s any crash",
+			"node-023 5s 1 leave",
+		}, "\n")},
 		{"partition", cc(16), func(cc ClusterConfig) error {
-			_, err := RunPartition(cc, PartitionParams{Duration: 10 * time.Second, HealBudget: 5 * time.Second})
+			_, err := runPartition(cc)
 			return err
 		}, ""},
-		{"rolling-restart", cc(0), func(cc ClusterConfig) error {
-			_, _, err := RunRestartCell(cc, smallRestartParams())
+		{"rolling-restart", cc(smallRestartN), func(cc ClusterConfig) error {
+			_, _, err := runRestartCell(cc, smallRestartWaves)
 			return err
-		}, "node-005 22s 1 leave\nnode-008 1s 1 leave\nnode-019 20s 1 leave\nnode-021 2s 1 leave\nnode-022 0s 1 leave\nnode-029 21s 1 leave"},
+		}, strings.Join([]string{
+			"node-003 21.333333333s 1 leave",
+			"node-005 20.666666666s 1 leave",
+			"node-008 666.666666ms 1 leave",
+			"node-019 2s 1 leave",
+			"node-021 1.333333333s 1 leave",
+			"node-022 0s 1 leave",
+			"node-024 22s 1 leave",
+			"node-029 20s 1 leave",
+		}, "\n")},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -189,7 +209,7 @@ func TestScriptDeterministic(t *testing.T) {
 // a reused name — then shuts the cluster down: once the packets still
 // in flight are delivered, the scheduler holds nothing. Every timer a
 // member armed, on every path the script took it down, is stopped by
-// Shutdown or RemoveNode.
+// Shutdown or removeNode.
 func TestScriptShutdownLeavesNoTimers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scripted run")
@@ -245,7 +265,7 @@ func TestScriptReturnsEveryBuffer(t *testing.T) {
 		}
 		c.Shutdown()
 		for _, node := range slices.Clone(c.Nodes) {
-			c.RemoveNode(node.Name())
+			c.removeNode(node.Name())
 		}
 		c.Sched.RunFor(100 * time.Millisecond)
 		if held := bufpool.Outstanding() - before; held != 0 {

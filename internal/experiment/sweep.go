@@ -42,6 +42,11 @@ var (
 // covers. The full grid is 432 interval runs and 54 threshold runs per
 // configuration per repetition; reduced scales keep every qualitative
 // axis while trimming repetition.
+//
+// A scale is the one place a registered scenario is sized: every preset
+// sets every field, and no driver reads a zero field as "use the
+// default" (TestScaleSurface). What a scale does not size is a named
+// constant beside its scenario.
 type Scale struct {
 	// Name labels the scale in reports.
 	Name string
@@ -76,8 +81,7 @@ type Scale struct {
 	// window and post-window settle phase.
 	ChaosFaultFor, ChaosSettle time.Duration
 
-	// Alphas and Betas restrict the suspicion-tuning grid (Table VII).
-	// Empty means the paper's full PaperAlphas × PaperBetas grid.
+	// Alphas and Betas are the suspicion-tuning grid (Table VII).
 	Alphas, Betas []float64
 
 	// ChurnN sizes the churn scenario's cluster and ChurnFor its churn
@@ -91,19 +95,6 @@ type Scale struct {
 	// RestartN sizes the rolling-restart scenario's cluster and
 	// RestartWaves its wave count.
 	RestartN, RestartWaves int
-}
-
-// TuningGrid returns the scale's suspicion-tuning axes, defaulting to
-// the paper's §V-C grid when the scale does not restrict them.
-func (sc Scale) TuningGrid() (alphas, betas []float64) {
-	alphas, betas = sc.Alphas, sc.Betas
-	if len(alphas) == 0 {
-		alphas = PaperAlphas
-	}
-	if len(betas) == 0 {
-		betas = PaperBetas
-	}
-	return alphas, betas
 }
 
 // ScaleSmoke is a minimal scale for tests: one cell per axis value that
@@ -147,6 +138,8 @@ var ScaleBench = Scale{
 	ChaosN:            48,
 	ChaosFaultFor:     60 * time.Second,
 	ChaosSettle:       45 * time.Second,
+	Alphas:            PaperAlphas,
+	Betas:             PaperBetas,
 	ChurnN:            512,
 	ChurnFor:          30 * time.Second,
 	PartitionN:        32,
@@ -170,6 +163,8 @@ var ScalePaper = Scale{
 	ChaosN:            64,
 	ChaosFaultFor:     2 * time.Minute,
 	ChaosSettle:       time.Minute,
+	Alphas:            PaperAlphas,
+	Betas:             PaperBetas,
 	ChurnN:            DefaultChurnN,
 	ChurnFor:          time.Minute,
 	PartitionN:        64,
@@ -183,13 +178,13 @@ type Progress func(done, total int)
 
 // intervalPoints enumerates the Interval grid of a scale in canonical
 // (C-major) order. The index of a point is its seed-derivation index.
-func intervalPoints(sc Scale) []IntervalParams {
-	points := make([]IntervalParams, 0, len(sc.Cs)*len(sc.Ds)*len(sc.Is)*sc.Runs)
+func intervalPoints(sc Scale) []intervalParams {
+	points := make([]intervalParams, 0, len(sc.Cs)*len(sc.Ds)*len(sc.Is)*sc.Runs)
 	for _, c := range sc.Cs {
 		for _, d := range sc.Ds {
 			for _, i := range sc.Is {
 				for run := 0; run < sc.Runs; run++ {
-					points = append(points, IntervalParams{C: c, D: d, I: i})
+					points = append(points, intervalParams{C: c, D: d, I: i})
 				}
 			}
 		}
@@ -204,12 +199,12 @@ func intervalSeed(base int64, idx int) int64 { return base + int64(idx)*1000003 
 
 // thresholdPoints enumerates the Threshold grid of a scale in canonical
 // (C-major) order. The index of a point is its seed-derivation index.
-func thresholdPoints(sc Scale) []ThresholdParams {
-	points := make([]ThresholdParams, 0, len(sc.Cs)*len(sc.Ds)*sc.Runs)
+func thresholdPoints(sc Scale) []thresholdParams {
+	points := make([]thresholdParams, 0, len(sc.Cs)*len(sc.Ds)*sc.Runs)
 	for _, c := range sc.Cs {
 		for _, d := range sc.Ds {
 			for run := 0; run < sc.Runs; run++ {
-				points = append(points, ThresholdParams{C: c, D: d})
+				points = append(points, thresholdParams{C: c, D: d})
 			}
 		}
 	}
@@ -219,15 +214,6 @@ func thresholdPoints(sc Scale) []ThresholdParams {
 // thresholdSeed derives the cell seed for the idx-th point of a
 // Threshold grid.
 func thresholdSeed(base int64, idx int) int64 { return base + int64(idx)*999983 + 13 }
-
-// stressCounts returns the scale's Figure-1 x-axis, defaulting to the
-// paper's counts.
-func stressCounts(sc Scale) []int {
-	if len(sc.StressCounts) == 0 {
-		return PaperStressCounts
-	}
-	return sc.StressCounts
-}
 
 // stressSeed derives the cell seed for the i-th stressed-member count.
 func stressSeed(base int64, i int) int64 { return base + int64(i)*104729 }

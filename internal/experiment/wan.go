@@ -11,8 +11,8 @@ import (
 	"lifeguard/internal/stats"
 )
 
-// WANZone sizes one zone of a WAN experiment.
-type WANZone struct {
+// wanZone sizes one zone of a WAN experiment.
+type wanZone struct {
 	// Name is the zone name in the topology ("us-east", …).
 	Name string
 
@@ -20,14 +20,14 @@ type WANZone struct {
 	Members int
 }
 
-// WANParams parameterizes a WAN experiment: a multi-zone cluster on a
+// wanParams parameterizes a WAN experiment: a multi-zone cluster on a
 // topology-aware network, a coordinate-convergence phase scored
 // against the simulator's ground-truth RTTs, and a per-zone failure
 // phase scored for detection latency and false positives.
-type WANParams struct {
+type wanParams struct {
 	// Zones lists the zones and their sizes. Members are assigned to
 	// zones in contiguous index blocks, in order.
-	Zones []WANZone
+	Zones []wanZone
 
 	// Pairs maps zone pairs (unordered; put both names) to their
 	// one-way delays. Pairs not listed fall back to the topology's
@@ -39,24 +39,32 @@ type WANParams struct {
 	// observation per protocol period, so this bounds samples/member.
 	Converge time.Duration
 
+	// SamplePairs, FailPerZone and DetectHorizon stay parameters, not
+	// constants, because one-seed tests run their own values and
+	// constants would change those tests' data: the claim test
+	// TestWANAdaptiveBeatsStatic crashes 8 members per zone, and the
+	// small-cluster WAN tests score 500 pairs over a 45–60 s detection
+	// phase.
+
 	// SamplePairs is the number of random member pairs scored for
-	// coordinate error. Zero means 2000.
+	// coordinate error (2000 in the scenario; a parameter, see above).
 	SamplePairs int
 
 	// FailPerZone is the number of members crashed in each zone for
-	// the detection phase. Zero skips the phase.
+	// the detection phase (3 in the scenario; 8 in
+	// TestWANAdaptiveBeatsStatic). Zero skips the phase.
 	FailPerZone int
 
 	// DetectHorizon is how long the detection phase runs after the
-	// failures. Zero means 90 s.
+	// failures (90 s in the scenario; a parameter, see above).
 	DetectHorizon time.Duration
 }
 
-// DefaultWANZones returns the canonical 4-zone WAN used by lifebench
+// defaultWANZones returns the canonical 4-zone WAN used by lifebench
 // and tests: two US zones, Europe and Asia-Pacific, with realistic
 // inter-zone latencies, membersPerZone members each.
-func DefaultWANZones(membersPerZone int) ([]WANZone, map[[2]string]sim.DelayDist) {
-	zones := []WANZone{
+func defaultWANZones(membersPerZone int) ([]wanZone, map[[2]string]sim.DelayDist) {
+	zones := []wanZone{
 		{Name: "us-east", Members: membersPerZone},
 		{Name: "us-west", Members: membersPerZone},
 		{Name: "eu", Members: membersPerZone},
@@ -78,25 +86,11 @@ func DefaultWANZones(membersPerZone int) ([]WANZone, map[[2]string]sim.DelayDist
 	return zones, pairs
 }
 
-// RunWAN executes one WAN experiment and returns its record
-// (docs/LIFEBENCH.md lists its keys). cc.N and cc.Net.Topology are
-// derived from the params and must be left zero; cc.TopologyAware
-// selects the adaptive configuration.
-func RunWAN(cc ClusterConfig, p WANParams) (Record, error) {
-	if len(p.Zones) == 0 {
-		zones, pairs := DefaultWANZones(32)
-		p.Zones, p.Pairs = zones, pairs
-	}
-	if p.Converge <= 0 {
-		p.Converge = 5 * time.Minute
-	}
-	if p.SamplePairs <= 0 {
-		p.SamplePairs = 2000
-	}
-	if p.DetectHorizon <= 0 {
-		p.DetectHorizon = 90 * time.Second
-	}
-
+// runWAN executes one WAN experiment and returns its record
+// (docs/LIFEBENCH.md lists its keys). The cluster size and topology
+// come from p's zones, replacing cc.N and cc.Net.Topology;
+// cc.TopologyAware selects the adaptive configuration.
+func runWAN(cc ClusterConfig, p wanParams) (Record, error) {
 	c, topo, err := startWANCluster(cc, p)
 	if err != nil {
 		return Record{}, err
@@ -214,7 +208,7 @@ func RunWAN(cc ClusterConfig, p WANParams) (Record, error) {
 // startWANCluster builds the cluster p's zones describe on a topology
 // of their delays, members filling the zones in contiguous index
 // blocks, and starts it.
-func startWANCluster(cc ClusterConfig, p WANParams) (*Cluster, *sim.Topology, error) {
+func startWANCluster(cc ClusterConfig, p wanParams) (*Cluster, *sim.Topology, error) {
 	topo := sim.NewTopology()
 	topo.IntraZone = sim.DelayDist{Base: time.Millisecond, Jitter: 200 * time.Microsecond}
 	n := 0
@@ -243,13 +237,13 @@ func startWANCluster(cc ClusterConfig, p WANParams) (*Cluster, *sim.Topology, er
 
 // wanCells enumerates the comparison's two runs, static then adaptive:
 // cc and p shared, only TopologyAware differing.
-func wanCells(cc ClusterConfig, p WANParams) []Cell {
-	cell := func(label string, adaptive bool) Cell {
+func wanCells(cc ClusterConfig, p wanParams) []cell {
+	run := func(label string, adaptive bool) cell {
 		cc := cc
 		cc.TopologyAware = adaptive
-		return Cell{Label: label, Run: func() (any, error) { return RunWAN(cc, p) }}
+		return cell{Label: label, Run: func() (any, error) { return runWAN(cc, p) }}
 	}
-	return []Cell{cell("wan static", false), cell("wan adaptive", true)}
+	return []cell{run("wan static", false), run("wan adaptive", true)}
 }
 
 // scoreObservedRTT groups the cluster's telemetry RTT samples by zone

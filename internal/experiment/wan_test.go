@@ -10,11 +10,11 @@ import (
 	"lifeguard/internal/telemetry"
 )
 
-// smallWANParams is a 3-zone, 48-member configuration for quick tests.
-func smallWANParams() WANParams {
+// smallwanParams is a 3-zone, 48-member configuration for quick tests.
+func smallwanParams() wanParams {
 	ms := time.Millisecond
-	return WANParams{
-		Zones: []WANZone{
+	return wanParams{
+		Zones: []wanZone{
 			{Name: "us", Members: 16},
 			{Name: "eu", Members: 16},
 			{Name: "ap", Members: 16},
@@ -51,9 +51,9 @@ func TestWANSmallCluster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("WAN run")
 	}
-	rec, err := RunWAN(
+	rec, err := runWAN(
 		ClusterConfig{Seed: 21, Protocol: ConfigLifeguard},
-		smallWANParams(),
+		smallwanParams(),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestWANSmallCluster(t *testing.T) {
 	if m["coord_rel_err_median"] > 0.35 {
 		t.Errorf("median coordinate error %.1f%% > 35%%", m["coord_rel_err_median"]*100)
 	}
-	for _, z := range smallWANParams().Zones {
+	for _, z := range smallwanParams().Zones {
 		if m["failed_"+z.Name] != 2 {
 			t.Errorf("zone %s: %g failed, want 2", z.Name, m["failed_"+z.Name])
 		}
@@ -86,13 +86,13 @@ func TestWANDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("WAN run")
 	}
-	p := smallWANParams()
+	p := smallwanParams()
 	p.Converge = 30 * time.Second
 	p.FailPerZone = 1
 	p.DetectHorizon = 45 * time.Second
 
 	run := func(seed int64) Record {
-		rec, err := RunWAN(ClusterConfig{Seed: seed, Protocol: ConfigLifeguard}, p)
+		rec, err := runWAN(ClusterConfig{Seed: seed, Protocol: ConfigLifeguard}, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,13 +157,13 @@ func TestWANTelemetryDoesNotPerturb(t *testing.T) {
 	if testing.Short() {
 		t.Skip("WAN run")
 	}
-	p := smallWANParams()
+	p := smallwanParams()
 	p.Converge = 30 * time.Second
 	p.FailPerZone = 1
 	p.DetectHorizon = 45 * time.Second
 
 	run := func(telem bool) Record {
-		rec, err := RunWAN(ClusterConfig{Seed: 5, Protocol: ConfigLifeguard, Telemetry: telem}, p)
+		rec, err := runWAN(ClusterConfig{Seed: 5, Protocol: ConfigLifeguard, Telemetry: telem}, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func TestWANObservedRTTDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("WAN run")
 	}
-	p := smallWANParams()
+	p := smallwanParams()
 	for i := range p.Zones {
 		p.Zones[i].Members = 8
 	}
@@ -217,7 +217,7 @@ func TestWANObservedRTTDeterminism(t *testing.T) {
 	p.FailPerZone = 0 // skip the detection phase
 
 	run := func() Record {
-		rec, err := RunWAN(ClusterConfig{Seed: 9, Protocol: ConfigLifeguard, Telemetry: true}, p)
+		rec, err := runWAN(ClusterConfig{Seed: 9, Protocol: ConfigLifeguard, Telemetry: true}, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,13 +245,13 @@ func TestWANAdaptiveDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("WAN run")
 	}
-	p := smallWANParams()
+	p := smallwanParams()
 	p.Converge = 30 * time.Second
 	p.FailPerZone = 1
 	p.DetectHorizon = 45 * time.Second
 
 	run := func() Record {
-		rec, err := RunWAN(ClusterConfig{Seed: 5, Protocol: ConfigLifeguard, TopologyAware: true}, p)
+		rec, err := runWAN(ClusterConfig{Seed: 5, Protocol: ConfigLifeguard, TopologyAware: true}, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,8 +276,8 @@ func TestWANAdaptiveBeatsStatic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large WAN comparison run")
 	}
-	zones, pairs := DefaultWANZones(128)
-	p := WANParams{
+	zones, pairs := defaultWANZones(128)
+	p := wanParams{
 		Zones:    zones,
 		Pairs:    pairs,
 		Converge: 5 * time.Minute,
@@ -289,7 +289,7 @@ func TestWANAdaptiveBeatsStatic(t *testing.T) {
 	}
 	var recs []Record
 	for _, adaptive := range []bool{false, true} {
-		rec, err := RunWAN(ClusterConfig{Seed: 31, Protocol: ConfigLifeguard, TopologyAware: adaptive}, p)
+		rec, err := runWAN(ClusterConfig{Seed: 31, Protocol: ConfigLifeguard, TopologyAware: adaptive}, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,10 +334,10 @@ func TestWANLargeClusterConvergence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large WAN run")
 	}
-	zones, pairs := DefaultWANZones(128)
-	rec, err := RunWAN(
+	zones, pairs := defaultWANZones(128)
+	rec, err := runWAN(
 		ClusterConfig{Seed: 31, Protocol: ConfigLifeguard},
-		WANParams{
+		wanParams{
 			Zones:         zones,
 			Pairs:         pairs,
 			Converge:      5 * time.Minute,
