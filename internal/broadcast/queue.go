@@ -8,17 +8,15 @@
 // spreads even under high update load (SWIM §3.2, Lifeguard §III-A).
 //
 // The queue is one slice kept in selection order — fewest transmits
-// first, then id — plus a per-name map for Queue/Invalidate/Peek. A queue
+// first, then id — plus a per-name map for Queue and Peek. A queue
 // holds at most a few hundred updates (N at a join storm), so binary
 // search and block copies over that slice are all the index it needs.
 //
 // The queue owns every byte it hands out: Queue copies the caller's
 // payload into an internal buffer, and spent Broadcast structs (and their
 // payload buffers) are recycled through a freelist, so steady-state
-// Queue/GetBroadcasts traffic is allocation-free.
+// Queue/GetBroadcastsInto traffic is allocation-free.
 package broadcast
-
-import "sync"
 
 // Broadcast is one queued update.
 type Broadcast struct {
@@ -39,16 +37,17 @@ type Broadcast struct {
 // Queue is a transmit-limited broadcast queue. The zero value is not
 // usable; use NewQueue.
 //
-// Queue is safe for concurrent use.
+// Queue is not safe for concurrent use: like the rest of a member's
+// protocol state, it is guarded by its owner's lock (the protocol core
+// calls it under the node lock).
 type Queue struct {
-	// NumNodes reports the current cluster size, which sets the
-	// retransmit budget. It must be non-nil.
-	NumNodes func() int
+	// numNodes reports the current cluster size, which sets the
+	// retransmit budget.
+	numNodes func() int
 
-	// RetransmitMult is λ in the λ·log(n) retransmit budget.
-	RetransmitMult int
+	// retransmitMult is λ in the λ·log(n) retransmit budget.
+	retransmitMult int
 
-	mu     sync.Mutex
 	byName map[string]*Broadcast
 	nextID uint64
 
@@ -62,7 +61,7 @@ type Queue struct {
 	minLen int
 
 	// moved is per-call scratch for selected items awaiting their merge
-	// back into items (reused to keep GetBroadcasts allocation-free).
+	// back into items (reused to keep GetBroadcastsInto allocation-free).
 	moved []*Broadcast
 
 	// free recycles spent Broadcast structs and their payload buffers.
@@ -75,8 +74,7 @@ type Queue struct {
 	// which preserves the queue's order, so an immediately following call
 	// with the same overhead and limit would emit the identical payload
 	// sequence — RepeatBroadcastsInto applies that call's state
-	// transition without re-emitting. Any queue mutation (Queue,
-	// Invalidate, Reset) clears the flag.
+	// transition without re-emitting. Queue clears the flag.
 	repeatable   bool
 	lastOverhead int
 	lastLimit    int
@@ -94,8 +92,8 @@ const maxFree = 128
 // retransmit multiplier.
 func NewQueue(numNodes func() int, retransmitMult int) *Queue {
 	return &Queue{
-		NumNodes:       numNodes,
-		RetransmitMult: retransmitMult,
+		numNodes:       numNodes,
+		retransmitMult: retransmitMult,
 		byName:         make(map[string]*Broadcast),
 	}
 }
@@ -141,20 +139,20 @@ func search(items []*Broadcast, b *Broadcast) int {
 	return lo
 }
 
-// removeLocked takes b out of the slice, then forgets it.
-func (q *Queue) removeLocked(b *Broadcast) {
+// remove takes b out of the slice, then forgets it.
+func (q *Queue) remove(b *Broadcast) {
 	i := search(q.items, b)
 	n := len(q.items) - 1
 	copy(q.items[i:], q.items[i+1:])
 	q.items[n] = nil
 	q.items = q.items[:n]
-	q.forgetLocked(b)
+	q.forget(b)
 }
 
-// mergeLocked merges moved, itself in (transmits, id) order, into items.
+// merge merges moved, itself in (transmits, id) order, into items.
 // It works from the back: each promoted item is placed by binary search
 // among the items not yet passed, and the block above it shifts once.
-func (q *Queue) mergeLocked(moved []*Broadcast) {
+func (q *Queue) merge(moved []*Broadcast) {
 	hi := len(q.items)
 	q.items = append(q.items, moved...)
 	for j := len(moved) - 1; j >= 0; j-- {
@@ -166,9 +164,9 @@ func (q *Queue) mergeLocked(moved []*Broadcast) {
 	}
 }
 
-// forgetLocked drops b from the name index and returns it to the
-// freelist, keeping its payload buffer for reuse.
-func (q *Queue) forgetLocked(b *Broadcast) {
+// forget drops b from the name index and returns it to the freelist,
+// keeping its payload buffer for reuse.
+func (q *Queue) forget(b *Broadcast) {
 	delete(q.byName, b.Name)
 	if len(q.free) < maxFree {
 		b.Name, b.Payload = "", b.Payload[:0]
@@ -185,12 +183,9 @@ func (q *Queue) forgetLocked(b *Broadcast) {
 // callers may reuse or mutate their buffer immediately (the packet path
 // marshals into pooled scratch and relies on this).
 func (q *Queue) Queue(name string, payload []byte) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-
 	q.repeatable = false
 	if old, ok := q.byName[name]; ok {
-		q.removeLocked(old)
+		q.remove(old)
 	}
 
 	var b *Broadcast
@@ -213,61 +208,25 @@ func (q *Queue) Queue(name string, payload []byte) {
 	q.items[i] = b
 }
 
-// Invalidate drops any queued update about the named member without
-// queueing a replacement.
-func (q *Queue) Invalidate(name string) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.repeatable = false
-	if b, ok := q.byName[name]; ok {
-		q.removeLocked(b)
-	}
-}
-
 // Len returns the number of queued updates.
-func (q *Queue) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.items)
-}
+func (q *Queue) Len() int { return len(q.items) }
 
-// Reset drops all queued updates.
-func (q *Queue) Reset() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.repeatable = false
-	q.byName = make(map[string]*Broadcast)
-	q.items = nil
-}
-
-// GetBroadcasts selects queued payloads to piggyback on an outgoing
-// packet. overhead is the per-payload framing cost and limit the total
-// byte budget. Payloads with fewer past transmissions are preferred;
-// each selected payload's transmit counter is incremented, and payloads
-// that reach the retransmit limit are dropped from the queue.
-func (q *Queue) GetBroadcasts(overhead, limit int) [][]byte {
-	var picked [][]byte
-	q.GetBroadcastsInto(overhead, limit, func(payload []byte) {
-		picked = append(picked, append([]byte(nil), payload...))
-	})
-	return picked
-}
-
-// GetBroadcastsInto is GetBroadcasts without the intermediate [][]byte:
-// each selected payload is handed to emit in selection order (fewest
-// transmits first, FIFO among equals), letting callers pack payloads
-// directly into an outgoing packet buffer. The payload slice passed to
-// emit is owned by the queue — its buffer is recycled for later updates —
-// and must not be retained past the call.
+// GetBroadcastsInto selects queued payloads to piggyback on an outgoing
+// packet and hands each to emit in selection order, letting callers pack
+// payloads directly into an outgoing packet buffer. overhead is the
+// per-payload framing cost and limit the total byte budget. Payloads
+// with fewer past transmissions are preferred, FIFO among equals; each
+// selected payload's transmit counter is incremented, and payloads that
+// reach the retransmit limit are dropped from the queue. The payload
+// slice passed to emit is owned by the queue — its buffer is recycled
+// for later updates — and must not be retained past the call.
 func (q *Queue) GetBroadcastsInto(overhead, limit int, emit func(payload []byte)) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	n := len(q.items)
 	if n == 0 {
 		return
 	}
 
-	transmitLimit := RetransmitLimit(q.RetransmitMult, q.NumNodes())
+	transmitLimit := RetransmitLimit(q.retransmitMult, q.numNodes())
 	used := 0
 	moved := q.moved[:0]
 	kept := q.items[:0]
@@ -287,12 +246,12 @@ func (q *Queue) GetBroadcastsInto(overhead, limit int, emit func(payload []byte)
 			// most once per call.
 			moved = append(moved, b)
 		} else {
-			q.forgetLocked(b)
+			q.forget(b)
 		}
 	}
 	selected := i - len(kept)
 	q.items = append(kept, q.items[i:]...)
-	q.mergeLocked(moved)
+	q.merge(moved)
 	clear(q.items[len(q.items):n])
 	q.moved = moved[:0]
 	q.repeatable = selected == n && len(q.items) == n // no skips, no drops
@@ -314,8 +273,6 @@ func (q *Queue) GetBroadcastsInto(overhead, limit int, emit func(payload []byte)
 // intervening queue mutation makes the repeat diverge, and the call
 // returns false having changed nothing.
 func (q *Queue) RepeatBroadcastsInto(overhead, limit int) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	n := len(q.items)
 	if !q.repeatable || overhead != q.lastOverhead || limit != q.lastLimit || n == 0 {
 		return false
@@ -325,14 +282,14 @@ func (q *Queue) RepeatBroadcastsInto(overhead, limit int) bool {
 	// would compute it; a cluster-size change between calls shifts the
 	// threshold for both paths identically. Promoting every item by one
 	// transmit keeps the slice in order.
-	transmitLimit := RetransmitLimit(q.RetransmitMult, q.NumNodes())
+	transmitLimit := RetransmitLimit(q.retransmitMult, q.numNodes())
 	kept := q.items[:0]
 	for _, b := range q.items {
 		b.transmits++
 		if b.transmits < transmitLimit {
 			kept = append(kept, b)
 		} else {
-			q.forgetLocked(b)
+			q.forget(b)
 		}
 	}
 	clear(q.items[len(kept):])
@@ -350,8 +307,6 @@ func (q *Queue) RepeatBroadcastsInto(overhead, limit int) bool {
 // returned slice is owned by the queue and only valid until the next
 // mutating call; callers needing to retain it must copy.
 func (q *Queue) Peek(name string) []byte {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	if b, ok := q.byName[name]; ok {
 		return b.Payload
 	}

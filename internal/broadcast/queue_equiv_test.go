@@ -9,10 +9,11 @@ import (
 )
 
 // seedQueue is the original flat-slice, sort-per-GetBroadcasts
-// implementation this package shipped with, kept verbatim (minus locking)
-// as the executable specification of selection order: fewest transmits
-// first, FIFO among equals, transmit-counter reset on requeue, greedy
-// byte-budget packing that skips oversized items but keeps scanning.
+// implementation this package shipped with, kept verbatim (minus locking
+// and Invalidate) as the executable specification of selection order:
+// fewest transmits first, FIFO among equals, transmit-counter reset on
+// requeue, greedy byte-budget packing that skips oversized items but
+// keeps scanning.
 type seedQueue struct {
 	numNodes       func() int
 	retransmitMult int
@@ -37,16 +38,6 @@ func (q *seedQueue) Queue(name string, payload []byte) {
 	q.items = kept
 	q.nextID++
 	q.items = append(q.items, &seedBroadcast{name: name, payload: payload, id: q.nextID})
-}
-
-func (q *seedQueue) Invalidate(name string) {
-	kept := q.items[:0]
-	for _, b := range q.items {
-		if b.name != name {
-			kept = append(kept, b)
-		}
-	}
-	q.items = kept
 }
 
 func (q *seedQueue) Len() int { return len(q.items) }
@@ -107,7 +98,6 @@ func newOracle(nodes, mult int) oracle {
 // The operations an oracle step applies to both queues.
 const (
 	opQueue = iota
-	opInvalidate
 	opPeek
 	opSelect
 	numOps
@@ -115,32 +105,33 @@ const (
 
 // step applies one operation to both queues — the payload for opQueue,
 // the byte budget for opSelect — and describes how they diverged in
-// Peek, selection or Len, or returns "" if they agree. The seed queue
-// keeps the caller's payload, so each opQueue needs a fresh one.
+// Peek, selection or Len, or how the queue failed its audit, or returns
+// "" if they agree. The seed queue keeps the caller's payload, so each
+// opQueue needs a fresh one.
 func (o oracle) step(op int, name string, payload []byte, overhead, limit int) string {
 	switch op {
 	case opQueue:
 		o.fast.Queue(name, payload)
 		o.slow.Queue(name, payload)
-	case opInvalidate:
-		o.fast.Invalidate(name)
-		o.slow.Invalidate(name)
 	case opPeek:
 		if !bytes.Equal(o.fast.Peek(name), o.slow.Peek(name)) {
 			return fmt.Sprintf("Peek(%s) diverged", name)
 		}
 	case opSelect:
-		got := o.fast.GetBroadcasts(overhead, limit)
+		got := drain(o.fast, overhead, limit)
 		want := o.slow.GetBroadcasts(overhead, limit)
 		if len(got) != len(want) {
-			return fmt.Sprintf("GetBroadcasts(%d, %d) returned %d payloads, seed returned %d",
+			return fmt.Sprintf("GetBroadcastsInto(%d, %d) selected %d payloads, seed returned %d",
 				overhead, limit, len(got), len(want))
 		}
 		for i := range got {
-			if !bytes.Equal(got[i], want[i]) {
+			if got[i] != string(want[i]) {
 				return fmt.Sprintf("payload %d diverged from seed selection order", i)
 			}
 		}
+	}
+	if err := audit(o.fast); err != nil {
+		return err.Error()
 	}
 	if o.fast.Len() != o.slow.Len() {
 		return fmt.Sprintf("Len = %d, seed = %d", o.fast.Len(), o.slow.Len())
@@ -150,7 +141,7 @@ func (o oracle) step(op int, name string, payload []byte, overhead, limit int) s
 
 // TestQueueMatchesSeedImplementation drives the queue and the seed
 // implementation through identical randomized interleavings of
-// Queue/Invalidate/Peek/GetBroadcasts (with heterogeneous payload sizes
+// Queue/Peek/GetBroadcastsInto (with heterogeneous payload sizes
 // and tight byte budgets, so the oversized-skip path is exercised) and
 // requires the selection sequences to be byte-identical.
 func TestQueueMatchesSeedImplementation(t *testing.T) {
@@ -164,14 +155,12 @@ func TestQueueMatchesSeedImplementation(t *testing.T) {
 		for op := 0; op < ops; op++ {
 			var msg string
 			switch rng.Intn(10) {
-			case 0, 1, 2, 3:
+			case 0, 1, 2, 3, 4:
 				name := fmt.Sprintf("m%d", rng.Intn(24))
 				// Size classes from tiny to oversized-for-most-budgets.
 				payload := make([]byte, []int{2, 10, 40, 200, 900}[rng.Intn(5)])
 				rng.Read(payload)
 				msg = o.step(opQueue, name, payload, 0, 0)
-			case 4:
-				msg = o.step(opInvalidate, fmt.Sprintf("m%d", rng.Intn(24)), nil, 0, 0)
 			case 5:
 				msg = o.step(opPeek, fmt.Sprintf("m%d", rng.Intn(24)), nil, 0, 0)
 			default:
@@ -201,7 +190,7 @@ func TestQueueMatchesSeedImplementation(t *testing.T) {
 					kind = opSelect
 				}
 			} else {
-				kind = []int{opQueue, opQueue, opQueue, opQueue, opInvalidate, opPeek,
+				kind = []int{opQueue, opQueue, opQueue, opQueue, opQueue, opPeek,
 					opSelect, opSelect, opSelect, opSelect}[rng.Intn(10)]
 			}
 			name := fmt.Sprintf("m%d", rng.Intn(400))

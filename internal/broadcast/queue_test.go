@@ -9,6 +9,39 @@ import (
 
 func fixedNodes(n int) func() int { return func() int { return n } }
 
+// drain collects one GetBroadcastsInto selection as strings.
+func drain(q *Queue, overhead, limit int) []string {
+	var got []string
+	q.GetBroadcastsInto(overhead, limit, func(p []byte) {
+		got = append(got, string(p))
+	})
+	return got
+}
+
+// audit checks the queue's internal invariants: byName and items hold
+// the same records, one per name; items is in (transmits, id) order;
+// and minLen is at most every queued payload's length.
+func audit(q *Queue) error {
+	if len(q.byName) != len(q.items) {
+		return fmt.Errorf("audit: %d names indexed, %d items queued", len(q.byName), len(q.items))
+	}
+	for i, b := range q.items {
+		if q.byName[b.Name] != b {
+			return fmt.Errorf("audit: item %d (%s) is not the record indexed under its name", i, b.Name)
+		}
+		if i > 0 {
+			if a := q.items[i-1]; a.transmits > b.transmits || a.transmits == b.transmits && a.id >= b.id {
+				return fmt.Errorf("audit: items %d (%d, %d) and %d (%d, %d) out of (transmits, id) order",
+					i-1, a.transmits, a.id, i, b.transmits, b.id)
+			}
+		}
+		if len(b.Payload) < q.minLen {
+			return fmt.Errorf("audit: item %d holds %d bytes, below minLen %d", i, len(b.Payload), q.minLen)
+		}
+	}
+	return nil
+}
+
 func TestRetransmitLimit(t *testing.T) {
 	cases := []struct {
 		mult, n, want int
@@ -51,12 +84,12 @@ func TestQueueFIFOAmongEqualTransmits(t *testing.T) {
 	q.Queue("b", []byte("bb"))
 	q.Queue("c", []byte("cc"))
 
-	got := q.GetBroadcasts(0, 1000)
+	got := drain(q, 0, 1000)
 	if len(got) != 3 {
 		t.Fatalf("got %d payloads, want 3", len(got))
 	}
 	for i, want := range []string{"aa", "bb", "cc"} {
-		if string(got[i]) != want {
+		if got[i] != want {
 			t.Errorf("payload %d = %q, want %q", i, got[i], want)
 		}
 	}
@@ -66,14 +99,14 @@ func TestQueuePrefersFewerTransmits(t *testing.T) {
 	q := NewQueue(fixedNodes(128), 4)
 	q.Queue("old", []byte("old"))
 	// Transmit "old" once.
-	if got := q.GetBroadcasts(0, 1000); len(got) != 1 {
+	if got := drain(q, 0, 1000); len(got) != 1 {
 		t.Fatalf("first draw: %d payloads", len(got))
 	}
 	q.Queue("new", []byte("new"))
 
 	// With budget for one payload, the fresh update must win.
-	got := q.GetBroadcasts(0, 3)
-	if len(got) != 1 || string(got[0]) != "new" {
+	got := drain(q, 0, 3)
+	if len(got) != 1 || got[0] != "new" {
 		t.Fatalf("got %q, want [new]", got)
 	}
 }
@@ -85,8 +118,8 @@ func TestQueueInvalidationReplacesSameMember(t *testing.T) {
 	if q.Len() != 1 {
 		t.Fatalf("queue len %d, want 1 after replacement", q.Len())
 	}
-	got := q.GetBroadcasts(0, 1000)
-	if len(got) != 1 || string(got[0]) != "alive" {
+	got := drain(q, 0, 1000)
+	if len(got) != 1 || got[0] != "alive" {
 		t.Fatalf("got %q, want [alive]", got)
 	}
 }
@@ -96,14 +129,14 @@ func TestQueueReplacementResetsTransmitBudget(t *testing.T) {
 	// fresh transmit budget.
 	q := NewQueue(fixedNodes(1), 1) // limit = 1 transmit
 	q.Queue("m", []byte("one"))
-	if got := q.GetBroadcasts(0, 1000); len(got) != 1 {
+	if got := drain(q, 0, 1000); len(got) != 1 {
 		t.Fatal("first transmit missing")
 	}
 	if q.Len() != 0 {
 		t.Fatal("broadcast should be spent after hitting the limit")
 	}
 	q.Queue("m", []byte("two"))
-	if got := q.GetBroadcasts(0, 1000); len(got) != 1 || string(got[0]) != "two" {
+	if got := drain(q, 0, 1000); len(got) != 1 || got[0] != "two" {
 		t.Fatalf("re-queued broadcast not transmitted: %q", got)
 	}
 }
@@ -112,11 +145,11 @@ func TestQueueDropsAtRetransmitLimit(t *testing.T) {
 	q := NewQueue(fixedNodes(9), 4) // limit = 4·ceil(log10(10)) = 4
 	q.Queue("m", []byte("mm"))
 	for i := 0; i < 4; i++ {
-		if got := q.GetBroadcasts(0, 1000); len(got) != 1 {
+		if got := drain(q, 0, 1000); len(got) != 1 {
 			t.Fatalf("draw %d: %d payloads", i, len(got))
 		}
 	}
-	if got := q.GetBroadcasts(0, 1000); len(got) != 0 {
+	if got := drain(q, 0, 1000); len(got) != 0 {
 		t.Fatalf("payload served beyond retransmit limit: %q", got)
 	}
 	if q.Len() != 0 {
@@ -131,7 +164,7 @@ func TestQueueByteBudget(t *testing.T) {
 	q.Queue("c", make([]byte, 100))
 
 	// Budget for exactly two payloads with 2 bytes overhead each.
-	got := q.GetBroadcasts(2, 204)
+	got := drain(q, 2, 204)
 	if len(got) != 2 {
 		t.Fatalf("got %d payloads, want 2", len(got))
 	}
@@ -145,20 +178,9 @@ func TestQueueSkipsOversizedButPacksSmaller(t *testing.T) {
 	q := NewQueue(fixedNodes(128), 4)
 	q.Queue("big", make([]byte, 500))
 	q.Queue("small", make([]byte, 10))
-	got := q.GetBroadcasts(0, 100)
+	got := drain(q, 0, 100)
 	if len(got) != 1 || len(got[0]) != 10 {
 		t.Fatalf("expected only the small payload, got %d payloads", len(got))
-	}
-}
-
-func TestInvalidate(t *testing.T) {
-	q := NewQueue(fixedNodes(128), 4)
-	q.Queue("a", []byte("aa"))
-	q.Queue("b", []byte("bb"))
-	q.Invalidate("a")
-	got := q.GetBroadcasts(0, 1000)
-	if len(got) != 1 || string(got[0]) != "bb" {
-		t.Fatalf("got %q, want [bb]", got)
 	}
 }
 
@@ -170,7 +192,7 @@ func TestPeekDoesNotSpendBudget(t *testing.T) {
 			t.Fatalf("peek %d: %q", i, got)
 		}
 	}
-	if got := q.GetBroadcasts(0, 1000); len(got) != 1 {
+	if got := drain(q, 0, 1000); len(got) != 1 {
 		t.Fatal("peeking consumed the transmit budget")
 	}
 	if q.Peek("absent") != nil {
@@ -178,18 +200,10 @@ func TestPeekDoesNotSpendBudget(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	q := NewQueue(fixedNodes(128), 4)
-	q.Queue("a", []byte("aa"))
-	q.Reset()
-	if q.Len() != 0 || len(q.GetBroadcasts(0, 1000)) != 0 {
-		t.Error("reset did not clear the queue")
-	}
-}
-
 func TestQuickTransmitCountNeverExceedsLimit(t *testing.T) {
-	// Property: however GetBroadcasts is called, no payload is handed
-	// out more than RetransmitLimit times.
+	// Property: however GetBroadcastsInto is called, no payload is
+	// handed out more than RetransmitLimit times, and the queue passes
+	// its audit after every call.
 	f := func(seed int64, nNodes uint8, draws uint8) bool {
 		n := int(nNodes%64) + 1
 		limit := RetransmitLimit(4, n)
@@ -200,8 +214,12 @@ func TestQuickTransmitCountNeverExceedsLimit(t *testing.T) {
 			q.Queue(fmt.Sprintf("m%d", i), []byte(fmt.Sprintf("payload-%d", i)))
 		}
 		for i := 0; i < int(draws); i++ {
-			for _, p := range q.GetBroadcasts(2, 1+rng.Intn(64)) {
-				counts[string(p)]++
+			for _, p := range drain(q, 2, 1+rng.Intn(64)) {
+				counts[p]++
+			}
+			if err := audit(q); err != nil {
+				t.Log(err)
+				return false
 			}
 		}
 		for _, c := range counts {
@@ -218,7 +236,7 @@ func TestQuickTransmitCountNeverExceedsLimit(t *testing.T) {
 
 func TestQuickInvalidationKeepsOnePerMember(t *testing.T) {
 	// Property: after any sequence of Queue calls, at most one broadcast
-	// per member name is queued.
+	// per member name is queued, and the queue passes its audit.
 	f := func(names []uint8) bool {
 		q := NewQueue(fixedNodes(128), 4)
 		seen := map[string]bool{}
@@ -226,6 +244,10 @@ func TestQuickInvalidationKeepsOnePerMember(t *testing.T) {
 			name := fmt.Sprintf("m%d", n%10)
 			q.Queue(name, []byte{byte(i)})
 			seen[name] = true
+			if err := audit(q); err != nil {
+				t.Log(err)
+				return false
+			}
 		}
 		return q.Len() == len(seen)
 	}

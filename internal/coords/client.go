@@ -173,16 +173,6 @@ func (c *Client) Current() *Coordinate {
 	return c.coord
 }
 
-// SetCoordinate overrides the node's coordinate (tests; state restore).
-// Invalid or incompatible coordinates are rejected.
-func (c *Client) SetCoordinate(coord *Coordinate) error {
-	if err := c.checkCoordinate(coord); err != nil {
-		return err
-	}
-	c.coord = coord.Clone()
-	return nil
-}
-
 // Witness caches a peer's coordinate without an RTT observation (the
 // receive side of a ping, which knows the sender's coordinate but not
 // the path RTT). Invalid coordinates are discarded; the return

@@ -63,9 +63,7 @@ func TestGossipIdleQueueSendsNothing(t *testing.T) {
 	h := newHarness(t, nil)
 	h.addMember("m1", 1)
 	// Drain the join broadcasts fully.
-	for h.node.queue.Len() > 0 {
-		h.node.queue.GetBroadcasts(2, 1400)
-	}
+	h.drainQueue()
 	h.clearSent()
 	h.run(time.Second) // 5 gossip ticks, 1 probe
 

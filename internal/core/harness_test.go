@@ -138,6 +138,13 @@ func (h *harness) run(d time.Duration) { h.sched.RunFor(d) }
 // clearSent discards captured packets (e.g. the initial alive burst).
 func (h *harness) clearSent() { h.sent = nil }
 
+// drainQueue spends every queued gossip update without sending it.
+func (h *harness) drainQueue() {
+	for h.node.queue.Len() > 0 {
+		h.node.queue.GetBroadcastsInto(2, 1400, func([]byte) {})
+	}
+}
+
 // sentOfType returns every captured message of the given type, with the
 // packet it travelled in.
 func (h *harness) sentOfType(t wire.MsgType) []struct {

@@ -14,10 +14,8 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"lifeguard/internal/awareness"
 	"lifeguard/internal/broadcast"
 	"lifeguard/internal/coords"
 	"lifeguard/internal/metrics"
@@ -77,11 +75,8 @@ type Node struct {
 
 	// aliveCount tracks members in the alive or suspect states
 	// (including self); it is SWIM's n for timeout and retransmit
-	// scaling. aliveEst mirrors it atomically so the broadcast queue can
-	// read it without taking the node lock (the queue is always invoked
-	// with the lock already held).
+	// scaling.
 	aliveCount int
-	aliveEst   atomic.Int64
 
 	// seqNo numbers outgoing probes.
 	seqNo uint32
@@ -100,9 +95,10 @@ type Node struct {
 	// queue is the transmit-limited gossip queue.
 	queue *broadcast.Queue
 
-	// aware is the Local Health Multiplier (always maintained; only
-	// consulted for scaling when LHAProbe is on).
-	aware *awareness.Awareness
+	// lhm is the Local Health Multiplier (§IV-A), in [0, maxLHM]: raised
+	// by evidence of local slowness, lowered by successful probes, and
+	// moved and consulted only when LHAProbe is on (adjustLHMLocked).
+	lhm int
 
 	// coordClient is the Vivaldi network-coordinate engine, fed by
 	// probe round-trips; nil when Config.DisableCoordinates is set.
@@ -166,7 +162,6 @@ func New(cfg *Config) (*Node, error) {
 		members: make(map[string]*memberState),
 		acks:    make(map[uint32]*ackHandler),
 		relays:  make(map[uint32]*relayHandler),
-		aware:   awareness.New(maxLHM),
 	}
 	n.fanout, _ = c.Transport.(FanoutTransport)
 	if !c.DisableCoordinates {
@@ -197,7 +192,11 @@ func (n *Node) Incarnation() uint64 {
 
 // HealthScore returns the current Local Health Multiplier value, in
 // [0, S] with S = 8. Zero means locally healthy.
-func (n *Node) HealthScore() int { return n.aware.Score() }
+func (n *Node) HealthScore() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.lhm
+}
 
 // Coordinate returns a copy of the member's current Vivaldi network
 // coordinate, or nil when coordinates are disabled. The coordinate
@@ -338,7 +337,7 @@ func (n *Node) Start() error {
 	n.sortedInsertLocked(self)
 	n.self = self
 	n.roster = append(n.roster, self)
-	n.setAliveCountLocked(1)
+	n.aliveCount = 1
 
 	n.broadcastLocked(n.cfg.Name, n.selfAliveLocked())
 
@@ -512,24 +511,10 @@ func (n *Node) NumAlive() int {
 	return n.aliveCount
 }
 
-// estNumNodes is the cluster-size estimate used for gossip and suspicion
-// scaling. It reads the atomic mirror so it is callable both with and
-// without the node lock (the broadcast queue invokes it mid-GetBroadcasts
-// while the core holds the lock).
+// estNumNodes is the cluster-size estimate that sets the gossip
+// queue's retransmit budget. The queue calls it under the node lock.
 func (n *Node) estNumNodes() int {
-	return int(n.aliveEst.Load())
-}
-
-// setAliveCountLocked updates the alive/suspect member count and its
-// atomic mirror.
-func (n *Node) setAliveCountLocked(v int) {
-	n.aliveCount = v
-	n.aliveEst.Store(int64(v))
-}
-
-// addAliveCountLocked adjusts the alive/suspect member count by delta.
-func (n *Node) addAliveCountLocked(delta int) {
-	n.setAliveCountLocked(n.aliveCount + delta)
+	return n.aliveCount
 }
 
 // HandlePacket decodes and processes one inbound packet. The transport

@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"lifeguard/internal/awareness"
 	"lifeguard/internal/metrics"
 	"lifeguard/internal/telemetry"
 	"lifeguard/internal/timeutil"
@@ -109,22 +108,35 @@ type relayHandler struct {
 	expireTimer timeutil.Timer
 }
 
-// scaledProbeInterval returns the protocol period, scaled by the LHM
-// when LHA-Probe is enabled (§IV-A).
-func (n *Node) scaledProbeInterval() time.Duration {
-	if n.cfg.LHAProbe {
-		return n.aware.ScaleTimeout(n.cfg.ProbeInterval)
+// The Local Health Multiplier's event deltas (§IV-A): evidence of local
+// slowness raises the score, a successful probe lowers it.
+const (
+	lhmProbeSuccess = -1 // an ack for a probe this member sent
+	lhmProbeFailed  = 1  // a probe round closed with no ack
+	lhmRefute       = 1  // this member refuted an accusation about itself
+	lhmMissedNack   = 1  // per relay that sent neither an ack nor a nack
+)
+
+// adjustLHMLocked applies delta to the LHM, saturating in [0, maxLHM],
+// and reports the new score. It does nothing unless LHA-Probe is on.
+func (n *Node) adjustLHMLocked(delta int) {
+	if !n.cfg.LHAProbe {
+		return
 	}
-	return n.cfg.ProbeInterval
+	n.lhm = min(max(n.lhm+delta, 0), maxLHM)
+	if n.cfg.Telemetry != nil {
+		n.cfg.Telemetry.RecordLHM(n.lhm)
+	}
 }
 
-// scaledProbeTimeout returns the ack timeout, scaled by the LHM when
-// LHA-Probe is enabled.
-func (n *Node) scaledProbeTimeout() time.Duration {
-	if n.cfg.LHAProbe {
-		return n.aware.ScaleTimeout(n.cfg.ProbeTimeout)
+// scaledLocked scales d by the LHM, d·(LHM+1), when LHA-Probe is on: a
+// struggling member probes less often and gives its peers longer to
+// answer (§IV-A).
+func (n *Node) scaledLocked(d time.Duration) time.Duration {
+	if !n.cfg.LHAProbe {
+		return d
 	}
-	return n.cfg.ProbeTimeout
+	return d * time.Duration(n.lhm+1)
 }
 
 // adaptiveProbeTimeoutLocked returns the RTT-derived direct-probe
@@ -160,18 +172,16 @@ func (n *Node) adaptiveProbeTimeoutLocked(target string) (time.Duration, bool) {
 // awareness multiplier applies on top of the adaptive value too, so a
 // locally-slow member still grants its targets extra time (§IV-A).
 func (n *Node) probeTimeoutsLocked(target string) (timeout, deadline time.Duration, adaptive bool) {
-	interval := n.scaledProbeInterval()
+	interval := n.scaledLocked(n.cfg.ProbeInterval)
 	if at, ok := n.adaptiveProbeTimeoutLocked(target); ok {
-		if n.cfg.LHAProbe {
-			at = n.aware.ScaleTimeout(at)
-		}
+		at = n.scaledLocked(at)
 		deadline := time.Duration(adaptiveRoundMult * float64(at))
 		if deadline > interval {
 			deadline = interval
 		}
 		return at, deadline, true
 	}
-	return n.scaledProbeTimeout(), interval, false
+	return n.scaledLocked(n.cfg.ProbeTimeout), interval, false
 }
 
 // scheduleProbeLocked arms the next probe tick.
@@ -182,7 +192,7 @@ func (n *Node) scheduleProbeLocked() {
 	// The nil check sits here, not in a helper taking the callback:
 	// evaluating n.probeTick allocates a bound-method value, which a
 	// helper's argument list would do on every arm.
-	if d := n.scaledProbeInterval(); n.probeTimer == nil {
+	if d := n.scaledLocked(n.cfg.ProbeInterval); n.probeTimer == nil {
 		n.probeTimer = n.cfg.Clock.AfterFunc(d, n.probeTick)
 	} else {
 		n.probeTimer.Reset(d)
@@ -522,19 +532,14 @@ func (n *Node) probePeriodExpiredLocked(seq uint32) {
 	if n.cfg.Telemetry != nil {
 		n.cfg.Telemetry.RecordProbe(target.Name, telemetry.OutcomeTimeout)
 	}
-	if n.cfg.LHAProbe {
-		delta := awareness.DeltaProbeFailed
-		// Adaptive rounds close before the relays' static nack schedule
-		// can possibly answer, so the missed-nack surcharge (§IV-A)
-		// only applies to rounds that ran the full period.
-		if !adaptive && missed > 0 {
-			delta += missed * awareness.DeltaMissedNack
-		}
-		score := n.aware.ApplyDelta(delta)
-		if n.cfg.Telemetry != nil {
-			n.cfg.Telemetry.RecordLHM(score)
-		}
+	delta := lhmProbeFailed
+	// Adaptive rounds close before the relays' static nack schedule can
+	// possibly answer, so the missed-nack surcharge (§IV-A) only applies
+	// to rounds that ran the full period.
+	if !adaptive && missed > 0 {
+		delta += missed * lhmMissedNack
 	}
+	n.adjustLHMLocked(delta)
 
 	if target.State == StateDead || target.State == StateLeft {
 		return
@@ -611,11 +616,11 @@ func (n *Node) handleIndirectPingLocked(from string, ind *wire.IndirectPing) {
 	n.relays[seq] = r
 
 	if ind.WantNack {
-		nackAfter := time.Duration(float64(n.scaledProbeTimeout()) * nackTimeoutFraction)
+		nackAfter := time.Duration(float64(n.scaledLocked(n.cfg.ProbeTimeout)) * nackTimeoutFraction)
 		r.nackTimer = n.cfg.Clock.AfterFunc(nackAfter, func() { n.relayNackExpired(seq) })
 	}
 	// Forget the relay once the originator's round is long over.
-	r.expireTimer = n.cfg.Clock.AfterFunc(2*n.scaledProbeInterval(), func() {
+	r.expireTimer = n.cfg.Clock.AfterFunc(2*n.scaledLocked(n.cfg.ProbeInterval), func() {
 		n.mu.Lock()
 		if rr, ok := n.relays[seq]; ok {
 			stopTimer(rr.nackTimer)
@@ -672,12 +677,7 @@ func (n *Node) handleAckLocked(_ string, a *wire.Ack) {
 		h.acked = true
 		h.stopTimeout()
 		tm := h.target
-		if n.cfg.LHAProbe {
-			score := n.aware.ApplyDelta(awareness.DeltaProbeSuccess)
-			if n.cfg.Telemetry != nil {
-				n.cfg.Telemetry.RecordLHM(score)
-			}
-		}
+		n.adjustLHMLocked(lhmProbeSuccess)
 		if n.cfg.Telemetry != nil {
 			if h.indirect {
 				n.cfg.Telemetry.RecordProbe(tm.Name, telemetry.OutcomeIndirectAck)

@@ -70,7 +70,7 @@ func TestSuccessfulProbeLowersLHM(t *testing.T) {
 	h := newHarness(t, nil)
 	h.addMember("m1", 1)
 	// Charge the LHM first.
-	h.node.aware.ApplyDelta(4)
+	h.node.lhm = 4
 	// One successful probe round: −1.
 	h.run(5 * time.Second) // scaled interval is 5s at LHM=4
 	if got := h.node.HealthScore(); got >= 4 {
@@ -405,9 +405,7 @@ func TestBuddyForceIncludesSuspicionOnPing(t *testing.T) {
 	h.inject("x", &wire.Suspect{Incarnation: 1, Node: "m1", From: "x"})
 	// Exhaust the broadcast queue so only the buddy path can supply the
 	// suspect message.
-	for h.node.queue.Len() > 0 {
-		h.node.queue.GetBroadcasts(2, 1400)
-	}
+	h.drainQueue()
 	h.clearSent()
 
 	h.run(3 * time.Second) // probe m1 at least once
@@ -441,9 +439,7 @@ func TestNoBuddyWithoutComponent(t *testing.T) {
 	h := newHarness(t, func(cfg *Config) { cfg.BuddySystem = false })
 	h.addMember("m1", 1)
 	h.inject("x", &wire.Suspect{Incarnation: 1, Node: "m1", From: "x"})
-	for h.node.queue.Len() > 0 {
-		h.node.queue.GetBroadcasts(2, 1400)
-	}
+	h.drainQueue()
 	h.clearSent()
 	h.run(3 * time.Second)
 
@@ -466,9 +462,7 @@ func TestBuddyOnRelayedPing(t *testing.T) {
 	h.addMember("origin", 1)
 	h.addMember("m1", 1)
 	h.inject("x", &wire.Suspect{Incarnation: 1, Node: "m1", From: "x"})
-	for h.node.queue.Len() > 0 {
-		h.node.queue.GetBroadcasts(2, 1400)
-	}
+	h.drainQueue()
 	h.clearSent()
 
 	h.inject("origin", &wire.IndirectPing{SeqNo: 7, Target: "m1", Source: "origin", WantNack: true})

@@ -135,9 +135,7 @@ func TestPushPullMergeRemoteSuspectStartsTimerWithoutConfirming(t *testing.T) {
 func TestPushPullMergeDoesNotRebroadcastSuspicion(t *testing.T) {
 	h := newHarness(t, nil)
 	h.addMember("m1", 1)
-	for h.node.queue.Len() > 0 {
-		h.node.queue.GetBroadcasts(2, 1400)
-	}
+	h.drainQueue()
 	h.clearSent()
 	h.inject("peer", &wire.PushPullResp{
 		Source: "peer",
@@ -213,9 +211,7 @@ func TestPushPullMergeUnknownAccusationIgnored(t *testing.T) {
 	for _, st := range []State{StateSuspect, StateDead, StateLeft} {
 		t.Run(st.String(), func(t *testing.T) {
 			h := newHarness(t, nil)
-			for h.node.queue.Len() > 0 {
-				h.node.queue.GetBroadcasts(2, 1400)
-			}
+			h.drainQueue()
 			h.events = nil
 			h.inject("peer", &wire.PushPullResp{
 				Source: "peer",

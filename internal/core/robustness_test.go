@@ -150,21 +150,31 @@ func TestConcurrentRealClockCluster(t *testing.T) {
 	}
 
 	// Hammer the public API from several goroutines while the protocol
-	// runs on real timers.
+	// runs on real timers: every read the agent's ops surface serves
+	// from its HTTP goroutines, two readers per node. Under -race this
+	// checks that each one takes the node lock, which alone guards the
+	// gossip queue, the LHM and the coordinate engine.
 	var wg sync.WaitGroup
 	stop := time.Now().Add(500 * time.Millisecond)
 	for _, n := range nodes {
-		n := n
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for time.Now().Before(stop) {
-				n.Members()
-				n.NumAlive()
-				n.HealthScore()
-				n.Incarnation()
-			}
-		}()
+		for range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for time.Now().Before(stop) {
+					n.Members()
+					n.NumAlive()
+					n.HealthScore()
+					n.Incarnation()
+					n.PendingBroadcasts()
+					n.LeavePending()
+					n.Coordinate()
+					for _, peer := range n.CoordinatePeers() {
+						n.EstimateRTT(peer)
+					}
+				}
+			}()
+		}
 	}
 	wg.Wait()
 

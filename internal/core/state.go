@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"time"
 
-	"lifeguard/internal/awareness"
 	"lifeguard/internal/metrics"
 	"lifeguard/internal/suspicion"
 	"lifeguard/internal/wire"
@@ -172,7 +171,7 @@ func (n *Node) deadNodeLocked(m *memberState, d *wire.Dead) {
 		m.susp = nil
 	}
 	if m.State == StateAlive || m.State == StateSuspect {
-		n.addAliveCountLocked(-1)
+		n.aliveCount--
 	}
 	m.Incarnation = d.Incarnation
 	if d.From == m.Name {
@@ -219,7 +218,7 @@ func (n *Node) handleAliveLocked(a *wire.Alive) {
 		n.members[a.Node] = m
 		n.sortedInsertLocked(m)
 		n.roster = append(n.roster, m)
-		n.addAliveCountLocked(1)
+		n.aliveCount++
 		n.insertProbeTargetLocked(m)
 		n.broadcastLocked(a.Node, a)
 		n.eventJoinLocked(m)
@@ -261,7 +260,7 @@ func (n *Node) handleAliveLocked(a *wire.Alive) {
 			}
 			n.eventAliveLocked(m)
 		case StateDead, StateLeft:
-			n.addAliveCountLocked(1)
+			n.aliveCount++
 			n.insertProbeTargetLocked(m)
 			n.eventJoinLocked(m)
 		}
@@ -283,11 +282,6 @@ func (n *Node) refuteLocked(claimedInc uint64) {
 		n.self.Incarnation = n.incarnation
 	}
 	n.cfg.Metrics.IncrCounter(metrics.CounterRefutes, 1)
-	if n.cfg.LHAProbe {
-		score := n.aware.ApplyDelta(awareness.DeltaRefute)
-		if n.cfg.Telemetry != nil {
-			n.cfg.Telemetry.RecordLHM(score)
-		}
-	}
+	n.adjustLHMLocked(lhmRefute)
 	n.broadcastLocked(n.cfg.Name, n.selfAliveLocked())
 }

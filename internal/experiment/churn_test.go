@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -33,14 +34,37 @@ func TestChurnSmall(t *testing.T) {
 
 // TestChurnPoolExhaustion drives far more fail/leave actions than the
 // initial membership can supply: the pool must refill from converged
-// joins and, if it still runs dry, skip the action rather than panic.
+// joins and, when it still runs dry, skip the action rather than panic.
+// A joiner enters the pool 10 s after its join, so the run lasts 20 s
+// for the refill to happen.
 func TestChurnPoolExhaustion(t *testing.T) {
-	rec, err := runChurn(ClusterConfig{N: 8, Seed: 5, Protocol: ConfigLifeguard}, 10*time.Second)
+	const n, seed, duration = 8, 5, 20 * time.Second
+	pool := make([]string, n-1)
+	for i := range pool {
+		pool[i] = fmt.Sprintf("m%d", i)
+	}
+	s, end := churnScript(pool, duration, seed)
+	departures, refilled := 0, 0
+	for _, e := range s {
+		if e.op == opStop {
+			departures++
+			if strings.HasPrefix(e.node, "churn-") {
+				refilled++
+			}
+		}
+	}
+	// Every other action is a departure; the rest are joins.
+	if slots := int(end / churnInterval / 2); refilled == 0 || departures >= slots {
+		t.Fatalf("script departs %d members (%d of them joiners) in %d departure slots; "+
+			"want some joiners, and some slots skipped with the pool dry", departures, refilled, slots)
+	}
+
+	rec, err := runChurn(ClusterConfig{N: n, Seed: seed, Protocol: ConfigLifeguard}, duration)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := rec.Metrics; m["fails"]+m["leaves"] == 0 || m["joins"] == 0 {
-		t.Fatalf("degenerate churn run: %+v", rec)
+	if m := rec.Metrics; m["fails"]+m["leaves"] != float64(departures) || m["joins"] == 0 {
+		t.Fatalf("churn run departed %g members, script %d: %+v", m["fails"]+m["leaves"], departures, rec)
 	}
 }
 

@@ -154,18 +154,6 @@ func (s *Suspicion) Confirm(from string) bool {
 	return true
 }
 
-// Confirmations returns the number of independent confirmations processed
-// (excluding the original accuser), capped at k.
-func (s *Suspicion) Confirmations() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c := len(s.confirmations) - 1
-	if c > s.k {
-		c = s.k
-	}
-	return c
-}
-
 // Stop cancels the suspicion (the member was refuted or declared dead by
 // other means). It reports whether the timeout had not yet fired.
 func (s *Suspicion) Stop() bool {

@@ -98,17 +98,15 @@ func TestConfirmDedupByAccuser(t *testing.T) {
 	defer s.Stop()
 	sched.RunFor(time.Second)
 
-	if !s.Confirm("b") {
-		t.Fatal("first confirmation rejected")
+	counted := 0
+	// A fresh accuser, the same accuser again, and the original accuser.
+	for _, from := range []string{"b", "b", "a"} {
+		if s.Confirm(from) {
+			counted++
+		}
 	}
-	if s.Confirm("b") {
-		t.Error("duplicate accuser counted twice")
-	}
-	if s.Confirm("a") {
-		t.Error("original accuser counted as confirmation")
-	}
-	if got := s.Confirmations(); got != 1 {
-		t.Errorf("confirmations = %d, want 1", got)
+	if counted != 1 {
+		t.Errorf("%d confirmations counted, want 1 (duplicates and the original accuser do not count)", counted)
 	}
 }
 
@@ -124,15 +122,19 @@ func TestConfirmBeyondKIsBounded(t *testing.T) {
 	defer s.Stop()
 	sched.RunFor(time.Second)
 
-	s.Confirm("b")
-	s.Confirm("c")
+	counted := 0
+	for _, from := range []string{"b", "c"} {
+		if s.Confirm(from) {
+			counted++
+		}
+	}
 	for i := 0; i < 1000; i++ {
 		if s.Confirm(fmt.Sprintf("accuser-%d", i)) {
 			t.Fatalf("confirmation %d beyond K reported as counted", i)
 		}
 	}
-	if got := s.Confirmations(); got != k {
-		t.Errorf("confirmations = %d, want K = %d", got, k)
+	if counted != k {
+		t.Errorf("%d confirmations counted, want K = %d", counted, k)
 	}
 	if got := len(s.confirmations); got > k+1 {
 		t.Errorf("accuser list holds %d names, want at most K+1 = %d", got, k+1)

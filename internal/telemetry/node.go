@@ -46,18 +46,17 @@ type peerEntry struct {
 // NodeRecorder implements Recorder for one live node: one entry per
 // peer, holding the peer's probe outcome counters and its latest RTTs,
 // in a table of at most 1024 peers however many names come and go; plus
-// process-wide RTT/suspicion histograms and the LHM gauge. It backs the
+// RTT and suspicion-duration histograms and the LHM gauge. It backs the
 // agent's /telemetry and /metrics endpoints.
 //
-// NodeRecorder is safe for concurrent use.
+// NodeRecorder is safe for concurrent use: one lock guards all of it,
+// because the node records under its protocol lock while the agent's
+// HTTP scraper reads.
 type NodeRecorder struct {
-	// RTTHist and SuspicionHist are the process-wide histograms, exposed
-	// for Prometheus exposition.
-	RTTHist       *Histogram
-	SuspicionHist *Histogram
-
 	mu         sync.Mutex
 	peers      map[string]*peerEntry
+	rtt        histogram
+	suspicion  histogram
 	touches    uint64
 	evictions  uint64
 	overwrites uint64
@@ -71,9 +70,9 @@ var _ Recorder = (*NodeRecorder)(nil)
 // the signature is the one its callers were written against.
 func NewNodeRecorder(NodeConfig) (*NodeRecorder, error) {
 	return &NodeRecorder{
-		RTTHist:       NewHistogram(rttBuckets),
-		SuspicionHist: NewHistogram(suspicionBuckets),
-		peers:         make(map[string]*peerEntry),
+		peers:     make(map[string]*peerEntry),
+		rtt:       newHistogram(rttBuckets),
+		suspicion: newHistogram(suspicionBuckets),
 	}, nil
 }
 
@@ -105,8 +104,8 @@ func (r *NodeRecorder) peerLocked(peer string) *peerEntry {
 
 // RecordRTT implements Recorder.
 func (r *NodeRecorder) RecordRTT(peer string, rtt time.Duration) {
-	r.RTTHist.Observe(rtt)
 	r.mu.Lock()
+	r.rtt.observe(rtt)
 	e := r.peerLocked(peer)
 	if len(e.rtts) < nodeRingSize {
 		e.rtts = append(e.rtts, rtt)
@@ -145,8 +144,8 @@ func (r *NodeRecorder) RecordLHM(score int) {
 
 // RecordSuspicion implements Recorder.
 func (r *NodeRecorder) RecordSuspicion(peer string, d time.Duration, died bool) {
-	r.SuspicionHist.Observe(d)
 	r.mu.Lock()
+	r.suspicion.observe(d)
 	e := r.peerLocked(peer)
 	e.suspicions++
 	if died {
@@ -193,7 +192,7 @@ type Snapshot struct {
 	// most 1024, the most recently recorded about — sorted by name.
 	Peers []PeerSnapshot `json:"peers"`
 
-	// RTT and Suspicion are the process-wide histograms.
+	// RTT and Suspicion are the recorder's histograms.
 	RTT       HistogramSnapshot `json:"rtt"`
 	Suspicion HistogramSnapshot `json:"suspicion"`
 
@@ -210,13 +209,15 @@ type Snapshot struct {
 	Overwrites uint64 `json:"overwrites"`
 }
 
-// Snapshot copies the recorder's current state: per-peer RTT
-// percentiles and loss, the histograms, and the table's occupancy.
-// Safe to call while recording continues.
+// Snapshot copies the recorder's current state, all from one instant:
+// per-peer RTT percentiles and loss, the histograms, and the table's
+// occupancy. Safe to call while recording continues.
 func (r *NodeRecorder) Snapshot() Snapshot {
 	r.mu.Lock()
 	snap := Snapshot{
 		Peers:      make([]PeerSnapshot, 0, len(r.peers)),
+		RTT:        r.rtt.snapshot(),
+		Suspicion:  r.suspicion.snapshot(),
 		LHM:        r.lhm,
 		LHMChanges: r.lhmChanges,
 		Evictions:  r.evictions,
@@ -241,8 +242,6 @@ func (r *NodeRecorder) Snapshot() Snapshot {
 	}
 	r.mu.Unlock()
 
-	snap.RTT = r.RTTHist.Snapshot()
-	snap.Suspicion = r.SuspicionHist.Snapshot()
 	for i := range snap.Peers {
 		ps := &snap.Peers[i]
 		ps.RTTP50Ms = stats.Percentile(rtts[i], 50)

@@ -1,8 +1,7 @@
 // Package telemetry is the live observability subsystem: the Recorder
 // interface the protocol core reports through (direct-ack RTTs, probe
-// outcomes, LHM score changes, suspicion lifecycle durations),
-// fixed-bucket histograms, and NodeRecorder, the recorder a live agent
-// runs.
+// outcomes, LHM score changes, suspicion lifecycle durations), and
+// NodeRecorder, the recorder a live agent runs.
 //
 // The protocol core consumes it through the Recorder interface behind
 // core's Config.Telemetry, which is nil by default: with no recorder
@@ -13,14 +12,11 @@
 //
 // NodeRecorder keeps one entry per peer — its probe outcome counters
 // and a ring of its latest RTTs — in a table with a hard memory bound,
-// plus process-wide histograms, exported over cmd/lifeguard-agent's
+// plus two fixed-bucket histograms, exported over cmd/lifeguard-agent's
 // HTTP ops surface.
 package telemetry
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // ProbeOutcome classifies how one probe round against a peer ended.
 type ProbeOutcome uint8
@@ -117,34 +113,28 @@ var suspicionBuckets = []time.Duration{
 	5 * time.Minute,
 }
 
-// Histogram is a fixed-bucket duration histogram with lock-free
-// observation: one atomic add per bucket hit plus the running sum,
-// cheap enough for the probe hot path.
-//
-// Histogram is safe for concurrent use.
-type Histogram struct {
+// histogram is a fixed-bucket duration histogram over ascending bucket
+// upper bounds plus an overflow bucket. It is not safe for concurrent
+// use: a NodeRecorder keeps its two under its own lock.
+type histogram struct {
 	bounds []time.Duration
-	counts []atomic.Uint64
-	sumNs  atomic.Int64
+	counts []uint64
+	sum    time.Duration
 }
 
-// NewHistogram returns a histogram over the given ascending bucket
-// upper bounds, plus an implicit overflow bucket.
-func NewHistogram(bounds []time.Duration) *Histogram {
-	return &Histogram{
-		bounds: append([]time.Duration(nil), bounds...),
-		counts: make([]atomic.Uint64, len(bounds)+1),
-	}
+// newHistogram returns an empty histogram over bounds.
+func newHistogram(bounds []time.Duration) histogram {
+	return histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
 }
 
-// Observe records one duration.
-func (h *Histogram) Observe(d time.Duration) {
+// observe records one duration.
+func (h *histogram) observe(d time.Duration) {
 	i := 0
 	for i < len(h.bounds) && d > h.bounds[i] {
 		i++
 	}
-	h.counts[i].Add(1)
-	h.sumNs.Add(int64(d))
+	h.counts[i]++
+	h.sum += d
 }
 
 // HistogramSnapshot is a point-in-time copy of a histogram, in
@@ -165,19 +155,15 @@ type HistogramSnapshot struct {
 	Sum time.Duration `json:"sum_ns"`
 }
 
-// Snapshot copies the histogram's current state. Concurrent Observe
-// calls may straddle the copy: each bucket is individually consistent,
-// and Count, derived from the copied buckets, always equals their sum
-// (the `+Inf` bucket Prometheus requires `_count` to match).
-func (h *Histogram) Snapshot() HistogramSnapshot {
+// snapshot copies the histogram's current state.
+func (h *histogram) snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Bounds: append([]time.Duration(nil), h.bounds...),
-		Counts: make([]uint64, len(h.counts)),
-		Sum:    time.Duration(h.sumNs.Load()),
+		Counts: append([]uint64(nil), h.counts...),
+		Sum:    h.sum,
 	}
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
-		s.Count += s.Counts[i]
+	for _, c := range h.counts {
+		s.Count += c
 	}
 	return s
 }
