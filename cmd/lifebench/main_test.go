@@ -16,7 +16,7 @@ const listGolden = `Registered scenarios (run order of -exp all):
   threshold        Threshold sweeps over Table I: detection and dissemination latency (Table V)
   tuning           Suspicion α/β grid against a SWIM baseline (Table VII)
   stress           CPU-exhaustion duty cycle, SWIM vs Lifeguard (Figure 1)
-  wan              Multi-zone WAN: coordinate accuracy and cross-zone detection, static vs adaptive
+  wan              Multi-zone WAN: coordinate accuracy and cross-zone detection
   chaos            Fault-scenario matrix (degraded, flapping, partitioned, lossy, combined) × Table I
   churn            Large cluster under continuous fail/join/leave membership change
   partition        Full split and heal: independent operation and automatic re-merge (§II)
@@ -138,43 +138,23 @@ func TestRunWANJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &records); err != nil {
 		t.Fatalf("output is not a JSON record array: %v\noutput: %s", err, buf.String())
 	}
-	// The WAN experiment is a same-seed comparison: one static record,
-	// one adaptive.
-	if len(records) != 2 {
-		t.Fatalf("got %d records, want 2", len(records))
+	if len(records) != 1 {
+		t.Fatalf("got %d records, want 1", len(records))
 	}
-	adaptives := map[bool]bool{}
-	for _, rec := range records {
-		if rec.Experiment != "wan" || rec.Scale != "smoke" || rec.Seed != 1 {
-			t.Errorf("record header %+v", rec)
-		}
-		for _, key := range []string{
-			"coord_rel_err_median", "pairs_scored", "fp",
-			"detect_cross_zone_median_s", "msgs_sent", "bytes_sent",
-			"adaptive_timeouts", "relay_near_picks", "gossip_near_picks",
-		} {
-			if _, ok := rec.Metrics[key]; !ok {
-				t.Errorf("metric %q missing: %v", key, rec.Metrics)
-			}
-		}
-		if rec.Metrics["pairs_scored"] == 0 {
-			t.Error("no coordinate pairs scored")
-		}
-		a, ok := rec.Params["adaptive"].(bool)
-		if !ok {
-			t.Errorf("record lacks adaptive param: %v", rec.Params)
-			continue
-		}
-		adaptives[a] = true
-		if a && rec.Metrics["adaptive_timeouts"] == 0 {
-			t.Error("adaptive record took no adaptive timeouts")
-		}
-		if !a && rec.Metrics["adaptive_timeouts"] != 0 {
-			t.Error("static record took adaptive timeouts")
+	rec := records[0]
+	if rec.Experiment != "wan" || rec.Scale != "smoke" || rec.Seed != 1 {
+		t.Errorf("record header %+v", rec)
+	}
+	for _, key := range []string{
+		"coord_rel_err_median", "pairs_scored", "fp",
+		"detect_cross_zone_median_s", "msgs_sent", "bytes_sent",
+	} {
+		if _, ok := rec.Metrics[key]; !ok {
+			t.Errorf("metric %q missing: %v", key, rec.Metrics)
 		}
 	}
-	if !adaptives[true] || !adaptives[false] {
-		t.Errorf("expected one static and one adaptive record, got %v", adaptives)
+	if rec.Metrics["pairs_scored"] == 0 {
+		t.Error("no coordinate pairs scored")
 	}
 	// JSON mode must not mix human tables into the stream.
 	if strings.Contains(buf.String(), "==") {

@@ -39,26 +39,23 @@ func loadGolden(t *testing.T, path string) []experiment.Record {
 }
 
 // TestGoldenWANRecordSchema unmarshals the checked-in golden WAN record
-// pair against the documented schema (docs/LIFEBENCH.md): the top-level
+// against the documented schema (docs/LIFEBENCH.md): the top-level
 // record shape must match exactly (unknown fields are rejected, so a
 // renamed or removed struct field fails here before it bit-rots the
 // doc), and every fixed param/metric key the document lists must be
 // present with a sane value.
 func TestGoldenWANRecordSchema(t *testing.T) {
 	wanRecords := loadGolden(t, "testdata/wan_record_golden.json")
-	if len(wanRecords) != 2 {
-		t.Fatalf("golden holds %d records, want 2 (static + adaptive)", len(wanRecords))
+	if len(wanRecords) != 1 {
+		t.Fatalf("golden holds %d records, want 1", len(wanRecords))
 	}
 
-	fixedParams := []string{"members", "zones", "fail_per_zone", "converge_s", "adaptive"}
+	fixedParams := []string{"members", "zones", "fail_per_zone", "converge_s"}
 	fixedMetrics := []string{
 		"coord_rel_err_median", "coord_rel_err_p99", "coord_abs_err_mean_s",
 		"pairs_scored", "fp", "fp_healthy",
 		"detect_cross_zone_median_s", "detect_cross_zone_p99_s",
 		"msgs_sent", "bytes_sent",
-		"adaptive_timeouts", "adaptive_timeout_fallbacks",
-		"relay_near_picks", "relay_random_picks",
-		"gossip_near_picks", "gossip_escape_picks",
 		"obs_rtt_samples", "obs_rtt_p50_err_median", "obs_rtt_p90_err_median",
 	}
 	perZonePrefixes := []string{
@@ -69,7 +66,6 @@ func TestGoldenWANRecordSchema(t *testing.T) {
 	// pairs (including intra-zone) on the canonical 4-zone WAN.
 	perPairPrefixes := []string{"obs_rtt_p50_err_", "obs_rtt_p90_err_"}
 
-	sawAdaptive := map[bool]bool{}
 	for i, rec := range wanRecords {
 		if rec.Experiment != "wan" {
 			t.Errorf("record %d: experiment %q, want wan", i, rec.Experiment)
@@ -111,14 +107,6 @@ func TestGoldenWANRecordSchema(t *testing.T) {
 				t.Errorf("record %d: %d per-pair metrics with prefix %q, want 10", i, found, prefix)
 			}
 		}
-		a, ok := rec.Params["adaptive"].(bool)
-		if !ok {
-			t.Fatalf("record %d: adaptive param is %T, want bool", i, rec.Params["adaptive"])
-		}
-		sawAdaptive[a] = true
-	}
-	if !sawAdaptive[false] || !sawAdaptive[true] {
-		t.Errorf("golden must hold one static and one adaptive record, got %v", sawAdaptive)
 	}
 }
 

@@ -92,12 +92,8 @@ type Client struct {
 	// Forget drops it — so every peer-facing query sees one set.
 	peers map[string]*peer
 
-	// stats counters.
-	updates  uint64
-	rejected uint64
-
-	// ranked is reusable scratch for NearestPeerIndexes, so the
-	// per-gossip-tick ranking does not allocate.
+	// ranked is reusable scratch for NearestPeerIndexes, so a
+	// repeated ranking does not allocate.
 	ranked []rankedPeer
 
 	// medScratch is reusable scratch for the latency median filter.
@@ -179,7 +175,6 @@ func (c *Client) Current() *Coordinate {
 // reports whether the coordinate was cached.
 func (c *Client) Witness(name string, coord *Coordinate) bool {
 	if coord == nil || c.checkCoordinate(coord) != nil {
-		c.rejected++
 		return false
 	}
 	c.peer(name).store(coord)
@@ -219,11 +214,9 @@ func (c *Client) Observe(name string, other *Coordinate, rtt time.Duration) erro
 		return fmt.Errorf("coords: nil peer coordinate")
 	}
 	if err := c.checkCoordinate(other); err != nil {
-		c.rejected++
 		return err
 	}
 	if rtt <= 0 || rtt > maxRTT {
-		c.rejected++
 		return fmt.Errorf("coords: RTT %v outside acceptable range (0, %v]", rtt, maxRTT)
 	}
 
@@ -233,7 +226,6 @@ func (c *Client) Observe(name string, other *Coordinate, rtt time.Duration) erro
 	c.updateAdjustment(other, rttSeconds)
 	c.updateGravity()
 	p.store(other)
-	c.updates++
 	return nil
 }
 
@@ -291,8 +283,9 @@ func (c *Client) EstimateRTT(name string) (time.Duration, bool) {
 // Candidates with no cached coordinate are skipped (the caller decides
 // how to fill the shortfall); an unknown non-empty ref yields out
 // unchanged. Ties break by name, and the candidate order does not
-// affect the result, so the ranking is deterministic — a requirement
-// for same-seed simulation reproducibility.
+// affect the result, so the ranking is deterministic. No protocol path
+// ranks peers; the method stays for the callers written against it,
+// the benchmark module's kernels among them.
 func (c *Client) NearestPeerIndexes(ref string, candidates []string, k int, out []int) []int {
 	if k <= 0 {
 		return out
@@ -334,12 +327,6 @@ func (c *Client) NearestPeerIndexes(ref string, candidates []string, k int, out 
 		out = append(out, pool[i].idx)
 	}
 	return out
-}
-
-// Stats reports how many observations the engine has applied and
-// rejected.
-func (c *Client) Stats() (updates, rejected uint64) {
-	return c.updates, c.rejected
 }
 
 func (c *Client) checkCoordinate(coord *Coordinate) error {

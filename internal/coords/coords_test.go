@@ -107,9 +107,6 @@ func TestUpdateRejectsInvalidInputs(t *testing.T) {
 			t.Fatal("rejected update mutated the coordinate")
 		}
 	}
-	if _, rejected := c.Stats(); rejected != 5 {
-		t.Fatalf("rejected count = %d, want 5", rejected)
-	}
 	if _, ok := c.EstimateRTT("p"); ok {
 		t.Fatal("rejected update cached the peer coordinate")
 	}

@@ -91,10 +91,6 @@ type seedClient struct {
 	// EstimateRTT to members this node has not probed itself.
 	peers map[string]*Coordinate
 
-	// stats counters.
-	updates  uint64
-	rejected uint64
-
 	// ranked is reusable scratch for NearestPeerIndexes, so the
 	// per-gossip-tick ranking does not allocate.
 	ranked []rankedPeer
@@ -127,7 +123,6 @@ func newSeedClient(cfg *seedConfig) *seedClient {
 // reports whether the coordinate was cached.
 func (c *seedClient) Witness(peer string, coord *Coordinate) bool {
 	if coord == nil || c.checkCoordinate(coord) != nil {
-		c.rejected++
 		return false
 	}
 	c.storePeer(peer, coord)
@@ -156,11 +151,9 @@ func (c *seedClient) Observe(peer string, other *Coordinate, rtt time.Duration) 
 		return fmt.Errorf("coords: nil peer coordinate")
 	}
 	if err := c.checkCoordinate(other); err != nil {
-		c.rejected++
 		return err
 	}
 	if rtt <= 0 || (c.cfg.MaxRTT > 0 && rtt > c.cfg.MaxRTT) {
-		c.rejected++
 		return fmt.Errorf("coords: RTT %v outside acceptable range (0, %v]", rtt, c.cfg.MaxRTT)
 	}
 
@@ -169,7 +162,6 @@ func (c *seedClient) Observe(peer string, other *Coordinate, rtt time.Duration) 
 	c.updateAdjustment(other, rttSeconds)
 	c.updateGravity()
 	c.storePeer(peer, other)
-	c.updates++
 	return nil
 }
 
@@ -261,12 +253,6 @@ func (c *seedClient) NearestPeerIndexes(ref string, candidates []string, k int, 
 		out = append(out, pool[i].idx)
 	}
 	return out
-}
-
-// Stats reports how many observations the engine has applied and
-// rejected.
-func (c *seedClient) Stats() (updates, rejected uint64) {
-	return c.updates, c.rejected
 }
 
 func (c *seedClient) checkCoordinate(coord *Coordinate) error {

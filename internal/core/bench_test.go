@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"lifeguard/internal/coords"
 	"lifeguard/internal/metrics"
 	"lifeguard/internal/sim"
 	"lifeguard/internal/wire"
@@ -21,7 +20,7 @@ func (benchTransport) SendPacket(string, []byte, bool) error { return nil }
 
 // newBenchNode builds a started node with size members merged in, on a
 // virtual clock that never advances during the measured loop.
-func newBenchNode(b *testing.B, size int, configure func(*Config)) *Node {
+func newBenchNode(b *testing.B, size int) *Node {
 	b.Helper()
 	sched := sim.NewScheduler(time.Unix(0, 0))
 
@@ -30,9 +29,6 @@ func newBenchNode(b *testing.B, size int, configure func(*Config)) *Node {
 	cfg.Transport = benchTransport{}
 	cfg.RNG = rand.New(rand.NewSource(1))
 	cfg.Metrics = metrics.NewMemSink()
-	if configure != nil {
-		configure(cfg)
-	}
 	n, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -51,95 +47,42 @@ func newBenchNode(b *testing.B, size int, configure func(*Config)) *Node {
 	return n
 }
 
-// warmCoords feeds the local Vivaldi engine enough synthetic RTT
-// observations to pass the cold-start gate and cache a coordinate for
-// every member, so the latency-aware gossip path is exercised.
-func warmCoords(b *testing.B, n *Node) {
-	b.Helper()
+// BenchmarkGossipTargets measures one gossip tick's fanout selection at
+// a 1k-member roster. It must be allocation-free in steady state: the
+// picks append into the node's reusable target scratch.
+func BenchmarkGossipTargets(b *testing.B) {
+	n := newBenchNode(b, 1000)
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	origin := coords.NewCoordinate(coords.DefaultConfig())
-	for _, m := range n.roster {
-		if m == n.self {
-			continue
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := n.gossipTargetsLocked(); len(got) == 0 {
+			b.Fatal("no targets selected")
 		}
-		if _, err := n.coordClient.Update(m.Name, origin, time.Millisecond); err != nil {
-			b.Fatalf("coord update for %s: %v", m.Name, err)
-		}
-	}
-	if !n.coordWarmLocked() {
-		b.Fatalf("coordinates still cold after %d updates", len(n.roster)-1)
 	}
 }
 
-// BenchmarkGossipTargets measures one gossip tick's fanout selection at
-// a 1k-member roster. Both paths must be allocation-free in steady
-// state: the uniform path appends into the node's reusable target
-// scratch, and the latency-aware path additionally reuses the candidate
-// pool, candidate-name, ranked-index and pick-mark scratch that used to
-// be a fresh slice + two maps per tick.
-func BenchmarkGossipTargets(b *testing.B) {
-	b.Run("uniform", func(b *testing.B) {
-		n := newBenchNode(b, 1000, nil)
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if got := n.gossipTargetsLocked(); len(got) == 0 {
-				b.Fatal("no targets selected")
-			}
-		}
-	})
-	b.Run("latency-aware", func(b *testing.B) {
-		n := newBenchNode(b, 1000, func(cfg *Config) {
-			cfg.TopologyAware = true
-		})
-		warmCoords(b, n)
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if got := n.gossipTargetsLocked(); len(got) == 0 {
-				b.Fatal("no targets selected")
-			}
-		}
-	})
-}
-
-// TestGossipTargetsAllocs pins both gossip fanout paths at zero
-// steady-state allocations, so the per-tick map/slice builds this
-// selection used to do cannot quietly return.
+// TestGossipTargetsAllocs pins the gossip fanout selection at zero
+// steady-state allocations, so the per-tick slice builds it used to do
+// cannot quietly return.
 func TestGossipTargetsAllocs(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		configure func(*Config)
-		warm      bool
-	}{
-		{name: "uniform"},
-		{name: "latency-aware", configure: func(cfg *Config) { cfg.TopologyAware = true }, warm: true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var b testing.B
-			n := newBenchNode(&b, 200, tc.configure)
-			if tc.warm {
-				warmCoords(&b, n)
-			}
-			if b.Failed() {
-				t.Fatal("bench node setup failed")
-			}
-			n.mu.Lock()
-			defer n.mu.Unlock()
-			n.gossipTargetsLocked() // grow every scratch buffer once
-			allocs := testing.AllocsPerRun(100, func() {
-				n.gossipTargetsLocked()
-			})
-			if allocs > 0 {
-				t.Fatalf("gossip fanout selection allocates %.1f per tick, want 0", allocs)
-			}
+	t.Run("uniform", func(t *testing.T) {
+		var b testing.B
+		n := newBenchNode(&b, 200)
+		if b.Failed() {
+			t.Fatal("bench node setup failed")
+		}
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		n.gossipTargetsLocked() // grow the target scratch once
+		allocs := testing.AllocsPerRun(100, func() {
+			n.gossipTargetsLocked()
 		})
-	}
+		if allocs > 0 {
+			t.Fatalf("gossip fanout selection allocates %.1f per tick, want 0", allocs)
+		}
+	})
 }
 
 // BenchmarkPushPullSnapshot measures one push-pull exchange's state
@@ -149,7 +92,7 @@ func TestGossipTargetsAllocs(t *testing.T) {
 // (the old path allocated a fresh slice and sort.Slice'd the whole table
 // every exchange).
 func BenchmarkPushPullSnapshot(b *testing.B) {
-	n := newBenchNode(b, 1000, nil)
+	n := newBenchNode(b, 1000)
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	putStates(n.localStatesLocked()) // grow a pooled table once

@@ -92,27 +92,6 @@ type Config struct {
 	// trailing block old decoders skip).
 	DisableCoordinates bool
 
-	// TopologyAware turns on the coordinate-driven extensions beyond the
-	// paper, together:
-	//   - Each direct probe's ack timeout is derived from the Vivaldi RTT
-	//     estimate to the target — clamp(3·estRTT + 10 ms, 20 ms,
-	//     ProbeTimeout) — instead of the one static ProbeTimeout, and the
-	//     round's suspicion decision closes early (3 × the derived
-	//     timeout, capped by the protocol period). While coordinates are
-	//     cold (fewer than 8 observations applied, or no estimate for the
-	//     target) the round falls back to the static timeout and
-	//     full-period close. The LHA-Probe multiplier composes on top.
-	//   - Indirect-probe relays are biased toward members with the lowest
-	//     estimated RTT to the target, after a guaranteed random-diversity
-	//     slice of a third of the indirect checks (at least one slot) so
-	//     selection never collapses onto one zone.
-	//   - Once warm, the gossip tick's fanout is biased toward members
-	//     with a low estimated RTT from the local coordinate, reserving
-	//     half of it (at least one slot) for uniform picks so updates
-	//     still escape across zones.
-	// Requires coordinates; off by default.
-	TopologyAware bool
-
 	// Blocked, when non-nil, reports whether the member's protocol
 	// loops are currently stalled by an injected anomaly. The probe,
 	// gossip and push-pull loops consult it and defer their work to the
@@ -157,30 +136,6 @@ const (
 // of a partition: a split up to tombstoneTTL − 2·reconnectInterval
 // re-merges on its own (docs/ARCHITECTURE.md, Contracts).
 const tombstoneTTL = 5 * time.Minute
-
-// Tuning of the coordinate-driven extensions. Nothing sets a second
-// value for any of them, so they are constants rather than Config
-// fields (docs/ARCHITECTURE.md, Contracts).
-const (
-	// Multiple of the estimated RTT granted to a direct probe.
-	adaptiveTimeoutMult = 3
-	// Added on top: scheduling and processing delay no coordinate models.
-	adaptiveTimeoutSlack = 10 * time.Millisecond
-	// Lower clamp, so coincident coordinates cannot give a zero deadline.
-	adaptiveTimeoutFloor = 20 * time.Millisecond
-	// An adaptive round decides at this multiple of its direct timeout:
-	// room for the indirect detour without waiting the full period.
-	adaptiveRoundMult = 3
-	// RTT observations the Vivaldi engine must have applied before its
-	// estimates steer adaptive timeouts and latency-biased gossip.
-	coordMinSamples = 8
-	// Share of relay slots kept uniformly random (never fewer than
-	// one), so coordinate-aware selection cannot collapse onto one zone.
-	relayDiversity = 1.0 / 3
-	// Share of the gossip fanout kept uniformly random (never fewer
-	// than one slot), so updates still cross zones.
-	gossipEscapeFraction = 0.5
-)
 
 // The paper's Lifeguard heuristics, which it fixes and leaves tuning to
 // future work (§VII). Nothing sets a second value for either, so they
@@ -255,9 +210,6 @@ func (c *Config) validate() error {
 	}
 	if c.SuspicionBeta < 1 || !isFinite(c.SuspicionBeta) {
 		return errors.New("core: SuspicionBeta must be finite and at least 1")
-	}
-	if c.TopologyAware && c.DisableCoordinates {
-		return errors.New("core: TopologyAware requires coordinates")
 	}
 	if len(c.Meta) > wire.MaxMetaLen {
 		return fmt.Errorf("core: Meta is %d bytes, limit %d", len(c.Meta), wire.MaxMetaLen)

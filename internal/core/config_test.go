@@ -38,7 +38,9 @@ func TestConfigValidationTable(t *testing.T) {
 		{"missing name", func(c *Config) { c.Name = "" }, "Name"},
 		{"missing transport", func(c *Config) { c.Transport = nil }, "Transport"},
 		{"zero probe interval", func(c *Config) { c.ProbeInterval = 0 }, "probe"},
+		{"zero probe timeout", func(c *Config) { c.ProbeTimeout = 0 }, "probe"},
 		{"negative probe timeout", func(c *Config) { c.ProbeTimeout = -time.Second }, "probe"},
+		{"timeout equals interval", func(c *Config) { c.ProbeTimeout = c.ProbeInterval }, ""},
 		{"timeout exceeds interval", func(c *Config) { c.ProbeTimeout = 2 * c.ProbeInterval }, "exceeds"},
 		{"zero alpha", func(c *Config) { c.SuspicionAlpha = 0 }, "SuspicionAlpha"},
 		{"beta below one", func(c *Config) { c.SuspicionBeta = 0.5 }, "SuspicionBeta"},
@@ -46,7 +48,6 @@ func TestConfigValidationTable(t *testing.T) {
 		{"infinite alpha", func(c *Config) { c.SuspicionAlpha = math.Inf(1) }, "SuspicionAlpha"},
 		{"NaN beta", func(c *Config) { c.SuspicionBeta = math.NaN() }, "SuspicionBeta"},
 		{"infinite beta", func(c *Config) { c.SuspicionBeta = math.Inf(1) }, "SuspicionBeta"},
-		{"topology-aware without coordinates", func(c *Config) { c.TopologyAware, c.DisableCoordinates = true, true }, "requires coordinates"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -75,7 +76,7 @@ func TestConfigSurface(t *testing.T) {
 	want := []string{
 		"Name", "Addr", "Meta", "Transport", "Clock", "RNG", "Events", "Metrics", "Telemetry",
 		"ProbeInterval", "ProbeTimeout", "SuspicionAlpha", "SuspicionBeta",
-		"LHAProbe", "LHASuspicion", "BuddySystem", "DisableCoordinates", "TopologyAware", "Blocked",
+		"LHAProbe", "LHASuspicion", "BuddySystem", "DisableCoordinates", "Blocked",
 	}
 	typ := reflect.TypeOf(Config{})
 	got := make([]string, typ.NumField())

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"lifeguard/internal/metrics"
 	"lifeguard/internal/wire"
 )
@@ -66,17 +64,11 @@ func (n *Node) sendWithPiggybackLocked(addr string, primary wire.Message, buddy 
 	_ = n.sendPackedLocked(addr, p, reliable)
 }
 
-// gossipTargetsLocked picks this tick's gossip fanout. The default is
-// gossipNodes uniform random picks; with TopologyAware on and
-// coordinates warm, the fanout splits into a near slice — the lowest
-// estimated RTT from the local coordinate, ranked within a uniformly
-// drawn candidate pool a few times the fanout, so no per-tick O(n)
-// scan — and a uniformly random escape slice (gossipEscapeFraction)
-// that keeps updates crossing zones. Members without cached
-// coordinates can only enter through the escape slice.
+// gossipTargetsLocked picks this tick's gossip fanout: gossipNodes
+// uniform random picks among the live members and the recently dead.
 func (n *Node) gossipTargetsLocked() []*memberState {
 	now := n.cfg.Clock.Now()
-	match := func(m *memberState) bool {
+	n.gossipTargets = n.selectRandomIntoLocked(n.gossipTargets[:0], gossipNodes, func(m *memberState) bool {
 		if m == n.self {
 			return false
 		}
@@ -90,48 +82,8 @@ func (n *Node) gossipTargetsLocked() []*memberState {
 		default:
 			return false
 		}
-	}
-	const k = gossipNodes
-	if !n.cfg.TopologyAware || !n.coordWarmLocked() {
-		n.gossipTargets = n.selectRandomIntoLocked(n.gossipTargets[:0], k, match)
-		return n.gossipTargets
-	}
-
-	n.gossipPool = n.selectRandomIntoLocked(n.gossipPool[:0], 4*k, match)
-	pool := n.gossipPool
-	if len(pool) <= k {
-		return pool
-	}
-	escape := int(math.Round(float64(k) * gossipEscapeFraction))
-	if escape < 1 {
-		// The escape hatch must never round away entirely (like relay
-		// diversity's minimum of one): at least one uniform slot always
-		// crosses zones.
-		escape = 1
-	}
-
-	targets, marks := n.appendNearestLocked(n.gossipTargets[:0], pool, "", k-escape)
-	n.cfg.Metrics.IncrCounter(metrics.CounterGossipNearPicks, int64(len(targets)))
-
-	// Escape slice (plus any near shortfall): uniform over the pool's
-	// remainder, by partial Fisher–Yates on the already-random pool,
-	// compacted in place (reads stay ahead of writes).
-	rest := pool[:0]
-	for i, m := range pool {
-		if !marks[i] {
-			rest = append(rest, m)
-		}
-	}
-	escaped := 0
-	for i := 0; i < len(rest) && len(targets) < k; i++ {
-		j := i + n.cfg.RNG.Intn(len(rest)-i)
-		rest[i], rest[j] = rest[j], rest[i]
-		targets = append(targets, rest[i])
-		escaped++
-	}
-	n.cfg.Metrics.IncrCounter(metrics.CounterGossipEscapePicks, int64(escaped))
-	n.gossipTargets = targets
-	return targets
+	})
+	return n.gossipTargets
 }
 
 // scheduleGossipLocked arms the next dedicated gossip tick (§III-B: a

@@ -139,70 +139,3 @@ func TestMsgsSentCounterCountsCompoundOnce(t *testing.T) {
 		t.Error("bytes_sent not counted")
 	}
 }
-
-// TestLatencyAwareGossipSplitsNearAndEscape: with the engine warm, the
-// gossip fanout splits into a near slice (lowest estimated RTT from the
-// local coordinate) and a uniformly random escape slice, per
-// gossipEscapeFraction.
-func TestLatencyAwareGossipSplitsNearAndEscape(t *testing.T) {
-	h := newHarness(t, func(cfg *Config) { cfg.TopologyAware = true })
-	h.addMember("peer-1", 1)
-	h.autoAck = false
-	warmPeer(h, "peer-1", time.Millisecond)
-	for _, name := range []string{"m1", "m2", "m3", "m4", "m5", "m6", "m7", "m8"} {
-		h.addMember(name, 1)
-	}
-
-	// Cache far coordinates for a few members; the warmed peer's cached
-	// coordinate is within a millisecond of ours, so it ranks nearest.
-	for i, name := range []string{"m1", "m2", "m3"} {
-		c := h.node.Coordinate()
-		c.Vec[0] = 0.3 + 0.1*float64(i)
-		c.Error = 0.1
-		h.inject(name, &wire.Ping{SeqNo: uint32(i + 10), Target: "self", Source: name, Coord: c})
-	}
-
-	h.node.mu.Lock()
-	targets := h.node.gossipTargetsLocked()
-	h.node.mu.Unlock()
-
-	if len(targets) != gossipNodes {
-		t.Fatalf("picked %d gossip targets, want %d", len(targets), gossipNodes)
-	}
-	seen := map[string]bool{}
-	for _, m := range targets {
-		if m.Name == "self" {
-			t.Fatal("gossiped to self")
-		}
-		if seen[m.Name] {
-			t.Fatalf("duplicate gossip target %s", m.Name)
-		}
-		seen[m.Name] = true
-	}
-	if !seen["peer-1"] {
-		t.Errorf("nearest member not in gossip targets %v", seen)
-	}
-	near := h.sink.Get("gossip_near_picks")
-	escape := h.sink.Get("gossip_escape_picks")
-	if near != 1 || escape != 2 {
-		t.Errorf("gossip pick counters near=%d escape=%d, want 1 and 2 (fanout 3, escape fraction 0.5)", near, escape)
-	}
-}
-
-// TestLatencyAwareGossipColdStaysUniform: before coordMinSamples
-// observations the latency bias stays off and selection is uniform.
-func TestLatencyAwareGossipColdStaysUniform(t *testing.T) {
-	h := newHarness(t, func(cfg *Config) { cfg.TopologyAware = true })
-	for _, name := range []string{"m1", "m2", "m3", "m4", "m5"} {
-		h.addMember(name, 1)
-	}
-	h.node.mu.Lock()
-	targets := h.node.gossipTargetsLocked()
-	h.node.mu.Unlock()
-	if len(targets) != gossipNodes {
-		t.Fatalf("picked %d gossip targets, want %d", len(targets), gossipNodes)
-	}
-	if h.sink.Get("gossip_near_picks") != 0 || h.sink.Get("gossip_escape_picks") != 0 {
-		t.Error("cold engine used latency-aware selection")
-	}
-}

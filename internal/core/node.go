@@ -135,10 +135,6 @@ type Node struct {
 	scratchAlive   wire.Alive // mergeRemoteStateLocked's replayed entry
 	scratchSuspect wire.Suspect
 	scratchNack    wire.Nack
-	nearNames      []string // candidate names for coordinate ranking
-	nearIdx        []int    // ranked candidate indexes (out param)
-	pickMarks      []bool   // per-pool-slot "already picked" flags
-	gossipPool     []*memberState
 	gossipTargets  []*memberState
 	fanoutAddrs    []string // shared-payload gossip group addresses
 
@@ -259,31 +255,6 @@ func (n *Node) coordPayloadLocked() *coords.Coordinate {
 		return nil
 	}
 	return n.coordClient.Current()
-}
-
-// coordWarmLocked reports whether the local Vivaldi engine has applied
-// enough RTT observations (coordMinSamples) for its estimates to steer
-// protocol decisions — the shared cold-start gate for adaptive probe
-// timeouts and latency-biased gossip.
-func (n *Node) coordWarmLocked() bool {
-	if n.coordClient == nil {
-		return false
-	}
-	updates, _ := n.coordClient.Stats()
-	return updates >= coordMinSamples
-}
-
-// EffectiveProbeTimeout returns the direct-probe ack timeout a probe
-// round against the named member would use if it started now: the
-// RTT-adaptive value when Config.TopologyAware is enabled and
-// coordinates are warm, the static ProbeTimeout otherwise — in both
-// cases scaled by the LHA-Probe awareness multiplier when that is
-// enabled.
-func (n *Node) EffectiveProbeTimeout(target string) time.Duration {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	timeout, _, _ := n.probeTimeoutsLocked(target)
-	return timeout
 }
 
 // observeRTTLocked feeds one probe round-trip into the coordinate

@@ -37,18 +37,6 @@ type ackHandler struct {
 	// replaces the per-round map allocation.
 	nackFrom []string
 
-	// interval is the round's suspicion-decision deadline captured at
-	// probe start: the scaled protocol period, or the shorter
-	// RTT-derived budget when the round is adaptive.
-	interval time.Duration
-
-	// adaptive marks a round whose direct timeout and decision deadline
-	// were derived from the target's RTT estimate. Such rounds skip the
-	// missed-nack awareness surcharge: relays time their nacks off
-	// their own static probe timeout, so against an early-closing round
-	// a "missed" nack is usually just late, not evidence of trouble.
-	adaptive bool
-
 	// sentAt is when the direct ping left (refreshed if the send was
 	// deferred to wake); a direct ack's arrival minus sentAt is the RTT
 	// observation fed to the Vivaldi coordinate engine.
@@ -137,51 +125,6 @@ func (n *Node) scaledLocked(d time.Duration) time.Duration {
 		return d
 	}
 	return d * time.Duration(n.lhm+1)
-}
-
-// adaptiveProbeTimeoutLocked returns the RTT-derived direct-probe
-// timeout for the target, before awareness scaling:
-// clamp(adaptiveTimeoutMult·estRTT + adaptiveTimeoutSlack,
-// adaptiveTimeoutFloor, ProbeTimeout). ok is false while coordinates
-// are cold — the feature is off, the engine has applied fewer than
-// coordMinSamples observations, or no coordinate is cached for the
-// target (never probed, or dropped when it died).
-func (n *Node) adaptiveProbeTimeoutLocked(target string) (time.Duration, bool) {
-	if !n.cfg.TopologyAware || !n.coordWarmLocked() {
-		return 0, false
-	}
-	est, ok := n.coordClient.EstimateRTT(target)
-	if !ok || est <= 0 {
-		return 0, false
-	}
-	t := time.Duration(adaptiveTimeoutMult*float64(est)) + adaptiveTimeoutSlack
-	if t < adaptiveTimeoutFloor {
-		t = adaptiveTimeoutFloor
-	}
-	if t > n.cfg.ProbeTimeout {
-		t = n.cfg.ProbeTimeout
-	}
-	return t, true
-}
-
-// probeTimeoutsLocked computes a probe round's direct-ack timeout and
-// its suspicion-decision deadline for the given target. Adaptive rounds
-// get the RTT-derived timeout and an early decision deadline
-// (adaptiveRoundMult × timeout, capped by the scaled period); cold or
-// non-adaptive rounds get the static timeout and the full period. The
-// awareness multiplier applies on top of the adaptive value too, so a
-// locally-slow member still grants its targets extra time (§IV-A).
-func (n *Node) probeTimeoutsLocked(target string) (timeout, deadline time.Duration, adaptive bool) {
-	interval := n.scaledLocked(n.cfg.ProbeInterval)
-	if at, ok := n.adaptiveProbeTimeoutLocked(target); ok {
-		at = n.scaledLocked(at)
-		deadline := time.Duration(adaptiveRoundMult * float64(at))
-		if deadline > interval {
-			deadline = interval
-		}
-		return at, deadline, true
-	}
-	return n.scaledLocked(n.cfg.ProbeTimeout), interval, false
 }
 
 // scheduleProbeLocked arms the next probe tick.
@@ -367,20 +310,13 @@ func (n *Node) startProbeRoundLocked(m *memberState) *wire.Ping {
 	n.cfg.Metrics.IncrCounter(metrics.CounterProbes, 1)
 	n.seqNo++
 	seq := n.seqNo
-	timeout, interval, adaptive := n.probeTimeoutsLocked(m.Name)
-	if adaptive {
-		n.cfg.Metrics.IncrCounter(metrics.CounterAdaptiveTimeouts, 1)
-	} else if n.cfg.TopologyAware {
-		n.cfg.Metrics.IncrCounter(metrics.CounterAdaptiveFallbacks, 1)
-	}
+	timeout, interval := n.scaledLocked(n.cfg.ProbeTimeout), n.scaledLocked(n.cfg.ProbeInterval)
 
 	h := n.takeAckLocked()
 	*h = ackHandler{
 		seq:          seq,
 		target:       m,
 		nackFrom:     h.nackFrom[:0],
-		interval:     interval,
-		adaptive:     adaptive,
 		sentAt:       n.cfg.Clock.Now(),
 		timeoutTimer: h.timeoutTimer,
 		periodTimer:  h.periodTimer,
@@ -463,11 +399,12 @@ func (n *Node) probeTimeoutExpiredLocked(seq uint32) {
 	if target.State == StateDead || target.State == StateLeft {
 		return
 	}
-	// Indirect probes through k members (uniform random, or
-	// coordinate-aware under TopologyAware), and the reliable-channel
-	// fallback ping below: from here on an ack's timing no longer
-	// measures the direct path.
-	relays := n.selectRelaysLocked(target)
+	// Indirect probes through k uniformly random members, and the
+	// reliable-channel fallback ping below: from here on an ack's timing
+	// no longer measures the direct path.
+	relays := n.selectRandomLocked(indirectChecks, func(m *memberState) bool {
+		return m.State == StateAlive && m != n.self && m != target
+	})
 	h.indirect = true
 	wantNack := n.cfg.LHAProbe
 	for _, r := range relays {
@@ -525,7 +462,7 @@ func (n *Node) probePeriodExpiredLocked(seq uint32) {
 	}
 	delete(n.acks, seq)
 	h.stopTimeout()
-	target, adaptive, missed := h.target, h.adaptive, h.nacksExpected-len(h.nackFrom)
+	target, missed := h.target, h.nacksExpected-len(h.nackFrom)
 	n.releaseAckLocked(h)
 
 	n.cfg.Metrics.IncrCounter(metrics.CounterProbeFailures, 1)
@@ -533,10 +470,9 @@ func (n *Node) probePeriodExpiredLocked(seq uint32) {
 		n.cfg.Telemetry.RecordProbe(target.Name, telemetry.OutcomeTimeout)
 	}
 	delta := lhmProbeFailed
-	// Adaptive rounds close before the relays' static nack schedule can
-	// possibly answer, so the missed-nack surcharge (§IV-A) only applies
-	// to rounds that ran the full period.
-	if !adaptive && missed > 0 {
+	// Each relay that sent neither an ack nor a nack is evidence of
+	// local slowness too (§IV-A).
+	if missed > 0 {
 		delta += missed * lhmMissedNack
 	}
 	n.adjustLHMLocked(delta)
@@ -746,100 +682,6 @@ func (n *Node) handleNackLocked(_ string, nk *wire.Nack) {
 	}
 	h.nackFrom = append(h.nackFrom, nk.Source)
 }
-
-// selectRelaysLocked picks the relays for an indirect probe against
-// target. The default is indirectChecks uniform random picks; with
-// TopologyAware on, a guaranteed random-diversity slice is
-// drawn first (so selection never collapses onto one zone) and the
-// remaining slots go to the candidates whose estimated RTT to the
-// target is lowest per the cached peer coordinates — the members best
-// placed to reach the target quickly. The near ranking runs within a
-// bounded uniform candidate pool (a few dozen members), not the whole
-// roster, so an escalation costs O(pool log pool) whatever the cluster
-// size — the same bounded-pool shape as gossipTargetsLocked. Candidates
-// without cached coordinates can only enter through the random slices,
-// and a fully cold cache degrades to the uniform behavior.
-func (n *Node) selectRelaysLocked(target *memberState) []*memberState {
-	const k = indirectChecks
-	match := func(m *memberState) bool {
-		return m.State == StateAlive && m != n.self && m != target
-	}
-	if !n.cfg.TopologyAware {
-		return n.selectRandomLocked(k, match)
-	}
-
-	diverse := int(float64(k) * relayDiversity)
-	if diverse < 1 {
-		diverse = 1
-	}
-	picked := n.selectRandomLocked(diverse, match)
-	n.cfg.Metrics.IncrCounter(metrics.CounterRelayRandomPicks, int64(len(picked)))
-	if len(picked) >= k {
-		return picked
-	}
-
-	// Near slice: rank a bounded uniform pool of eligible members by
-	// estimated RTT to the target. Pool draw and ranking are both
-	// deterministic, preserving same-seed reproducibility. The diverse
-	// slice is excluded by a linear scan — it holds at most k records.
-	pool := n.selectRandomLocked(relayPoolSize, func(m *memberState) bool {
-		if !match(m) {
-			return false
-		}
-		for _, pm := range picked {
-			if pm == m {
-				return false
-			}
-		}
-		return true
-	})
-	picked, marks := n.appendNearestLocked(picked, pool, target.Name, k-len(picked))
-	n.cfg.Metrics.IncrCounter(metrics.CounterRelayNearPicks, int64(len(n.nearIdx)))
-
-	// Cold coordinates (target or candidates unranked) leave slots
-	// open; fill them uniformly from the pool's remainder.
-	filled := 0
-	for i, m := range pool {
-		if len(picked) >= k {
-			break
-		}
-		if !marks[i] {
-			picked = append(picked, m)
-			marks[i] = true
-			filled++
-		}
-	}
-	n.cfg.Metrics.IncrCounter(metrics.CounterRelayRandomPicks, int64(filled))
-	return picked
-}
-
-// appendNearestLocked ranks pool by estimated RTT from ref's cached
-// coordinate (the local one when ref is empty) and appends up to k of
-// the nearest to dst, in rank order. marks flags the pool slots taken;
-// the candidate-name, ranked-index and mark scratch are the node's,
-// reused across calls, so ranking allocates nothing at steady state.
-func (n *Node) appendNearestLocked(dst, pool []*memberState, ref string, k int) ([]*memberState, []bool) {
-	n.nearNames = n.nearNames[:0]
-	for _, m := range pool {
-		n.nearNames = append(n.nearNames, m.Name)
-	}
-	if cap(n.pickMarks) < len(pool) {
-		n.pickMarks = make([]bool, len(pool))
-	}
-	marks := n.pickMarks[:len(pool)]
-	clear(marks)
-	n.nearIdx = n.coordClient.NearestPeerIndexes(ref, n.nearNames, k, n.nearIdx[:0])
-	for _, i := range n.nearIdx {
-		dst = append(dst, pool[i])
-		marks[i] = true
-	}
-	return dst, marks
-}
-
-// relayPoolSize bounds the candidate pool ranked per escalation: wide
-// enough that the nearest members are almost surely represented, small
-// enough that sorting it is negligible.
-const relayPoolSize = 8 * indirectChecks
 
 // selectRandomLocked returns up to k distinct members matching the
 // filter, chosen uniformly at random by a partial Fisher–Yates walk over

@@ -560,76 +560,3 @@ func TestGossipDeferredWhileBlocked(t *testing.T) {
 		t.Error("suspicion did not escape at wake")
 	}
 }
-
-// TestCoordinateRelaySelectionPrefersNearTarget: with coordinates
-// cached, relay selection keeps a random-diversity slot and fills the
-// rest with the members whose estimated RTT to the target is lowest.
-func TestCoordinateRelaySelectionPrefersNearTarget(t *testing.T) {
-	h := newHarness(t, func(cfg *Config) { cfg.TopologyAware = true })
-	h.addMember("target", 1)
-	for _, name := range []string{"near-a", "near-b", "far-a", "far-b", "far-c"} {
-		h.addMember(name, 1)
-	}
-	// Cache coordinates via inbound pings: the target at 100 ms on the
-	// first axis, two candidates right next to it, the rest far away.
-	place := func(name string, x float64) {
-		c := h.node.Coordinate()
-		c.Vec[0] = x
-		c.Error = 0.1
-		h.inject(name, &wire.Ping{SeqNo: 1, Target: "self", Source: name, Coord: c})
-	}
-	place("target", 0.100)
-	place("near-a", 0.101)
-	place("near-b", 0.099)
-	place("far-a", 0.500)
-	place("far-b", 0.600)
-	// far-c has no cached coordinate at all.
-
-	h.node.mu.Lock()
-	relays := h.node.selectRelaysLocked(h.node.members["target"])
-	h.node.mu.Unlock()
-
-	if len(relays) != indirectChecks {
-		t.Fatalf("selected %d relays, want %d", len(relays), indirectChecks)
-	}
-	got := map[string]bool{}
-	for _, r := range relays {
-		if r.Name == "target" || r.Name == "self" {
-			t.Fatalf("selected %s as its own relay", r.Name)
-		}
-		got[r.Name] = true
-	}
-	// Whatever the random-diversity slot drew, the two nearest members
-	// always end up selected: either as near picks, or as the random
-	// pick with the next-nearest promoted.
-	if !got["near-a"] || !got["near-b"] {
-		t.Errorf("nearest candidates missing from relay set %v", got)
-	}
-	near := h.sink.Get("relay_near_picks")
-	random := h.sink.Get("relay_random_picks")
-	if near == 0 || random == 0 || near+random != int64(len(relays)) {
-		t.Errorf("relay pick counters near=%d random=%d, want both positive summing to %d", near, random, len(relays))
-	}
-}
-
-// TestCoordinateRelaySelectionColdDegradesToUniform: with no cached
-// coordinates every slot falls back to a uniform pick.
-func TestCoordinateRelaySelectionColdDegradesToUniform(t *testing.T) {
-	h := newHarness(t, func(cfg *Config) { cfg.TopologyAware = true })
-	h.addMember("target", 1)
-	for _, name := range []string{"c1", "c2", "c3", "c4"} {
-		h.addMember(name, 1)
-	}
-	h.node.mu.Lock()
-	relays := h.node.selectRelaysLocked(h.node.members["target"])
-	h.node.mu.Unlock()
-	if len(relays) != indirectChecks {
-		t.Fatalf("selected %d relays, want %d", len(relays), indirectChecks)
-	}
-	if h.sink.Get("relay_near_picks") != 0 {
-		t.Error("cold cache produced near picks")
-	}
-	if h.sink.Get("relay_random_picks") != int64(len(relays)) {
-		t.Error("cold picks not accounted as random")
-	}
-}

@@ -74,7 +74,7 @@ func TestPushPullSnapshotTracksMembership(t *testing.T) {
 // nothing once a pooled table has grown to the table size.
 func TestPushPullSnapshotAllocs(t *testing.T) {
 	var b testing.B
-	n := newBenchNode(&b, 200, nil)
+	n := newBenchNode(&b, 200)
 	if b.Failed() {
 		t.Fatal("bench node setup failed")
 	}
@@ -177,7 +177,7 @@ func TestPushPullPoolConcurrentNodes(t *testing.T) {
 	var b testing.B
 	ns := make([]*Node, nodes)
 	for i := range ns {
-		ns[i] = newBenchNode(&b, 50, nil)
+		ns[i] = newBenchNode(&b, 50)
 	}
 	if b.Failed() {
 		t.Fatal("bench node setup failed")

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"lifeguard/internal/telemetry"
 	"lifeguard/internal/wire"
 )
 
@@ -192,6 +194,75 @@ func TestDuplicateAccuserDoesNotConfirm(t *testing.T) {
 	h.run(20 * time.Second)
 	if got := h.state("m1").State; got != StateSuspect {
 		t.Errorf("state = %v; duplicate accusers must not shrink the timeout", got)
+	}
+}
+
+// TestConfirmingAccusationsRegossip pins which accusations about an
+// already-suspected member are queued for re-gossip: under LHA-Suspicion
+// each of the first K independent ones (§IV-B), under SWIM none, and a
+// duplicate accuser never.
+func TestConfirmingAccusationsRegossip(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		lhaSuspicion bool
+		regossiped   int // independent accusers after the opening one
+	}{
+		{"SWIM", false, 0},
+		{"LHA-Suspicion", true, suspicionK},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t, func(cfg *Config) { cfg.LHASuspicion = tc.lhaSuspicion })
+			h.addMember("m1", 1)
+			queued := func(from string) bool {
+				h.drainQueue()
+				h.inject("x", &wire.Suspect{Incarnation: 1, Node: "m1", From: from})
+				return h.node.queue.Len() > 0
+			}
+			if !queued("a0") {
+				t.Fatal("opening accusation not queued")
+			}
+			for i := 1; i <= suspicionK+1; i++ {
+				from := fmt.Sprintf("a%d", i)
+				if got, want := queued(from), i <= tc.regossiped; got != want {
+					t.Errorf("independent accusation %d queued = %v, want %v", i, got, want)
+				}
+				if queued(from) {
+					t.Errorf("duplicate of accusation %d queued", i)
+				}
+			}
+		})
+	}
+}
+
+// TestDeathRecordsSuspicionLifecycle pins the telemetry of a death: a
+// suspected member declared dead closes one suspicion lifecycle, marked
+// died; an alive member declared dead directly was never suspected, so
+// it records none.
+func TestDeathRecordsSuspicionLifecycle(t *testing.T) {
+	rec, err := telemetry.NewNodeRecorder(telemetry.NodeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newHarness(t, func(cfg *Config) { cfg.Telemetry = rec })
+	h.addMember("suspected", 1)
+	h.addMember("alive", 1)
+	h.inject("x", &wire.Suspect{Incarnation: 1, Node: "suspected", From: "x"})
+	h.inject("x", &wire.Dead{Incarnation: 1, Node: "suspected", From: "x"})
+	h.inject("x", &wire.Dead{Incarnation: 1, Node: "alive", From: "x"})
+
+	snap := rec.Snapshot()
+	if snap.Suspicion.Count != 1 {
+		t.Errorf("%d suspicion lifecycles recorded, want 1", snap.Suspicion.Count)
+	}
+	peers := map[string]telemetry.PeerSnapshot{}
+	for _, p := range snap.Peers {
+		peers[p.Peer] = p
+	}
+	if p := peers["suspected"]; p.Suspicions != 1 || p.Deaths != 1 {
+		t.Errorf("suspected → dead: %d suspicions, %d deaths, want 1 and 1", p.Suspicions, p.Deaths)
+	}
+	if p := peers["alive"]; p.Suspicions != 0 || p.Deaths != 0 {
+		t.Errorf("alive → dead: %d suspicions, %d deaths, want none", p.Suspicions, p.Deaths)
 	}
 }
 

@@ -79,13 +79,6 @@ type ClusterConfig struct {
 	// replaced by the cluster's Seed.
 	Net sim.Options
 
-	// TopologyAware enables the coordinate-driven protocol extensions
-	// on every member: RTT-adaptive probe timeouts with early round
-	// close, coordinate-aware indirect-probe relay selection, and
-	// latency-biased gossip with a cross-cluster escape fraction. The
-	// WAN comparison experiment flips this between its two runs.
-	TopologyAware bool
-
 	// Telemetry attaches a telemetry recorder to every member:
 	// origin-attributed direct-ack RTT samples flow into Cluster.Telem,
 	// which the WAN scenario scores against the simulator's ground-truth
@@ -110,8 +103,7 @@ type Cluster struct {
 	Events *metrics.EventLog
 
 	// Sink aggregates protocol counters across every member (probe
-	// rounds, adaptive-timeout usage, relay and gossip pick counts,
-	// coordinate updates, …), cluster-wide.
+	// rounds, suspicions, coordinate updates, …), cluster-wide.
 	Sink *metrics.MemSink
 
 	// Telem holds every member's direct-path RTT samples, all of them,
@@ -238,7 +230,6 @@ func seedRNGs(base int64, n int) []*rand.Rand {
 func (c *Cluster) addNode(name string, rng *rand.Rand) (*core.Node, error) {
 	cfg := core.DefaultConfig(name)
 	c.cc.Protocol.apply(cfg)
-	cfg.TopologyAware = c.cc.TopologyAware
 	// The per-member clock lets a script degrade this member's timers;
 	// with no degradation installed it is identical to the shared
 	// network clock.

@@ -16,7 +16,7 @@ import (
 // TestClusterConfigSurface pins ClusterConfig's exported fields: a
 // field is added only with a caller outside the tests that sets it.
 func TestClusterConfigSurface(t *testing.T) {
-	want := []string{"N", "Seed", "Protocol", "Net", "TopologyAware", "Telemetry"}
+	want := []string{"N", "Seed", "Protocol", "Net", "Telemetry"}
 	typ := reflect.TypeOf(ClusterConfig{})
 	var got []string
 	for i := 0; i < typ.NumField(); i++ {

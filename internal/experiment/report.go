@@ -185,27 +185,14 @@ func renderFigure1(recs []Record, _ RunOptions) string {
 	return b.String()
 }
 
-// renderWAN renders the static and adaptive WAN records, in that order,
-// with the headline deltas.
-func renderWAN(recs []Record, opt RunOptions) string {
-	var b strings.Builder
-	static, adaptive := recs[0].Metrics, recs[1].Metrics
-	b.WriteString("--- static (uniform timeouts and peer selection) ---\n")
-	wanRun(&b, recs[0], opt)
-	b.WriteString("--- adaptive (RTT-adaptive timeouts, coordinate-aware relays, latency-biased gossip) ---\n")
-	wanRun(&b, recs[1], opt)
-	fmt.Fprintf(&b, "delta: cross-zone detect median %.2fs -> %.2fs, FP %.0f -> %.0f, bytes %.1f MB -> %.1f MB\n",
-		static["detect_cross_zone_median_s"], adaptive["detect_cross_zone_median_s"],
-		static["fp"], adaptive["fp"], static["bytes_sent"]/1e6, adaptive["bytes_sent"]/1e6)
-	return b.String()
-}
-
-// wanRun renders one WAN record: the coordinate-estimation quality
+// renderWAN renders the WAN record: the coordinate-estimation quality
 // line and the per-zone detection table, zones in the scenario's
 // topology order.
-func wanRun(b *strings.Builder, r Record, opt RunOptions) {
+func renderWAN(recs []Record, opt RunOptions) string {
+	var b strings.Builder
+	r := recs[0]
 	m := r.Metrics
-	fmt.Fprintf(b, "WAN cluster: %d members, %d zones; coordinate error over %.0f pairs: median %.1f%%, p99 %.1f%%, mean abs %.1fms\n",
+	fmt.Fprintf(&b, "WAN cluster: %d members, %d zones; coordinate error over %.0f pairs: median %.1f%%, p99 %.1f%%, mean abs %.1fms\n",
 		r.Params["members"], r.Params["zones"], m["pairs_scored"],
 		m["coord_rel_err_median"]*100, m["coord_rel_err_p99"]*100, m["coord_abs_err_mean_s"]*1000)
 	if m["obs_rtt_samples"] > 0 {
@@ -215,24 +202,20 @@ func wanRun(b *strings.Builder, r Record, opt RunOptions) {
 				pairs++
 			}
 		}
-		fmt.Fprintf(b, "observed RTT (telemetry, %.0f samples over %d zone pairs): p50 err median %.1f%%, p90 err median %.1f%%\n",
+		fmt.Fprintf(&b, "observed RTT (telemetry, %.0f samples over %d zone pairs): p50 err median %.1f%%, p90 err median %.1f%%\n",
 			m["obs_rtt_samples"], pairs, m["obs_rtt_p50_err_median"]*100, m["obs_rtt_p90_err_median"]*100)
 	}
-	fmt.Fprintf(b, "%-10s %8s %7s %9s %11s %11s %11s %6s\n",
+	fmt.Fprintf(&b, "%-10s %8s %7s %9s %11s %11s %11s %6s\n",
 		"Zone", "Members", "Failed", "Detected", "MedDet(s)", "MaxDet(s)", "XZoneMed(s)", "FP")
 	for _, z := range scaledWANParams(opt).Zones {
-		fmt.Fprintf(b, "%-10s %8.0f %7.0f %9.0f %11.2f %11.2f %11.2f %6.0f\n",
+		fmt.Fprintf(&b, "%-10s %8.0f %7.0f %9.0f %11.2f %11.2f %11.2f %6.0f\n",
 			z.Name, m["members_"+z.Name], m["failed_"+z.Name], m["detected_"+z.Name],
 			m["detect_median_s_"+z.Name], m["detect_max_s_"+z.Name],
 			m["detect_cross_zone_median_s_"+z.Name], m["fp_"+z.Name])
 	}
-	fmt.Fprintf(b, "cluster-wide FP: %.0f (at healthy observers: %.0f); cross-zone detect median %.2fs; %.0f msgs, %.1f MB\n",
+	fmt.Fprintf(&b, "cluster-wide FP: %.0f (at healthy observers: %.0f); cross-zone detect median %.2fs; %.0f msgs, %.1f MB\n",
 		m["fp"], m["fp_healthy"], m["detect_cross_zone_median_s"], m["msgs_sent"], m["bytes_sent"]/1e6)
-	if m["adaptive_timeouts"]+m["adaptive_timeout_fallbacks"] > 0 {
-		fmt.Fprintf(b, "adaptive: %.0f RTT-derived probe timeouts (%.0f cold fallbacks), relays %.0f near/%.0f random, gossip %.0f near/%.0f escape\n",
-			m["adaptive_timeouts"], m["adaptive_timeout_fallbacks"], m["relay_near_picks"],
-			m["relay_random_picks"], m["gossip_near_picks"], m["gossip_escape_picks"])
-	}
+	return b.String()
 }
 
 // renderChaos lays the chaos records out as the ablation table: one

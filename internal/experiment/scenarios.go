@@ -48,10 +48,10 @@ var registry = []Scenario{
 	},
 	{
 		name:     "wan",
-		desc:     "Multi-zone WAN: coordinate accuracy and cross-zone detection, static vs adaptive",
+		desc:     "Multi-zone WAN: coordinate accuracy and cross-zone detection",
 		plan:     planWAN,
 		records:  cellRecords,
-		sections: []section{{"wan", "WAN: adaptive vs static topology-aware detection", renderWAN}},
+		sections: []section{{"wan", "WAN: coordinate accuracy and cross-zone detection", renderWAN}},
 	},
 	{
 		name:     "chaos",
@@ -369,8 +369,12 @@ func scaledWANParams(opt RunOptions) wanParams {
 }
 
 func planWAN(opt RunOptions) ([]cell, error) {
-	cc := ClusterConfig{Seed: opt.Seed, Protocol: ConfigLifeguard, Telemetry: true}
-	return wanCells(cc, scaledWANParams(opt)), nil
+	return []cell{{
+		Label: "wan",
+		Run: func() (any, error) {
+			return runWAN(ClusterConfig{Seed: opt.Seed, Protocol: ConfigLifeguard, Telemetry: true}, scaledWANParams(opt))
+		},
+	}}, nil
 }
 
 // --- chaos ----------------------------------------------------------

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"lifeguard/internal/metrics"
 	"lifeguard/internal/sim"
 	"lifeguard/internal/stats"
 )
@@ -21,7 +20,7 @@ type wanZone struct {
 }
 
 // wanParams parameterizes a WAN experiment: a multi-zone cluster on a
-// topology-aware network, a coordinate-convergence phase scored
+// zone-topology network, a coordinate-convergence phase scored
 // against the simulator's ground-truth RTTs, and a per-zone failure
 // phase scored for detection latency and false positives.
 type wanParams struct {
@@ -41,18 +40,16 @@ type wanParams struct {
 
 	// SamplePairs, FailPerZone and DetectHorizon stay parameters, not
 	// constants, because one-seed tests run their own values and
-	// constants would change those tests' data: the claim test
-	// TestWANAdaptiveBeatsStatic crashes 8 members per zone, and the
-	// small-cluster WAN tests score 500 pairs over a 45–60 s detection
-	// phase.
+	// constants would change those tests' data: the small-cluster WAN
+	// tests score 500 pairs and crash 0–2 members per zone over a
+	// 45–60 s detection phase.
 
 	// SamplePairs is the number of random member pairs scored for
 	// coordinate error (2000 in the scenario; a parameter, see above).
 	SamplePairs int
 
 	// FailPerZone is the number of members crashed in each zone for
-	// the detection phase (3 in the scenario; 8 in
-	// TestWANAdaptiveBeatsStatic). Zero skips the phase.
+	// the detection phase (3 in the scenario). Zero skips the phase.
 	FailPerZone int
 
 	// DetectHorizon is how long the detection phase runs after the
@@ -88,8 +85,7 @@ func defaultWANZones(membersPerZone int) ([]wanZone, map[[2]string]sim.DelayDist
 
 // runWAN executes one WAN experiment and returns its record
 // (docs/LIFEBENCH.md lists its keys). The cluster size and topology
-// come from p's zones, replacing cc.N and cc.Net.Topology;
-// cc.TopologyAware selects the adaptive configuration.
+// come from p's zones, replacing cc.N and cc.Net.Topology.
 func runWAN(cc ClusterConfig, p wanParams) (Record, error) {
 	c, topo, err := startWANCluster(cc, p)
 	if err != nil {
@@ -181,16 +177,6 @@ func runWAN(cc ClusterConfig, p wanParams) (Record, error) {
 	total := c.Net.TotalStats()
 	m["msgs_sent"] = float64(total.MsgsSent)
 	m["bytes_sent"] = float64(total.BytesSent)
-	for key, counter := range map[string]string{
-		"adaptive_timeouts":          metrics.CounterAdaptiveTimeouts,
-		"adaptive_timeout_fallbacks": metrics.CounterAdaptiveFallbacks,
-		"relay_near_picks":           metrics.CounterRelayNearPicks,
-		"relay_random_picks":         metrics.CounterRelayRandomPicks,
-		"gossip_near_picks":          metrics.CounterGossipNearPicks,
-		"gossip_escape_picks":        metrics.CounterGossipEscapePicks,
-	} {
-		m[key] = float64(c.Sink.Get(counter))
-	}
 	return Record{
 		Experiment: "wan",
 		Config:     cc.Protocol.Name,
@@ -199,7 +185,6 @@ func runWAN(cc ClusterConfig, p wanParams) (Record, error) {
 			"zones":         len(p.Zones),
 			"fail_per_zone": p.FailPerZone,
 			"converge_s":    p.Converge.Seconds(),
-			"adaptive":      cc.TopologyAware,
 		},
 		Metrics: m,
 	}, nil
@@ -233,17 +218,6 @@ func startWANCluster(cc ClusterConfig, p wanParams) (*Cluster, *sim.Topology, er
 		return nil, nil, err
 	}
 	return c, topo, nil
-}
-
-// wanCells enumerates the comparison's two runs, static then adaptive:
-// cc and p shared, only TopologyAware differing.
-func wanCells(cc ClusterConfig, p wanParams) []cell {
-	run := func(label string, adaptive bool) cell {
-		cc := cc
-		cc.TopologyAware = adaptive
-		return cell{Label: label, Run: func() (any, error) { return runWAN(cc, p) }}
-	}
-	return []cell{run("wan static", false), run("wan adaptive", true)}
 }
 
 // scoreObservedRTT groups the cluster's telemetry RTT samples by zone

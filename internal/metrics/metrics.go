@@ -52,35 +52,6 @@ const (
 	// CounterCoordRejected counts observations the coordinate engine
 	// rejected (malformed peer coordinate or out-of-range RTT).
 	CounterCoordRejected = "coord_rejected"
-
-	// CounterAdaptiveTimeouts counts probe rounds whose direct timeout
-	// was derived from the RTT estimate (Config.TopologyAware
-	// enabled and coordinates warm).
-	CounterAdaptiveTimeouts = "adaptive_timeouts"
-
-	// CounterAdaptiveFallbacks counts probe rounds that wanted an
-	// adaptive timeout but fell back to the static ProbeTimeout because
-	// coordinates were cold (too few samples, or no estimate for the
-	// target).
-	CounterAdaptiveFallbacks = "adaptive_timeout_fallbacks"
-
-	// CounterRelayNearPicks counts indirect-probe relays chosen by
-	// coordinate proximity to the target.
-	CounterRelayNearPicks = "relay_near_picks"
-
-	// CounterRelayRandomPicks counts indirect-probe relays chosen
-	// uniformly at random while Config.TopologyAware is enabled
-	// (the diversity slice, plus cold-coordinate fill).
-	CounterRelayRandomPicks = "relay_random_picks"
-
-	// CounterGossipNearPicks counts gossip-tick targets chosen by
-	// coordinate proximity under Config.TopologyAware.
-	CounterGossipNearPicks = "gossip_near_picks"
-
-	// CounterGossipEscapePicks counts gossip-tick targets chosen
-	// uniformly at random under Config.TopologyAware (the cross-cluster
-	// escape slice).
-	CounterGossipEscapePicks = "gossip_escape_picks"
 )
 
 // NopSink discards all increments.

@@ -89,10 +89,10 @@ type Transport = core.Transport
 // two members' coordinates estimates the RTT between them (all
 // components are in seconds; DistanceTo converts to time.Duration).
 // The zero value is not a valid coordinate — engines start from the
-// configured origin. See Node.Coordinate, Node.EstimateRTT and
-// Node.EffectiveProbeTimeout; coordinates are enabled by default and
-// controlled by Config.DisableCoordinates, and the coordinate-driven
-// protocol extensions (Config.TopologyAware) build on them.
+// configured origin. See Node.Coordinate and Node.EstimateRTT;
+// coordinates are enabled by default and controlled by
+// Config.DisableCoordinates. No protocol decision (probe timeout,
+// relay or gossip target) reads a coordinate.
 type Coordinate = coords.Coordinate
 
 // UDPTransport is the production transport: UDP datagrams with a TCP
