@@ -1,7 +1,7 @@
 // Command lifebench regenerates the Lifeguard paper's tables and
 // figures on the discrete-event simulator, plus the scenarios built on
-// top of it: WAN coordinates, the chaos fault matrix, large-cluster
-// churn, partition/heal, and rolling restarts.
+// top of it: the chaos fault matrix, large-cluster churn,
+// partition/heal, and rolling restarts.
 //
 // Usage:
 //

@@ -16,7 +16,6 @@ const listGolden = `Registered scenarios (run order of -exp all):
   threshold        Threshold sweeps over Table I: detection and dissemination latency (Table V)
   tuning           Suspicion α/β grid against a SWIM baseline (Table VII)
   stress           CPU-exhaustion duty cycle, SWIM vs Lifeguard (Figure 1)
-  wan              Multi-zone WAN: coordinate accuracy and cross-zone detection
   chaos            Fault-scenario matrix (degraded, flapping, partitioned, lossy, combined) × Table I
   churn            Large cluster under continuous fail/join/leave membership change
   partition        Full split and heal: independent operation and automatic re-merge (§II)
@@ -121,44 +120,6 @@ func TestRunAliasSelectsSection(t *testing.T) {
 		if strings.Contains(out, unwanted) {
 			t.Errorf("table4 output leaked the %s section:\n%s", unwanted, out)
 		}
-	}
-}
-
-// TestRunWANJSON runs the WAN experiment at a reduced scale and checks
-// the -json output parses into records with the expected shape.
-func TestRunWANJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("WAN run")
-	}
-	var buf bytes.Buffer
-	if err := run([]string{"-exp", "wan", "-scale", "smoke", "-quiet", "-timings=false", "-json"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	var records []experiment.Record
-	if err := json.Unmarshal(buf.Bytes(), &records); err != nil {
-		t.Fatalf("output is not a JSON record array: %v\noutput: %s", err, buf.String())
-	}
-	if len(records) != 1 {
-		t.Fatalf("got %d records, want 1", len(records))
-	}
-	rec := records[0]
-	if rec.Experiment != "wan" || rec.Scale != "smoke" || rec.Seed != 1 {
-		t.Errorf("record header %+v", rec)
-	}
-	for _, key := range []string{
-		"coord_rel_err_median", "pairs_scored", "fp",
-		"detect_cross_zone_median_s", "msgs_sent", "bytes_sent",
-	} {
-		if _, ok := rec.Metrics[key]; !ok {
-			t.Errorf("metric %q missing: %v", key, rec.Metrics)
-		}
-	}
-	if rec.Metrics["pairs_scored"] == 0 {
-		t.Error("no coordinate pairs scored")
-	}
-	// JSON mode must not mix human tables into the stream.
-	if strings.Contains(buf.String(), "==") {
-		t.Error("JSON output contains table headers")
 	}
 }
 

@@ -7,13 +7,12 @@
 //	lifeguard-agent -name c -bind 127.0.0.1:7948 -join 127.0.0.1:7946
 //
 // Flags select the protocol variant (-swim disables all Lifeguard
-// components, -disable-coords turns off the Vivaldi coordinate wire
-// extension) and tuning (-alpha, -beta, -probe-interval,
+// components) and tuning (-alpha, -beta, -probe-interval,
 // -probe-timeout). -http starts the embedded ops server: /healthz,
-// /members, /coords, /telemetry (JSON), /metrics (Prometheus text) and
-// /debug/pprof/ (Go runtime profiles) — see docs/OPS.md. The agent leaves gracefully on SIGINT/SIGTERM,
-// waiting up to -leave-timeout for the leave broadcast to drain before
-// shutting down.
+// /members, /telemetry (JSON), /metrics (Prometheus text) and
+// /debug/pprof/ (Go runtime profiles) — see docs/OPS.md. The agent
+// leaves gracefully on SIGINT/SIGTERM, waiting up to -leave-timeout for
+// the leave broadcast to drain before shutting down.
 //
 // Startup logging contract: once ready the agent always prints, in
 // order, `ops server on http://HOST:PORT` (when -http is set) and
@@ -83,7 +82,6 @@ type agentOptions struct {
 	bind          string
 	join          string
 	swim          bool
-	disableCoords bool
 	alpha         float64
 	beta          float64
 	probeInterval time.Duration
@@ -105,7 +103,6 @@ func parseFlags(args []string) (*agentOptions, error) {
 	fs.StringVar(&o.bind, "bind", "127.0.0.1:7946", "bind address host:port (port 0 = auto)")
 	fs.StringVar(&o.join, "join", "", "address of any existing member")
 	fs.BoolVar(&o.swim, "swim", false, "disable all Lifeguard components (plain SWIM)")
-	fs.BoolVar(&o.disableCoords, "disable-coords", false, "disable the Vivaldi coordinate wire extension (pre-coordinate wire format)")
 	fs.Float64Var(&o.alpha, "alpha", 5, "suspicion timeout α")
 	fs.Float64Var(&o.beta, "beta", 6, "suspicion timeout β")
 	fs.DurationVar(&o.probeInterval, "probe-interval", 0, "protocol period between liveness probes (0 = protocol default)")
@@ -143,7 +140,6 @@ func (o *agentOptions) config(tr *lifeguard.UDPTransport) *lifeguard.Config {
 	}
 	cfg.SuspicionAlpha = o.alpha
 	cfg.SuspicionBeta = o.beta
-	cfg.DisableCoordinates = o.disableCoords
 	if o.probeInterval != 0 {
 		cfg.ProbeInterval = o.probeInterval
 	}
@@ -203,9 +199,8 @@ func run(args []string) error {
 		p.logf("ops server on http://%s", ops.addr())
 	}
 
-	p.logf("listening on %s (lifeguard=%v coords=%v α=%g β=%g probe=%v/%v)",
-		tr.LocalAddr(), !o.swim, !o.disableCoords, o.alpha, o.beta,
-		cfg.ProbeInterval, cfg.ProbeTimeout)
+	p.logf("listening on %s (lifeguard=%v α=%g β=%g probe=%v/%v)",
+		tr.LocalAddr(), !o.swim, o.alpha, o.beta, cfg.ProbeInterval, cfg.ProbeTimeout)
 
 	if o.join != "" {
 		if err := node.Join(o.join); err != nil {

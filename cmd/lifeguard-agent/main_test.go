@@ -7,7 +7,7 @@ import (
 )
 
 // TestParseFlags table-tests the agent's flag surface: defaults, the
-// mixed-version and e2e tuning flags, and every rejection path.
+// e2e tuning flags, and every rejection path.
 func TestParseFlags(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -22,8 +22,8 @@ func TestParseFlags(t *testing.T) {
 				switch {
 				case o.bind != "127.0.0.1:7946":
 					return "bind default"
-				case o.swim || o.disableCoords:
-					return "protocol variant flags default on"
+				case o.swim:
+					return "protocol variant flag defaults on"
 				case o.alpha != 5 || o.beta != 6:
 					return "alpha/beta defaults"
 				case o.probeInterval != 0 || o.probeTimeout != 0:
@@ -34,16 +34,9 @@ func TestParseFlags(t *testing.T) {
 				return ""
 			},
 		},
-		{
-			name: "disable coords",
-			args: []string{"-disable-coords", "-name", "old-wire"},
-			check: func(o *agentOptions) string {
-				if !o.disableCoords || o.name != "old-wire" {
-					return "disable-coords/name not parsed"
-				}
-				return ""
-			},
-		},
+		// The flag went with the coordinate payload; an old command line
+		// fails loudly instead of starting a member it did not ask for.
+		{name: "disable coords", args: []string{"-disable-coords", "-name", "old-wire"}, wantErr: "flag provided but not defined: -disable-coords"},
 		{
 			name: "probe tuning",
 			args: []string{"-probe-interval", "200ms", "-probe-timeout", "100ms"},

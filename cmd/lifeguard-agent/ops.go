@@ -17,7 +17,7 @@ import (
 )
 
 // opsServer is the agent's embedded HTTP ops surface: liveness,
-// membership, coordinates, telemetry, Prometheus metrics and Go
+// membership, telemetry, Prometheus metrics and Go
 // runtime profiles. It is read-only — every endpoint is a snapshot of
 // node or process state, never a mutation.
 type opsServer struct {
@@ -70,34 +70,6 @@ type memberJSON struct {
 // membersResponse is the /members JSON shape.
 type membersResponse struct {
 	Members []memberJSON `json:"members"`
-}
-
-// coordJSON is a Vivaldi coordinate in the /coords JSON response.
-type coordJSON struct {
-	Vec        []float64 `json:"vec"`
-	Error      float64   `json:"error"`
-	Adjustment float64   `json:"adjustment"`
-	Height     float64   `json:"height"`
-}
-
-// coordPeerJSON is one peer's row in the /coords JSON response.
-type coordPeerJSON struct {
-	Name     string  `json:"name"`
-	EstRTTMs float64 `json:"est_rtt_ms"`
-}
-
-// coordsResponse is the /coords JSON shape.
-type coordsResponse struct {
-	Enabled bool            `json:"enabled"`
-	Self    *coordJSON      `json:"self"`
-	Peers   []coordPeerJSON `json:"peers"`
-}
-
-func toCoordJSON(c *lifeguard.Coordinate) *coordJSON {
-	if c == nil {
-		return nil
-	}
-	return &coordJSON{Vec: c.Vec, Error: c.Error, Adjustment: c.Adjustment, Height: c.Height}
 }
 
 // countOpenFDs returns the process's open file-descriptor count from
@@ -156,19 +128,6 @@ func newOpsMux(node *lifeguard.Node, tr *lifeguard.UDPTransport, rec *telemetry.
 				State:       m.State.String(),
 				Incarnation: m.Incarnation,
 			})
-		}
-		writeJSON(w, resp)
-	})
-	mux.HandleFunc("/coords", func(w http.ResponseWriter, r *http.Request) {
-		self := node.Coordinate()
-		resp := coordsResponse{Enabled: self != nil, Self: toCoordJSON(self), Peers: []coordPeerJSON{}}
-		for _, name := range node.CoordinatePeers() {
-			if rtt, ok := node.EstimateRTT(name); ok {
-				resp.Peers = append(resp.Peers, coordPeerJSON{
-					Name:     name,
-					EstRTTMs: float64(rtt) / float64(time.Millisecond),
-				})
-			}
 		}
 		writeJSON(w, resp)
 	})

@@ -127,20 +127,6 @@ func TestOpsMembers(t *testing.T) {
 	}
 }
 
-func TestOpsCoords(t *testing.T) {
-	srv, _, _ := newTestAgent(t)
-	m := getJSON(t, srv, "/coords")
-	assertKeys(t, "/coords", m, "enabled", "self", "peers")
-	if m["enabled"] != true {
-		t.Errorf("enabled = %v (coordinates are on by default)", m["enabled"])
-	}
-	self := m["self"].(map[string]any)
-	assertKeys(t, "/coords self", self, "vec", "error", "adjustment", "height")
-	if peers := m["peers"].([]any); len(peers) != 0 {
-		t.Errorf("peers = %v, want none on a lone node", peers)
-	}
-}
-
 func TestOpsTelemetry(t *testing.T) {
 	srv, rec, _ := newTestAgent(t)
 	rec.RecordRTT("peer-1", 12*time.Millisecond)

@@ -16,6 +16,13 @@
 //
 // All distances and forces are computed in seconds; conversions to
 // time.Duration happen only at the API boundary.
+//
+// No protocol path uses this package: pings and acks carry no
+// coordinate, and no package of the main module imports it (CI step
+// "coords import fence"). Its one importer is the benchmark module
+// (benchmark/kernels.go), whose coords.update_ns and coords.nearest_ns
+// kernels time it; the package goes when those kernels move (ROADMAP
+// item 18).
 package coords
 
 import (

@@ -47,8 +47,7 @@ type Config struct {
 	Metrics metrics.Sink
 
 	// Telemetry, when non-nil, receives protocol observations: direct-ack
-	// round-trip times (the same measurements that feed the Vivaldi
-	// coordinate engine), probe round outcomes, Local Health Multiplier
+	// round-trip times, probe round outcomes, Local Health Multiplier
 	// score changes, and suspicion lifecycle durations. Nil — the default
 	// — disables recording at zero cost: each hook is a single nil check
 	// and the probe hot path stays allocation-free. Recording happens
@@ -84,13 +83,6 @@ type Config struct {
 	// BuddySystem enables the Buddy System (§IV-C): pings to a suspected
 	// member always carry the suspicion.
 	BuddySystem bool
-
-	// DisableCoordinates turns off the Vivaldi network-coordinate
-	// subsystem: no coordinate payloads on pings and acks, no RTT
-	// estimation. Coordinates are on by default; members with and
-	// without them interoperate freely (the payload is an optional
-	// trailing block old decoders skip).
-	DisableCoordinates bool
 
 	// Blocked, when non-nil, reports whether the member's protocol
 	// loops are currently stalled by an injected anomaly. The probe,

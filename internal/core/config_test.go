@@ -44,6 +44,9 @@ func TestConfigValidationTable(t *testing.T) {
 		{"timeout exceeds interval", func(c *Config) { c.ProbeTimeout = 2 * c.ProbeInterval }, "exceeds"},
 		{"zero alpha", func(c *Config) { c.SuspicionAlpha = 0 }, "SuspicionAlpha"},
 		{"beta below one", func(c *Config) { c.SuspicionBeta = 0.5 }, "SuspicionBeta"},
+		{"beta exactly one", func(c *Config) { c.SuspicionBeta = 1 }, ""},
+		{"meta at MaxMetaLen", func(c *Config) { c.Meta = make([]byte, wire.MaxMetaLen) }, ""},
+		{"meta one byte over", func(c *Config) { c.Meta = make([]byte, wire.MaxMetaLen+1) }, "Meta"},
 		{"NaN alpha", func(c *Config) { c.SuspicionAlpha = math.NaN() }, "SuspicionAlpha"},
 		{"infinite alpha", func(c *Config) { c.SuspicionAlpha = math.Inf(1) }, "SuspicionAlpha"},
 		{"NaN beta", func(c *Config) { c.SuspicionBeta = math.NaN() }, "SuspicionBeta"},
@@ -76,7 +79,7 @@ func TestConfigSurface(t *testing.T) {
 	want := []string{
 		"Name", "Addr", "Meta", "Transport", "Clock", "RNG", "Events", "Metrics", "Telemetry",
 		"ProbeInterval", "ProbeTimeout", "SuspicionAlpha", "SuspicionBeta",
-		"LHAProbe", "LHASuspicion", "BuddySystem", "DisableCoordinates", "Blocked",
+		"LHAProbe", "LHASuspicion", "BuddySystem", "Blocked",
 	}
 	typ := reflect.TypeOf(Config{})
 	got := make([]string, typ.NumField())

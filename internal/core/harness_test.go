@@ -37,7 +37,8 @@ type sentPacket struct {
 	to       string
 	reliable bool
 	msgs     []wire.Message
-	payload  []byte // the encoded packet, copied
+	payload  []byte    // the encoded packet, copied
+	at       time.Time // virtual time of the send
 }
 
 type captureTransport struct {
@@ -52,7 +53,7 @@ func (c *captureTransport) SendPacket(to string, payload []byte, reliable bool) 
 	if err != nil {
 		c.h.t.Fatalf("node sent undecodable packet: %v", err)
 	}
-	c.h.sent = append(c.h.sent, sentPacket{to: to, reliable: reliable, msgs: msgs, payload: append([]byte(nil), payload...)})
+	c.h.sent = append(c.h.sent, sentPacket{to: to, reliable: reliable, msgs: msgs, payload: append([]byte(nil), payload...), at: c.h.clock.Now()})
 	if c.h.sendErr != nil {
 		return c.h.sendErr
 	}

@@ -30,6 +30,8 @@ type clusterOpts struct {
 	seed      int64
 	netOpts   sim.Options
 	configure func(i int, cfg *core.Config)
+	// transport, when set, wraps each member's port.
+	transport func(p *sim.Port) core.Transport
 }
 
 func newTestCluster(t *testing.T, opts clusterOpts) *testCluster {
@@ -56,6 +58,9 @@ func newTestCluster(t *testing.T, opts clusterOpts) *testCluster {
 			t.Fatalf("attach %s: %v", name, err)
 		}
 		cfg.Transport = port
+		if opts.transport != nil {
+			cfg.Transport = opts.transport(port)
+		}
 		gateName := name
 		cfg.Blocked = func() bool { return network.Gated(gateName) }
 		node, err = core.New(cfg)

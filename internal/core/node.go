@@ -14,10 +14,8 @@ package core
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"lifeguard/internal/broadcast"
-	"lifeguard/internal/coords"
 	"lifeguard/internal/metrics"
 	"lifeguard/internal/timeutil"
 	"lifeguard/internal/wire"
@@ -100,11 +98,6 @@ type Node struct {
 	// moved and consulted only when LHAProbe is on (adjustLHMLocked).
 	lhm int
 
-	// coordClient is the Vivaldi network-coordinate engine, fed by
-	// probe round-trips; nil when Config.DisableCoordinates is set.
-	// Guarded by mu, like the rest of the protocol state.
-	coordClient *coords.Client
-
 	// Tick timers: each is created by its loop's first arm and re-armed
 	// in place (Reset) by every later one; stopped on shutdown.
 	probeTimer     timeutil.Timer
@@ -160,12 +153,6 @@ func New(cfg *Config) (*Node, error) {
 		relays:  make(map[uint32]*relayHandler),
 	}
 	n.fanout, _ = c.Transport.(FanoutTransport)
-	if !c.DisableCoordinates {
-		// Drive the engine's tie-breaking randomness from the node's
-		// RNG so same-seed simulations stay deterministic. NewClient's
-		// error is always nil.
-		n.coordClient, _ = coords.NewClient(&coords.Config{Rand: c.RNG.Float64})
-	}
 	n.queue = broadcast.NewQueue(n.estNumNodes, retransmitMult)
 	return n, nil
 }
@@ -192,94 +179,6 @@ func (n *Node) HealthScore() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.lhm
-}
-
-// Coordinate returns a copy of the member's current Vivaldi network
-// coordinate, or nil when coordinates are disabled. The coordinate
-// converges as probe round-trips are observed; distances between two
-// members' coordinates estimate the RTT between them.
-func (n *Node) Coordinate() *coords.Coordinate {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.coordClient == nil {
-		return nil
-	}
-	return n.coordClient.Coordinate()
-}
-
-// EstimateRTT predicts the round-trip time to the named member from
-// the coordinate most recently heard from it. The second return is
-// false when coordinates are disabled or no coordinate is known for
-// the member yet.
-func (n *Node) EstimateRTT(name string) (time.Duration, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.coordClient == nil {
-		return 0, false
-	}
-	return n.coordClient.EstimateRTT(name)
-}
-
-// CoordinatePeers returns the names of every member whose coordinate
-// is currently cached, sorted — the enumeration behind the agent's
-// /coords endpoint. Nil when coordinates are disabled.
-func (n *Node) CoordinatePeers() []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.coordClient == nil {
-		return nil
-	}
-	return n.coordClient.PeerNames()
-}
-
-// PeerCoordinate returns the coordinate most recently heard from the
-// named member, or nil when none is known (or coordinates are
-// disabled).
-func (n *Node) PeerCoordinate(name string) *coords.Coordinate {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.coordClient == nil {
-		return nil
-	}
-	return n.coordClient.PeerCoordinate(name)
-}
-
-// coordPayloadLocked returns the coordinate to attach to an outgoing
-// ping or ack, or nil when coordinates are disabled. The value is the
-// engine's live coordinate, not a clone: every send path encodes it
-// under the node lock (the deferred-to-wake probe send re-acquires the
-// lock before encoding, and simply picks up the then-current values),
-// so the zero-allocation send path stays allocation-free.
-func (n *Node) coordPayloadLocked() *coords.Coordinate {
-	if n.coordClient == nil {
-		return nil
-	}
-	return n.coordClient.Current()
-}
-
-// observeRTTLocked feeds one probe round-trip into the coordinate
-// engine. Malformed peer coordinates and absurd RTTs are rejected
-// inside the engine; the protocol does not care.
-func (n *Node) observeRTTLocked(peer string, coord *coords.Coordinate, rtt time.Duration) {
-	if n.coordClient == nil || coord == nil {
-		return
-	}
-	if err := n.coordClient.Observe(peer, coord, rtt); err == nil {
-		n.cfg.Metrics.IncrCounter(metrics.CounterCoordUpdates, 1)
-	} else {
-		n.cfg.Metrics.IncrCounter(metrics.CounterCoordRejected, 1)
-	}
-}
-
-// witnessCoordLocked caches a peer's coordinate without an RTT sample,
-// metering rejections (malformed coordinates) like observeRTTLocked.
-func (n *Node) witnessCoordLocked(peer string, coord *coords.Coordinate) {
-	if n.coordClient == nil || coord == nil {
-		return
-	}
-	if !n.coordClient.Witness(peer, coord) {
-		n.cfg.Metrics.IncrCounter(metrics.CounterCoordRejected, 1)
-	}
 }
 
 // Start marks the local member alive, announces it, and starts the

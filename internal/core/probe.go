@@ -39,7 +39,7 @@ type ackHandler struct {
 
 	// sentAt is when the direct ping left (refreshed if the send was
 	// deferred to wake); a direct ack's arrival minus sentAt is the RTT
-	// observation fed to the Vivaldi coordinate engine.
+	// handed to telemetry.
 	sentAt time.Time
 
 	// indirect is set once the round escalated to indirect probes (and
@@ -89,7 +89,7 @@ type relayHandler struct {
 	wantNack bool
 
 	// sentAt is when the relayed ping left; the relay measures its own
-	// RTT to the target and feeds its coordinate engine too.
+	// RTT to the target for telemetry too.
 	sentAt time.Time
 
 	nackTimer   timeutil.Timer
@@ -330,7 +330,7 @@ func (n *Node) startProbeRoundLocked(m *memberState) *wire.Ping {
 		h.periodTimer.Reset(interval)
 	}
 
-	n.scratchPing = wire.Ping{SeqNo: seq, Target: m.Name, Source: n.cfg.Name, Coord: n.coordPayloadLocked()}
+	n.scratchPing = wire.Ping{SeqNo: seq, Target: m.Name, Source: n.cfg.Name}
 	return &n.scratchPing
 }
 
@@ -420,11 +420,8 @@ func (n *Node) probeTimeoutExpiredLocked(seq uint32) {
 		h.nacksExpected = len(relays)
 	}
 
-	// Reliable-channel fallback direct probe (memberlist §III-B). It
-	// carries the coordinate like every other ping: under degraded UDP
-	// the fallback may be the only path our coordinate reaches the
-	// target on.
-	n.scratchPing = wire.Ping{SeqNo: seq, Target: target.Name, Source: n.cfg.Name, Coord: n.coordPayloadLocked()}
+	// Reliable-channel fallback direct probe (memberlist §III-B).
+	n.scratchPing = wire.Ping{SeqNo: seq, Target: target.Name, Source: n.cfg.Name}
 	n.sendWithPiggybackLocked(target.Addr, &n.scratchPing, target, true)
 }
 
@@ -501,31 +498,12 @@ func (n *Node) handlePingLocked(from string, p *wire.Ping) {
 	if src == "" {
 		src = from
 	}
-	// One wire-boundary lookup resolves the prober's record; the
-	// address and the coordinate liveness check both come from it.
-	sm := n.members[src]
 	addr := src
-	if sm != nil {
+	if sm := n.members[src]; sm != nil {
 		addr = sm.Addr
 	}
-	// The prober's coordinate rides on the ping; cache it (no RTT is
-	// measurable on the receive side). The ack carries ours back, which
-	// the prober pairs with its measured round-trip. Only live members
-	// are cached: a packet that raced a dead declaration must not
-	// resurrect state the death transition just Forgot.
-	if p.Coord != nil && memberLive(sm) {
-		n.witnessCoordLocked(src, p.Coord)
-	}
-	n.scratchAck = wire.Ack{SeqNo: p.SeqNo, Source: n.cfg.Name, Coord: n.coordPayloadLocked()}
+	n.scratchAck = wire.Ack{SeqNo: p.SeqNo, Source: n.cfg.Name}
 	n.sendWithPiggybackLocked(addr, &n.scratchAck, nil, false)
-}
-
-// memberLive reports whether a member record may contribute coordinate
-// state: non-nil and not dead or left, so packets racing a death
-// declaration cannot re-cache what the transition dropped
-// (deadNodeLocked only Forgets once per death).
-func memberLive(m *memberState) bool {
-	return m != nil && (m.State == StateAlive || m.State == StateSuspect)
 }
 
 // handleIndirectPingLocked relays a probe on behalf of another member.
@@ -565,7 +543,7 @@ func (n *Node) handleIndirectPingLocked(from string, ind *wire.IndirectPing) {
 		n.mu.Unlock()
 	})
 
-	n.scratchPing = wire.Ping{SeqNo: seq, Target: target.Name, Source: n.cfg.Name, Coord: n.coordPayloadLocked()}
+	n.scratchPing = wire.Ping{SeqNo: seq, Target: target.Name, Source: n.cfg.Name}
 	n.sendWithPiggybackLocked(target.Addr, &n.scratchPing, target, false)
 }
 
@@ -619,23 +597,9 @@ func (n *Node) handleAckLocked(_ string, a *wire.Ack) {
 				n.cfg.Telemetry.RecordProbe(tm.Name, telemetry.OutcomeIndirectAck)
 			} else {
 				// A round that never escalated is answered on the direct
-				// path, so the timing is a clean RTT measurement — taken
-				// even with coordinates disabled.
+				// path, so the timing is a clean RTT measurement.
 				n.cfg.Telemetry.RecordProbe(tm.Name, telemetry.OutcomeDirectAck)
 				n.cfg.Telemetry.RecordRTT(tm.Name, n.cfg.Clock.Now().Sub(h.sentAt))
-			}
-		}
-		// Coordinate bookkeeping: a direct ack from the target measures
-		// the direct path, so feed RTT + peer coordinate to the Vivaldi
-		// engine. Once the round went indirect the timing is polluted
-		// by the relay detour; just cache the coordinate. Dead/left
-		// members are excluded so late packets cannot resurrect state
-		// the death transition Forgot.
-		if a.Coord != nil && a.Source == tm.Name && memberLive(tm) {
-			if h.indirect {
-				n.witnessCoordLocked(a.Source, a.Coord)
-			} else {
-				n.observeRTTLocked(a.Source, a.Coord, n.cfg.Clock.Now().Sub(h.sentAt))
 			}
 		}
 		return
@@ -653,17 +617,8 @@ func (n *Node) handleAckLocked(_ string, a *wire.Ack) {
 			// direct-path measurement for the relay too.
 			n.cfg.Telemetry.RecordRTT(a.Source, n.cfg.Clock.Now().Sub(r.sentAt))
 		}
-		// The relay's own ping/ack exchange with the target is a clean
-		// direct-path measurement; the relay's engine learns from it
-		// (unless the target died in the meantime, see above).
-		if a.Coord != nil && a.Source == tm.Name && memberLive(tm) {
-			n.observeRTTLocked(a.Source, a.Coord, n.cfg.Clock.Now().Sub(r.sentAt))
-		}
-		// The target's coordinate is forwarded so the originator can at
-		// least cache it; the originator knows not to take an RTT
-		// sample from a relayed ack (see h.indirect above). The scratch
-		// ack is encoded before sendPacketLocked returns.
-		n.scratchAck = wire.Ack{SeqNo: r.origSeq, Source: a.Source, Coord: a.Coord}
+		// The scratch ack is encoded before sendPacketLocked returns.
+		n.scratchAck = wire.Ack{SeqNo: r.origSeq, Source: a.Source}
 		n.sendPacketLocked(n.relayOriginAddrLocked(r), []wire.Message{&n.scratchAck}, false)
 	}
 }

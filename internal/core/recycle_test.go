@@ -74,9 +74,9 @@ func newSimPair(t *testing.T) *simPair {
 }
 
 // TestProbeRoundAllocs: once warm, a full protocol period on both
-// members — probe tick, ping with coordinates, ack, coordinate update,
-// period expiry, the record back on the free list, and the five gossip
-// ticks in between — allocates nothing.
+// members — probe tick, ping, ack, period expiry, the record back on
+// the free list, and the five gossip ticks in between — allocates
+// nothing.
 func TestProbeRoundAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation pin: sync.Pool drops items under -race")

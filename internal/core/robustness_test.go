@@ -153,7 +153,7 @@ func TestConcurrentRealClockCluster(t *testing.T) {
 	// runs on real timers: every read the agent's ops surface serves
 	// from its HTTP goroutines, two readers per node. Under -race this
 	// checks that each one takes the node lock, which alone guards the
-	// gossip queue, the LHM and the coordinate engine.
+	// gossip queue and the LHM.
 	var wg sync.WaitGroup
 	stop := time.Now().Add(500 * time.Millisecond)
 	for _, n := range nodes {
@@ -168,10 +168,6 @@ func TestConcurrentRealClockCluster(t *testing.T) {
 					n.Incarnation()
 					n.PendingBroadcasts()
 					n.LeavePending()
-					n.Coordinate()
-					for _, peer := range n.CoordinatePeers() {
-						n.EstimateRTT(peer)
-					}
 				}
 			}()
 		}

@@ -181,13 +181,6 @@ func (n *Node) deadNodeLocked(m *memberState, d *wire.Dead) {
 	}
 	m.StateChange = n.cfg.Clock.Now()
 	n.removeProbeTargetLocked(m)
-	// Drop the coordinate engine's per-peer state (cached coordinate,
-	// latency-filter window): estimates to a departed member would be
-	// stale, and under name churn the maps would grow without bound. A
-	// refuted member that returns re-learns within a few probes.
-	if n.coordClient != nil {
-		n.coordClient.Forget(m.Name)
-	}
 
 	n.broadcastLocked(m.Name, d)
 	n.eventDeadLocked(m)

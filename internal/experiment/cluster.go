@@ -14,7 +14,6 @@ import (
 	"lifeguard/internal/core"
 	"lifeguard/internal/metrics"
 	"lifeguard/internal/sim"
-	"lifeguard/internal/telemetry"
 )
 
 // ProtocolConfig selects a row of the paper's Table I plus the tunable
@@ -75,18 +74,6 @@ type ClusterConfig struct {
 	// Protocol selects the Lifeguard components and suspicion tuning.
 	Protocol ProtocolConfig
 
-	// Net sets the simulated network's topology and loss; its Seed is
-	// replaced by the cluster's Seed.
-	Net sim.Options
-
-	// Telemetry attaches a telemetry recorder to every member:
-	// origin-attributed direct-ack RTT samples flow into Cluster.Telem,
-	// which the WAN scenario scores against the simulator's ground-truth
-	// RTTs. Recording never draws from a node's RNG or schedules clock
-	// events, so enabling it leaves the simulation's event ordering — and
-	// its same-seed records — unchanged.
-	Telemetry bool
-
 	// played, when set, is handed every script run the cluster starts,
 	// so a test can read the departures a scenario's script derived.
 	played func(*run)
@@ -103,13 +90,8 @@ type Cluster struct {
 	Events *metrics.EventLog
 
 	// Sink aggregates protocol counters across every member (probe
-	// rounds, suspicions, coordinate updates, …), cluster-wide.
+	// rounds, suspicions, refutations, …), cluster-wide.
 	Sink *metrics.MemSink
-
-	// Telem holds every member's direct-path RTT samples, all of them,
-	// in the order recorded, per (origin, peer); nil unless
-	// ClusterConfig.Telemetry was set.
-	Telem map[RTTPair][]time.Duration
 
 	cc      ClusterConfig
 	names   map[string]*core.Node
@@ -145,30 +127,6 @@ func (r eventRecorder) NotifyAlive(m core.Member)   { r.record(metrics.EventAliv
 func (r eventRecorder) NotifyDead(m core.Member)    { r.record(metrics.EventDead, m) }
 func (r eventRecorder) NotifyUpdate(m core.Member)  {}
 
-// RTTPair keys one RTT sample stream in Cluster.Telem: Origin measured
-// the round-trip to Peer.
-type RTTPair struct {
-	Origin, Peer string
-}
-
-// rttRecorder is one member's telemetry.Recorder: RTT samples are
-// appended to the cluster's list for (member, peer); the other hooks
-// are accepted and discarded (experiments score those through Events
-// and Sink). A cluster's members all run on its scheduler's goroutine,
-// so the lists need no lock, and a finite run needs no bound.
-type rttRecorder struct {
-	samples map[RTTPair][]time.Duration
-	origin  string
-}
-
-func (r rttRecorder) RecordRTT(peer string, rtt time.Duration) {
-	k := RTTPair{Origin: r.origin, Peer: peer}
-	r.samples[k] = append(r.samples[k], rtt)
-}
-func (rttRecorder) RecordProbe(string, telemetry.ProbeOutcome)  {}
-func (rttRecorder) RecordLHM(int)                               {}
-func (rttRecorder) RecordSuspicion(string, time.Duration, bool) {}
-
 // NodeName returns the canonical member name for index i.
 func NodeName(i int) string { return fmt.Sprintf("node-%03d", i) }
 
@@ -178,9 +136,7 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 		return nil, fmt.Errorf("experiment: cluster needs at least 2 members, got %d", cc.N)
 	}
 	sched := sim.NewScheduler(time.Unix(0, 0))
-	netOpts := cc.Net
-	netOpts.Seed = cc.Seed
-	network := sim.NewNetwork(sched, netOpts)
+	network := sim.NewNetwork(sched, sim.Options{Seed: cc.Seed})
 
 	c := &Cluster{
 		Sched:  sched,
@@ -189,9 +145,6 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 		Sink:   metrics.NewMemSink(),
 		cc:     cc,
 		names:  make(map[string]*core.Node, cc.N),
-	}
-	if cc.Telemetry {
-		c.Telem = make(map[RTTPair][]time.Duration)
 	}
 
 	for i, rng := range seedRNGs(cc.Seed*7919+1, cc.N) {
@@ -241,9 +194,6 @@ func (c *Cluster) addNode(name string, rng *rand.Rand) (*core.Node, error) {
 	cfg.RNG = rng
 	cfg.Events = eventRecorder{log: c.Events, clock: c.Net.Clock(), observer: name}
 	cfg.Metrics = c.Sink
-	if c.Telem != nil {
-		cfg.Telemetry = rttRecorder{samples: c.Telem, origin: name}
-	}
 
 	var node *core.Node
 	port, err := c.Net.Attach(name, func(from string, payload []byte) {

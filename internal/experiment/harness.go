@@ -9,7 +9,7 @@ import (
 // This file is the scenario harness: a shared plan/execute/report
 // lifecycle and a deterministic parallel executor for the named
 // experiment scenarios listed in scenarios.go — the paper's sweeps as
-// well as the churn, partition, WAN, chaos and rolling-restart
+// well as the churn, partition, chaos and rolling-restart
 // scenarios — so cmd/lifebench and the root package's paper benchmarks
 // run them all through one door.
 //
@@ -29,7 +29,7 @@ import (
 // cmd/lifebench emits records as a JSON array under -json, the stable
 // interface for tracking bench trajectories across commits.
 type Record struct {
-	// Experiment names the table/figure/scenario ("table4", "wan",
+	// Experiment names the table/figure/scenario ("table4", "chaos",
 	// "rolling-restart", …).
 	Experiment string `json:"experiment"`
 
@@ -55,7 +55,7 @@ type Record struct {
 	Cells int `json:"cells"`
 
 	// Params holds experiment-specific inputs (α/β, stressed count,
-	// zone sizes, …).
+	// cluster size, …).
 	Params map[string]any `json:"params,omitempty"`
 
 	// Metrics holds the row's numeric results, keyed by metric name.

@@ -16,7 +16,7 @@ import (
 // TestClusterConfigSurface pins ClusterConfig's exported fields: a
 // field is added only with a caller outside the tests that sets it.
 func TestClusterConfigSurface(t *testing.T) {
-	want := []string{"N", "Seed", "Protocol", "Net", "Telemetry"}
+	want := []string{"N", "Seed", "Protocol"}
 	typ := reflect.TypeOf(ClusterConfig{})
 	var got []string
 	for i := 0; i < typ.NumField(); i++ {
@@ -36,7 +36,7 @@ func TestClusterConfigSurface(t *testing.T) {
 func TestScaleSurface(t *testing.T) {
 	want := []string{
 		"Name", "N", "Cs", "Ds", "Is", "Runs", "StressCounts", "StressDuration",
-		"WANMembersPerZone", "WANConverge", "ChaosN", "ChaosFaultFor", "ChaosSettle",
+		"ChaosN", "ChaosFaultFor", "ChaosSettle",
 		"Alphas", "Betas", "ChurnN", "ChurnFor", "PartitionN", "RestartN", "RestartWaves",
 	}
 	typ := reflect.TypeOf(Scale{})
@@ -64,8 +64,7 @@ func TestScaleSurface(t *testing.T) {
 // TestRegistry pins the registered scenario set and lookup behaviour.
 func TestRegistry(t *testing.T) {
 	want := []string{
-		"interval", "threshold", "tuning", "stress", "wan",
-		"chaos", "churn", "partition", "rolling-restart",
+		"interval", "threshold", "tuning", "stress", "chaos", "churn", "partition", "rolling-restart",
 	}
 	names := ScenarioNames()
 	if len(names) != len(want) {

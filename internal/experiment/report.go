@@ -185,39 +185,6 @@ func renderFigure1(recs []Record, _ RunOptions) string {
 	return b.String()
 }
 
-// renderWAN renders the WAN record: the coordinate-estimation quality
-// line and the per-zone detection table, zones in the scenario's
-// topology order.
-func renderWAN(recs []Record, opt RunOptions) string {
-	var b strings.Builder
-	r := recs[0]
-	m := r.Metrics
-	fmt.Fprintf(&b, "WAN cluster: %d members, %d zones; coordinate error over %.0f pairs: median %.1f%%, p99 %.1f%%, mean abs %.1fms\n",
-		r.Params["members"], r.Params["zones"], m["pairs_scored"],
-		m["coord_rel_err_median"]*100, m["coord_rel_err_p99"]*100, m["coord_abs_err_mean_s"]*1000)
-	if m["obs_rtt_samples"] > 0 {
-		pairs := 0
-		for key := range m {
-			if strings.HasPrefix(key, "obs_rtt_p50_err_") && strings.Contains(key, "__") {
-				pairs++
-			}
-		}
-		fmt.Fprintf(&b, "observed RTT (telemetry, %.0f samples over %d zone pairs): p50 err median %.1f%%, p90 err median %.1f%%\n",
-			m["obs_rtt_samples"], pairs, m["obs_rtt_p50_err_median"]*100, m["obs_rtt_p90_err_median"]*100)
-	}
-	fmt.Fprintf(&b, "%-10s %8s %7s %9s %11s %11s %11s %6s\n",
-		"Zone", "Members", "Failed", "Detected", "MedDet(s)", "MaxDet(s)", "XZoneMed(s)", "FP")
-	for _, z := range scaledWANParams(opt).Zones {
-		fmt.Fprintf(&b, "%-10s %8.0f %7.0f %9.0f %11.2f %11.2f %11.2f %6.0f\n",
-			z.Name, m["members_"+z.Name], m["failed_"+z.Name], m["detected_"+z.Name],
-			m["detect_median_s_"+z.Name], m["detect_max_s_"+z.Name],
-			m["detect_cross_zone_median_s_"+z.Name], m["fp_"+z.Name])
-	}
-	fmt.Fprintf(&b, "cluster-wide FP: %.0f (at healthy observers: %.0f); cross-zone detect median %.2fs; %.0f msgs, %.1f MB\n",
-		m["fp"], m["fp_healthy"], m["detect_cross_zone_median_s"], m["msgs_sent"], m["bytes_sent"]/1e6)
-	return b.String()
-}
-
 // renderChaos lays the chaos records out as the ablation table: one
 // row per cell with false positives, crash detection and refutation
 // behaviour.

@@ -305,48 +305,3 @@ func TestFormatChaosGolden(t *testing.T) {
 		"lossy-link     Lifeguard         3    1      2    1/2        6.50    120      118       0.75   1200   3400\n"
 	checkGolden(t, "Chaos", renderChaos(recs, RunOptions{}), want)
 }
-
-// TestFormatWANGolden pins the WAN section over the canonical four
-// zones, for a record without telemetry samples and one with them: only
-// the second prints the observed-RTT line.
-func TestFormatWANGolden(t *testing.T) {
-	type zone struct{ detected, median, max, cross, fp float64 }
-	rec := func(zones [4]zone, m map[string]float64) Record {
-		for i, z := range []string{"us-east", "us-west", "eu", "ap"} {
-			m["members_"+z], m["failed_"+z], m["detected_"+z] = 24, 3, zones[i].detected
-			m["detect_median_s_"+z], m["detect_max_s_"+z] = zones[i].median, zones[i].max
-			m["detect_cross_zone_median_s_"+z], m["fp_"+z] = zones[i].cross, zones[i].fp
-		}
-		m["pairs_scored"], m["coord_rel_err_median"], m["coord_rel_err_p99"], m["coord_abs_err_mean_s"] = 2000, 0.123, 0.456, 0.0042
-		return Record{Experiment: "wan", Config: "Lifeguard",
-			Params:  map[string]any{"members": 96, "zones": 4},
-			Metrics: m}
-	}
-	plain := rec([4]zone{{3, 5.5, 7.25, 6, 1}, {2, 4, 4, 4.5, 0}, {3, 6.25, 9.5, 7, 2}, {3, 5, 5.75, 5.5, 0}},
-		map[string]float64{"fp": 3, "fp_healthy": 2, "detect_cross_zone_median_s": 5.25, "msgs_sent": 12345, "bytes_sent": 6_789_000})
-	telem := rec([4]zone{{3, 3.5, 4.75, 4, 0}, {3, 3, 3.5, 3.25, 0}, {3, 4.5, 6, 4.75, 1}, {3, 3.25, 4, 3.5, 0}},
-		map[string]float64{
-			"fp": 1, "fp_healthy": 1, "detect_cross_zone_median_s": 3.75, "msgs_sent": 13000, "bytes_sent": 7_100_000,
-			"obs_rtt_samples": 4096, "obs_rtt_p50_err_median": 0.052, "obs_rtt_p90_err_median": 0.118,
-			"obs_rtt_p50_err_ap__eu": 0.05, "obs_rtt_p50_err_eu__us-east": 0.06, "obs_rtt_p50_err_us-east__us-east": 0.01,
-		})
-	want := "" +
-		"WAN cluster: 96 members, 4 zones; coordinate error over 2000 pairs: median 12.3%, p99 45.6%, mean abs 4.2ms\n" +
-		"Zone        Members  Failed  Detected   MedDet(s)   MaxDet(s) XZoneMed(s)     FP\n" +
-		"us-east          24       3         3        5.50        7.25        6.00      1\n" +
-		"us-west          24       3         2        4.00        4.00        4.50      0\n" +
-		"eu               24       3         3        6.25        9.50        7.00      2\n" +
-		"ap               24       3         3        5.00        5.75        5.50      0\n" +
-		"cluster-wide FP: 3 (at healthy observers: 2); cross-zone detect median 5.25s; 12345 msgs, 6.8 MB\n"
-	checkGolden(t, "WAN", renderWAN([]Record{plain}, RunOptions{Scale: ScaleSmoke}), want)
-	want = "" +
-		"WAN cluster: 96 members, 4 zones; coordinate error over 2000 pairs: median 12.3%, p99 45.6%, mean abs 4.2ms\n" +
-		"observed RTT (telemetry, 4096 samples over 3 zone pairs): p50 err median 5.2%, p90 err median 11.8%\n" +
-		"Zone        Members  Failed  Detected   MedDet(s)   MaxDet(s) XZoneMed(s)     FP\n" +
-		"us-east          24       3         3        3.50        4.75        4.00      0\n" +
-		"us-west          24       3         3        3.00        3.50        3.25      0\n" +
-		"eu               24       3         3        4.50        6.00        4.75      1\n" +
-		"ap               24       3         3        3.25        4.00        3.50      0\n" +
-		"cluster-wide FP: 1 (at healthy observers: 1); cross-zone detect median 3.75s; 13000 msgs, 7.1 MB\n"
-	checkGolden(t, "WAN with telemetry", renderWAN([]Record{telem}, RunOptions{Scale: ScaleSmoke}), want)
-}

@@ -47,13 +47,6 @@ var registry = []Scenario{
 		sections: []section{{"fig1", "Figure 1: false positives from CPU exhaustion", renderFigure1}},
 	},
 	{
-		name:     "wan",
-		desc:     "Multi-zone WAN: coordinate accuracy and cross-zone detection",
-		plan:     planWAN,
-		records:  cellRecords,
-		sections: []section{{"wan", "WAN: coordinate accuracy and cross-zone detection", renderWAN}},
-	},
-	{
 		name:     "chaos",
 		desc:     "Fault-scenario matrix (degraded, flapping, partitioned, lossy, combined) × Table I",
 		plan:     planChaos,
@@ -349,32 +342,6 @@ func planStress(opt RunOptions) ([]cell, error) {
 		}
 	}
 	return cells, nil
-}
-
-// --- wan ------------------------------------------------------------
-
-// scaledWANParams sizes the WAN scenario from the scale: the canonical
-// four zones, 2000 pairs scored, three members crashed in each zone and
-// 90 s to detect them.
-func scaledWANParams(opt RunOptions) wanParams {
-	zones, pairs := defaultWANZones(opt.Scale.WANMembersPerZone)
-	return wanParams{
-		Zones:         zones,
-		Pairs:         pairs,
-		Converge:      opt.Scale.WANConverge,
-		SamplePairs:   2000,
-		FailPerZone:   3,
-		DetectHorizon: 90 * time.Second,
-	}
-}
-
-func planWAN(opt RunOptions) ([]cell, error) {
-	return []cell{{
-		Label: "wan",
-		Run: func() (any, error) {
-			return runWAN(ClusterConfig{Seed: opt.Seed, Protocol: ConfigLifeguard, Telemetry: true}, scaledWANParams(opt))
-		},
-	}}, nil
 }
 
 // --- chaos ----------------------------------------------------------

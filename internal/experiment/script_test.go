@@ -46,10 +46,9 @@ func describe(r *run) string {
 // action every 500 ms, N/8 restarts per wave.
 func TestScriptDeparturesMatchDrivers(t *testing.T) {
 	if testing.Short() {
-		t.Skip("eight scenario runs")
+		t.Skip("seven scenario runs")
 	}
 	cc := func(n int) ClusterConfig { return ClusterConfig{N: n, Seed: 1, Protocol: ConfigLifeguard} }
-	zones, pairs := defaultWANZones(6)
 	cases := []struct {
 		name string
 		cc   ClusterConfig
@@ -68,11 +67,6 @@ func TestScriptDeparturesMatchDrivers(t *testing.T) {
 			_, err := runStress(cc, stressParams{Stressed: 2, Duration: 30 * time.Second})
 			return err
 		}, "node-001 0s any crash\nnode-004 0s any crash"},
-		{"wan", cc(0), func(cc ClusterConfig) error {
-			_, err := runWAN(cc, wanParams{Zones: zones, Pairs: pairs, Converge: 10 * time.Second,
-				SamplePairs: 50, FailPerZone: 1, DetectHorizon: 30 * time.Second})
-			return err
-		}, "node-004 0s any crash\nnode-008 0s any crash\nnode-015 0s any crash\nnode-018 0s any crash"},
 		{"chaos", cc(smallChaosN), func(cc ClusterConfig) error {
 			_, _, err := runChaosCell(cc, "combined", smallChaosParams())
 			return err

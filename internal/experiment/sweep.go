@@ -68,12 +68,6 @@ type Scale struct {
 	// StressDuration shortens Figure 1's 5-minute workload.
 	StressDuration time.Duration
 
-	// WANMembersPerZone sizes the WAN experiment's four zones.
-	WANMembersPerZone int
-
-	// WANConverge is the WAN experiment's coordinate-convergence phase.
-	WANConverge time.Duration
-
 	// ChaosN sizes the chaos scenario matrix's cluster.
 	ChaosN int
 
@@ -100,76 +94,70 @@ type Scale struct {
 // ScaleSmoke is a minimal scale for tests: one cell per axis value that
 // matters, single run.
 var ScaleSmoke = Scale{
-	Name:              "smoke",
-	N:                 48,
-	Cs:                []int{4, 12},
-	Ds:                []time.Duration{2048 * time.Millisecond, 16384 * time.Millisecond},
-	Is:                []time.Duration{64 * time.Millisecond, 1024 * time.Millisecond},
-	Runs:              1,
-	StressCounts:      []int{4, 16},
-	StressDuration:    time.Minute,
-	WANMembersPerZone: 24,
-	WANConverge:       2 * time.Minute,
-	ChaosN:            32,
-	ChaosFaultFor:     24 * time.Second,
-	ChaosSettle:       24 * time.Second,
-	Alphas:            []float64{5},
-	Betas:             []float64{2, 6},
-	ChurnN:            192,
-	ChurnFor:          10 * time.Second,
-	PartitionN:        24,
-	RestartN:          32,
-	RestartWaves:      2,
+	Name:           "smoke",
+	N:              48,
+	Cs:             []int{4, 12},
+	Ds:             []time.Duration{2048 * time.Millisecond, 16384 * time.Millisecond},
+	Is:             []time.Duration{64 * time.Millisecond, 1024 * time.Millisecond},
+	Runs:           1,
+	StressCounts:   []int{4, 16},
+	StressDuration: time.Minute,
+	ChaosN:         32,
+	ChaosFaultFor:  24 * time.Second,
+	ChaosSettle:    24 * time.Second,
+	Alphas:         []float64{5},
+	Betas:          []float64{2, 6},
+	ChurnN:         192,
+	ChurnFor:       10 * time.Second,
+	PartitionN:     24,
+	RestartN:       32,
+	RestartWaves:   2,
 }
 
 // ScaleBench is the default benchmark scale: the full C axis (needed for
 // Figures 2/3), representative D and I values, one run each.
 var ScaleBench = Scale{
-	Name:              "bench",
-	N:                 DefaultN,
-	Cs:                PaperCs,
-	Ds:                []time.Duration{2048 * time.Millisecond, 16384 * time.Millisecond, 32768 * time.Millisecond},
-	Is:                []time.Duration{64 * time.Millisecond, 1024 * time.Millisecond},
-	Runs:              1,
-	StressCounts:      PaperStressCounts,
-	StressDuration:    StressHorizon,
-	WANMembersPerZone: 128,
-	WANConverge:       5 * time.Minute,
-	ChaosN:            48,
-	ChaosFaultFor:     60 * time.Second,
-	ChaosSettle:       45 * time.Second,
-	Alphas:            PaperAlphas,
-	Betas:             PaperBetas,
-	ChurnN:            512,
-	ChurnFor:          30 * time.Second,
-	PartitionN:        32,
-	RestartN:          48,
-	RestartWaves:      3,
+	Name:           "bench",
+	N:              DefaultN,
+	Cs:             PaperCs,
+	Ds:             []time.Duration{2048 * time.Millisecond, 16384 * time.Millisecond, 32768 * time.Millisecond},
+	Is:             []time.Duration{64 * time.Millisecond, 1024 * time.Millisecond},
+	Runs:           1,
+	StressCounts:   PaperStressCounts,
+	StressDuration: StressHorizon,
+	ChaosN:         48,
+	ChaosFaultFor:  60 * time.Second,
+	ChaosSettle:    45 * time.Second,
+	Alphas:         PaperAlphas,
+	Betas:          PaperBetas,
+	ChurnN:         512,
+	ChurnFor:       30 * time.Second,
+	PartitionN:     32,
+	RestartN:       48,
+	RestartWaves:   3,
 }
 
 // ScalePaper is the full grid of Tables II/III with the paper's 10
 // repetitions. Expect hours of compute.
 var ScalePaper = Scale{
-	Name:              "paper",
-	N:                 DefaultN,
-	Cs:                PaperCs,
-	Ds:                PaperDs,
-	Is:                PaperIs,
-	Runs:              10,
-	StressCounts:      PaperStressCounts,
-	StressDuration:    StressHorizon,
-	WANMembersPerZone: 256,
-	WANConverge:       10 * time.Minute,
-	ChaosN:            64,
-	ChaosFaultFor:     2 * time.Minute,
-	ChaosSettle:       time.Minute,
-	Alphas:            PaperAlphas,
-	Betas:             PaperBetas,
-	ChurnN:            DefaultChurnN,
-	ChurnFor:          time.Minute,
-	PartitionN:        64,
-	RestartN:          64,
-	RestartWaves:      4,
+	Name:           "paper",
+	N:              DefaultN,
+	Cs:             PaperCs,
+	Ds:             PaperDs,
+	Is:             PaperIs,
+	Runs:           10,
+	StressCounts:   PaperStressCounts,
+	StressDuration: StressHorizon,
+	ChaosN:         64,
+	ChaosFaultFor:  2 * time.Minute,
+	ChaosSettle:    time.Minute,
+	Alphas:         PaperAlphas,
+	Betas:          PaperBetas,
+	ChurnN:         DefaultChurnN,
+	ChurnFor:       time.Minute,
+	PartitionN:     64,
+	RestartN:       64,
+	RestartWaves:   4,
 }
 
 // Progress receives sweep progress callbacks (done and total runs).

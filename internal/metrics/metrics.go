@@ -44,14 +44,6 @@ const (
 
 	// CounterSuspicionsRefuted counts suspicions cleared by an alive.
 	CounterSuspicionsRefuted = "suspicions_refuted"
-
-	// CounterCoordUpdates counts probe round-trips accepted by the
-	// Vivaldi coordinate engine.
-	CounterCoordUpdates = "coord_updates"
-
-	// CounterCoordRejected counts observations the coordinate engine
-	// rejected (malformed peer coordinate or out-of-range RTT).
-	CounterCoordRejected = "coord_rejected"
 )
 
 // NopSink discards all increments.

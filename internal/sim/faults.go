@@ -37,8 +37,8 @@ const (
 )
 
 // LinkFault is an injected impairment for one directed member link,
-// layered on top of the base latency model, the global Loss setting and
-// any zone topology. Reliable (TCP-modelled) packets are exempt from
+// layered on top of the base latency model and the global Loss
+// setting. Reliable (TCP-modelled) packets are exempt from
 // Loss and Duplicate — TCP retransmits lost segments and discards
 // duplicate ones — but still subject to Reorder, because TCP cannot
 // mask delay (head-of-line blocking on a retransmission).

@@ -127,7 +127,8 @@ func TestLinkFaultIsDirectionalAndClearable(t *testing.T) {
 // fault: a held-back packet is actually overtaken by one sent later,
 // and its hold-back is a draw from reorderHold.
 func TestReorderedPacketIsOvertaken(t *testing.T) {
-	r := newRig(t, Options{Topology: flatTopology(DelayDist{Base: time.Millisecond}), Seed: 1})
+	r := newRig(t, Options{Seed: 1})
+	latency := flatDelays(1)
 	a, _ := r.attach(t, "a")
 	var got []string
 	var heldAt time.Time
@@ -140,8 +141,8 @@ func TestReorderedPacketIsOvertaken(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reorder the first packet, whose hold-back of at least 10 ms lets
-	// the next packet (sent 2 ms later, arriving 1 ms after that)
-	// overtake it; then clear and send the chaser un-reordered.
+	// the next packet (sent 2 ms later, arriving under 1.1 ms after
+	// that) overtake it; then clear and send the chaser un-reordered.
 	r.net.SetLinkFault("a", "b", LinkFault{Reorder: 1.0})
 	a.SendPacket("b", []byte("held"), false)
 	r.sched.RunFor(2 * time.Millisecond)
@@ -151,8 +152,8 @@ func TestReorderedPacketIsOvertaken(t *testing.T) {
 	if len(got) != 2 || got[0] != "chaser" || got[1] != "held" {
 		t.Fatalf("delivery order %v, want chaser before held", got)
 	}
-	// Arrival is 1 ms latency + the hold-back + 100 µs service.
-	hold := heldAt.Sub(time.Unix(0, 0)) - time.Millisecond - 100*time.Microsecond
+	// Arrival is the first packet's latency + the hold-back + service.
+	hold := heldAt.Sub(time.Unix(0, 0)) - latency() - serviceTime
 	if hold < reorderHold.Base || hold >= reorderHold.Base+reorderHold.Jitter {
 		t.Errorf("hold-back %v outside [%v, %v)", hold, reorderHold.Base, reorderHold.Base+reorderHold.Jitter)
 	}
@@ -271,10 +272,8 @@ func TestCrashIsSticky(t *testing.T) {
 func TestDegradedServiceDelayBounds(t *testing.T) {
 	const service = serviceTime
 	degrade := DelayDist{Base: 20 * time.Millisecond, Jitter: 30 * time.Millisecond}
-	r := newRig(t, Options{
-		Topology: flatTopology(DelayDist{Base: time.Millisecond}),
-		Seed:     11,
-	})
+	r := newRig(t, Options{Seed: 11})
+	latency := flatDelays(11)
 	a, _ := r.attach(t, "a")
 	var served []time.Time
 	if _, err := r.net.Attach("b", func(string, []byte) { served = append(served, r.sched.Now()) }); err != nil {
@@ -286,7 +285,7 @@ func TestDegradedServiceDelayBounds(t *testing.T) {
 	}
 
 	// One packet at a time, so service delay is measured without
-	// queueing: arrival is send + 1 ms latency.
+	// queueing: arrival is send + that packet's latency.
 	const rounds = 50
 	var sent []time.Time
 	for i := 0; i < rounds; i++ {
@@ -298,7 +297,7 @@ func TestDegradedServiceDelayBounds(t *testing.T) {
 		t.Fatalf("served %d of %d", len(served), rounds)
 	}
 	for i := range served {
-		d := served[i].Sub(sent[i]) - time.Millisecond // strip latency
+		d := served[i].Sub(sent[i]) - latency() // strip latency
 		lo, hi := service+degrade.Base, service+degrade.Base+degrade.Jitter
 		if d < lo || d >= hi {
 			t.Fatalf("packet %d served %v after arrival, want [%v, %v)", i, d, lo, hi)
@@ -313,8 +312,8 @@ func TestDegradedServiceDelayBounds(t *testing.T) {
 	start := r.sched.Now()
 	a.SendPacket("b", []byte("x"), false)
 	r.sched.RunFor(time.Second)
-	if d := served[0].Sub(start); d != time.Millisecond+service {
-		t.Errorf("restored service delay %v, want %v", d, time.Millisecond+service)
+	if d, want := served[0].Sub(start), latency()+service; d != want {
+		t.Errorf("restored service delay %v, want %v", d, want)
 	}
 }
 

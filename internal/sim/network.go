@@ -38,20 +38,12 @@ func (d DelayDist) expected() time.Duration { return d.Base + d.Jitter/2 }
 // IsZero reports whether the distribution is the zero value (no delay).
 func (d DelayDist) IsZero() bool { return d.Base <= 0 && d.Jitter <= 0 }
 
-// flatDelay is the one-way delay of a network with no Topology:
-// uniform in [100µs, 1ms), approximating the paper's loopback
-// deployment.
+// flatDelay is the one-way delay of every packet: uniform in
+// [100µs, 1ms), approximating the paper's loopback deployment.
 var flatDelay = DelayDist{Base: 100 * time.Microsecond, Jitter: 900 * time.Microsecond}
 
 // Options configures a simulated network.
 type Options struct {
-	// Topology, when non-nil, is the zone-structured latency model:
-	// per-packet delays depend on the source and destination members'
-	// zones. WAN experiments use it both to shape traffic and as the
-	// ground truth for scoring Vivaldi coordinate estimates. Without
-	// one, every packet draws from a flat uniform 100µs–1ms.
-	Topology *Topology
-
 	// Loss is the probability an unreliable packet is dropped in
 	// flight. Reliable (TCP-modelled) packets are never loss-dropped.
 	Loss float64
@@ -449,7 +441,7 @@ func (n *Network) transmit(p *Port, to string, buf *bufpool.Buf, reliable bool) 
 	// fault-dropped packet still consumes exactly the draw it would
 	// have in a fault-free run — installing faults never shifts the
 	// base RNG stream of unaffected traffic.
-	delay := n.sampleDelay(p.name, to, n.rng)
+	delay := flatDelay.sample(n.rng)
 	if haveFault {
 		if !reliable && fault.Loss > 0 && n.faultRNG.Float64() < fault.Loss {
 			dst.stats.DropsFault++
@@ -465,7 +457,7 @@ func (n *Network) transmit(p *Port, to string, buf *bufpool.Buf, reliable bool) 
 		// read-only, so both arrivals can hand out the same bytes.
 		if !reliable && fault.Duplicate > 0 && n.faultRNG.Float64() < fault.Duplicate {
 			dst.stats.Duplicated++
-			n.deliverAfter(dst, p.name, buf.Acquire(), n.sampleDelay(p.name, to, n.faultRNG))
+			n.deliverAfter(dst, p.name, buf.Acquire(), flatDelay.sample(n.faultRNG))
 		}
 		if fault.Reorder > 0 && n.faultRNG.Float64() < fault.Reorder {
 			dst.stats.Reordered++
@@ -473,15 +465,6 @@ func (n *Network) transmit(p *Port, to string, buf *bufpool.Buf, reliable bool) 
 		}
 	}
 	n.deliverAfter(dst, p.name, buf, delay)
-}
-
-// sampleDelay draws a one-way delay for a packet: from the zone
-// topology when configured, from the flat default otherwise.
-func (n *Network) sampleDelay(from, to string, rng *rand.Rand) time.Duration {
-	if n.opts.Topology != nil {
-		return n.opts.Topology.Sample(from, to, rng)
-	}
-	return flatDelay.sample(rng)
 }
 
 // deliverAfter schedules a packet's arrival at dst, taking ownership of

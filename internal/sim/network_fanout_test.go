@@ -158,10 +158,7 @@ func TestFanoutDropPathsReleaseReferences(t *testing.T) {
 // paid one bufpool copy per destination).
 func BenchmarkNetworkDeliverFanout(b *testing.B) {
 	sched := NewScheduler(time.Unix(0, 0))
-	net := NewNetwork(sched, Options{
-		Seed:     1,
-		Topology: flatTopology(DelayDist{Base: 200 * time.Microsecond, Jitter: 1800 * time.Microsecond}),
-	})
+	net := NewNetwork(sched, Options{Seed: 1})
 	const fanout = 8
 	received := 0
 	src, err := net.Attach("src", func(string, []byte) { received++ })

@@ -22,12 +22,12 @@ func newRig(t *testing.T, opts Options) *rig {
 	return &rig{sched: sched, net: NewNetwork(sched, opts)}
 }
 
-// flatTopology is a one-zone topology: every packet draws from d, as a
-// network-wide uniform latency in [d.Base, d.Base+d.Jitter) would.
-func flatTopology(d DelayDist) *Topology {
-	topo := NewTopology()
-	topo.IntraZone = d
-	return topo
+// flatDelays replays the latency stream of a network seeded with seed:
+// the k-th call returns the one-way delay of the network's k-th
+// unreliable packet (TestFlatDelayDraws pins that order).
+func flatDelays(seed int64) func() time.Duration {
+	rng := rand.New(rand.NewSource(seed))
+	return func() time.Duration { return flatDelay.sample(rng) }
 }
 
 // attach registers a member that records deliveries.
@@ -49,7 +49,7 @@ func (r *rig) attach(t *testing.T, name string) (*Port, *[]string) {
 // capacity and service time are constants, so a field is added only
 // with a caller that sets it.
 func TestOptionsSurface(t *testing.T) {
-	want := []string{"Topology", "Loss", "Seed"}
+	want := []string{"Loss", "Seed"}
 	typ := reflect.TypeOf(Options{})
 	got := make([]string, typ.NumField())
 	for i := range got {
@@ -84,7 +84,7 @@ func TestDeliveryBasics(t *testing.T) {
 }
 
 func TestDeliveryLatencyWithinModel(t *testing.T) {
-	r := newRig(t, Options{Topology: flatTopology(DelayDist{Base: 5 * time.Millisecond, Jitter: 5 * time.Millisecond})})
+	r := newRig(t, Options{Seed: 3})
 	a, _ := r.attach(t, "a")
 	var at time.Time
 	_, err := r.net.Attach("b", func(string, []byte) { at = r.sched.Now() })
@@ -95,8 +95,12 @@ func TestDeliveryLatencyWithinModel(t *testing.T) {
 	r.sched.RunFor(time.Second)
 	d := at.Sub(time.Unix(0, 0))
 	// Latency plus one service interval.
-	if d < 5*time.Millisecond || d > 11*time.Millisecond {
-		t.Errorf("delivery at %v, want within [5ms, 11ms]", d)
+	lo, hi := flatDelay.Base+serviceTime, flatDelay.Base+flatDelay.Jitter+serviceTime
+	if d < lo || d >= hi {
+		t.Errorf("delivery at %v, want within [%v, %v)", d, lo, hi)
+	}
+	if want := flatDelays(3)() + serviceTime; d != want {
+		t.Errorf("delivery at %v, want the stream's first draw plus service, %v", d, want)
 	}
 }
 
@@ -430,9 +434,9 @@ func TestDelayDistBounds(t *testing.T) {
 	}
 }
 
-// TestFlatDelayDraws pins the default latency draw for draw: with no
-// Topology, the k-th packet's one-way delay is the k-th
-// 100µs + Int63n(900µs) from an RNG seeded with Options.Seed.
+// TestFlatDelayDraws pins the latency draw for draw: the k-th packet's
+// one-way delay is the k-th 100µs + Int63n(900µs) from an RNG seeded
+// with Options.Seed.
 func TestFlatDelayDraws(t *testing.T) {
 	const seed = 42
 	r := newRig(t, Options{Seed: seed})

@@ -449,10 +449,7 @@ func BenchmarkNetworkDeliver(b *testing.B) {
 	for _, pending := range benchPending {
 		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
 			sched := NewScheduler(time.Unix(0, 0))
-			net := NewNetwork(sched, Options{
-				Seed:     1,
-				Topology: flatTopology(DelayDist{Base: 200 * time.Microsecond, Jitter: 1800 * time.Microsecond}),
-			})
+			net := NewNetwork(sched, Options{Seed: 1})
 			const members = 16
 			ports := make([]*Port, members)
 			received := 0

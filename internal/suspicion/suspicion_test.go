@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"lifeguard/internal/sim"
+	"lifeguard/internal/timeutil"
 )
 
 // newSim returns a scheduler-driven clock starting at virtual zero.
@@ -198,6 +199,47 @@ func TestFiresExactlyOnce(t *testing.T) {
 	}
 	if s.Stop() {
 		t.Error("Stop after firing reported success")
+	}
+}
+
+// captureClock is a hand-driven clock: AfterFunc records the callback
+// instead of scheduling it, so a test can deliver it whenever it likes,
+// as many times as it likes, the way a real-clock timer whose callback
+// is already on its way can race a Stop or a Reset.
+type captureClock struct{ fn func() }
+
+func (c *captureClock) Now() time.Time { return time.Unix(0, 0) }
+
+func (c *captureClock) AfterFunc(_ time.Duration, f func()) timeutil.Timer {
+	c.fn = f
+	return captureTimer{}
+}
+
+type captureTimer struct{}
+
+func (captureTimer) Stop() bool               { return true }
+func (captureTimer) Reset(time.Duration) bool { return true }
+
+// TestLateExpiryIsANoOp delivers the expiry callback itself: once more
+// after the suspicion has fired, and once after Stop. The timeout
+// function must run exactly once in the first case and never in the
+// second, whatever the timer does.
+func TestLateExpiryIsANoOp(t *testing.T) {
+	var clock captureClock
+	fires := 0
+	New(&clock, "a", 3, time.Second, 2*time.Second, func(int) { fires++ })
+	clock.fn()
+	clock.fn()
+	if fires != 1 {
+		t.Fatalf("expiry delivered twice ran the timeout %d times, want 1", fires)
+	}
+
+	fires = 0
+	s := New(&clock, "a", 3, time.Second, 2*time.Second, func(int) { fires++ })
+	s.Stop()
+	clock.fn()
+	if fires != 0 {
+		t.Fatalf("expiry delivered after Stop ran the timeout %d times, want 0", fires)
 	}
 }
 

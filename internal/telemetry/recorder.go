@@ -60,9 +60,7 @@ func (o ProbeOutcome) String() string {
 // write-only bookkeeping, so enabling it cannot perturb a simulation's
 // event ordering.
 type Recorder interface {
-	// RecordRTT reports one measured direct-path round-trip to a peer —
-	// the same measurement that feeds the Vivaldi coordinate engine,
-	// taken whether or not coordinates are enabled.
+	// RecordRTT reports one measured direct-path round-trip to a peer.
 	RecordRTT(peer string, rtt time.Duration)
 
 	// RecordProbe reports the outcome of one probe round this node

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"lifeguard/internal/coords"
 )
 
 // Codec limits. MTU mirrors memberlist's default UDP packet budget; gossip
@@ -22,16 +20,6 @@ const (
 	// maxStates bounds the number of push-pull entries decoded from one
 	// message.
 	maxStates = 1 << 16
-
-	// maxCoordDim bounds the dimensionality of a decoded coordinate.
-	// Vivaldi uses single-digit dimensions; anything huge is corrupt.
-	maxCoordDim = 64
-
-	// coordBlockV1 tags version 1 of the optional trailing coordinate
-	// block on Ping/Ack. A tail starting with any other byte belongs to
-	// a future protocol revision and is ignored, exactly as members
-	// without coordinate support ignore the whole tail.
-	coordBlockV1 = 1
 )
 
 // Codec errors.
@@ -78,9 +66,9 @@ func boolByte(v bool) uint8 {
 
 // decoder consumes primitive values from a buffer, latching the first
 // error (errors-are-values style so message decoders stay linear). When
-// u is non-nil the decoder draws strings, coordinates, message structs
-// and state slices from the Unpacker's pooled scratch instead of
-// allocating; a nil u decodes standalone with fresh allocations.
+// u is non-nil the decoder draws strings, message structs and state
+// slices from the Unpacker's pooled scratch instead of allocating; a
+// nil u decodes standalone with fresh allocations.
 type decoder struct {
 	buf []byte
 	err error
@@ -179,95 +167,21 @@ func (d *decoder) bytes() []byte {
 	return b
 }
 
-func (e *encoder) float64(v float64) {
-	e.buf = binary.BigEndian.AppendUint64(e.buf, math.Float64bits(v))
-}
-
-func (d *decoder) float64() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) < 8 {
-		d.fail(ErrTruncated)
-		return 0
-	}
-	v := math.Float64frombits(binary.BigEndian.Uint64(d.buf))
-	d.buf = d.buf[8:]
-	return v
-}
-
-// encodeCoord appends the optional trailing coordinate block. A nil
-// coordinate appends nothing, keeping the encoding byte-identical to
-// the pre-coordinate wire format.
-func encodeCoord(e *encoder, c *coords.Coordinate) {
-	if c == nil {
-		return
-	}
-	e.byte(coordBlockV1)
-	e.uvarint(uint64(len(c.Vec)))
-	for _, v := range c.Vec {
-		e.float64(v)
-	}
-	e.float64(c.Error)
-	e.float64(c.Adjustment)
-	e.float64(c.Height)
-}
-
-// decodeCoord consumes the optional trailing coordinate block. An
-// empty tail (a coordinate-less sender) or a tail with an unknown
-// version byte (a future revision) yields nil without error; a v1
-// block that is truncated or oversize latches the decoder error.
-func decodeCoord(d *decoder) *coords.Coordinate {
-	if d.err != nil || len(d.buf) == 0 {
-		return nil
-	}
-	if d.buf[0] != coordBlockV1 {
-		// Unknown tail: skip it wholesale, mirroring what a
-		// coordinate-unaware decoder does with our tail.
-		d.buf = nil
-		return nil
-	}
-	d.byte()
-	dim := d.uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if dim > maxCoordDim {
-		d.fail(ErrOversize)
-		return nil
-	}
-	var c *coords.Coordinate
-	if d.u != nil {
-		c = d.u.takeCoord(int(dim))
-	} else {
-		c = &coords.Coordinate{Vec: make([]float64, dim)}
-	}
-	for i := range c.Vec {
-		c.Vec[i] = d.float64()
-	}
-	c.Error = d.float64()
-	c.Adjustment = d.float64()
-	c.Height = d.float64()
-	if d.err != nil {
-		return nil
-	}
-	return c
-}
-
-// Per-message encodings. Field order is part of the wire format.
+// Per-message encodings. Field order is part of the wire format. A
+// decoder reads its fixed fields and ignores whatever follows them in
+// the message's bytes: earlier releases appended an optional
+// coordinate block to pings and acks, and such a tail still decodes.
 
 func (m *Ping) encode(e *encoder) {
 	e.uint32(m.SeqNo)
 	e.string(m.Target)
 	e.string(m.Source)
-	encodeCoord(e, m.Coord)
 }
 
 func (m *Ping) decode(d *decoder) {
 	m.SeqNo = d.uint32()
 	m.Target = d.string()
 	m.Source = d.string()
-	m.Coord = decodeCoord(d)
 }
 
 func (m *IndirectPing) encode(e *encoder) {
@@ -287,13 +201,11 @@ func (m *IndirectPing) decode(d *decoder) {
 func (m *Ack) encode(e *encoder) {
 	e.uint32(m.SeqNo)
 	e.string(m.Source)
-	encodeCoord(e, m.Coord)
 }
 
 func (m *Ack) decode(d *decoder) {
 	m.SeqNo = d.uint32()
 	m.Source = d.string()
-	m.Coord = decodeCoord(d)
 }
 
 func (m *Nack) encode(e *encoder) {
@@ -461,11 +373,6 @@ func AppendMarshal(dst []byte, m Message) []byte {
 	return e.buf
 }
 
-// Unmarshal decodes a single non-compound message.
-func Unmarshal(b []byte) (Message, error) {
-	return unmarshalWith(nil, b)
-}
-
 // unmarshalWith decodes one bare message, drawing the struct and its
 // fields from u's pools when u is non-nil.
 func unmarshalWith(u *Unpacker, b []byte) (Message, error) {
@@ -526,8 +433,7 @@ func DecodePacket(b []byte) ([]Message, error) {
 }
 
 // decodePacketWith is DecodePacket with optional pooled scratch: with a
-// non-nil Unpacker, message structs, strings, coordinates and state
-// slices come from its pools, and decoded messages are appended to msgs
+// non-nil Unpacker, message structs, strings and state slices come from its pools, and decoded messages are appended to msgs
 // (the Unpacker's reusable slice).
 func decodePacketWith(u *Unpacker, msgs []Message, b []byte) ([]Message, error) {
 	if len(b) == 0 {

@@ -7,26 +7,18 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
-
-	"lifeguard/internal/coords"
 )
 
-// sampleCoord returns a populated coordinate for codec tests.
-func sampleCoord() *coords.Coordinate {
-	return &coords.Coordinate{
-		Vec:        []float64{0.001, -0.002, 0.003, -0.004, 0.005, -0.006, 0.007, -0.008},
-		Error:      0.25,
-		Adjustment: -0.0001,
-		Height:     0.00035,
-	}
+// unmarshal decodes a single non-compound message with fresh
+// allocations, the way DecodePacket decodes a bare packet.
+func unmarshal(b []byte) (Message, error) {
+	return unmarshalWith(nil, b)
 }
 
 // sampleMessages returns one populated instance of every message type.
 func sampleMessages() []Message {
 	return []Message{
 		&Ping{SeqNo: 42, Target: "node-b", Source: "node-a"},
-		&Ping{SeqNo: 43, Target: "node-b", Source: "node-a", Coord: sampleCoord()},
-		&Ack{SeqNo: 43, Source: "node-b", Coord: sampleCoord()},
 		&IndirectPing{SeqNo: 7, Target: "node-c", Source: "node-a", WantNack: true},
 		&IndirectPing{SeqNo: 8, Target: "node-c", Source: "node-a", WantNack: false},
 		&Ack{SeqNo: 42, Source: "node-b"},
@@ -49,7 +41,7 @@ func sampleMessages() []Message {
 func TestMarshalRoundTripAllTypes(t *testing.T) {
 	for _, msg := range sampleMessages() {
 		buf := Marshal(msg)
-		got, err := Unmarshal(buf)
+		got, err := unmarshal(buf)
 		if err != nil {
 			t.Fatalf("%s: unmarshal: %v", msg.Type(), err)
 		}
@@ -69,58 +61,28 @@ func TestMarshalTypeTagIsFirstByte(t *testing.T) {
 }
 
 func TestUnmarshalEmpty(t *testing.T) {
-	if _, err := Unmarshal(nil); !errors.Is(err, ErrTruncated) {
+	if _, err := unmarshal(nil); !errors.Is(err, ErrTruncated) {
 		t.Errorf("unmarshal nil: got %v, want ErrTruncated", err)
 	}
 }
 
 func TestUnmarshalUnknownType(t *testing.T) {
-	if _, err := Unmarshal([]byte{0xEE, 0x01}); !errors.Is(err, ErrUnknownType) {
+	if _, err := unmarshal([]byte{0xEE, 0x01}); !errors.Is(err, ErrUnknownType) {
 		t.Errorf("got %v, want ErrUnknownType", err)
 	}
 }
 
 func TestUnmarshalTruncatedEveryPrefix(t *testing.T) {
 	// Every strict prefix of a valid encoding must decode with an error,
-	// never panic or succeed — with one designed exception: cutting the
-	// optional trailing coordinate block cleanly off a Ping/Ack yields
-	// the same message without a coordinate (that tolerance is exactly
-	// what lets coordinate-unaware peers interoperate).
+	// never panic or succeed.
 	for _, msg := range sampleMessages() {
 		buf := Marshal(msg)
 		for i := 1; i < len(buf); i++ {
-			got, err := Unmarshal(buf[:i])
-			if err == nil {
-				if reflect.DeepEqual(got, msg) {
-					continue
-				}
-				if stripped := withoutCoord(msg); stripped != nil && reflect.DeepEqual(got, stripped) {
-					continue
-				}
+			if got, err := unmarshal(buf[:i]); err == nil {
 				t.Errorf("%s: prefix %d/%d decoded to %+v", msg.Type(), i, len(buf), got)
 			}
 		}
 	}
-}
-
-// withoutCoord returns a copy of msg with its optional coordinate
-// cleared, or nil if the message has none to clear.
-func withoutCoord(msg Message) Message {
-	switch m := msg.(type) {
-	case *Ping:
-		if m.Coord != nil {
-			c := *m
-			c.Coord = nil
-			return &c
-		}
-	case *Ack:
-		if m.Coord != nil {
-			c := *m
-			c.Coord = nil
-			return &c
-		}
-	}
-	return nil
 }
 
 func TestUnmarshalOversizeString(t *testing.T) {
@@ -129,7 +91,7 @@ func TestUnmarshalOversizeString(t *testing.T) {
 	e.byte(uint8(TypePing))
 	e.uint32(1)
 	e.uvarint(1 << 20)
-	if _, err := Unmarshal(e.buf); !errors.Is(err, ErrOversize) {
+	if _, err := unmarshal(e.buf); !errors.Is(err, ErrOversize) {
 		t.Errorf("got %v, want ErrOversize", err)
 	}
 }
@@ -282,7 +244,7 @@ func randName(r *rand.Rand) string {
 
 func TestQuickPingRoundTrip(t *testing.T) {
 	f := func(p Ping) bool {
-		got, err := Unmarshal(Marshal(&p))
+		got, err := unmarshal(Marshal(&p))
 		return err == nil && reflect.DeepEqual(got, &p)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -292,7 +254,7 @@ func TestQuickPingRoundTrip(t *testing.T) {
 
 func TestQuickSuspectRoundTrip(t *testing.T) {
 	f := func(s Suspect) bool {
-		got, err := Unmarshal(Marshal(&s))
+		got, err := unmarshal(Marshal(&s))
 		return err == nil && reflect.DeepEqual(got, &s)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -302,7 +264,7 @@ func TestQuickSuspectRoundTrip(t *testing.T) {
 
 func TestQuickAliveRoundTrip(t *testing.T) {
 	f := func(a Alive) bool {
-		got, err := Unmarshal(Marshal(&a))
+		got, err := unmarshal(Marshal(&a))
 		return err == nil && reflect.DeepEqual(got, &a)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -359,7 +321,7 @@ func BenchmarkUnmarshalPing(b *testing.B) {
 	buf := Marshal(&Ping{SeqNo: 42, Target: "node-0123", Source: "node-4567"})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Unmarshal(buf); err != nil {
+		if _, err := unmarshal(buf); err != nil {
 			b.Fatal(err)
 		}
 	}

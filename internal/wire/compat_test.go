@@ -2,15 +2,14 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"reflect"
 	"testing"
-
-	"lifeguard/internal/coords"
 )
 
-// legacyMarshalPing encodes a Ping exactly as the pre-coordinate wire
-// format did: fixed fields only, no trailing block. It stands in for a
-// peer running the old protocol.
+// legacyMarshalPing encodes a Ping as the fixed fields alone, the
+// format every release has decoded. It stands in for a peer that sends
+// no trailing block.
 func legacyMarshalPing(m *Ping) []byte {
 	e := encoder{}
 	e.byte(uint8(TypePing))
@@ -28,154 +27,166 @@ func legacyMarshalAck(m *Ack) []byte {
 	return e.buf
 }
 
-// legacyDecodePing decodes only the pre-coordinate fields and ignores
-// whatever follows, exactly as the old decoder did (it never checked
-// for trailing bytes). It stands in for the old peer's decode path.
-func legacyDecodePing(t *testing.T, buf []byte) *Ping {
+// Packets a member of the previous release put on the wire, encoded by
+// commit 64e77dd. Its pings and acks carried the sender's Vivaldi
+// coordinate after their fixed fields: version byte 1, dimension count
+// 8, eight float64 components, then error, adjustment and height.
+const (
+	// Ping{SeqNo: 7, Target: "node-b", Source: "node-a"} + coordinate.
+	v1PingHex = "0100000007066e6f64652d62066e6f64652d61" + v1CoordHex
+	// Ack{SeqNo: 7, Source: "node-b"} + coordinate.
+	v1AckHex = "0300000007066e6f64652d62" + v1CoordHex
+	// Compound of the ping above, Suspect{Incarnation: 2, Node:
+	// "node-c", From: "node-a"} and the ack above.
+	v1CompoundHex = "0a03" + "6d" + v1PingHex + "10" + "0502066e6f64652d63066e6f64652d61" + "66" + v1AckHex
+
+	v1CoordHex = "0108" +
+		"3f50624dd2f1a9fc" + "bf60624dd2f1a9fc" + "3f689374bc6a7efa" + "bf70624dd2f1a9fc" +
+		"3f747ae147ae147b" + "bf789374bc6a7efa" + "3f7cac083126e979" + "bf80624dd2f1a9fc" +
+		"3fd0000000000000" + "bf1a36e2eb1c432d" + "3f36f0068db8bac7"
+)
+
+func mustHex(t *testing.T, s string) []byte {
 	t.Helper()
-	if MsgType(buf[0]) != TypePing {
-		t.Fatalf("not a ping: tag %d", buf[0])
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
 	}
-	d := decoder{buf: buf[1:]}
-	m := &Ping{SeqNo: d.uint32(), Target: d.string(), Source: d.string()}
-	if d.err != nil {
-		t.Fatalf("legacy decode failed: %v", d.err)
-	}
-	return m
+	return b
 }
 
-func legacyDecodeAck(t *testing.T, buf []byte) *Ack {
-	t.Helper()
-	if MsgType(buf[0]) != TypeAck {
-		t.Fatalf("not an ack: tag %d", buf[0])
-	}
-	d := decoder{buf: buf[1:]}
-	m := &Ack{SeqNo: d.uint32(), Source: d.string()}
-	if d.err != nil {
-		t.Fatalf("legacy decode failed: %v", d.err)
-	}
-	return m
-}
-
-// TestCoordlessEncodingIsByteIdenticalToLegacy pins the promise that a
-// nil coordinate adds zero bytes: members that never set coordinates
-// emit exactly the old wire format.
+// TestCoordlessEncodingIsByteIdenticalToLegacy pins that a ping or ack
+// is its fixed fields and nothing more, so every release decodes it.
 func TestCoordlessEncodingIsByteIdenticalToLegacy(t *testing.T) {
 	ping := &Ping{SeqNo: 9, Target: "t", Source: "s"}
 	if got, want := Marshal(ping), legacyMarshalPing(ping); !bytes.Equal(got, want) {
-		t.Errorf("coordless ping encoding changed:\ngot:  %x\nwant: %x", got, want)
+		t.Errorf("ping encoding changed:\ngot:  %x\nwant: %x", got, want)
 	}
 	ack := &Ack{SeqNo: 9, Source: "s"}
 	if got, want := Marshal(ack), legacyMarshalAck(ack); !bytes.Equal(got, want) {
-		t.Errorf("coordless ack encoding changed:\ngot:  %x\nwant: %x", got, want)
+		t.Errorf("ack encoding changed:\ngot:  %x\nwant: %x", got, want)
 	}
 }
 
-// TestLegacyPeerDecodesCoordinateMessages is the forward direction: a
-// packet carrying coordinates decodes on a coordinate-unaware peer,
-// which sees the fixed fields and skips the tail.
+// requirePreviousReleaseDecodes decodes a previous release's packet on
+// both the allocating and the pooled decoder and requires the fixed
+// fields of each message, with no error.
+func requirePreviousReleaseDecodes(t *testing.T, name, pktHex string, want []Message) {
+	t.Helper()
+	pkt := mustHex(t, pktHex)
+	got, err := DecodePacket(pkt)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s decoded to %+v, want %+v", name, got, want)
+	}
+	u := new(Unpacker)
+	pooled, err := u.Decode(pkt)
+	if err != nil {
+		t.Fatalf("%s (pooled): %v", name, err)
+	}
+	if !reflect.DeepEqual(pooled, want) {
+		t.Errorf("%s (pooled) decoded to %+v, want %+v", name, pooled, want)
+	}
+}
+
+// TestLegacyPeerDecodesCoordinateMessages is the mixed-version check
+// for bare messages: every member now decodes as a coordinate-unaware
+// peer did, so a previous release's ping and ack, each with its
+// coordinate tail, decode to their fixed fields.
 func TestLegacyPeerDecodesCoordinateMessages(t *testing.T) {
-	ping := &Ping{SeqNo: 7, Target: "node-b", Source: "node-a", Coord: sampleCoord()}
-	got := legacyDecodePing(t, Marshal(ping))
-	if got.SeqNo != ping.SeqNo || got.Target != ping.Target || got.Source != ping.Source {
-		t.Errorf("legacy peer mis-decoded coordinate ping: %+v", got)
-	}
-
-	ack := &Ack{SeqNo: 7, Source: "node-b", Coord: sampleCoord()}
-	gotAck := legacyDecodeAck(t, Marshal(ack))
-	if gotAck.SeqNo != ack.SeqNo || gotAck.Source != ack.Source {
-		t.Errorf("legacy peer mis-decoded coordinate ack: %+v", gotAck)
-	}
+	requirePreviousReleaseDecodes(t, "ping", v1PingHex,
+		[]Message{&Ping{SeqNo: 7, Target: "node-b", Source: "node-a"}})
+	requirePreviousReleaseDecodes(t, "ack", v1AckHex,
+		[]Message{&Ack{SeqNo: 7, Source: "node-b"}})
 }
 
-// TestModernPeerDecodesLegacyMessages is the reverse direction: a
-// legacy packet (no tail) decodes on a coordinate-aware peer as a
-// message without a coordinate.
+// TestPreviousReleaseCoordinateTailsDecode is the mixed-version check
+// through compound framing, where each part is length-delimited and a
+// tail ends at its part's boundary.
+func TestPreviousReleaseCoordinateTailsDecode(t *testing.T) {
+	requirePreviousReleaseDecodes(t, "compound", v1CompoundHex, []Message{
+		&Ping{SeqNo: 7, Target: "node-b", Source: "node-a"},
+		&Suspect{Incarnation: 2, Node: "node-c", From: "node-a"},
+		&Ack{SeqNo: 7, Source: "node-b"},
+	})
+}
+
+// TestModernPeerDecodesLegacyMessages: a ping or ack with no tail
+// decodes to exactly its fields.
 func TestModernPeerDecodesLegacyMessages(t *testing.T) {
 	ping := &Ping{SeqNo: 3, Target: "node-b", Source: "node-a"}
-	m, err := Unmarshal(legacyMarshalPing(ping))
+	m, err := unmarshal(legacyMarshalPing(ping))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.(*Ping); got.Coord != nil || !reflect.DeepEqual(got, ping) {
-		t.Errorf("legacy ping decoded to %+v", got)
+	if !reflect.DeepEqual(m, ping) {
+		t.Errorf("legacy ping decoded to %+v", m)
 	}
 
 	ack := &Ack{SeqNo: 3, Source: "node-b"}
-	ma, err := Unmarshal(legacyMarshalAck(ack))
+	ma, err := unmarshal(legacyMarshalAck(ack))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ma.(*Ack); got.Coord != nil || !reflect.DeepEqual(got, ack) {
-		t.Errorf("legacy ack decoded to %+v", got)
+	if !reflect.DeepEqual(ma, ack) {
+		t.Errorf("legacy ack decoded to %+v", ma)
 	}
 }
 
-// TestUnknownCoordBlockVersionIgnored pins the next escape hatch: a
-// tail tagged with a future version byte is skipped, not an error, so
-// this codec revision is itself forward-compatible.
+// TestUnknownCoordBlockVersionIgnored: a tail tagged with some other
+// version byte is skipped, not an error.
 func TestUnknownCoordBlockVersionIgnored(t *testing.T) {
 	base := &Ping{SeqNo: 5, Target: "t", Source: "s"}
 	buf := append(legacyMarshalPing(base), 0x7F, 0xDE, 0xAD, 0xBE, 0xEF)
-	m, err := Unmarshal(buf)
+	m, err := unmarshal(buf)
 	if err != nil {
 		t.Fatalf("future-version tail rejected: %v", err)
 	}
-	if got := m.(*Ping); got.Coord != nil || got.SeqNo != base.SeqNo {
-		t.Errorf("future-version tail decoded to %+v", got)
+	if !reflect.DeepEqual(m, base) {
+		t.Errorf("future-version tail decoded to %+v", m)
 	}
 }
 
-// TestCoordinateRoundTripInCompound exercises the coordinate block
-// through compound framing, where each part is length-delimited and the
-// tail boundary is per-message.
-func TestCoordinateRoundTripInCompound(t *testing.T) {
-	msgs := []Message{
-		&Ping{SeqNo: 1, Target: "t", Source: "s", Coord: sampleCoord()},
-		&Suspect{Incarnation: 2, Node: "n", From: "f"},
-		&Ack{SeqNo: 1, Source: "t", Coord: sampleCoord()},
-		&Ping{SeqNo: 2, Target: "u", Source: "s"}, // coordless alongside
+// requireTailIgnored: the decoder never reads a ping's tail, so the
+// ping decodes to its fixed fields and a warm pooled decoder spends no
+// allocation on the tail.
+func requireTailIgnored(t *testing.T, tail []byte) {
+	t.Helper()
+	base := &Ping{SeqNo: 1, Target: "t", Source: "s"}
+	pkt := append(legacyMarshalPing(base), tail...)
+	m, err := unmarshal(pkt)
+	if err != nil || !reflect.DeepEqual(m, base) {
+		t.Fatalf("tail %x: decoded to %+v, %v", tail, m, err)
 	}
-	got, err := DecodePacket(EncodePacket(msgs))
-	if err != nil {
+	u := new(Unpacker)
+	if _, err := u.Decode(pkt); err != nil { // warm the pools
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, msgs) {
-		t.Errorf("compound coordinate round trip mismatch:\n got %+v\nwant %+v", got, msgs)
-	}
-}
-
-// TestTruncatedCoordBlockRejected: a v1 tail that is cut short is a
-// malformed packet, not a silent nil coordinate.
-func TestTruncatedCoordBlockRejected(t *testing.T) {
-	full := Marshal(&Ping{SeqNo: 1, Target: "t", Source: "s", Coord: sampleCoord()})
-	bare := len(legacyMarshalPing(&Ping{SeqNo: 1, Target: "t", Source: "s"}))
-	for i := bare + 1; i < len(full); i++ {
-		if _, err := Unmarshal(full[:i]); err == nil {
-			t.Errorf("truncated coord block at %d/%d accepted", i, len(full))
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := u.Decode(pkt); err != nil {
+			t.Fatal(err)
 		}
+	})
+	if allocs > 0 {
+		t.Errorf("tail %x: pooled decode allocates %.1f times, want 0", tail, allocs)
 	}
 }
 
-// TestOversizeCoordDimensionRejected: a corrupt dimension count must
-// not allocate unboundedly.
-func TestOversizeCoordDimensionRejected(t *testing.T) {
-	e := encoder{buf: legacyMarshalPing(&Ping{SeqNo: 1, Target: "t", Source: "s"})}
-	e.byte(coordBlockV1)
-	e.uvarint(1 << 30)
-	if _, err := Unmarshal(e.buf); err == nil {
-		t.Error("oversize coordinate dimension accepted")
+// TestTruncatedCoordBlockIgnored: a v1 coordinate block cut short at
+// any length decodes like any other tail.
+func TestTruncatedCoordBlockIgnored(t *testing.T) {
+	full := mustHex(t, v1CoordHex)
+	for i := 1; i < len(full); i++ {
+		requireTailIgnored(t, full[:i])
 	}
 }
 
-// TestCoordinateSizeBudget pins the coordinate block's wire cost so MTU
-// budgeting stays honest: an 8-dimension coordinate must cost at most
-// 100 bytes on a ping or ack.
-func TestCoordinateSizeBudget(t *testing.T) {
-	c := coords.NewCoordinate(coords.DefaultConfig())
-	bare := len(Marshal(&Ping{SeqNo: 1, Target: "node-000", Source: "node-001"}))
-	withCoord := len(Marshal(&Ping{SeqNo: 1, Target: "node-000", Source: "node-001", Coord: c}))
-	if cost := withCoord - bare; cost > 100 {
-		t.Errorf("coordinate block costs %d bytes on the wire, budget is 100", cost)
-	}
+// TestOversizeCoordDimensionIgnored: a v1 block claiming 2^30
+// dimensions allocates nothing, because nothing reads its count.
+func TestOversizeCoordDimensionIgnored(t *testing.T) {
+	huge := encoder{buf: []byte{1}}
+	huge.uvarint(1 << 30)
+	requireTailIgnored(t, huge.buf)
 }

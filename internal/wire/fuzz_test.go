@@ -2,9 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"testing"
-
-	"lifeguard/internal/coords"
 )
 
 // FuzzDecodePacket throws arbitrary bytes at the packet decoder, which
@@ -15,16 +14,8 @@ import (
 func FuzzDecodePacket(f *testing.F) {
 	// Corpus: one well-formed packet per message type, plus a compound
 	// packet, the empty packet, and truncation/oversize probes.
-	coord := &coords.Coordinate{
-		Vec:        []float64{0.001, -0.002, 0.003, -0.004, 0.005, -0.006, 0.007, -0.008},
-		Error:      0.5,
-		Adjustment: 0.0001,
-		Height:     0.00001,
-	}
 	singles := []Message{
 		&Ping{SeqNo: 1, Target: "t", Source: "s"},
-		&Ping{SeqNo: 1, Target: "t", Source: "s", Coord: coord},
-		&Ack{SeqNo: 3, Source: "s", Coord: coord},
 		&IndirectPing{SeqNo: 2, Target: "t", Source: "s", WantNack: true},
 		&Ack{SeqNo: 3, Source: "s"},
 		&Nack{SeqNo: 4, Source: "s"},
@@ -46,15 +37,15 @@ func FuzzDecodePacket(f *testing.F) {
 		&Suspect{Incarnation: 5, Node: "n", From: "f"},
 		&Alive{Incarnation: 6, Node: "n", Addr: "a"},
 	}))
-	f.Add(EncodePacket([]Message{
-		&Ping{SeqNo: 1, Target: "t", Source: "s", Coord: coord},
-		&Ack{SeqNo: 1, Source: "t", Coord: coord},
-		&Suspect{Incarnation: 5, Node: "n", From: "f"},
-	}))
-	// Coordinate-tail probes: truncated v1 block, oversize dimension,
-	// and an unknown future version tail (must decode, ignored).
-	f.Add(append(Marshal(&Ping{SeqNo: 1, Target: "t", Source: "s"}), coordBlockV1, 0x08, 0x00))
-	f.Add(append(Marshal(&Ping{SeqNo: 1, Target: "t", Source: "s"}), coordBlockV1, 0xFF, 0xFF, 0x7F))
+	// A previous release's coordinate tails (compat_test.go), whole,
+	// cut short, with an oversize dimension, and with an unknown
+	// version byte: each decodes, the tail ignored.
+	for _, h := range []string{v1PingHex, v1AckHex, v1CompoundHex} {
+		b, _ := hex.DecodeString(h)
+		f.Add(b)
+	}
+	f.Add(append(Marshal(&Ping{SeqNo: 1, Target: "t", Source: "s"}), 0x01, 0x08, 0x00))
+	f.Add(append(Marshal(&Ping{SeqNo: 1, Target: "t", Source: "s"}), 0x01, 0xFF, 0xFF, 0x7F))
 	f.Add(append(Marshal(&Ack{SeqNo: 1, Source: "s"}), 0x7F, 0xDE, 0xAD))
 	f.Add([]byte{})
 	f.Add([]byte{byte(TypeCompound)})

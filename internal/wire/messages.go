@@ -10,11 +10,7 @@
 // failure-detector traffic.
 package wire
 
-import (
-	"fmt"
-
-	"lifeguard/internal/coords"
-)
+import "fmt"
 
 // MsgType identifies the concrete type of a protocol message.
 type MsgType uint8
@@ -95,11 +91,6 @@ type Ping struct {
 	// Source is the name of the probing member, so the target can
 	// address the ack (and any piggybacked refutation) back.
 	Source string
-	// Coord is the prober's Vivaldi coordinate, or nil. It rides as an
-	// optional trailing block: members without coordinate support
-	// decode the fixed fields and ignore the tail, and a ping from
-	// such a member simply has no tail — both directions interoperate.
-	Coord *coords.Coordinate
 }
 
 // Type implements Message.
@@ -130,10 +121,6 @@ type Ack struct {
 	SeqNo uint32
 	// Source is the member that produced the ack (the probe target).
 	Source string
-	// Coord is the responder's Vivaldi coordinate, or nil; the prober
-	// pairs it with the measured round-trip time to update its own
-	// coordinate. Optional trailing block, see Ping.Coord.
-	Coord *coords.Coordinate
 }
 
 // Type implements Message.

@@ -4,27 +4,13 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
-
-	"lifeguard/internal/coords"
 )
 
-// randomCoord builds a populated random coordinate.
-func randomCoord(rng *rand.Rand) *coords.Coordinate {
-	c := coords.NewCoordinate(coords.DefaultConfig())
-	for i := range c.Vec {
-		c.Vec[i] = rng.NormFloat64() * 0.05
-	}
-	c.Error = rng.Float64()
-	c.Adjustment = rng.NormFloat64() * 0.001
-	c.Height = rng.Float64() * 0.001
-	return c
-}
-
-// fuzzMessages builds a random message list from every type.
+// randomMessages builds a random message list from every type.
 func randomMessages(rng *rand.Rand, n int) []Message {
 	msgs := make([]Message, 0, n)
 	for i := 0; i < n; i++ {
-		switch rng.Intn(9) {
+		switch rng.Intn(7) {
 		case 0:
 			msgs = append(msgs, &Ping{SeqNo: rng.Uint32(), Target: "t", Source: "s"})
 		case 1:
@@ -41,10 +27,6 @@ func randomMessages(rng *rand.Rand, n int) []Message {
 			msgs = append(msgs, &Dead{Incarnation: rng.Uint64() % 1000, Node: "n", From: "f"})
 		case 6:
 			msgs = append(msgs, &Nack{SeqNo: rng.Uint32(), Source: "s"})
-		case 7:
-			msgs = append(msgs, &Ping{SeqNo: rng.Uint32(), Target: "t", Source: "s", Coord: randomCoord(rng)})
-		case 8:
-			msgs = append(msgs, &Ack{SeqNo: rng.Uint32(), Source: "s", Coord: randomCoord(rng)})
 		}
 	}
 	return msgs
@@ -93,20 +75,19 @@ func TestPackerMatchesEncodePacket(t *testing.T) {
 	}
 }
 
-// TestCoordinatePingStaysUnderMTU reproduces the core's worst-case
-// failure-detector send with coordinates enabled — a coordinate-bearing
-// ping, a Buddy System suspect forced in, and gossip piggyback packed
-// to the remaining budget, exactly the accounting in
-// sendWithPiggybackLocked — and asserts the packet never exceeds MTU.
-// This is the packet-size guarantee for coordinate exchange.
-func TestCoordinatePingStaysUnderMTU(t *testing.T) {
+// TestPingStaysUnderMTU reproduces the core's worst-case
+// failure-detector send — a ping between long names, a Buddy System
+// suspect forced in, and gossip piggyback packed to the remaining
+// budget, exactly the accounting in sendWithPiggybackLocked — and
+// asserts the packet never exceeds MTU.
+func TestPingStaysUnderMTU(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	longName := "node-with-a-rather-long-hostname-0123456789.dc1.example.internal"
 
 	p := AcquirePacker()
 	defer p.Release()
 
-	ping := &Ping{SeqNo: 1 << 31, Target: longName, Source: longName, Coord: randomCoord(rng)}
+	ping := &Ping{SeqNo: 1 << 31, Target: longName, Source: longName}
 	used := p.Add(ping) + CompoundOverhead
 
 	buddy := &Suspect{Incarnation: 1 << 40, Node: longName, From: longName}
@@ -128,15 +109,15 @@ func TestCoordinatePingStaysUnderMTU(t *testing.T) {
 
 	pkt := p.Finish()
 	if len(pkt) > MTU {
-		t.Fatalf("coordinate ping packet is %d bytes, MTU is %d", len(pkt), MTU)
+		t.Fatalf("ping packet is %d bytes, MTU is %d", len(pkt), MTU)
 	}
 	// The packet must also still decode.
 	msgs, err := DecodePacket(pkt)
 	if err != nil {
-		t.Fatalf("packed coordinate packet does not decode: %v", err)
+		t.Fatalf("packed ping packet does not decode: %v", err)
 	}
-	if got := msgs[0].(*Ping); got.Coord == nil {
-		t.Fatal("coordinate lost in packing")
+	if got, ok := msgs[0].(*Ping); !ok || *got != *ping {
+		t.Fatalf("ping lost in packing: %+v", msgs[0])
 	}
 }
 

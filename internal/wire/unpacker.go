@@ -3,19 +3,17 @@ package wire
 import (
 	"encoding/binary"
 	"sync"
-
-	"lifeguard/internal/coords"
 )
 
 // Unpacker is the decode-side counterpart of Packer: it decodes packets
 // into pooled message structs, interned name strings, and reusable
-// coordinate/state scratch, so the steady-state receive path performs no
+// state scratch, so the steady-state receive path performs no
 // allocations. Acquire one per HandlePacket call and Release it once the
 // decoded messages have been processed.
 //
 // Ownership contract: every message returned by Decode — the structs,
-// their string fields excepted, and any Coordinate they carry — is owned
-// by the Unpacker and valid only until the next Decode or Release.
+// their string fields excepted — is owned by the Unpacker and valid
+// only until the next Decode or Release.
 // Handlers that need to keep data must copy it out. Two fields are safe
 // to retain as-is: string fields (interned strings are immutable and
 // shared) and Meta byte slices (always freshly allocated, because the
@@ -38,11 +36,6 @@ type Unpacker struct {
 	deads    msgScratch[Dead]
 	ppreqs   msgScratch[PushPullReq]
 	ppresps  msgScratch[PushPullResp]
-
-	// coordPool recycles decoded coordinates; the coords engine clones
-	// what it stores, so these never outlive the packet.
-	coordPool []*coords.Coordinate
-	nCoords   int
 
 	// statePool recycles the backing arrays of decoded push-pull tables
 	// (the core replays them synchronously and never retains the slice).
@@ -130,7 +123,6 @@ func (u *Unpacker) Decode(b []byte) ([]Message, error) {
 	u.deads.next = 0
 	u.ppreqs.next = 0
 	u.ppresps.next = 0
-	u.nCoords = 0
 	u.nStates = 0
 	msgs, err := decodePacketWith(u, u.msgs[:0], b)
 	if err != nil {
@@ -165,25 +157,6 @@ func (u *Unpacker) takeMessage(t MsgType) Message {
 	default:
 		return nil
 	}
-}
-
-// takeCoord returns a pooled coordinate with a zeroed dim-length vector.
-func (u *Unpacker) takeCoord(dim int) *coords.Coordinate {
-	if u.nCoords == len(u.coordPool) {
-		u.coordPool = append(u.coordPool, &coords.Coordinate{})
-	}
-	c := u.coordPool[u.nCoords]
-	u.nCoords++
-	if cap(c.Vec) < dim {
-		c.Vec = make([]float64, dim)
-	} else {
-		c.Vec = c.Vec[:dim]
-		for i := range c.Vec {
-			c.Vec[i] = 0
-		}
-	}
-	c.Error, c.Adjustment, c.Height = 0, 0, 0
-	return c
 }
 
 // takeStatesSlot returns a pooled, emptied state slice and its slot

@@ -151,12 +151,12 @@ func TestNameSlotsOfNumberedNames(t *testing.T) {
 }
 
 // decodeAllocPacket builds the steady-state packet shape: a compound of
-// ping + ack with coordinates plus piggybacked gossip, with all names
+// ping + ack plus piggybacked gossip, with all names
 // pre-warm in the intern table after the first decode.
 func decodeAllocPacket() []byte {
 	return EncodePacket([]Message{
-		&Ping{SeqNo: 9, Target: "node-b", Source: "node-a", Coord: sampleCoord()},
-		&Ack{SeqNo: 8, Source: "node-b", Coord: sampleCoord()},
+		&Ping{SeqNo: 9, Target: "node-b", Source: "node-a"},
+		&Ack{SeqNo: 8, Source: "node-b"},
 		&Suspect{Incarnation: 3, Node: "node-c", From: "node-a"},
 		&Alive{Incarnation: 4, Node: "node-d", Addr: "10.0.0.4:7946"},
 	})

@@ -26,7 +26,6 @@
 package lifeguard
 
 import (
-	"lifeguard/internal/coords"
 	"lifeguard/internal/core"
 	"lifeguard/internal/nettrans"
 	"lifeguard/internal/telemetry"
@@ -83,17 +82,6 @@ type NopEvents = core.NopEvents
 // TCP path. Symmetrically, the payload delivered to a packet handler
 // is only valid for the duration of the handler call.
 type Transport = core.Transport
-
-// Coordinate is a Vivaldi network coordinate: each member maintains
-// one, updated from probe round-trip times, and the distance between
-// two members' coordinates estimates the RTT between them (all
-// components are in seconds; DistanceTo converts to time.Duration).
-// The zero value is not a valid coordinate — engines start from the
-// configured origin. See Node.Coordinate and Node.EstimateRTT;
-// coordinates are enabled by default and controlled by
-// Config.DisableCoordinates. No protocol decision (probe timeout,
-// relay or gossip target) reads a coordinate.
-type Coordinate = coords.Coordinate
 
 // UDPTransport is the production transport: UDP datagrams with a TCP
 // side channel for reliable traffic (push-pull anti-entropy and fallback
