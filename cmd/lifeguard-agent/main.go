@@ -73,7 +73,7 @@ func (p printer) NotifyDead(m lifeguard.Member) {
 }
 
 func (p printer) NotifyUpdate(m lifeguard.Member) {
-	p.logf("UPDATE  %s inc=%d meta=%dB", m.Name, m.Incarnation, len(m.Meta))
+	p.logf("UPDATE  %s (%s) inc=%d", m.Name, m.Addr, m.Incarnation)
 }
 
 // agentOptions is the parsed, validated flag set for one agent run.

@@ -10,7 +10,6 @@ import (
 	"lifeguard/internal/metrics"
 	"lifeguard/internal/telemetry"
 	"lifeguard/internal/timeutil"
-	"lifeguard/internal/wire"
 )
 
 // Config parameterizes a Node. DefaultConfig returns the paper's
@@ -24,11 +23,6 @@ type Config struct {
 	// Transport's LocalAddr, which is the member's Name under the
 	// simulator.
 	Addr string
-
-	// Meta is opaque application metadata announced with the member (at
-	// most wire.MaxMetaLen bytes). Change it at runtime with
-	// Node.UpdateMeta.
-	Meta []byte
 
 	// Transport delivers packets. Required.
 	Transport Transport
@@ -202,9 +196,6 @@ func (c *Config) validate() error {
 	}
 	if c.SuspicionBeta < 1 || !isFinite(c.SuspicionBeta) {
 		return errors.New("core: SuspicionBeta must be finite and at least 1")
-	}
-	if len(c.Meta) > wire.MaxMetaLen {
-		return fmt.Errorf("core: Meta is %d bytes, limit %d", len(c.Meta), wire.MaxMetaLen)
 	}
 	return nil
 }

@@ -45,8 +45,6 @@ func TestConfigValidationTable(t *testing.T) {
 		{"zero alpha", func(c *Config) { c.SuspicionAlpha = 0 }, "SuspicionAlpha"},
 		{"beta below one", func(c *Config) { c.SuspicionBeta = 0.5 }, "SuspicionBeta"},
 		{"beta exactly one", func(c *Config) { c.SuspicionBeta = 1 }, ""},
-		{"meta at MaxMetaLen", func(c *Config) { c.Meta = make([]byte, wire.MaxMetaLen) }, ""},
-		{"meta one byte over", func(c *Config) { c.Meta = make([]byte, wire.MaxMetaLen+1) }, "Meta"},
 		{"NaN alpha", func(c *Config) { c.SuspicionAlpha = math.NaN() }, "SuspicionAlpha"},
 		{"infinite alpha", func(c *Config) { c.SuspicionAlpha = math.Inf(1) }, "SuspicionAlpha"},
 		{"NaN beta", func(c *Config) { c.SuspicionBeta = math.NaN() }, "SuspicionBeta"},
@@ -77,7 +75,7 @@ func TestConfigValidationTable(t *testing.T) {
 // tests and benchmarks must cover, so one is added only with a caller.
 func TestConfigSurface(t *testing.T) {
 	want := []string{
-		"Name", "Addr", "Meta", "Transport", "Clock", "RNG", "Events", "Metrics", "Telemetry",
+		"Name", "Addr", "Transport", "Clock", "RNG", "Events", "Metrics", "Telemetry",
 		"ProbeInterval", "ProbeTimeout", "SuspicionAlpha", "SuspicionBeta",
 		"LHAProbe", "LHASuspicion", "BuddySystem", "Blocked",
 	}

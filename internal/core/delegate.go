@@ -23,8 +23,8 @@ type EventDelegate interface {
 	// graceful leave — the paper's failure event.
 	NotifyDead(m Member)
 
-	// NotifyUpdate fires when an alive member's metadata or address
-	// changes without a liveness transition.
+	// NotifyUpdate fires when an alive member's address changes
+	// without a liveness transition.
 	NotifyUpdate(m Member)
 }
 

@@ -6,7 +6,6 @@ package core_test
 // virtual time.
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -14,7 +13,6 @@ import (
 
 	"lifeguard/internal/core"
 	"lifeguard/internal/sim"
-	"lifeguard/internal/wire"
 )
 
 // testCluster wires N nodes to a simulated network.
@@ -307,57 +305,5 @@ func TestLHMRisesUnderAnomaly(t *testing.T) {
 
 	if got := target.HealthScore(); got < 3 {
 		t.Fatalf("isolated member has LHM %d, want >= 3", got)
-	}
-}
-
-// TestUpdateMetaPropagates: a running member's metadata update bumps its
-// incarnation and reaches every peer's view of it; oversized metadata
-// and updates outside Start..Shutdown are rejected.
-func TestUpdateMetaPropagates(t *testing.T) {
-	c := newTestCluster(t, clusterOpts{n: 3, seed: 7})
-	defer c.shutdown()
-	src := c.nodes[0]
-	if err := src.UpdateMeta([]byte("early")); err == nil {
-		t.Error("UpdateMeta before Start accepted")
-	}
-	c.start()
-	c.run(5 * time.Second)
-	if !c.converged() {
-		t.Fatal("cluster did not converge within 5s")
-	}
-
-	inc := src.Incarnation()
-	if err := src.UpdateMeta(make([]byte, wire.MaxMetaLen+1)); err == nil {
-		t.Error("oversized meta accepted")
-	}
-	if got := src.Incarnation(); got != inc {
-		t.Errorf("rejected update bumped incarnation %d → %d", inc, got)
-	}
-
-	meta := []byte("zone=b")
-	if err := src.UpdateMeta(meta); err != nil {
-		t.Fatalf("UpdateMeta: %v", err)
-	}
-	if got := src.Incarnation(); got != inc+1 {
-		t.Errorf("incarnation = %d after update, want %d", got, inc+1)
-	}
-	if got := src.Meta(); !bytes.Equal(got, meta) {
-		t.Errorf("local Meta = %q, want %q", got, meta)
-	}
-	c.run(2 * time.Second)
-	for _, n := range c.nodes[1:] {
-		m, ok := n.Member(src.Name())
-		if !ok {
-			t.Fatalf("%s does not know %s", n.Name(), src.Name())
-		}
-		if !bytes.Equal(m.Meta, meta) || m.Incarnation != inc+1 {
-			t.Errorf("%s sees %s meta %q inc %d, want %q inc %d",
-				n.Name(), src.Name(), m.Meta, m.Incarnation, meta, inc+1)
-		}
-	}
-
-	src.Shutdown()
-	if err := src.UpdateMeta([]byte("late")); err == nil {
-		t.Error("UpdateMeta after Shutdown accepted")
 	}
 }

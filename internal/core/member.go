@@ -53,10 +53,6 @@ type Member struct {
 	// Incarnation is the member's latest known incarnation number.
 	Incarnation uint64
 
-	// Meta is the member's opaque application metadata (what Serf
-	// builds node tags on), at most wire.MaxMetaLen bytes.
-	Meta []byte
-
 	// State is the member's liveness state.
 	State State
 

@@ -199,7 +199,6 @@ func (n *Node) Start() error {
 		Name:        n.cfg.Name,
 		Addr:        n.cfg.Addr,
 		Incarnation: n.incarnation,
-		Meta:        append([]byte(nil), n.cfg.Meta...),
 		State:       StateAlive,
 		StateChange: n.cfg.Clock.Now(),
 	}}
@@ -232,51 +231,13 @@ func (n *Node) Join(addr string) error {
 }
 
 // selfAliveLocked builds an alive announcement for the local member at
-// its current incarnation and metadata.
+// its current incarnation.
 func (n *Node) selfAliveLocked() *wire.Alive {
-	var meta []byte
-	if n.self != nil {
-		meta = n.self.Meta
-	}
 	return &wire.Alive{
 		Incarnation: n.incarnation,
 		Node:        n.cfg.Name,
 		Addr:        n.cfg.Addr,
-		Meta:        meta,
 	}
-}
-
-// UpdateMeta replaces the local member's application metadata and
-// announces it to the group under a fresh incarnation (memberlist's
-// UpdateNode).
-func (n *Node) UpdateMeta(meta []byte) error {
-	if len(meta) > wire.MaxMetaLen {
-		return fmt.Errorf("core: meta is %d bytes, limit %d", len(meta), wire.MaxMetaLen)
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if !n.started || n.shutdown {
-		return fmt.Errorf("core: node %s not running", n.cfg.Name)
-	}
-	self := n.self
-	if self == nil {
-		return fmt.Errorf("core: node %s missing own record", n.cfg.Name)
-	}
-	n.incarnation++
-	self.Incarnation = n.incarnation
-	self.Meta = append([]byte(nil), meta...)
-	n.broadcastLocked(n.cfg.Name, n.selfAliveLocked())
-	return nil
-}
-
-// Meta returns the local member's current metadata.
-func (n *Node) Meta() []byte {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.self != nil {
-		return append([]byte(nil), n.self.Meta...)
-	}
-	return nil
 }
 
 // Leave announces a graceful departure. The node keeps running (so the
@@ -394,8 +355,7 @@ func (n *Node) estNumNodes() int {
 // receive path allocates nothing. The unpacker's ownership contract
 // (messages valid only until Release) holds here because every handler
 // runs synchronously before the Release: the only decoded data the
-// handlers retain are strings (interned, immutable) and Meta byte
-// slices (freshly allocated per decode), both of which the contract
+// handlers retain are strings (interned, immutable), which the contract
 // exempts.
 func (n *Node) HandlePacket(from string, payload []byte) {
 	u := wire.AcquireUnpacker()

@@ -26,7 +26,7 @@ func (n *Node) sortedInsertLocked(m *memberState) {
 // to the encoding of the message that carries it (sendStatesLocked), so
 // a node holds no table between exchanges, and the pool holds at most as
 // many tables as exchanges were ever encoded at once. Every slot of a
-// pooled table is zero: no member name or Meta outlives its exchange.
+// pooled table is zero: no member name outlives its exchange.
 // It is a free list rather than a sync.Pool so that what it holds is
 // exactly that bound, and tests can inspect every table in it.
 var statesPool struct {
@@ -90,7 +90,6 @@ func (n *Node) localStatesLocked() []wire.PushPullState {
 			Addr:        m.Addr,
 			Incarnation: m.Incarnation,
 			State:       uint8(m.State),
-			Meta:        m.Meta,
 		})
 	}
 	if len(kept) < len(n.sortedMembers) {
@@ -266,7 +265,7 @@ func (n *Node) mergeRemoteStateLocked(source string, states []wire.PushPullState
 			// Replayed through the node's scratch: handleAliveLocked
 			// copies out the fields it keeps and marshals its broadcast
 			// before returning, so a table with no news allocates nothing.
-			n.scratchAlive = wire.Alive{Incarnation: s.Incarnation, Node: s.Name, Addr: s.Addr, Meta: s.Meta}
+			n.scratchAlive = wire.Alive{Incarnation: s.Incarnation, Node: s.Name, Addr: s.Addr}
 			n.handleAliveLocked(&n.scratchAlive)
 		case StateSuspect, StateDead:
 			// Apply the suspicion at the remote incarnation. Anti-entropy

@@ -26,7 +26,6 @@ func snapshotMatchesTable(t *testing.T, n *Node) {
 			Addr:        m.Addr,
 			Incarnation: m.Incarnation,
 			State:       uint8(m.State),
-			Meta:        m.Meta,
 		})
 	}
 	sort.Slice(want, func(i, j int) bool { return want[i].Name < want[j].Name })
@@ -109,7 +108,7 @@ func pooledTables(t *testing.T, step string) int {
 	defer statesPool.Unlock()
 	for _, table := range statesPool.free {
 		for i, s := range table[:cap(table)] {
-			if s.Name != "" || s.Addr != "" || s.Meta != nil || s.Incarnation != 0 || s.State != 0 {
+			if s != (wire.PushPullState{}) {
 				t.Fatalf("%s: pooled slot %d still holds %+v", step, i, s)
 			}
 		}
@@ -122,11 +121,11 @@ func pooledTables(t *testing.T, step string) int {
 // reconnect tick and a Join whose send fails — and checks after each one
 // that the single table these exchanges share is back in the pool with
 // every slot zero: the node holds no table, and the pool holds no member
-// name or Meta.
+// name.
 func TestPushPullTablesReturnToPool(t *testing.T) {
 	emptyStatesPool()
 	h := newHarness(t, nil)
-	h.inject("alpha", &wire.Alive{Incarnation: 1, Node: "alpha", Addr: "alpha", Meta: []byte("role=db")})
+	h.addMember("alpha", 1)
 	h.addMember("bravo", 1)
 	h.addMember("charlie", 1)
 	h.inject("alpha", &wire.Dead{Incarnation: 1, Node: "charlie", From: "alpha"})
@@ -203,14 +202,14 @@ func TestPushPullPoolConcurrentNodes(t *testing.T) {
 
 // TestPushPullWireGolden pins the bytes of one fixed-table exchange: a
 // Join's request, then the response to a peer's request, over a table
-// holding self and members alive (one with Meta), suspect and dead.
+// holding self and members alive, suspect and dead.
 func TestPushPullWireGolden(t *testing.T) {
 	const (
-		wantReq  = "080473656c66010405616c7068610d31302e302e302e313a37393436030107726f6c653d646205627261766f0d31302e302e302e323a3739343601020007636861726c69650d31302e302e302e333a373934360103000473656c660473656c66010100"
-		wantResp = "090473656c660505616c7068610d31302e302e302e313a37393436030107726f6c653d646205627261766f0d31302e302e302e323a3739343601020007636861726c69650d31302e302e302e333a373934360103000564656c74610d31302e302e302e343a373934360201000473656c660473656c66010100"
+		wantReq  = "080473656c66010405616c7068610d31302e302e302e313a3739343603010005627261766f0d31302e302e302e323a3739343601020007636861726c69650d31302e302e302e333a373934360103000473656c660473656c66010100"
+		wantResp = "090473656c660505616c7068610d31302e302e302e313a3739343603010005627261766f0d31302e302e302e323a3739343601020007636861726c69650d31302e302e302e333a373934360103000564656c74610d31302e302e302e343a373934360201000473656c660473656c66010100"
 	)
 	h := newHarness(t, nil)
-	h.inject("alpha", &wire.Alive{Incarnation: 3, Node: "alpha", Addr: "10.0.0.1:7946", Meta: []byte("role=db")})
+	h.inject("alpha", &wire.Alive{Incarnation: 3, Node: "alpha", Addr: "10.0.0.1:7946"})
 	h.inject("bravo", &wire.Alive{Incarnation: 1, Node: "bravo", Addr: "10.0.0.2:7946"})
 	h.inject("charlie", &wire.Alive{Incarnation: 1, Node: "charlie", Addr: "10.0.0.3:7946"})
 	h.inject("alpha", &wire.Suspect{Incarnation: 1, Node: "bravo", From: "alpha"})

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"time"
 
 	"lifeguard/internal/metrics"
@@ -198,13 +197,12 @@ func (n *Node) handleAliveLocked(a *wire.Alive) {
 
 	m, ok := n.members[a.Node]
 	if !ok {
-		// New member. Decoded strings are interned and Meta is freshly
-		// allocated per decode, so storing them verbatim is safe.
+		// New member. Decoded strings are interned and immutable, so
+		// storing them verbatim is safe.
 		m = &memberState{probeSlot: -1, Member: Member{
 			Name:        a.Node,
 			Addr:        a.Addr,
 			Incarnation: a.Incarnation,
-			Meta:        a.Meta,
 			State:       StateAlive,
 			StateChange: n.cfg.Clock.Now(),
 		}}
@@ -227,13 +225,11 @@ func (n *Node) handleAliveLocked(a *wire.Alive) {
 	// Strictly newer incarnation: the member is alive.
 	prev := m.State
 	m.Incarnation = a.Incarnation
-	if a.Addr != "" {
+	if a.Addr != "" && a.Addr != m.Addr {
 		m.Addr = a.Addr
-	}
-	metaChanged := !bytes.Equal(m.Meta, a.Meta)
-	m.Meta = a.Meta
-	if m.State == StateAlive && metaChanged {
-		n.eventUpdateLocked(m)
+		if m.State == StateAlive {
+			n.eventUpdateLocked(m)
+		}
 	}
 	if m.State != StateAlive {
 		if m.susp != nil {

@@ -323,6 +323,33 @@ func TestAliveNewerRevivesDeadMember(t *testing.T) {
 	}
 }
 
+// TestAliveAtNewAddressFiresUpdate: a newer alive that moves an alive
+// member to a new address is an update; one at the address already
+// held is not; and a dead member revived at a new address joins.
+func TestAliveAtNewAddressFiresUpdate(t *testing.T) {
+	h := newHarness(t, nil)
+	h.addMember("m1", 1)
+	h.inject("m1", &wire.Alive{Incarnation: 2, Node: "m1", Addr: "m1-moved"})
+	if got := h.state("m1").Addr; got != "m1-moved" {
+		t.Errorf("addr = %q, want m1-moved", got)
+	}
+	h.inject("m1", &wire.Alive{Incarnation: 3, Node: "m1", Addr: "m1-moved"})
+	if want := []string{"join:m1", "update:m1"}; fmt.Sprint(h.events) != fmt.Sprint(want) {
+		t.Errorf("events = %v, want %v", h.events, want)
+	}
+
+	h = newHarness(t, nil)
+	h.addMember("m1", 1)
+	h.inject("x", &wire.Dead{Incarnation: 1, Node: "m1", From: "x"})
+	h.inject("m1", &wire.Alive{Incarnation: 2, Node: "m1", Addr: "m1-moved"})
+	if want := []string{"join:m1", "dead:m1", "join:m1"}; fmt.Sprint(h.events) != fmt.Sprint(want) {
+		t.Errorf("revived at a new address: events = %v, want %v", h.events, want)
+	}
+	if got := h.state("m1").Addr; got != "m1-moved" {
+		t.Errorf("revived addr = %q, want m1-moved", got)
+	}
+}
+
 func TestSelfSuspectTriggersRefutation(t *testing.T) {
 	h := newHarness(t, nil)
 	h.addMember("m1", 1)

@@ -7,11 +7,12 @@ import (
 )
 
 // bootBytesPerPair bounds what a booted N = 384 Lifeguard cluster
-// retains per observer–subject pair: 362 B measured, plus 10 %. A node
+// retains per observer–subject pair: 346 B measured, plus 10 %. Member
+// records that carried application metadata retained 362 B; a node
 // that kept its own push-pull table and an event log of pointerful
 // records in a doubling array retained 529 B, and one that also kept a
 // Vivaldi coordinate engine 373 B.
-const bootBytesPerPair = 400
+const bootBytesPerPair = 381
 
 // steadyAllocPerPair bounds what sim-steady's 400 s phase allocates at
 // N = 128 per observer–subject pair, and steadyRetainedPerPair what the

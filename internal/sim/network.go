@@ -268,9 +268,6 @@ func NewNetwork(sched *Scheduler, opts Options) *Network {
 // Clock returns the virtual clock shared by all members of this network.
 func (n *Network) Clock() *Clock { return n.clock }
 
-// Scheduler returns the underlying scheduler.
-func (n *Network) Scheduler() *Scheduler { return n.sched }
-
 // Attach registers a member and returns its Port. The handler is invoked
 // for each delivered packet; it must not be nil.
 func (n *Network) Attach(name string, handler PacketHandler) (*Port, error) {

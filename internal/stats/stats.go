@@ -45,9 +45,6 @@ func percentileSorted(sorted []float64, p float64) float64 {
 // Summary holds the percentile set the paper reports for latencies
 // (Table V): median, 99th and 99.9th.
 type Summary struct {
-	// Count is the number of samples.
-	Count int
-
 	// Median is the 50th percentile.
 	Median float64
 
@@ -56,9 +53,6 @@ type Summary struct {
 
 	// P999 is the 99.9th percentile.
 	P999 float64
-
-	// Mean is the arithmetic mean.
-	Mean float64
 
 	// Max is the largest sample.
 	Max float64
@@ -72,16 +66,10 @@ func Summarize(values []float64) Summary {
 	sorted := make([]float64, len(values))
 	copy(sorted, values)
 	sort.Float64s(sorted)
-	sum := 0.0
-	for _, v := range sorted {
-		sum += v
-	}
 	return Summary{
-		Count:  len(sorted),
 		Median: percentileSorted(sorted, 50),
 		P99:    percentileSorted(sorted, 99),
 		P999:   percentileSorted(sorted, 99.9),
-		Mean:   sum / float64(len(sorted)),
 		Max:    sorted[len(sorted)-1],
 	}
 }

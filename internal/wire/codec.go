@@ -52,11 +52,6 @@ func (e *encoder) string(s string) {
 	e.buf = append(e.buf, s...)
 }
 
-func (e *encoder) bytes(b []byte) {
-	e.uvarint(uint64(len(b)))
-	e.buf = append(e.buf, b...)
-}
-
 func boolByte(v bool) uint8 {
 	if v {
 		return 1
@@ -122,30 +117,9 @@ func (d *decoder) uvarint() uint64 {
 	return v
 }
 
-func (d *decoder) string() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > maxStringLen {
-		d.fail(ErrOversize)
-		return ""
-	}
-	if uint64(len(d.buf)) < n {
-		d.fail(ErrTruncated)
-		return ""
-	}
-	var s string
-	if d.u != nil {
-		s = d.u.intern(d.buf[:n])
-	} else {
-		s = string(d.buf[:n])
-	}
-	d.buf = d.buf[n:]
-	return s
-}
-
-func (d *decoder) bytes() []byte {
+// field consumes one length-prefixed field and returns its bytes,
+// which alias the packet.
+func (d *decoder) field() []byte {
 	n := d.uvarint()
 	if d.err != nil {
 		return nil
@@ -158,19 +132,28 @@ func (d *decoder) bytes() []byte {
 		d.fail(ErrTruncated)
 		return nil
 	}
-	if n == 0 {
-		return nil // preserve nil round trips
-	}
-	b := make([]byte, n)
-	copy(b, d.buf[:n])
+	b := d.buf[:n]
 	d.buf = d.buf[n:]
 	return b
+}
+
+func (d *decoder) string() string {
+	b := d.field()
+	if d.u != nil {
+		return d.u.intern(b)
+	}
+	return string(b)
 }
 
 // Per-message encodings. Field order is part of the wire format. A
 // decoder reads its fixed fields and ignores whatever follows them in
 // the message's bytes: earlier releases appended an optional
 // coordinate block to pings and acks, and such a tail still decodes.
+//
+// Alive and each push-pull state end with a length-prefixed field where
+// earlier releases carried member metadata. The encoder writes it empty
+// (one zero byte), and the decoder skips whatever a peer put there,
+// under the bounds of a string, so packets of either release decode.
 
 func (m *Ping) encode(e *encoder) {
 	e.uint32(m.SeqNo)
@@ -234,14 +217,14 @@ func (m *Alive) encode(e *encoder) {
 	e.uvarint(m.Incarnation)
 	e.string(m.Node)
 	e.string(m.Addr)
-	e.bytes(m.Meta)
+	e.byte(0)
 }
 
 func (m *Alive) decode(d *decoder) {
 	m.Incarnation = d.uvarint()
 	m.Node = d.string()
 	m.Addr = d.string()
-	m.Meta = d.bytes()
+	d.field()
 }
 
 func (m *Dead) encode(e *encoder) {
@@ -264,7 +247,7 @@ func encodeStates(e *encoder, states []PushPullState) {
 		e.string(s.Addr)
 		e.uvarint(s.Incarnation)
 		e.byte(s.State)
-		e.bytes(s.Meta)
+		e.byte(0)
 	}
 }
 
@@ -293,7 +276,7 @@ func decodeStates(d *decoder) []PushPullState {
 		s.Addr = d.string()
 		s.Incarnation = d.uvarint()
 		s.State = d.byte()
-		s.Meta = d.bytes()
+		d.field()
 		states = append(states, s)
 	}
 	if slot >= 0 {

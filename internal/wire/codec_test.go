@@ -25,10 +25,9 @@ func sampleMessages() []Message {
 		&Nack{SeqNo: 7, Source: "node-r"},
 		&Suspect{Incarnation: 3, Node: "node-x", From: "node-y"},
 		&Alive{Incarnation: 4, Node: "node-x", Addr: "10.0.0.1:7946"},
-		&Alive{Incarnation: 4, Node: "node-m", Addr: "10.0.0.9:7946", Meta: []byte("dc=eu,role=web")},
 		&Dead{Incarnation: 5, Node: "node-x", From: "node-z"},
 		&PushPullReq{Source: "node-a", Join: true, States: []PushPullState{
-			{Name: "node-a", Addr: "10.0.0.1:7946", Incarnation: 1, State: 1, Meta: []byte("tags")},
+			{Name: "node-a", Addr: "10.0.0.1:7946", Incarnation: 1, State: 1},
 			{Name: "node-b", Addr: "10.0.0.2:7946", Incarnation: 9, State: 3},
 		}},
 		&PushPullReq{Source: "node-a", Join: false, States: nil},

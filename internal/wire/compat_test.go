@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"reflect"
 	"testing"
 )
@@ -189,4 +190,101 @@ func TestOversizeCoordDimensionIgnored(t *testing.T) {
 	huge := encoder{buf: []byte{1}}
 	huge.uvarint(1 << 30)
 	requireTailIgnored(t, huge.buf)
+}
+
+// Packets a member of the previous release put on the wire, encoded by
+// commit 5f83ed7. Its alives and push-pull states ended with member
+// metadata, a length-prefixed field that now always goes out empty.
+const (
+	// Alive{Incarnation: 5, Node: "node-m", Addr: "10.0.0.9:7946"},
+	// meta "dc=eu,role=web".
+	metaAliveHex = "0605066e6f64652d6d0d31302e302e302e393a37393436" + "0e64633d65752c726f6c653d776562"
+	// PushPullReq{Source: "node-a", Join: true} with node-a (alive@1,
+	// meta "tags") and node-b (suspect@9, no meta).
+	metaReqHex = "08066e6f64652d610102" +
+		"066e6f64652d610d31302e302e302e313a373934360100" + "0474616773" +
+		"066e6f64652d620d31302e302e302e323a373934360901" + "00"
+	// PushPullResp{Source: "node-b"} with node-c (dead@2, meta
+	// "rack=7").
+	metaRespHex = "09066e6f64652d6201" +
+		"066e6f64652d630d31302e302e302e333a373934360202" + "067261636b3d37"
+	// Compound of the alive above, Suspect{Incarnation: 2, Node:
+	// "node-c", From: "node-a"}, and the request and response above.
+	metaCompoundHex = "0a04" + "26" + metaAliveHex + "10" + "0502066e6f64652d63066e6f64652d61" +
+		"3e" + metaReqHex + "27" + metaRespHex
+)
+
+// TestPreviousReleaseMetadataDecodes is the mixed-version check for the
+// retired metadata field: a previous release's alive and push-pull
+// tables, bare and in a compound, decode to their fixed fields, and a
+// warm pooled decoder skips the metadata without allocating.
+func TestPreviousReleaseMetadataDecodes(t *testing.T) {
+	alive := &Alive{Incarnation: 5, Node: "node-m", Addr: "10.0.0.9:7946"}
+	req := &PushPullReq{Source: "node-a", Join: true, States: []PushPullState{
+		{Name: "node-a", Addr: "10.0.0.1:7946", Incarnation: 1, State: 0},
+		{Name: "node-b", Addr: "10.0.0.2:7946", Incarnation: 9, State: 1},
+	}}
+	resp := &PushPullResp{Source: "node-b", States: []PushPullState{
+		{Name: "node-c", Addr: "10.0.0.3:7946", Incarnation: 2, State: 2},
+	}}
+	for _, c := range []struct {
+		name, hex string
+		want      []Message
+	}{
+		{"alive", metaAliveHex, []Message{alive}},
+		{"push-pull-req", metaReqHex, []Message{req}},
+		{"push-pull-resp", metaRespHex, []Message{resp}},
+		{"compound", metaCompoundHex, []Message{
+			alive, &Suspect{Incarnation: 2, Node: "node-c", From: "node-a"}, req, resp,
+		}},
+	} {
+		requirePreviousReleaseDecodes(t, c.name, c.hex, c.want)
+		pkt := mustHex(t, c.hex)
+		u := new(Unpacker)
+		if _, err := u.Decode(pkt); err != nil { // warm the pools
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := u.Decode(pkt); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("%s: pooled decode allocates %.1f times, want 0", c.name, allocs)
+		}
+	}
+}
+
+// TestMetadataLengthBounds: the skipped field keeps a string's bounds,
+// so metadata of maxStringLen bytes decodes, a length over it is
+// oversize and one past the end of the message is truncated, in an
+// alive and in a push-pull state alike, on both decoders.
+func TestMetadataLengthBounds(t *testing.T) {
+	alivePrefix := mustHex(t, "0605066e6f64652d6d0d31302e302e302e393a37393436")
+	statePrefix := mustHex(t, "09066e6f64652d6201066e6f64652d630d31302e302e302e333a373934360202")
+	withField := func(prefix []byte, n uint64, body int) []byte {
+		e := encoder{buf: append([]byte(nil), prefix...)}
+		e.uvarint(n)
+		e.buf = append(e.buf, make([]byte, body)...)
+		return e.buf
+	}
+	for _, c := range []struct {
+		name string
+		pkt  []byte
+		want error
+	}{
+		{"alive at the bound", withField(alivePrefix, maxStringLen, maxStringLen), nil},
+		{"alive oversize", withField(alivePrefix, maxStringLen+1, maxStringLen+1), ErrOversize},
+		{"alive truncated", withField(alivePrefix, 5, 2), ErrTruncated},
+		{"state at the bound", withField(statePrefix, maxStringLen, maxStringLen), nil},
+		{"state oversize", withField(statePrefix, maxStringLen+1, maxStringLen+1), ErrOversize},
+		{"state truncated", withField(statePrefix, 7, 1), ErrTruncated},
+	} {
+		if _, err := DecodePacket(c.pkt); !errors.Is(err, c.want) {
+			t.Errorf("%s: DecodePacket err = %v, want %v", c.name, err, c.want)
+		}
+		if _, err := new(Unpacker).Decode(c.pkt); !errors.Is(err, c.want) {
+			t.Errorf("%s: Unpacker.Decode err = %v, want %v", c.name, err, c.want)
+		}
+	}
 }

@@ -20,10 +20,10 @@ func FuzzDecodePacket(f *testing.F) {
 		&Ack{SeqNo: 3, Source: "s"},
 		&Nack{SeqNo: 4, Source: "s"},
 		&Suspect{Incarnation: 5, Node: "n", From: "f"},
-		&Alive{Incarnation: 6, Node: "n", Addr: "a", Meta: []byte{1, 2}},
+		&Alive{Incarnation: 6, Node: "n", Addr: "a"},
 		&Dead{Incarnation: 7, Node: "n", From: "f"},
 		&PushPullReq{Source: "s", Join: true, States: []PushPullState{
-			{Name: "n", Addr: "a", Incarnation: 1, State: 1, Meta: []byte{3}},
+			{Name: "n", Addr: "a", Incarnation: 1, State: 1},
 		}},
 		&PushPullResp{Source: "s", States: []PushPullState{
 			{Name: "n", Addr: "a", Incarnation: 2, State: 3},
@@ -37,10 +37,10 @@ func FuzzDecodePacket(f *testing.F) {
 		&Suspect{Incarnation: 5, Node: "n", From: "f"},
 		&Alive{Incarnation: 6, Node: "n", Addr: "a"},
 	}))
-	// A previous release's coordinate tails (compat_test.go), whole,
-	// cut short, with an oversize dimension, and with an unknown
-	// version byte: each decodes, the tail ignored.
-	for _, h := range []string{v1PingHex, v1AckHex, v1CompoundHex} {
+	// Previous releases' coordinate tails and metadata (compat_test.go),
+	// then tails cut short, with an oversize dimension, and with an
+	// unknown version byte: each decodes, the tail ignored.
+	for _, h := range []string{v1PingHex, v1AckHex, v1CompoundHex, metaAliveHex, metaReqHex, metaRespHex, metaCompoundHex} {
 		b, _ := hex.DecodeString(h)
 		f.Add(b)
 	}

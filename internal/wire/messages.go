@@ -165,14 +165,7 @@ type Alive struct {
 	Node string
 	// Addr is the member's transport address.
 	Addr string
-	// Meta is opaque application metadata attached by the member (what
-	// Serf builds its tags on). Limited to MaxMetaLen bytes.
-	Meta []byte
 }
-
-// MaxMetaLen bounds the metadata attached to a member (memberlist's
-// limit is 512 bytes).
-const MaxMetaLen = 512
 
 // Type implements Message.
 func (*Alive) Type() MsgType { return TypeAlive }
@@ -204,8 +197,6 @@ type PushPullState struct {
 	// constants defined by the core package (alive, suspect, dead,
 	// left), encoded as a byte.
 	State uint8
-	// Meta is the member's application metadata as known to the sender.
-	Meta []byte
 }
 
 // PushPullReq opens an anti-entropy exchange, carrying the sender's full

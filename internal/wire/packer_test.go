@@ -20,9 +20,7 @@ func randomMessages(rng *rand.Rand, n int) []Message {
 		case 3:
 			msgs = append(msgs, &Suspect{Incarnation: rng.Uint64() % 1000, Node: "n", From: "f"})
 		case 4:
-			meta := make([]byte, rng.Intn(16))
-			rng.Read(meta)
-			msgs = append(msgs, &Alive{Incarnation: rng.Uint64() % 1000, Node: "n", Addr: "a", Meta: meta})
+			msgs = append(msgs, &Alive{Incarnation: rng.Uint64() % 1000, Node: "n", Addr: "a"})
 		case 5:
 			msgs = append(msgs, &Dead{Incarnation: rng.Uint64() % 1000, Node: "n", From: "f"})
 		case 6:
@@ -81,7 +79,6 @@ func TestPackerMatchesEncodePacket(t *testing.T) {
 // budget, exactly the accounting in sendWithPiggybackLocked — and
 // asserts the packet never exceeds MTU.
 func TestPingStaysUnderMTU(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
 	longName := "node-with-a-rather-long-hostname-0123456789.dc1.example.internal"
 
 	p := AcquirePacker()
@@ -95,9 +92,7 @@ func TestPingStaysUnderMTU(t *testing.T) {
 
 	// Fill the rest of the budget greedily with maximum-size gossip
 	// updates, the way GetBroadcastsInto packs the queue's payloads.
-	meta := make([]byte, MaxMetaLen)
-	rng.Read(meta)
-	gossip := Marshal(&Alive{Incarnation: 1 << 40, Node: longName, Addr: longName, Meta: meta})
+	gossip := Marshal(&Alive{Incarnation: 1 << 40, Node: longName, Addr: longName})
 	budget := MTU - used
 	for budget >= len(gossip)+CompoundOverhead {
 		p.AddRaw(gossip)

@@ -14,10 +14,8 @@ import (
 // Ownership contract: every message returned by Decode — the structs,
 // their string fields excepted — is owned by the Unpacker and valid
 // only until the next Decode or Release.
-// Handlers that need to keep data must copy it out. Two fields are safe
-// to retain as-is: string fields (interned strings are immutable and
-// shared) and Meta byte slices (always freshly allocated, because the
-// membership table stores them verbatim).
+// Handlers that need to keep data must copy it out. Only string fields
+// are safe to retain as-is: interned strings are immutable and shared.
 type Unpacker struct {
 	// msgs is the reusable result slice handed back by Decode.
 	msgs []Message
@@ -168,8 +166,8 @@ func (u *Unpacker) takeStatesSlot() (int, []PushPullState) {
 	slot := u.nStates
 	u.nStates++
 	s := u.states[slot][:0]
-	// Clear retained pointers from the previous decode so stale Meta
-	// slices and strings do not outlive their packet via the pool.
+	// Clear retained pointers from the previous decode so stale
+	// strings do not outlive their packet via the pool.
 	for i := range s[:cap(s)] {
 		s[:cap(s)][i] = PushPullState{}
 	}

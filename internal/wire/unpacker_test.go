@@ -61,27 +61,6 @@ func TestUnpackerReuseAcrossDecodes(t *testing.T) {
 	}
 }
 
-// TestUnpackerMetaIsFreshPerDecode pins the one retention exemption in
-// the Unpacker contract: Meta byte slices are freshly allocated, so a
-// handler that stores one (the membership table does) must not see it
-// clobbered by a later decode.
-func TestUnpackerMetaIsFreshPerDecode(t *testing.T) {
-	u := AcquireUnpacker()
-	defer u.Release()
-
-	first, err := u.Decode(Marshal(&Alive{Incarnation: 1, Node: "n", Addr: "a", Meta: []byte("keep-me")}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	kept := first[0].(*Alive).Meta
-	if _, err := u.Decode(Marshal(&Alive{Incarnation: 2, Node: "n", Addr: "a", Meta: []byte("clobber")})); err != nil {
-		t.Fatal(err)
-	}
-	if string(kept) != "keep-me" {
-		t.Fatalf("retained Meta corrupted by later decode: %q", kept)
-	}
-}
-
 // TestUnpackerInternOverflowStillDecodes checks that names beyond the
 // intern table's bounds — too long, or four times more of them than it
 // has slots — degrade to plain allocation, not to wrong strings.
@@ -164,8 +143,6 @@ func decodeAllocPacket() []byte {
 
 // TestDecodeAllocs gates the zero-alloc decode contract: once the
 // unpacker is warm, decoding a steady-state packet allocates nothing.
-// (Meta-carrying alives allocate their Meta copy by design; the
-// steady-state failure-detector traffic here carries none.)
 func TestDecodeAllocs(t *testing.T) {
 	// A fresh unpacker, so the gate does not depend on what other tests
 	// left in a pooled one.
