@@ -125,7 +125,6 @@ type Node struct {
 	bcastBuf       []byte // broadcastLocked's marshal buffer
 	scratchPing    wire.Ping
 	scratchAck     wire.Ack
-	scratchAlive   wire.Alive // mergeRemoteStateLocked's replayed entry
 	scratchSuspect wire.Suspect
 	scratchNack    wire.Nack
 	gossipTargets  []*memberState
@@ -351,13 +350,23 @@ func (n *Node) estNumNodes() int {
 // HandlePacket decodes and processes one inbound packet. The transport
 // calls it once per delivered datagram/stream message.
 //
-// Decoding runs through a pooled wire.Unpacker, so the steady-state
-// receive path allocates nothing. The unpacker's ownership contract
-// (messages valid only until Release) holds here because every handler
-// runs synchronously before the Release: the only decoded data the
-// handlers retain are strings (interned, immutable), which the contract
-// exempts.
+// A push-pull table equal to this node's own view is not decoded at
+// all (handleNoNewsPushPull). Everything else is decoded through a
+// pooled wire.Unpacker, so the steady-state receive path allocates
+// nothing. The unpacker's ownership contract (messages valid only
+// until Release) holds here because every handler runs synchronously
+// before the Release: the only decoded data the handlers retain are
+// strings (interned, immutable), which the contract exempts.
 func (n *Node) HandlePacket(from string, payload []byte) {
+	if n.handleNoNewsPushPull(payload) {
+		return
+	}
+	n.decodeAndHandle(from, payload)
+}
+
+// decodeAndHandle is HandlePacket's full path: decode every message of
+// the packet, then handle each in order.
+func (n *Node) decodeAndHandle(from string, payload []byte) {
 	u := wire.AcquireUnpacker()
 	defer u.Release()
 	msgs, err := u.Decode(payload)

@@ -85,12 +85,7 @@ func (n *Node) localStatesLocked() []wire.PushPullState {
 			continue
 		}
 		kept = append(kept, m)
-		states = append(states, wire.PushPullState{
-			Name:        m.Name,
-			Addr:        m.Addr,
-			Incarnation: m.Incarnation,
-			State:       uint8(m.State),
-		})
+		states = append(states, wireState(m))
 	}
 	if len(kept) < len(n.sortedMembers) {
 		clear(n.sortedMembers[len(kept):])
@@ -98,6 +93,11 @@ func (n *Node) localStatesLocked() []wire.PushPullState {
 		n.roster = slices.DeleteFunc(n.roster, func(m *memberState) bool { return n.members[m.Name] != m })
 	}
 	return states
+}
+
+// wireState is m's entry in a push-pull table.
+func wireState(m *memberState) wire.PushPullState {
+	return wire.PushPullState{Name: m.Name, Addr: m.Addr, Incarnation: m.Incarnation, State: uint8(m.State)}
 }
 
 // sendStatesLocked sends msg, a PushPullReq or PushPullResp carrying
@@ -199,8 +199,48 @@ func (n *Node) handlePushPullReqLocked(from string, req *wire.PushPullReq) {
 			break
 		}
 	}
+	n.sendPushPullRespLocked(addr)
+}
+
+// sendPushPullRespLocked answers a push-pull request with this node's
+// table.
+func (n *Node) sendPushPullRespLocked(addr string) {
 	states := n.localStatesLocked()
 	_ = n.sendStatesLocked(addr, &wire.PushPullResp{Source: n.cfg.Name, States: states}, states)
+}
+
+// handleNoNewsPushPull handles, without decoding it, a packet that is
+// one bare push-pull request or response whose table equals this
+// node's view entry for entry (sortedMembers, in the order
+// localStatesLocked sends it), and reports whether it did. Merging such
+// a table is a no-op: each entry meets its own record in the same state
+// at the same incarnation (docs/ARCHITECTURE.md §Contracts has the case
+// by case proof). A request is answered as handlePushPullReqLocked
+// answers it, at the requester's entry's address, which is its
+// record's. Anything else, and a request whose source has no entry,
+// takes the full path.
+func (n *Node) handleNoNewsPushPull(payload []byte) bool {
+	if len(payload) == 0 {
+		return false
+	}
+	kind := wire.MsgType(payload[0])
+	if kind != wire.TypePushPullReq && kind != wire.TypePushPullResp {
+		return false // not a push-pull: no lock taken
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	source, ok := wire.PushPullMatchesView(payload, n.sortedMembers, wireState)
+	if !ok || n.shutdown {
+		return false
+	}
+	if kind == wire.TypePushPullReq {
+		m, ok := n.members[string(source)]
+		if !ok {
+			return false
+		}
+		n.sendPushPullRespLocked(m.Addr)
+	}
+	return true
 }
 
 // handlePushPullRespLocked merges the response half of an exchange.
@@ -262,11 +302,11 @@ func (n *Node) mergeRemoteStateLocked(source string, states []wire.PushPullState
 		s := &states[i]
 		switch State(s.State) {
 		case StateAlive:
-			// Replayed through the node's scratch: handleAliveLocked
-			// copies out the fields it keeps and marshals its broadcast
-			// before returning, so a table with no news allocates nothing.
-			n.scratchAlive = wire.Alive{Incarnation: s.Incarnation, Node: s.Name, Addr: s.Addr}
-			n.handleAliveLocked(&n.scratchAlive)
+			// The replayed alive and left messages stay on the stack:
+			// the handlers copy out the fields they keep and marshal
+			// their broadcasts before returning, so a table with no news
+			// allocates nothing.
+			n.handleAliveLocked(&wire.Alive{Incarnation: s.Incarnation, Node: s.Name, Addr: s.Addr})
 		case StateSuspect, StateDead:
 			// Apply the suspicion at the remote incarnation. Anti-entropy
 			// state is not an accusation: it must neither confirm an

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -169,28 +170,39 @@ func TestIdleTicksAllocs(t *testing.T) {
 }
 
 // TestPushPullMergeAllocs: merging a 64-state table that holds no news
-// allocates nothing (one wire.Alive per state before the scratch).
+// allocates nothing, whether its entries are alive, suspect, dead or
+// left (one wire.Alive per alive entry, and one wire.Dead per left one,
+// while the messages the merge replays escaped to the heap).
 func TestPushPullMergeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation pin: sync.Pool drops items under -race")
 	}
 	h := newHarness(t, nil)
-	states := make([]wire.PushPullState, 64)
-	for i := range states {
+	alive := make([]wire.PushPullState, 64)
+	for i := range alive {
 		name := fmt.Sprintf("member-%02d", i)
-		states[i] = wire.PushPullState{Name: name, Addr: name, Incarnation: 1, State: uint8(StateAlive)}
+		alive[i] = wire.PushPullState{Name: name, Addr: name, Incarnation: 1, State: uint8(StateAlive)}
 	}
-	merge := func() {
+	// A quarter each: alive, suspect, dead (merged as a suspicion) and
+	// left.
+	mixed := slices.Clone(alive)
+	for i := range mixed {
+		mixed[i].State = uint8(StateAlive + State(i%4))
+	}
+	merge := func(states []wire.PushPullState) {
 		h.node.mu.Lock()
 		h.node.mergeRemoteStateLocked(states[0].Name, states)
 		h.node.mu.Unlock()
 	}
-	merge()
-	if got := h.node.NumAlive(); got != len(states)+1 {
-		t.Fatalf("%d members alive after the first merge, want %d", got, len(states)+1)
+	merge(alive)
+	merge(mixed)
+	if got, want := h.node.NumAlive(), len(alive)*3/4+1; got != want {
+		t.Fatalf("%d members alive or suspect after the merges, want %d", got, want)
 	}
-	if allocs := allocsOver(10, merge); allocs != 0 {
-		t.Errorf("10 no-news merges of %d states allocated %.0f times, want 0", len(states), allocs)
+	for _, states := range [][]wire.PushPullState{alive, mixed} {
+		if allocs := allocsOver(10, func() { merge(states) }); allocs != 0 {
+			t.Errorf("10 no-news merges of %d states allocated %.0f times, want 0", len(states), allocs)
+		}
 	}
 }
 

@@ -308,36 +308,77 @@ func (m *PushPullResp) decode(d *decoder) {
 	m.States = decodeStates(d)
 }
 
+// PushPullMatchesView reports whether b is one bare PushPullReq or
+// PushPullResp whose table equals view: as many entries, and entry by
+// entry in order the name, address, incarnation and state of
+// state(view[i]), each with an empty metadata field. It reads b with
+// the decoder's own bounds checks, so true means DecodePacket decodes b
+// to exactly that one message with exactly those states. It stops at
+// the first difference and allocates nothing. source is the message's
+// Source field; it aliases b.
+func PushPullMatchesView[T any](b []byte, view []T, state func(T) PushPullState) (source []byte, ok bool) {
+	if len(b) == 0 || (MsgType(b[0]) != TypePushPullReq && MsgType(b[0]) != TypePushPullResp) {
+		return nil, false
+	}
+	d := decoder{buf: b[1:]}
+	source = d.field()
+	if MsgType(b[0]) == TypePushPullReq {
+		d.bool() // Join: the receiver's handling does not depend on it
+	}
+	if n := d.uvarint(); d.err != nil || n > maxStates || n != uint64(len(view)) {
+		return nil, false
+	}
+	for _, v := range view {
+		s := state(v)
+		if string(d.field()) != s.Name || string(d.field()) != s.Addr ||
+			d.uvarint() != s.Incarnation || d.byte() != s.State || len(d.field()) != 0 || d.err != nil {
+			return nil, false
+		}
+	}
+	return source, true
+}
+
 // encodeInto encodes m (type tag included) through a concrete-type
 // dispatch: calling m.encode(&e) through the Message interface makes
 // the encoder escape to the heap, costing an allocation per message on
 // the send path, while the static calls below keep it on the stack.
+// The tag is read through the concrete type too, and the default case
+// does not format m: a dynamic m.Type() or a %T would make m itself
+// escape, and with it every message struct a caller builds to send.
 func encodeInto(e *encoder, m Message) {
-	e.byte(uint8(m.Type()))
 	switch v := m.(type) {
 	case *Ping:
+		e.byte(uint8(v.Type()))
 		v.encode(e)
 	case *IndirectPing:
+		e.byte(uint8(v.Type()))
 		v.encode(e)
 	case *Ack:
+		e.byte(uint8(v.Type()))
 		v.encode(e)
 	case *Nack:
+		e.byte(uint8(v.Type()))
 		v.encode(e)
 	case *Suspect:
+		e.byte(uint8(v.Type()))
 		v.encode(e)
 	case *Alive:
+		e.byte(uint8(v.Type()))
 		v.encode(e)
 	case *Dead:
+		e.byte(uint8(v.Type()))
 		v.encode(e)
 	case *PushPullReq:
+		e.byte(uint8(v.Type()))
 		v.encode(e)
 	case *PushPullResp:
+		e.byte(uint8(v.Type()))
 		v.encode(e)
 	default:
 		// Message is sealed (unexported methods), so the switch above is
 		// exhaustive. A dynamic m.encode(e) fallback here would force
 		// the encoder to escape again on every path.
-		panic(fmt.Sprintf("wire: cannot encode message type %T", m))
+		panic("wire: cannot encode a message of unknown type")
 	}
 }
 
