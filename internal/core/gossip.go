@@ -5,25 +5,20 @@ import (
 	"lifeguard/internal/wire"
 )
 
-// sendPacketLocked encodes msgs into one packet and hands it to the
-// transport, accounting telemetry. A compound packet counts as one
-// message, matching the paper's Msgs Sent metric.
-func (n *Node) sendPacketLocked(addr string, msgs []wire.Message, reliable bool) error {
-	if len(msgs) == 0 {
-		return nil
-	}
+// sendPacketLocked sends msg alone in one packet, fire-and-forget like
+// every send at this layer: the failure detector is the loss handler.
+func (n *Node) sendPacketLocked(addr string, msg wire.Message, reliable bool) {
 	p := wire.AcquirePacker()
 	defer p.Release()
-	for _, m := range msgs {
-		p.Add(m)
-	}
-	return n.sendPackedLocked(addr, p, reliable)
+	p.Add(msg)
+	_ = n.sendPackedLocked(addr, p, reliable)
 }
 
 // sendPackedLocked finishes the packed messages into one payload and
-// hands it to the transport. The payload lives in the packer's reusable
-// buffer; the Transport contract (payload valid only for the duration of
-// SendPacket) is what makes that safe.
+// hands it to the transport; a compound packet counts as one message,
+// matching the paper's Msgs Sent metric. The payload lives in the
+// packer's reusable buffer; the Transport contract (payload valid only
+// for the duration of SendPacket) is what makes that safe.
 func (n *Node) sendPackedLocked(addr string, p *wire.Packer, reliable bool) error {
 	payload := p.Finish()
 	if len(payload) == 0 {
@@ -51,9 +46,7 @@ func (n *Node) sendWithPiggybackLocked(addr string, primary wire.Message, buddy 
 	used := p.Add(primary) + wire.CompoundOverhead
 
 	if n.cfg.BuddySystem && buddy != nil && buddy.State == StateSuspect {
-		// The scratch suspect is encoded into the packer immediately.
-		n.scratchSuspect = wire.Suspect{Incarnation: buddy.Incarnation, Node: buddy.Name, From: n.cfg.Name}
-		used += p.Add(&n.scratchSuspect) + wire.CompoundOverhead
+		used += p.Add(&wire.Suspect{Incarnation: buddy.Incarnation, Node: buddy.Name, From: n.cfg.Name}) + wire.CompoundOverhead
 	}
 
 	if budget := wire.MTU - used; budget > 0 {

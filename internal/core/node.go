@@ -119,16 +119,10 @@ type Node struct {
 	shutdown bool
 	leaving  bool
 
-	// Hot-path scratch, all guarded by mu. The message scratch structs
-	// are safe to reuse because every send path encodes its message
-	// into the packer's buffer before returning.
-	bcastBuf       []byte // broadcastLocked's marshal buffer
-	scratchPing    wire.Ping
-	scratchAck     wire.Ack
-	scratchSuspect wire.Suspect
-	scratchNack    wire.Nack
-	gossipTargets  []*memberState
-	fanoutAddrs    []string // shared-payload gossip group addresses
+	// Hot-path scratch, all guarded by mu.
+	bcastBuf      []byte // broadcastLocked's marshal buffer
+	gossipTargets []*memberState
+	fanoutAddrs   []string // shared-payload gossip group addresses
 
 	// fanout is cfg.Transport's optional fan-out extension, resolved
 	// once at construction; nil when the transport sends one packet at

@@ -165,9 +165,7 @@ func (n *Node) probeTick() {
 			if target != nil {
 				n.probeDeferred = true
 				addr := target.Addr
-				// A copy: the scratch ping is the next round's by the
-				// time the wake closure runs.
-				ping := *n.startProbeRoundLocked(target)
+				ping := n.startProbeRoundLocked(target)
 				n.deferToWakeLocked(func() {
 					n.mu.Lock()
 					n.probeDeferred = false
@@ -297,16 +295,15 @@ func (n *Node) removeProbeTargetLocked(m *memberState) {
 // probeNodeLocked starts a probe round against m and sends the ping.
 func (n *Node) probeNodeLocked(m *memberState) {
 	ping := n.startProbeRoundLocked(m)
-	n.sendWithPiggybackLocked(m.Addr, ping, m, false)
+	n.sendWithPiggybackLocked(m.Addr, &ping, m, false)
 }
 
 // startProbeRoundLocked registers the ack handler and arms the round's
 // timers, returning the ping to send. Separated from the send so a
 // blocked member's round can start at the tick while its ping waits for
-// wake. The ping is the node's scratch, valid until the next round
-// starts; the timers are armed timeout first, period second, on a
+// wake. The timers are armed timeout first, period second, on a
 // recycled record exactly as on a new one.
-func (n *Node) startProbeRoundLocked(m *memberState) *wire.Ping {
+func (n *Node) startProbeRoundLocked(m *memberState) wire.Ping {
 	n.cfg.Metrics.IncrCounter(metrics.CounterProbes, 1)
 	n.seqNo++
 	seq := n.seqNo
@@ -330,8 +327,7 @@ func (n *Node) startProbeRoundLocked(m *memberState) *wire.Ping {
 		h.periodTimer.Reset(interval)
 	}
 
-	n.scratchPing = wire.Ping{SeqNo: seq, Target: m.Name, Source: n.cfg.Name}
-	return &n.scratchPing
+	return wire.Ping{SeqNo: seq, Target: m.Name, Source: n.cfg.Name}
 }
 
 // takeAckLocked returns the record for a new round: a recycled one with
@@ -421,8 +417,7 @@ func (n *Node) probeTimeoutExpiredLocked(seq uint32) {
 	}
 
 	// Reliable-channel fallback direct probe (memberlist §III-B).
-	n.scratchPing = wire.Ping{SeqNo: seq, Target: target.Name, Source: n.cfg.Name}
-	n.sendWithPiggybackLocked(target.Addr, &n.scratchPing, target, true)
+	n.sendWithPiggybackLocked(target.Addr, &wire.Ping{SeqNo: seq, Target: target.Name, Source: n.cfg.Name}, target, true)
 }
 
 // probePeriodExpired is the period timer's callback on the round h
@@ -502,8 +497,7 @@ func (n *Node) handlePingLocked(from string, p *wire.Ping) {
 	if sm := n.members[src]; sm != nil {
 		addr = sm.Addr
 	}
-	n.scratchAck = wire.Ack{SeqNo: p.SeqNo, Source: n.cfg.Name}
-	n.sendWithPiggybackLocked(addr, &n.scratchAck, nil, false)
+	n.sendWithPiggybackLocked(addr, &wire.Ack{SeqNo: p.SeqNo, Source: n.cfg.Name}, nil, false)
 }
 
 // handleIndirectPingLocked relays a probe on behalf of another member.
@@ -543,8 +537,7 @@ func (n *Node) handleIndirectPingLocked(from string, ind *wire.IndirectPing) {
 		n.mu.Unlock()
 	})
 
-	n.scratchPing = wire.Ping{SeqNo: seq, Target: target.Name, Source: n.cfg.Name}
-	n.sendWithPiggybackLocked(target.Addr, &n.scratchPing, target, false)
+	n.sendWithPiggybackLocked(target.Addr, &wire.Ping{SeqNo: seq, Target: target.Name, Source: n.cfg.Name}, target, false)
 }
 
 // relayOriginAddrLocked resolves the address to answer a relayed probe
@@ -573,8 +566,7 @@ func (n *Node) relayNackExpired(seq uint32) {
 	if !ok || r.acked || !r.wantNack {
 		return
 	}
-	n.scratchNack = wire.Nack{SeqNo: r.origSeq, Source: n.cfg.Name}
-	n.sendPacketLocked(n.relayOriginAddrLocked(r), []wire.Message{&n.scratchNack}, false)
+	n.sendPacketLocked(n.relayOriginAddrLocked(r), &wire.Nack{SeqNo: r.origSeq, Source: n.cfg.Name}, false)
 }
 
 // handleAckLocked closes the matching probe round (as originator) or
@@ -617,9 +609,7 @@ func (n *Node) handleAckLocked(_ string, a *wire.Ack) {
 			// direct-path measurement for the relay too.
 			n.cfg.Telemetry.RecordRTT(a.Source, n.cfg.Clock.Now().Sub(r.sentAt))
 		}
-		// The scratch ack is encoded before sendPacketLocked returns.
-		n.scratchAck = wire.Ack{SeqNo: r.origSeq, Source: a.Source}
-		n.sendPacketLocked(n.relayOriginAddrLocked(r), []wire.Message{&n.scratchAck}, false)
+		n.sendPacketLocked(n.relayOriginAddrLocked(r), &wire.Ack{SeqNo: r.origSeq, Source: a.Source}, false)
 	}
 }
 

@@ -178,7 +178,7 @@ func (n *Node) pushPullLocked() {
 // are already reflected in the response. This makes partition healing
 // converge in a couple of reconnect rounds instead of many.
 func (n *Node) handlePushPullReqLocked(from string, req *wire.PushPullReq) {
-	n.mergeRemoteStateLocked(req.Source, req.States)
+	n.mergeRemoteStateLocked(req.States)
 
 	// Address the response by the requester's own advertised address in
 	// its state table, not by our member record: after a crash-rejoin on
@@ -245,7 +245,7 @@ func (n *Node) handleNoNewsPushPull(payload []byte) bool {
 
 // handlePushPullRespLocked merges the response half of an exchange.
 func (n *Node) handlePushPullRespLocked(resp *wire.PushPullResp) {
-	n.mergeRemoteStateLocked(resp.Source, resp.States)
+	n.mergeRemoteStateLocked(resp.States)
 }
 
 // scheduleReconnectLocked arms the next reconnect attempt (the Serf
@@ -297,7 +297,7 @@ func (n *Node) reconnectTick() {
 // about a name this view does not know is dropped (memberlist drops
 // suspect and dead news about unknown names), so a joiner does not
 // relearn, probe and declare every member that ever died.
-func (n *Node) mergeRemoteStateLocked(source string, states []wire.PushPullState) {
+func (n *Node) mergeRemoteStateLocked(states []wire.PushPullState) {
 	for i := range states {
 		s := &states[i]
 		switch State(s.State) {

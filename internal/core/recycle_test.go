@@ -191,7 +191,7 @@ func TestPushPullMergeAllocs(t *testing.T) {
 	}
 	merge := func(states []wire.PushPullState) {
 		h.node.mu.Lock()
-		h.node.mergeRemoteStateLocked(states[0].Name, states)
+		h.node.mergeRemoteStateLocked(states)
 		h.node.mu.Unlock()
 	}
 	merge(alive)

@@ -186,7 +186,8 @@ func (c *Cluster) addNode(name string, rng *rand.Rand) (*core.Node, error) {
 	// The per-member clock lets a script degrade this member's timers;
 	// with no degradation installed it is identical to the shared
 	// network clock.
-	cfg.Clock = c.Net.NodeClock(name)
+	clock := c.Net.NodeClock(name)
+	cfg.Clock = clock
 	c.addSeq++
 	if rng == nil {
 		rng = rand.New(rand.NewSource(c.cc.Seed*7919 + c.addSeq))
@@ -203,9 +204,7 @@ func (c *Cluster) addNode(name string, rng *rand.Rand) (*core.Node, error) {
 		return nil, fmt.Errorf("experiment: attach %s: %w", name, err)
 	}
 	cfg.Transport = port
-	gate := name
-	net := c.Net
-	cfg.Blocked = func() bool { return net.Gated(gate) }
+	cfg.Blocked = clock.Gated
 
 	node, err = core.New(cfg)
 	if err != nil {

@@ -175,6 +175,13 @@ func (c *NodeClock) attached() *Port {
 	return c.port
 }
 
+// Gated reports Network.Gated for the clock's name, read off the held
+// Port (see attached) instead of by a lookup on every loop tick.
+func (c *NodeClock) Gated() bool {
+	p := c.attached()
+	return p != nil && p.gated
+}
+
 // AfterFunc implements timeutil.Clock. When the timer fires while the
 // member is degraded, f is deferred by one draw from the degradation
 // distribution; Stop and Reset cancel the deferred stage too.

@@ -455,6 +455,43 @@ func TestNodeTimerAfterReattach(t *testing.T) {
 	rearm(30*time.Millisecond, "degraded replacement port")
 }
 
+// TestNodeClockGatedMatchesNetwork pins that a clock's Gated answers
+// what Network.Gated answers for its name through every gate change: a
+// clock made before Attach, Pause, Resume, SetGated, Detach while gated,
+// re-Attach under the same name, and Crash.
+func TestNodeClockGatedMatchesNetwork(t *testing.T) {
+	r := newRig(t, Options{Seed: 1})
+	clock := r.net.NodeClock("a")
+	check := func(when string, want bool) {
+		t.Helper()
+		if got := r.net.Gated("a"); got != want {
+			t.Fatalf("%s: Network.Gated = %v, want %v", when, got, want)
+		}
+		if got := clock.Gated(); got != want {
+			t.Fatalf("%s: NodeClock.Gated = %v, want %v", when, got, want)
+		}
+	}
+	check("before attach", false)
+	r.attach(t, "a")
+	check("attached", false)
+	r.net.Pause("a", PauseBuffer)
+	check("paused", true)
+	r.net.Resume("a")
+	check("resumed", false)
+	r.net.SetGated("a", true)
+	check("gated", true)
+	r.net.Detach("a")
+	check("detached while gated", false)
+	r.attach(t, "a")
+	check("re-attached", false)
+	r.net.SetGated("a", true)
+	check("replacement gated", true)
+	r.net.SetGated("a", false)
+	check("replacement released", false)
+	r.net.Crash("a")
+	check("crashed", true)
+}
+
 func TestStatsMergeCoversAllFields(t *testing.T) {
 	var a, b Stats
 	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()

@@ -8,6 +8,8 @@
 package sim
 
 import (
+	"math"
+	"math/bits"
 	"time"
 )
 
@@ -68,11 +70,15 @@ type entry struct {
 	ev  *Event
 }
 
-func (a entry) less(b entry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+// before is 1 if a runs before b, else 0: the borrow out of the 128-bit
+// subtraction (a.at:a.seq) − (b.at:b.seq), computed by SUB and SBB with
+// no branch. Comparing at unsigned is right because at is never
+// negative: the clock starts at 0 and every deadline is clamped to
+// [now, math.MaxInt64].
+func before(a, b *entry) uint64 {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
+	return borrow & 1 // always 0 or 1; the mask lets index checks go
 }
 
 // heapArity is the heap's branching factor. Four children per node
@@ -127,15 +133,13 @@ func (s *Scheduler) Schedule(d time.Duration, fn func()) *Event {
 // arm makes the handed-out event e pending, d from now.
 func (s *Scheduler) arm(d time.Duration, e *Event) {
 	e.sched = s
-	s.push(s.now+int64(max(d, 0)), e)
+	s.push(d, e)
 }
 
 // ScheduleAt runs fn at the given virtual time, which must not be before
 // Now (it is clamped if it is).
 func (s *Scheduler) ScheduleAt(at time.Time, fn func()) *Event {
-	e := &Event{fn: fn, sched: s, home: s}
-	s.push(max(int64(at.Sub(s.epoch)), s.now), e)
-	return e
+	return s.Schedule(at.Sub(s.Now()), fn)
 }
 
 // scheduleArg runs fn(arg) d from now on a pooled event: no Event and no
@@ -152,14 +156,16 @@ func (s *Scheduler) scheduleArg(d time.Duration, fn func(any), arg any) {
 		e = &Event{}
 	}
 	e.fnArg, e.arg = fn, arg
-	s.push(s.now+int64(max(d, 0)), e)
+	s.push(d, e)
 }
 
-// push adds e to the heap at virtual time at, behind everything already
-// scheduled for that instant.
-func (s *Scheduler) push(at int64, e *Event) {
+// push adds e to the heap d from now, behind everything already
+// scheduled for that instant. Negative d is treated as zero, and the
+// sum saturates at math.MaxInt64 rather than wrapping.
+func (s *Scheduler) push(d time.Duration, e *Event) {
 	s.seq++
 	s.heap = append(s.heap, entry{})
+	at := s.now + min(max(int64(d), 0), math.MaxInt64-s.now)
 	s.siftUp(len(s.heap)-1, entry{at: at, seq: s.seq, ev: e})
 }
 
@@ -169,7 +175,7 @@ func (s *Scheduler) siftUp(i int, x entry) {
 	h := s.heap
 	for i > 0 {
 		p := (i - 1) / heapArity
-		if !x.less(h[p]) {
+		if before(&x, &h[p]) == 0 {
 			break
 		}
 		h[i] = h[p]
@@ -182,20 +188,28 @@ func (s *Scheduler) siftUp(i int, x entry) {
 
 // siftDown fills the hole at slot i with x, first moving the hole
 // towards the leaves past every smallest child that orders before x.
+// Of four children, the smallest wins a two-round tournament of
+// branch-free compares, picked by mask, so the only branch per level is
+// whether x stops there. A partial last group is scanned.
 func (s *Scheduler) siftDown(i int, x entry) {
 	h := s.heap
 	for {
-		first := heapArity*i + 1
-		if first >= len(h) {
+		first, c := heapArity*i+1, 0
+		if first+heapArity <= len(h) {
+			g := (*[heapArity]entry)(h[first : first+heapArity])
+			a, b := before(&g[1], &g[0]), 2+before(&g[3], &g[2])
+			c = first + int(a^(a^b)&-before(&g[b], &g[a]))
+		} else if first < len(h) {
+			c = first
+			for j := first + 1; j < len(h); j++ {
+				if before(&h[j], &h[c]) == 1 {
+					c = j
+				}
+			}
+		} else {
 			break
 		}
-		c, end := first, min(first+heapArity, len(h))
-		for j := first + 1; j < end; j++ {
-			if h[j].less(h[c]) {
-				c = j
-			}
-		}
-		if !h[c].less(x) {
+		if before(&h[c], &x) == 0 {
 			break
 		}
 		h[i] = h[c]
@@ -219,7 +233,7 @@ func (s *Scheduler) removeAt(i int) {
 	if i == last {
 		return
 	}
-	if i > 0 && x.less(h[(i-1)/heapArity]) {
+	if i > 0 && before(&x, &h[(i-1)/heapArity]) == 1 {
 		s.siftUp(i, x)
 	} else {
 		s.siftDown(i, x)

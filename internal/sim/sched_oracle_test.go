@@ -206,7 +206,11 @@ func (s *oracleScheduler) Drain(limit int) int {
 // snapshots. It also returns the peak number of pooled (afterArg) events
 // pending at once, which is how many pooled events the scheduler had to
 // create.
-func schedTrace(s tracedScheduler, seed int64) (trace []string, peakPooled int) {
+//
+// With ties set, every delay lands on one of a handful of instants —
+// now, or one of the next four millisecond marks — so most events share
+// their at with others and the order rests on seq.
+func schedTrace(s tracedScheduler, seed int64, ties bool) (trace []string, peakPooled int) {
 	rng := rand.New(rand.NewSource(seed))
 	record := func(id int) {
 		trace = append(trace, fmt.Sprintf("%d@%d", id, s.Now().UnixNano()))
@@ -227,6 +231,14 @@ func schedTrace(s tracedScheduler, seed int64) (trace []string, peakPooled int) 
 	// Delays spanning six orders of magnitude: same-instant bursts (d=0),
 	// sub-microsecond packet gaps, and multi-second protocol timers.
 	randDelay := func() time.Duration {
+		if ties {
+			k := time.Duration(rng.Intn(5))
+			if k == 0 {
+				return 0
+			}
+			now := time.Duration(s.Now().UnixNano())
+			return (now/time.Millisecond+k)*time.Millisecond - now
+		}
 		switch rng.Intn(10) {
 		case 0:
 			return 0
@@ -331,26 +343,33 @@ func schedTrace(s tracedScheduler, seed int64) (trace []string, peakPooled int) 
 }
 
 func TestSchedulerMatchesSeedOracle(t *testing.T) {
-	start := time.Unix(0, 0)
-	for seed := int64(1); seed <= 20; seed++ {
-		want, _ := schedTrace(&oracleScheduler{epoch: start}, seed)
-		s := NewScheduler(start)
-		got, peakPooled := schedTrace(liveScheduler{s}, seed)
-		if len(want) != len(got) {
-			t.Fatalf("seed %d: trace length %d (oracle) vs %d (scheduler)", seed, len(want), len(got))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("seed %d: trace diverges at %d: oracle %q vs scheduler %q", seed, i, want[i], got[i])
+	for _, mode := range []struct {
+		name string
+		ties bool
+	}{{"spread", false}, {"ties", true}} {
+		t.Run(mode.name, func(t *testing.T) {
+			start := time.Unix(0, 0)
+			for seed := int64(1); seed <= 20; seed++ {
+				want, _ := schedTrace(&oracleScheduler{epoch: start}, seed, mode.ties)
+				s := NewScheduler(start)
+				got, peakPooled := schedTrace(liveScheduler{s}, seed, mode.ties)
+				if len(want) != len(got) {
+					t.Fatalf("seed %d: trace length %d (oracle) vs %d (scheduler)", seed, len(want), len(got))
+				}
+				for i := range want {
+					if want[i] != got[i] {
+						t.Fatalf("seed %d: trace diverges at %d: oracle %q vs scheduler %q", seed, i, want[i], got[i])
+					}
+				}
+				// Drained: nothing pending, and every pooled event the run
+				// created is back on the free list.
+				if s.Len() != 0 {
+					t.Fatalf("seed %d: Len=%d after drain", seed, s.Len())
+				}
+				if len(s.free) != peakPooled {
+					t.Fatalf("seed %d: %d pooled events on the free list after drain, want %d (peak pending)", seed, len(s.free), peakPooled)
+				}
 			}
-		}
-		// Drained: nothing pending, and every pooled event the run
-		// created is back on the free list.
-		if s.Len() != 0 {
-			t.Fatalf("seed %d: Len=%d after drain", seed, s.Len())
-		}
-		if len(s.free) != peakPooled {
-			t.Fatalf("seed %d: %d pooled events on the free list after drain, want %d (peak pending)", seed, len(s.free), peakPooled)
-		}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -68,13 +69,162 @@ func TestSchedulerStopCancels(t *testing.T) {
 	}
 }
 
+// lessFields is the two-field (at, seq) order, compared field by field:
+// the reference before must agree with.
+func lessFields(a, b entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// TestSchedulerBeforeMatchesFields checks the borrow compare against
+// the field-by-field order at the edges of both halves of the key —
+// equal at with adjacent seq, at one apart with seq reversed, at of 0
+// and math.MaxInt64, seq of 0 and math.MaxUint64 — and then on random
+// keys biased towards those edges.
+func TestSchedulerBeforeMatchesFields(t *testing.T) {
+	const maxAt, maxSeq = math.MaxInt64, math.MaxUint64
+	cases := []struct{ a, b entry }{
+		{entry{at: 5, seq: 7}, entry{at: 5, seq: 8}},
+		{entry{at: 5, seq: 7}, entry{at: 5, seq: 7}},
+		{entry{at: 5, seq: 9}, entry{at: 6, seq: 8}},
+		{entry{at: 0, seq: maxSeq}, entry{at: 1, seq: 0}},
+		{entry{at: 0, seq: 0}, entry{at: 0, seq: 1}},
+		{entry{at: 0, seq: 0}, entry{at: maxAt, seq: 0}},
+		{entry{at: maxAt, seq: 0}, entry{at: maxAt, seq: maxSeq}},
+		{entry{at: maxAt - 1, seq: maxSeq}, entry{at: maxAt, seq: 0}},
+		{entry{at: maxAt, seq: maxSeq - 1}, entry{at: maxAt, seq: maxSeq}},
+		{entry{at: 0, seq: maxSeq}, entry{at: maxAt, seq: 0}},
+	}
+	for _, c := range cases {
+		for _, p := range [][2]entry{{c.a, c.b}, {c.b, c.a}} {
+			want := uint64(0)
+			if lessFields(p[0], p[1]) {
+				want = 1
+			}
+			if got := before(&p[0], &p[1]); got != want {
+				t.Errorf("before(%d:%d, %d:%d) = %d, want %d", p[0].at, p[0].seq, p[1].at, p[1].seq, got, want)
+			}
+		}
+	}
+
+	edgeAt := []int64{0, 1, maxAt - 1, maxAt}
+	edgeSeq := []uint64{0, 1, maxSeq - 1, maxSeq}
+	// pick's low bits choose how b relates to a: an edge value, a's own
+	// value, or one more or one less than it; otherwise b is random.
+	key := func(at int64, seq uint64, pick uint8, a entry) entry {
+		e := entry{at: at & maxAt, seq: seq}
+		switch pick % 8 {
+		case 0:
+			e.at = edgeAt[pick/8%4]
+		case 1:
+			e.at = a.at
+		case 2:
+			e.at = a.at
+			if a.at < maxAt {
+				e.at++
+			}
+		}
+		switch pick / 32 % 8 {
+		case 0:
+			e.seq = edgeSeq[pick/8%4]
+		case 1:
+			e.seq = a.seq
+		case 2:
+			e.seq = a.seq + 1
+		case 3:
+			e.seq = a.seq - 1
+		}
+		return e
+	}
+	agree := func(atA, atB int64, seqA, seqB uint64, pickA, pickB uint8) bool {
+		a := key(atA, seqA, pickA, entry{})
+		b := key(atB, seqB, pickB, a)
+		want := uint64(0)
+		if lessFields(a, b) {
+			want = 1
+		}
+		return before(&a, &b) == want
+	}
+	if err := quick.Check(agree, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestSchedulerPartialLastGroup fills the queue to every size from 1 to
+// 41, so the last parent's group of children is full, or holds one,
+// two or three, and pops it empty, checking the heap after every pop
+// and the (at, seq) order of the run. Delays collide often, so seq
+// decides many of the compares.
+func TestSchedulerPartialLastGroup(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for n := 1; n <= 41; n++ {
+		s := NewScheduler(time.Unix(0, 0))
+		var ran []int
+		delays := make([]time.Duration, n)
+		for i := range delays {
+			i := i
+			delays[i] = time.Duration(rng.Intn(4)) * time.Millisecond
+			s.Schedule(delays[i], func() { ran = append(ran, i) })
+		}
+		checkHeap(t, s)
+		for s.Step() {
+			checkHeap(t, s)
+		}
+		want := make([]int, n)
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(a, b int) bool { return delays[want[a]] < delays[want[b]] })
+		if fmt.Sprint(ran) != fmt.Sprint(want) {
+			t.Fatalf("%d events ran in order %v, want %v", n, ran, want)
+		}
+	}
+}
+
+// TestSchedulerHugeDelaySaturates schedules with a delay that would
+// carry virtual time past math.MaxInt64 ns, through Schedule, Reset and
+// a pooled event: each saturates at the end of time, so it runs after
+// an ordinary event and the clock never wraps negative.
+func TestSchedulerHugeDelaySaturates(t *testing.T) {
+	start := time.Unix(0, 0)
+	s := NewScheduler(start)
+	s.RunFor(time.Millisecond)
+	huge := time.Duration(math.MaxInt64)
+	var order []string
+	s.Schedule(huge, func() { order = append(order, "schedule") })
+	e := s.Schedule(time.Second, func() { order = append(order, "reset") })
+	e.Reset(huge)
+	s.scheduleArg(huge, func(any) { order = append(order, "pooled") }, nil)
+	s.Schedule(time.Hour, func() { order = append(order, "hour") })
+	checkHeap(t, s)
+
+	s.Step()
+	if got := s.Now().Sub(start); fmt.Sprint(order) != "[hour]" || got != time.Hour+time.Millisecond {
+		t.Fatalf("first event: ran %v at %v, want [hour] at 1h0m0.001s", order, got)
+	}
+	s.Drain(10)
+	if fmt.Sprint(order) != "[hour schedule reset pooled]" {
+		t.Fatalf("ran %v, want [hour schedule reset pooled]", order)
+	}
+	if got := s.Now().Sub(start); got != huge {
+		t.Fatalf("clock reads %v after the saturated events, want %v", got, huge)
+	}
+	s.Schedule(time.Second, func() { order = append(order, "after") })
+	s.Step()
+	if got := s.Now().Sub(start); got != huge || len(order) != 5 {
+		t.Fatalf("an event scheduled at the end of time ran at %v (%d ran), want %v", got, len(order), huge)
+	}
+}
+
 // checkHeap asserts the queue's structural invariants: every parent
 // orders before its children, and every pending event points back at its
 // own slot and at the scheduler.
 func checkHeap(t *testing.T, s *Scheduler) {
 	t.Helper()
 	for i, x := range s.heap {
-		if i > 0 && x.less(s.heap[(i-1)/heapArity]) {
+		if i > 0 && before(&x, &s.heap[(i-1)/heapArity]) == 1 {
 			t.Fatalf("heap order broken: slot %d orders before its parent", i)
 		}
 		if x.ev.index != i {
@@ -421,7 +571,13 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 var benchPending = []int{1_000, 10_000, 100_000}
 
 // BenchmarkSchedulerInsertPop measures one schedule+pop cycle against a
-// standing backlog of pending events.
+// standing backlog of pending events. The uniform cases draw every
+// delay at random within a second. The periodic cases are shaped like a
+// fault-free cluster: each of n members keeps a 200 ms gossip, a 1 s
+// probe and a 30 s push-pull timer, at random phases, and every timer
+// re-arms itself from its own callback, so one op is one pop and one
+// Reset against 3n pending events (0.9 k is the sim-steady workload's
+// peak; 5 k and 8 k bracket sim-anomaly's and sim-large's).
 func BenchmarkSchedulerInsertPop(b *testing.B) {
 	for _, pending := range benchPending {
 		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
@@ -435,6 +591,24 @@ func BenchmarkSchedulerInsertPop(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.scheduleArg(time.Duration(rng.Int63n(int64(time.Second))), fn, nil)
+				s.Step()
+			}
+		})
+	}
+	periods := []time.Duration{200 * time.Millisecond, time.Second, 30 * time.Second}
+	for _, members := range []int{300, 1_700, 2_700} {
+		b.Run(fmt.Sprintf("periodic/pending=%d", members*len(periods)), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			s := NewScheduler(time.Unix(0, 0))
+			for i := 0; i < members; i++ {
+				for _, period := range periods {
+					var e *Event
+					e = s.Schedule(time.Duration(rng.Int63n(int64(period))), func() { e.Reset(period) })
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				s.Step()
 			}
 		})
