@@ -67,23 +67,23 @@ const benchSeed = 1
 
 // runScenario runs one registered scenario through the harness's
 // shared worker pool — the same door cmd/lifebench uses.
-func runScenario(b *testing.B, name string, sc experiment.Scale) experiment.ScenarioResult {
+func runScenario(b *testing.B, name string, sc experiment.Scale) experiment.NamedResult {
 	b.Helper()
-	res, err := experiment.RunScenario(name, experiment.RunOptions{
+	results, err := experiment.RunScenarios([]string{name}, experiment.RunOptions{
 		Scale: sc, Seed: benchSeed, Parallel: runtime.GOMAXPROCS(0),
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return res
+	return results[0]
 }
 
 // intervalCache memoizes the interval scenario: Table IV, Table VI and
 // Figures 2/3 all render views of the same deterministic sweep (fixed
 // seeds), so re-running it per benchmark would only burn time.
-var intervalCache *experiment.ScenarioResult
+var intervalCache *experiment.NamedResult
 
-func intervalScenario(b *testing.B) experiment.ScenarioResult {
+func intervalScenario(b *testing.B) experiment.NamedResult {
 	b.Helper()
 	if intervalCache == nil {
 		res := runScenario(b, "interval", benchScale)
@@ -93,7 +93,7 @@ func intervalScenario(b *testing.B) experiment.ScenarioResult {
 }
 
 // printSection prints the report section a benchmark regenerates.
-func printSection(b *testing.B, res experiment.ScenarioResult, key string, sc experiment.Scale) {
+func printSection(b *testing.B, res experiment.NamedResult, key string, sc experiment.Scale) {
 	b.Helper()
 	for _, sec := range res.Sections {
 		if sec.Key == key {

@@ -10,13 +10,17 @@
 //	lifebench -exp all -scale bench -parallel 4
 //	lifebench -exp chaos,rolling-restart -json
 //
-// Experiments are the registered scenarios (see -list) plus the
-// table/figure aliases fig1, fig2, fig3, table4, table5, table6,
-// table7, and "all". Scales trade fidelity for time: smoke (seconds),
-// bench (minutes, default), paper (the full grids of Tables II/III
-// with 10 repetitions — hours). -scale is the one place a scenario is
-// sized; code inside this module may instead pass a custom
-// experiment.Scale to experiment.RunScenario.
+// Experiments are the registered scenarios (see -list), the
+// table/figure aliases fig1, fig2, fig3, table4, table5, table6 and
+// table7 (each a report section of one scenario, printed alone), and
+// "all"; every name comes from the scenario registry. Scales trade
+// fidelity for time: smoke (seconds), bench (minutes, default), paper
+// (the full grids of Tables II/III with 10 repetitions — hours). -scale
+// is the one place a scenario is sized; code inside this module may
+// instead pass a custom experiment.Scale to experiment.RunScenarios.
+//
+// -quiet silences stderr's progress and per-experiment timing lines;
+// stdout is the same either way.
 //
 // -parallel N runs up to N independent scenario cells concurrently.
 // Every cell derives its seed from its canonical matrix position, so
@@ -36,7 +40,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -50,18 +54,6 @@ func main() {
 	}
 }
 
-// aliases maps the paper's table/figure names to a registered scenario
-// and the report section to display.
-var aliases = map[string]struct{ scenario, section string }{
-	"fig1":   {"stress", "fig1"},
-	"fig2":   {"interval", "fig2"},
-	"fig3":   {"interval", "fig3"},
-	"table4": {"interval", "table4"},
-	"table5": {"threshold", "table5"},
-	"table6": {"interval", "table6"},
-	"table7": {"tuning", "table7"},
-}
-
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("lifebench", flag.ContinueOnError)
 	var (
@@ -70,8 +62,7 @@ func run(args []string, stdout io.Writer) error {
 		scale    = fs.String("scale", "bench", "sweep scale: smoke|bench|paper")
 		seed     = fs.Int64("seed", 1, "base RNG seed")
 		parallel = fs.Int("parallel", 1, "max scenario cells run concurrently (output identical at any value)")
-		quiet    = fs.Bool("quiet", false, "suppress progress output")
-		timings  = fs.Bool("timings", true, "print wall-clock timings per experiment")
+		quiet    = fs.Bool("quiet", false, "suppress the progress and per-experiment timing lines on stderr")
 		jsonOut  = fs.Bool("json", false, "emit machine-readable JSON records instead of tables")
 
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the scenario runs to this file (inspect with go tool pprof)")
@@ -89,61 +80,9 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-
-	// Resolve the requested experiments into scenarios and the section
-	// keys to display (nil = every section).
-	type selection struct {
-		run      bool
-		sections map[string]bool // nil means all
-	}
-	selected := make(map[string]*selection)
-	sel := func(name string) *selection {
-		s := selected[name]
-		if s == nil {
-			s = &selection{}
-			selected[name] = s
-		}
-		return s
-	}
-	for _, token := range strings.Split(*exp, ",") {
-		token = strings.TrimSpace(token)
-		switch {
-		case token == "all":
-			for _, name := range experiment.ScenarioNames() {
-				s := sel(name)
-				s.run = true
-				s.sections = nil
-			}
-		case isScenario(token):
-			s := sel(token)
-			s.run = true
-			s.sections = nil
-		default:
-			alias, ok := aliases[token]
-			if !ok {
-				return fmt.Errorf("unknown experiment %q (want %s|all)", token, strings.Join(experimentNames(), "|"))
-			}
-			s := sel(alias.scenario)
-			if !s.run {
-				// First selection of this scenario via an alias: show
-				// only the aliased sections.
-				s.sections = map[string]bool{}
-			}
-			s.run = true
-			if s.sections != nil {
-				s.sections[alias.section] = true
-			}
-		}
-	}
-
-	// Collect the selected scenarios in the canonical run order and
-	// execute them through one shared worker pool, so a short
-	// scenario's tail never idles workers while a long one runs.
-	var names []string
-	for _, s := range experiment.Scenarios() {
-		if pick := selected[s.Name()]; pick != nil && pick.run {
-			names = append(names, s.Name())
-		}
+	names, shown, err := selectExperiments(*exp)
+	if err != nil {
+		return err
 	}
 
 	var progress experiment.Progress
@@ -174,6 +113,8 @@ func run(args []string, stdout io.Writer) error {
 		defer pprof.StopCPUProfile()
 	}
 
+	// The selected scenarios run through one shared worker pool, so a
+	// short scenario's tail never idles workers while a long one runs.
 	results, err := experiment.RunScenarios(names, experiment.RunOptions{
 		Scale:    sc,
 		Seed:     *seed,
@@ -198,14 +139,14 @@ func run(args []string, stdout io.Writer) error {
 
 	var records []experiment.Record
 	for _, nr := range results {
-		if *timings {
+		if !*quiet {
 			fmt.Fprintf(os.Stderr, "[%s took %v]\n", nr.Name, time.Duration(nr.Wall*float64(time.Second)).Round(time.Millisecond))
 		}
-		records = append(records, nr.Result.Records...)
+		records = append(records, nr.Records...)
 		if !*jsonOut {
-			pick := selected[nr.Name]
-			for _, section := range nr.Result.Sections {
-				if pick.sections != nil && !pick.sections[section.Key] {
+			keys := shown[nr.Name]
+			for _, section := range nr.Sections {
+				if keys != nil && !keys[section.Key] {
 					continue
 				}
 				fmt.Fprintf(stdout, "== %s ==\n%s\n", section.Title, section.Body)
@@ -221,26 +162,76 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// isScenario reports whether name is a registered scenario.
-func isScenario(name string) bool {
-	_, err := experiment.LookupScenario(name)
-	return err == nil
-}
-
-// sortedAliases returns the alias names in stable display order.
-func sortedAliases() []string {
-	al := make([]string, 0, len(aliases))
-	for name := range aliases {
-		al = append(al, name)
+// selectExperiments resolves a comma-separated -exp value into the
+// scenarios to run, in registry order, and for each the section keys to
+// print (nil: every section). A token is "all", a scenario name, or an
+// alias (see aliases). A scenario selected whole, by "all" or by name,
+// prints every section whatever aliases select it too.
+func selectExperiments(exp string) ([]string, map[string]map[string]bool, error) {
+	// scenarioOf maps every accepted token but "all" to its scenario;
+	// scenario names go in last, so a name always selects its scenario.
+	scenarioOf := map[string]string{}
+	accepted := experiment.ScenarioNames()
+	for _, a := range aliases() {
+		scenarioOf[a.key] = a.scenario
+		accepted = append(accepted, a.key)
 	}
-	sort.Strings(al)
-	return al
+	for _, name := range experiment.ScenarioNames() {
+		scenarioOf[name] = name
+	}
+	shown := map[string]map[string]bool{}
+	for _, token := range strings.Split(exp, ",") {
+		token = strings.TrimSpace(token)
+		scenario, ok := scenarioOf[token]
+		switch {
+		case token == "all":
+			for _, name := range experiment.ScenarioNames() {
+				shown[name] = nil
+			}
+		case !ok:
+			return nil, nil, fmt.Errorf("unknown experiment %q (want %s|all)", token, strings.Join(accepted, "|"))
+		case scenario == token:
+			shown[scenario] = nil
+		default:
+			keys, picked := shown[scenario]
+			if !picked {
+				// First selection of this scenario, by an alias: show
+				// only the aliased sections.
+				keys = map[string]bool{}
+				shown[scenario] = keys
+			}
+			if keys != nil {
+				keys[token] = true
+			}
+		}
+	}
+	var names []string
+	for _, name := range experiment.ScenarioNames() {
+		if _, ok := shown[name]; ok {
+			names = append(names, name)
+		}
+	}
+	return names, shown, nil
 }
 
-// experimentNames lists every accepted -exp value (scenarios then
-// aliases) for error messages.
-func experimentNames() []string {
-	return append(experiment.ScenarioNames(), sortedAliases()...)
+// alias is a report section key that selects that one section of its
+// scenario: the paper's table and figure names (table4 → the interval
+// scenario's Table IV).
+type alias struct{ key, scenario string }
+
+// aliases lists every section key that is not its own scenario's name,
+// sorted by key.
+func aliases() []alias {
+	var al []alias
+	for _, s := range experiment.Scenarios() {
+		for _, key := range s.Sections() {
+			if key != s.Name() {
+				al = append(al, alias{key, s.Name()})
+			}
+		}
+	}
+	slices.SortFunc(al, func(a, b alias) int { return strings.Compare(a.key, b.key) })
+	return al
 }
 
 // listScenarios prints the registry and the table/figure aliases.
@@ -250,22 +241,21 @@ func listScenarios(stdout io.Writer) error {
 		fmt.Fprintf(stdout, "  %-16s %s\n", s.Name(), s.Description())
 	}
 	fmt.Fprintln(stdout, "Aliases:")
-	for _, name := range sortedAliases() {
-		a := aliases[name]
-		fmt.Fprintf(stdout, "  %-16s %s section of the %s scenario\n", name, a.section, a.scenario)
+	for _, a := range aliases() {
+		fmt.Fprintf(stdout, "  %-16s %s section of the %s scenario\n", a.key, a.key, a.scenario)
 	}
 	return nil
 }
 
+// scaleByName finds the -scale preset whose Name is name.
 func scaleByName(name string) (experiment.Scale, error) {
-	switch name {
-	case "smoke":
-		return experiment.ScaleSmoke, nil
-	case "bench":
-		return experiment.ScaleBench, nil
-	case "paper":
-		return experiment.ScalePaper, nil
-	default:
-		return experiment.Scale{}, fmt.Errorf("unknown scale %q (want smoke|bench|paper)", name)
+	presets := []experiment.Scale{experiment.ScaleSmoke, experiment.ScaleBench, experiment.ScalePaper}
+	names := make([]string, len(presets))
+	for i, sc := range presets {
+		if sc.Name == name {
+			return sc, nil
+		}
+		names[i] = sc.Name
 	}
+	return experiment.Scale{}, fmt.Errorf("unknown scale %q (want %s)", name, strings.Join(names, "|"))
 }

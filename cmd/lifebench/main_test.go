@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -50,6 +51,52 @@ func TestScaleByName(t *testing.T) {
 	}
 }
 
+// TestSelectExperiments table-tests the -exp resolution without running
+// a scenario: which scenarios run, in registry order, and which section
+// keys each prints (nil: all of them).
+func TestSelectExperiments(t *testing.T) {
+	all := experiment.ScenarioNames()
+	allShown := map[string]map[string]bool{}
+	for _, name := range all {
+		allShown[name] = nil
+	}
+	cases := []struct {
+		exp   string
+		names []string
+		shown map[string]map[string]bool
+	}{
+		{"all", all, allShown},
+		{"chaos", []string{"chaos"}, map[string]map[string]bool{"chaos": nil}},
+		{"table4", []string{"interval"}, map[string]map[string]bool{"interval": {"table4": true}}},
+		{"interval,table4", []string{"interval"}, map[string]map[string]bool{"interval": nil}},
+		{"table4,interval", []string{"interval"}, map[string]map[string]bool{"interval": nil}},
+		{"table4, fig2", []string{"interval"}, map[string]map[string]bool{"interval": {"table4": true, "fig2": true}}},
+		{"rolling-restart,table7,fig1", []string{"tuning", "stress", "rolling-restart"}, map[string]map[string]bool{
+			"tuning": {"table7": true}, "stress": {"fig1": true}, "rolling-restart": nil,
+		}},
+		{"table5,all", all, allShown},
+	}
+	for _, c := range cases {
+		names, shown, err := selectExperiments(c.exp)
+		if err != nil {
+			t.Errorf("%q: %v", c.exp, err)
+			continue
+		}
+		if !reflect.DeepEqual(names, c.names) || !reflect.DeepEqual(shown, c.shown) {
+			t.Errorf("%q: names %v shown %v, want %v %v", c.exp, names, shown, c.names, c.shown)
+		}
+	}
+	_, _, err := selectExperiments("table4,bogus")
+	want := `unknown experiment "bogus" (want interval|threshold|tuning|stress|chaos|churn|partition|rolling-restart|fig1|fig2|fig3|table4|table5|table6|table7|all)`
+	if err == nil || err.Error() != want {
+		t.Errorf("unknown token: err = %v, want %s", err, want)
+	}
+	_, err = scaleByName("huge")
+	if want := `unknown scale "huge" (want smoke|bench|paper)`; err == nil || err.Error() != want {
+		t.Errorf("unknown scale: err = %v, want %s", err, want)
+	}
+}
+
 func TestRunRejectsUnknownExperiment(t *testing.T) {
 	err := run([]string{"-exp", "bogus", "-scale", "smoke", "-quiet"}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
@@ -67,9 +114,9 @@ func TestRunRejectsUnknownScale(t *testing.T) {
 // TestRunRejectsBadFlags includes the per-scenario size overrides the
 // CLI once had (-<scenario>-<knob>): -scale is the one place a scenario
 // is sized, so flag parsing must reject each of them, before anything
-// runs.
+// runs. It also includes -timings, which -quiet absorbed.
 func TestRunRejectsBadFlags(t *testing.T) {
-	names := []string{"definitely-not-a-flag"}
+	names := []string{"definitely-not-a-flag", "timings"}
 	for _, removed := range []struct {
 		scenario string
 		knobs    []string
@@ -109,7 +156,7 @@ func TestRunAliasSelectsSection(t *testing.T) {
 		t.Skip("interval sweep run")
 	}
 	var buf bytes.Buffer
-	if err := run([]string{"-exp", "table4", "-scale", "smoke", "-quiet", "-timings=false"}, &buf); err != nil {
+	if err := run([]string{"-exp", "table4", "-scale", "smoke", "-quiet"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -134,7 +181,7 @@ func TestRunChaosJSON(t *testing.T) {
 	// -parallel 2 exercises the concurrent executor through the CLI;
 	// the record content is pinned byte-identical to serial by the
 	// experiment package's determinism tests.
-	if err := run([]string{"-exp", "chaos", "-scale", "smoke", "-quiet", "-timings=false", "-json", "-parallel", "2"}, &buf); err != nil {
+	if err := run([]string{"-exp", "chaos", "-scale", "smoke", "-quiet", "-json", "-parallel", "2"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	var records []experiment.Record
@@ -170,7 +217,7 @@ func TestRunJSONTableSmoke(t *testing.T) {
 		t.Skip("sweep run")
 	}
 	var buf bytes.Buffer
-	if err := run([]string{"-exp", "table5", "-scale", "smoke", "-quiet", "-timings=false", "-json"}, &buf); err != nil {
+	if err := run([]string{"-exp", "table5", "-scale", "smoke", "-quiet", "-json"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	var records []experiment.Record

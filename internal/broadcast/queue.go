@@ -302,8 +302,9 @@ func (q *Queue) RepeatBroadcastsInto(overhead, limit int) bool {
 }
 
 // Peek returns the payload queued for the named member, or nil. The
-// transmit counter is not changed. Used by the Buddy System to
-// force-include a suspicion on pings to the suspected member. The
+// transmit counter is not changed. Its one caller is Node.LeavePending,
+// which asks whether the leave announcement is still queued; the Buddy
+// System builds its own Suspect in sendWithPiggybackLocked. The
 // returned slice is owned by the queue and only valid until the next
 // mutating call; callers needing to retain it must copy.
 func (q *Queue) Peek(name string) []byte {

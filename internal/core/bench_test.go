@@ -48,8 +48,8 @@ func newBenchNode(b *testing.B, size int) *Node {
 }
 
 // BenchmarkGossipTargets measures one gossip tick's fanout selection at
-// a 1k-member roster. It must be allocation-free in steady state: the
-// picks append into the node's reusable target scratch.
+// a 1k-member roster. It must be allocation-free: the picks append into
+// an array on the caller's stack, as gossipLocked's do.
 func BenchmarkGossipTargets(b *testing.B) {
 	n := newBenchNode(b, 1000)
 	n.mu.Lock()
@@ -57,15 +57,16 @@ func BenchmarkGossipTargets(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := n.gossipTargetsLocked(); len(got) == 0 {
+		var buf [gossipNodes]*memberState
+		if got := n.gossipTargetsLocked(buf[:0]); len(got) == 0 {
 			b.Fatal("no targets selected")
 		}
 	}
 }
 
 // TestGossipTargetsAllocs pins the gossip fanout selection at zero
-// steady-state allocations, so the per-tick slice builds it used to do
-// cannot quietly return.
+// allocations, so the per-tick slice builds it used to do cannot
+// quietly return.
 func TestGossipTargetsAllocs(t *testing.T) {
 	t.Run("uniform", func(t *testing.T) {
 		var b testing.B
@@ -75,9 +76,9 @@ func TestGossipTargetsAllocs(t *testing.T) {
 		}
 		n.mu.Lock()
 		defer n.mu.Unlock()
-		n.gossipTargetsLocked() // grow the target scratch once
 		allocs := testing.AllocsPerRun(100, func() {
-			n.gossipTargetsLocked()
+			var buf [gossipNodes]*memberState
+			n.gossipTargetsLocked(buf[:0])
 		})
 		if allocs > 0 {
 			t.Fatalf("gossip fanout selection allocates %.1f per tick, want 0", allocs)

@@ -57,11 +57,12 @@ func (n *Node) sendWithPiggybackLocked(addr string, primary wire.Message, buddy 
 	_ = n.sendPackedLocked(addr, p, reliable)
 }
 
-// gossipTargetsLocked picks this tick's gossip fanout: gossipNodes
-// uniform random picks among the live members and the recently dead.
-func (n *Node) gossipTargetsLocked() []*memberState {
+// gossipTargetsLocked appends this tick's gossip fanout to dst:
+// gossipNodes uniform random picks among the live members and the
+// recently dead.
+func (n *Node) gossipTargetsLocked(dst []*memberState) []*memberState {
 	now := n.cfg.Clock.Now()
-	n.gossipTargets = n.selectRandomIntoLocked(n.gossipTargets[:0], gossipNodes, func(m *memberState) bool {
+	return n.selectRandomLocked(dst, gossipNodes, func(m *memberState) bool {
 		if m == n.self {
 			return false
 		}
@@ -76,7 +77,6 @@ func (n *Node) gossipTargetsLocked() []*memberState {
 			return false
 		}
 	})
-	return n.gossipTargets
 }
 
 // scheduleGossipLocked arms the next dedicated gossip tick (§III-B: a
@@ -133,7 +133,8 @@ func (n *Node) gossipLocked() {
 	if n.queue.Len() == 0 {
 		return
 	}
-	targets := n.gossipTargetsLocked()
+	var buf [gossipNodes]*memberState
+	targets := n.gossipTargetsLocked(buf[:0])
 	p := wire.AcquirePacker()
 	defer p.Release()
 	for i := 0; i < len(targets); {

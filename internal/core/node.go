@@ -120,9 +120,8 @@ type Node struct {
 	leaving  bool
 
 	// Hot-path scratch, all guarded by mu.
-	bcastBuf      []byte // broadcastLocked's marshal buffer
-	gossipTargets []*memberState
-	fanoutAddrs   []string // shared-payload gossip group addresses
+	bcastBuf    []byte   // broadcastLocked's marshal buffer
+	fanoutAddrs []string // shared-payload gossip group addresses
 
 	// fanout is cfg.Transport's optional fan-out extension, resolved
 	// once at construction; nil when the transport sends one packet at

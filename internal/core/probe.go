@@ -398,7 +398,8 @@ func (n *Node) probeTimeoutExpiredLocked(seq uint32) {
 	// Indirect probes through k uniformly random members, and the
 	// reliable-channel fallback ping below: from here on an ack's timing
 	// no longer measures the direct path.
-	relays := n.selectRandomLocked(indirectChecks, func(m *memberState) bool {
+	var buf [indirectChecks]*memberState
+	relays := n.selectRandomLocked(buf[:0], indirectChecks, func(m *memberState) bool {
 		return m.State == StateAlive && m != n.self && m != target
 	})
 	h.indirect = true
@@ -628,30 +629,21 @@ func (n *Node) handleNackLocked(_ string, nk *wire.Nack) {
 	h.nackFrom = append(h.nackFrom, nk.Source)
 }
 
-// selectRandomLocked returns up to k distinct members matching the
-// filter, chosen uniformly at random by a partial Fisher–Yates walk over
-// the incrementally maintained roster: position i is swapped with a
-// random position in [i, n) and kept if it matches, stopping at k picks.
-// Matching members therefore form a uniform k-subset at a cost of O(k)
-// RNG draws when most members match, instead of the full sort+shuffle of
-// every candidate. The roster order is itself deterministic (it evolves
-// only through message handling and these RNG-driven swaps — never map
-// iteration), so selection remains a pure function of the node's RNG and
-// same-seed simulations stay reproducible.
-func (n *Node) selectRandomLocked(k int, match func(*memberState) bool) []*memberState {
-	return n.selectRandomIntoLocked(nil, k, match)
-}
-
-// selectRandomIntoLocked is selectRandomLocked appending into dst (a
-// caller-owned scratch slice, typically sliced to zero length), so
-// periodic callers like the gossip tick avoid a per-call allocation. A
-// nil dst allocates as before.
-func (n *Node) selectRandomIntoLocked(dst []*memberState, k int, match func(*memberState) bool) []*memberState {
+// selectRandomLocked appends up to k distinct members matching the
+// filter to dst, chosen uniformly at random by a partial Fisher–Yates
+// walk over the incrementally maintained roster: position i is swapped
+// with a random position in [i, n) and kept if it matches, stopping at k
+// picks. Matching members therefore form a uniform k-subset at a cost of
+// O(k) RNG draws when most members match, instead of the full
+// sort+shuffle of every candidate. The roster order is itself
+// deterministic (it evolves only through message handling and these
+// RNG-driven swaps — never map iteration), so selection remains a pure
+// function of the node's RNG and same-seed simulations stay
+// reproducible. Callers pass dst sliced from an array of k pointers on
+// their own stack, so a pick allocates nothing.
+func (n *Node) selectRandomLocked(dst []*memberState, k int, match func(*memberState) bool) []*memberState {
 	if k <= 0 || len(n.roster) == 0 {
 		return dst
-	}
-	if dst == nil {
-		dst = make([]*memberState, 0, k)
 	}
 	start := len(dst)
 	r := n.roster

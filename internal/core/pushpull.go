@@ -160,7 +160,8 @@ func (n *Node) pushPullTick() {
 
 // pushPullLocked sends the request half of an anti-entropy exchange.
 func (n *Node) pushPullLocked() {
-	peers := n.selectRandomLocked(1, func(m *memberState) bool {
+	var buf [1]*memberState
+	peers := n.selectRandomLocked(buf[:0], 1, func(m *memberState) bool {
 		return m.State == StateAlive && m != n.self
 	})
 	if len(peers) == 0 {
@@ -276,7 +277,8 @@ func (n *Node) reconnectTick() {
 	if n.blockedLocked() {
 		return // skip quietly; reconnects are periodic anyway
 	}
-	targets := n.selectRandomLocked(1, func(m *memberState) bool {
+	var buf [1]*memberState
+	targets := n.selectRandomLocked(buf[:0], 1, func(m *memberState) bool {
 		return m.State == StateDead && m != n.self
 	})
 	if len(targets) == 0 {

@@ -119,6 +119,32 @@ func TestProbeRoundAllocs(t *testing.T) {
 	}
 }
 
+// TestProbeTimeoutAllocs: the probe-timeout continuation on a 50-member
+// node — pick the relays, send each an indirect ping and the target the
+// reliable fallback ping — allocates nothing; the relay picks append
+// into an array on the stack.
+func TestProbeTimeoutAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pin: sync.Pool drops items under -race")
+	}
+	var b testing.B
+	n := newBenchNode(&b, 50)
+	if b.Failed() {
+		t.Fatal("bench node setup failed")
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	target := n.members["member-00000"]
+	ping := n.startProbeRoundLocked(target)
+	allocs := allocsOver(10, func() { n.probeTimeoutExpiredLocked(ping.SeqNo) })
+	if allocs != 0 {
+		t.Errorf("10 probe-timeout continuations allocated %.0f times, want 0", allocs)
+	}
+	if h := n.acks[ping.SeqNo]; !h.indirect || h.nacksExpected != indirectChecks {
+		t.Errorf("round indirect %t with %d nacks expected, want true and %d", h.indirect, h.nacksExpected, indirectChecks)
+	}
+}
+
 // TestIdleTicksAllocs: re-arming the four tick timers allocates nothing,
 // neither directly nor from inside the probe and gossip ticks, on the
 // shared simulator clock (the timer is the scheduler's event) and on a

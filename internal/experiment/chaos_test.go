@@ -61,7 +61,7 @@ func TestChaosRejectsOversizedFaultSets(t *testing.T) {
 		t.Fatal("oversized fault sets accepted")
 	}
 	tiny := Scale{Name: "tiny", ChaosN: 8, ChaosFaultFor: 24 * time.Second, ChaosSettle: 24 * time.Second}
-	if _, err := RunScenario("chaos", RunOptions{Scale: tiny, Seed: 1}); err == nil {
+	if _, err := RunScenarios([]string{"chaos"}, RunOptions{Scale: tiny, Seed: 1}); err == nil {
 		t.Fatal("oversized fault sets accepted by the chaos scenario")
 	}
 	cc := ClusterConfig{N: smallChaosN, Seed: 1}

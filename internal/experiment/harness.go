@@ -63,8 +63,8 @@ type Record struct {
 }
 
 // Section is one human-readable report block of a scenario, rendered
-// from its records: a stable key (used by cmd/lifebench's table/figure
-// aliases to select views), a display title, and the formatted body.
+// from its records: a stable key (cmd/lifebench selects views by it), a
+// display title, and the formatted body.
 type Section struct {
 	// Key identifies the section ("table4", "fig2", "chaos", …).
 	Key string
@@ -74,16 +74,6 @@ type Section struct {
 
 	// Body is the formatted table or figure text.
 	Body string
-}
-
-// ScenarioResult is a scenario's merged output: machine-readable
-// records plus human-readable report sections.
-type ScenarioResult struct {
-	// Records holds one entry per result row, in canonical order.
-	Records []Record
-
-	// Sections holds the report blocks, in display order.
-	Sections []Section
 }
 
 // cell is one independent unit of scenario work: a fully seeded
@@ -153,6 +143,16 @@ func (s Scenario) Name() string { return s.name }
 // Description is a one-line summary for listings.
 func (s Scenario) Description() string { return s.desc }
 
+// Sections returns the keys of the scenario's report sections, in
+// display order.
+func (s Scenario) Sections() []string {
+	keys := make([]string, len(s.sections))
+	for i, sec := range s.sections {
+		keys[i] = sec.key
+	}
+	return keys
+}
+
 // Scenarios returns the registered scenarios in the canonical run
 // order of "all".
 func Scenarios() []Scenario {
@@ -168,8 +168,8 @@ func ScenarioNames() []string {
 	return names
 }
 
-// LookupScenario resolves a registered scenario by name.
-func LookupScenario(name string) (Scenario, error) {
+// lookupScenario resolves a registered scenario by name.
+func lookupScenario(name string) (Scenario, error) {
 	for _, s := range registry {
 		if s.name == name {
 			return s, nil
@@ -178,30 +178,25 @@ func LookupScenario(name string) (Scenario, error) {
 	return Scenario{}, fmt.Errorf("experiment: unknown scenario %q", name)
 }
 
-// RunScenario plans, executes and reports one registered scenario. Up
-// to opt.Parallel cells run concurrently; the records are identical at
-// any parallelism (see the determinism contract). Every record is
-// stamped with the scale name, seed, cell count and the run's
-// wall-clock duration.
-func RunScenario(name string, opt RunOptions) (ScenarioResult, error) {
-	results, err := RunScenarios([]string{name}, opt)
-	if err != nil {
-		return ScenarioResult{}, err
-	}
-	return results[0].Result, nil
-}
-
-// NamedResult is one scenario's output from a RunScenarios batch: the
-// scenario name, its result, and the wall-clock span (seconds) from its
-// first cell starting to its last cell finishing — the value stamped
-// into its records' wall_s field.
+// NamedResult is one scenario's output from a RunScenarios batch.
 type NamedResult struct {
-	Name   string
-	Result ScenarioResult
-	Wall   float64
+	// Name is the scenario's registry key.
+	Name string
+
+	// Records holds one entry per result row, in canonical order.
+	Records []Record
+
+	// Sections holds the report blocks, in display order.
+	Sections []Section
+
+	// Wall is the wall-clock span, in seconds, from the scenario's first
+	// cell starting to its last cell finishing: the value stamped into
+	// its records' wall_s field.
+	Wall float64
 }
 
-// RunScenarios plans every named scenario up front, concatenates their
+// RunScenarios is the harness's one entry point, for one scenario or
+// many. It plans every named scenario up front, concatenates their
 // cells into one global work list, and executes that list through a
 // single worker pool of up to opt.Parallel workers. A short scenario's
 // tail no longer idles workers while a long one runs — the pool drains
@@ -220,7 +215,7 @@ func RunScenarios(names []string, opt RunOptions) ([]NamedResult, error) {
 	plans := make([]planned, len(names))
 	var all []cell
 	for i, name := range names {
-		s, err := LookupScenario(name)
+		s, err := lookupScenario(name)
 		if err != nil {
 			return nil, err
 		}
@@ -283,11 +278,11 @@ func RunScenarios(names []string, opt RunOptions) ([]NamedResult, error) {
 			rec.Wall = wall
 			rec.Cells = len(p.cells)
 		}
-		res := ScenarioResult{Records: recs}
+		res := NamedResult{Name: names[i], Records: recs, Wall: wall}
 		for _, sec := range p.s.sections {
 			res.Sections = append(res.Sections, Section{Key: sec.key, Title: sec.title, Body: sec.render(recs, opt)})
 		}
-		results[i] = NamedResult{Name: names[i], Result: res, Wall: wall}
+		results[i] = res
 	}
 	return results, nil
 }

@@ -61,7 +61,8 @@ func TestScaleSurface(t *testing.T) {
 	}
 }
 
-// TestRegistry pins the registered scenario set and lookup behaviour.
+// TestRegistry pins the registered scenario set, lookup behaviour and
+// the section keys a scenario reports.
 func TestRegistry(t *testing.T) {
 	want := []string{
 		"interval", "threshold", "tuning", "stress", "chaos", "churn", "partition", "rolling-restart",
@@ -74,15 +75,19 @@ func TestRegistry(t *testing.T) {
 		if names[i] != name {
 			t.Fatalf("registry = %v, want %v", names, want)
 		}
-		s, err := LookupScenario(name)
+		s, err := lookupScenario(name)
 		if err != nil {
 			t.Fatalf("lookup %s: %v", name, err)
 		}
-		if s.Name() != name || s.Description() == "" {
-			t.Errorf("scenario %s: name %q, empty description %t", name, s.Name(), s.Description() == "")
+		if s.Name() != name || s.Description() == "" || len(s.Sections()) == 0 {
+			t.Errorf("scenario %s: name %q, empty description %t, sections %v", name, s.Name(), s.Description() == "", s.Sections())
 		}
 	}
-	if _, err := LookupScenario("bogus"); err == nil {
+	interval, _ := lookupScenario("interval")
+	if got, want := interval.Sections(), []string{"table4", "fig2", "fig3", "table6"}; !slices.Equal(got, want) {
+		t.Errorf("interval sections = %v, want %v (display order)", got, want)
+	}
+	if _, err := lookupScenario("bogus"); err == nil {
 		t.Error("unknown scenario accepted")
 	}
 }
@@ -160,11 +165,8 @@ func TestRunScenarioStampsRecords(t *testing.T) {
 		t.Skip("partition run")
 	}
 	sc := Scale{Name: "tiny", PartitionN: 16}
-	res, err := RunScenario("partition", RunOptions{Scale: sc, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Records) != 1 || len(res.Sections) != 1 {
+	res := runOne(t, "partition", RunOptions{Scale: sc, Seed: 3})
+	if res.Name != "partition" || len(res.Records) != 1 || len(res.Sections) != 1 {
 		t.Fatalf("got %d records, %d sections", len(res.Records), len(res.Sections))
 	}
 	rec := res.Records[0]
@@ -174,9 +176,19 @@ func TestRunScenarioStampsRecords(t *testing.T) {
 	if rec.Experiment != "partition" || rec.Metrics["remerged"] != 1 {
 		t.Errorf("partition record %+v", rec)
 	}
-	if _, err := RunScenario("bogus", RunOptions{}); err == nil {
+	if _, err := RunScenarios([]string{"bogus"}, RunOptions{}); err == nil {
 		t.Error("unknown scenario accepted")
 	}
+}
+
+// runOne runs one registered scenario through RunScenarios.
+func runOne(t *testing.T, name string, opt RunOptions) NamedResult {
+	t.Helper()
+	results, err := RunScenarios([]string{name}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results[0]
 }
 
 // recordsJSON runs a scenario and returns its records as JSON with the
@@ -184,10 +196,7 @@ func TestRunScenarioStampsRecords(t *testing.T) {
 // zeroed, so runs can be compared byte for byte.
 func recordsJSON(t *testing.T, name string, opt RunOptions) []byte {
 	t.Helper()
-	res, err := RunScenario(name, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOne(t, name, opt)
 	for i := range res.Records {
 		res.Records[i].Wall = 0
 	}
@@ -365,14 +374,14 @@ func TestRunScenariosSharedPoolMatchesPerScenario(t *testing.T) {
 			if nr.Name != names[i] {
 				t.Fatalf("results[%d] = %q, want %q", i, nr.Name, names[i])
 			}
-			if len(nr.Result.Records) == 0 {
+			if len(nr.Records) == 0 {
 				t.Fatalf("scenario %s: empty result", nr.Name)
 			}
 			// The byte comparison below covers the cells stamp too.
-			for r := range nr.Result.Records {
-				nr.Result.Records[r].Wall = 0
+			for r := range nr.Records {
+				nr.Records[r].Wall = 0
 			}
-			b, err := json.Marshal(nr.Result.Records)
+			b, err := json.Marshal(nr.Records)
 			if err != nil {
 				t.Fatal(err)
 			}

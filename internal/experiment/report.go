@@ -83,16 +83,18 @@ func renderTable6(recs []Record, _ RunOptions) string {
 	return b.String()
 }
 
-// table7Rows are Table VII's rows and the tuning-record metric of each.
-var table7Rows = []struct{ name, key string }{
-	{"Med First", "med_first_pct_swim"},
-	{"Med Full", "med_full_pct_swim"},
-	{"99% First", "p99_first_pct_swim"},
-	{"99% Full", "p99_full_pct_swim"},
-	{"99.9% First", "p999_first_pct_swim"},
-	{"99.9% Full", "p999_full_pct_swim"},
-	{"FP", "fp_pct_swim"},
-	{"FP-", "fp_healthy_pct_swim"},
+// table7Rows are Table VII's rows: each row's name, its tuning-record
+// metric, and the sweep metric that record takes as a percentage of the
+// SWIM baseline's.
+var table7Rows = []struct{ name, key, src string }{
+	{"Med First", "med_first_pct_swim", "first_detect_median_s"},
+	{"Med Full", "med_full_pct_swim", "full_dissem_median_s"},
+	{"99% First", "p99_first_pct_swim", "first_detect_p99_s"},
+	{"99% Full", "p99_full_pct_swim", "full_dissem_p99_s"},
+	{"99.9% First", "p999_first_pct_swim", "first_detect_p999_s"},
+	{"99.9% Full", "p999_full_pct_swim", "full_dissem_p999_s"},
+	{"FP", "fp_pct_swim", "fp"},
+	{"FP-", "fp_healthy_pct_swim", "fp_healthy"},
 }
 
 // renderTable7 lays the tuning records out as Table VII: one column

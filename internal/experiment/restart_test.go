@@ -53,7 +53,7 @@ func TestRestartRejectsOversizedCast(t *testing.T) {
 		t.Fatal("oversized restart cast accepted")
 	}
 	// 8 waves of N/8 = 1 member need 8 of the 7 eligible members.
-	if _, err := RunScenario("rolling-restart", RunOptions{Scale: Scale{Name: "tiny", RestartN: 8, RestartWaves: 8}, Seed: 1}); err == nil {
+	if _, err := RunScenarios([]string{"rolling-restart"}, RunOptions{Scale: Scale{Name: "tiny", RestartN: 8, RestartWaves: 8}, Seed: 1}); err == nil {
 		t.Fatal("oversized restart cast accepted by the rolling-restart scenario")
 	}
 }

@@ -252,19 +252,6 @@ func planTuning(opt RunOptions) ([]cell, error) {
 	return cells, nil
 }
 
-// tuningPct maps each Table VII metric to the sweep metric it takes as
-// a percentage of the SWIM baseline's.
-var tuningPct = map[string]string{
-	"med_first_pct_swim":  "first_detect_median_s",
-	"med_full_pct_swim":   "full_dissem_median_s",
-	"p99_first_pct_swim":  "first_detect_p99_s",
-	"p99_full_pct_swim":   "full_dissem_p99_s",
-	"p999_first_pct_swim": "first_detect_p999_s",
-	"p999_full_pct_swim":  "full_dissem_p999_s",
-	"fp_pct_swim":         "fp",
-	"fp_healthy_pct_swim": "fp_healthy",
-}
-
 // tuningRecords scores every (α, β) configuration's threshold and
 // interval sweeps against the SWIM baseline's: one Table VII record
 // per pair, in grid order.
@@ -304,9 +291,9 @@ func tuningRecords(opt RunOptions, outs []any) ([]Record, error) {
 		if err != nil {
 			return nil, err
 		}
-		pct := make(map[string]float64, len(tuningPct))
-		for key, src := range tuningPct {
-			pct[key] = stats.PercentOf(m[src], base[src])
+		pct := make(map[string]float64, len(table7Rows))
+		for _, row := range table7Rows {
+			pct[row.key] = stats.PercentOf(m[row.src], base[row.src])
 		}
 		recs = append(recs, Record{
 			Experiment: "tuning-sweep",

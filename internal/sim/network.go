@@ -32,9 +32,6 @@ func (d DelayDist) sample(rng *rand.Rand) time.Duration {
 	return d.Base + time.Duration(rng.Int63n(int64(d.Jitter)))
 }
 
-// expected is the mean delay.
-func (d DelayDist) expected() time.Duration { return d.Base + d.Jitter/2 }
-
 // IsZero reports whether the distribution is the zero value (no delay).
 func (d DelayDist) IsZero() bool { return d.Base <= 0 && d.Jitter <= 0 }
 

@@ -204,8 +204,10 @@ type PushPullState struct {
 type PushPullReq struct {
 	// Source is the requesting member.
 	Source string
-	// Join marks the request as part of a cluster join, in which case
-	// the receiver treats the sender as a new member.
+	// Join marks the request as part of a cluster join. The sender sets
+	// it, as previous releases did, so a join request keeps its bytes
+	// (compat_test.go pins them); no receiver reads it: a join request
+	// is merged and answered like any other.
 	Join bool
 	// States is the sender's full membership table.
 	States []PushPullState
