@@ -156,6 +156,7 @@ func newOpsMux(node *lifeguard.Node, tr *lifeguard.UDPTransport, rec *telemetry.
 		telemetry.WriteCounters(w, "lifeguard_transport_", map[string]int64{
 			"datagrams_sent":       int64(ts.DatagramsSent),
 			"datagrams_received":   int64(ts.DatagramsReceived),
+			"bytes_sent":           int64(ts.BytesSent),
 			"stream_dials":         int64(ts.StreamDials),
 			"stream_dial_errors":   int64(ts.StreamDialErrors),
 			"stream_reuses":        int64(ts.StreamReuses),

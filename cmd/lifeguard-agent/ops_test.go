@@ -20,6 +20,7 @@ import (
 	"lifeguard"
 	"lifeguard/internal/metrics"
 	"lifeguard/internal/telemetry"
+	"lifeguard/internal/wire"
 )
 
 // newTestAgent starts a single live node on a loopback port and returns
@@ -159,13 +160,13 @@ func TestOpsTelemetry(t *testing.T) {
 
 func TestOpsMetricsExposition(t *testing.T) {
 	srv, rec, sink := newTestAgent(t)
-	sink.IncrCounter(metrics.CounterMsgsSent, 3)
+	sink.IncrCounter(metrics.CounterProbes, 3)
 	rec.RecordRTT("peer-1", 12*time.Millisecond)
 	rec.RecordSuspicion("peer-1", time.Second, true)
 
 	text := getMetricsText(t, srv)
 	for _, want := range []string{
-		"# TYPE lifeguard_msgs_sent counter\nlifeguard_msgs_sent 3\n",
+		"# TYPE lifeguard_probes counter\nlifeguard_probes 3\n",
 		"# TYPE lifeguard_members gauge",
 		"# TYPE lifeguard_members_alive gauge",
 		"# TYPE lifeguard_health_score gauge",
@@ -180,6 +181,7 @@ func TestOpsMetricsExposition(t *testing.T) {
 		"# TYPE lifeguard_telemetry_evictions counter",
 		"# TYPE lifeguard_transport_datagrams_sent counter",
 		"# TYPE lifeguard_transport_datagrams_received counter",
+		"# TYPE lifeguard_transport_bytes_sent counter",
 		"# TYPE lifeguard_transport_stream_dials counter\nlifeguard_transport_stream_dials 0\n",
 		"# TYPE lifeguard_transport_stream_dial_errors counter",
 		"# TYPE lifeguard_transport_stream_reuses counter",
@@ -190,6 +192,13 @@ func TestOpsMetricsExposition(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+	// Sent traffic is the transport's to count; the node's sink has no
+	// copy of it.
+	for _, gone := range []string{"lifeguard_msgs_sent", "lifeguard_bytes_sent"} {
+		if strings.Contains(text, gone) {
+			t.Errorf("exposition still serves %s", gone)
 		}
 	}
 }
@@ -278,8 +287,10 @@ func protoStrings(b []byte) (map[uint64][]string, error) {
 }
 
 // TestOpsMetricsTransportCounters checks the transport series are the
-// live counters, not constants: one datagram to a lone agent shows up
-// as exactly one received.
+// live counters, not constants. One undecodable datagram to a lone
+// agent shows up as exactly one received, and as one decode error from
+// the node's sink; a ping is answered with one ack datagram, whose
+// length is what bytes_sent serves.
 func TestOpsMetricsTransportCounters(t *testing.T) {
 	srv, _, _ := newTestAgent(t)
 	conn, err := net.Dial("udp", getJSON(t, srv, "/healthz")["addr"].(string))
@@ -290,11 +301,39 @@ func TestOpsMetricsTransportCounters(t *testing.T) {
 	if _, err := conn.Write([]byte{0}); err != nil { // undecodable: counted by the transport, dropped by the node
 		t.Fatal(err)
 	}
-	const want = "lifeguard_transport_datagrams_received 1\n"
+	waitForMetrics(t, srv, "lifeguard_transport_datagrams_received 1\n", "lifeguard_decode_errors 1\n")
+
+	if _, err := conn.Write(wire.EncodePacket([]wire.Message{&wire.Ping{SeqNo: 1, Target: "ops-test"}})); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	ack := make([]byte, 64<<10)
+	n, err := conn.Read(ack)
+	if err != nil {
+		t.Fatalf("no ack: %v", err)
+	}
+	waitForMetrics(t, srv, "lifeguard_transport_datagrams_sent 1\n", fmt.Sprintf("lifeguard_transport_bytes_sent %d\n", n))
+}
+
+// waitForMetrics scrapes /metrics until it contains every wanted line.
+func waitForMetrics(t *testing.T, srv *httptest.Server, want ...string) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for !strings.Contains(getMetricsText(t, srv), want) {
+	for {
+		text, missing := getMetricsText(t, srv), ""
+		for _, w := range want {
+			if !strings.Contains(text, w) {
+				missing = w
+				break
+			}
+		}
+		if missing == "" {
+			return
+		}
 		if time.Now().After(deadline) {
-			t.Fatalf("exposition never showed %q", want)
+			t.Fatalf("exposition never showed %q", missing)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

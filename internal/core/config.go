@@ -37,7 +37,8 @@ type Config struct {
 	// Events receives membership change notifications. Optional.
 	Events EventDelegate
 
-	// Metrics receives counters. Defaults to a no-op sink.
+	// Metrics, when non-nil, receives the protocol's counters. Nil — the
+	// default — counts nothing.
 	Metrics metrics.Sink
 
 	// Telemetry, when non-nil, receives protocol observations: direct-ack
@@ -179,9 +180,6 @@ func (c *Config) validate() error {
 	}
 	if c.RNG == nil {
 		c.RNG = rand.New(rand.NewSource(time.Now().UnixNano()))
-	}
-	if c.Metrics == nil {
-		c.Metrics = metrics.NopSink{}
 	}
 	if c.ProbeInterval <= 0 || c.ProbeTimeout <= 0 {
 		return fmt.Errorf("core: probe interval (%v) and timeout (%v) must be positive", c.ProbeInterval, c.ProbeTimeout)

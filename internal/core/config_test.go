@@ -97,8 +97,12 @@ func TestValidateFillsDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := node.Config()
-	if got.Clock == nil || got.RNG == nil || got.Metrics == nil {
+	if got.Clock == nil || got.RNG == nil {
 		t.Error("defaults not filled")
+	}
+	// A nil sink is the off switch, as for Events and Telemetry.
+	if got.Metrics != nil {
+		t.Errorf("metrics = %v, want nil (no counting)", got.Metrics)
 	}
 	if got.Addr != "nop" {
 		t.Errorf("addr = %q, want transport's LocalAddr", got.Addr)

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"lifeguard/internal/metrics"
-	"lifeguard/internal/wire"
-)
+import "lifeguard/internal/wire"
 
 // sendPacketLocked sends msg alone in one packet, fire-and-forget like
 // every send at this layer: the failure detector is the loss handler.
@@ -15,17 +12,15 @@ func (n *Node) sendPacketLocked(addr string, msg wire.Message, reliable bool) {
 }
 
 // sendPackedLocked finishes the packed messages into one payload and
-// hands it to the transport; a compound packet counts as one message,
-// matching the paper's Msgs Sent metric. The payload lives in the
-// packer's reusable buffer; the Transport contract (payload valid only
-// for the duration of SendPacket) is what makes that safe.
+// hands it to the transport in one send, which the transport counts as
+// one message, matching the paper's Msgs Sent metric. The payload lives
+// in the packer's reusable buffer; the Transport contract (payload
+// valid only for the duration of SendPacket) is what makes that safe.
 func (n *Node) sendPackedLocked(addr string, p *wire.Packer, reliable bool) error {
 	payload := p.Finish()
 	if len(payload) == 0 {
 		return nil
 	}
-	n.cfg.Metrics.IncrCounter(metrics.CounterMsgsSent, 1)
-	n.cfg.Metrics.IncrCounter(metrics.CounterBytesSent, int64(len(payload)))
 	return n.cfg.Transport.SendPacket(addr, payload, reliable)
 }
 
@@ -155,15 +150,13 @@ func (n *Node) gossipLocked() {
 // sendFanoutLocked finishes the packed messages once and sends the
 // payload to every target — through the transport's optional fan-out
 // extension when it is available and the group is plural, one
-// SendPacket per target otherwise. Telemetry counts per destination,
-// exactly as the per-target send loop did.
+// SendPacket per target otherwise. Either way the transport counts one
+// packet per destination.
 func (n *Node) sendFanoutLocked(targets []*memberState, p *wire.Packer, reliable bool) {
 	payload := p.Finish()
 	if len(payload) == 0 {
 		return
 	}
-	n.cfg.Metrics.IncrCounter(metrics.CounterMsgsSent, int64(len(targets)))
-	n.cfg.Metrics.IncrCounter(metrics.CounterBytesSent, int64(len(targets))*int64(len(payload)))
 	if n.fanout != nil && len(targets) > 1 {
 		addrs := n.fanoutAddrs[:0]
 		for _, t := range targets {

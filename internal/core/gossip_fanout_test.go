@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"lifeguard/internal/metrics"
 	"lifeguard/internal/sim"
 	"lifeguard/internal/wire"
 )
@@ -56,7 +55,6 @@ func newGossipNode(t *testing.T, tr Transport, size int) *Node {
 	cfg.Clock = sim.NewClock(sched)
 	cfg.Transport = tr
 	cfg.RNG = rand.New(rand.NewSource(11))
-	cfg.Metrics = metrics.NewMemSink()
 	n, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -124,30 +122,5 @@ func TestGossipFanoutMatchesPerTargetSends(t *testing.T) {
 	if !coalesced {
 		t.Fatalf("every fan-out group had a single target (%v); shared encoding never engaged",
 			grouped.groupSizes)
-	}
-}
-
-// TestGossipSharedEncodeCountsPerTarget verifies telemetry is
-// unchanged by grouping: msgs/bytes counters accumulate one packet per
-// destination, identical on both paths.
-func TestGossipSharedEncodeCountsPerTarget(t *testing.T) {
-	plain := &recordTransport{}
-	grouped := &recordFanoutTransport{}
-	a := newGossipNode(t, plain, 40)
-	b := newGossipNode(t, grouped, 40)
-	for round := 0; round < 4; round++ {
-		a.mu.Lock()
-		a.gossipLocked()
-		a.mu.Unlock()
-		b.mu.Lock()
-		b.gossipLocked()
-		b.mu.Unlock()
-	}
-	am := a.cfg.Metrics.(*metrics.MemSink)
-	bm := b.cfg.Metrics.(*metrics.MemSink)
-	for _, counter := range []string{metrics.CounterMsgsSent, metrics.CounterBytesSent} {
-		if av, bv := am.Get(counter), bm.Get(counter); av != bv || av == 0 {
-			t.Fatalf("%s: per-target %d, fan-out %d (want equal, non-zero)", counter, av, bv)
-		}
 	}
 }

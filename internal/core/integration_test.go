@@ -24,9 +24,11 @@ type testCluster struct {
 }
 
 type clusterOpts struct {
-	n         int
-	seed      int64
-	netOpts   sim.Options
+	n    int
+	seed int64
+	// loss, when positive, is every member link's unreliable-packet
+	// loss probability (a sim.LinkFault on each directed pair).
+	loss      float64
 	configure func(i int, cfg *core.Config)
 	// transport, when set, wraps each member's port.
 	transport func(p *sim.Port) core.Transport
@@ -35,9 +37,7 @@ type clusterOpts struct {
 func newTestCluster(t *testing.T, opts clusterOpts) *testCluster {
 	t.Helper()
 	sched := sim.NewScheduler(time.Unix(0, 0))
-	netOpts := opts.netOpts
-	netOpts.Seed = opts.seed
-	network := sim.NewNetwork(sched, netOpts)
+	network := sim.NewNetwork(sched, sim.Options{Seed: opts.seed})
 
 	c := &testCluster{t: t, sched: sched, net: network}
 	for i := 0; i < opts.n; i++ {
@@ -67,6 +67,15 @@ func newTestCluster(t *testing.T, opts clusterOpts) *testCluster {
 		}
 		network.OnWake(name, node.Wake)
 		c.nodes = append(c.nodes, node)
+	}
+	if opts.loss > 0 {
+		for _, a := range c.nodes {
+			for _, b := range c.nodes {
+				if a != b {
+					network.SetLinkFault(a.Name(), b.Name(), sim.LinkFault{Loss: opts.loss})
+				}
+			}
+		}
 	}
 	return c
 }
@@ -242,9 +251,9 @@ func TestClusterToleratesPacketLoss(t *testing.T) {
 	// without false positives (gossip redundancy is the point of SWIM).
 	deadEvents := 0
 	c := newTestCluster(t, clusterOpts{
-		n:       16,
-		seed:    31,
-		netOpts: sim.Options{Loss: 0.10},
+		n:    16,
+		seed: 31,
+		loss: 0.10,
 		configure: func(i int, cfg *core.Config) {
 			cfg.Events = deadCounter{&deadEvents}
 		},
@@ -259,6 +268,9 @@ func TestClusterToleratesPacketLoss(t *testing.T) {
 	if deadEvents != 0 {
 		t.Errorf("%d false failure events under 10%% loss", deadEvents)
 	}
+	if c.net.TotalStats().DropsFault == 0 {
+		t.Error("no packet was lost")
+	}
 }
 
 func TestClusterSurvivesHeavyLoss(t *testing.T) {
@@ -266,9 +278,9 @@ func TestClusterSurvivesHeavyLoss(t *testing.T) {
 	// down into mass false positives.
 	deadEvents := 0
 	c := newTestCluster(t, clusterOpts{
-		n:       12,
-		seed:    33,
-		netOpts: sim.Options{Loss: 0.40},
+		n:    12,
+		seed: 33,
+		loss: 0.40,
 		configure: func(i int, cfg *core.Config) {
 			cfg.Events = deadCounter{&deadEvents}
 		},
@@ -278,6 +290,9 @@ func TestClusterSurvivesHeavyLoss(t *testing.T) {
 	c.run(2 * time.Minute)
 	if deadEvents > 12 {
 		t.Errorf("%d failure events under 40%% loss (mass false positives)", deadEvents)
+	}
+	if c.net.TotalStats().DropsFault == 0 {
+		t.Error("no packet was lost")
 	}
 }
 

@@ -364,7 +364,7 @@ func (n *Node) decodeAndHandle(from string, payload []byte) {
 	defer u.Release()
 	msgs, err := u.Decode(payload)
 	if err != nil {
-		n.cfg.Metrics.IncrCounter("decode_errors", 1)
+		n.count("decode_errors")
 		return
 	}
 	// One lock round trip per packet, not one per piggybacked message.
@@ -398,8 +398,6 @@ func (n *Node) handleMessageLocked(from string, msg wire.Message) {
 		n.handlePushPullReqLocked(from, m)
 	case *wire.PushPullResp:
 		n.handlePushPullRespLocked(m)
-	default:
-		n.cfg.Metrics.IncrCounter("unknown_msgs", 1)
 	}
 }
 
@@ -427,38 +425,48 @@ func (n *Node) Wake() {
 	}
 }
 
+// count adds one to the named counter of Config.Metrics; a nil sink
+// counts nothing. Each counted fact has one site: the traffic a member
+// sends is the transport's to count, and each membership transition is
+// counted by the event dispatch below that reports it.
+func (n *Node) count(name string) {
+	if n.cfg.Metrics != nil {
+		n.cfg.Metrics.IncrCounter(name, 1)
+	}
+}
+
 // eventJoin/Suspect/Alive/Dead dispatch to the delegate (lock held; see
 // EventDelegate contract).
 func (n *Node) eventJoinLocked(m *memberState) {
-	n.cfg.Metrics.IncrCounter("events_join", 1)
+	n.count("events_join")
 	if n.cfg.Events != nil {
 		n.cfg.Events.NotifyJoin(m.Member)
 	}
 }
 
 func (n *Node) eventSuspectLocked(m *memberState) {
-	n.cfg.Metrics.IncrCounter("events_suspect", 1)
+	n.count(metrics.CounterSuspicionsRaised)
 	if n.cfg.Events != nil {
 		n.cfg.Events.NotifySuspect(m.Member)
 	}
 }
 
 func (n *Node) eventAliveLocked(m *memberState) {
-	n.cfg.Metrics.IncrCounter(metrics.CounterSuspicionsRefuted, 1)
+	n.count(metrics.CounterSuspicionsRefuted)
 	if n.cfg.Events != nil {
 		n.cfg.Events.NotifyAlive(m.Member)
 	}
 }
 
 func (n *Node) eventDeadLocked(m *memberState) {
-	n.cfg.Metrics.IncrCounter("events_dead", 1)
+	n.count("events_dead")
 	if n.cfg.Events != nil {
 		n.cfg.Events.NotifyDead(m.Member)
 	}
 }
 
 func (n *Node) eventUpdateLocked(m *memberState) {
-	n.cfg.Metrics.IncrCounter("events_update", 1)
+	n.count("events_update")
 	if n.cfg.Events != nil {
 		n.cfg.Events.NotifyUpdate(m.Member)
 	}

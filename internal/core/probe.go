@@ -304,7 +304,7 @@ func (n *Node) probeNodeLocked(m *memberState) {
 // wake. The timers are armed timeout first, period second, on a
 // recycled record exactly as on a new one.
 func (n *Node) startProbeRoundLocked(m *memberState) wire.Ping {
-	n.cfg.Metrics.IncrCounter(metrics.CounterProbes, 1)
+	n.count(metrics.CounterProbes)
 	n.seqNo++
 	seq := n.seqNo
 	timeout, interval := n.scaledLocked(n.cfg.ProbeTimeout), n.scaledLocked(n.cfg.ProbeInterval)
@@ -458,7 +458,7 @@ func (n *Node) probePeriodExpiredLocked(seq uint32) {
 	target, missed := h.target, h.nacksExpected-len(h.nackFrom)
 	n.releaseAckLocked(h)
 
-	n.cfg.Metrics.IncrCounter(metrics.CounterProbeFailures, 1)
+	n.count(metrics.CounterProbeFailures)
 	if n.cfg.Telemetry != nil {
 		n.cfg.Telemetry.RecordProbe(target.Name, telemetry.OutcomeTimeout)
 	}
@@ -487,7 +487,7 @@ func (n *Node) probePeriodExpiredLocked(seq uint32) {
 func (n *Node) handlePingLocked(from string, p *wire.Ping) {
 	if p.Target != "" && p.Target != n.cfg.Name {
 		// Mis-addressed probe; answering would poison the sender's view.
-		n.cfg.Metrics.IncrCounter("misdirected_pings", 1)
+		n.count("misdirected_pings")
 		return
 	}
 	src := p.Source

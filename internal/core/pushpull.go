@@ -284,7 +284,7 @@ func (n *Node) reconnectTick() {
 	if len(targets) == 0 {
 		return
 	}
-	n.cfg.Metrics.IncrCounter("reconnect_attempts", 1)
+	n.count("reconnect_attempts")
 	states := n.localStatesLocked()
 	_ = n.sendStatesLocked(targets[0].Addr, &wire.PushPullReq{Source: n.cfg.Name, States: states}, states)
 }

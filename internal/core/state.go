@@ -49,7 +49,6 @@ func (n *Node) suspectNodeLocked(m *memberState, s *wire.Suspect) {
 	// Alive → suspect.
 	m.State = StateSuspect
 	m.StateChange = n.cfg.Clock.Now()
-	n.cfg.Metrics.IncrCounter(metrics.CounterSuspicionsRaised, 1)
 	n.startSuspicionLocked(m, s.From, s.Incarnation)
 
 	n.broadcastLocked(m.Name, s)
@@ -90,7 +89,6 @@ func (n *Node) applyMergedSuspicionLocked(name string, inc uint64) {
 	}
 	m.State = StateSuspect
 	m.StateChange = n.cfg.Clock.Now()
-	n.cfg.Metrics.IncrCounter(metrics.CounterSuspicionsRaised, 1)
 	n.startSuspicionLocked(m, n.cfg.Name, inc)
 	n.eventSuspectLocked(m)
 }
@@ -270,7 +268,7 @@ func (n *Node) refuteLocked(claimedInc uint64) {
 	if n.self != nil {
 		n.self.Incarnation = n.incarnation
 	}
-	n.cfg.Metrics.IncrCounter(metrics.CounterRefutes, 1)
+	n.count(metrics.CounterRefutes)
 	n.adjustLHMLocked(lhmRefute)
 	n.broadcastLocked(n.cfg.Name, n.selfAliveLocked())
 }

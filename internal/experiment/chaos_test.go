@@ -183,7 +183,7 @@ func TestChaosLifeguardBeatsSWIM(t *testing.T) {
 		}
 		recs = append(recs, rec)
 	}
-	t.Logf("\n%s", renderChaos(recs, RunOptions{}))
+	t.Logf("\n%s", renderChaos(recs))
 	swim, lifeguard := recs[0].Metrics, recs[1].Metrics
 	// Both configurations must detect every real crash.
 	for _, rec := range recs {

@@ -134,7 +134,7 @@ type Scenario struct {
 // the renderer that formats the body from the stamped records.
 type section struct {
 	key, title string
-	render     func(recs []Record, opt RunOptions) string
+	render     func(recs []Record) string
 }
 
 // Name is the registry key ("chaos", "rolling-restart", …).
@@ -280,7 +280,7 @@ func RunScenarios(names []string, opt RunOptions) ([]NamedResult, error) {
 		}
 		res := NamedResult{Name: names[i], Records: recs, Wall: wall}
 		for _, sec := range p.s.sections {
-			res.Sections = append(res.Sections, Section{Key: sec.key, Title: sec.title, Body: sec.render(recs, opt)})
+			res.Sections = append(res.Sections, Section{Key: sec.key, Title: sec.title, Body: sec.render(recs)})
 		}
 		results[i] = res
 	}

@@ -33,7 +33,7 @@ func sortedInts(set map[int]bool) []int {
 
 // renderTable4 lays the interval records out as Table IV. The first
 // record is the SWIM baseline for the percentage columns.
-func renderTable4(recs []Record, _ RunOptions) string {
+func renderTable4(recs []Record) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-15s %12s %12s %12s %12s\n",
 		"Configuration", "FP Events", "FP- Events", "FP %SWIM", "FP- %SWIM")
@@ -48,7 +48,7 @@ func renderTable4(recs []Record, _ RunOptions) string {
 }
 
 // renderTable5 lays the threshold records out as Table V (seconds).
-func renderTable5(recs []Record, _ RunOptions) string {
+func renderTable5(recs []Record) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-15s %10s %10s %10s %10s %10s %10s\n",
 		"Configuration",
@@ -69,7 +69,7 @@ func renderTable5(recs []Record, _ RunOptions) string {
 
 // renderTable6 lays the interval records out as Table VI. The first
 // record is the SWIM baseline for the percentage columns.
-func renderTable6(recs []Record, _ RunOptions) string {
+func renderTable6(recs []Record) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-15s %14s %14s %12s %12s\n",
 		"Configuration", "Msgs Sent(M)", "Bytes(GiB)", "Msgs %SWIM", "Bytes %SWIM")
@@ -99,7 +99,7 @@ var table7Rows = []struct{ name, key, src string }{
 
 // renderTable7 lays the tuning records out as Table VII: one column
 // per (α, β), every cell a percentage of the SWIM baseline.
-func renderTable7(recs []Record, _ RunOptions) string {
+func renderTable7(recs []Record) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s", "Metric")
 	for _, r := range recs {
@@ -120,8 +120,8 @@ func renderTable7(recs []Record, _ RunOptions) string {
 // Figure 3 (FP at healthy members, prefix "fp_healthy_c") from the
 // interval records' per-concurrency metrics: one row per configuration,
 // one column per concurrency level any record holds.
-func fpByC(name, prefix string) func([]Record, RunOptions) string {
-	return func(recs []Record, _ RunOptions) string {
+func fpByC(name, prefix string) func([]Record) string {
+	return func(recs []Record) string {
 		levels := map[int]bool{}
 		for _, r := range recs {
 			for key := range r.Metrics {
@@ -154,7 +154,7 @@ func fpByC(name, prefix string) func([]Record, RunOptions) string {
 // renderFigure1 lays the stress records out as Figure 1: for each
 // configuration, total FP and FP at healthy members per stressed-member
 // count.
-func renderFigure1(recs []Record, _ RunOptions) string {
+func renderFigure1(recs []Record) string {
 	var configs []string
 	byCount := map[string]map[int]map[string]float64{}
 	levels := map[int]bool{}
@@ -190,7 +190,7 @@ func renderFigure1(recs []Record, _ RunOptions) string {
 // renderChaos lays the chaos records out as the ablation table: one
 // row per cell with false positives, crash detection and refutation
 // behaviour.
-func renderChaos(recs []Record, _ RunOptions) string {
+func renderChaos(recs []Record) string {
 	var b strings.Builder
 	p := recs[0].Params
 	fmt.Fprintf(&b, "Chaos matrix: N=%d, %d victims, %d crashes, fault window %v (crashes at +%v)\n",
@@ -210,7 +210,7 @@ func renderChaos(recs []Record, _ RunOptions) string {
 
 // renderChurn renders the churn record: action counts, crash-detection
 // latency, false positives and join convergence.
-func renderChurn(recs []Record, _ RunOptions) string {
+func renderChurn(recs []Record) string {
 	p, m := recs[0].Params, recs[0].Metrics
 	return fmt.Sprintf("Churn: N=%d, %.0f fails / %.0f leaves / %.0f joins over %v (every %v)\n"+
 		"crashes detected %.0f/%.0f, first-detect median %.2fs max %.2fs; FP %.0f; joins seen %.0f/%.0f sampled views\n",
@@ -221,7 +221,7 @@ func renderChurn(recs []Record, _ RunOptions) string {
 
 // renderPartition renders the partition record: per-side convergence
 // during the split and the re-merge outcome.
-func renderPartition(recs []Record, _ RunOptions) string {
+func renderPartition(recs []Record) string {
 	p, m := recs[0].Params, recs[0].Metrics
 	out := fmt.Sprintf("Partition: side A %d members for %v (heal budget %v)\n"+
 		"side A converged: %t, side B converged: %t, cross-side dead views: %.0f\n",
@@ -235,7 +235,7 @@ func renderPartition(recs []Record, _ RunOptions) string {
 
 // renderRestart lays the rolling-restart records out as the
 // per-configuration comparison table.
-func renderRestart(recs []Record, _ RunOptions) string {
+func renderRestart(recs []Record) string {
 	var b strings.Builder
 	p := recs[0].Params
 	fmt.Fprintf(&b, "Rolling restart: N=%d, %d waves × %d members, down %v, stagger %v\n",

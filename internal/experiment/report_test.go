@@ -50,10 +50,10 @@ func TestFormatTable4Golden(t *testing.T) {
 		"Configuration      FP Events   FP- Events     FP %SWIM    FP- %SWIM\n" +
 		"SWIM                     100           40       100.00       100.00\n" +
 		"Lifeguard                 25           10        25.00        25.00\n"
-	checkGolden(t, "Table4", renderTable4(fmtIntervalFixture(), RunOptions{}), want)
+	checkGolden(t, "Table4", renderTable4(fmtIntervalFixture()), want)
 	// The empty case renders the header alone.
 	wantEmpty := "Configuration      FP Events   FP- Events     FP %SWIM    FP- %SWIM\n"
-	checkGolden(t, "Table4 empty", renderTable4(nil, RunOptions{}), wantEmpty)
+	checkGolden(t, "Table4 empty", renderTable4(nil), wantEmpty)
 }
 
 func TestFormatTable4(t *testing.T) {
@@ -61,7 +61,7 @@ func TestFormatTable4(t *testing.T) {
 		"Configuration      FP Events   FP- Events     FP %SWIM    FP- %SWIM\n" +
 		"SWIM                    1000           40       100.00       100.00\n" +
 		"Lifeguard                 20            1         2.00         2.50\n"
-	checkGolden(t, "Table4 sample", renderTable4(sampleIntervalFixture(), RunOptions{}), want)
+	checkGolden(t, "Table4 sample", renderTable4(sampleIntervalFixture()), want)
 }
 
 // thresholdRec builds a threshold-sweep record from its (median, p99,
@@ -82,7 +82,7 @@ func TestFormatTable5Golden(t *testing.T) {
 		"Configuration   Med 1stDet 99% 1stDet 99.9% 1stD Med FullDs 99% FullDs 99.9% FlDs\n" +
 		"SWIM                  1.50       2.50       3.50       2.00       4.00       6.00\n" +
 		"Lifeguard             1.25       2.00       3.00       1.75       3.50       5.00\n"
-	checkGolden(t, "Table5", renderTable5(recs, RunOptions{}), want)
+	checkGolden(t, "Table5", renderTable5(recs), want)
 }
 
 func TestFormatTable5(t *testing.T) {
@@ -90,7 +90,7 @@ func TestFormatTable5(t *testing.T) {
 		"Configuration   Med 1stDet 99% 1stDet 99.9% 1stD Med FullDs 99% FullDs 99.9% FlDs\n" +
 		"SWIM                 12.44      16.96      19.40      12.90      16.93      20.17\n"
 	sample := []Record{thresholdRec("SWIM", [3]float64{12.44, 16.96, 19.4}, [3]float64{12.9, 16.93, 20.17})}
-	checkGolden(t, "Table5 sample", renderTable5(sample, RunOptions{}), want)
+	checkGolden(t, "Table5 sample", renderTable5(sample), want)
 }
 
 func TestFormatTable6Golden(t *testing.T) {
@@ -98,7 +98,7 @@ func TestFormatTable6Golden(t *testing.T) {
 		"Configuration     Msgs Sent(M)     Bytes(GiB)   Msgs %SWIM  Bytes %SWIM\n" +
 		"SWIM                     2.000          3.000       100.00       100.00\n" +
 		"Lifeguard                2.200          3.260       110.00       108.65\n"
-	checkGolden(t, "Table6", renderTable6(fmtIntervalFixture(), RunOptions{}), want)
+	checkGolden(t, "Table6", renderTable6(fmtIntervalFixture()), want)
 }
 
 func TestFormatTable6(t *testing.T) {
@@ -106,7 +106,7 @@ func TestFormatTable6(t *testing.T) {
 		"Configuration     Msgs Sent(M)     Bytes(GiB)   Msgs %SWIM  Bytes %SWIM\n" +
 		"SWIM                     2.000          3.000       100.00       100.00\n" +
 		"Lifeguard                2.200          3.625       110.00       120.83\n"
-	checkGolden(t, "Table6 sample", renderTable6(sampleIntervalFixture(), RunOptions{}), want)
+	checkGolden(t, "Table6 sample", renderTable6(sampleIntervalFixture()), want)
 }
 
 // tuningRec builds a tuning-sweep record for one (α, β) cell; vals
@@ -135,7 +135,7 @@ func TestFormatTable7Golden(t *testing.T) {
 		"99.9% Full      80.00    85.00\n" +
 		"FP              20.00    15.00\n" +
 		"FP-             10.00     5.00\n"
-	checkGolden(t, "Table7", renderTable7(recs, RunOptions{}), want)
+	checkGolden(t, "Table7", renderTable7(recs), want)
 }
 
 func TestFormatTable7(t *testing.T) {
@@ -153,7 +153,7 @@ func TestFormatTable7(t *testing.T) {
 		"99.9% Full       0.00     0.00\n" +
 		"FP              98.37     1.53\n" +
 		"FP-             31.15     1.89\n"
-	checkGolden(t, "Table7 sample", renderTable7(sample, RunOptions{}), wantSample)
+	checkGolden(t, "Table7 sample", renderTable7(sample), wantSample)
 }
 
 func TestFormatFigure2Golden(t *testing.T) {
@@ -163,13 +163,13 @@ func TestFormatFigure2Golden(t *testing.T) {
 		"Configuration        C=4     C=12\n" +
 		"SWIM                  60       40\n" +
 		"Lifeguard             15       10\n"
-	checkGolden(t, "Figure2", total(fmtIntervalFixture(), RunOptions{}), wantTotal)
+	checkGolden(t, "Figure2", total(fmtIntervalFixture()), wantTotal)
 	wantHealthy := "" +
 		"FP at Healthy by concurrent anomalies\n" +
 		"Configuration        C=4     C=12\n" +
 		"SWIM                  25       15\n" +
 		"Lifeguard              6        4\n"
-	checkGolden(t, "Figure3", healthy(fmtIntervalFixture(), RunOptions{}), wantHealthy)
+	checkGolden(t, "Figure3", healthy(fmtIntervalFixture()), wantHealthy)
 }
 
 func TestFormatFigure2(t *testing.T) {
@@ -179,13 +179,13 @@ func TestFormatFigure2(t *testing.T) {
 		"Configuration        C=4     C=16\n" +
 		"SWIM                 400      600\n" +
 		"Lifeguard              5       15\n"
-	checkGolden(t, "Figure2 sample", total(sampleIntervalFixture(), RunOptions{}), wantSampleTotal)
+	checkGolden(t, "Figure2 sample", total(sampleIntervalFixture()), wantSampleTotal)
 	wantSampleHealthy := "" +
 		"FP at Healthy by concurrent anomalies\n" +
 		"Configuration        C=4     C=16\n" +
 		"SWIM                  10       30\n" +
 		"Lifeguard              0        1\n"
-	checkGolden(t, "Figure3 sample", healthy(sampleIntervalFixture(), RunOptions{}), wantSampleHealthy)
+	checkGolden(t, "Figure3 sample", healthy(sampleIntervalFixture()), wantSampleHealthy)
 }
 
 // stressRec builds a stress-sweep record for one stressed-member count.
@@ -205,7 +205,7 @@ func TestFormatFigure1Golden(t *testing.T) {
 		"SWIM FP@healthy                     5       20\n" +
 		"Lifeguard total FP                  1        3\n" +
 		"Lifeguard FP@healthy                0        1\n"
-	checkGolden(t, "Figure1", renderFigure1(recs, RunOptions{}), want)
+	checkGolden(t, "Figure1", renderFigure1(recs), want)
 }
 
 func TestFormatFigure1(t *testing.T) {
@@ -214,7 +214,7 @@ func TestFormatFigure1(t *testing.T) {
 		"SWIM total FP                      70      500\n" +
 		"SWIM FP@healthy                     2        9\n"
 	sample := []Record{stressRec("SWIM", 4, 70, 2), stressRec("SWIM", 16, 500, 9)}
-	checkGolden(t, "Figure1 sample", renderFigure1(sample, RunOptions{}), want)
+	checkGolden(t, "Figure1 sample", renderFigure1(sample), want)
 }
 
 func TestFormatChurnGolden(t *testing.T) {
@@ -230,7 +230,7 @@ func TestFormatChurnGolden(t *testing.T) {
 	want := "" +
 		"Churn: N=2048, 15 fails / 15 leaves / 30 joins over 30s (every 500ms)\n" +
 		"crashes detected 15/15, first-detect median 18.60s max 22.10s; FP 0; joins seen 480/480 sampled views\n"
-	checkGolden(t, "Churn", renderChurn([]Record{r}, RunOptions{}), want)
+	checkGolden(t, "Churn", renderChurn([]Record{r}), want)
 }
 
 func TestFormatPartitionGolden(t *testing.T) {
@@ -246,14 +246,14 @@ func TestFormatPartitionGolden(t *testing.T) {
 		"Partition: side A 16 members for 1m0s (heal budget 2m0s)\n" +
 		"side A converged: true, side B converged: true, cross-side dead views: 512\n" +
 		"re-merged 15.5s after healing\n"
-	checkGolden(t, "Partition", renderPartition([]Record{r}, RunOptions{}), want)
+	checkGolden(t, "Partition", renderPartition([]Record{r}), want)
 
 	r.Metrics["remerged"], r.Metrics["remerge_s"] = 0, 0
 	wantStuck := "" +
 		"Partition: side A 16 members for 1m0s (heal budget 2m0s)\n" +
 		"side A converged: true, side B converged: true, cross-side dead views: 512\n" +
 		"did NOT re-merge within the heal budget\n"
-	checkGolden(t, "Partition stuck", renderPartition([]Record{r}, RunOptions{}), wantStuck)
+	checkGolden(t, "Partition stuck", renderPartition([]Record{r}), wantStuck)
 }
 
 func TestFormatRestartGolden(t *testing.T) {
@@ -273,7 +273,7 @@ func TestFormatRestartGolden(t *testing.T) {
 		"Config          Restarts  Rejoined   FP  FP- MedRejoin(s) MaxRejoin(s)       Msgs         MB\n" +
 		"SWIM                   8         8    2    1         0.70         0.80       7730        0.8\n" +
 		"Lifeguard              8         8    0    0         0.73         0.80       7710        0.8\n"
-	checkGolden(t, "Restart", renderRestart(recs, RunOptions{}), want)
+	checkGolden(t, "Restart", renderRestart(recs), want)
 }
 
 func TestFormatChaosGolden(t *testing.T) {
@@ -303,5 +303,5 @@ func TestFormatChaosGolden(t *testing.T) {
 		"Scenario       Config           FP  FP- VicDie CrashOK  MedDet(s)   Susp  Refuted  MedRef(s)    Dup  Reord\n" +
 		"degraded       SWIM            212  180    150    2/2        4.25    900      610       1.50      0      0\n" +
 		"lossy-link     Lifeguard         3    1      2    1/2        6.50    120      118       0.75   1200   3400\n"
-	checkGolden(t, "Chaos", renderChaos(recs, RunOptions{}), want)
+	checkGolden(t, "Chaos", renderChaos(recs), want)
 }

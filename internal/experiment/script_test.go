@@ -231,6 +231,50 @@ func TestScriptShutdownLeavesNoTimers(t *testing.T) {
 	}
 }
 
+// TestSinkCountsEachEventOnce plays the mixed script and holds the
+// cluster's counter sink to its event log: suspicions_raised,
+// suspicions_refuted, events_dead and events_join each equal the number
+// of EventSuspect, EventAlive, EventDead and EventJoin entries, from
+// every member, the stopped and rejoined ones included. A transition
+// counted at a second site, or not at its event, shows as a mismatch.
+func TestSinkCountsEachEventOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scripted run")
+	}
+	c, err := NewCluster(ClusterConfig{N: 16, Seed: 5, Protocol: ConfigLifeguard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	if err := c.Start(Quiesce); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.play(mixedScript()).runTo(40 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	logged := map[metrics.EventType]int64{}
+	for _, e := range c.Events.Events() {
+		logged[e.Type]++
+	}
+	for _, pair := range []struct {
+		counter string
+		event   metrics.EventType
+	}{
+		{metrics.CounterSuspicionsRaised, metrics.EventSuspect},
+		{metrics.CounterSuspicionsRefuted, metrics.EventAlive},
+		{"events_dead", metrics.EventDead},
+		{"events_join", metrics.EventJoin},
+	} {
+		got, want := c.Sink.Get(pair.counter), logged[pair.event]
+		if want == 0 {
+			t.Errorf("the script raised no %s event", pair.event)
+		}
+		if got != want {
+			t.Errorf("%s = %d, want %d (the %s events logged)", pair.counter, got, want, pair.event)
+		}
+	}
+}
+
 // TestScriptReturnsEveryBuffer plays the mixed script, shuts the
 // cluster down and removes every member: once the packets still in
 // flight are delivered, every pooled packet buffer the run handed out

@@ -1,7 +1,8 @@
 // Package metrics provides the telemetry surface the evaluation needs:
-// message/byte counters at the transport and a time-stamped membership
-// event log, mirroring the Consul telemetry and log analysis used in the
-// paper (§V-F).
+// named protocol counters and a time-stamped membership event log,
+// mirroring the Consul telemetry and log analysis used in the paper
+// (§V-F). Sent messages and bytes are the transports' to count (the
+// simulator's and nettrans' Stats), not the protocol's.
 package metrics
 
 import (
@@ -17,19 +18,8 @@ type Sink interface {
 	IncrCounter(name string, delta int64)
 }
 
-// Counter names emitted by the protocol core and transports.
+// Counter names emitted by the protocol core that other packages read.
 const (
-	// CounterMsgsSent counts compound packets sent (a packet with
-	// piggybacked gossip counts once, as in the paper's Msgs Sent).
-	CounterMsgsSent = "msgs_sent"
-
-	// CounterBytesSent counts payload bytes sent.
-	CounterBytesSent = "bytes_sent"
-
-	// CounterMsgsDropped counts packets dropped by the network (loss or
-	// receiver queue overflow).
-	CounterMsgsDropped = "msgs_dropped"
-
 	// CounterProbes counts probe rounds started.
 	CounterProbes = "probes"
 
@@ -39,20 +29,14 @@ const (
 	// CounterRefutes counts refutations of suspicion/death about self.
 	CounterRefutes = "refutes"
 
-	// CounterSuspicionsRaised counts suspicions started locally.
+	// CounterSuspicionsRaised counts members entering the suspected
+	// state, one per EventSuspect.
 	CounterSuspicionsRaised = "suspicions_raised"
 
-	// CounterSuspicionsRefuted counts suspicions cleared by an alive.
+	// CounterSuspicionsRefuted counts suspicions cleared by an alive,
+	// one per EventAlive.
 	CounterSuspicionsRefuted = "suspicions_refuted"
 )
-
-// NopSink discards all increments.
-type NopSink struct{}
-
-var _ Sink = NopSink{}
-
-// IncrCounter implements Sink.
-func (NopSink) IncrCounter(string, int64) {}
 
 // MemSink accumulates counters in memory.
 type MemSink struct {

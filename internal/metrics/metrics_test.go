@@ -9,22 +9,22 @@ import (
 
 func TestMemSinkCounters(t *testing.T) {
 	s := NewMemSink()
-	s.IncrCounter(CounterMsgsSent, 3)
-	s.IncrCounter(CounterMsgsSent, 4)
-	s.IncrCounter(CounterBytesSent, 100)
-	if got := s.Get(CounterMsgsSent); got != 7 {
-		t.Errorf("msgs = %d", got)
+	s.IncrCounter(CounterProbes, 3)
+	s.IncrCounter(CounterProbes, 4)
+	s.IncrCounter(CounterProbeFailures, 100)
+	if got := s.Get(CounterProbes); got != 7 {
+		t.Errorf("probes = %d", got)
 	}
 	if got := s.Get("absent"); got != 0 {
 		t.Errorf("absent counter = %d", got)
 	}
 	snap := s.Snapshot()
-	if len(snap) != 2 || snap[CounterBytesSent] != 100 {
+	if len(snap) != 2 || snap[CounterProbeFailures] != 100 {
 		t.Errorf("snapshot = %v", snap)
 	}
 	// Snapshot is a copy.
-	snap[CounterBytesSent] = 0
-	if got := s.Get(CounterBytesSent); got != 100 {
+	snap[CounterProbeFailures] = 0
+	if got := s.Get(CounterProbeFailures); got != 100 {
 		t.Error("snapshot aliases the sink")
 	}
 }
@@ -45,11 +45,6 @@ func TestMemSinkConcurrent(t *testing.T) {
 	if got := s.Get("c"); got != 8000 {
 		t.Errorf("c = %d, want 8000", got)
 	}
-}
-
-func TestNopSink(t *testing.T) {
-	// Must simply not panic.
-	NopSink{}.IncrCounter("x", 1)
 }
 
 func TestEventLogOrdering(t *testing.T) {

@@ -67,6 +67,7 @@ func (t *Transport) queueFrame(addr string, payload []byte) error {
 		return nil
 	}
 	s.queue = append(s.queue, frame)
+	t.stats.bytesSent.Add(uint64(len(payload)))
 	if !s.sending {
 		s.sending = true
 		t.wg.Add(1)

@@ -78,6 +78,7 @@ type Transport struct {
 // counters are the transport's running totals; Stats snapshots them.
 type counters struct {
 	datagramsSent, datagramsReceived atomic.Uint64
+	bytesSent                        atomic.Uint64
 
 	streamDials, streamDialErrors    atomic.Uint64
 	streamReuses, streamStaleRedials atomic.Uint64
@@ -92,6 +93,7 @@ type counters struct {
 type Stats struct {
 	DatagramsSent     uint64 // UDP datagrams written
 	DatagramsReceived uint64 // UDP datagrams delivered to the handler
+	BytesSent         uint64 // payload bytes of datagrams written and frames queued
 
 	StreamDials        uint64 // outbound TCP connections opened
 	StreamDialErrors   uint64 // dials that failed (the frame is also a drop)
@@ -110,6 +112,7 @@ func (t *Transport) Stats() Stats {
 	return Stats{
 		DatagramsSent:      c.datagramsSent.Load(),
 		DatagramsReceived:  c.datagramsReceived.Load(),
+		BytesSent:          c.bytesSent.Load(),
 		StreamDials:        c.streamDials.Load(),
 		StreamDialErrors:   c.streamDialErrors.Load(),
 		StreamReuses:       c.streamReuses.Load(),
@@ -244,6 +247,7 @@ func (t *Transport) SendPacket(addr string, payload []byte, reliable bool) error
 		return fmt.Errorf("nettrans: udp send to %q: %w", addr, err)
 	}
 	t.stats.datagramsSent.Add(1)
+	t.stats.bytesSent.Add(uint64(len(payload)))
 	return nil
 }
 

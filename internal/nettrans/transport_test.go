@@ -104,6 +104,35 @@ func TestLargePayloadGoesOverStream(t *testing.T) {
 	}
 }
 
+// TestBytesSentCountsUDPAndTCP: BytesSent is the payload bytes of every
+// datagram written and every frame queued, the framing excluded, the
+// quantity the simulator's Stats.BytesSent measures.
+func TestBytesSentCountsUDPAndTCP(t *testing.T) {
+	a, b, _, cb := newPair(t)
+	udp := []byte("datagram")
+	reliable := []byte("reliable frame")
+	large := bytes.Repeat([]byte{0xCD}, 100_000) // too large for a datagram
+	for _, send := range []struct {
+		payload  []byte
+		reliable bool
+	}{{udp, false}, {reliable, true}, {large, false}} {
+		if err := a.SendPacket(b.LocalAddr(), send.payload, send.reliable); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cb.wait(t, 3, 5*time.Second)
+	s := a.Stats()
+	if want := uint64(len(udp) + len(reliable) + len(large)); s.BytesSent != want {
+		t.Errorf("bytes sent = %d, want %d", s.BytesSent, want)
+	}
+	if s.DatagramsSent != 1 {
+		t.Errorf("datagrams sent = %d, want 1", s.DatagramsSent)
+	}
+	if got := b.Stats().BytesSent; got != 0 {
+		t.Errorf("receiver's bytes sent = %d, want 0", got)
+	}
+}
+
 func TestManyPacketsBothDirections(t *testing.T) {
 	a, b, ca, cb := newPair(t)
 	const n = 50

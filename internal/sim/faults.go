@@ -14,7 +14,7 @@ import (
 // is drawn from a dedicated RNG stream (Network.faultRNG), and a
 // fault-dropped packet still consumes the base delay draw it would have
 // consumed anyway, so degradation and link impairments never perturb
-// the base latency/loss sequence of unaffected traffic — a run with no
+// the base latency sequence of unaffected traffic — a run with no
 // faults installed is byte-identical to a run without the engine.
 // (FailLink partitions consume no draws, like packets to a detached
 // member.)
@@ -37,14 +37,13 @@ const (
 )
 
 // LinkFault is an injected impairment for one directed member link,
-// layered on top of the base latency model and the global Loss
-// setting. Reliable (TCP-modelled) packets are exempt from
-// Loss and Duplicate — TCP retransmits lost segments and discards
+// layered on top of the base latency model. Reliable (TCP-modelled)
+// packets are exempt from Loss and Duplicate — TCP retransmits lost segments and discards
 // duplicate ones — but still subject to Reorder, because TCP cannot
 // mask delay (head-of-line blocking on a retransmission).
 type LinkFault struct {
 	// Loss is the probability an unreliable packet on the link is
-	// dropped, on top of the network-wide Loss.
+	// dropped.
 	Loss float64
 
 	// Duplicate is the probability an unreliable packet is delivered

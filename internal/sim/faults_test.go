@@ -517,7 +517,7 @@ func TestStatsMergeCoversAllFields(t *testing.T) {
 func TestFaultLossDoesNotShiftBaseStream(t *testing.T) {
 	run := func(withFault bool) []string {
 		sched := NewScheduler(time.Unix(0, 0))
-		network := NewNetwork(sched, Options{Seed: 9, Loss: 0.1})
+		network := NewNetwork(sched, Options{Seed: 9})
 		a, err := network.Attach("a", func(string, []byte) {})
 		if err != nil {
 			t.Fatal(err)
@@ -557,12 +557,15 @@ func TestFaultLossDoesNotShiftBaseStream(t *testing.T) {
 }
 
 // TestFaultRNGIsolation pins the two-stream contract: fault draws come
-// from a dedicated RNG, so the base network's per-packet loss decisions
-// for the same traffic are identical with and without active faults.
+// from a dedicated RNG, so traffic's base delays are the same with and
+// without active faults. a sends each packet to b, over a link that
+// duplicates every packet (two fault draws per packet), and to c, over a
+// clean link; c's delivery times must not move, and b must get every
+// packet twice.
 func TestFaultRNGIsolation(t *testing.T) {
-	run := func(withFaults bool) (dropsLoss int64, delivered map[byte]int) {
+	run := func(withFaults bool) (clean []string, delivered map[byte]int) {
 		sched := NewScheduler(time.Unix(0, 0))
-		network := NewNetwork(sched, Options{Seed: 42, Loss: 0.3})
+		network := NewNetwork(sched, Options{Seed: 42})
 		a, err := network.Attach("a", func(string, []byte) {})
 		if err != nil {
 			t.Fatal(err)
@@ -573,31 +576,35 @@ func TestFaultRNGIsolation(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
+		if _, err := network.Attach("c", func(from string, payload []byte) {
+			clean = append(clean, fmt.Sprintf("%d@%v", payload[0], sched.Now().Sub(time.Unix(0, 0))))
+		}); err != nil {
+			t.Fatal(err)
+		}
 		if withFaults {
-			// Heavy duplication consumes many fault-stream draws; the
-			// base loss stream must not notice.
 			network.SetLinkFault("a", "b", LinkFault{Duplicate: 1.0})
 		}
 		for i := 0; i < 100; i++ {
 			a.SendPacket("b", []byte{byte(i)}, false)
+			a.SendPacket("c", []byte{byte(i)}, false)
 			sched.RunFor(10 * time.Millisecond)
 		}
 		sched.RunFor(time.Second)
-		return network.NodeStats("b").DropsLoss, delivered
+		return clean, delivered
 	}
-	baseDrops, base := run(false)
-	faultDrops, faulted := run(true)
-	if baseDrops != faultDrops {
-		t.Errorf("loss drops changed when faults were active: %d vs %d", baseDrops, faultDrops)
+	base, _ := run(false)
+	faulted, dups := run(true)
+	if len(base) != 100 || len(faulted) != len(base) {
+		t.Fatalf("clean link delivered %d packets, %d under duplication elsewhere; want 100 both", len(base), len(faulted))
 	}
-	// Exactly the packets that survived loss in the base run must
-	// survive in the faulted run (twice each, with Duplicate = 1).
-	if len(faulted) != len(base) {
-		t.Fatalf("faulted run delivered %d distinct packets, base %d", len(faulted), len(base))
+	for i := range base {
+		if base[i] != faulted[i] {
+			t.Fatalf("clean-link delivery %d moved under duplication elsewhere: %s vs %s", i, base[i], faulted[i])
+		}
 	}
-	for payload := range base {
-		if faulted[payload] != 2 {
-			t.Errorf("packet %d delivered %d times under Duplicate=1, want 2", payload, faulted[payload])
+	for i := 0; i < 100; i++ {
+		if dups[byte(i)] != 2 {
+			t.Errorf("packet %d delivered %d times under Duplicate=1, want 2", i, dups[byte(i)])
 		}
 	}
 }

@@ -41,11 +41,8 @@ var flatDelay = DelayDist{Base: 100 * time.Microsecond, Jitter: 900 * time.Micro
 
 // Options configures a simulated network.
 type Options struct {
-	// Loss is the probability an unreliable packet is dropped in
-	// flight. Reliable (TCP-modelled) packets are never loss-dropped.
-	Loss float64
-
-	// Seed seeds the network's RNG (latency/loss draws).
+	// Seed seeds the network's RNGs (the base latency draws and, from a
+	// derived seed, the fault draws).
 	Seed int64
 }
 
@@ -77,7 +74,10 @@ type Stats struct {
 	// MsgsDelivered counts packets processed by the handler.
 	MsgsDelivered int64
 
-	// DropsLoss counts packets lost in flight to this member.
+	// DropsLoss reads 0: the network has no random loss of its own
+	// (per-link loss is a LinkFault, counted in DropsFault). The field
+	// stays only because the benchmark module reads it; ROADMAP item 18
+	// removes it with that reader.
 	DropsLoss int64
 
 	// DropsOverflow counts packets tail-dropped at this member's full
@@ -210,7 +210,6 @@ type Port struct {
 type Network struct {
 	sched *Scheduler
 	clock *Clock
-	opts  Options
 	rng   *rand.Rand
 	nodes map[string]*Port
 
@@ -243,7 +242,7 @@ type Network struct {
 	// faultRNG drives every fault-injection draw (link-fault loss,
 	// duplicate latency, reorder hold-back, degradation delays). It is
 	// a separate stream from rng so that installing faults never
-	// perturbs the base latency/loss sequence.
+	// perturbs the base latency sequence.
 	faultRNG *rand.Rand
 }
 
@@ -252,7 +251,6 @@ func NewNetwork(sched *Scheduler, opts Options) *Network {
 	return &Network{
 		sched:       sched,
 		clock:       NewClock(sched),
-		opts:        opts,
 		rng:         rand.New(rand.NewSource(opts.Seed)),
 		nodes:       make(map[string]*Port),
 		ids:         make(map[string]int32),
@@ -409,7 +407,7 @@ func (n *Network) QueueLen(name string) int {
 	return 0
 }
 
-// transmit moves a packet from p toward to: applies loss and latency and
+// transmit moves a packet from p toward to: applies faults and latency and
 // schedules delivery. It consumes one reference on buf — released on
 // every drop path, and after the handler runs for delivered packets —
 // so a fan-out caller passes the same buffer once per destination.
@@ -419,11 +417,6 @@ func (n *Network) transmit(p *Port, to string, buf *bufpool.Buf, reliable bool) 
 
 	dst, ok := n.nodes[to]
 	if !ok || n.linkFailed(p.id, dst.id) {
-		buf.Release()
-		return
-	}
-	if !reliable && n.opts.Loss > 0 && n.rng.Float64() < n.opts.Loss {
-		dst.stats.DropsLoss++
 		buf.Release()
 		return
 	}
@@ -488,7 +481,7 @@ func (p *Port) LocalAddr() string { return p.name }
 // for the duration of the call). While the sender is gated the packet is
 // held in the outbox and transmitted on wake, which models a process
 // blocked immediately before sending (§V-D). reliable marks TCP-modelled
-// traffic, exempt from random loss.
+// traffic, exempt from link-fault loss and duplication.
 func (p *Port) SendPacket(to string, payload []byte, reliable bool) error {
 	buf := bufpool.Copy(payload)
 	if p.gated {
@@ -503,7 +496,7 @@ func (p *Port) SendPacket(to string, payload []byte, reliable bool) error {
 // copying it into a pooled buffer exactly once: each destination holds
 // one reference on the shared buffer, consumed on its own drop or
 // delivery path, so an n-way gossip fan-out costs one copy instead of
-// n. Loss, faults and latency still apply per destination, drawing the
+// n. Faults and latency still apply per destination, drawing the
 // RNG in addrs order — the sequence of draws is identical to n
 // consecutive SendPacket calls. Implements core.FanoutTransport.
 func (p *Port) SendPacketFanout(addrs []string, payload []byte, reliable bool) error {

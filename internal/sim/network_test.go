@@ -49,7 +49,7 @@ func (r *rig) attach(t *testing.T, name string) (*Port, *[]string) {
 // capacity and service time are constants, so a field is added only
 // with a caller that sets it.
 func TestOptionsSurface(t *testing.T) {
-	want := []string{"Loss", "Seed"}
+	want := []string{"Seed"}
 	typ := reflect.TypeOf(Options{})
 	got := make([]string, typ.NumField())
 	for i := range got {
@@ -113,23 +113,6 @@ func TestUnknownDestinationCountsSendOnly(t *testing.T) {
 	r.sched.RunFor(time.Second)
 	if got := r.net.NodeStats("a").MsgsSent; got != 1 {
 		t.Errorf("msgs sent = %d", got)
-	}
-}
-
-func TestLossDropsUnreliableOnly(t *testing.T) {
-	r := newRig(t, Options{Loss: 1.0})
-	a, _ := r.attach(t, "a")
-	_, bGot := r.attach(t, "b")
-
-	a.SendPacket("b", []byte("udp"), false)
-	a.SendPacket("b", []byte("tcp"), true)
-	r.sched.RunFor(time.Second)
-
-	if len(*bGot) != 1 || (*bGot)[0] != "a:tcp" {
-		t.Fatalf("b got %v, want only the reliable packet", *bGot)
-	}
-	if got := r.net.NodeStats("b").DropsLoss; got != 1 {
-		t.Errorf("loss drops = %d", got)
 	}
 }
 
@@ -360,7 +343,7 @@ func TestDeterministicReplay(t *testing.T) {
 	// identical delivery traces.
 	run := func() []string {
 		sched := NewScheduler(time.Unix(0, 0))
-		network := NewNetwork(sched, Options{Seed: 99, Loss: 0.2})
+		network := NewNetwork(sched, Options{Seed: 99})
 		var trace []string
 		ports := make([]*Port, 4)
 		for i := range ports {

@@ -40,10 +40,11 @@ type Node = core.Node
 // from DefaultConfig (all Lifeguard components on) or SWIMConfig (the
 // paper's baseline) and override fields; durations are wall-clock
 // (virtual time under the simulator). NewNode fills in only Addr (the
-// transport's address), Clock (the real clock), RNG (time-seeded) and
-// Metrics (a no-op sink) when they are unset; every other value comes
-// from DefaultConfig or SWIMConfig, and a zero ProbeInterval or
-// SuspicionAlpha is rejected, not defaulted.
+// transport's address), Clock (the real clock) and RNG (time-seeded)
+// when they are unset; a nil Events, Metrics or Telemetry observes
+// nothing. Every other value comes from DefaultConfig or SWIMConfig,
+// and a zero ProbeInterval or SuspicionAlpha is rejected, not
+// defaulted.
 type Config = core.Config
 
 // Member is a snapshot of one member's entry in the membership view,
