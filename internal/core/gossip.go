@@ -74,45 +74,22 @@ func (n *Node) gossipTargetsLocked(dst []*memberState) []*memberState {
 	})
 }
 
-// scheduleGossipLocked arms the next dedicated gossip tick (§III-B: a
-// gossip layer separate from the failure detector, so dissemination rate
-// can exceed probe rate).
-func (n *Node) scheduleGossipLocked() {
-	if n.shutdown {
-		return
-	}
-	if n.gossipTimer == nil { // at the call site: see scheduleProbeLocked
-		n.gossipTimer = n.cfg.Clock.AfterFunc(gossipInterval, n.gossipTick)
-	} else {
-		n.gossipTimer.Reset(gossipInterval)
-	}
-}
-
-// gossipTick pushes queued updates to a few random members. Blocked
-// members coalesce missed ticks into one deferred round, like the probe
-// loop.
+// gossipTick pushes queued updates to a few random members: the
+// dedicated gossip loop (§III-B: a gossip layer separate from the
+// failure detector, so dissemination rate can exceed probe rate). A
+// blocked member holds the whole round for wake (holdLocked).
 func (n *Node) gossipTick() {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.shutdown {
-		n.mu.Unlock()
 		return
 	}
-	n.scheduleGossipLocked()
+	n.gossipTimer.Reset(gossipInterval)
 	if n.blockedLocked() {
-		if !n.gossipDeferred {
-			n.gossipDeferred = true
-			n.deferToWakeLocked(func() {
-				n.mu.Lock()
-				n.gossipDeferred = false
-				n.gossipLocked()
-				n.mu.Unlock()
-			})
-		}
-		n.mu.Unlock()
+		n.holdLocked(&n.gossipHeld, n.gossipLocked)
 		return
 	}
 	n.gossipLocked()
-	n.mu.Unlock()
 }
 
 // gossipLocked sends one round of pure gossip packets, in shared-payload

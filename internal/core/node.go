@@ -98,8 +98,8 @@ type Node struct {
 	// moved and consulted only when LHAProbe is on (adjustLHMLocked).
 	lhm int
 
-	// Tick timers: each is created by its loop's first arm and re-armed
-	// in place (Reset) by every later one; stopped on shutdown.
+	// Tick timers: Start creates each with its first arm, and every
+	// tick re-arms its own in place (Reset); stopped on shutdown.
 	probeTimer     timeutil.Timer
 	gossipTimer    timeutil.Timer
 	pushPullTimer  timeutil.Timer
@@ -109,11 +109,11 @@ type Node struct {
 	// injected anomaly); Wake runs it in order.
 	deferred []func()
 
-	// probeDeferred and gossipDeferred dedupe tick deferral, modelling a
-	// ticker whose reader is blocked: missed ticks coalesce into one.
-	probeDeferred    bool
-	gossipDeferred   bool
-	pushPullDeferred bool
+	// probeHeld, gossipHeld and pushPullHeld mark a loop's round held
+	// for Wake (holdLocked).
+	probeHeld    bool
+	gossipHeld   bool
+	pushPullHeld bool
 
 	started  bool
 	shutdown bool
@@ -174,7 +174,7 @@ func (n *Node) HealthScore() int {
 }
 
 // Start marks the local member alive, announces it, and starts the
-// probe, gossip and push-pull loops.
+// probe, gossip, push-pull and reconnect loops.
 func (n *Node) Start() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -202,10 +202,13 @@ func (n *Node) Start() error {
 
 	n.broadcastLocked(n.cfg.Name, n.selfAliveLocked())
 
-	n.scheduleProbeLocked()
-	n.scheduleGossipLocked()
-	n.schedulePushPullLocked()
-	n.scheduleReconnectLocked()
+	// Each tick re-arms its own timer (Reset); this order fixes the two
+	// jitter draws and the schedule order.
+	clock := n.cfg.Clock
+	n.probeTimer = clock.AfterFunc(n.scaledLocked(n.cfg.ProbeInterval), n.probeTick)
+	n.gossipTimer = clock.AfterFunc(gossipInterval, n.gossipTick)
+	n.pushPullTimer = clock.AfterFunc(n.jitterLocked(pushPullInterval), n.pushPullTick)
+	n.reconnectTimer = clock.AfterFunc(n.jitterLocked(reconnectInterval), n.reconnectTick)
 	return nil
 }
 
@@ -407,9 +410,23 @@ func (n *Node) blockedLocked() bool {
 	return n.cfg.Blocked != nil && n.cfg.Blocked()
 }
 
-// deferToWakeLocked postpones f until the anomaly gate releases.
-func (n *Node) deferToWakeLocked(f func()) {
-	n.deferred = append(n.deferred, f)
+// holdLocked holds one round of a blocked loop for Wake, which runs it
+// under the lock unless the node has shut down. A loop holds at most
+// one round (*held): like a ticker whose reader is stuck, the ticks it
+// misses in between coalesce into that one.
+func (n *Node) holdLocked(held *bool, run func()) {
+	if *held {
+		return
+	}
+	*held = true
+	n.deferred = append(n.deferred, func() {
+		n.mu.Lock()
+		*held = false
+		if !n.shutdown {
+			run()
+		}
+		n.mu.Unlock()
+	})
 }
 
 // Wake runs work deferred while the member was blocked. The experiment

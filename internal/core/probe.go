@@ -127,101 +127,63 @@ func (n *Node) scaledLocked(d time.Duration) time.Duration {
 	return d * time.Duration(n.lhm+1)
 }
 
-// scheduleProbeLocked arms the next probe tick.
-func (n *Node) scheduleProbeLocked() {
-	if n.shutdown {
-		return
-	}
-	// The nil check sits here, not in a helper taking the callback:
-	// evaluating n.probeTick allocates a bound-method value, which a
-	// helper's argument list would do on every arm.
-	if d := n.scaledLocked(n.cfg.ProbeInterval); n.probeTimer == nil {
-		n.probeTimer = n.cfg.Clock.AfterFunc(d, n.probeTick)
-	} else {
-		n.probeTimer.Reset(d)
-	}
-}
-
 // probeTick runs one protocol period.
 //
 // While the member is blocked by an anomaly, the round still *starts* at
 // the tick — memberlist arms the ack and period timers before the send,
 // and timers keep firing in a stalled process — but the ping itself is
-// stuck until wake. The resumed round then finds its deadlines long past
+// held for wake. The resumed round then finds its deadlines long past
 // and fails immediately, suspecting a healthy target: the false-positive
 // seed the paper attributes to slow members (§II, §IV). Ticks that fire
-// while a blocked round is pending are dropped, like a ticker whose
-// reader goroutine is stuck.
+// while a held round is pending are dropped (holdLocked).
 func (n *Node) probeTick() {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.shutdown {
-		n.mu.Unlock()
 		return
 	}
-	n.scheduleProbeLocked()
-	if n.blockedLocked() {
-		if !n.probeDeferred {
-			target := n.nextProbeTargetLocked()
-			if target != nil {
-				n.probeDeferred = true
-				addr := target.Addr
-				ping := n.startProbeRoundLocked(target)
-				n.deferToWakeLocked(func() {
-					n.mu.Lock()
-					n.probeDeferred = false
-					if !n.shutdown {
-						// The ping only leaves now; restamp the round
-						// so a later RTT observation measures the
-						// network, not the block.
-						if h, ok := n.acks[ping.SeqNo]; ok {
-							h.sentAt = n.cfg.Clock.Now()
-						}
-						n.sendWithPiggybackLocked(addr, &ping, target, false)
-					}
-					n.mu.Unlock()
-				})
-			}
-		}
-		n.mu.Unlock()
+	n.probeTimer.Reset(n.scaledLocked(n.cfg.ProbeInterval))
+	blocked := n.blockedLocked()
+	if blocked && n.probeHeld {
 		return
 	}
-	n.probeLocked()
-	n.mu.Unlock()
-}
-
-// probeLocked picks the next probe target and starts a probe round.
-func (n *Node) probeLocked() {
 	target := n.nextProbeTargetLocked()
 	if target == nil {
 		return
 	}
-	n.probeNodeLocked(target)
+	ping := n.startProbeRoundLocked(target)
+	if !blocked {
+		n.sendWithPiggybackLocked(target.Addr, &ping, target, false)
+		return
+	}
+	// The held ping is its own variable: captured by the closure, it
+	// moves to the heap, which ping on the unblocked path must not.
+	held, addr := ping, target.Addr
+	n.holdLocked(&n.probeHeld, func() {
+		// The ping only leaves now; restamp the round so a later RTT
+		// observation measures the network, not the block.
+		if h, ok := n.acks[held.SeqNo]; ok {
+			h.sentAt = n.cfg.Clock.Now()
+		}
+		n.sendWithPiggybackLocked(addr, &held, target, false)
+	})
 }
 
 // nextProbeTargetLocked selects the member to probe this period by
-// advancing the round-robin schedule (§III-A). The probe list is
-// maintained incrementally and holds exactly the probeable members
-// (non-self, not dead or left), so a pass is a straight walk; the
-// membership checks are kept as a safety net only.
+// advancing the round-robin schedule (§III-A), reshuffling it once a
+// pass is exhausted. The probe list is maintained incrementally and
+// holds exactly the probeable members (non-self, alive or suspect), so
+// the next slot is the target.
 func (n *Node) nextProbeTargetLocked() *memberState {
-	for pass := 0; pass < 2; pass++ {
-		for n.probeIdx < len(n.probeList) {
-			m := n.probeList[n.probeIdx]
-			n.probeIdx++
-			if m == n.self {
-				continue
-			}
-			if m.State == StateDead || m.State == StateLeft {
-				continue
-			}
-			return m
-		}
-		if len(n.probeList) == 0 {
-			return nil
-		}
+	if len(n.probeList) == 0 {
+		return nil
+	}
+	if n.probeIdx == len(n.probeList) {
 		n.resetProbeListLocked()
 	}
-	return nil
+	m := n.probeList[n.probeIdx]
+	n.probeIdx++
+	return m
 }
 
 // resetProbeListLocked reshuffles the probe schedule in place at the end
@@ -290,12 +252,6 @@ func (n *Node) removeProbeTargetLocked(m *memberState) {
 	}
 	n.probeList = n.probeList[:last]
 	m.probeSlot = -1
-}
-
-// probeNodeLocked starts a probe round against m and sends the ping.
-func (n *Node) probeNodeLocked(m *memberState) {
-	ping := n.startProbeRoundLocked(m)
-	n.sendWithPiggybackLocked(m.Addr, &ping, m, false)
 }
 
 // startProbeRoundLocked registers the ack handler and arms the round's
@@ -384,7 +340,7 @@ func (n *Node) probeTimeoutExpiredLocked(seq uint32) {
 		return
 	}
 	if n.blockedLocked() {
-		n.deferToWakeLocked(func() {
+		n.deferred = append(n.deferred, func() {
 			n.mu.Lock()
 			n.probeTimeoutExpiredLocked(seq)
 			n.mu.Unlock()
@@ -446,7 +402,7 @@ func (n *Node) probePeriodExpiredLocked(seq uint32) {
 		return
 	}
 	if n.blockedLocked() {
-		n.deferToWakeLocked(func() {
+		n.deferred = append(n.deferred, func() {
 			n.mu.Lock()
 			n.probePeriodExpiredLocked(seq)
 			n.mu.Unlock()

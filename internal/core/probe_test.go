@@ -544,19 +544,71 @@ func TestSuspicionTimerFiresWhileBlocked(t *testing.T) {
 	}
 }
 
-func TestGossipDeferredWhileBlocked(t *testing.T) {
+// TestBlockedLoopsHoldOneRound pins each protocol loop's rule while its
+// member is blocked: nothing leaves during the block, and however many
+// ticks were missed, Wake releases at most one round per loop
+// (holdLocked). The probe round starts at its tick and only its ping
+// waits; gossip and push-pull hold their whole round; a reconnect is
+// skipped, not held.
+func TestBlockedLoopsHoldOneRound(t *testing.T) {
 	h := newHarness(t, nil)
-	h.addMember("m1", 1)
-	h.blocked = true
-	h.inject("x", &wire.Suspect{Incarnation: 1, Node: "m1", From: "x"})
+	for _, name := range []string{"m1", "m2", "m3"} {
+		h.addMember(name, 1)
+	}
+	// m3's death gives the reconnect loop a target; the queued news
+	// gives the gossip loop something to send.
+	h.inject("x", &wire.Dead{Incarnation: 1, Node: "m3", From: "x"})
 	h.clearSent()
-	h.run(5 * time.Second)
-	if len(h.sent) != 0 {
-		t.Fatalf("blocked member sent %d packets", len(h.sent))
+	carries := func(p sentPacket, t wire.MsgType) bool {
+		for _, m := range p.msgs {
+			if m.Type() == t {
+				return true
+			}
+		}
+		return false
+	}
+	loops := []struct {
+		name   string
+		sent   func(sentPacket) bool // the loop's packets
+		atWake int
+	}{
+		{"probe", func(p sentPacket) bool { return carries(p, wire.TypePing) && !p.reliable }, 1},
+		// One round: a packet to each of m1 and m2, the only members
+		// gossip reaches at wake.
+		{"gossip", func(p sentPacket) bool {
+			return !carries(p, wire.TypePing) && !carries(p, wire.TypeIndirectPing) && !carries(p, wire.TypePushPullReq)
+		}, 2},
+		{"push-pull", func(p sentPacket) bool { return carries(p, wire.TypePushPullReq) && p.to != "m3" }, 1},
+		{"reconnect", func(p sentPacket) bool { return carries(p, wire.TypePushPullReq) && p.to == "m3" }, 0},
+	}
+	count := func(sent func(sentPacket) bool) int {
+		k := 0
+		for _, p := range h.sent {
+			if sent(p) {
+				k++
+			}
+		}
+		return k
+	}
+
+	h.blocked = true
+	h.run(90 * time.Second) // three push-pull and reconnect periods
+	for _, l := range loops {
+		if got := count(l.sent); got != 0 {
+			t.Errorf("%s: %d packets left a blocked member", l.name, got)
+		}
+	}
+	if got := h.sink.Get(metrics.CounterProbes); got != 1 {
+		t.Errorf("probe: %d rounds started while blocked, want 1 (at the first tick)", got)
 	}
 	h.blocked = false
 	h.node.Wake()
-	if len(h.sentOfType(wire.TypeSuspect)) == 0 {
-		t.Error("suspicion did not escape at wake")
+	for _, l := range loops {
+		if got := count(l.sent); got != l.atWake {
+			t.Errorf("%s: %d packets at wake, want %d", l.name, got, l.atWake)
+		}
+	}
+	if len(h.sentOfType(wire.TypeDead)) == 0 {
+		t.Error("m3's death, queued before the block, did not leave at wake")
 	}
 }

@@ -120,42 +120,20 @@ func (n *Node) jitterLocked(d time.Duration) time.Duration {
 	return d - jitter + time.Duration(n.cfg.RNG.Int63n(int64(2*jitter)))
 }
 
-// schedulePushPullLocked arms the next anti-entropy exchange.
-func (n *Node) schedulePushPullLocked() {
-	if n.shutdown {
-		return
-	}
-	d := n.jitterLocked(pushPullInterval)
-	if n.pushPullTimer == nil { // at the call site: see scheduleProbeLocked
-		n.pushPullTimer = n.cfg.Clock.AfterFunc(d, n.pushPullTick)
-	} else {
-		n.pushPullTimer.Reset(d)
-	}
-}
-
-// pushPullTick starts one full state sync with a random live member.
+// pushPullTick starts one full state sync with a random live member. A
+// blocked member holds the whole exchange for wake (holdLocked).
 func (n *Node) pushPullTick() {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.shutdown {
-		n.mu.Unlock()
 		return
 	}
-	n.schedulePushPullLocked()
+	n.pushPullTimer.Reset(n.jitterLocked(pushPullInterval))
 	if n.blockedLocked() {
-		if !n.pushPullDeferred {
-			n.pushPullDeferred = true
-			n.deferToWakeLocked(func() {
-				n.mu.Lock()
-				n.pushPullDeferred = false
-				n.pushPullLocked()
-				n.mu.Unlock()
-			})
-		}
-		n.mu.Unlock()
+		n.holdLocked(&n.pushPullHeld, n.pushPullLocked)
 		return
 	}
 	n.pushPullLocked()
-	n.mu.Unlock()
 }
 
 // pushPullLocked sends the request half of an anti-entropy exchange.
@@ -249,33 +227,21 @@ func (n *Node) handlePushPullRespLocked(resp *wire.PushPullResp) {
 	n.mergeRemoteStateLocked(resp.States)
 }
 
-// scheduleReconnectLocked arms the next reconnect attempt (the Serf
-// layer's partition-healing behaviour).
-func (n *Node) scheduleReconnectLocked() {
-	if n.shutdown {
-		return
-	}
-	d := n.jitterLocked(reconnectInterval)
-	if n.reconnectTimer == nil { // at the call site: see scheduleProbeLocked
-		n.reconnectTimer = n.cfg.Clock.AfterFunc(d, n.reconnectTick)
-	} else {
-		n.reconnectTimer.Reset(d)
-	}
-}
-
-// reconnectTick attempts a push-pull with one random dead member. If the
-// member is actually reachable again (healed partition, recovered host),
-// the exchange triggers the refutation cascade that re-merges the
-// groups; if it is truly dead, the packet vanishes like any other.
+// reconnectTick attempts a push-pull with one random dead member (the
+// Serf layer's partition-healing behaviour). If the member is actually
+// reachable again (healed partition, recovered host), the exchange
+// triggers the refutation cascade that re-merges the groups; if it is
+// truly dead, the packet vanishes like any other. A blocked member
+// skips the attempt: reconnects are periodic anyway.
 func (n *Node) reconnectTick() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.shutdown {
 		return
 	}
-	n.scheduleReconnectLocked()
+	n.reconnectTimer.Reset(n.jitterLocked(reconnectInterval))
 	if n.blockedLocked() {
-		return // skip quietly; reconnects are periodic anyway
+		return
 	}
 	var buf [1]*memberState
 	targets := n.selectRandomLocked(buf[:0], 1, func(m *memberState) bool {

@@ -145,8 +145,9 @@ func TestProbeTimeoutAllocs(t *testing.T) {
 	}
 }
 
-// TestIdleTicksAllocs: re-arming the four tick timers allocates nothing,
-// neither directly nor from inside the probe and gossip ticks, on the
+// TestIdleTicksAllocs: re-arming the four tick timers with Reset, as
+// each tick does, allocates nothing, neither directly nor from inside
+// the probe and gossip ticks, on the
 // shared simulator clock (the timer is the scheduler's event) and on a
 // member clock (the timer owns its event).
 func TestIdleTicksAllocs(t *testing.T) {
@@ -176,10 +177,10 @@ func TestIdleTicksAllocs(t *testing.T) {
 			pending := sched.Len()
 			allocs := allocsOver(50, func() {
 				n.mu.Lock()
-				n.scheduleProbeLocked()
-				n.scheduleGossipLocked()
-				n.schedulePushPullLocked()
-				n.scheduleReconnectLocked()
+				n.probeTimer.Reset(n.scaledLocked(n.cfg.ProbeInterval))
+				n.gossipTimer.Reset(gossipInterval)
+				n.pushPullTimer.Reset(n.jitterLocked(pushPullInterval))
+				n.reconnectTimer.Reset(n.jitterLocked(reconnectInterval))
 				n.mu.Unlock()
 				// One probe tick and five gossip ticks fire and re-arm
 				// themselves; the 30 s loops were just pushed out again.

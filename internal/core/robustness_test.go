@@ -31,7 +31,8 @@ func TestHandlePacketGarbageNeverPanics(t *testing.T) {
 func TestQuickRandomValidMessagesKeepInvariants(t *testing.T) {
 	// Fire random well-formed protocol messages at a node and check the
 	// core invariants after each: the node's own record stays alive, the
-	// alive count matches the table, and incarnations never regress.
+	// alive count matches the table, incarnations never regress, and the
+	// member indexes agree (auditIndexes).
 	h := newHarness(t, nil)
 	names := []string{"m1", "m2", "m3", "self"}
 	for _, n := range names[:3] {
@@ -77,6 +78,7 @@ func TestQuickRandomValidMessagesKeepInvariants(t *testing.T) {
 		if aliveCount != h.node.NumAlive() {
 			t.Fatalf("iteration %d: alive count %d != table %d", i, h.node.NumAlive(), aliveCount)
 		}
+		auditIndexes(t, h.node)
 	}
 }
 

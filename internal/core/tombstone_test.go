@@ -18,8 +18,11 @@ import (
 
 // auditIndexes checks a node's member indexes against each other:
 // members, roster and sortedMembers hold the same records,
-// sortedMembers in strictly ascending name order; every probeSlot
-// indexes its own record in probeList; and self is in the table.
+// sortedMembers in strictly ascending name order; probeList holds
+// exactly the non-self members that are alive or suspect, each at its
+// own probeSlot, and the probe index stays within it (the probe tick
+// takes its next slot without checking the record); and self is in
+// the table.
 func auditIndexes(t *testing.T, n *Node) {
 	t.Helper()
 	n.mu.Lock()
@@ -52,6 +55,13 @@ func auditIndexes(t *testing.T, n *Node) {
 		if m.probeSlot >= 0 && (m.probeSlot >= len(n.probeList) || n.probeList[m.probeSlot] != m) {
 			t.Fatalf("%s: %q's probeSlot %d does not index it", name, m.Name, m.probeSlot)
 		}
+		want := m != n.self && (m.State == StateAlive || m.State == StateSuspect)
+		if got := m.probeSlot >= 0; got != want {
+			t.Fatalf("%s: %q (%v) in the probe list %t, want %t", name, m.Name, m.State, got, want)
+		}
+	}
+	if n.probeIdx > len(n.probeList) {
+		t.Fatalf("%s: probe index %d past the %d-member list", name, n.probeIdx, len(n.probeList))
 	}
 	if n.self == nil || n.members[name] != n.self {
 		t.Fatalf("%s: self record missing from the table", name)

@@ -286,14 +286,3 @@ func (s *Scheduler) RunUntil(t time.Time) {
 func (s *Scheduler) RunFor(d time.Duration) {
 	s.RunUntil(s.Now().Add(d))
 }
-
-// Drain runs events until the queue is empty or limit events have run,
-// whichever comes first. It returns the number of events run. Useful in
-// tests that want quiescence.
-func (s *Scheduler) Drain(limit int) int {
-	n := 0
-	for n < limit && s.Step() {
-		n++
-	}
-	return n
-}

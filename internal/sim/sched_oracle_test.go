@@ -31,7 +31,6 @@ type tracedScheduler interface {
 	Step() bool
 	RunFor(d time.Duration)
 	RunUntil(t time.Time)
-	Drain(limit int) int
 
 	after(d time.Duration, fn func()) timeutil.Timer
 	at(t time.Time, fn func()) timeutil.Timer
@@ -192,14 +191,6 @@ func (s *oracleScheduler) RunUntil(t time.Time) {
 
 func (s *oracleScheduler) RunFor(d time.Duration) { s.RunUntil(s.Now().Add(d)) }
 
-func (s *oracleScheduler) Drain(limit int) int {
-	n := 0
-	for n < limit && s.Step() {
-		n++
-	}
-	return n
-}
-
 // schedTrace drives one scheduler through a deterministic randomized
 // workload and records every observable: callback identity, the virtual
 // time it ran at, every Stop and Reset result, and Len/Now/Executed
@@ -337,7 +328,8 @@ func schedTrace(s tracedScheduler, seed int64, ties bool) (trace []string, peakP
 		}
 		trace = append(trace, fmt.Sprintf("now=%d exec=%d len=%d", s.Now().UnixNano(), s.Executed(), s.Len()))
 	}
-	s.Drain(1 << 20)
+	for s.Step() {
+	}
 	trace = append(trace, fmt.Sprintf("final now=%d exec=%d len=%d", s.Now().UnixNano(), s.Executed(), s.Len()))
 	return trace, peakPooled
 }

@@ -204,7 +204,8 @@ func TestSchedulerHugeDelaySaturates(t *testing.T) {
 	if got := s.Now().Sub(start); fmt.Sprint(order) != "[hour]" || got != time.Hour+time.Millisecond {
 		t.Fatalf("first event: ran %v at %v, want [hour] at 1h0m0.001s", order, got)
 	}
-	s.Drain(10)
+	for s.Step() {
+	}
 	if fmt.Sprint(order) != "[hour schedule reset pooled]" {
 		t.Fatalf("ran %v, want [hour schedule reset pooled]", order)
 	}
@@ -296,7 +297,8 @@ func TestSchedulerStopBySlot(t *testing.T) {
 				t.Fatalf("Len=%d after one Stop, want %d", s.Len(), n-1)
 			}
 			checkHeap(t, s)
-			s.Drain(n)
+			for s.Step() {
+			}
 
 			var want []int
 			for i := range delays {
@@ -358,7 +360,8 @@ func TestSchedulerPooledEventsRecycled(t *testing.T) {
 	for i := 0; i < burst; i++ {
 		s.scheduleArg(time.Duration(i)*time.Microsecond, hop, hops)
 	}
-	s.Drain(1 << 20)
+	for s.Step() {
+	}
 	if want := burst * (hops + 1); ran != want {
 		t.Fatalf("ran %d pooled callbacks, want %d", ran, want)
 	}
@@ -485,19 +488,6 @@ func TestSchedulerZeroDelayFromCallbackRunsSamePass(t *testing.T) {
 	}
 }
 
-func TestSchedulerDrainLimit(t *testing.T) {
-	s := NewScheduler(time.Unix(0, 0))
-	for i := 0; i < 10; i++ {
-		s.Schedule(time.Duration(i)*time.Millisecond, func() {})
-	}
-	if got := s.Drain(4); got != 4 {
-		t.Fatalf("Drain(4) ran %d", got)
-	}
-	if got := s.Drain(100); got != 6 {
-		t.Fatalf("second Drain ran %d, want 6", got)
-	}
-}
-
 func TestSchedulerExecutedCount(t *testing.T) {
 	s := NewScheduler(time.Unix(0, 0))
 	for i := 0; i < 7; i++ {
@@ -558,10 +548,12 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Schedule(time.Duration(i%1000)*time.Microsecond, func() {})
 		if i%1024 == 0 {
-			s.Drain(1 << 20)
+			for s.Step() {
+			}
 		}
 	}
-	s.Drain(1 << 30)
+	for s.Step() {
+	}
 }
 
 // benchPending are the standing backlogs the queue benchmarks run

@@ -168,10 +168,3 @@ func (s *Suspicion) Stop() bool {
 	}
 	return true
 }
-
-// Start returns when the suspicion was raised.
-func (s *Suspicion) Start() time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.start
-}

@@ -243,16 +243,6 @@ func TestLateExpiryIsANoOp(t *testing.T) {
 	}
 }
 
-func TestStartTime(t *testing.T) {
-	sched, clock := newSim()
-	sched.RunFor(7 * time.Second)
-	s := New(clock, "a", 0, time.Minute, time.Minute, func(int) {})
-	defer s.Stop()
-	if got := s.Start(); !got.Equal(time.Unix(7, 0)) {
-		t.Errorf("start = %v, want t+7s", got)
-	}
-}
-
 func TestQuickTimeoutBoundedAndMonotone(t *testing.T) {
 	f := func(k8, c8 uint8, minSec, spread uint16) bool {
 		k := int(k8 % 10)
