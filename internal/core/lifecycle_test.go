@@ -214,6 +214,27 @@ func TestIncarnationMonotoneUnderRefutationStorm(t *testing.T) {
 	}
 }
 
+func TestBlockedPushPullDeferred(t *testing.T) {
+	h := newHarness(t, nil)
+	// Two members: the blocked probe round will suspect one of them at
+	// wake (its deadlines are long past), and the deferred push-pull
+	// needs an alive peer left to contact.
+	h.addMember("m1", 1)
+	h.addMember("m2", 1)
+	h.blocked = true
+	h.clearSent()
+	h.run(90 * time.Second) // several push-pull intervals while blocked
+	if got := len(h.sentOfType(wire.TypePushPullReq)); got != 0 {
+		t.Fatalf("%d push-pulls escaped a blocked member", got)
+	}
+	h.blocked = false
+	h.node.Wake()
+	h.run(100 * time.Millisecond)
+	if got := len(h.sentOfType(wire.TypePushPullReq)); got != 1 {
+		t.Errorf("%d push-pulls at wake, want exactly 1 (coalesced)", got)
+	}
+}
+
 func TestReconnectAttemptsDeadMembers(t *testing.T) {
 	h := newHarness(t, nil)
 	h.addMember("m1", 1)

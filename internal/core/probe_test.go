@@ -544,6 +544,23 @@ func TestSuspicionTimerFiresWhileBlocked(t *testing.T) {
 	}
 }
 
+func TestGossipDeferredWhileBlocked(t *testing.T) {
+	h := newHarness(t, nil)
+	h.addMember("m1", 1)
+	h.blocked = true
+	h.inject("x", &wire.Suspect{Incarnation: 1, Node: "m1", From: "x"})
+	h.clearSent()
+	h.run(5 * time.Second)
+	if len(h.sent) != 0 {
+		t.Fatalf("blocked member sent %d packets", len(h.sent))
+	}
+	h.blocked = false
+	h.node.Wake()
+	if len(h.sentOfType(wire.TypeSuspect)) == 0 {
+		t.Error("suspicion did not escape at wake")
+	}
+}
+
 // TestBlockedLoopsHoldOneRound pins each protocol loop's rule while its
 // member is blocked: nothing leaves during the block, and however many
 // ticks were missed, Wake releases at most one round per loop
